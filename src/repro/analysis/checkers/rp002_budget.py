@@ -7,8 +7,8 @@ a ``release`` that runs on *every* exit path.  The two compliant shapes
 in the engine are:
 
 * release inside a ``try/finally`` in the same function, or
-* recording the hold on the session (``holds_budget`` / ``held_demand``)
-  so the driver's teardown ``finally`` releases it.
+* recording the hold on the session (``held_demand``) so the session
+  teardown (``EngineServer._finish``) releases it.
 
 A function that charges a budget and does neither leaks admission
 capacity on the first exception between the charge and the release.
@@ -25,7 +25,7 @@ from ..findings import Finding
 from ..registry import Checker, register
 
 _ACQUIRE_METHODS = frozenset({"allocate", "acquire"})
-_HOLD_MARKERS = frozenset({"holds_budget", "held_demand"})
+_HOLD_MARKERS = frozenset({"held_demand"})
 
 
 @register
@@ -54,7 +54,7 @@ class BudgetDisciplineChecker(Checker):
                     call.lineno,
                     f"{name}() has no release on a teardown path: "
                     "release in a try/finally here, or record the hold "
-                    "(holds_budget/held_demand) for the session teardown "
+                    "(held_demand) for the session teardown "
                     "to release",
                 )
 

@@ -10,7 +10,7 @@ across engines.
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Iterable, Mapping, Optional
 
 import numpy as np
 
@@ -18,7 +18,7 @@ from ..algebra.physical import CollectSpec
 from ..jit.pipeline import agg_identity, merge_agg
 from .results import ExecutionProfile, QueryResult
 
-__all__ = ["collect_result"]
+__all__ = ["collect_result", "merge_scalar", "merge_groups", "scalar_result"]
 
 DictionaryOf = Callable[[str], Optional[object]]
 
@@ -32,30 +32,51 @@ def collect_result(
     dictionary_of: DictionaryOf,
 ) -> QueryResult:
     if spec.scalar:
-        return _collect_scalar(spec, reduce_partials, profile)
+        return scalar_result(spec.aggs, reduce_partials, profile)
     if spec.keys or spec.aggs:
         return _collect_groups(spec, group_partials, profile, dictionary_of)
     return _collect_rows(spec, row_blocks, profile, dictionary_of)
 
 
-def _collect_scalar(spec, partials, profile) -> QueryResult:
-    merged: dict[str, Any] = {agg.alias: agg_identity(agg.kind) for agg in spec.aggs}
+def merge_scalar(aggs, partials: Iterable[Mapping[str, Any]]) -> dict[str, Any]:
+    """Fold partial scalar aggregates (alias -> value) into one.
+
+    Each aggregate starts from its identity and folds the partials in
+    order with :func:`~repro.jit.pipeline.merge_agg`; a ``count`` ends as
+    an ``int`` and a min/max that saw no input as ``None``.  A ``None``
+    in a partial is such a finalised empty min/max (a shard's result
+    merged again by the fleet) and is skipped.
+
+    The merge is used twice — worker partials into a query result, shard
+    results into a fleet result — and byte-identity of the two-level
+    merge with a single-server run leans on one contract: on
+    integer-valued float64 (every SSB aggregate) addition is exact, so
+    merging per worker and then per shard equals merging all at once.
+    """
+    merged: dict[str, Any] = {agg.alias: agg_identity(agg.kind) for agg in aggs}
     for partial in partials:
-        for agg in spec.aggs:
-            merged[agg.alias] = merge_agg(
-                agg.kind, merged[agg.alias], partial[agg.alias]
-            )
-    for agg in spec.aggs:
+        for agg in aggs:
+            if partial[agg.alias] is not None:
+                merged[agg.alias] = merge_agg(
+                    agg.kind, merged[agg.alias], partial[agg.alias]
+                )
+    for agg in aggs:
         if agg.kind == "count":
             merged[agg.alias] = int(merged[agg.alias])
         elif merged[agg.alias] in (math.inf, -math.inf):
             merged[agg.alias] = None  # min/max over empty input
-    columns = [agg.alias for agg in spec.aggs]
-    rows = [tuple(merged[c] for c in columns)]
-    return QueryResult(columns=columns, rows=rows, profile=profile, scalar=merged)
+    return merged
 
 
-def _collect_groups(spec, partials, profile, dictionary_of) -> QueryResult:
+def merge_groups(
+    aggs, partials: Iterable[Mapping[tuple, Mapping[str, Any]]]
+) -> dict[tuple, dict[str, Any]]:
+    """Fold partial group-by aggregates (key -> alias -> value) by key.
+
+    Groups keep first-seen order; a key present in several partials is
+    folded with :func:`~repro.jit.pipeline.merge_agg` in partial order
+    (same exactness contract as :func:`merge_scalar`).
+    """
     merged: dict[tuple, dict[str, Any]] = {}
     for partial in partials:
         for key, values in partial.items():
@@ -63,10 +84,23 @@ def _collect_groups(spec, partials, profile, dictionary_of) -> QueryResult:
             if row is None:
                 merged[key] = dict(values)
             else:
-                for agg in spec.aggs:
+                for agg in aggs:
                     row[agg.alias] = merge_agg(
                         agg.kind, row[agg.alias], values[agg.alias]
                     )
+    return merged
+
+
+def scalar_result(aggs, partials, profile: ExecutionProfile) -> QueryResult:
+    """The one-row result of a scalar reduction over ``partials``."""
+    merged = merge_scalar(aggs, partials)
+    columns = [agg.alias for agg in aggs]
+    rows = [tuple(merged[c] for c in columns)]
+    return QueryResult(columns=columns, rows=rows, profile=profile, scalar=merged)
+
+
+def _collect_groups(spec, partials, profile, dictionary_of) -> QueryResult:
+    merged = merge_groups(spec.aggs, partials)
     columns = list(spec.keys) + [a.alias for a in spec.aggs]
     dictionaries = {name: dictionary_of(name) for name in spec.keys}
     rows = []
@@ -100,10 +134,9 @@ def _collect_rows(spec, row_blocks, profile, dictionary_of) -> QueryResult:
     return QueryResult(columns=columns, rows=rows, profile=profile)
 
 
-def order_rows(
-    rows: list[tuple], columns: list[str], spec: CollectSpec
-) -> list[tuple]:
-    """Apply ORDER BY (stable, multi-key) and LIMIT."""
+def order_rows(rows: list[tuple], columns: list[str], spec) -> list[tuple]:
+    """Apply the ORDER BY (stable, multi-key) and LIMIT of ``spec`` —
+    anything with ``.order`` and ``.limit``: a collect spec or a plan."""
     for order in reversed(spec.order):
         try:
             index = columns.index(order.name)

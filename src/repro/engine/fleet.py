@@ -13,10 +13,11 @@ dispatcher that:
   (replicas of the shard only, circuit-breaker-allowed first, then
   least in-flight);
 * runs **scatter-gather** for multi-shard queries: one DES process per
-  shard, partial results merged with the same
-  ``agg_identity``/``merge_agg`` rules the single-server collector uses
-  (SSB aggregates are exact integer sums in float64, so the shard
-  re-association is byte-identical to a single-server run);
+  shard, partial results merged by the single-server collector's own
+  :func:`~repro.engine.collect.merge_scalar` /
+  :func:`~repro.engine.collect.merge_groups` (SSB aggregates are exact
+  integer sums in float64, so the shard re-association is
+  byte-identical to a single-server run);
 * survives **server-level chaos**: seeded
   :class:`~repro.engine.faults.ServerLossFault` /
   :class:`~repro.engine.faults.ServerStallFault` entries on the
@@ -55,16 +56,14 @@ off the hot path like the per-server surface.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Any, Optional, Sequence
 
 from ..algebra.logical import LogicalGroupBy, LogicalReduce, Plan
 from ..hardware.sim import Simulator
-from ..jit.pipeline import agg_identity, merge_agg
 from ..storage.column import Column
 from ..storage.table import Table
-from .collect import order_rows
+from .collect import merge_groups, order_rows, scalar_result
 from .config import ExecutionConfig
 from .failover import (
     BREAKER_STATE_VALUES,
@@ -90,6 +89,7 @@ from .scheduler import (
     EngineServer,
     QuerySession,
     SchedulerError,
+    drive_window,
 )
 
 __all__ = [
@@ -296,15 +296,6 @@ class FleetReport:
             extra = f" [{query.error_class}]" if query.status == "failed" else ""
             lines.append(f"  {query.name:12s} {mark:7s} latency={lat}{extra} ({trail})")
         return "\n".join(lines)
-
-
-@dataclass(frozen=True)
-class _ResultShape:
-    """The ORDER BY / LIMIT of the original plan, applied at the merge
-    (scattered shard plans run with both stripped)."""
-
-    order: Sequence
-    limit: Optional[int]
 
 
 class EngineFleet:
@@ -987,83 +978,48 @@ class EngineFleet:
 
     # -- gather + merge ----------------------------------------------------
 
+    @staticmethod
     def _merge(
-        self,
-        query: FleetQuery,
-        shards: Sequence[Optional[int]],
-        results: dict,
+        query: FleetQuery, shards: Sequence[Optional[int]], results: dict
     ) -> QueryResult:
+        """Gather: re-merge the per-shard results into the query's.
+
+        Aggregates go through the collector's own merge
+        (:func:`~repro.engine.collect.merge_scalar` /
+        :func:`~repro.engine.collect.merge_groups`); the plan's ORDER BY
+        / LIMIT, stripped from aggregating shard plans, apply here."""
         if len(shards) == 1:
             return results[shards[0]]
         parts = [results[shard] for shard in shards]  # shard order
         root = query.plan.root
-        shape = _ResultShape(query.plan.order, query.plan.limit)
+        profile = parts[0].profile
         if isinstance(root, LogicalReduce):
-            return self._merge_scalar(root.aggs, parts, shape)
+            return scalar_result(root.aggs, [part.scalar for part in parts], profile)
         if isinstance(root, LogicalGroupBy):
-            return self._merge_groups(root.keys, root.aggs, parts, shape)
-        return self._merge_rows(parts, shape)
-
-    @staticmethod
-    def _merge_scalar(aggs, parts, shape: _ResultShape) -> QueryResult:
-        merged: dict[str, Any] = {}
-        for agg in aggs:
-            value = agg_identity(agg.kind)
-            for part in parts:
-                partial = part.scalar[agg.alias]
-                if partial is None:
-                    continue  # empty-shard min/max, already finalized
-                value = merge_agg(agg.kind, value, partial)
-            if agg.kind == "count":
-                value = int(value)
-            elif value in (math.inf, -math.inf):
-                value = None  # min/max over empty input on every shard
-            merged[agg.alias] = value
-        columns = [agg.alias for agg in aggs]
-        rows = [tuple(merged[c] for c in columns)]
-        return QueryResult(
-            columns=columns, rows=rows, profile=parts[0].profile, scalar=merged
-        )
-
-    @staticmethod
-    def _merge_groups(keys, aggs, parts, shape: _ResultShape) -> QueryResult:
-        width = len(keys)
-        columns = list(parts[0].columns)
-        merged: dict[tuple, list] = {}
-        for part in parts:
-            for row in part.rows:
-                key = row[:width]
-                values = merged.get(key)
-                if values is None:
-                    merged[key] = list(row[width:])
-                else:
-                    for i, agg in enumerate(aggs):
-                        values[i] = merge_agg(agg.kind, values[i], row[width + i])
-        rows = [key + tuple(values) for key, values in merged.items()]
-        rows = order_rows(rows, columns, shape)
-        return QueryResult(columns=columns, rows=rows, profile=parts[0].profile)
-
-    @staticmethod
-    def _merge_rows(parts, shape: _ResultShape) -> QueryResult:
-        columns = next((list(p.columns) for p in parts if p.columns), [])
-        rows = [row for part in parts for row in part.rows]
-        rows = order_rows(rows, columns, shape)
-        return QueryResult(columns=columns, rows=rows, profile=parts[0].profile)
+            width = len(root.keys)
+            aliases = [agg.alias for agg in root.aggs]
+            merged = merge_groups(
+                root.aggs,
+                (
+                    {row[:width]: dict(zip(aliases, row[width:])) for row in part.rows}
+                    for part in parts
+                ),
+            )
+            columns = list(parts[0].columns)
+            rows = [
+                key + tuple(values[alias] for alias in aliases)
+                for key, values in merged.items()
+            ]
+        else:
+            columns = next((list(p.columns) for p in parts if p.columns), [])
+            rows = [row for part in parts for row in part.rows]
+        rows = order_rows(rows, columns, query.plan)
+        return QueryResult(columns=columns, rows=rows, profile=profile)
 
     # -- reporting ---------------------------------------------------------
 
     def _report(self, reports: dict[str, BatchReport]) -> FleetReport:
-        finished = [
-            q for q in self._queries
-            if q.finished and q.query_id not in self._reported
-        ]
-        self._reported.update(q.query_id for q in finished)
-        if finished:
-            first = min(q.submit_time for q in finished)
-            last = max(q.finish_time for q in finished)
-            makespan = last - first
-        else:
-            makespan = 0.0
+        finished, makespan = drive_window(self._queries, self._reported)
         failovers: dict[str, int] = {}
         for query in finished:
             for chain in query.chains.values():

@@ -6,9 +6,8 @@ GPUs and PCIe links.  This module adds that serving layer on top of the
 re-entrant executor:
 
 * a :class:`QuerySession` tracks one submitted query through its life
-  cycle (``queued`` -> ``running`` [-> ``paused`` -> ``running``] ->
-  ``done``/``failed``, or ``shed`` under overload) and records queueing
-  delay, service time and end-to-end latency in simulated time;
+  cycle (table below) and records queueing delay, service time and
+  end-to-end latency in simulated time;
 * an :class:`EngineServer` owns one shared engine (simulator, server,
   catalog, block managers, compiled-pipeline cache) and accepts a stream
   of logical plans.  Admitted queries' phase networks interleave on the
@@ -78,6 +77,44 @@ re-entrant executor:
   cache's ``cost_aware`` eviction policy, so what eviction protects is
   exactly what a miss would charge.
 
+Session life cycle.  ``status`` is assigned in one place
+(``EngineServer._move``, which also keeps the queue the session sits in
+and its pause span in step), the budget is charged and refunded through
+one chain (:meth:`ResourceBudget.quota`: the server budget plus the
+tenant's slice, one call), and one method makes a session terminal
+(``EngineServer._finish``):
+
+===========  ====================  ==========================================
+status       sits in               charged to its budget (``held_demand``)
+===========  ====================  ==========================================
+``queued``   ``_pending`` [1]_     nothing
+``running``  ``_active_sessions``  the full demand (elastic resizes move the
+                                   CPU-core delta)
+``paused``   ``_paused``           the memory share — the operator state
+                                   built so far stays resident
+terminal     nowhere               nothing (``done`` / ``failed`` / ``shed``)
+===========  ====================  ==========================================
+
+=========================  ========================  ========================
+transition                 performed by              budget
+=========================  ========================  ========================
+(new) -> ``queued``        ``submit``                —
+(new) -> ``shed``          ``_shed`` -> ``_finish``  —
+``queued`` -> ``running``  ``_activate``             charge the demand
+``running`` -> ``paused``  the checkpoint hook       refund the compute share
+``paused`` -> ``running``  ``_activate``             charge the compute share
+``running`` -> ``queued``  ``_requeue_for_retry``    refund everything held
+any live -> terminal       ``_finish``               refund everything held
+=========================  ========================  ========================
+
+.. [1] except a retry that is backing off, or being cancelled while
+   parked: ``queued`` but on no queue, so it cannot be admitted.
+
+``_finish`` is reached from the session's driver (done, or a failure
+that is not retried), from :meth:`EngineServer.cancel` for a session no
+driver owns yet, from ``_shed`` at the submission edge, and from stall
+cleanup at the end of a drive.
+
 :meth:`EngineServer.run` drives the whole batch to completion and returns
 a :class:`BatchReport` with per-query latencies, aggregate throughput,
 cache statistics, and per-class tail latency percentiles (p50/p95/p99),
@@ -118,6 +155,7 @@ __all__ = [
     "BatchReport",
     "AdmissionError",
     "SchedulerError",
+    "drive_window",
     "FaultPlan",
     "RetryPolicy",
     "RateLimit",
@@ -134,6 +172,7 @@ __all__ = [
 #: scheduling attributes — priority, deadline — are deliberately absent
 #: from as_dict and therefore never become budget dimensions)
 DIMENSIONS = tuple(QueryDemand().as_dict())
+_NOTHING = dict.fromkeys(DIMENSIONS, 0.0)
 
 
 class AdmissionError(RuntimeError):
@@ -155,6 +194,12 @@ class ResourceBudget:
     nor double-frees; :meth:`release` refuses to go negative (releasing
     a demand that was never allocated is an accounting bug, not a
     recoverable condition).
+
+    A budget may be a :meth:`quota` slice of a parent budget.  Every
+    query and state change on a slice covers its whole *chain* (the
+    server budget first, then the slice), so a caller charges, refunds
+    and tests a session against "its budget" with one call and cannot
+    update one ledger without the other.
     """
 
     def __init__(self, **capacities: float):
@@ -171,6 +216,10 @@ class ResourceBudget:
         self.peak = {dim: 0.0 for dim in DIMENSIONS}
         self.total_allocated = {dim: 0.0 for dim in DIMENSIONS}
         self.total_released = {dim: 0.0 for dim in DIMENSIONS}
+        #: what error messages call this budget
+        self.label = "server budget"
+        #: outermost budget first, this one last
+        self._chain: tuple["ResourceBudget", ...] = (self,)
 
     @classmethod
     def from_server(
@@ -204,6 +253,18 @@ class ResourceBudget:
             gpu_units=len(server.gpus) * gpu_oversubscription,
         )
 
+    def quota(self, label: str, **capacities: float) -> "ResourceBudget":
+        """A slice of this budget with its own (tighter) capacities.
+
+        What is charged through the slice is charged to this budget
+        too; only charges made *through the slice* count against the
+        slice's capacities — the isolation wall between tenants.
+        """
+        child = ResourceBudget(**capacities)
+        child.label = label
+        child._chain = (*self._chain, child)
+        return child
+
     # -- queries over the budget ------------------------------------------
 
     def _tolerance(self, dim: str) -> float:
@@ -218,77 +279,111 @@ class ResourceBudget:
             self.total_allocated[dim],
         )
 
-    def fits(self, demand: QueryDemand) -> bool:
-        d = demand.as_dict()
-        return all(
-            self.in_use[dim] + d[dim] <= self.capacity[dim] + self._tolerance(dim)
-            for dim in DIMENSIONS
-        )
-
-    def fits_with_release(
-        self, demand: QueryDemand, released: Sequence[QueryDemand] = ()
-    ) -> bool:
-        """Would ``demand`` fit if ``released`` were given back first?
-
-        The preemption planner uses this to request only as many victims
-        as actually unblock the waiting query (pausing more would churn
-        phase boundaries for nothing).
-        """
-        d = demand.as_dict()
-        freed = {dim: 0.0 for dim in DIMENSIONS}
-        for other in released:
-            od = other.as_dict()
-            for dim in DIMENSIONS:
-                freed[dim] += od[dim]
+    def _has_room(self, d: dict[str, float], freed: dict[str, float]) -> bool:
+        """This level alone: does ``d`` fit once ``freed`` is given back?"""
         return all(
             self.in_use[dim] - freed[dim] + d[dim]
             <= self.capacity[dim] + self._tolerance(dim)
             for dim in DIMENSIONS
         )
 
-    def can_ever_fit(self, demand: QueryDemand) -> bool:
+    def blocked_at(self, demand: QueryDemand) -> Optional["ResourceBudget"]:
+        """The innermost budget of the chain with no room for ``demand``
+        right now, or None when it fits everywhere.
+
+        A session blocked at its own quota slice can only be helped by
+        releases made through that slice; one blocked at the server
+        budget by anybody's.
+        """
         d = demand.as_dict()
-        return all(
-            d[dim] <= self.capacity[dim] + self._tolerance(dim)
-            for dim in DIMENSIONS
-        )
+        for level in reversed(self._chain):
+            if not level._has_room(d, _NOTHING):
+                return level
+        return None
+
+    def fits(self, demand: QueryDemand) -> bool:
+        return self.blocked_at(demand) is None
+
+    def fits_with_release(
+        self,
+        demand: QueryDemand,
+        released: Sequence[tuple["ResourceBudget", QueryDemand]] = (),
+    ) -> bool:
+        """Would ``demand`` fit if ``released`` were given back first?
+
+        ``released`` pairs each demand with the budget it is charged
+        through: it frees room at the levels of *that* budget's chain
+        only, so pausing another tenant's query never counts towards a
+        waiter blocked on its own quota (that would punch through the
+        isolation wall).  The preemption planner uses this to request
+        only as many victims as actually unblock the waiting query
+        (pausing more would churn phase boundaries for nothing).
+        """
+        d = demand.as_dict()
+        given_back = [(through._chain, other.as_dict()) for through, other in released]
+        for level in self._chain:
+            freed = dict(_NOTHING)
+            for chain, od in given_back:
+                if level in chain:
+                    for dim in DIMENSIONS:
+                        freed[dim] += od[dim]
+            if not level._has_room(d, freed):
+                return False
+        return True
+
+    def too_small_for(self, demand: QueryDemand) -> Optional["ResourceBudget"]:
+        """The outermost budget of the chain whose *capacity* ``demand``
+        exceeds — it could never run, even on an idle server — or None."""
+        d = demand.as_dict()
+        for level in self._chain:
+            # room once everything in use is given back == raw capacity
+            if not level._has_room(d, level.in_use):
+                return level
+        return None
 
     def headroom(self) -> dict[str, float]:
-        return {dim: self.capacity[dim] - self.in_use[dim] for dim in DIMENSIONS}
+        """Per dimension, the room left at the tightest level of the chain."""
+        return {
+            dim: min(level.capacity[dim] - level.in_use[dim] for level in self._chain)
+            for dim in DIMENSIONS
+        }
 
     # -- state changes -----------------------------------------------------
 
     def allocate(self, demand: QueryDemand) -> None:
         d = demand.as_dict()
-        for dim in DIMENSIONS:
-            self.in_use[dim] += d[dim]
-            self.total_allocated[dim] += d[dim]
-            self.peak[dim] = max(self.peak[dim], self.in_use[dim])
+        for level in self._chain:
+            for dim in DIMENSIONS:
+                level.in_use[dim] += d[dim]
+                level.total_allocated[dim] += d[dim]
+                level.peak[dim] = max(level.peak[dim], level.in_use[dim])
 
     def release(self, demand: QueryDemand) -> None:
         """Return an allocated demand; raises on over-release.
 
         Conservation is checked *before* any dimension is mutated, so a
-        rejected release leaves the budget untouched (no partial
+        rejected release leaves that budget untouched (no partial
         accounting to unwind).
         """
         d = demand.as_dict()
-        for dim in DIMENSIONS:
-            if d[dim] > self.in_use[dim] + self._tolerance(dim):
-                raise ValueError(
-                    f"over-release on {dim}: releasing {d[dim]!r} with only "
-                    f"{self.in_use[dim]!r} in use (was this demand ever "
-                    f"allocated?)"
-                )
-        for dim in DIMENSIONS:
-            self.in_use[dim] -= d[dim]
-            self.total_released[dim] += d[dim]
-            # snap float residue so an "empty" budget is exactly empty
-            if abs(self.in_use[dim]) <= self._tolerance(dim):
-                self.in_use[dim] = 0.0
+        for level in self._chain:
+            for dim in DIMENSIONS:
+                if d[dim] > level.in_use[dim] + level._tolerance(dim):
+                    raise ValueError(
+                        f"over-release on {dim}: releasing {d[dim]!r} with only "
+                        f"{level.in_use[dim]!r} in use (was this demand ever "
+                        f"allocated?)"
+                    )
+            for dim in DIMENSIONS:
+                level.in_use[dim] -= d[dim]
+                level.total_released[dim] += d[dim]
+                # snap float residue so an "empty" budget is exactly empty
+                if abs(level.in_use[dim]) <= level._tolerance(dim):
+                    level.in_use[dim] = 0.0
 
     def assert_conserved(self) -> None:
-        """Every allocated unit was released and nothing is outstanding."""
+        """Every allocated unit was released and nothing is outstanding
+        (this budget's own ledger; a slice's parent is checked on its own)."""
         for dim in DIMENSIONS:
             tolerance = self._tolerance(dim)
             if abs(self.in_use[dim]) > tolerance:
@@ -411,7 +506,9 @@ class QuerySession:
     demand: QueryDemand
     #: 'queued' -> 'running' [-> 'paused' -> 'running'] -> 'done'|'failed';
     #: 'shed' is terminal-at-submission (bounded queue overflowed, or the
-    #: tenant's token bucket ran dry)
+    #: tenant's token bucket ran dry).  Assigned by the server's ``_move``
+    #: only (terminal statuses through ``_finish``) — see the module
+    #: docstring's transition table
     status: str = "queued"
     qos: QoS = field(default_factory=QoS)
     #: owning tenant's name (None = untenanted / implicit default tenant)
@@ -452,10 +549,9 @@ class QuerySession:
     pause_started: Optional[float] = None
     #: scheduler asked the session to yield at its next phase boundary
     preempt_requested: bool = False
-    #: the session holds (part of) its demand in the shared budget
-    holds_budget: bool = False
     #: exactly what is currently charged to the budget: the full demand
-    #: while running, only the memory share while paused
+    #: while running, only the memory share while paused, None when the
+    #: session holds nothing
     held_demand: Optional[QueryDemand] = None
     #: triggered by the scheduler to resume a paused session
     resume_event: Optional[Event] = None
@@ -569,6 +665,23 @@ def _percentile(ordered: Sequence[float], pct: float) -> float:
         return math.nan
     rank = max(1, math.ceil(pct / 100.0 * len(ordered)))
     return ordered[min(rank, len(ordered)) - 1]
+
+
+def drive_window(items: Sequence, reported: set[int]) -> tuple[list, float]:
+    """What one drive reports: the ``items`` (sessions, fleet queries)
+    that finished and were not reported by an earlier drive — now marked
+    reported — and their makespan, first submission to last finish."""
+    finished = [
+        item for item in items
+        if item.finished and item.query_id not in reported
+    ]
+    reported.update(item.query_id for item in finished)
+    if not finished:
+        return finished, 0.0
+    return finished, (
+        max(item.finish_time for item in finished)
+        - min(item.submit_time for item in finished)
+    )
 
 
 def _compute_share(demand: QueryDemand) -> QueryDemand:
@@ -897,8 +1010,9 @@ class EngineServer:
     across tenants; weights arbitrate within a priority band), quota
     fractions cap the slice of the admission budget a tenant's in-flight
     queries may hold — enforced through a per-tenant
-    :class:`ResourceBudget` mirror, so a saturating tenant is capped at
-    its share instead of starving the others — and a rate-limited
+    :meth:`ResourceBudget.quota` slice of the server budget, so a
+    saturating tenant is capped at its share instead of starving the
+    others — and a rate-limited
     tenant's excess submissions are shed at the edge with a
     ``retry_after`` hint.  A waiter blocked on its *own* tenant quota
     never triggers preemption of other tenants' queries.
@@ -1013,10 +1127,18 @@ class EngineServer:
             self.sim, self.server, elastic_policy.window_seconds
         )
         self.sessions: list[QuerySession] = []
-        self._pending: list[QuerySession] = []
-        self._paused: list[QuerySession] = []
-        #: sessions currently holding budget (admitted, not paused)
+        #: where a live session sits, keyed by its status, each a query
+        #: id -> session map: the admission queue, the preempted sessions
+        #: waiting to resume, and the sessions holding their compute
+        #: share.  _move alone keeps them in step with status
+        self._pending: dict[int, QuerySession] = {}
+        self._paused: dict[int, QuerySession] = {}
         self._active_sessions: dict[int, QuerySession] = {}
+        self._seats = {
+            "queued": self._pending,
+            "paused": self._paused,
+            "running": self._active_sessions,
+        }
         self._next_id = 0
         self._reported_ids: set[int] = set()
         self._clients: list = []
@@ -1024,17 +1146,17 @@ class EngineServer:
         self.last_report: Optional[BatchReport] = None
         self._admission_proc = None
         self._admission_waiters: list[Event] = []
-        #: query id -> suspended _query_proc generator; closing it runs the
-        #: driver's finally exactly once (budget release, done event, and —
-        #: through yield-from delegation — the executor's state cleanup)
-        self._drivers: dict[int, Any] = {}
-        #: query id -> the driver's DES Process (spurious-abort target)
-        self._driver_procs: dict[int, Any] = {}
+        #: query id -> (the _query_proc generator, its DES Process) from
+        #: first admission until _finish.  Interrupting the process is how
+        #: a live session is aborted or cancelled; closing the generator
+        #: is how a stalled one is torn down (through yield-from
+        #: delegation that runs the executor's state cleanup)
+        self._drivers: dict[int, tuple[Any, Any]] = {}
         self.retry_policy = retry_policy
         #: per-tenant runtime state; the None key is the implicit
         #: "default" tenant untenanted submissions report under
         self.tenant_states: dict[Optional[str], TenantState] = {
-            None: TenantState(tenant=Tenant("default"))
+            None: TenantState(tenant=Tenant("default"), budget=self.budget)
         }
         self._tenant_order: list[str] = []
         for tenant in tenants or ():
@@ -1045,10 +1167,11 @@ class EngineServer:
                 )
             if tenant.name in self.tenant_states:
                 raise ValueError(f"duplicate tenant {tenant.name!r}")
-            state = TenantState(tenant=tenant)
             caps = quota_capacities(tenant, self.budget.capacity)
-            if caps:
-                state.budget = ResourceBudget(**caps)
+            label = f"tenant {tenant.name!r} quota"
+            state = TenantState(
+                tenant, self.budget.quota(label, **caps) if caps else self.budget
+            )
             if tenant.rate_limit is not None:
                 state.bucket = TokenBucket(tenant.rate_limit, now=self.sim.now)
             self.tenant_states[tenant.name] = state
@@ -1103,39 +1226,10 @@ class EngineServer:
                 f"tenants=[Tenant({name!r}, ...)]"
             ) from None
 
-    def _tenant_budget_of(self, session: QuerySession) -> Optional[ResourceBudget]:
+    def _budget_of(self, session: QuerySession) -> ResourceBudget:
+        """The budget the session is charged through: its tenant's
+        quota slice, or the server budget for an uncapped tenant."""
         return self.tenant_states[session.tenant].budget
-
-    def _fits_budgets(self, session: QuerySession, need: QueryDemand) -> bool:
-        """Admission fit against the shared budget AND the session's
-        tenant quota mirror (when the tenant is capped)."""
-        if not self.budget.fits(need):
-            return False
-        tenant_budget = self._tenant_budget_of(session)
-        return tenant_budget is None or tenant_budget.fits(need)
-
-    def _unblocks(
-        self,
-        blocked: QuerySession,
-        need: QueryDemand,
-        releases: Sequence[tuple[QuerySession, QueryDemand]],
-    ) -> bool:
-        """Would pausing ``releases`` let ``blocked`` be admitted?
-
-        Checked against both budgets: only *same-tenant* victims free
-        quota in the blocked session's tenant mirror, so a waiter
-        blocked on its own quota never justifies pausing other tenants'
-        queries (that would punch through the isolation wall).
-        """
-        if not self.budget.fits_with_release(need, [demand for _, demand in releases]):
-            return False
-        tenant_budget = self._tenant_budget_of(blocked)
-        if tenant_budget is None:
-            return True
-        return tenant_budget.fits_with_release(
-            need,
-            [demand for victim, demand in releases if victim.tenant == blocked.tenant],
-        )
 
     # -- metrics -----------------------------------------------------------
 
@@ -1196,7 +1290,7 @@ class EngineServer:
             "Admission budget currently charged, per dimension",
             labels=("dimension",),
         )
-        self._m_tenant_budget = registry.gauge(
+        self._m_quota = registry.gauge(
             "repro_tenant_budget_in_use",
             "Per-tenant quota budget currently charged (capped "
             "dimensions only)",
@@ -1236,11 +1330,11 @@ class EngineServer:
         for dim in DIMENSIONS:
             self._m_budget.set(self.budget.in_use[dim], dimension=dim)
         for state in self.tenant_states.values():
-            if state.budget is None:
-                continue
+            if state.budget is self.budget:
+                continue  # uncapped: no slice of its own
             for dim in DIMENSIONS:
                 if math.isfinite(state.budget.capacity[dim]):
-                    self._m_tenant_budget.set(
+                    self._m_quota.set(
                         state.budget.in_use[dim],
                         tenant=state.name,
                         dimension=dim,
@@ -1282,18 +1376,12 @@ class EngineServer:
         config: ExecutionConfig,
         name: Optional[str] = None,
         qos: Optional[QoS] = None,
-        priority: Optional[int] = None,
-        deadline_seconds: Optional[float] = None,
         tenant: Optional[str] = None,
     ) -> QuerySession:
         """Queue a query for admission; callable before or during a run.
 
         ``qos`` carries the scheduling contract (priority class +
-        deadline); ``priority``/``deadline_seconds`` are shorthands that
-        build one (mutually exclusive with ``qos``).  Shorthand
-        submissions with a non-zero priority report under their own
-        ``priority<+n>`` class so per-class percentiles never pool them
-        with plain batch traffic.  Raises
+        deadline + reporting label; default :meth:`QoS.batch`).  Raises
         :class:`AdmissionError` immediately when the estimated demand
         exceeds the budget's total capacity (it could never run).  When
         the admission queue is bounded and full, the session is **shed**:
@@ -1308,30 +1396,10 @@ class EngineServer:
         could never fit the tenant's quota slice raises
         :class:`AdmissionError` just like one that exceeds the server.
         """
-        if qos is not None and (priority is not None or deadline_seconds is not None):
-            raise ValueError(
-                "pass either qos= or priority=/deadline_seconds=, not both"
-            )
-        if qos is None:
-            qos = QoS(
-                priority=priority or 0,
-                deadline_seconds=deadline_seconds,
-                label=f"priority{priority:+d}" if priority else "batch",
-            )
+        qos = qos or QoS()
         state = self._state_for(tenant)
         state.submitted += 1
-        het = self.placer.place(plan, config)
-        demand = self._estimate_demand(het, config, qos)
-        if not self.budget.can_ever_fit(demand):
-            raise AdmissionError(
-                f"query demand {demand.as_dict()} exceeds server budget "
-                f"{self.budget.capacity}"
-            )
-        if state.budget is not None and not state.budget.can_ever_fit(demand):
-            raise AdmissionError(
-                f"query demand {demand.as_dict()} exceeds tenant "
-                f"{state.name!r} quota {state.budget.capacity}"
-            )
+        het, demand = self._shape(plan, config, qos, state.budget)
         now = self.sim.now
         session = QuerySession(
             query_id=self._next_id,
@@ -1364,9 +1432,34 @@ class EngineServer:
         ):
             state.shed_queue_full += 1
             return self._shed(session, "queue_full")
-        self._pending.append(session)
+        self._move(session, "queued")
         self._wake_admission()
         return session
+
+    def _shape(
+        self,
+        plan: Plan,
+        config: ExecutionConfig,
+        qos: QoS,
+        budget: ResourceBudget,
+        exclude_devices: frozenset[int] = frozenset(),
+    ) -> tuple[HetPlan, QueryDemand]:
+        """Place, estimate, and check the demand could ever run.
+
+        The one shaping path: a first submission and every retry's
+        degraded shape are held to the same walls — the server budget
+        *and* the tenant's quota slice.  Raises :class:`AdmissionError`
+        naming the wall the demand exceeds.
+        """
+        het = self.placer.place(plan, config, exclude_devices=exclude_devices)
+        demand = self._estimate_demand(het, config, qos)
+        wall = budget.too_small_for(demand)
+        if wall is not None:
+            raise AdmissionError(
+                f"query demand {demand.as_dict()} exceeds {wall.label} "
+                f"{wall.capacity}"
+            )
+        return het, demand
 
     def _shed(
         self,
@@ -1375,21 +1468,12 @@ class EngineServer:
         retry_after: Optional[float] = None,
     ) -> QuerySession:
         """Refuse a submission at the edge (terminal, holds nothing)."""
-        session.status = "shed"
         session.shed_reason = reason
         session.retry_after = retry_after
-        session.finish_time = self.sim.now
-        label = self._tenant_label(session.tenant)
-        self._pump.emit("shed", tenant=label, reason=reason)
         self._pump.emit(
-            "session",
-            tenant=label,
-            qos_class=session.label,
-            status="shed",
-            latency=None,
-            queue_wait=None,
+            "shed", tenant=self._tenant_label(session.tenant), reason=reason
         )
-        session.done.trigger(session)
+        self._finish(session, "shed")
         return session
 
     def submit_batch(
@@ -1564,7 +1648,9 @@ class EngineServer:
         weights arbitrate within a priority band.  FIFO mode keeps pure
         submission order — tenancy there is accounting only.
         """
-        waiting = sorted(self._pending + self._paused, key=self._rank)
+        waiting = sorted(
+            [*self._pending.values(), *self._paused.values()], key=self._rank
+        )
         if self.admission == "fifo" or len(self.tenant_states) <= 1:
             return waiting
         queues: dict[str, list[QuerySession]] = {}
@@ -1606,15 +1692,13 @@ class EngineServer:
         used to guarantee.
         """
         while True:
-            campaign = self.preemption and any(
-                s.preempt_requested for s in self._active_sessions.values()
-            )
+            campaign = self._campaign_in_flight()
             admitted = None
             blocked_head: Optional[QuerySession] = None
             for session in self._waiting():
                 if self._running >= self.max_concurrent:
                     break
-                if self._fits_budgets(session, self._admission_need(session)):
+                if self._budget_of(session).fits(self._admission_need(session)):
                     if campaign and blocked_head is not None:
                         # freed compute is reserved for the campaign's
                         # blocked waiter; handing it to anything ranked
@@ -1641,29 +1725,90 @@ class EngineServer:
         if self.preemption:
             self._maybe_preempt()
 
-    def _activate(self, session: QuerySession) -> None:
-        """Start a queued session or resume a paused one."""
-        need = self._admission_need(session)
-        self.budget.allocate(need)
-        tenant_budget = self._tenant_budget_of(session)
-        if tenant_budget is not None:
-            tenant_budget.allocate(need)
-        self._charge_drr(session)
-        if session.status != "paused":
-            self.tenant_states[session.tenant].admitted += 1
-        session.held_demand = session.demand
-        session.holds_budget = True
-        self._active_sessions[session.query_id] = session
-        if session.status == "paused":
-            self._paused.remove(session)
-            session.status = "running"
+    def _move(
+        self, session: QuerySession, status: str, admissible: bool = True
+    ) -> None:
+        """The one place a session's status changes — and with it the
+        queue it sits in and the pause span it may be closing.
+
+        ``admissible=False`` takes the session off every queue without
+        giving it a new one: a retry backing off (or being cancelled
+        while parked) is ``queued`` but must not be admitted.
+        """
+        self._seats[session.status].pop(session.query_id, None)
+        if session.pause_started is not None:
+            # leaving a pause, to resume or for good: the span counts
             session.suspended_seconds += self.sim.now - session.pause_started
             session.pause_started = None
+        session.status = status
+        if status == "paused":
+            session.pause_started = self.sim.now
+        if admissible and status in self._seats:
+            self._seats[status][session.query_id] = session
+
+    def _refund(self, session: QuerySession) -> None:
+        """Give back whatever the session still holds."""
+        held, session.held_demand = session.held_demand, None
+        if held is not None:
+            self._budget_of(session).release(held)
+
+    def _finish(
+        self,
+        session: QuerySession,
+        status: str,
+        error: Optional[BaseException] = None,
+    ) -> None:
+        """Make a session terminal — the only code that does.
+
+        Typed status, the pause tail, the refund of whatever is still
+        charged, the one ``session`` metric event (status already
+        terminal), the done event and the admission wake-up all happen
+        here, in this order, whoever ends the session: its driver,
+        :meth:`cancel`, a shed at the edge, or stall cleanup.
+        """
+        self._move(session, status)
+        session.error = error
+        session.error_class = (
+            classify_failure(error)[0] if error is not None else None
+        )
+        session.finish_time = self.sim.now
+        session.preempt_requested = False
+        self._drivers.pop(session.query_id, None)
+        self._refund(session)
+        self._pump.emit(
+            "session",
+            tenant=self._tenant_label(session.tenant),
+            qos_class=session.label,
+            status=status,
+            latency=session.latency,
+            queue_wait=session.queue_seconds,
+        )
+        session.done.trigger(session)
+        if status != "shed":
+            # a shed session never entered the queue and held nothing:
+            # nothing admission can see has changed
+            self._wake_admission()
+
+    def _campaign_in_flight(self) -> bool:
+        """Is some running session still asked to yield for a waiter?"""
+        return self.preemption and any(
+            s.preempt_requested for s in self._active_sessions.values()
+        )
+
+    def _activate(self, session: QuerySession) -> None:
+        """Start a queued session or resume a paused one."""
+        budget = self._budget_of(session)
+        budget.allocate(self._admission_need(session))
+        self._charge_drr(session)
+        resumed = session.status == "paused"
+        if not resumed:
+            self.tenant_states[session.tenant].admitted += 1
+        session.held_demand = session.demand
+        self._move(session, "running")
+        if resumed:
             resume, session.resume_event = session.resume_event, None
             resume.trigger(None)
             return
-        self._pending.remove(session)
-        session.status = "running"
         if session.readmit_event is not None:
             # a retrying driver is parked on this event — resume it in
             # place instead of spawning a second driver (its first
@@ -1675,9 +1820,9 @@ class EngineServer:
         if self.elastic and session.config.cpu_workers:
             session.dop_trajectory.append((self.sim.now, session.config.cpu_workers))
         driver = self._query_proc(session)
-        self._drivers[session.query_id] = driver
-        self._driver_procs[session.query_id] = self.sim.process(
-            driver, name=f"{session.tag}:driver"
+        self._drivers[session.query_id] = (
+            driver,
+            self.sim.process(driver, name=f"{session.tag}:driver"),
         )
 
     def _charge_drr(self, session: QuerySession) -> None:
@@ -1686,23 +1831,13 @@ class EngineServer:
         if len(self.tenant_states) <= 1:
             return
         backlog: dict[str, float] = {}
-        for other in self._pending + self._paused:
+        for other in (*self._pending.values(), *self._paused.values()):
             if other is session:
                 continue
             backlog[self._tenant_label(other.tenant)] = (
                 self.tenant_states[other.tenant].tenant.weight
             )
         self._drr.charge(self._tenant_label(session.tenant), backlog)
-
-    def _release(self, session: QuerySession) -> None:
-        """Give back whatever the session still holds (terminal state)."""
-        held, session.held_demand = session.held_demand, None
-        session.holds_budget = False
-        self._active_sessions.pop(session.query_id, None)
-        self.budget.release(held)
-        tenant_budget = self._tenant_budget_of(session)
-        if tenant_budget is not None:
-            tenant_budget.release(held)
 
     def _preemptable(self, session: QuerySession) -> bool:
         """Can this running session still honour a preemption request?
@@ -1734,37 +1869,38 @@ class EngineServer:
             return
         blocked = waiting[0]
         need = self._admission_need(blocked)
+        budget = self._budget_of(blocked)
         pending = [
             s for s in self._active_sessions.values()
             if s.preempt_requested and self._preemptable(s)
         ]
-        pending_release = [(s, _compute_share(s.demand)) for s in pending]
+        releases = [(self._budget_of(s), _compute_share(s.demand)) for s in pending]
         free_slots = self.max_concurrent - self._running + len(pending)
-        if free_slots >= 1 and self._unblocks(blocked, need, pending_release):
+        if free_slots >= 1 and budget.fits_with_release(need, releases):
             return  # already-requested preemptions will unblock it
         # a waiter blocked on its own tenant quota may only preempt
-        # same-tenant victims — pausing other tenants' queries would
-        # let one tenant's pressure punch through the isolation wall
-        tenant_budget = self._tenant_budget_of(blocked)
-        tenant_blocked = tenant_budget is not None and not tenant_budget.fits(need)
+        # victims charged through the same slice — pausing other tenants'
+        # queries would let one tenant's pressure punch through the
+        # isolation wall
+        wall = budget.blocked_at(need)
+        own_quota = wall is not None and wall is not self.budget
         victims = sorted(
             (
                 s for s in self._active_sessions.values()
                 if s.priority < blocked.priority
                 and not s.preempt_requested
                 and self._preemptable(s)
-                and (not tenant_blocked or s.tenant == blocked.tenant)
+                and (not own_quota or self._budget_of(s) is wall)
             ),
             key=lambda s: (s.priority, -(s.admit_time or 0.0), -s.query_id),
         )
         chosen: list[QuerySession] = []
-        releases = list(pending_release)
         for victim in victims:
             chosen.append(victim)
-            releases.append((victim, _compute_share(victim.demand)))
+            releases.append((self._budget_of(victim), _compute_share(victim.demand)))
             if (
                 free_slots + len(chosen) >= 1
-                and self._unblocks(blocked, need, releases)
+                and budget.fits_with_release(need, releases)
             ):
                 for session in chosen:
                     session.preempt_requested = True
@@ -1786,21 +1922,14 @@ class EngineServer:
             # serves a higher-priority waiter.
             if not any(w.priority > session.priority for w in self._waiting()):
                 return None
-            session.status = "paused"
             session.preemptions += 1
-            session.pause_started = self.sim.now
             self._pump.emit("preemption")
             # compute share back to the pool; memory stays charged for
             # the hash tables resident in the suspended generator
-            compute = _compute_share(session.demand)
-            self.budget.release(compute)
-            tenant_budget = self._tenant_budget_of(session)
-            if tenant_budget is not None:
-                tenant_budget.release(compute)
+            self._budget_of(session).release(_compute_share(session.demand))
             session.held_demand = _memory_share(session.demand)
-            self._active_sessions.pop(session.query_id, None)
+            self._move(session, "paused")
             session.resume_event = self.sim.event(name=f"{session.tag}:resume")
-            self._paused.append(session)
             self._wake_admission()
             return session.resume_event
 
@@ -1808,18 +1937,12 @@ class EngineServer:
 
     # -- elastic degree of parallelism -------------------------------------
 
-    def _make_reconfigure(self, session: QuerySession):
-        """The executor-side elastic-dop hook for one session."""
-
-        def reconfigure() -> Optional[tuple[ExecutionConfig, list[int]]]:
-            return self._elastic_decision(session)
-
-        return reconfigure
-
-    def _grow_room(self) -> float:
+    def _grow_room(self, session: QuerySession) -> float:
         """Whole cores a growing query may claim without starving the
-        admission queue: the budget's headroom minus the cores of the
-        highest-ranked waiter that could actually be admitted now."""
+        admission queue: the server budget's headroom minus the cores of
+        the highest-ranked waiter that could actually be admitted now —
+        and never more than the session's own budget has left, or an
+        elastic tenant could creep past its capped share."""
         headroom = self.budget.headroom()["cpu_cores"]
         if not math.isfinite(headroom):
             # uncapped budget dimension: the physical core count minus
@@ -1830,7 +1953,8 @@ class EngineServer:
         waiting = self._waiting()
         if waiting and self._running < self.max_concurrent:
             headroom -= self._admission_need(waiting[0]).cpu_cores
-        return max(0.0, headroom)
+        own = self._budget_of(session).headroom()["cpu_cores"]
+        return min(max(0.0, headroom), own)
 
     def _elastic_target(self, session: QuerySession) -> Optional[int]:
         """Desired CPU dop for the session's remaining waves, or None.
@@ -1857,18 +1981,9 @@ class EngineServer:
         if dram > policy.target_utilization and dop > lo:
             return max(lo, dop // 2)
         if dram < policy.target_utilization * policy.grow_below and dop < hi:
-            if self.preemption and any(
-                s.preempt_requested for s in self._active_sessions.values()
-            ):
+            if self._campaign_in_flight():
                 return None
-            target = min(hi, dop * 2, dop + int(self._grow_room()))
-            tenant_budget = self._tenant_budget_of(session)
-            if tenant_budget is not None:
-                # growth is bounded by the tenant's quota headroom too,
-                # or an elastic tenant could creep past its capped share
-                room = tenant_budget.headroom()["cpu_cores"]
-                if math.isfinite(room):
-                    target = min(target, dop + int(room))
+            target = min(hi, dop * 2, dop + int(self._grow_room(session)))
             if dram > 0.0:
                 # Predictive cap: growing multiplies the query's
                 # streaming demand roughly by new/old dop — grow only to
@@ -1902,15 +2017,11 @@ class EngineServer:
         if target is None or target == config.cpu_workers:
             return None
         delta = target - config.cpu_workers
-        tenant_budget = self._tenant_budget_of(session)
+        budget = self._budget_of(session)
         if delta > 0:
-            self.budget.allocate(QueryDemand(cpu_cores=delta))
-            if tenant_budget is not None:
-                tenant_budget.allocate(QueryDemand(cpu_cores=delta))
+            budget.allocate(QueryDemand(cpu_cores=delta))
         else:
-            self.budget.release(QueryDemand(cpu_cores=-delta))
-            if tenant_budget is not None:
-                tenant_budget.release(QueryDemand(cpu_cores=-delta))
+            budget.release(QueryDemand(cpu_cores=-delta))
         self._pump.emit("resize")
         new_config = config.derive(cpu_workers=target)
         affinity = self.placer.cpu_affinity(new_config)
@@ -1936,88 +2047,60 @@ class EngineServer:
         OOM and placement errors stay fatal but carry a typed
         ``error_class`` either way.
         """
-        try:
-            while True:
-                try:
-                    # Two-phase compilation: resident pipelines are pinned
-                    # NOW (a concurrent eviction cannot invalidate them),
-                    # fresh ones are compiled — and published to the shared
-                    # cache — only after their simulated compile latency has
-                    # elapsed, so a concurrently admitted identical query
-                    # pays for its own compilation instead of free-riding
-                    # on an unfinished one.
-                    compilation = self.executor.begin_compilation(
-                        session.het, tenant=session.tenant
-                    )
-                    session.compiled_fresh += compilation.fresh_count
-                    if compilation.fresh_count and self.compile_seconds:
-                        # per-device, per-complexity pricing: a GPU
-                        # build-sink pipeline pays ~5-10x what a trivial
-                        # CPU filter does
-                        charged = compilation.compile_seconds(self.compile_seconds)
-                        session.compile_seconds_charged += charged
-                        yield self.sim.timeout(charged)
-                    pipelines = compilation.finish()
-                    raw = yield from self.executor.execute_process(
-                        session.het,
-                        session.current_config or session.config,
-                        query_id=session.tag,
-                        pipelines=pipelines,
-                        checkpoint=self._make_checkpoint(session),
-                        reconfigure=(
-                            self._make_reconfigure(session)
-                            if self.elastic
-                            else None
-                        ),
-                    )
-                    session.result = self.engine._collect(session.het.collect, raw)
-                    session.status = "done"
+        failure: Optional[BaseException] = None
+        while True:
+            try:
+                # Two-phase compilation: resident pipelines are pinned
+                # NOW (a concurrent eviction cannot invalidate them),
+                # fresh ones are compiled — and published to the shared
+                # cache — only after their simulated compile latency has
+                # elapsed, so a concurrently admitted identical query
+                # pays for its own compilation instead of free-riding
+                # on an unfinished one.
+                compilation = self.executor.begin_compilation(
+                    session.het, tenant=session.tenant
+                )
+                session.compiled_fresh += compilation.fresh_count
+                if compilation.fresh_count and self.compile_seconds:
+                    # per-device, per-complexity pricing: a GPU
+                    # build-sink pipeline pays ~5-10x what a trivial
+                    # CPU filter does
+                    charged = compilation.compile_seconds(self.compile_seconds)
+                    session.compile_seconds_charged += charged
+                    yield self.sim.timeout(charged)
+                pipelines = compilation.finish()
+                raw = yield from self.executor.execute_process(
+                    session.het,
+                    session.current_config or session.config,
+                    query_id=session.tag,
+                    pipelines=pipelines,
+                    checkpoint=self._make_checkpoint(session),
+                    # the elastic-dop hook, consulted at phase boundaries
+                    reconfigure=(
+                        (lambda: self._elastic_decision(session))
+                        if self.elastic
+                        else None
+                    ),
+                )
+                session.result = self.engine._collect(session.het.collect, raw)
+                break
+            except Exception as error:
+                label, retryable = classify_failure(error)
+                retry = self._plan_retry(session) if retryable else None
+                if retry is None:
+                    failure = error
                     break
-                except Exception as error:
-                    label, retryable = classify_failure(error)
-                    retry = self._plan_retry(session) if retryable else None
-                    if retry is None:
-                        session.status = "failed"
-                        session.error = error
-                        session.error_class = label
-                        break
-                    session.retried_classes.append(label)
-                    self._pump.emit("retry", failure_class=label)
-                    try:
-                        yield from self._requeue_for_retry(session, retry)
-                    except Interrupt as interrupt:
-                        # cancelled while parked on backoff/readmission
-                        # (e.g. the fleet lost this server): terminal,
-                        # typed from the interrupt's cause
-                        session.status = "failed"
-                        session.error = interrupt
-                        session.error_class = classify_failure(interrupt)[0]
-                        break
-        finally:
-            session.preempt_requested = False
-            self._drivers.pop(session.query_id, None)
-            self._driver_procs.pop(session.query_id, None)
-            session.finish_time = self.sim.now
-            if session.pause_started is not None:
-                # closed while parked: the tail of the pause counts too
-                session.suspended_seconds += self.sim.now - session.pause_started
-                session.pause_started = None
-            if session in self._paused:
-                # closed while parked at a checkpoint (stall cleanup)
-                self._paused.remove(session)
-            if session.holds_budget:
-                self._release(session)
-            self._pump.emit(
-                "session",
-                tenant=self._tenant_label(session.tenant),
-                qos_class=session.label,
-                status=session.status,
-                latency=session.latency,
-                queue_wait=session.queue_seconds,
-            )
-            if session.done is not None and not session.done.triggered:
-                session.done.trigger(session)
-            self._wake_admission()
+                session.retried_classes.append(label)
+                self._pump.emit("retry", failure_class=label)
+                try:
+                    yield from self._requeue_for_retry(session, retry)
+                except Interrupt as interrupt:
+                    # cancelled while parked on backoff/readmission
+                    # (e.g. the fleet lost this server): terminal,
+                    # typed from the interrupt's cause
+                    failure = interrupt
+                    break
+        self._finish(session, "done" if failure is None else "failed", failure)
 
     def _plan_retry(
         self, session: QuerySession
@@ -2027,8 +2110,9 @@ class EngineServer:
         Dead devices are excluded through the placer's
         ``exclude_devices`` constraint; under ``fallback="cpu_only"``
         losing *any* GPU drops the retry to a CPU-only placement.  A
-        degraded shape that cannot be placed (or could never fit the
-        budget) ends the retry campaign.
+        degraded shape that cannot be placed, or that :meth:`_shape`
+        finds could never fit the server budget or the tenant's quota,
+        ends the retry campaign.
         """
         policy = self.retry_policy
         if policy is None or session.attempts >= policy.max_attempts:
@@ -2046,16 +2130,15 @@ class EngineServer:
             )
         try:
             new_config = config.derive(cpu_workers=cpu_workers, gpu_ids=gpu_ids)
-            het = self.placer.place(session.plan, new_config, exclude_devices=dead)
-            demand = self._estimate_demand(het, new_config, session.qos)
+            het, demand = self._shape(
+                session.plan, new_config, session.qos, self._budget_of(session), dead
+            )
         # Intentional blanket catch: ANY failure to shape a degraded
         # placement means "no retry possible" — the session then fails
         # terminally with its ORIGINAL typed error (the caller is the
         # driver's classify_failure path), which is strictly more useful
         # than surfacing the shaping error here.
         except Exception:  # repro: noqa[RP004]
-            return None
-        if not self.budget.can_ever_fit(demand):
             return None
         return new_config, het, demand
 
@@ -2069,8 +2152,7 @@ class EngineServer:
         re-admits the session (its driver stays parked on
         ``readmit_event`` — no second driver is ever spawned)."""
         new_config, het, demand = retry
-        if session.holds_budget:
-            self._release(session)
+        self._refund(session)
         old_config = session.current_config or session.config
         if len(new_config.gpu_ids) < len(old_config.gpu_ids):
             session.fell_back = True
@@ -2079,14 +2161,14 @@ class EngineServer:
         session.het = het
         session.demand = demand
         session.preempt_requested = False
-        session.status = "queued"
+        self._move(session, "queued", admissible=False)
         backoff = self.retry_policy.backoff_seconds * (session.attempts - 1)
         if backoff > 0:
             yield self.sim.timeout(backoff)
         session.readmit_event = self.sim.event(name=f"{session.tag}:readmit")
         # a retry is not a new arrival: it bypasses max_queue_depth (the
         # session was already admitted once and sheds nothing)
-        self._pending.append(session)
+        self._move(session, "queued")
         self._wake_admission()
         yield session.readmit_event
 
@@ -2095,9 +2177,8 @@ class EngineServer:
 
         A session with a live driver — running, paused at a checkpoint,
         or parked on a retry's readmit event — is interrupted with
-        ``cause``; the driver's ``finally`` then runs the one true
-        cleanup path (budget release, executor state teardown via
-        ``abort_outstanding``, done event), and
+        ``cause``; the driver unwinds (executor state teardown via
+        ``abort_outstanding``) into :meth:`_finish`, and
         :func:`~repro.engine.faults.classify_failure` types the terminal
         status from the cause.  A still-queued session is failed at the
         edge, holding nothing.  Returns False if the session already
@@ -2105,35 +2186,22 @@ class EngineServer:
         """
         if session.finished:
             return False
-        if session in self._pending:
-            # remove first: a driver interrupted while parked on its
-            # readmit event must not leave a finished session in the
-            # admission queue
-            self._pending.remove(session)
-        proc = self._driver_procs.get(session.query_id)
-        if proc is not None and proc.is_alive:
-            proc.interrupt(cause)
+        _, process = self._drivers.get(session.query_id, (None, None))
+        if process is not None and process.is_alive:
+            if session.status == "queued":
+                # off the queue first: a driver interrupted while parked
+                # on its readmit event must not be re-admitted before
+                # the interrupt lands
+                self._move(session, "queued", admissible=False)
+            process.interrupt(cause)
             return True
-        error = (
+        self._finish(
+            session,
+            "failed",
             cause
             if isinstance(cause, BaseException)
-            else SchedulerError(f"cancelled: {cause}")
+            else SchedulerError(f"cancelled: {cause}"),
         )
-        session.status = "failed"
-        session.error = error
-        session.error_class = classify_failure(error)[0]
-        session.finish_time = self.sim.now
-        self._pump.emit(
-            "session",
-            tenant=self._tenant_label(session.tenant),
-            qos_class=session.label,
-            status="failed",
-            latency=None,
-            queue_wait=None,
-        )
-        if session.done is not None and not session.done.triggered:
-            session.done.trigger(session)
-        self._wake_admission()
         return True
 
     def _abort_victim(self, target: Optional[str], reason: str) -> Optional[str]:
@@ -2146,17 +2214,16 @@ class EngineServer:
         """
         candidates = [
             s for s in self._active_sessions.values()
-            if s.status == "running" and s.query_id in self._driver_procs
+            if target is None or s.name == target
         ]
-        if target is not None:
-            candidates = [s for s in candidates if s.name == target]
         if not candidates:
             return None
         victim = min(
             candidates,
             key=lambda s: (s.admit_time or 0.0, s.query_id),
         )
-        self._driver_procs[victim.query_id].interrupt(reason)
+        _, process = self._drivers[victim.query_id]
+        process.interrupt(reason)
         return victim.name
 
     def _check_stalled(self) -> None:
@@ -2186,20 +2253,12 @@ class EngineServer:
                 for s in stuck
             )
             for session in stuck:
-                if session in self._pending:
-                    self._pending.remove(session)
-                driver = self._drivers.pop(session.query_id, None)
-                self._driver_procs.pop(session.query_id, None)
-                if driver is not None:
-                    # The driver's finally is the ONLY cleanup path: it
-                    # releases the budget, triggers the done event, and
-                    # (via yield-from) frees the executor's state handles
-                    # — closing it here must not be duplicated by manual
-                    # book-keeping.
-                    driver.close()
-                session.status = "failed"
-                session.error = SchedulerError(details)
-                session.error_class = "fatal"
+                # closing the suspended driver frees the executor's
+                # state handles (via yield-from); everything the server
+                # itself holds for the session is _finish's to give back
+                generator, _ = self._drivers[session.query_id]
+                generator.close()
+                self._finish(session, "failed", SchedulerError(details))
             problems.append(f"batch stalled: {details}")
         dead_clients = [p for p in self._clients if p.triggered and not p.ok]
         if dead_clients:
@@ -2219,17 +2278,7 @@ class EngineServer:
     # -- reporting ---------------------------------------------------------
 
     def _report(self) -> BatchReport:
-        finished = [
-            s for s in self.sessions
-            if s.finished and s.query_id not in self._reported_ids
-        ]
-        self._reported_ids.update(s.query_id for s in finished)
-        if finished:
-            first = min(s.submit_time for s in finished)
-            last = max(s.finish_time for s in finished)
-            makespan = last - first
-        else:
-            makespan = 0.0
+        finished, makespan = drive_window(self.sessions, self._reported_ids)
         completed = sum(1 for s in finished if s.status == "done")
         throughput = completed / makespan if makespan > 0 else 0.0
         cache = self.executor.pipeline_cache
@@ -2257,7 +2306,7 @@ class EngineServer:
 
         Session counts and latency percentiles cover *this* drive;
         ``budget_peak``/``budget_capacity`` (capped tenants only) are
-        the quota mirror's lifetime figures, like the report's global
+        the quota slice's lifetime figures, like the report's global
         ``budget_peak``.
         """
         out: dict[str, dict] = {}
@@ -2300,7 +2349,7 @@ class EngineServer:
                     f"p{pct:g}": _percentile(latencies, pct)
                     for pct in (50, 95, 99)
                 }
-            if state.budget is not None:
+            if state.budget is not self.budget:
                 capped = {
                     dim for dim in DIMENSIONS
                     if math.isfinite(state.budget.capacity[dim])
@@ -2323,10 +2372,9 @@ class EngineServer:
         free or parked in a remote cache (failed and shed queries
         included).
         """
-        self.budget.assert_conserved()
         for state in self.tenant_states.values():
-            if state.budget is not None:
-                state.budget.assert_conserved()
+            # the default tenant's budget is the server budget itself
+            state.budget.assert_conserved()
         for node_id, manager in self.executor.memory_managers.items():
             if manager.live_handles:
                 raise AssertionError(

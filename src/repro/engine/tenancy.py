@@ -25,8 +25,8 @@ QoS ladder:
   arbitrates within a priority band.
 
 Quota fractions are enforced through per-tenant
-:class:`~repro.engine.scheduler.ResourceBudget` instances derived from
-the server budget by :func:`quota_capacities`: compute dimensions
+:meth:`~repro.engine.scheduler.ResourceBudget.quota` slices of the
+server budget, sized by :func:`quota_capacities`: compute dimensions
 (cores, GPU units, and the PCIe/QPI stream windows) scale by
 ``compute_quota``, memory dimensions (DRAM/HBM bytes) by
 ``memory_quota`` — the same compute/memory split the scheduler's
@@ -175,9 +175,10 @@ class TenantState:
     """Runtime per-tenant bookkeeping owned by the scheduler."""
 
     tenant: Tenant
-    #: per-tenant ResourceBudget enforcing the quota fractions, or None
-    #: for an uncapped tenant (the scheduler constructs it — tenancy.py
-    #: stays import-independent of the scheduler module)
+    #: the ResourceBudget this tenant's sessions are charged through: a
+    #: quota slice of the server budget, or the server budget itself for
+    #: an uncapped tenant (the scheduler supplies it — tenancy.py stays
+    #: import-independent of the scheduler module)
     budget: Optional[object] = None
     bucket: Optional[TokenBucket] = None
     #: lifetime counters (monotone; the metrics surface syncs to them)

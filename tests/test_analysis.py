@@ -166,7 +166,6 @@ class TestRP002BudgetDiscipline:
                 class Admission:
                     def admit(self, session, demand):
                         self.budget.allocate(demand)
-                        session.holds_budget = True
                         session.held_demand = demand
                 """
             },

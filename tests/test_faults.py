@@ -40,6 +40,7 @@ from repro.engine.faults import (
     classify_failure,
 )
 from repro.engine.reference import ReferenceExecutor
+from repro.engine.tenancy import Tenant
 from repro.hardware.costmodel import CostModel
 from repro.hardware.sim import Interrupt, Simulator
 from repro.hardware.specs import PAPER_SERVER
@@ -490,6 +491,30 @@ class TestSchedulerRetry:
         assert session.status == "failed"
         assert session.error_class == "device_lost"
         assert session.attempts == 1
+        server.check_conservation()
+
+    def test_retry_beyond_tenant_quota_ends_campaign(self, tables):
+        """A retry's degraded shape is held to the walls a first
+        submission is: the CPU-only fallback needs 16 cores against the
+        tenant's 12-core quota, so the campaign ends with the ORIGINAL
+        typed failure instead of parking forever on re-admission."""
+        server = _server(
+            tables,
+            tenants=[Tenant("small", compute_quota=0.5)],
+            fault_plan=_loss_plan(5e-4),
+            retry_policy=RetryPolicy(max_attempts=3, fallback_cpu_workers=16),
+        )
+        session = server.submit(
+            ssb_query("Q1.1"),
+            ExecutionConfig.gpu_only([0, 1], block_tuples=4096),
+            name="Q1.1",
+            tenant="small",
+        )
+        report = server.run()  # used to raise SchedulerError: batch stalled
+        assert session.status == "failed"
+        assert session.error_class == "device_lost"
+        assert session.retried_classes == []
+        assert report.sessions == [session]
         server.check_conservation()
 
     def test_phase_boundary_loss_retries(self, tables, reference):

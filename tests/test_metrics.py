@@ -10,9 +10,12 @@ sums always equal their counts, and the hot path never folds events
 inline (the pump drains them).
 """
 
+import re
+
 import pytest
 
 from repro import EngineServer, ExecutionConfig
+from repro.engine.faults import DeviceLossFault, FaultPlan
 from repro.engine.metrics import (
     Counter,
     DEFAULT_LATENCY_BUCKETS,
@@ -21,6 +24,7 @@ from repro.engine.metrics import (
     MetricsPump,
     MetricsRegistry,
 )
+from repro.engine.scheduler import SchedulerError
 from repro.engine.tenancy import Tenant
 from repro.hardware.sim import Simulator
 from repro.ssb import generate_ssb, load_ssb, ssb_query
@@ -70,6 +74,17 @@ FLEET_FAMILIES = {name for name in EXPECTED_FAMILIES if name.startswith("repro_f
 
 #: the single-server exposition schema (what a server drive snapshots)
 SERVER_FAMILIES = EXPECTED_FAMILIES - FLEET_FAMILIES
+
+
+def assert_sessions_counted_once_and_terminal(report) -> None:
+    """Lifecycle invariant of a fresh server's first drive, whatever the
+    mix of features and faults: ``repro_sessions_total`` counts every
+    reported session exactly once, under a terminal status."""
+    values = report.metrics["repro_sessions_total"]["values"]
+    for labels in values:
+        status = re.search(r'status="([^"]*)"', labels).group(1)
+        assert status in {"done", "failed", "shed"}, labels
+    assert sum(values.values()) == len(report.sessions)
 
 
 class TestCounter:
@@ -274,6 +289,38 @@ class TestServerMetricsSurface:
         )
         assert "# TYPE repro_query_latency_seconds histogram" in text
         assert 'repro_query_latency_seconds_bucket{tenant="acme",le="+Inf"} 1' in text
+
+    def test_stalled_drive_counts_sessions_under_terminal_status(self, tables):
+        server = _server(tables)
+        session = server.submit(ssb_query("Q2.1"), CPU4)
+        server.start()
+        server.sim.run(until=2e-3)  # cut the drive short, mid-execution
+        with pytest.raises(SchedulerError, match="batch stalled"):
+            server.finish_drive()
+        assert session.status == "failed"
+        assert_sessions_counted_once_and_terminal(server.last_report)
+        server.check_conservation()
+
+    def test_mixed_drive_counts_sessions_under_terminal_status(self, tables):
+        server = _server(
+            tables,
+            max_concurrent=1,
+            max_queue_depth=2,
+            tenants=[Tenant("acme")],
+            fault_plan=FaultPlan(
+                seed=7, device_losses=(DeviceLossFault(gpu_id=0, at_seconds=5e-4),)
+            ),
+        )
+        gpu = ExecutionConfig.gpu_only([0, 1], block_tuples=4096)
+        sessions = [
+            server.submit(ssb_query("Q1.1"), gpu, tenant="acme"),
+            server.submit(ssb_query("Q1.2"), CPU4),
+            server.submit(ssb_query("Q1.3"), CPU4),
+        ]
+        report = server.run()
+        assert [s.status for s in sessions] == ["failed", "done", "shed"]
+        assert_sessions_counted_once_and_terminal(report)
+        server.check_conservation()
 
     def test_registry_shared_through_engine_facade(self, tables):
         server = _server(tables)

@@ -191,6 +191,55 @@ class TestBudgetArithmetic:
         assert budget.in_use["dram_bytes"] == 0.0
         budget.assert_conserved()
 
+    def test_quota_slice_is_charged_with_its_parent(self):
+        """One call on a tenant's slice covers the whole chain, and only
+        charges made through the slice count against it."""
+        from repro.hardware.costmodel import QueryDemand
+
+        server = ResourceBudget(cpu_cores=16)
+        small = server.quota("tenant 'small' quota", cpu_cores=8)
+        other = server.quota("tenant 'other' quota", cpu_cores=8)
+        six, four = QueryDemand(cpu_cores=6), QueryDemand(cpu_cores=4)
+        small.allocate(six)
+        other.allocate(six)
+        assert server.in_use["cpu_cores"] == 12.0
+        assert small.in_use["cpu_cores"] == other.in_use["cpu_cores"] == 6.0
+        # 4 more cores fit the server (12 + 4 <= 16) but not the slice
+        assert server.fits(four) and not small.fits(four)
+        assert small.blocked_at(four) is small
+        assert small.headroom()["cpu_cores"] == 2.0
+        # the isolation wall: another tenant's release never unblocks a
+        # waiter blocked on its own quota; a same-slice release does
+        assert not small.fits_with_release(four, [(other, six)])
+        assert small.fits_with_release(four, [(small, six)])
+        # ... while at the server level anybody's release helps
+        eight = QueryDemand(cpu_cores=8)
+        assert server.blocked_at(eight) is server
+        assert server.fits_with_release(eight, [(other, six)])
+        assert small.too_small_for(QueryDemand(cpu_cores=12)) is small
+        assert small.too_small_for(QueryDemand(cpu_cores=20)) is server
+        small.release(six)
+        other.release(six)
+        for budget in (server, small, other):
+            budget.assert_conserved()
+
+    def test_drive_window_reports_each_finished_item_once(self):
+        from types import SimpleNamespace
+
+        from repro.engine.scheduler import drive_window
+
+        items = [
+            SimpleNamespace(query_id=0, finished=True, submit_time=1.0, finish_time=4.0),
+            SimpleNamespace(query_id=1, finished=False, submit_time=2.0, finish_time=None),
+            SimpleNamespace(query_id=2, finished=True, submit_time=3.0, finish_time=3.5),
+        ]
+        reported: set[int] = set()
+        assert drive_window(items, reported) == ([items[0], items[2]], 3.0)
+        items[1].finished, items[1].finish_time = True, 9.0
+        # the next drive sees only what finished since, never the rest again
+        assert drive_window(items, reported) == ([items[1]], 7.0)
+        assert drive_window(items, reported) == ([], 0.0)
+
     def test_unspecified_budget_dimensions_are_unlimited(self, tables):
         """ResourceBudget(cpu_cores=8) must not silently zero the other
         dimensions and reject every query touching them."""

@@ -166,34 +166,26 @@ class TestAdmissionOrdering:
         server.run()
         assert low.admit_time < high.admit_time
 
-    def test_qos_and_shorthand_are_mutually_exclusive(self, tables):
-        server = _server(tables)
-        with pytest.raises(ValueError, match="not both"):
-            server.submit(
-                ssb_query("Q1.1"),
-                _config(),
-                qos=QoS.interactive(),
-                priority=3,
-            )
-
     def test_qos_rejects_nonpositive_deadline(self):
         with pytest.raises(ValueError, match="deadline_seconds"):
             QoS(priority=1, deadline_seconds=0.0)
 
     def test_priority_shorthand_reports_under_own_class(self, tables):
-        """submit(priority=7) must not pool its latencies into the
+        """A QoS with its own label must not pool its latencies into the
         priority-0 'batch' class in per-class reporting."""
         server = _server(tables, max_concurrent=1)
         server.submit(ssb_query("Q1.1"), _config(), name="plain")
-        hot = server.submit(ssb_query("Q1.2"), _config(), name="hot", priority=7)
+        hot = server.submit(
+            ssb_query("Q1.2"), _config(), name="hot", qos=QoS(priority=7, label="hot")
+        )
         report = server.run()
-        assert hot.label == "priority+7"
+        assert hot.label == "hot"
         # the demand is the scheduling source of truth the queue ranks by
         assert hot.demand.priority == 7
         assert hot.priority == hot.demand.priority
         tails = report.latency_percentiles()
-        assert set(tails) == {"priority+7", "batch"}
-        assert tails["priority+7"]["p99"] == hot.latency
+        assert set(tails) == {"hot", "batch"}
+        assert tails["hot"]["p99"] == hot.latency
 
 
 class TestPhaseBoundaryPreemption:
