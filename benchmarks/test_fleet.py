@@ -24,7 +24,7 @@ from repro.engine.failover import (
     FailoverPolicy,
 )
 from repro.engine.faults import FaultPlan, ServerLossFault, ServerStallFault
-from repro.engine.fleet import EngineFleet
+from repro.engine.fleet import EngineFleet, ShardMap
 from repro.engine.proteus import Proteus
 from repro.ssb import generate_ssb, load_ssb, ssb_query
 
@@ -102,6 +102,47 @@ def _assert_graceful(fleet, report, reference):
                 assert attempt.elapsed >= 0.0
     # budgets and staging arenas conserved on EVERY backend, dead or not
     fleet.check_conservation()
+
+
+class TestShardMap:
+    """The placement arithmetic under the fleet, on its own."""
+
+    @pytest.mark.parametrize(
+        "num_servers,replication", [(4, 2), (5, 2), (6, 3), (3, 1)]
+    )
+    def test_replicas_partition_the_servers(self, num_servers, replication):
+        shard_map = ShardMap.with_replication(num_servers, replication)
+        placed = [
+            server
+            for shard in range(shard_map.num_shards)
+            for server in shard_map.replicas(shard)
+        ]
+        assert sorted(placed) == list(range(num_servers))
+        for shard in range(shard_map.num_shards):
+            assert len(shard_map.replicas(shard)) >= replication
+            for server in shard_map.replicas(shard):
+                assert shard_map.shard_of_server(server) == shard
+
+    @pytest.mark.parametrize("num_rows", [0, 1, 7, 1000, 30_011])
+    def test_row_ranges_tile_the_table_exactly(self, num_rows):
+        shard_map = ShardMap(num_servers=6, num_shards=3)
+        ranges = [shard_map.row_range(shard, num_rows) for shard in range(3)]
+        assert ranges[0][0] == 0 and ranges[-1][1] == num_rows
+        for (_, hi), (lo, _) in zip(ranges, ranges[1:]):
+            assert hi == lo
+        sizes = [hi - lo for lo, hi in ranges]
+        assert max(sizes) - min(sizes) <= 1
+
+    def test_replication_beyond_the_fleet_is_rejected(self):
+        """``with_replication(2, 3)`` used to return a 2-way map under a
+        docstring promising every shard lands on >= R backends."""
+        with pytest.raises(ValueError, match="replication"):
+            ShardMap.with_replication(2, 3)
+        with pytest.raises(ValueError, match="replication"):
+            EngineFleet(num_servers=2, replication=3)
+        with pytest.raises(ValueError, match="replication"):
+            ShardMap.with_replication(2, 0)
+        assert ShardMap.with_replication(2, 2).replicas(0) == (0, 1)
 
 
 class TestFleetFailoverSmoke:

@@ -340,18 +340,15 @@ class HeterogeneousPlacer:
         """
         cores_by_socket = [list(s.cores) for s in self.server.sockets]
         order: list[int] = []
-        if config.interleave_sockets:
-            index = 0
-            while len(order) < config.cpu_workers:
-                socket = cores_by_socket[index % len(cores_by_socket)]
-                position = index // len(cores_by_socket)
-                if position < len(socket):
-                    order.append(socket[position].core_id)
-                index += 1
-                if index > 4 * sum(len(c) for c in cores_by_socket):
-                    break
-        else:
-            order = [c.core_id for c in self.server.cores[: config.cpu_workers]]
+        index = 0
+        while len(order) < config.cpu_workers:
+            socket = cores_by_socket[index % len(cores_by_socket)]
+            position = index // len(cores_by_socket)
+            if position < len(socket):
+                order.append(socket[position].core_id)
+            index += 1
+            if index > 4 * sum(len(c) for c in cores_by_socket):
+                break
         if len(order) < config.cpu_workers:
             raise PlacementError(
                 f"requested {config.cpu_workers} CPU workers but the server "

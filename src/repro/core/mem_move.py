@@ -26,13 +26,13 @@ transfer-side optimisations that hide PCIe latency behind compute:
   interconnect routes (:meth:`Server.paths_between
   <repro.hardware.topology.Server.paths_between>` — e.g. the direct
   remote-read path versus the NUMA hop through the destination socket's
-  staging arena) and, under the default ``path_selection="contention"``
-  policy, prices each against live per-link queue depths with
-  :meth:`CostModel.transfer_demand
+  staging arena) and prices each against live per-link queue depths
+  with :meth:`CostModel.transfer_demand
   <repro.hardware.costmodel.CostModel.transfer_demand>`, launching the
   DMA on the cheapest route (strict ``<`` comparison in enumeration
-  order, so ties fall back deterministically to the direct path);
-  ``path_selection="direct"`` always takes the first enumerated route;
+  order, so ties fall back deterministically to the first enumerated
+  route).  "Direct" is only the *name of a route* (``qpi-direct``, the
+  remote read without a staging hop), never a selection policy;
 * the **consumer half** is just ``yield handle.transfer_done`` in the
   consuming worker (Listing 1, pipeline 10: "wait DMA transfer for b to
   finish"), followed by :meth:`release_staged` once the block has been
@@ -58,7 +58,6 @@ __all__ = [
     "MemMove",
     "TransferTimeout",
     "DMA_WEIGHT",
-    "PATH_POLICIES",
     "DEFAULT_PREFETCH_DEPTH",
     "path_transfer_jobs",
 ]
@@ -76,11 +75,6 @@ class TransferTimeout(RuntimeError):
 #: load/store traffic (transfers keep most of their bandwidth when many
 #: cores saturate the bus; interference remains but is bounded)
 DMA_WEIGHT = 3.0
-
-#: recognised ``path_selection`` policies: "direct" always takes the
-#: first enumerated route; "contention" prices every route against live
-#: link queue depths and picks the cheapest (deterministic on ties)
-PATH_POLICIES = ("direct", "contention")
 
 #: staging blocks a consumer instance may hold in flight ahead of its
 #: compute (1 = overlap off: the transfer sits on the critical path)
@@ -119,17 +113,11 @@ class MemMove:
         blocks: BlockManagerSet,
         cost: CostModel,
         prefetch_depth: int = DEFAULT_PREFETCH_DEPTH,
-        path_selection: str = "contention",
         straggler: Optional[Callable[[], float]] = None,
         dma_timeout: Optional[float] = None,
     ):
         if prefetch_depth < 1:
             raise ValueError("prefetch_depth must be >= 1")
-        if path_selection not in PATH_POLICIES:
-            raise ValueError(
-                f"unknown path_selection {path_selection!r}; expected one "
-                f"of {PATH_POLICIES}"
-            )
         if dma_timeout is not None and dma_timeout <= 0:
             raise ValueError("dma_timeout must be positive (or None)")
         self.sim = sim
@@ -137,7 +125,6 @@ class MemMove:
         self.blocks = blocks
         self.cost = cost
         self.prefetch_depth = prefetch_depth
-        self.path_selection = path_selection
         #: chaos hook sampled once per launched DMA: a latency
         #: multiplier >= 1 (1.0 = no straggling; the fault injector's
         #: seeded RNG keeps the sampling deterministic under DES order)
@@ -177,14 +164,13 @@ class MemMove:
                     scale: float = 1.0) -> Path:
         """Choose the interconnect route for one transfer, at launch time.
 
-        ``"direct"`` always returns the first enumerated path (the
-        legacy single-engine route) without pricing anything;
-        ``"contention"`` prices every candidate against the live
-        per-link queue depths and returns the cheapest, falling back to
+        A single candidate is returned without pricing anything;
+        otherwise every candidate is priced against the live per-link
+        queue depths and the cheapest returned, falling back to
         enumeration order on ties, which makes the choice deterministic.
         """
         paths = self.server.paths_between(src_node, dst_node)
-        if self.path_selection == "direct" or len(paths) == 1:
+        if len(paths) == 1:
             return paths[0]
         return self._cheapest(paths, nbytes, scale)[0]
 
@@ -199,12 +185,10 @@ class MemMove:
         """
         if handle.node_id == target_node:
             return 0.0
-        nbytes = handle.block.nbytes
-        scale = handle.block.logical_scale
         paths = self.server.paths_between(handle.node_id, target_node)
-        if self.path_selection == "direct" or len(paths) == 1:
-            return self.cost.transfer_demand(nbytes, paths[0], scale=scale)
-        return self._cheapest(paths, nbytes, scale)[1]
+        return self._cheapest(
+            paths, handle.block.nbytes, handle.block.logical_scale
+        )[1]
 
     # -- producer half ------------------------------------------------------------
 

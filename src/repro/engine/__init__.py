@@ -33,7 +33,6 @@ from .config import (
     CachePolicy,
     ElasticPolicy,
     ExecutionConfig,
-    MetricsPolicy,
     QoS,
 )
 from .executor import Executor, QueryError, RawExecution
@@ -65,7 +64,6 @@ __all__ = [
     "CachePolicy",
     "ElasticPolicy",
     "ExecutionConfig",
-    "MetricsPolicy",
     "QoS",
     "Tenant",
     "RateLimit",

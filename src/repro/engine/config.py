@@ -25,14 +25,11 @@ query's CPU worker set between phases, within ``[min_dop, max_dop]``,
 driven by the observed DRAM utilization against ``target_utilization``.
 
 :class:`CachePolicy` parameterises the compiled-pipeline cache the same
-way: capacity, the eviction policy (``lru`` / ``lfu`` / the GDSF-style
+way: capacity, the eviction policy (``lru`` / the GDSF-style
 ``cost_aware`` that keeps expensive-to-compile GPU pipelines resident
 longer), and how many hot entries per-batch cache reports list.
 
-:class:`MetricsPolicy` parameterises the server's observability surface
-(:mod:`repro.engine.metrics`): how often the off-hot-path writer drains
-its event queue, and the latency histogram buckets.  The *tenant*
-contract itself (weights, quotas, rate limits) lives in
+The *tenant* contract (weights, quotas, rate limits) lives in
 :class:`repro.engine.tenancy.Tenant`, re-exported here alongside the
 other per-submission knobs.
 """
@@ -40,19 +37,17 @@ other per-submission knobs.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Any, Optional, Sequence
 
-from ..core.mem_move import DEFAULT_PREFETCH_DEPTH, PATH_POLICIES
+from ..core.mem_move import DEFAULT_PREFETCH_DEPTH
 from ..hardware.topology import DeviceType
 from ..jit.cache import EVICTION_POLICIES
-from .metrics import DEFAULT_LATENCY_BUCKETS
 from .tenancy import RateLimit, Tenant
 
 __all__ = [
     "ExecutionConfig",
     "CachePolicy",
     "ElasticPolicy",
-    "MetricsPolicy",
     "QoS",
     "RateLimit",
     "Tenant",
@@ -77,7 +72,7 @@ class QoS:
     #: reporting label; sessions aggregate per label in BatchReport
     label: str = "batch"
 
-    def __post_init__(self):
+    def __post_init__(self) -> None:
         if self.deadline_seconds is not None and self.deadline_seconds <= 0:
             raise ValueError("deadline_seconds must be positive (or None)")
 
@@ -98,7 +93,7 @@ class QoS:
         """Scavenger class: runs in the gaps, first to be preempted."""
         return cls(priority=-10, deadline_seconds=None, label="background")
 
-    def derive(self, **overrides) -> "QoS":
+    def derive(self, **overrides: Any) -> "QoS":
         return replace(self, **overrides)
 
 
@@ -134,7 +129,7 @@ class ElasticPolicy:
     #: minimum width of one utilization sampling window
     window_seconds: float = 2e-3
 
-    def __post_init__(self):
+    def __post_init__(self) -> None:
         if self.min_dop < 1:
             raise ValueError("min_dop must be >= 1")
         if self.max_dop is not None and self.max_dop < self.min_dop:
@@ -146,7 +141,7 @@ class ElasticPolicy:
         if self.window_seconds <= 0:
             raise ValueError("window_seconds must be positive")
 
-    def derive(self, **overrides) -> "ElasticPolicy":
+    def derive(self, **overrides: Any) -> "ElasticPolicy":
         return replace(self, **overrides)
 
 
@@ -158,7 +153,6 @@ class CachePolicy:
     with once ``capacity`` is exceeded:
 
     * ``"lru"`` — plain recency, the original behaviour and the default;
-    * ``"lfu"`` — frequency with recency tie-breaks;
     * ``"cost_aware"`` — GDSF-style: score =
       aging floor + compile_cost x (hits + 1) / size, where the compile
       cost is the per-device estimate the scheduler actually charges on
@@ -179,7 +173,7 @@ class CachePolicy:
     eviction: str = "lru"
     top_entries: int = 5
 
-    def __post_init__(self):
+    def __post_init__(self) -> None:
         if self.capacity < 1:
             raise ValueError("cache capacity must be positive")
         if self.eviction not in EVICTION_POLICIES:
@@ -190,31 +184,7 @@ class CachePolicy:
         if self.top_entries < 0:
             raise ValueError("top_entries must be >= 0")
 
-    def derive(self, **overrides) -> "CachePolicy":
-        return replace(self, **overrides)
-
-
-@dataclass(frozen=True)
-class MetricsPolicy:
-    """Knobs of the server's metrics surface.
-
-    ``sample_interval_seconds`` is the simulated-time cadence of the
-    off-hot-path queue-drain writer (hot paths only append raw events;
-    the writer folds them into the registry and samples the utilization
-    and budget gauges).  ``latency_buckets`` are the upper bounds of the
-    query-latency histograms (+Inf is implicit).
-    """
-
-    sample_interval_seconds: float = 0.25
-    latency_buckets: tuple[float, ...] = DEFAULT_LATENCY_BUCKETS
-
-    def __post_init__(self):
-        if self.sample_interval_seconds <= 0:
-            raise ValueError("sample_interval_seconds must be positive")
-        if not self.latency_buckets:
-            raise ValueError("latency_buckets must be non-empty")
-
-    def derive(self, **overrides) -> "MetricsPolicy":
+    def derive(self, **overrides: Any) -> "CachePolicy":
         return replace(self, **overrides)
 
 
@@ -228,27 +198,19 @@ class ExecutionConfig:
     bare: bool = False
     #: tuples per staging block (the block granularity of data flow)
     block_tuples: int = 1 << 20
-    #: interleave CPU workers across sockets (the paper's Figure 6 setup)
-    interleave_sockets: bool = True
     #: staging blocks the mem-move keeps in flight ahead of each
     #: consumer instance (credit-based; 1 = transfer/compute overlap OFF,
     #: the DMA sits on the consumer's critical path)
     prefetch_depth: int = DEFAULT_PREFETCH_DEPTH
-    #: DMA route policy: "contention" prices every interconnect path
-    #: against live link queue depths at launch time, "direct" always
-    #: takes the first enumerated (legacy) route
-    path_selection: str = "contention"
 
-    def __post_init__(self):
+    def __post_init__(self) -> None:
         if self.cpu_workers < 0:
             raise ValueError("cpu_workers must be >= 0")
         if self.prefetch_depth < 1:
             raise ValueError("prefetch_depth must be >= 1")
-        if self.path_selection not in PATH_POLICIES:
-            raise ValueError(
-                f"unknown path_selection {self.path_selection!r}; expected "
-                f"one of {PATH_POLICIES}"
-            )
+        for gpu_id in self.gpu_ids:
+            if self.gpu_ids.count(gpu_id) > 1:
+                raise ValueError(f"gpu id {gpu_id} is listed more than once")
         if self.cpu_workers == 0 and not self.gpu_ids:
             raise ValueError("configuration selects no compute units")
         if self.bare:
@@ -264,28 +226,30 @@ class ExecutionConfig:
     # -- constructors --------------------------------------------------------
 
     @classmethod
-    def cpu_only(cls, workers: int, **kw) -> "ExecutionConfig":
+    def cpu_only(cls, workers: int, **kw: Any) -> "ExecutionConfig":
         return cls(cpu_workers=workers, gpu_ids=(), **kw)
 
     @classmethod
-    def gpu_only(cls, gpu_ids: Sequence[int], **kw) -> "ExecutionConfig":
+    def gpu_only(cls, gpu_ids: Sequence[int], **kw: Any) -> "ExecutionConfig":
         return cls(cpu_workers=0, gpu_ids=tuple(gpu_ids), **kw)
 
     @classmethod
-    def hybrid(cls, workers: int, gpu_ids: Sequence[int], **kw) -> "ExecutionConfig":
+    def hybrid(
+        cls, workers: int, gpu_ids: Sequence[int], **kw: Any
+    ) -> "ExecutionConfig":
         return cls(cpu_workers=workers, gpu_ids=tuple(gpu_ids), **kw)
 
     @classmethod
-    def bare_cpu(cls, **kw) -> "ExecutionConfig":
+    def bare_cpu(cls, **kw: Any) -> "ExecutionConfig":
         return cls(cpu_workers=1, bare=True, **kw)
 
     @classmethod
-    def bare_gpu(cls, gpu_id: int = 0, **kw) -> "ExecutionConfig":
+    def bare_gpu(cls, gpu_id: int = 0, **kw: Any) -> "ExecutionConfig":
         return cls(cpu_workers=0, gpu_ids=(gpu_id,), bare=True, **kw)
 
     # -- helpers ----------------------------------------------------------------
 
-    def derive(self, **overrides) -> "ExecutionConfig":
+    def derive(self, **overrides: Any) -> "ExecutionConfig":
         """A copy with selected fields replaced (re-validates invariants)."""
         return replace(self, **overrides)
 
@@ -303,7 +267,7 @@ class ExecutionConfig:
 
     @property
     def devices(self) -> list[DeviceType]:
-        out = []
+        out: list[DeviceType] = []
         if self.uses_cpu:
             out.append(DeviceType.CPU)
         if self.uses_gpu:
@@ -311,7 +275,7 @@ class ExecutionConfig:
         return out
 
     def describe(self) -> str:
-        parts = []
+        parts: list[str] = []
         if self.uses_cpu:
             parts.append(f"{self.cpu_workers} CPU worker(s)")
         if self.uses_gpu:

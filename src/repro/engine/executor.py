@@ -215,7 +215,6 @@ class Executor:
         catalog: Catalog,
         blocks: BlockManagerSet,
         cost: CostModel,
-        logical_scale: float = 1.0,
         pipeline_cache: Optional[PipelineCache] = None,
     ):
         self.sim = sim
@@ -223,7 +222,6 @@ class Executor:
         self.catalog = catalog
         self.blocks = blocks
         self.cost = cost
-        self.logical_scale = logical_scale
         #: shared compiled-pipeline cache (None disables caching)
         self.pipeline_cache = pipeline_cache
         self.memory_managers = {
@@ -694,7 +692,6 @@ class Executor:
             self.blocks,
             self.cost,
             prefetch_depth=config.prefetch_depth,
-            path_selection=config.path_selection,
             straggler=(faults.straggler_factor if faults is not None else None),
             dma_timeout=(faults.transfer_timeout if faults is not None else None),
         )

@@ -267,17 +267,15 @@ class RetryPolicy:
 
     ``max_attempts`` counts *total* attempts including the first;
     ``backoff_seconds`` delays the k-th retry by ``k * backoff_seconds``
-    of simulated time before it re-enters the admission queue;
-    ``fallback="cpu_only"`` drops any retry that lost a GPU to a
-    CPU-only placement (byte-identical rows by construction), while
-    ``"exclude"`` keeps the surviving GPUs.  ``fallback_cpu_workers``
-    is the CPU dop substituted when the degraded placement would
-    otherwise have no compute units at all.
+    of simulated time before it re-enters the admission queue.  A
+    retry that lost a GPU always falls back to a CPU-only placement
+    (byte-identical rows by construction); ``fallback_cpu_workers`` is
+    the CPU dop substituted when the degraded placement would otherwise
+    have no compute units at all.
     """
 
     max_attempts: int = 3
     backoff_seconds: float = 0.0
-    fallback: str = "cpu_only"
     fallback_cpu_workers: int = 4
 
     def __post_init__(self):
@@ -285,11 +283,6 @@ class RetryPolicy:
             raise ValueError("max_attempts must be >= 1")
         if self.backoff_seconds < 0:
             raise ValueError("backoff_seconds must be >= 0")
-        if self.fallback not in ("cpu_only", "exclude"):
-            raise ValueError(
-                f"fallback must be 'cpu_only' or 'exclude', "
-                f"got {self.fallback!r}"
-            )
         if self.fallback_cpu_workers < 1:
             raise ValueError("fallback_cpu_workers must be >= 1")
 

@@ -135,9 +135,12 @@ class ShardMap:
     @classmethod
     def with_replication(cls, num_servers: int, replication: int) -> "ShardMap":
         """R-way replication: every shard lands on >= R backends."""
-        if replication < 1:
-            raise ValueError("replication must be >= 1")
-        return cls(num_servers, max(1, num_servers // replication))
+        if not 1 <= replication <= num_servers:
+            raise ValueError(
+                f"replication must be in [1, num_servers]; got "
+                f"{replication}-way over {num_servers} servers"
+            )
+        return cls(num_servers, num_servers // replication)
 
     def shard_of_server(self, server_index: int) -> int:
         return server_index % self.num_shards
@@ -147,9 +150,6 @@ class ShardMap:
         if not 0 <= shard < self.num_shards:
             raise ValueError(f"shard {shard} out of range [0, {self.num_shards})")
         return tuple(b for b in range(self.num_servers) if b % self.num_shards == shard)
-
-    def replication_of(self, shard: int) -> int:
-        return len(self.replicas(shard))
 
     def row_range(self, shard: int, num_rows: int) -> tuple[int, int]:
         """Half-open row range of ``shard`` in a ``num_rows`` fact table."""
@@ -327,12 +327,10 @@ class EngineFleet:
         num_servers: int = 4,
         *,
         replication: int = 2,
-        num_shards: Optional[int] = None,
         failover: Optional[FailoverPolicy] = None,
         breaker: Optional[BreakerPolicy] = None,
         probe_interval_seconds: float = 0.0025,
         fault_plan: Optional[FaultPlan] = None,
-        metrics: Optional[MetricsRegistry] = None,
         server_kwargs: Optional[dict] = None,
         **engine_kwargs: Any,
     ):
@@ -340,11 +338,7 @@ class EngineFleet:
             raise ValueError("probe_interval_seconds must be positive")
         self.sim = Simulator()
         self._clock = lambda: self.sim.now
-        self.shard_map = (
-            ShardMap(num_servers, num_shards)
-            if num_shards is not None
-            else ShardMap.with_replication(num_servers, replication)
-        )
+        self.shard_map = ShardMap.with_replication(num_servers, replication)
         self.failover = failover or FailoverPolicy()
         self.breaker_policy = breaker or BreakerPolicy()
         self.probe_interval_seconds = probe_interval_seconds
@@ -375,7 +369,7 @@ class EngineFleet:
         #: fleet-scope chaos/breaker events, in simulated-time order
         self.events: list[dict] = []
         self._fired_losses = 0
-        self.metrics: MetricsRegistry = metrics or MetricsRegistry()
+        self.metrics = MetricsRegistry()
         self._metric_families()
         self._pump = MetricsPump(self.sim, self._fold_metric,
                                  sample_gauges=self._sample_gauges)
@@ -508,16 +502,6 @@ class EngineFleet:
         self._next_id += 1
         self._queries.append(query)
         return query
-
-    def submit_batch(
-        self,
-        items: Sequence[tuple[Plan, ExecutionConfig]],
-        names: Optional[Sequence[str]] = None,
-    ) -> list[FleetQuery]:
-        return [
-            self.submit(plan, config, name=names[i] if names else None)
-            for i, (plan, config) in enumerate(items)
-        ]
 
     # -- chaos arming ------------------------------------------------------
 

@@ -26,7 +26,7 @@ from typing import Optional
 from ..algebra.logical import Plan
 from ..algebra.physical import CollectSpec, HetPlan
 from ..algebra.placer import HeterogeneousPlacer
-from ..hardware.costmodel import CostModel, EngineTuning, PROTEUS_TUNING
+from ..hardware.costmodel import CostModel
 from ..hardware.sim import Simulator
 from ..hardware.specs import ServerSpec
 from ..hardware.topology import Server
@@ -42,10 +42,6 @@ from .results import QueryResult
 
 __all__ = ["Proteus"]
 
-#: sentinel distinguishing "caller never passed pipeline_cache_capacity"
-#: from an explicit value (None is itself meaningful: cache disabled)
-_UNSET: object = object()
-
 
 class Proteus:
     """A heterogeneous analytical query engine on a simulated server.
@@ -55,24 +51,20 @@ class Proteus:
     for a dashboard re-issuing SSB queries) reuse the compiled pipeline
     instead of recompiling.  ``cache_policy``
     (:class:`~repro.engine.config.CachePolicy`) selects capacity and the
-    eviction policy (``lru`` / ``lfu`` / ``cost_aware``);
-    ``pipeline_cache_capacity`` remains as the capacity-only shorthand
-    (pass ``None`` to disable caching entirely).  ``shared_cache``
-    attaches this engine's cache to a cross-server
-    :class:`~repro.jit.cache.SharedCacheDirectory`: L1 misses fall back
-    to the directory (promoting hits), fresh compilations publish into
-    it, and evicted entries stay fetchable there — so a fleet of engines
-    compiles each pipeline shape roughly once.
+    eviction policy (``lru`` / ``cost_aware``); pass ``None`` to disable
+    caching entirely.  ``shared_cache`` attaches this engine's cache to
+    a cross-server :class:`~repro.jit.cache.SharedCacheDirectory`: L1
+    misses fall back to the directory (promoting hits), fresh
+    compilations publish into it, and evicted entries stay fetchable
+    there — so a fleet of engines compiles each pipeline shape roughly
+    once.
     """
 
     def __init__(
         self,
         spec: Optional[ServerSpec] = None,
-        tuning: EngineTuning = PROTEUS_TUNING,
         segment_rows: int = 1 << 20,
-        logical_scale: float = 1.0,
-        pipeline_cache_capacity: Optional[int] = _UNSET,  # default: 128
-        cache_policy: Optional[CachePolicy] = None,
+        cache_policy: Optional[CachePolicy] = CachePolicy(),
         shared_cache: Optional[SharedCacheDirectory] = None,
         sim: Optional[Simulator] = None,
     ):
@@ -83,27 +75,11 @@ class Proteus:
         self.server = Server(self.sim, spec or ServerSpec())
         self.catalog = Catalog(self.server, segment_rows=segment_rows)
         self.blocks = BlockManagerSet(self.server)
-        self.cost = CostModel(self.server.spec, tuning)
-        self.logical_scale = logical_scale
+        self.cost = CostModel(self.server.spec)
         self.placer = HeterogeneousPlacer(self.server, self.catalog)
-        if cache_policy is not None and pipeline_cache_capacity is not _UNSET:
-            # sentinel, not a default-value comparison: an explicitly
-            # passed =128 (or =None) alongside cache_policy is the same
-            # ambiguity as any other pair of conflicting knobs
-            raise ValueError(
-                "pass either cache_policy= or the pipeline_cache_capacity "
-                "shorthand, not both"
-            )
-        if pipeline_cache_capacity is _UNSET:
-            pipeline_cache_capacity = 128
-        if cache_policy is None and pipeline_cache_capacity is not None:
-            # `is not None`, not truthiness: capacity 0 must raise (inside
-            # CachePolicy), not silently disable caching.
-            cache_policy = CachePolicy(capacity=pipeline_cache_capacity)
         if cache_policy is None and shared_cache is not None:
             raise ValueError(
-                "shared_cache requires an enabled pipeline cache "
-                "(cache_policy or pipeline_cache_capacity)"
+                "shared_cache requires an enabled pipeline cache (cache_policy)"
             )
         self.cache_policy = cache_policy
         self.pipeline_cache = (
@@ -122,7 +98,6 @@ class Proteus:
             self.catalog,
             self.blocks,
             self.cost,
-            logical_scale=logical_scale,
             pipeline_cache=self.pipeline_cache,
         )
         #: the engine's observability surface; an EngineServer built on
@@ -142,9 +117,6 @@ class Proteus:
 
     def place_gpu_replicated(self, name: str) -> None:
         self.catalog.place_gpu_replicated(name)
-
-    def place_interleaved(self, name: str) -> None:
-        self.catalog.place_interleaved(name)
 
     # -- queries -----------------------------------------------------------------
 

@@ -134,9 +134,9 @@ from ..hardware.costmodel import DEFAULT_COMPILE_SECONDS, QueryDemand
 from ..hardware.sim import Event, Interrupt
 from ..hardware.topology import DeviceType, Server
 from ..storage.table import Placement, Table
-from .config import ElasticPolicy, ExecutionConfig, MetricsPolicy, QoS
+from .config import ElasticPolicy, ExecutionConfig, QoS
 from .faults import FaultInjector, FaultPlan, RetryPolicy, classify_failure
-from .metrics import MetricsPump, MetricsRegistry
+from .metrics import MetricsPump
 from .proteus import Proteus
 from .results import QueryResult
 from .tenancy import (
@@ -813,13 +813,6 @@ class BatchReport:
         values = list(self.latencies.values())
         return sum(values) / len(values) if values else 0.0
 
-    def by_tenant(self) -> dict[str, list[QuerySession]]:
-        """Sessions grouped by tenant label (untenanted -> 'default')."""
-        groups: dict[str, list[QuerySession]] = {}
-        for session in self.sessions:
-            groups.setdefault(session.tenant or "default", []).append(session)
-        return groups
-
     def by_class(self) -> dict[str, list[QuerySession]]:
         """Sessions grouped by their QoS label, in priority order."""
         groups: dict[str, list[QuerySession]] = {}
@@ -1017,10 +1010,10 @@ class EngineServer:
     ``retry_after`` hint.  A waiter blocked on its *own* tenant quota
     never triggers preemption of other tenants' queries.
 
-    Observability: the server owns a
-    :class:`~repro.engine.metrics.MetricsRegistry` (pass ``metrics=`` to
-    share one across servers, ``metrics_policy=`` for sampling knobs).
-    Hot paths only ``emit`` raw events; a
+    Observability: the server attaches its metric families to the
+    engine's :class:`~repro.engine.metrics.MetricsRegistry`
+    (``engine.metrics``, so two servers over one engine share a
+    surface).  Hot paths only ``emit`` raw events; a
     :class:`~repro.engine.metrics.MetricsPump` DES process drains them
     into the registry off the hot path, and every drive ends with a
     synchronous drain so :attr:`BatchReport.metrics` is complete and
@@ -1038,10 +1031,9 @@ class EngineServer:
     next drive; ``retry_policy=RetryPolicy(...)`` turns retryable
     failures (:func:`~repro.engine.faults.classify_failure`) into
     bounded re-admissions on a placement that excludes dead devices —
-    under the default ``fallback="cpu_only"`` a query that lost a GPU
-    retries CPU-only and returns byte-identical rows.  Without a retry
-    policy every failure is terminal but still typed
-    (``session.error_class``).
+    a query that lost a GPU retries CPU-only and returns byte-identical
+    rows.  Without a retry policy every failure is terminal but still
+    typed (``session.error_class``).
     """
 
     def __init__(
@@ -1063,8 +1055,6 @@ class EngineServer:
         fault_plan: Optional[FaultPlan] = None,
         retry_policy: Optional[RetryPolicy] = None,
         tenants: Optional[Sequence[Tenant]] = None,
-        metrics: Optional[MetricsRegistry] = None,
-        metrics_policy: Optional[MetricsPolicy] = None,
         **engine_kwargs: Any,
     ):
         if max_concurrent < 1:
@@ -1177,14 +1167,9 @@ class EngineServer:
             self.tenant_states[tenant.name] = state
             self._tenant_order.append(tenant.name)
         self._drr = DeficitRoundRobin()
-        self.metrics_policy = metrics_policy or MetricsPolicy()
-        #: the engine facade's registry by default, so two servers over
-        #: one engine share a surface; pass metrics= to override
-        self.metrics: MetricsRegistry = (
-            metrics
-            or getattr(self.engine, "metrics", None)
-            or MetricsRegistry()
-        )
+        #: the engine facade's registry, so two servers over one engine
+        #: share a surface
+        self.metrics = self.engine.metrics
         self._metric_families()
         # the metrics gauges sample their own utilization monitor so the
         # pump's window closures never perturb the elastic controller's
@@ -1195,7 +1180,6 @@ class EngineServer:
             self.sim,
             self._fold_metric,
             sample_gauges=self._sample_gauges,
-            sample_interval=self.metrics_policy.sample_interval_seconds,
         )
         #: armed fault injector, or None when the drive is fault-free
         self.faults: Optional[FaultInjector] = (
@@ -1238,7 +1222,6 @@ class EngineServer:
         exposition's schema is stable from the first scrape — families
         exist with zero values before any traffic arrives."""
         registry = self.metrics
-        buckets = self.metrics_policy.latency_buckets
         self._m_sessions = registry.counter(
             "repro_sessions_total",
             "Sessions reaching a terminal state",
@@ -1248,13 +1231,11 @@ class EngineServer:
             "repro_query_latency_seconds",
             "End-to-end simulated latency of completed queries",
             labels=("tenant",),
-            buckets=buckets,
         )
         self._m_queue_wait = registry.histogram(
             "repro_queue_wait_seconds",
             "Simulated queueing delay from submission to admission",
             labels=("tenant",),
-            buckets=buckets,
         )
         self._m_preemptions = registry.counter(
             "repro_preemptions_total", "Phase-boundary preemptions"
@@ -1365,9 +1346,6 @@ class EngineServer:
     def place_gpu_replicated(self, name: str) -> None:
         self.engine.place_gpu_replicated(name)
 
-    def place_interleaved(self, name: str) -> None:
-        self.engine.place_interleaved(name)
-
     # -- submission --------------------------------------------------------
 
     def submit(
@@ -1475,20 +1453,6 @@ class EngineServer:
         )
         self._finish(session, "shed")
         return session
-
-    def submit_batch(
-        self,
-        items: Sequence[tuple[Plan, ExecutionConfig]],
-        names: Optional[Sequence[str]] = None,
-        qos: Optional[QoS] = None,
-        tenant: Optional[str] = None,
-    ) -> list[QuerySession]:
-        return [
-            self.submit(
-                plan, config, name=names[i] if names else None, qos=qos, tenant=tenant
-            )
-            for i, (plan, config) in enumerate(items)
-        ]
 
     def spawn_client(
         self,
@@ -2108,20 +2072,17 @@ class EngineServer:
         """Shape the next attempt, or None to fail terminally.
 
         Dead devices are excluded through the placer's
-        ``exclude_devices`` constraint; under ``fallback="cpu_only"``
-        losing *any* GPU drops the retry to a CPU-only placement.  A
-        degraded shape that cannot be placed, or that :meth:`_shape`
-        finds could never fit the server budget or the tenant's quota,
-        ends the retry campaign.
+        ``exclude_devices`` constraint, and losing *any* GPU drops the
+        retry to a CPU-only placement.  A degraded shape that cannot be
+        placed, or that :meth:`_shape` finds could never fit the server
+        budget or the tenant's quota, ends the retry campaign.
         """
         policy = self.retry_policy
         if policy is None or session.attempts >= policy.max_attempts:
             return None
         dead = frozenset(self.server.failed_gpus)
         config = session.current_config or session.config
-        gpu_ids = tuple(gpu for gpu in config.gpu_ids if gpu not in dead)
-        if policy.fallback == "cpu_only" and len(gpu_ids) < len(config.gpu_ids):
-            gpu_ids = ()
+        gpu_ids = () if dead.intersection(config.gpu_ids) else config.gpu_ids
         cpu_workers = config.cpu_workers
         if not gpu_ids and cpu_workers == 0:
             cpu_workers = (

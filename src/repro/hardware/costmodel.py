@@ -447,9 +447,6 @@ class CostModel:
     def kernel_launch_seconds(self) -> float:
         return self.spec.kernel_launch_seconds * self.tuning.kernel_launch_multiplier
 
-    def with_tuning(self, tuning: EngineTuning) -> "CostModel":
-        return CostModel(self.spec, tuning)
-
 
 # Rough per-operator cycle weights used by codegen to fill BlockStats.
 # These are classic micro-architectural estimates for tight JIT loops over

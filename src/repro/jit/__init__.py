@@ -6,7 +6,6 @@ from .cache import (
     CacheStats,
     CostAwarePolicy,
     EvictionPolicy,
-    LfuPolicy,
     LruPolicy,
     PipelineCache,
     SharedCacheDirectory,
@@ -26,7 +25,6 @@ __all__ = [
     "CacheStats",
     "EvictionPolicy",
     "LruPolicy",
-    "LfuPolicy",
     "CostAwarePolicy",
     "EVICTION_POLICIES",
     "make_eviction_policy",

@@ -20,8 +20,8 @@ through a :class:`SharedCacheDirectory`, by any number of *servers*.
 Two layers of policy live here:
 
 * **Eviction** is pluggable (:class:`EvictionPolicy`): plain recency
-  (``lru``), frequency (``lfu``), or the GDSF-style ``cost_aware``
-  policy whose score is ``floor + compile_cost * (hits + 1) / size`` —
+  (``lru``) or the GDSF-style ``cost_aware`` policy whose score is
+  ``floor + compile_cost * (hits + 1) / size`` —
   an expensive-to-compile GPU pipeline outlives many cheap CPU filters
   even when it is touched less recently, because evicting it costs the
   server ~an order of magnitude more simulated recompilation latency
@@ -76,7 +76,6 @@ __all__ = [
     "CacheStats",
     "EvictionPolicy",
     "LruPolicy",
-    "LfuPolicy",
     "CostAwarePolicy",
     "EVICTION_POLICIES",
     "make_eviction_policy",
@@ -237,21 +236,6 @@ class LruPolicy:
         pass
 
 
-class LfuPolicy:
-    """Evict the least frequently used entry (recency breaks ties)."""
-
-    name = "lfu"
-
-    def touch(self, entry: _CacheEntry) -> None:
-        pass
-
-    def priority(self, entry: _CacheEntry) -> tuple:
-        return (entry.hits, entry.last_used)
-
-    def on_evict(self, entry: _CacheEntry) -> None:
-        pass
-
-
 class CostAwarePolicy:
     """GDSF-style eviction: keep what is expensive to recreate.
 
@@ -280,7 +264,6 @@ class CostAwarePolicy:
 
 EVICTION_POLICIES: dict[str, type] = {
     LruPolicy.name: LruPolicy,
-    LfuPolicy.name: LfuPolicy,
     CostAwarePolicy.name: CostAwarePolicy,
 }
 
@@ -495,10 +478,10 @@ class _EntryTable:
 class PipelineCache(_EntryTable):
     """Per-server (L1) cache of :class:`CompiledPipeline` objects.
 
-    ``policy`` selects eviction (``"lru"``, ``"lfu"``, ``"cost_aware"``
-    or an :class:`EvictionPolicy` instance); ``shared`` attaches the
-    cache to a cross-server :class:`SharedCacheDirectory` (L2) that L1
-    misses fall back to and fresh compilations publish into.
+    ``policy`` selects eviction (``"lru"``, ``"cost_aware"`` or an
+    :class:`EvictionPolicy` instance); ``shared`` attaches the cache to
+    a cross-server :class:`SharedCacheDirectory` (L2) that L1 misses
+    fall back to and fresh compilations publish into.
     """
 
     def __init__(

@@ -377,6 +377,36 @@ class TestTransferTimeout:
         with pytest.raises(ValueError):
             self._env(dma_timeout=0.0)
 
+    def _drive_with_stragglers(self, tables, probability, max_attempts):
+        """End to end: the plan's deadline reaches every query's mem-move."""
+        server = _server(
+            tables,
+            fault_plan=FaultPlan(
+                seed=7,
+                straggler=StragglerFault(probability=probability, multiplier=1000.0),
+                transfer_timeout_seconds=1e-4,
+            ),
+            retry_policy=RetryPolicy(max_attempts=max_attempts),
+        )
+        config = ExecutionConfig.gpu_only([0, 1], block_tuples=4096)
+        session = server.submit(ssb_query("Q1.1"), config)
+        server.run()
+        server.check_conservation()
+        return session
+
+    def test_plan_deadline_fails_a_query_typed_after_bounded_retries(self, tables):
+        session = self._drive_with_stragglers(tables, 1.0, max_attempts=2)
+        assert session.status == "failed"
+        assert session.error_class == "transfer_timeout"
+        assert session.retried_classes == ["transfer_timeout"]
+        assert session.attempts == 2
+
+    def test_plan_deadline_retries_through_rare_stragglers(self, tables, reference):
+        session = self._drive_with_stragglers(tables, 0.05, max_attempts=3)
+        assert session.status == "done"
+        assert session.retried_classes == ["transfer_timeout"] * 2
+        assert sorted(session.result.rows) == sorted(reference["Q1.1"])
+
 
 # ---------------------------------------------------------------------------
 # Placement: dead devices are excluded, typed refusal when nothing is left

@@ -1,7 +1,7 @@
 """Compiled-pipeline cache: hit/miss/eviction semantics and result parity.
 
 Covers the structural signature (what must and must not distinguish two
-stages), eviction accounting under every policy (``lru`` / ``lfu`` /
+stages), eviction accounting under every policy (``lru`` /
 ``cost_aware``), the policy differential on a repeated SSB trace (the
 cost-aware policy retains GPU pipelines LRU evicts, for strictly lower
 total recompile cost), two-tier sharing through a
@@ -155,10 +155,10 @@ class TestEviction:
 
     def test_zero_capacity_engine_raises_not_silently_disables(self):
         with pytest.raises(ValueError):
-            Proteus(segment_rows=1024, pipeline_cache_capacity=0)
+            Proteus(segment_rows=1024, cache_policy=CachePolicy(capacity=0))
 
     def test_evicted_pipeline_recompiles_and_still_works(self):
-        engine = _engine(pipeline_cache_capacity=1)
+        engine = _engine(cache_policy=CachePolicy(capacity=1))
         config = ExecutionConfig.cpu_only(2, block_tuples=512)
         r1 = engine.query(_plan(30), config)
         r2 = engine.query(_plan(40), config)  # evicts the first pipeline
@@ -231,7 +231,7 @@ class TestCachedOutputParity:
     def test_query_results_identical_with_and_without_cache(self):
         tables = {"t": _table()}
         cached_engine = _engine()
-        plain_engine = _engine(pipeline_cache_capacity=None)
+        plain_engine = _engine(cache_policy=None)
         assert plain_engine.pipeline_cache is None
         config = ExecutionConfig.hybrid(3, [0, 1], block_tuples=512)
         reference = ReferenceExecutor(tables).execute(_plan())
@@ -295,16 +295,6 @@ class TestSnapshotAccounting:
 
 class TestEvictionPolicySemantics:
     """Synthetic single-tier traces: what each policy protects."""
-
-    def test_lfu_protects_frequency_over_recency(self):
-        cache = PipelineCache(capacity=2, policy="lfu")
-        cache.put("popular", _Fake(1))
-        for _ in range(5):
-            cache.get("popular")
-        cache.put("recent", _Fake(2))
-        cache.put("newest", _Fake(3))  # lfu evicts 'recent' (0 hits)
-        assert "popular" in cache and "newest" in cache
-        assert "recent" not in cache
 
     def test_cost_aware_protects_expensive_pipelines(self):
         """A GPU pipeline (8x compile cost) outlives a flood of cheap
@@ -393,17 +383,15 @@ class TestEvictionPolicyMatrix:
 
     def test_cost_aware_retains_gpu_pipelines_lru_evicts(self, ssb_tables):
         results = {}
-        for eviction in ("lru", "lfu", "cost_aware"):
+        for eviction in ("lru", "cost_aware"):
             engine = self._engine(ssb_tables, eviction)
             cost = self._replay(engine)
             results[eviction] = (cost, engine.pipeline_cache.stats.hit_rate,
                                  self._gpu_resident(engine))
         lru_cost, lru_rate, lru_gpu = results["lru"]
-        lfu_cost, _, _ = results["lfu"]
         ca_cost, ca_rate, ca_gpu = results["cost_aware"]
         # the headline: strictly lower total simulated recompile cost
         assert ca_cost < lru_cost
-        assert ca_cost < lfu_cost
         # because the expensive GPU pipelines stayed resident ...
         assert ca_gpu > 0
         assert lru_gpu == 0
@@ -414,7 +402,7 @@ class TestEvictionPolicyMatrix:
         reference = ReferenceExecutor(ssb_tables)
         expected = sorted(reference.execute(ssb_query("Q2.1")))
         cfg = ExecutionConfig.hybrid(3, [0, 1], block_tuples=4096)
-        for eviction in ("lru", "lfu", "cost_aware"):
+        for eviction in ("lru", "cost_aware"):
             engine = self._engine(ssb_tables, eviction)
             self._replay(engine, rounds=1)  # pre-churned, part-evicted cache
             result = engine.query(ssb_query("Q2.1"), cfg)
@@ -508,7 +496,7 @@ class TestSharedDirectory:
 
     def test_shared_cache_without_l1_is_rejected(self):
         with pytest.raises(ValueError):
-            Proteus(segment_rows=1024, pipeline_cache_capacity=None,
+            Proteus(segment_rows=1024, cache_policy=None,
                     shared_cache=SharedCacheDirectory())
 
 
@@ -552,22 +540,6 @@ class TestReviewRegressions:
         assert snap["size"] == 1
         assert {e["entry"] for e in snap["top_entries"]} == {"expensive"}
         assert set(cache.stats.entry_hits) == {"expensive"}
-
-    def test_explicit_capacity_conflicts_with_cache_policy(self):
-        """Both knobs passed explicitly is ambiguous even when the
-        capacity equals the default (sentinel, not value comparison)."""
-        with pytest.raises(ValueError):
-            Proteus(segment_rows=1024, pipeline_cache_capacity=128,
-                    cache_policy=CachePolicy(capacity=64))
-        with pytest.raises(ValueError):
-            Proteus(segment_rows=1024, pipeline_cache_capacity=None,
-                    cache_policy=CachePolicy(capacity=64))
-        # one knob at a time stays fine
-        assert Proteus(segment_rows=1024,
-                       cache_policy=CachePolicy(capacity=64)
-                       ).pipeline_cache.capacity == 64
-        assert Proteus(segment_rows=1024, pipeline_cache_capacity=64
-                       ).pipeline_cache.capacity == 64
 
     def test_enabled_but_empty_cache_still_reported(self):
         """An empty PipelineCache is falsy (defines __len__); the batch

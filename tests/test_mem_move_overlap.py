@@ -42,7 +42,9 @@ from repro.memory.managers import BlockManagerSet
 from repro.ssb import generate_ssb, load_ssb, ssb_query
 
 DEPTHS = (1, 2, 4)
-POLICIES = ("direct", "contention")
+#: route selection is contention-priced only; the single-valued axis
+#: keeps the test ids (``[contention-<depth>]``) the test floor names
+POLICIES = ("contention",)
 
 #: one join-free and one join-heavy SSB query exercise both the pure
 #: streaming path and the broadcast-build + probe path
@@ -75,8 +77,7 @@ class TestDifferential:
     def test_gpu_only_matches_reference(self, tables, reference, depth, policy):
         engine = _engine(tables)
         config = ExecutionConfig.gpu_only(
-            [0, 1], block_tuples=512, prefetch_depth=depth,
-            path_selection=policy,
+            [0, 1], block_tuples=512, prefetch_depth=depth
         )
         for qid in QUERIES:
             result = engine.query(ssb_query(qid), config)
@@ -89,8 +90,7 @@ class TestDifferential:
     def test_hybrid_matches_reference(self, tables, reference, depth, policy):
         engine = _engine(tables)
         config = ExecutionConfig.hybrid(
-            4, [0, 1], block_tuples=512, prefetch_depth=depth,
-            path_selection=policy,
+            4, [0, 1], block_tuples=512, prefetch_depth=depth
         )
         for qid in QUERIES:
             result = engine.query(ssb_query(qid), config)
@@ -128,13 +128,13 @@ class TestDifferential:
             assert manager.free_blocks == manager.arena_blocks, node_id
 
 
-def _mem_move_env(prefetch_depth=2, path_selection="contention"):
+def _mem_move_env(prefetch_depth=2):
     sim = Simulator()
     server = Server.paper_machine(sim)
     blocks = BlockManagerSet(server)
     mem_move = MemMove(
         sim, server, blocks, CostModel(PAPER_SERVER),
-        prefetch_depth=prefetch_depth, path_selection=path_selection,
+        prefetch_depth=prefetch_depth,
     )
     return sim, server, blocks, mem_move
 
@@ -454,15 +454,6 @@ class TestPathPolicyDynamics:
         assert loaded_path.key == "qpi-direct"
         # the projected-cost hook the router uses agrees with selection
         assert mem_move.projected_cost(handle, "gpu:0") > 0.0
-
-    def test_direct_policy_ignores_contention(self):
-        sim, server, _, mem_move = _mem_move_env(path_selection="direct")
-        for _ in range(8):
-            server.memory_nodes["cpu:1"].bandwidth.submit(
-                1e9, rate_cap=5.6e9, label="background"
-            )
-        path = mem_move.select_path("cpu:1", "gpu:0", 8_000_000)
-        assert path.key == "qpi-direct"  # first enumerated, always
 
     def test_path_counts_recorded_per_route(self):
         sim, _, _, mem_move = _mem_move_env()

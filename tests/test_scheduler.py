@@ -258,7 +258,7 @@ class TestBudgetArithmetic:
         with pytest.raises(ValueError, match="no effect"):
             engine.serve(segment_rows=1024)
         with pytest.raises(ValueError, match="no effect"):
-            EngineServer(engine=engine, pipeline_cache_capacity=None)
+            EngineServer(engine=engine, cache_policy=None)
         # scheduler options still work with an existing engine
         server = engine.serve(max_concurrent=2)
         assert server.max_concurrent == 2
