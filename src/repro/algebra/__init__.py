@@ -55,7 +55,6 @@ from .physical import (
     validate_stage_graph,
 )
 from .placer import HeterogeneousPlacer, PlacementError
-from .traits import Locality, Packing, Traits
 
 __all__ = [
     # expressions
@@ -72,6 +71,6 @@ __all__ = [
     "OpHashPackSink", "SegmentSource", "RouterPolicy", "Stage",
     "ExchangeEdge", "Phase", "HetPlan", "CollectSpec",
     "validate_stage_graph", "PlanValidationError",
-    # placer & traits
-    "HeterogeneousPlacer", "PlacementError", "Traits", "Packing", "Locality",
+    # placer
+    "HeterogeneousPlacer", "PlacementError",
 ]

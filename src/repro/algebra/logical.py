@@ -44,6 +44,7 @@ __all__ = [
     "OrderSpec",
     "Plan",
     "scan",
+    "build_side",
     "agg_sum",
     "agg_count",
     "agg_min",
@@ -221,6 +222,32 @@ class LogicalReduce(LogicalNode):
 
     def output_columns(self) -> list[str]:
         return [a.alias for a in self.aggs]
+
+
+def build_side(node: LogicalNode) -> tuple[list[LogicalNode], LogicalScan]:
+    """Split a join's build side into ``(ops, scan)``.
+
+    A build side is a join-free filter/project chain over one (dimension)
+    table scan; ``ops`` lists the chain in execution order, the node
+    nearest the scan first.  Anything else raises :class:`ValueError`.
+    Every consumer of build sides — the placer, the join-order optimizer
+    and the baseline proxies — walks them through this one function.
+    """
+    ops: list[LogicalNode] = []
+    while not isinstance(node, LogicalScan):
+        if isinstance(node, LogicalJoin):
+            raise ValueError(
+                "joins inside build sides are not supported; restructure "
+                "the plan so the deepest probe side carries the fact table"
+            )
+        if not isinstance(node, (LogicalFilter, LogicalProject)):
+            raise ValueError(
+                f"unsupported operator {type(node).__name__} in build side"
+            )
+        ops.append(node)
+        node = node.child
+    ops.reverse()
+    return ops, node
 
 
 class Plan:

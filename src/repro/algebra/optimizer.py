@@ -22,7 +22,7 @@ import numpy as np
 
 from ..storage.catalog import Catalog
 from .expressions import bind_strings
-from .logical import LogicalFilter, LogicalNode, LogicalProject, LogicalScan
+from .logical import LogicalFilter, LogicalNode, LogicalProject, build_side
 from .physical import OpProbe, PipelineOp
 
 __all__ = ["estimate_build_selectivity", "reorder_probes"]
@@ -35,32 +35,22 @@ def estimate_build_selectivity(catalog: Catalog, build: LogicalNode) -> float:
     of fact tuples surviving the join — the quantity an optimizer orders
     probes by.
     """
-    chain: list[LogicalNode] = []
-    node = build
-    while not isinstance(node, LogicalScan):
-        chain.append(node)
-        node = node.child
-    table = catalog.table(node.table)
+    ops, scan_node = build_side(build)
+    table = catalog.table(scan_node.table)
     if table.num_rows == 0:
         return 0.0
-
-    def resolver(column: str):
-        for t in catalog.tables.values():
-            if column in t.columns:
-                return t.columns[column].dictionary
-        return None
-
-    env = {name: table.column(name).values for name in node.columns}
-    for op in reversed(chain):
+    env = {name: table.column(name).values for name in scan_node.columns}
+    for op in ops:
         if isinstance(op, LogicalFilter):
-            mask = bind_strings(op.predicate, resolver).evaluate(env)
+            mask = bind_strings(op.predicate, catalog.dictionary_of).evaluate(env)
             if isinstance(mask, (bool, np.bool_)):
                 size = len(next(iter(env.values()))) if env else 0
                 mask = np.full(size, bool(mask))
             env = {name: values[mask] for name, values in env.items()}
         elif isinstance(op, LogicalProject):
             for alias, expr in op.exprs:
-                env[alias] = np.asarray(bind_strings(expr, resolver).evaluate(env))
+                bound = bind_strings(expr, catalog.dictionary_of)
+                env[alias] = np.asarray(bound.evaluate(env))
     surviving = len(next(iter(env.values()))) if env else 0
     return surviving / table.num_rows
 
@@ -117,14 +107,12 @@ def estimate_probe_cost(catalog: Catalog, build: LogicalNode,
     exceed the PCIe bound only on Q1.x and Q3.4, not on Q4.2/Q4.3 whose
     date predicate keeps ~29 %% of rows).
     """
-    node = build
-    while not isinstance(node, LogicalScan):
-        node = node.child
-    table = catalog.table(node.table)
+    _, scan_node = build_side(build)
+    table = catalog.table(scan_node.table)
     row_bytes = 16 * 2  # slot + row-id arrays at ~50% fill
     for name in payload:
         row_bytes += table.column(name).width_bytes if name in table.columns else 8
-    logical_rows = table.num_rows * catalog.logical_scale(node.table)
+    logical_rows = table.num_rows * catalog.logical_scale(scan_node.table)
     spilled = logical_rows * row_bytes > llc_bytes
     if not spilled and selectivity < CACHE_PRIORITY_SELECTIVITY:
         return 1.0

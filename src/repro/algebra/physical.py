@@ -1,5 +1,18 @@
 """Heterogeneity-aware physical plans: pipeline ops, stages, edges, phases.
 
+"Query execution on heterogeneous hardware has four fundamental traits:
+target device, degree of parallelism, data locality and data packing.  Each
+of the four operators of the HetExchange framework changes one of these
+traits on its output, without modifying its input" (paper Section 3.3):
+device-crossing operators convert the **device** trait, the router the
+**degree of parallelism**, mem-move the **locality**, pack/unpack the
+**packing**.  Relational operators require their input *local* and
+*unpacked*.  The traits are not a separate vector object here: device, dop
+and affinity are :class:`Stage` fields, locality and packing are implied
+by an edge's ``mem_move`` and a stage's unpack/pack ops, and
+:func:`validate_stage_graph` enforces the invariants on every plan the
+placer produces.
+
 A heterogeneity-aware plan (Figure 1e / Figure 2b of the paper) is a DAG of
 **stages** connected by **exchange edges**:
 
@@ -290,10 +303,6 @@ class Phase:
     def source_stages(self) -> list[Stage]:
         return [s for s in self.stages if s.is_source]
 
-    def sink_stages(self) -> list[Stage]:
-        producers = {e.producer.stage_id for e in self.edges}
-        return [s for s in self.stages if s.stage_id not in producers or not self.edges]
-
     def edges_from(self, stage: Stage) -> list[ExchangeEdge]:
         return [e for e in self.edges if e.producer.stage_id == stage.stage_id]
 
@@ -350,9 +359,6 @@ class HetPlan:
 
     phases: list[Phase]
     collect: CollectSpec
-
-    def stage_count(self) -> int:
-        return sum(len(p.stages) for p in self.phases)
 
     def all_stages(self) -> list[Stage]:
         return [s for p in self.phases for s in p.stages]

@@ -33,7 +33,7 @@ if TYPE_CHECKING:  # avoid a circular import; only needed for annotations
 
 from ..hardware.topology import DeviceType, Server
 from ..storage.catalog import Catalog
-from .expressions import Expression, bind_strings
+from .expressions import bind_strings
 from .logical import (
     AggSpec,
     LogicalFilter,
@@ -44,6 +44,7 @@ from .logical import (
     LogicalReduce,
     LogicalScan,
     Plan,
+    build_side,
 )
 from .physical import (
     CollectSpec,
@@ -163,17 +164,18 @@ class HeterogeneousPlacer:
 
     # -- string binding ----------------------------------------------------------
 
-    def _resolver(self, column: str):
-        for table in self.catalog.tables.values():
-            if column in table.columns:
-                return table.columns[column].dictionary
-        return None
-
-    def _bind(self, expr: Expression) -> Expression:
-        return bind_strings(expr, self._resolver)
-
     def _bind_aggs(self, aggs: list[AggSpec]) -> list[AggSpec]:
-        return [AggSpec(a.kind, self._bind(a.expr), a.alias) for a in aggs]
+        resolve = self.catalog.dictionary_of
+        return [AggSpec(a.kind, bind_strings(a.expr, resolve), a.alias) for a in aggs]
+
+    def _chain_op(self, node: LogicalNode) -> PipelineOp:
+        """The pipeline op of one filter/project node, strings bound."""
+        resolve = self.catalog.dictionary_of
+        if isinstance(node, LogicalFilter):
+            return OpFilter(bind_strings(node.predicate, resolve))
+        return OpProject(
+            [(alias, bind_strings(e, resolve)) for alias, e in node.exprs]
+        )
 
     # -- decomposition ------------------------------------------------------------
 
@@ -199,12 +201,8 @@ class HeterogeneousPlacer:
         chain_rev: list[PipelineOp] = []
         joins: list[_JoinInfo] = []
         while not isinstance(node, LogicalScan):
-            if isinstance(node, LogicalFilter):
-                chain_rev.append(OpFilter(self._bind(node.predicate)))
-                node = node.child
-            elif isinstance(node, LogicalProject):
-                exprs = [(alias, self._bind(e)) for alias, e in node.exprs]
-                chain_rev.append(OpProject(exprs))
+            if isinstance(node, (LogicalFilter, LogicalProject)):
+                chain_rev.append(self._chain_op(node))
                 node = node.child
             elif isinstance(node, LogicalJoin):
                 ht_id = f"ht{len(joins)}"
@@ -245,27 +243,13 @@ class HeterogeneousPlacer:
         self, node: LogicalNode, ht_id: str, join: LogicalJoin
     ) -> tuple[list[PipelineOp], LogicalScan]:
         """Build sides must be join-free chains (SSB dimension tables)."""
-        chain_rev: list[PipelineOp] = []
-        while not isinstance(node, LogicalScan):
-            if isinstance(node, LogicalFilter):
-                chain_rev.append(OpFilter(self._bind(node.predicate)))
-                node = node.child
-            elif isinstance(node, LogicalProject):
-                exprs = [(alias, self._bind(e)) for alias, e in node.exprs]
-                chain_rev.append(OpProject(exprs))
-                node = node.child
-            elif isinstance(node, LogicalJoin):
-                raise PlacementError(
-                    "joins inside build sides are not supported; restructure "
-                    "the plan so the deepest probe side carries the fact table"
-                )
-            else:
-                raise PlacementError(
-                    f"unsupported operator {type(node).__name__} in build side"
-                )
-        chain = list(reversed(chain_rev))
+        try:
+            ops, scan_node = build_side(node)
+        except ValueError as err:
+            raise PlacementError(str(err)) from None
+        chain = [self._chain_op(op) for op in ops]
         chain.append(OpBuildSink(ht_id, join.build_key, list(join.payload)))
-        return chain, node
+        return chain, scan_node
 
     # -- transfer model ---------------------------------------------------------
 

@@ -57,13 +57,6 @@ def is_generator(fn: FunctionNode) -> bool:
     )
 
 
-def iter_functions(tree: ast.AST) -> Iterator[FunctionNode]:
-    """Every function/method definition in the module, at any depth."""
-    for node in ast.walk(tree):
-        if isinstance(node, FUNCTION_NODES):
-            yield node
-
-
 def scope_calls(fn: ast.AST) -> Iterator[ast.Call]:
     """Calls made directly by this scope (nested defs excluded)."""
     for node in walk_scope(fn):

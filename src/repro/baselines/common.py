@@ -6,8 +6,15 @@ GPU engine with a star-join-specific execution strategy).  Sections 6.1
 and 6.2 characterise both precisely enough to rebuild behavioural
 proxies; this module holds what they share:
 
-* plan introspection (star-shape decomposition reused by both);
-* result shaping (ordering, string decoding);
+* the chassis, :class:`_BaselineEngine`: a private simulated server, a
+  catalog, the cost model under the proxy's own tuning, ``register`` and
+  the collector tail that turns worker partials into a ``QueryResult``;
+* plan introspection: :func:`decompose_star` resolves a star plan once,
+  each dimension already split into ``(ops, scan)`` by
+  :func:`~repro.algebra.logical.build_side`;
+* :func:`fold_block`, the one block-level aggregate fold (grouped or
+  scalar) — it updates the partials and nothing device-specific, each
+  proxy charges its own compute counter after the call;
 * :class:`UnsupportedQueryError` for the capability gaps the paper
   reports (DBMS G cannot evaluate string inequalities — it fails Q2.2).
 """
@@ -15,8 +22,9 @@ proxies; this module holds what they share:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
+import numpy as np
 
 from ..algebra.expressions import (
     Arithmetic,
@@ -39,20 +47,64 @@ from ..algebra.logical import (
     LogicalReduce,
     LogicalScan,
     Plan,
+    build_side,
 )
+from ..algebra.physical import CollectSpec
+from ..engine.collect import collect_result
+from ..engine.results import ExecutionProfile, QueryResult
+from ..hardware.costmodel import BlockStats, CostModel, EngineTuning
+from ..hardware.sim import Simulator
+from ..hardware.specs import ServerSpec
+from ..hardware.topology import Server
+from ..jit.pipeline import agg_identity, merge_agg
+from ..storage.catalog import Catalog
+from ..storage.table import Placement, Table
 
 __all__ = [
     "UnsupportedQueryError",
     "StarShape",
     "StarJoin",
     "decompose_star",
+    "fold_block",
     "has_string_inequality",
-    "shape_rows",
 ]
 
 
 class UnsupportedQueryError(RuntimeError):
     """The baseline engine cannot execute this query (capability gap)."""
+
+
+class _BaselineEngine:
+    """What both proxies are built on: a private simulated server, a
+    catalog, and the shared cost model under the proxy's own ``tuning``."""
+
+    name: str
+    tuning: EngineTuning
+
+    def __init__(self, spec: Optional[ServerSpec] = None,
+                 segment_rows: int = 1 << 20):
+        self.sim = Simulator()
+        self.server = Server(self.sim, spec or ServerSpec())
+        self.catalog = Catalog(self.server, segment_rows=segment_rows)
+        self.cost = CostModel(self.server.spec, self.tuning)
+
+    def register(self, table: Table, placement: Optional[Placement] = None) -> None:
+        self.catalog.register(table, placement)
+
+    def _collect(self, plan: Plan, star: "StarShape", partials: list,
+                 profile: ExecutionProfile) -> QueryResult:
+        """The single-threaded collector over the workers' partials."""
+        spec = CollectSpec(keys=star.group_keys, aggs=star.aggs,
+                           order=list(plan.order), limit=plan.limit,
+                           scalar=star.scalar)
+        return collect_result(
+            spec,
+            partials if star.scalar else [],
+            partials if star.group_keys else [],
+            [],
+            profile,
+            self.catalog.dictionary_of,
+        )
 
 
 @dataclass
@@ -62,7 +114,9 @@ class StarJoin:
     probe_key: str
     build_key: str
     payload: list[str]
-    build: LogicalNode  # scan/filter/project chain over the dimension
+    #: the dimension's filter/project chain in execution order, and its scan
+    ops: list[LogicalNode]
+    scan: LogicalScan
 
 
 @dataclass
@@ -95,9 +149,13 @@ def decompose_star(plan: Plan) -> StarShape:
     fact_ops: list[LogicalNode] = []
     while not isinstance(node, LogicalScan):
         if isinstance(node, LogicalJoin):
+            try:
+                ops, dimension = build_side(node.build)
+            except ValueError as err:
+                raise UnsupportedQueryError(str(err)) from None
             joins.append(
                 StarJoin(node.probe_key, node.build_key, list(node.payload),
-                         node.build)
+                         ops, dimension)
             )
             node = node.probe
         elif isinstance(node, (LogicalFilter, LogicalProject)):
@@ -177,15 +235,56 @@ def plan_has_string_inequality(plan: Plan, is_string_column) -> bool:
     return found
 
 
-def shape_rows(
-    rows: list[tuple],
-    columns: list[str],
-    plan: Plan,
-) -> list[tuple]:
-    """Apply the plan's order-by/limit to decoded rows."""
-    for order in reversed(plan.order):
-        index = columns.index(order.name)
-        rows = sorted(rows, key=lambda r: r[index], reverse=not order.ascending)
-    if plan.limit is not None:
-        rows = rows[: plan.limit]
-    return rows
+def fold_block(group_keys: list[str], bound_aggs, env, n: int, groups: dict,
+               scalars: dict, stats: BlockStats) -> None:
+    """Fold one block's ``n`` surviving tuples into a worker's partials.
+
+    ``bound_aggs`` is ``(alias, kind, bound expression)`` per aggregate.
+    Grouped plans merge the block's per-key partial aggregates into
+    ``groups`` alias by alias, key by key (the order float sums depend
+    on), and a large group table pays random traffic; scalar plans fold
+    into ``scalars``.  The caller charges its own device's compute.
+    """
+    if n == 0:
+        return
+    if not group_keys:
+        for alias, kind, expr in bound_aggs:
+            if kind == "count":
+                scalars[alias] += n
+            else:
+                values = np.asarray(expr.evaluate(env), dtype=np.float64)
+                if kind == "sum":
+                    scalars[alias] += float(values.sum())
+                elif kind == "min":
+                    scalars[alias] = min(scalars[alias], float(values.min()))
+                else:
+                    scalars[alias] = max(scalars[alias], float(values.max()))
+        return
+    key_matrix = np.stack(
+        [np.asarray(env[k], dtype=np.int64) for k in group_keys], axis=1
+    )
+    uniq, inv = np.unique(key_matrix, axis=0, return_inverse=True)
+    for alias, kind, expr in bound_aggs:
+        if kind == "count":
+            agg = np.bincount(inv, minlength=len(uniq))
+        else:
+            values = np.asarray(expr.evaluate(env), dtype=np.float64)
+            agg = np.zeros(len(uniq))
+            if kind == "sum":
+                np.add.at(agg, inv, values)
+            elif kind == "min":
+                agg.fill(np.inf)
+                np.minimum.at(agg, inv, values)
+            else:
+                agg.fill(-np.inf)
+                np.maximum.at(agg, inv, values)
+        for i, key_row in enumerate(uniq):
+            key = tuple(int(k) for k in key_row)
+            row = groups.setdefault(
+                key, {a: agg_identity(kd) for a, kd, _ in bound_aggs}
+            )
+            value = int(agg[i]) if kind == "count" else float(agg[i])
+            row[alias] = merge_agg(kind, row[alias], value)
+    if len(groups) > 4096:
+        stats.random_accesses += n
+        stats.random_bytes += n * 8 * (len(group_keys) + len(bound_aggs))

@@ -42,19 +42,20 @@ from typing import Optional
 import numpy as np
 
 from ..algebra.expressions import bind_strings
-from ..algebra.logical import LogicalFilter, LogicalProject, LogicalScan, Plan
-from ..algebra.physical import CollectSpec
-from ..engine.collect import collect_result
+from ..algebra.logical import LogicalFilter, Plan
 from ..engine.results import ExecutionProfile, QueryResult
-from ..hardware.costmodel import CYCLES, DBMS_G_TUNING, BlockStats, CostModel
-from ..hardware.sim import Simulator
+from ..hardware.costmodel import CYCLES, DBMS_G_TUNING, BlockStats
 from ..hardware.specs import ServerSpec
-from ..hardware.topology import Server
+from ..jit.pipeline import agg_identity
 from ..memory.managers import MemoryManager, OutOfDeviceMemory
-from ..storage.catalog import Catalog
-from ..storage.table import Placement, Table
-from .common import StarShape, UnsupportedQueryError, decompose_star, \
-    plan_has_string_inequality
+from .common import (
+    StarShape,
+    UnsupportedQueryError,
+    _BaselineEngine,
+    decompose_star,
+    fold_block,
+    plan_has_string_inequality,
+)
 
 __all__ = ["DBMSG", "GpuMemoryError"]
 
@@ -101,25 +102,18 @@ class _DenseDimension:
         return int(self.valid.nbytes + sum(v.nbytes for v in self.columns.values()))
 
 
-class DBMSG:
+class DBMSG(_BaselineEngine):
     """The paper's GPU-based commercial comparison system."""
 
     name = "DBMS G"
+    tuning = DBMS_G_TUNING
 
     def __init__(self, spec: Optional[ServerSpec] = None,
                  segment_rows: int = 1 << 20):
-        self.sim = Simulator()
-        self.server = Server(self.sim, spec or ServerSpec())
-        self.catalog = Catalog(self.server, segment_rows=segment_rows)
-        self.cost = CostModel(self.server.spec, DBMS_G_TUNING)
+        super().__init__(spec, segment_rows)
         self.memory_managers = {
             gpu.memory.node_id: MemoryManager(gpu.memory) for gpu in self.server.gpus
         }
-
-    # -- data ----------------------------------------------------------------------
-
-    def register(self, table: Table, placement: Optional[Placement] = None) -> None:
-        self.catalog.register(table, placement)
 
     # -- queries ------------------------------------------------------------------------
 
@@ -132,7 +126,7 @@ class DBMSG:
         dimensions pre-broadcast, no PCIe traffic); ``False`` is the
         SF1000 setting (everything streamed from pageable host memory).
         """
-        if plan_has_string_inequality(plan, self._is_string_column):
+        if plan_has_string_inequality(plan, self.catalog.is_string):
             if gpu_resident:
                 raise UnsupportedQueryError(
                     "DBMS G cannot evaluate string inequality predicates "
@@ -152,56 +146,9 @@ class DBMSG:
             for manager, handle in allocations:
                 manager.free(handle)
         profile.seconds = self.sim.now - start
-        spec = CollectSpec(keys=star.group_keys, aggs=star.aggs,
-                           order=list(plan.order), limit=plan.limit,
-                           scalar=star.scalar)
-        return collect_result(
-            spec,
-            partials if star.scalar else [],
-            partials if star.group_keys else [],
-            [],
-            profile,
-            self._dictionary_of,
-        )
-
-    # -- helpers -----------------------------------------------------------------------
-
-    def _dictionary_of(self, column: str):
-        for table in self.catalog.tables.values():
-            if column in table.columns:
-                return table.columns[column].dictionary
-        return None
-
-    def _is_string_column(self, column: str) -> bool:
-        for table in self.catalog.tables.values():
-            if column in table.columns:
-                return table.columns[column].dictionary is not None
-        return False
-
-    def _bind(self, expr):
-        return bind_strings(expr, self._dictionary_of)
+        return self._collect(plan, star, partials, profile)
 
     # -- setup: dense dimensions + cardinality estimation -----------------------------------
-
-    def _dimension_parts(self, join):
-        """Split a build chain into (scan, predicates, payload columns)."""
-        node = join.build
-        predicates = []
-        while not isinstance(node, LogicalScan):
-            if isinstance(node, LogicalFilter):
-                predicates.append(node.predicate)
-                node = node.child
-            elif isinstance(node, LogicalProject):
-                raise UnsupportedQueryError(
-                    "DBMS G's star join does not support computed dimension "
-                    "columns"
-                )
-            else:
-                raise UnsupportedQueryError(
-                    f"DBMS G cannot evaluate {type(node).__name__} in a "
-                    "dimension"
-                )
-        return node, predicates
 
     def _build_dense_dimensions(self, star: StarShape, gpu_ids, allocations):
         """Materialise every dimension as dense arrays, replicated per GPU.
@@ -211,7 +158,14 @@ class DBMSG:
         """
         dims = []
         for join in star.joins:
-            scan_node, predicates = self._dimension_parts(join)
+            if not all(isinstance(op, LogicalFilter) for op in join.ops):
+                raise UnsupportedQueryError(
+                    "DBMS G's star join does not support computed dimension "
+                    "columns"
+                )
+            scan_node = join.scan
+            # outermost filter first: the order the filter kernels run in
+            predicates = [op.predicate for op in reversed(join.ops)]
             table = self.catalog.table(scan_node.table)
             key = np.asarray(table.column(join.build_key).values, dtype=np.int64)
             payload = {p: table.column(p).values for p in join.payload}
@@ -243,11 +197,7 @@ class DBMSG:
             return
         bound = 1
         for key in star.group_keys:
-            column = None
-            for table in self.catalog.tables.values():
-                if key in table.columns:
-                    column = table.columns[key]
-                    break
+            column = self.catalog.column(key)
             distinct = len(np.unique(column.values)) if column is not None else 64
             bound *= distinct
         if bound < HIGH_CARDINALITY_GROUPS:
@@ -309,10 +259,16 @@ class DBMSG:
     def _gpu_proc(self, gpu_id, ranges, star, dims, fact, columns,
                   fact_predicates, scale, gpu_resident, partials,
                   profile: ExecutionProfile):
-        from ..jit.pipeline import agg_identity
-
         gpu = self.server.gpus[gpu_id]
-        bound_aggs = [(a.alias, a.kind, self._bind(a.expr)) for a in star.aggs]
+        bound_aggs = [
+            (a.alias, a.kind, bind_strings(a.expr, self.catalog.dictionary_of))
+            for a in star.aggs
+        ]
+        fold_ops = (
+            CYCLES.gpu_hash_compute + CYCLES.gpu_group_lookup
+            if star.group_keys
+            else CYCLES.gpu_aggregate_update
+        )
         groups: dict[tuple, dict] = {}
         scalars = {a.alias: agg_identity(a.kind) for a in star.aggs}
         host = self.server.dram_node(gpu.socket_id)
@@ -360,8 +316,7 @@ class DBMSG:
                 # Small dimensions' dense arrays live in on-chip cache; the
                 # gathers only cost device memory traffic once the array
                 # spills (customer/part at SF100+, everything at SF1000).
-                scan_node, _ = self._dimension_parts(join)
-                dense_logical = dense.nbytes * scale_of(scan_node.table)
+                dense_logical = dense.nbytes * scale_of(join.scan.table)
                 if dense_logical > GPU_CACHE_BYTES:
                     stats.random_accesses += n
                     stats.random_bytes += n * (8 + gathered_width)
@@ -374,7 +329,7 @@ class DBMSG:
             for predicate in fact_predicates + [
                 p for _, preds, _ in dims for p in preds
             ]:
-                bound = self._bind(predicate)
+                bound = bind_strings(predicate, self.catalog.dictionary_of)
                 result = bound.evaluate(env)
                 if isinstance(result, (bool, np.bool_)):
                     result = np.full(n, bool(result))
@@ -389,7 +344,8 @@ class DBMSG:
             env = {name: values[mask] for name, values in env.items()}
             kept = int(mask.sum())
             # --- aggregation kernel ---
-            self._aggregate(star, bound_aggs, env, kept, groups, scalars, stats)
+            fold_block(star.group_keys, bound_aggs, env, kept, groups, scalars, stats)
+            stats.gpu_ops += kept * fold_ops
             kernels += 1
             req = self.cost.gpu_block_work(stats, scale)
             grant = gpu.compute.acquire()
@@ -406,56 +362,6 @@ class DBMSG:
             agg.merge(stats)
             profile.kernels_launched += kernels
         partials.append(groups if star.group_keys else scalars)
-
-    def _aggregate(self, star, bound_aggs, env, n, groups, scalars, stats):
-        from ..jit.pipeline import agg_identity, merge_agg
-
-        if n == 0:
-            return
-        if star.group_keys:
-            key_matrix = np.stack(
-                [np.asarray(env[k], dtype=np.int64) for k in star.group_keys],
-                axis=1,
-            )
-            uniq, inv = np.unique(key_matrix, axis=0, return_inverse=True)
-            for alias, kind, expr in bound_aggs:
-                if kind == "count":
-                    agg = np.bincount(inv, minlength=len(uniq))
-                else:
-                    values = np.asarray(expr.evaluate(env), dtype=np.float64)
-                    agg = np.zeros(len(uniq))
-                    if kind == "sum":
-                        np.add.at(agg, inv, values)
-                    elif kind == "min":
-                        agg.fill(np.inf)
-                        np.minimum.at(agg, inv, values)
-                    else:
-                        agg.fill(-np.inf)
-                        np.maximum.at(agg, inv, values)
-                for i, key_row in enumerate(uniq):
-                    key = tuple(int(k) for k in key_row)
-                    row = groups.setdefault(
-                        key, {a: agg_identity(kd) for a, kd, _ in bound_aggs}
-                    )
-                    value = int(agg[i]) if kind == "count" else float(agg[i])
-                    row[alias] = merge_agg(kind, row[alias], value)
-            if len(groups) > 4096:
-                stats.random_accesses += n
-                stats.random_bytes += n * 8 * (len(star.group_keys) + len(bound_aggs))
-            stats.gpu_ops += n * (CYCLES.gpu_hash_compute + CYCLES.gpu_group_lookup)
-        else:
-            for alias, kind, expr in bound_aggs:
-                if kind == "count":
-                    scalars[alias] += n
-                else:
-                    values = np.asarray(expr.evaluate(env), dtype=np.float64)
-                    if kind == "sum":
-                        scalars[alias] += float(values.sum())
-                    elif kind == "min":
-                        scalars[alias] = min(scalars[alias], float(values.min()))
-                    else:
-                        scalars[alias] = max(scalars[alias], float(values.max()))
-            stats.gpu_ops += n * CYCLES.gpu_aggregate_update
 
     # -- the Q2.2@SF1000 CPU fallback ---------------------------------------------------------
 

@@ -25,23 +25,22 @@ with :data:`~repro.hardware.costmodel.DBMS_C_TUNING`.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from ..algebra.expressions import bind_strings
 from ..algebra.logical import LogicalFilter, LogicalProject, Plan
-from ..algebra.physical import CollectSpec
-from ..engine.collect import collect_result
 from ..engine.results import ExecutionProfile, QueryResult
-from ..hardware.costmodel import CYCLES, DBMS_C_TUNING, BlockStats, CostModel
-from ..hardware.sim import Simulator, Store
-from ..hardware.specs import ServerSpec
-from ..hardware.topology import Server
+from ..hardware.costmodel import CYCLES, DBMS_C_TUNING, BlockStats
+from ..hardware.sim import Store
 from ..jit.hashtable import HashTable
-from ..storage.catalog import Catalog
-from ..storage.table import Placement, Table
-from .common import StarShape, UnsupportedQueryError, decompose_star
+from ..jit.pipeline import agg_identity
+from .common import (
+    StarShape,
+    UnsupportedQueryError,
+    _BaselineEngine,
+    decompose_star,
+    fold_block,
+)
 
 __all__ = ["DBMSC"]
 
@@ -49,22 +48,11 @@ __all__ = ["DBMSC"]
 VECTOR_TUPLES = 4096
 
 
-class DBMSC:
+class DBMSC(_BaselineEngine):
     """The paper's CPU-based commercial comparison system."""
 
     name = "DBMS C"
-
-    def __init__(self, spec: Optional[ServerSpec] = None,
-                 segment_rows: int = 1 << 20):
-        self.sim = Simulator()
-        self.server = Server(self.sim, spec or ServerSpec())
-        self.catalog = Catalog(self.server, segment_rows=segment_rows)
-        self.cost = CostModel(self.server.spec, DBMS_C_TUNING)
-
-    # -- data ------------------------------------------------------------------
-
-    def register(self, table: Table, placement: Optional[Placement] = None) -> None:
-        self.catalog.register(table, placement)
+    tuning = DBMS_C_TUNING
 
     # -- queries -----------------------------------------------------------------
 
@@ -80,29 +68,9 @@ class DBMSC:
         tables = self._build_dimensions(star, profile)
         partials = self._scan_fact(star, tables, workers, vector_tuples, profile)
         profile.seconds = self.sim.now - start
-        spec = CollectSpec(
-            keys=star.group_keys, aggs=star.aggs, order=list(plan.order),
-            limit=plan.limit, scalar=star.scalar,
-        )
-        return collect_result(
-            spec,
-            [p for p in partials if not star.group_keys] if star.scalar else [],
-            [p for p in partials] if star.group_keys else [],
-            [],
-            profile,
-            self._dictionary_of,
-        )
+        return self._collect(plan, star, partials, profile)
 
     # -- helpers -----------------------------------------------------------------
-
-    def _dictionary_of(self, column: str):
-        for table in self.catalog.tables.values():
-            if column in table.columns:
-                return table.columns[column].dictionary
-        return None
-
-    def _bind(self, expr):
-        return bind_strings(expr, self._dictionary_of)
 
     def _chain_env(self, node, env: dict[str, np.ndarray],
                    stats: BlockStats) -> dict[str, np.ndarray]:
@@ -112,7 +80,7 @@ class DBMSC:
         charged as extra streamed bytes.
         """
         if isinstance(node, LogicalFilter):
-            predicate = self._bind(node.predicate)
+            predicate = bind_strings(node.predicate, self.catalog.dictionary_of)
             mask = predicate.evaluate(env)
             n = len(next(iter(env.values()))) if env else 0
             if isinstance(mask, (bool, np.bool_)):
@@ -133,7 +101,7 @@ class DBMSC:
         if isinstance(node, LogicalProject):
             n = len(next(iter(env.values()))) if env else 0
             for alias, expr in node.exprs:
-                bound = self._bind(expr)
+                bound = bind_strings(expr, self.catalog.dictionary_of)
                 env[alias] = np.asarray(bound.evaluate(env))
                 counts = bound.op_counts()
                 stats.cpu_cycles += n * (
@@ -165,17 +133,13 @@ class DBMSC:
 
         def build_proc():
             for index, join in enumerate(star.joins):
-                node = join.build
-                chain = []
-                while not hasattr(node, "table"):
-                    chain.append(node)
-                    node = node.child
+                node = join.scan
                 table = self.catalog.table(node.table)
                 env = {name: table.column(name).values for name in node.columns}
                 stats = BlockStats()
                 stats.tuples_in = table.num_rows
                 stats.bytes_in = sum(env[c].nbytes for c in node.columns)
-                for op in reversed(chain):
+                for op in join.ops:
                     env = self._chain_env(op, env, stats)
                 keys = np.asarray(env[join.build_key], dtype=np.int64)
                 # size from the pre-filter cardinality estimate, like the
@@ -208,10 +172,7 @@ class DBMSC:
         scale = self.catalog.logical_scale(star.fact.table)
         spilled = {}
         for index, join in enumerate(star.joins):
-            node = join.build
-            while not hasattr(node, "table"):
-                node = node.child
-            dim_scale = self.catalog.logical_scale(node.table)
+            dim_scale = self.catalog.logical_scale(join.scan.table)
             spilled[f"ht{index}"] = self._ht_spilled(tables[f"ht{index}"], dim_scale)
         morsels = self.sim.store(name="dbmsc-morsels")
         for segment in placement.segments:
@@ -220,13 +181,19 @@ class DBMSC:
                 morsels.put((begin, stop, segment.node_id))
         morsels.close()
 
-        bound_aggs = [(a.alias, a.kind, self._bind(a.expr)) for a in star.aggs]
+        bound_aggs = [
+            (a.alias, a.kind, bind_strings(a.expr, self.catalog.dictionary_of))
+            for a in star.aggs
+        ]
+        fold_cycles = (
+            CYCLES.hash_compute + CYCLES.group_lookup
+            if star.group_keys
+            else CYCLES.aggregate_update
+        )
         columns = list(star.fact.columns)
         worker_partials: list = []
 
         def worker(core_id: int):
-            from ..jit.pipeline import agg_identity
-
             groups: dict[tuple, dict] = {}
             scalars = {a.alias: agg_identity(a.kind) for a in star.aggs}
             home = self.server.cores[core_id].socket_id
@@ -267,7 +234,10 @@ class DBMSC:
                     stats.bytes_out += kept * width
                     stats.bytes_in += kept * width
                 kept = len(next(iter(env.values()))) if env else 0
-                self._aggregate(star, bound_aggs, env, kept, groups, scalars, stats)
+                fold_block(
+                    star.group_keys, bound_aggs, env, kept, groups, scalars, stats
+                )
+                stats.cpu_cycles += kept * fold_cycles
                 req = self.cost.cpu_block_work(stats, scale)
                 node = self.server.memory_nodes.get(node_id)
                 if node is None or node.kind.value != "cpu":
@@ -291,56 +261,3 @@ class DBMSC:
             if not proc.ok:
                 raise proc.value
         return worker_partials
-
-    def _aggregate(self, star, bound_aggs, env, n, groups, scalars, stats):
-        if n == 0:
-            return
-        if star.group_keys:
-            key_matrix = np.stack(
-                [np.asarray(env[k], dtype=np.int64) for k in star.group_keys], axis=1
-            )
-            uniq, inv = np.unique(key_matrix, axis=0, return_inverse=True)
-            for alias, kind, expr in bound_aggs:
-                if kind == "count":
-                    agg = np.bincount(inv, minlength=len(uniq))
-                else:
-                    values = np.asarray(expr.evaluate(env), dtype=np.float64)
-                    agg = np.zeros(len(uniq))
-                    if kind == "sum":
-                        np.add.at(agg, inv, values)
-                    elif kind == "min":
-                        agg.fill(np.inf)
-                        np.minimum.at(agg, inv, values)
-                    else:
-                        agg.fill(-np.inf)
-                        np.maximum.at(agg, inv, values)
-                for i, key_row in enumerate(uniq):
-                    key = tuple(int(k) for k in key_row)
-                    row = groups.setdefault(key, {})
-                    if kind in ("sum", "count"):
-                        row[alias] = row.get(alias, 0) + (
-                            int(agg[i]) if kind == "count" else float(agg[i])
-                        )
-                    elif kind == "min":
-                        row[alias] = min(row.get(alias, np.inf), float(agg[i]))
-                    else:
-                        row[alias] = max(row.get(alias, -np.inf), float(agg[i]))
-            if len(groups) > 4096:
-                stats.random_accesses += n
-                stats.random_bytes += n * 8 * (len(star.group_keys) + len(bound_aggs))
-            stats.cpu_cycles += n * (CYCLES.hash_compute + CYCLES.group_lookup)
-        else:
-            for alias, kind, expr in bound_aggs:
-                if kind == "count":
-                    scalars[alias] += n
-                else:
-                    values = np.asarray(expr.evaluate(env), dtype=np.float64)
-                    if kind == "sum":
-                        scalars[alias] += float(values.sum())
-                    elif kind == "min":
-                        scalars[alias] = min(scalars.get(alias, np.inf),
-                                             float(values.min()))
-                    else:
-                        scalars[alias] = max(scalars.get(alias, -np.inf),
-                                             float(values.max()))
-            stats.cpu_cycles += n * CYCLES.aggregate_update

@@ -31,7 +31,6 @@ class Segmenter:
         table: str,
         columns: list[str],
         block_tuples: int,
-        logical_scale: float = 1.0,
     ):
         self.catalog = catalog
         self.table = catalog.table(table)
@@ -39,7 +38,8 @@ class Segmenter:
         for name in self.columns:
             self.table.column(name)  # raise early on typos
         self.block_tuples = block_tuples
-        self.logical_scale = logical_scale
+        #: the table's logical byte multiplier, stamped on every block
+        self.logical_scale = catalog.logical_scale(table)
 
     def __iter__(self) -> Iterator[BlockHandle]:
         placement = self.catalog.placement(self.table.name)

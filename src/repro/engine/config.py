@@ -154,7 +154,7 @@ class CachePolicy:
 
     * ``"lru"`` — plain recency, the original behaviour and the default;
     * ``"cost_aware"`` — GDSF-style: score =
-      aging floor + compile_cost x (hits + 1) / size, where the compile
+      aging floor + cost x (hits + 1) / size, where the compile
       cost is the per-device estimate the scheduler actually charges on
       misses (:meth:`~repro.hardware.costmodel.CostModel.compile_demand`
       — GPU pipelines ~5–10x CPU), so expensive GPU pipelines outlive

@@ -30,15 +30,25 @@ phase networks) in locals, so a scheduler can interleave any number of
 queries on one shared simulator — routers, processes and stores are
 tagged with the owning query id.  :meth:`Executor.execute` is the legacy
 solo entry point: it wraps the process and drives the simulator to
-completion itself.  Compiled pipelines come from a shared
-:class:`~repro.jit.cache.PipelineCache` when one is configured, so
-repeated query shapes skip recompilation.
+completion itself.
+
+**The one compile site.**  Compiling through the shared
+:class:`~repro.jit.cache.PipelineCache` is a two-phase protocol that
+lives here and nowhere else: :meth:`Executor.begin_compilation` signs
+every stage and fetches (pins) the resident pipelines,
+:meth:`PlanCompilation.finish` compiles the rest with the pure
+:class:`~repro.jit.codegen.PipelineCompiler` and publishes them
+first-writer-wins, priced by
+:meth:`~repro.hardware.costmodel.CostModel.compile_demand` and
+attributed to the tenant.  :meth:`Executor.compile_plan` is the two
+phases back to back.  Likewise every block's stats become simulated
+resource demand in one place, :meth:`Executor._charge`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 import numpy as np
 
@@ -141,14 +151,20 @@ class PlanCompilation:
     """In-flight two-phase compilation (see :meth:`Executor.begin_compilation`).
 
     ``pipelines`` holds the cache-resident entries fetched at creation;
-    ``missing`` the stages still to compile.  ``finish`` compiles them,
-    publishes the results to the shared cache, and returns the complete
-    stage-id -> pipeline map.
+    ``missing`` the stages still to compile, each with the cache key it
+    was looked up under (``None`` = not cacheable).  ``finish`` compiles
+    them, publishes the results to the shared cache, and returns the
+    complete stage-id -> pipeline map.
     """
 
     compiler: "PipelineCompiler"
+    cache: Optional[PipelineCache]
+    #: prices one stage's compilation in simulated seconds
+    #: (:meth:`~repro.hardware.costmodel.CostModel.compile_demand`): the
+    #: latency a scheduler charges and the cost-aware eviction score
+    cost_of: Callable[[Stage], float]
     pipelines: dict[int, "CompiledPipeline"]
-    missing: list
+    missing: list[tuple[Stage, Optional[tuple]]]
     #: tenant the compilation is attributed to in the cache's
     #: per-tenant accounting (None = untenanted)
     tenant: Optional[str] = None
@@ -161,35 +177,26 @@ class PlanCompilation:
     def compile_seconds(self, base_seconds: Optional[float] = None) -> float:
         """Total simulated compile latency of the still-missing stages.
 
-        Per-device, per-complexity pricing via the compiler's ``cost_of``
-        (:meth:`~repro.hardware.costmodel.CostModel.compile_demand`);
+        Per-device, per-complexity pricing via ``cost_of``;
         ``base_seconds`` rescales the whole charge (a scheduler's
-        ``compile_seconds`` knob; 0 disables charging).  Falls back to a
-        flat per-stage charge when the compiler carries no cost model.
+        ``compile_seconds`` knob; 0 disables charging).
         """
         from ..hardware.costmodel import DEFAULT_COMPILE_SECONDS
 
         base = DEFAULT_COMPILE_SECONDS if base_seconds is None else base_seconds
-        if self.compiler.cost_of is None:
-            return base * len(self.missing)
         scale = base / DEFAULT_COMPILE_SECONDS
-        return scale * sum(self.compiler.cost_of(s) for s in self.missing)
+        return scale * sum(self.cost_of(stage) for stage, _ in self.missing)
 
     def finish(self) -> dict[int, "CompiledPipeline"]:
-        for stage in self.missing:
-            pipeline = self.compiler.compile_fresh(stage)
-            if self.compiler.cache is not None:
-                key = stage_signature(stage, self.compiler.width)
-                if key is not None:
-                    # first-writer-wins: adopt the published entry so a
-                    # racing compile of the same shape never leaves two
-                    # distinct function objects in flight
-                    pipeline = self.compiler.cache.put(
-                        key,
-                        pipeline,
-                        cost=self.compiler.compile_cost(stage),
-                        tenant=self.tenant,
-                    )
+        for stage, key in self.missing:
+            pipeline = self.compiler.compile_stage(stage)
+            if key is not None:
+                # first-writer-wins: adopt the published entry so a
+                # racing compile of the same shape never leaves two
+                # distinct function objects in flight
+                pipeline = self.cache.put(
+                    key, pipeline, cost=self.cost_of(stage), tenant=self.tenant
+                )
             self.pipelines[stage.stage_id] = pipeline
         self.missing = []
         return self.pipelines
@@ -241,23 +248,9 @@ class Executor:
 
     # -- public ---------------------------------------------------------------
 
-    def _compiler(self) -> PipelineCompiler:
-        """A compiler wired to the shared cache and the cost model's
-        per-device compile pricing (cost-aware eviction scores)."""
-        return PipelineCompiler(
-            widths=self._column_widths(),
-            cache=self.pipeline_cache,
-            cost_of=self.cost.compile_demand,
-        )
-
     def compile_plan(self, plan: HetPlan) -> dict[int, CompiledPipeline]:
         """Compile every non-source stage, consulting the shared cache."""
-        compiler = self._compiler()
-        return {
-            stage.stage_id: compiler.compile_stage(stage)
-            for stage in plan.all_stages()
-            if not stage.is_source
-        }
+        return self.begin_compilation(plan).finish()
 
     def begin_compilation(
         self, plan: HetPlan, tenant: Optional[str] = None
@@ -273,13 +266,13 @@ class Executor:
         compilation that has not completed in simulated time.  Hit/miss
         statistics are counted exactly once per stage.
         """
-        compiler = self._compiler()
+        compiler = PipelineCompiler(self.catalog.column_widths())
         resident: dict[int, CompiledPipeline] = {}
-        missing: list = []
+        missing: list[tuple[Stage, Optional[tuple]]] = []
         for stage in plan.all_stages():
             if stage.is_source:
                 continue
-            cached = None
+            key = cached = None
             if self.pipeline_cache is not None:
                 key = stage_signature(stage, compiler.width)
                 if key is not None:
@@ -287,8 +280,15 @@ class Executor:
             if cached is not None:
                 resident[stage.stage_id] = cached
             else:
-                missing.append(stage)
-        return PlanCompilation(compiler, resident, missing, tenant=tenant)
+                missing.append((stage, key))
+        return PlanCompilation(
+            compiler,
+            self.pipeline_cache,
+            self.cost.compile_demand,
+            resident,
+            missing,
+            tenant=tenant,
+        )
 
     def execute(self, plan: HetPlan, config: ExecutionConfig,
                 query_id: str = "q0") -> RawExecution:
@@ -546,13 +546,6 @@ class Executor:
 
     # -- helpers ----------------------------------------------------------------
 
-    def _column_widths(self) -> dict[str, int]:
-        widths: dict[str, int] = {}
-        for table in self.catalog.tables.values():
-            for name, column in table.columns.items():
-                widths[name] = column.width_bytes
-        return widths
-
     def _instances_for(
         self,
         stage: Stage,
@@ -746,7 +739,6 @@ class Executor:
                         name=f"{query_id}:relay-{stage.name}",
                     )
                 )
-                out.profile.kernels_launched += 0  # updated by workers
             for instance in instances:
                 queue = (
                     group.instance_queues[instance.index]
@@ -874,7 +866,6 @@ class Executor:
             stage.source.table,
             stage.source.columns,
             config.block_tuples,
-            logical_scale=self.catalog.logical_scale(stage.source.table),
         )
         if router is None:
             raise QueryError(f"source stage {stage.name!r} has no consumers")

@@ -101,10 +101,6 @@ class AttemptOutcome:
     #: simulated time the hop was dispatched
     started: float
 
-    @property
-    def succeeded(self) -> bool:
-        return self.outcome == "ok"
-
 
 @dataclass(frozen=True)
 class BreakerPolicy:

@@ -150,14 +150,8 @@ class Proteus:
             raw.group_partials,
             raw.row_blocks,
             raw.profile,
-            self._dictionary_of,
+            self.catalog.dictionary_of,
         )
-
-    def _dictionary_of(self, column: str):
-        for table in self.catalog.tables.values():
-            if column in table.columns:
-                return table.columns[column].dictionary
-        return None
 
     # -- introspection ------------------------------------------------------------
 
@@ -166,7 +160,7 @@ class Proteus:
         from ..jit.codegen import PipelineCompiler
 
         het = self.placer.place(plan, config)
-        compiler = PipelineCompiler(widths=self.executor._column_widths())
+        compiler = PipelineCompiler(self.catalog.column_widths())
         return {
             stage.name: compiler.compile_stage(stage).source
             for stage in het.all_stages()

@@ -33,10 +33,6 @@ class ExecutionProfile:
     #: blocks routed by all routers
     blocks_routed: int = 0
 
-    def device_input_bytes(self, device: str) -> float:
-        stats = self.device_stats.get(device)
-        return float(stats.bytes_in) if stats else 0.0
-
     def throughput(self, logical_input_bytes: float) -> float:
         """Logical input bytes per simulated second."""
         if self.seconds <= 0:
@@ -70,9 +66,6 @@ class QueryResult:
                 )
             return next(iter(self.scalar.values()))
         return self.scalar[alias]
-
-    def to_dicts(self) -> list[dict]:
-        return [dict(zip(self.columns, row)) for row in self.rows]
 
     def __len__(self) -> int:
         return len(self.rows)

@@ -103,10 +103,6 @@ class ServerSpec:
         return self.num_sockets * self.cores_per_socket
 
     @property
-    def total_dram_bandwidth(self) -> float:
-        return self.num_sockets * self.socket_dram_bandwidth
-
-    @property
     def aggregate_pcie_bandwidth(self) -> float:
         return self.num_gpus * self.pcie_bandwidth
 

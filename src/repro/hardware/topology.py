@@ -3,8 +3,10 @@
 This module instantiates the *dynamic* counterpart of a
 :class:`~repro.hardware.specs.ServerSpec`: every memory node gets a
 processor-sharing :class:`~repro.hardware.resources.BandwidthResource`,
-every core and GPU an exclusive :class:`~repro.hardware.resources.FifoResource`,
-and every GPU a PCIe link resource.  The executor pins pipeline instances to
+every GPU an exclusive :class:`~repro.hardware.resources.FifoResource`
+(its compute slot) and a PCIe link resource.  A core is only a pinning
+target: CPU work is charged as a rate-capped job on a DRAM node's
+bandwidth, never as a held core.  The executor pins pipeline instances to
 :class:`Core`/:class:`Gpu` objects (the paper's affinity control, Section
 4.2), and the data-flow operators consult :meth:`Server.paths_between` to
 route DMA traffic over the multi-path interconnect (PCIe links, the
@@ -87,21 +89,16 @@ class MemoryNode:
     def free(self, nbytes: float) -> None:
         self.used_bytes = max(0.0, self.used_bytes - nbytes)
 
-    @property
-    def free_bytes(self) -> float:
-        return self.capacity_bytes - self.used_bytes
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<MemoryNode {self.node_id}>"
 
 
 @dataclass
 class Core:
-    """One physical CPU core; an exclusive execution slot."""
+    """One physical CPU core: what a CPU pipeline instance is pinned to."""
 
     core_id: int
     socket_id: int
-    resource: FifoResource
     device_type: DeviceType = DeviceType.CPU
 
     @property
@@ -256,13 +253,7 @@ class Server:
             self.memory_nodes[dram.node_id] = dram
             cores = []
             for _ in range(spec.cores_per_socket):
-                cores.append(
-                    Core(
-                        core_id=core_id,
-                        socket_id=socket_id,
-                        resource=FifoResource(sim, name=f"core{core_id}"),
-                    )
-                )
+                cores.append(Core(core_id=core_id, socket_id=socket_id))
                 core_id += 1
             socket = Socket(socket_id=socket_id, cores=cores, memory=dram)
             self.sockets.append(socket)

@@ -21,7 +21,7 @@ Two layers of policy live here:
 
 * **Eviction** is pluggable (:class:`EvictionPolicy`): plain recency
   (``lru``) or the GDSF-style ``cost_aware`` policy whose score is
-  ``floor + compile_cost * (hits + 1) / size`` —
+  ``floor + cost * (hits + 1) / size`` (``cost`` = compile seconds) —
   an expensive-to-compile GPU pipeline outlives many cheap CPU filters
   even when it is touched less recently, because evicting it costs the
   server ~an order of magnitude more simulated recompilation latency
@@ -239,7 +239,7 @@ class LruPolicy:
 class CostAwarePolicy:
     """GDSF-style eviction: keep what is expensive to recreate.
 
-    Score = ``floor + compile_cost * (hits + 1) / size``: an entry is
+    Score = ``floor + cost * (hits + 1) / size``: an entry is
     worth keeping in proportion to the recompilation latency its next
     miss would charge, times how often it is actually asked for, per
     byte of cache it occupies.  ``floor`` rises to each victim's score

@@ -21,6 +21,15 @@ Two fidelity points:
 
 Liveness analysis prunes dead columns at every selection point, mirroring
 how a real JIT engine keeps only live attributes in registers.
+
+The compiler is **pure**: a stage in, a fresh
+:class:`~repro.jit.pipeline.CompiledPipeline` out, no cache and no
+pricing.  The compile-through-the-cache protocol (signature -> lookup ->
+compile -> first-writer-wins publish, cost-priced and tenant-attributed)
+lives in one place, :meth:`Executor.begin_compilation
+<repro.engine.executor.Executor.begin_compilation>` /
+:meth:`PlanCompilation.finish
+<repro.engine.executor.PlanCompilation.finish>`.
 """
 
 from __future__ import annotations
@@ -43,7 +52,7 @@ from ..algebra.physical import (
 from ..hardware.costmodel import CYCLES
 # _ident/_var are shared with the cache: stage signatures render
 # expression sources with the exact same variable naming codegen emits.
-from .cache import PipelineCache, _ident, _var, stage_signature
+from .cache import _ident, _var
 from .pipeline import CompiledPipeline
 from .provider import DeviceProvider, provider_for
 
@@ -134,59 +143,25 @@ class PipelineCompiler:
 
     ``widths`` maps column names to their byte width for the stats
     instrumentation; unknown (derived) columns default to 8 bytes.
-
-    ``cache`` (optional) is a shared :class:`~repro.jit.cache.PipelineCache`:
-    structurally equal stages skip codegen + compile + load entirely and
-    return the resident :class:`CompiledPipeline` (safe to share — compiled
-    functions are stateless; per-query state is created via ``new_state``).
-
-    ``cost_of`` (optional) prices a freshly compiled stage for the cache's
-    cost-aware eviction policy — typically
-    :meth:`~repro.hardware.costmodel.CostModel.compile_demand`, so GPU
-    pipelines are protected in proportion to the recompile latency a
-    scheduler would actually charge for them.
+    Compiled functions are stateless (per-query state is created via
+    ``new_state``), which is what makes them safe to cache and share.
     """
 
-    def __init__(self, widths: dict[str, int] | None = None,
-                 cache: PipelineCache | None = None,
-                 cost_of=None):
+    def __init__(self, widths: dict[str, int] | None = None):
         self.widths = dict(widths or {})
-        self.cache = cache
-        self.cost_of = cost_of
 
     def width(self, name: str) -> int:
         return self.widths.get(name, 8)
 
-    def compile_cost(self, stage: Stage) -> float | None:
-        """Eviction-policy price of recompiling ``stage`` (None = flat)."""
-        return self.cost_of(stage) if self.cost_of is not None else None
-
     # -- public ------------------------------------------------------------
 
     def compile_stage(self, stage: Stage) -> CompiledPipeline:
+        """Codegen + compile + load one non-source stage."""
         if stage.is_source:
             raise CodegenError(
                 f"stage {stage.name!r} is a segmenter source; it has no "
                 "generated pipeline (the segmenter is a runtime operator)"
             )
-        key = None
-        if self.cache is not None:
-            key = stage_signature(stage, self.width)
-            if key is not None:
-                cached = self.cache.get(key)
-                if cached is not None:
-                    return cached
-        pipeline = self.compile_fresh(stage)
-        if self.cache is not None and key is not None:
-            # first-writer-wins: adopt whatever the cache published (a
-            # racing compile of the same shape may have beaten this one)
-            pipeline = self.cache.put(
-                key, pipeline, cost=self.compile_cost(stage)
-            )
-        return pipeline
-
-    def compile_fresh(self, stage: Stage) -> CompiledPipeline:
-        """Codegen + compile + load, bypassing the cache entirely."""
         provider = provider_for(stage.device)
         fn_name = f"pipeline_{_ident(stage.name)}"
         source = self._generate(stage, provider, fn_name)

@@ -14,6 +14,14 @@ LLVM-to-x86 step; the GPU provider's LLVM-to-PTX-to-SASS step) and
 ``load_machine_code`` executes the code object into a namespace that
 carries the provider's runtime intrinsics.
 
+Of Table 1's inventory, the code-generation half lives here (thread
+geometry, worker-scoped accumulation, ``convertToMachineCode`` /
+``loadMachineCode``).  The memory half — ``allocStateVar`` /
+``freeStateVar`` and ``getBuffer`` / ``releaseBuffer`` — is served at
+run time, per memory node, by :class:`~repro.memory.managers.MemoryManager`
+and :class:`~repro.memory.managers.BlockManagerSet`, which the executor
+and the mem-move call directly.
+
 The observable provider differences (asserted by tests):
 
 * the CPU provider renders worker-scoped accumulation as a plain ``+=``
@@ -33,7 +41,6 @@ from typing import Callable
 import numpy as np
 
 from ..hardware.topology import DeviceType
-from ..memory.managers import BlockManagerSet, MemoryManager
 
 __all__ = ["DeviceProvider", "CPUProvider", "GPUProvider", "provider_for"]
 
@@ -66,24 +73,6 @@ class DeviceProvider:
 
     device_type: DeviceType
     name: str
-
-    # -- state management (allocStateVar / freeStateVar / ...) ----------------
-
-    def alloc_state_var(self, manager: MemoryManager, logical_bytes: float,
-                        label: str = "") -> int:
-        """Allocate operator state on the provider's memory node."""
-        return manager.allocate(logical_bytes, label=label)
-
-    def free_state_var(self, manager: MemoryManager, handle: int) -> None:
-        manager.free(handle)
-
-    # -- staging buffers (get/releaseBuffer) -----------------------------------
-
-    def get_buffer(self, blocks: BlockManagerSet, node_id: str) -> None:
-        blocks.acquire_local(node_id)
-
-    def release_buffer(self, blocks: BlockManagerSet, node_id: str) -> None:
-        blocks.release(node_id)
 
     # -- SIMT geometry ----------------------------------------------------------
 

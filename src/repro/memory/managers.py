@@ -36,6 +36,12 @@ __all__ = ["MemoryManager", "BlockManager", "BlockManagerSet", "OutOfDeviceMemor
 REMOTE_ACQUIRE_LATENCY = 25e-6
 #: How many blocks a cache refill acquires at once.
 REMOTE_BATCH_SIZE = 8
+#: Logical bytes of one staging block, and the arena every node reserves
+#: at start-up: a fixed block count per DRAM node, a share of device
+#: memory per GPU.
+BLOCK_BYTES = 1 << 24
+CPU_ARENA_BLOCKS = 4096
+GPU_ARENA_FRACTION = 0.25
 
 
 class OutOfDeviceMemory(MemoryError):
@@ -151,22 +157,18 @@ class BlockManager:
 class BlockManagerSet:
     """All block managers of a server plus the remote-cache machinery."""
 
-    def __init__(
-        self,
-        server: Server,
-        block_bytes: float = 1 << 24,
-        cpu_arena_blocks: int = 4096,
-        gpu_arena_fraction: float = 0.25,
-    ):
+    def __init__(self, server: Server):
         self.server = server
-        self.block_bytes = block_bytes
+        self.block_bytes = BLOCK_BYTES
         self.managers: dict[str, BlockManager] = {}
         for node in server.memory_nodes.values():
             if node.kind.value == "gpu":
-                arena = max(1, int(node.capacity_bytes * gpu_arena_fraction / block_bytes))
+                arena = max(
+                    1, int(node.capacity_bytes * GPU_ARENA_FRACTION / BLOCK_BYTES)
+                )
             else:
-                arena = cpu_arena_blocks
-            self.managers[node.node_id] = BlockManager(node, block_bytes, arena)
+                arena = CPU_ARENA_BLOCKS
+            self.managers[node.node_id] = BlockManager(node, BLOCK_BYTES, arena)
         #: (local node, remote node) -> cached pre-acquired remote blocks
         self._remote_cache: dict[tuple[str, str], int] = {}
 

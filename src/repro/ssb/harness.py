@@ -95,6 +95,54 @@ def _proteus(settings: HarnessSettings, tables: dict[str, Table],
     return engine
 
 
+def _run_figure(settings: Optional[HarnessSettings], logical_sf: float,
+                queries: Optional[list[str]], proteus: dict[str, str],
+                gpu_resident: bool) -> FigureResult:
+    """One SSB sweep over DBMS C, the given Proteus systems and DBMS G.
+
+    ``proteus`` maps a system name to its :meth:`HarnessSettings.config`
+    mode.  ``gpu_resident`` is the SF100 setting: the GPU engines hold
+    their data in device memory, and DBMS G's reported failure is the
+    unsupported query; streaming (SF1000), it is the device OOM.
+    """
+    settings = settings or HarnessSettings()
+    tables = generate_ssb(settings.physical_sf, settings.seed)
+    result = FigureResult(seconds={}, notes={"logical_sf": f"{logical_sf:g}"})
+    dbms_c = DBMSC(segment_rows=settings.segment_rows)
+    dbms_g = DBMSG(segment_rows=settings.segment_rows)
+    for baseline in (dbms_c, dbms_g):
+        load_ssb(baseline, logical_sf=logical_sf, tables=tables)
+    engines = {name: _proteus(settings, tables, logical_sf) for name in proteus}
+    if gpu_resident:
+        # "Proteus GPU randomly partitions each table between the two GPUs."
+        for name in tables:
+            engines["Proteus GPUs"].place_gpu_partitioned(name, seed=settings.seed)
+    failure, sentinel, note = (
+        (UnsupportedQueryError, UNSUPPORTED, "string inequality unsupported")
+        if gpu_resident
+        else (GpuMemoryError, FAILED, "out of device memory: {}")
+    )
+    result.seconds = {name: {} for name in ("DBMS C", *proteus, "DBMS G")}
+    for qid in queries or SSB_QUERY_IDS:
+        plan = ssb_query(qid)
+        result.working_set[qid] = working_set_bytes(dbms_c.catalog, plan)
+        result.seconds["DBMS C"][qid] = dbms_c.query(
+            plan, workers=settings.cpu_workers).seconds
+        for name, mode in proteus.items():
+            result.seconds[name][qid] = engines[name].query(
+                plan, settings.config(mode)).seconds
+        try:
+            result.seconds["DBMS G"][qid] = dbms_g.query(
+                plan, gpu_ids=settings.gpu_ids, gpu_resident=gpu_resident,
+                vector_tuples=settings.block_tuples * 16).seconds
+            if qid == "Q2.2":  # reached only when streaming
+                result.notes["DBMS G Q2.2"] = "reverted to CPU-only execution"
+        except failure as err:
+            result.seconds["DBMS G"][qid] = sentinel
+            result.notes[f"DBMS G {qid}"] = note.format(err)
+    return result
+
+
 def run_fig4(settings: Optional[HarnessSettings] = None,
              logical_sf: float = 100.0,
              queries: Optional[list[str]] = None) -> FigureResult:
@@ -104,47 +152,10 @@ def run_fig4(settings: Optional[HarnessSettings] = None,
     device memory of the two GPUs.  DBMS C and Proteus CPU configurations
     operate over columnar data that reside in CPU memory."
     """
-    settings = settings or HarnessSettings()
-    queries = queries or SSB_QUERY_IDS
-    tables = generate_ssb(settings.physical_sf, settings.seed)
-    result = FigureResult(seconds={}, notes={"logical_sf": f"{logical_sf:g}"})
-
-    dbms_c = DBMSC(segment_rows=settings.segment_rows)
-    for table in tables.values():
-        dbms_c.register(table)
-    _apply_scales(dbms_c, tables, logical_sf)
-
-    proteus_cpu = _proteus(settings, tables, logical_sf)
-    proteus_gpu = _proteus(settings, tables, logical_sf)
-    # "Proteus GPU randomly partitions each table between the two GPUs."
-    for name in tables:
-        proteus_gpu.place_gpu_partitioned(name, seed=settings.seed)
-
-    dbms_g = DBMSG(segment_rows=settings.segment_rows)
-    for table in tables.values():
-        dbms_g.register(table)
-    _apply_scales(dbms_g, tables, logical_sf)
-
-    result.seconds = {
-        "DBMS C": {}, "Proteus CPUs": {}, "Proteus GPUs": {}, "DBMS G": {},
-    }
-    for qid in queries:
-        plan = ssb_query(qid)
-        result.working_set[qid] = working_set_bytes(proteus_cpu.catalog, plan)
-        result.seconds["DBMS C"][qid] = dbms_c.query(
-            plan, workers=settings.cpu_workers).seconds
-        result.seconds["Proteus CPUs"][qid] = proteus_cpu.query(
-            plan, settings.config("cpu")).seconds
-        result.seconds["Proteus GPUs"][qid] = proteus_gpu.query(
-            plan, settings.config("gpu")).seconds
-        try:
-            result.seconds["DBMS G"][qid] = dbms_g.query(
-                plan, gpu_ids=settings.gpu_ids, gpu_resident=True,
-                vector_tuples=settings.block_tuples * 16).seconds
-        except UnsupportedQueryError:
-            result.seconds["DBMS G"][qid] = UNSUPPORTED
-            result.notes[f"DBMS G {qid}"] = "string inequality unsupported"
-    return result
+    return _run_figure(
+        settings, logical_sf, queries,
+        {"Proteus CPUs": "cpu", "Proteus GPUs": "gpu"}, gpu_resident=True,
+    )
 
 
 def run_fig5(settings: Optional[HarnessSettings] = None,
@@ -155,51 +166,11 @@ def run_fig5(settings: Optional[HarnessSettings] = None,
     All data CPU-resident; GPU engines stream over PCIe.  Proteus Hybrid
     uses all CPUs and GPUs.
     """
-    settings = settings or HarnessSettings()
-    queries = queries or SSB_QUERY_IDS
-    tables = generate_ssb(settings.physical_sf, settings.seed)
-    result = FigureResult(seconds={}, notes={"logical_sf": f"{logical_sf:g}"})
-
-    dbms_c = DBMSC(segment_rows=settings.segment_rows)
-    for table in tables.values():
-        dbms_c.register(table)
-    _apply_scales(dbms_c, tables, logical_sf)
-
-    proteus_cpu = _proteus(settings, tables, logical_sf)
-    proteus_gpu = _proteus(settings, tables, logical_sf)
-    proteus_hybrid = _proteus(settings, tables, logical_sf)
-
-    dbms_g = DBMSG(segment_rows=settings.segment_rows)
-    for table in tables.values():
-        dbms_g.register(table)
-    _apply_scales(dbms_g, tables, logical_sf)
-
-    result.seconds = {
-        "DBMS C": {}, "Proteus CPUs": {}, "Proteus Hybrid": {},
-        "Proteus GPUs": {}, "DBMS G": {},
-    }
-    for qid in queries:
-        plan = ssb_query(qid)
-        result.working_set[qid] = working_set_bytes(proteus_cpu.catalog, plan)
-        result.seconds["DBMS C"][qid] = dbms_c.query(
-            plan, workers=settings.cpu_workers).seconds
-        result.seconds["Proteus CPUs"][qid] = proteus_cpu.query(
-            plan, settings.config("cpu")).seconds
-        result.seconds["Proteus Hybrid"][qid] = proteus_hybrid.query(
-            plan, settings.config("hybrid")).seconds
-        result.seconds["Proteus GPUs"][qid] = proteus_gpu.query(
-            plan, settings.config("gpu")).seconds
-        try:
-            r = dbms_g.query(plan, gpu_ids=settings.gpu_ids,
-                             gpu_resident=False,
-                             vector_tuples=settings.block_tuples * 16)
-            result.seconds["DBMS G"][qid] = r.seconds
-            if qid == "Q2.2":
-                result.notes["DBMS G Q2.2"] = "reverted to CPU-only execution"
-        except GpuMemoryError as err:
-            result.seconds["DBMS G"][qid] = FAILED
-            result.notes[f"DBMS G {qid}"] = f"out of device memory: {err}"
-    return result
+    return _run_figure(
+        settings, logical_sf, queries,
+        {"Proteus CPUs": "cpu", "Proteus Hybrid": "hybrid", "Proteus GPUs": "gpu"},
+        gpu_resident=False,
+    )
 
 
 def run_fig6(settings: Optional[HarnessSettings] = None,
@@ -242,7 +213,8 @@ def run_fig6(settings: Optional[HarnessSettings] = None,
     baseline = group_time(1, 0)
     out: dict = {"core_counts": list(core_counts), "speedups": {}}
     for gpus in gpu_settings:
-        for cores in core_counts:
+        # a GPU line also carries the figure's 0-core (GPU-only) point
+        for cores in (*core_counts, 0) if gpus else core_counts:
             if cores == 0 and gpus == 0:
                 continue
             times = group_time(cores, gpus)
@@ -250,16 +222,4 @@ def run_fig6(settings: Optional[HarnessSettings] = None,
                 out["speedups"].setdefault((gpus, g), {})[cores] = (
                     baseline[g] / times[g]
                 )
-    # The 0-core x 2-GPU point of the figure (GPU-only execution).
-    if 0 in gpu_settings or 2 in gpu_settings:
-        times = group_time(0, 2)
-        for g in groups:
-            out["speedups"].setdefault((2, g), {})[0] = baseline[g] / times[g]
     return out
-
-
-def _apply_scales(engine, tables: dict[str, Table], logical_sf: float) -> None:
-    from .loader import ssb_logical_scales
-
-    for name, scale in ssb_logical_scales(tables, logical_sf).items():
-        engine.catalog.set_logical_scale(name, scale)

@@ -11,16 +11,23 @@ are preserved (DESIGN.md section 5).
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Protocol
 
 from ..algebra.logical import Plan
-from ..engine.proteus import Proteus
 from ..storage.catalog import Catalog
 from ..storage.table import Table
 from .generator import generate_ssb
 from .schema import rows_at_scale
 
 __all__ = ["load_ssb", "working_set_bytes", "ssb_logical_scales"]
+
+
+class _Engine(Protocol):
+    """What loading needs of an engine: Proteus and both baseline proxies."""
+
+    catalog: Catalog
+
+    def register(self, table: Table) -> None: ...
 
 
 def ssb_logical_scales(
@@ -34,7 +41,7 @@ def ssb_logical_scales(
 
 
 def load_ssb(
-    engine: Proteus,
+    engine: _Engine,
     physical_sf: float = 0.01,
     logical_sf: Optional[float] = None,
     seed: int = 42,

@@ -9,6 +9,19 @@ Placement mirrors the paper's experiments:
   GPU device memories (Proteus GPU at SF100);
 * :meth:`Catalog.place_gpu_replicated` — small tables replicated to every
   GPU (how DBMS G pre-broadcasts dimension tables at SF100).
+
+**Column names are global — an enforced invariant.**  Plans name columns
+without a table qualifier (SSB prefixes every column with its table:
+``lo_``, ``d_``, ...), so binding a string predicate, decoding a result
+column or pricing a column's width all ask "which column is called
+``x``?".  The catalog answers from one name -> (table, column) index
+that :meth:`Catalog.register` fills, and ``register`` refuses a table
+whose column name another table already owns: with first-registered-wins
+lookup a predicate was bound through whichever table happened to be
+registered first, so a query's answer depended on registration order.
+:meth:`Catalog.column`, :meth:`Catalog.dictionary_of`,
+:meth:`Catalog.is_string` and :meth:`Catalog.column_widths` are the
+only column lookups the engines use.
 """
 
 from __future__ import annotations
@@ -18,6 +31,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from ..hardware.topology import Server
+from .column import Column, StringDictionary
 from .table import Placement, Segment, Table
 
 __all__ = ["Catalog"]
@@ -32,6 +46,8 @@ class Catalog:
         self.server = server
         self.segment_rows = segment_rows
         self.tables: dict[str, Table] = {}
+        #: column name -> (owning table, column); names are global
+        self._columns: dict[str, tuple[str, Column]] = {}
         self.placements: dict[str, Placement] = {}
         #: replicas: table -> node ids holding a full copy
         self.replicas: dict[str, set[str]] = {}
@@ -46,7 +62,16 @@ class Catalog:
         """Register ``table``; defaults to interleaved CPU placement."""
         if table.name in self.tables:
             raise ValueError(f"table {table.name!r} already registered")
+        for name in table.columns:
+            if name in self._columns:
+                raise ValueError(
+                    f"column {name!r} of table {table.name!r} is already "
+                    f"registered by table {self._columns[name][0]!r}; column "
+                    f"names are global to a catalog"
+                )
         self.tables[table.name] = table
+        for name, column in table.columns.items():
+            self._columns[name] = (table.name, column)
         self.placements[table.name] = placement or self._interleaved(table)
         self.replicas[table.name] = set()
 
@@ -57,6 +82,26 @@ class Catalog:
             raise KeyError(
                 f"unknown table {name!r}; registered: {sorted(self.tables)}"
             ) from None
+
+    def column(self, name: str) -> Optional[Column]:
+        """The registered column called ``name``; ``None`` for a name no
+        table owns (a computed alias, an aggregate's output)."""
+        owner = self._columns.get(name)
+        return owner[1] if owner is not None else None
+
+    def dictionary_of(self, name: str) -> Optional[StringDictionary]:
+        """The string dictionary behind column ``name``, if it has one."""
+        column = self.column(name)
+        return column.dictionary if column is not None else None
+
+    def is_string(self, name: str) -> bool:
+        return self.dictionary_of(name) is not None
+
+    def column_widths(self) -> dict[str, int]:
+        """Byte width of every registered column, by name."""
+        return {
+            name: column.width_bytes for name, (_, column) in self._columns.items()
+        }
 
     def placement(self, name: str) -> Placement:
         self.table(name)  # raise a helpful error for unknown tables

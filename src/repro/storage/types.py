@@ -43,10 +43,6 @@ class DataType(enum.Enum):
     def is_string(self) -> bool:
         return self is DataType.STRING
 
-    @property
-    def is_numeric(self) -> bool:
-        return not self.is_string
-
 
 INT32 = DataType.INT32
 INT64 = DataType.INT64

@@ -1,13 +1,25 @@
 """Tests for the DBMS C and DBMS G baseline proxies."""
 
 
+import numpy as np
 import pytest
 
+from repro import ExecutionConfig, Proteus
 from repro.baselines import DBMSC, DBMSG, GpuMemoryError, UnsupportedQueryError
 from repro.baselines.common import decompose_star, plan_has_string_inequality
 from repro.algebra.expressions import col
-from repro.algebra.logical import agg_sum, scan
+from repro.algebra.logical import (
+    LogicalFilter,
+    LogicalProject,
+    agg_count,
+    agg_max,
+    agg_min,
+    agg_sum,
+    build_side,
+    scan,
+)
 from repro.engine.reference import ReferenceExecutor
+from repro.storage import Column, DataType, Table
 from repro.ssb import SSB_QUERY_IDS, generate_ssb, ssb_logical_scales, ssb_query
 
 
@@ -57,10 +69,39 @@ class TestStarDecomposition:
     def test_string_inequality_detection(self, tables):
         engine = _dbms_g(tables)
         assert plan_has_string_inequality(ssb_query("Q2.2"),
-                                          engine._is_string_column)
+                                          engine.catalog.is_string)
         for qid in ("Q1.1", "Q2.1", "Q2.3", "Q3.3", "Q4.3"):
             assert not plan_has_string_inequality(ssb_query(qid),
-                                                  engine._is_string_column)
+                                                  engine.catalog.is_string)
+
+
+class TestBuildSide:
+    def test_chain_in_execution_order(self):
+        dim = (
+            scan("date", ["d_datekey", "d_year"])
+            .filter(col("d_year") > 1992)
+            .project([("dy", col("d_year") + 0)])
+            .filter(col("dy") < 1998)
+        )
+        ops, scan_node = build_side(dim.root)
+        assert scan_node.table == "date"
+        assert [type(op) for op in ops] == [
+            LogicalFilter, LogicalProject, LogicalFilter]
+        assert ops[0].predicate.columns() == {"d_year"}
+        assert ops[2].predicate.columns() == {"dy"}
+        assert build_side(scan_node) == ([], scan_node)
+
+    def test_nested_join_rejected(self):
+        inner = scan("supplier", ["s_suppkey", "s_nation"]).join(
+            scan("date", ["d_datekey"]), probe_key="s_suppkey",
+            build_key="d_datekey")
+        with pytest.raises(ValueError, match="joins inside build sides"):
+            build_side(inner.root)
+        with pytest.raises(UnsupportedQueryError, match="joins inside build"):
+            decompose_star(scan("lineorder", ["lo_suppkey"]).join(
+                inner, probe_key="lo_suppkey", build_key="s_suppkey"))
+        with pytest.raises(ValueError, match="LogicalReduce in build side"):
+            build_side(inner.reduce([agg_count()]).root)
 
 
 class TestDBMSC:
@@ -147,3 +188,57 @@ class TestDBMSG:
             _dbms_g(tables).query(
                 bad.reduce([agg_sum(col("lo_revenue"), "s")]),
                 vector_tuples=4096)
+
+
+class TestAggregateKinds:
+    """SSB aggregates are all ``sum``: min / max / grouped count and the
+    empty-input scalar run through every engine here, and nowhere else."""
+
+    @pytest.fixture(scope="class")
+    def star(self):
+        rng = np.random.default_rng(7)
+        fact = Table("f", [
+            Column.from_values("fk", DataType.INT32, rng.integers(0, 20, 5000)),
+            Column.from_values("w", DataType.INT32, rng.integers(0, 1000, 5000)),
+        ])
+        dim = Table("d", [
+            Column.from_values("dk", DataType.INT32, np.arange(20)),
+            Column.from_strings("name", [f"n{i % 7}" for i in range(20)]),
+        ])
+        return {"f": fact, "d": dim}
+
+    def _rows(self, star, plan):
+        proteus, dbms_c, dbms_g = (
+            cls(segment_rows=1024) for cls in (Proteus, DBMSC, DBMSG))
+        for engine in (proteus, dbms_c, dbms_g):
+            for table in star.values():
+                engine.register(table)
+        return {
+            "reference": ReferenceExecutor(star).execute(plan),
+            "proteus": proteus.query(
+                plan, ExecutionConfig.cpu_only(4, block_tuples=256)).rows,
+            "dbms_c": dbms_c.query(plan, workers=4, vector_tuples=512).rows,
+            "dbms_g": dbms_g.query(plan, vector_tuples=512).rows,
+        }
+
+    def test_grouped_min_max_sum_count_agree(self, star):
+        plan = scan("f", ["fk", "w"]).join(
+            scan("d", ["dk", "name"]), probe_key="fk", build_key="dk",
+        ).groupby(["name"], [
+            agg_min(col("w"), "lo"), agg_max(col("w"), "hi"),
+            agg_sum(col("w"), "total"), agg_count("n"),
+        ]).order_by("name")
+        rows = self._rows(star, plan)
+        expected = rows.pop("reference")
+        assert [r[0] for r in expected] == [f"n{i}" for i in range(7)]
+        assert sum(r[4] for r in expected) == 5000
+        for system, got in rows.items():
+            assert got == expected, system
+
+    def test_scalar_min_over_empty_input_is_none(self, star):
+        plan = scan("f", ["fk", "w"]).filter(col("w") < 0).reduce(
+            [agg_min(col("w"), "lo"), agg_count("n")])
+        rows = self._rows(star, plan)
+        assert rows.pop("reference") == [(None, 0)]
+        for system, got in rows.items():
+            assert got == [(None, 0)], system

@@ -333,10 +333,12 @@ class TestSegmenter:
             assert set(handle.block.columns) == {"a", "b"}
 
     def test_logical_scale_propagates(self):
-        segmenter = Segmenter(self._catalog(), "t", ["a"], 64,
-                              logical_scale=500.0)
-        handle = next(iter(segmenter))
+        catalog = self._catalog()
+        catalog.set_logical_scale("t", 500.0)
+        handle = next(iter(Segmenter(catalog, "t", ["a"], 64)))
         assert handle.block.logical_scale == 500.0
+        other = next(iter(Segmenter(self._catalog(), "t", ["a"], 64)))
+        assert other.block.logical_scale == 1.0
 
     def test_unknown_column_raises_early(self):
         with pytest.raises(KeyError):

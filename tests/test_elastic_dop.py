@@ -358,7 +358,7 @@ class TestStageReDerivation:
         assert resized.stage_id == stage.stage_id
         assert resized.ops is stage.ops
         assert resized.dop == 3 and resized.affinity == [0, 12, 1]
-        width = server.executor._column_widths().__getitem__
+        width = server.engine.catalog.column_widths().__getitem__
         assert stage_signature(resized, width) == stage_signature(stage, width)
 
     def test_with_dop_validates_arguments(self, tables):

@@ -39,7 +39,11 @@ class TestSSBHarness:
     def test_fig6_structure(self):
         result = run_fig6(SMALL, core_counts=(1, 4), gpu_settings=(0,),
                           groups=(1,))
+        # only the GPU counts that were asked for: no 2-GPU sweep rides
+        # along with gpu_settings=(0,)
+        assert set(result["speedups"]) == {(0, 1)}
         speedups = result["speedups"][(0, 1)]
+        assert set(speedups) == {1, 4}
         assert speedups[1] == pytest.approx(1.0, rel=0.05)
         assert speedups[4] > 2.0
 

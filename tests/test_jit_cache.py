@@ -101,7 +101,7 @@ class TestHitMiss:
             engine, _plan(), ExecutionConfig.cpu_only(2, block_tuples=512))
         stage_gpu = _probe_stage(
             engine, _plan(), ExecutionConfig.gpu_only([0], block_tuples=512))
-        width = engine.executor._column_widths().get
+        width = engine.catalog.column_widths().get
         sig_cpu = stage_signature(stage_cpu, lambda c: width(c, 8))
         sig_gpu = stage_signature(stage_gpu, lambda c: width(c, 8))
         assert sig_cpu != sig_gpu
@@ -168,6 +168,45 @@ class TestEviction:
         assert r2.value("s") != r1.value("s")
 
 
+class TestOneCompilePath:
+    """``compile_plan`` is the two-phase protocol run back to back: the
+    same cache traffic and, warm, the same function objects."""
+
+    def test_compile_plan_equals_begin_then_finish(self):
+        tables = generate_ssb(scale_factor=0.002, seed=5)
+        one_shot, two_phase = (
+            Proteus(segment_rows=1024, cache_policy=CachePolicy(capacity=32))
+            for _ in range(2)
+        )
+        for engine in (one_shot, two_phase):
+            load_ssb(engine, tables=tables)
+        configs = [
+            ExecutionConfig.cpu_only(4, block_tuples=512),
+            ExecutionConfig.gpu_only([0, 1], block_tuples=512),
+            ExecutionConfig.hybrid(4, [0, 1], block_tuples=512),
+        ]
+        for config in configs:
+            for qid in SSB_QUERY_IDS:
+                plan = ssb_query(qid)
+                a = one_shot.executor.compile_plan(one_shot.placer.place(plan, config))
+                b = two_phase.executor.begin_compilation(
+                    two_phase.placer.place(plan, config)).finish()
+                assert len(a) == len(b) > 0
+                assert [p.source for p in a.values()] == [
+                    p.source for p in b.values()]
+        assert one_shot.pipeline_cache.snapshot() == two_phase.pipeline_cache.snapshot()
+        assert one_shot.pipeline_cache.stats.evictions > 0
+        # warm: both spellings hand back the resident objects
+        het = one_shot.placer.place(ssb_query("Q4.3"), configs[-1])
+        first = one_shot.executor.compile_plan(het)
+        compilation = one_shot.executor.begin_compilation(het)
+        assert compilation.fresh_count == 0
+        second = compilation.finish()
+        assert first.keys() == second.keys()
+        assert all(first[k] is second[k] for k in first)
+        assert all(first[k].fn is second[k].fn for k in first)
+
+
 class TestCachedOutputParity:
     def test_cached_fn_is_the_same_object_with_fresh_state(self):
         engine = _engine()
@@ -191,12 +230,14 @@ class TestCachedOutputParity:
         identical emitted output and identical accumulator effects."""
         engine = _engine()
         config = ExecutionConfig.cpu_only(1, block_tuples=512)
-        stage = _probe_stage(engine, _plan(), config)
-        widths = engine.executor._column_widths()
-        cached = PipelineCompiler(
-            widths=widths, cache=engine.pipeline_cache).compile_stage(stage)
-        fresh = PipelineCompiler(widths=widths).compile_stage(stage)
-        assert cached.source == fresh.source
+        het = engine.placer.place(_plan(), config)
+        stage = next(s for s in het.all_stages() if not s.is_source)
+        engine.executor.compile_plan(het)
+        hits = engine.pipeline_cache.stats.hits
+        cached = engine.executor.compile_plan(het)[stage.stage_id]
+        assert engine.pipeline_cache.stats.hits > hits
+        fresh = PipelineCompiler(engine.catalog.column_widths()).compile_stage(stage)
+        assert cached is not fresh and cached.source == fresh.source
         rng = np.random.default_rng(11)
         cols = {
             "a": rng.integers(0, 500, 512).astype(np.int64),

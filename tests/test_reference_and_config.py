@@ -16,7 +16,16 @@ from repro import (
 )
 from repro.algebra.expressions import col
 from repro.algebra.logical import OrderSpec, agg_count, agg_max, agg_min, agg_sum, scan
+from repro.algebra.placer import HeterogeneousPlacer
+from repro.core.mem_move import MemMove
+from repro.core.router import Router
+from repro.core.segmenter import Segmenter
+from repro.engine.executor import Executor
 from repro.engine.reference import ReferenceExecutor
+from repro.jit.cache import PipelineCache, SharedCacheDirectory
+from repro.jit.codegen import PipelineCompiler
+from repro.memory.managers import BlockManagerSet
+from repro.storage import Catalog
 from repro.storage import Column, DataType, Table
 
 
@@ -201,3 +210,36 @@ class TestConfigurationSurface:
             "backoff_seconds",
             "fallback_cpu_workers",
         ]
+
+    def test_data_plane_surface_only_grows_on_purpose(self):
+        """The same pin for the constructors below the scheduler (ISSUE 14
+        took six parameters out of them; the rule above puts one back)."""
+        assert {
+            cls.__name__: _parameters(cls)
+            for cls in (
+                PipelineCompiler, BlockManagerSet, Segmenter, MemMove, Executor,
+                Catalog, HeterogeneousPlacer, PipelineCache,
+                SharedCacheDirectory, Router,
+            )
+        } == {
+            "PipelineCompiler": ["widths"],
+            "BlockManagerSet": ["server"],
+            "Segmenter": ["catalog", "table", "columns", "block_tuples"],
+            "MemMove": [
+                "sim", "server", "blocks", "cost", "prefetch_depth",
+                "straggler", "dma_timeout",
+            ],
+            "Executor": [
+                "sim", "server", "catalog", "blocks", "cost", "pipeline_cache",
+            ],
+            "Catalog": ["server", "segment_rows"],
+            "HeterogeneousPlacer": ["server", "catalog", "optimize_join_order"],
+            "PipelineCache": ["capacity", "policy", "shared", "top_entries"],
+            "SharedCacheDirectory": ["capacity", "policy"],
+            "Router": [
+                "sim", "producer", "groups", "policy", "broadcast", "name",
+                "query_id",
+            ],
+        }
+        with pytest.raises(TypeError):
+            PipelineCompiler(widths={}, cache=None)

@@ -148,6 +148,30 @@ class TestCatalog:
         with pytest.raises(ValueError):
             catalog.register(self._table())
 
+    def test_column_names_are_global(self):
+        """Plans name columns unqualified, so a second owner of a name
+        would make a query's answer depend on registration order."""
+        catalog = self._catalog()
+        a = Table("a", [
+            Column.from_values("ak", DataType.INT32, [0, 1]),
+            Column.from_strings("name", ["p", "q"]),
+        ])
+        b = Table("b", [
+            Column.from_values("bk", DataType.INT32, np.arange(6)),
+            Column.from_strings("name", ["x", "y", "z", "x", "y", "z"]),
+        ])
+        catalog.register(b)
+        with pytest.raises(ValueError, match="'name'.*'a'.*'b'"):
+            catalog.register(a)
+        assert sorted(catalog.tables) == ["b"]  # the refused table left no trace
+        assert catalog.column("ak") is None and catalog.column_widths() == {
+            "bk": 4, "name": 4}
+        assert catalog.column("name") is b.column("name")
+        assert catalog.dictionary_of("name").values == ["x", "y", "z"]
+        assert catalog.is_string("name") and not catalog.is_string("bk")
+        assert catalog.dictionary_of("bk") is None
+        assert catalog.dictionary_of("ghost") is None
+
     def test_interleaved_placement_alternates_sockets(self):
         catalog = self._catalog(segment_rows=100)
         catalog.register(self._table(250))
