@@ -12,11 +12,11 @@ check time: an AST-based lint framework with
   id, registered by decorator;
 * :class:`~repro.analysis.findings.Finding` records
   ``(rule_id, path, line, message)``;
-* inline suppression via ``# repro: noqa[RPxxx]`` comments
-  (:mod:`repro.analysis.suppress`) and a committed baseline file
-  (:mod:`repro.analysis.baseline`) so the gate blocks from day one;
+* one way to accept a finding: an inline ``# repro: noqa[RPxxx]``
+  comment with its justification (:mod:`repro.analysis.suppress`) —
+  the gate is "0 findings after noqa";
 * a CLI — ``python -m repro.analysis [--format text|json]
-  [--baseline ...] [paths...]`` — wired as a blocking CI job.
+  [paths...]`` — wired as a blocking CI job.
 
 Rule catalog (see each checker module's docstring for the contract):
 
@@ -32,7 +32,6 @@ RP006  config hygiene: no shared mutable defaults
 ====== ==============================================================
 """
 
-from .baseline import Baseline, load_baseline, write_baseline
 from .cli import main
 from .findings import Finding, sort_findings
 from .registry import Checker, all_checkers, get_checker, register
@@ -40,15 +39,12 @@ from .runner import AnalysisResult, analyze_paths
 
 __all__ = [
     "AnalysisResult",
-    "Baseline",
     "Checker",
     "Finding",
     "all_checkers",
     "analyze_paths",
     "get_checker",
-    "load_baseline",
     "main",
     "register",
     "sort_findings",
-    "write_baseline",
 ]

@@ -1,7 +1,8 @@
 """Command line front-end: ``python -m repro.analysis``.
 
-Exit status is the gate contract: 0 when every finding is baselined or
-suppressed, 1 when fresh findings exist, 2 on usage/baseline errors.
+Exit status is the gate contract: 0 when no finding survives its
+``# repro: noqa[RPxxx]`` suppressions, 1 when findings exist, 2 on usage
+errors.
 """
 
 from __future__ import annotations
@@ -12,13 +13,6 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence, TextIO
 
-from .baseline import (
-    DEFAULT_BASELINE_NAME,
-    Baseline,
-    BaselineError,
-    load_baseline,
-    write_baseline,
-)
 from .registry import all_checkers
 from .runner import analyze_paths, find_project_root
 
@@ -52,25 +46,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="report format (default: text)",
     )
     parser.add_argument(
-        "--baseline",
-        type=Path,
-        default=None,
-        help=(
-            "baseline file of accepted findings (default: "
-            f"{DEFAULT_BASELINE_NAME} at the project root, when present)"
-        ),
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore any baseline file: report every finding as fresh",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="accept the current findings: rewrite the baseline and exit 0",
-    )
-    parser.add_argument(
         "--list-rules",
         action="store_true",
         help="print the rule catalog and exit",
@@ -102,51 +77,19 @@ def main(argv: Optional[Sequence[str]] = None, out: TextIO = sys.stdout) -> int:
         return 2
 
     result = analyze_paths(paths)
-    baseline_path = args.baseline or result.root / DEFAULT_BASELINE_NAME
-
-    if args.write_baseline:
-        previous = None
-        if baseline_path.exists():
-            try:
-                previous = load_baseline(baseline_path)
-            except BaselineError:
-                previous = None
-        count = write_baseline(baseline_path, result.findings, previous)
-        print(f"wrote {count} finding(s) to {baseline_path}", file=out)
-        return 0
-
-    baseline = Baseline()
-    if not args.no_baseline and baseline_path.exists():
-        try:
-            baseline = load_baseline(baseline_path)
-        except BaselineError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-    fresh, baselined = baseline.apply(result.findings)
-    stale = baseline.stale_entries(result.findings)
-
     if args.format == "json":
         payload = {
             "version": 1,
             "checked_files": result.checked_files,
-            "findings": [finding.as_dict() for finding in fresh],
-            "baselined": len(baselined),
-            "stale_baseline_entries": [
-                {"rule": rule, "path": path, "message": message}
-                for rule, path, message in stale
-            ],
+            "findings": [finding.as_dict() for finding in result.findings],
         }
         print(json.dumps(payload, indent=2), file=out)
     else:
-        for finding in fresh:
+        for finding in result.findings:
             print(finding.render_text(), file=out)
-        summary = (
-            f"{len(fresh)} finding(s) ({len(baselined)} baselined) "
-            f"across {result.checked_files} file(s)"
+        print(
+            f"{len(result.findings)} finding(s) across "
+            f"{result.checked_files} file(s)",
+            file=out,
         )
-        if stale:
-            summary += f"; {len(stale)} stale baseline entr(y/ies) to prune:"
-        print(summary, file=out)
-        for rule, path, message in stale:
-            print(f"  stale: {rule} {path}: {message}", file=out)
-    return 1 if fresh else 0
+    return 1 if result.findings else 0

@@ -1,8 +1,8 @@
 """Finding records for the engine invariant analyzer.
 
 A :class:`Finding` is one rule violation at one source location.  Paths
-are project-root-relative with POSIX separators so findings, baseline
-entries and CI logs compare equal across checkouts and platforms.
+are project-root-relative with POSIX separators so findings and CI logs
+compare equal across checkouts and platforms.
 """
 
 from __future__ import annotations
@@ -19,16 +19,6 @@ class Finding:
     path: str
     line: int
     message: str
-
-    @property
-    def key(self) -> tuple[str, str, str]:
-        """Line-insensitive identity used for baseline matching.
-
-        Line numbers drift with every unrelated edit above a finding;
-        keying the baseline on (rule, path, message) keeps entries
-        stable until the violating code itself changes.
-        """
-        return (self.rule_id, self.path, self.message)
 
     def render_text(self) -> str:
         return f"{self.path}:{self.line}: {self.rule_id} {self.message}"

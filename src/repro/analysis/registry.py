@@ -22,7 +22,7 @@ _RULE_ID_RE = re.compile(r"^RP\d{3}$")
 class Checker:
     """Base class for one invariant rule."""
 
-    #: ``RPxxx`` identifier used in findings, noqa markers and baselines
+    #: ``RPxxx`` identifier used in findings and noqa markers
     rule_id: str = ""
     #: one-line summary shown by ``--list-rules``
     title: str = ""

@@ -23,7 +23,7 @@ _SKIP_DIRS = frozenset(
 
 @dataclass
 class AnalysisResult:
-    """Everything one run produced, pre-baseline."""
+    """Everything one run produced."""
 
     root: Path
     findings: list[Finding] = field(default_factory=list)
@@ -90,9 +90,7 @@ def parse_module(path: Path, root: Path) -> tuple[Optional[ModuleContext], list]
 def analyze_paths(paths: Sequence[Path], root: Optional[Path] = None) -> AnalysisResult:
     """Run every registered checker over ``paths``.
 
-    Findings are noqa-filtered and sorted; baseline subtraction is the
-    caller's concern (the CLI), so library users always see the full
-    picture.
+    Findings are noqa-filtered and sorted.
     """
     paths = [Path(p) for p in paths]
     resolved_root = (root or find_project_root(paths)).resolve()

@@ -21,8 +21,8 @@ Three tiers build on each other:
   :class:`~repro.engine.scheduler.ResourceBudget` (cost-model-estimated
   DRAM/HBM/PCIe demand), interleaves admitted queries' phase networks on
   the shared simulator, and reports per-query latency plus aggregate
-  throughput in a :class:`~repro.engine.scheduler.BatchReport`.  Obtain
-  one via ``Proteus.serve()`` or construct it directly.
+  throughput in a :class:`~repro.engine.scheduler.BatchReport`.  Wrap an
+  existing engine with ``EngineServer(engine=...)``.
 
 Correctness for every tier is anchored by
 :class:`~repro.engine.reference.ReferenceExecutor`, the independent

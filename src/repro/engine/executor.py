@@ -811,21 +811,6 @@ class Executor:
                         out: RawExecution,
                         state_handles: list[tuple[MemoryManager, int]]) -> None:
         phase = run.phase
-        for proc in run.processes:
-            # The caller already waited on all_of(processes); these checks
-            # are a defensive net for direct/legacy invocations.
-            if not proc.triggered:
-                raise QueryError(
-                    f"phase {phase.name!r} deadlocked; process {proc.name} "
-                    f"never finished"
-                )
-            if not proc.ok:
-                raise proc.value if isinstance(proc.value, QueryError) else QueryError(
-                    f"process {proc.name} failed: {proc.value!r}",
-                    process=proc.name,
-                    phase=phase.name,
-                ) from proc.value
-
         self._account_hash_tables(run.created_tables, query_state, state_handles)
 
         # Gather per-instance partials and accounting.

@@ -268,13 +268,9 @@ class FallbackChain:
         return tuple(self._log)
 
     @property
-    def attempts_used(self) -> int:
-        """Hops opened so far (resolved plus in flight)."""
-        return len(self._log) + len(self._open)
-
-    @property
     def exhausted(self) -> bool:
-        return self.attempts_used >= self.max_attempts
+        """Have ``max_attempts`` hops been opened (resolved or in flight)?"""
+        return len(self._log) + len(self._open) >= self.max_attempts
 
     def begin_attempt(self, replica: str) -> int:
         """Open a hop against ``replica``; returns the hop handle."""

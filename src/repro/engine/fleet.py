@@ -48,10 +48,41 @@ instead.  After the window, the next probe runs the breaker's
 half-open trial and closes it: the recovery path is probe-driven, not
 time-healed.
 
+Like the server's session (see the tables in
+:mod:`~repro.engine.scheduler`), a fleet query and a failover hop each
+have one life cycle with **one** closing site:
+
+=================  ==========================  ==========================
+life cycle         opened by                   closed by (the only code)
+=================  ==========================  ==========================
+fleet query        ``submit`` (``pending``)    ``EngineFleet._finish`` ->
+                                               ``done`` | ``failed``
+failover hop       ``_launch`` (parked at a    ``EngineFleet._close_hop``
+(``_Hop``)         partition or submitted by   with a typed outcome
+                   ``_activate_entry``)
+=================  ==========================  ==========================
+
+``_finish`` sets the typed status, the error and its class, the finish
+time and feeds ``repro_fleet_queries_total`` once; it is reached from
+the query's coordinator and from :meth:`EngineFleet.run`'s audit of a
+coordinator that stalled.  ``_close_hop`` writes the hop's typed entry
+in the :class:`~repro.engine.failover.FallbackChain` log, gives back the
+backend's in-flight slot, tells its breaker (``ok`` is a success; only
+``server_lost`` / ``stall_timeout`` indict the server) and feeds the
+hedge win/loss counter; the dispatcher calls it for the winner, for each
+hedge loser (after cancelling it), for each failed session and for a
+dispatch the watchdog fails while it is still parked on a partition.
+
 The fleet keeps its own ``repro_fleet_*`` metric families (dispatches,
 failovers by outcome, hedge wins/losses, per-server breaker state,
-terminal query statuses, server losses) on a dedicated registry, pumped
-off the hot path like the per-server surface.
+terminal query statuses, server losses) on a dedicated registry.  Hot
+paths queue the family's bound feed on the fleet's
+:class:`~repro.engine.metrics.MetricsPump`
+(``self._pump.emit(self._m_failovers.inc, outcome=…)``), off the hot
+path like the per-server surface.  :attr:`FleetReport.events` is not a
+second log kept in step by hand: it is rebuilt at report time from the
+stall windows, the fired losses and every breaker's own
+:attr:`~repro.engine.failover.CircuitBreaker.transitions`.
 """
 
 from __future__ import annotations
@@ -87,7 +118,6 @@ from .scheduler import (
     AdmissionError,
     BatchReport,
     EngineServer,
-    QuerySession,
     SchedulerError,
     drive_window,
 )
@@ -179,9 +209,6 @@ class FleetServer:
     #: fleet dispatches ever routed here
     dispatches: int = 0
 
-    def stalled(self, now: float) -> bool:
-        return any(start <= now < end for start, end in self.stall_windows)
-
     def stall_end(self, now: float) -> Optional[float]:
         """End of the stall window covering ``now``, or None."""
         for start, end in self.stall_windows:
@@ -209,8 +236,6 @@ class FleetQuery:
     error_class: Optional[str] = None
     #: shard -> FallbackChain: the typed per-hop attempt log
     chains: dict[Any, FallbackChain] = field(default_factory=dict)
-    #: shard -> merged-from QueryResult (multi-shard queries only)
-    shard_results: dict[Any, QueryResult] = field(default_factory=dict)
     #: failed hops that were re-dispatched to another replica
     failovers: int = 0
     #: hedged dispatches whose second request won
@@ -235,6 +260,24 @@ class FleetQuery:
 
 
 @dataclass
+class _Hop:
+    """One dispatched (or partition-parked) hop of a shard query: what
+    :meth:`EngineFleet._launch` opens and ``_close_hop`` resolves."""
+
+    #: the :class:`~repro.engine.failover.FallbackChain` hop handle
+    hop: int
+    fs: FleetServer
+    #: ``"primary"`` or ``"hedge"``
+    kind: str
+    #: when the dispatch may reach the backend: now, or the end of the
+    #: partition window it is parked on
+    ready_at: float
+    #: the backend session (a ``_FailedEdge`` for an edge refusal);
+    #: None while the dispatch is parked at the fleet edge
+    session: Any = None
+
+
+@dataclass
 class FleetReport:
     """Aggregate outcome of one :meth:`EngineFleet.run` drive."""
 
@@ -252,7 +295,9 @@ class FleetReport:
     breaker_states: dict[str, str]
     #: backends that finished the drive dead
     lost_servers: list[str]
-    #: fleet-scope chaos/breaker event log, in simulated-time order
+    #: fleet-scope chaos log in simulated-time order: ``server_stall``
+    #: windows, ``server_loss`` es and every breaker flip
+    #: (``breaker_open`` / ``breaker_half_open`` / ``breaker_closed``)
     events: list[dict]
     #: repro_fleet_* metrics snapshot at end of drive
     metrics: dict = field(default_factory=dict)
@@ -366,13 +411,11 @@ class EngineFleet:
         self._reported: set[int] = set()
         self._armed = False
         self._probe_proc_handle: Optional[Any] = None
-        #: fleet-scope chaos/breaker events, in simulated-time order
-        self.events: list[dict] = []
-        self._fired_losses = 0
+        #: one ``server_loss`` event per fired ServerLossFault
+        self._losses: list[dict] = []
         self.metrics = MetricsRegistry()
         self._metric_families()
-        self._pump = MetricsPump(self.sim, self._fold_metric,
-                                 sample_gauges=self._sample_gauges)
+        self._pump = MetricsPump(self.sim, sample_gauges=self._sample_gauges)
         self._apply_stall_windows()
 
     @property
@@ -421,18 +464,6 @@ class EngineFleet:
             "(0=closed, 1=half-open, 2=open)",
             labels=("server",),
         )
-
-    def _fold_metric(self, kind: str, fields: dict) -> None:
-        if kind == "dispatch":
-            self._m_dispatches.inc(server=fields["server"])
-        elif kind == "failover":
-            self._m_failovers.inc(outcome=fields["outcome"])
-        elif kind == "hedge":
-            self._m_hedges.inc(result=fields["result"])
-        elif kind == "query":
-            self._m_queries.inc(status=fields["status"])
-        elif kind == "server_loss":
-            self._m_losses.inc()
 
     def _sample_gauges(self) -> None:
         for fs in self._servers:
@@ -512,14 +543,6 @@ class EngineFleet:
             fs = self.server(fault.server_id)
             window = (fault.at_seconds, fault.at_seconds + fault.duration_seconds)
             fs.stall_windows = (*fs.stall_windows, window)
-            self.events.append(
-                {
-                    "kind": "server_stall",
-                    "server": fs.name,
-                    "at": window[0],
-                    "until": window[1],
-                }
-            )
 
     def _arm(self) -> None:
         """Spawn the server-loss processes (idempotent, validated)."""
@@ -540,9 +563,8 @@ class EngineFleet:
         fs.alive = False
         # latch the breaker: a dead backend is never probed back in
         fs.breaker.force_open()
-        self._fired_losses += 1
-        self._pump.emit("server_loss")
-        self.events.append(
+        self._pump.emit(self._m_losses.inc)
+        self._losses.append(
             {"kind": "server_loss", "server": fs.name, "at": self.sim.now}
         )
         # every in-flight session dies with the server, typed; the
@@ -573,20 +595,10 @@ class EngineFleet:
     def _probe(self, fs: FleetServer) -> None:
         if not fs.alive:
             return  # latched open; nothing to learn from a dead backend
-        if fs.stalled(self.sim.now):
-            state_before = fs.breaker.state
+        if fs.stall_end(self.sim.now) is not None:
             fs.breaker.record_failure()
-            if state_before != "open" and fs.breaker.state == "open":
-                self.events.append(
-                    {"kind": "breaker_open", "server": fs.name, "at": self.sim.now}
-                )
         else:
-            state_before = fs.breaker.state
             fs.breaker.record_success()
-            if state_before != "closed" and fs.breaker.state == "closed":
-                self.events.append(
-                    {"kind": "breaker_closed", "server": fs.name, "at": self.sim.now}
-                )
 
     # -- routing -----------------------------------------------------------
 
@@ -677,14 +689,13 @@ class EngineFleet:
             self.sim.run()
         for query in self._queries:
             if query.status == "pending" and query.query_id in self._spawned:
-                query.status = "failed"
-                query.error = SchedulerError(
-                    f"fleet query {query.name} never reached a terminal "
-                    f"state: {'; '.join(problems) or 'coordinator stalled'}"
+                self._finish(
+                    query,
+                    SchedulerError(
+                        f"fleet query {query.name} never reached a terminal "
+                        f"state: {'; '.join(problems) or 'coordinator stalled'}"
+                    ),
                 )
-                query.error_class = "fatal"
-                query.finish_time = self.sim.now
-                self._pump.emit("query", status="failed")
         self._pump.drain()
         return self._report(reports)
 
@@ -708,20 +719,27 @@ class EngineFleet:
             ),
             None,
         )
-        if failure is not None:
-            query.status = "failed"
-            query.error = failure
+        if failure is None:
+            query.result = self._merge(query, shards, results)
+        self._finish(query, failure)
+
+    def _finish(
+        self, query: FleetQuery, error: Optional[BaseException] = None
+    ) -> None:
+        """Make a fleet query terminal — the only code that does: typed
+        status, finish time and the one ``repro_fleet_queries_total``
+        feed, whoever ends it (its coordinator, or :meth:`run`'s audit
+        of a coordinator that stalled)."""
+        query.status = "done" if error is None else "failed"
+        query.error = error
+        if error is not None:
             query.error_class = (
                 "fleet_exhausted"
-                if isinstance(failure, FleetExhaustedError)
-                else classify_failure(failure)[0]
+                if isinstance(error, FleetExhaustedError)
+                else classify_failure(error)[0]
             )
-        else:
-            query.shard_results = {shard: results[shard] for shard in shards}
-            query.result = self._merge(query, shards, results)
-            query.status = "done"
         query.finish_time = self.sim.now
-        self._pump.emit("query", status=query.status)
+        self._pump.emit(self._m_queries.inc, status=query.status)
 
     def _shard_proc(self, query: FleetQuery, shard: Optional[int], results: dict):
         """One shard's bounded failover loop.
@@ -768,27 +786,8 @@ class EngineFleet:
                 )
                 return
             query.failovers += 1
-            self._pump.emit("failover", outcome=outcome)
+            self._pump.emit(self._m_failovers.inc, outcome=outcome)
             tried.add(fs.index)
-
-    def _open_hop(self, chain: FallbackChain, fs: FleetServer) -> int:
-        fs.inflight += 1
-        fs.dispatches += 1
-        self._pump.emit("dispatch", server=fs.name)
-        return chain.begin_attempt(fs.name)
-
-    def _submit_to(
-        self, fs: FleetServer, query: FleetQuery, shard: Optional[int]
-    ) -> tuple[Optional[QuerySession], Optional[BaseException]]:
-        plan = query.plan if shard is None else self._scatter_plan(query.plan)
-        where = "" if shard is None else f"/s{shard}"
-        try:
-            session = fs.server.submit(
-                plan, query.config, name=f"{query.name}{where}@{fs.name}"
-            )
-        except AdmissionError as error:
-            return None, error
-        return session, None
 
     def _run_attempt(
         self,
@@ -817,103 +816,81 @@ class EngineFleet:
             if policy.hedge_delay_seconds is not None
             else None
         )
-        # entries: one dict per dispatched (or partition-parked) hop
-        entries: list[dict] = [self._launch(query, shard, chain, fs, "primary")]
+        hops = [self._launch(query, shard, chain, fs, "primary")]
         failures: list[tuple[str, Optional[BaseException]]] = []
         while True:
             # 1. reap finished sessions (winner first, then failures)
-            done = [
-                e for e in entries if e["session"] is not None and e["session"].finished
-            ]
-            winner = next((e for e in done if e["session"].status == "done"), None)
+            done = [h for h in hops if h.session is not None and h.session.finished]
+            winner = next((h for h in done if h.session.status == "done"), None)
             if winner is not None:
-                session = winner["session"]
-                chain.resolve(winner["hop"], "ok")
-                winner["fs"].breaker.record_success()
-                winner["fs"].inflight -= 1
-                if winner["kind"] == "hedge":
-                    query.hedge_wins += 1
-                    self._pump.emit("hedge", result="win")
-                for loser in entries:
+                self._close_hop(query, chain, winner, "ok")
+                for loser in hops:
                     if loser is winner:
                         continue
-                    if loser["session"] is not None and not loser["session"].finished:
+                    if loser.session is not None and not loser.session.finished:
                         # first response wins: cancelling runs the
                         # loser's driver finally, which conserves its
                         # budget and staging credits
-                        loser["fs"].server.cancel(
-                            loser["session"], "hedged: first response won"
+                        loser.fs.server.cancel(
+                            loser.session, "hedged: first response won"
                         )
-                    chain.resolve(loser["hop"], "hedge_loser")
-                    loser["fs"].inflight -= 1
-                    if loser["kind"] == "hedge":
-                        self._pump.emit("hedge", result="loss")
-                return "ok", session.result
-            for entry in done:
-                session = entry["session"]
+                    self._close_hop(query, chain, loser, "hedge_loser")
+                return "ok", winner.session.result
+            for hop in done:
+                session = hop.session
                 outcome = session.error_class or (
                     "shed" if session.status == "shed" else "fatal"
                 )
-                chain.resolve(entry["hop"], outcome)
-                entry["fs"].inflight -= 1
-                if outcome in _BREAKER_CLASSES:
-                    entry["fs"].breaker.record_failure()
-                if entry["kind"] == "hedge":
-                    self._pump.emit("hedge", result="loss")
+                self._close_hop(query, chain, hop, outcome)
                 failures.append((outcome, session.error))
-                entries.remove(entry)
-            if not entries:
+                hops.remove(hop)
+            if not hops:
                 # every dispatch of this hop failed; the primary's
                 # outcome steers the failover loop
                 return failures[0]
             now = self.sim.now
             # 2. watchdog: cancel whatever is still unresolved, typed
             if deadline is not None and now >= deadline - 1e-12:
-                for entry in entries:
+                for hop in hops:
                     cause = ServerStallTimeout(
-                        f"dispatch to {entry['fs'].name} unresolved after "
+                        f"dispatch to {hop.fs.name} unresolved after "
                         f"{policy.dispatch_timeout_seconds:g}s"
                     )
-                    if entry["session"] is not None:
-                        entry["fs"].server.cancel(entry["session"], cause)
+                    if hop.session is not None:
+                        hop.fs.server.cancel(hop.session, cause)
                     else:
                         # the dispatch is parked inside the partition:
                         # it never reached the backend, so there is
                         # nothing to cancel — fail the hop directly
-                        chain.resolve(entry["hop"], "stall_timeout")
-                        entry["fs"].inflight -= 1
-                        entry["fs"].breaker.record_failure()
-                        if entry["kind"] == "hedge":
-                            self._pump.emit("hedge", result="loss")
+                        self._close_hop(query, chain, hop, "stall_timeout")
                         failures.append(("stall_timeout", cause))
-                live = [e for e in entries if e["session"] is not None]
-                entries = live
+                hops = [h for h in hops if h.session is not None]
                 deadline = None
-                if not entries:
+                if not hops:
                     return failures[0]
                 # let the cancelled drivers unwind (their finally
                 # blocks run at the current instant) before reaping
-                yield self.sim.all_of([e["session"].done for e in entries])
+                yield self.sim.all_of([h.session.done for h in hops])
                 continue
             # 3. submit partition-parked dispatches whose window lifted
-            activated = False
-            for entry in entries:
-                if entry["session"] is None and now >= entry["ready_at"] - 1e-12:
-                    self._activate_entry(query, shard, entry)
-                    activated = True
-            if activated:
+            parked = [
+                h for h in hops if h.session is None and now >= h.ready_at - 1e-12
+            ]
+            for hop in parked:
+                self._activate_entry(query, shard, hop)
+            if parked:
                 continue  # reap immediately (the submit may have failed)
             # 4. hedge: one extra dispatch on the next replica
             if hedge_at is not None and now >= hedge_at - 1e-12:
                 hedge_at = None
-                exclude = tried | {e["fs"].index for e in entries}
+                exclude = tried | {h.fs.index for h in hops}
                 hfs = self._route(shard, exclude)
                 if hfs is not None and not chain.exhausted:
-                    entries.append(self._launch(query, shard, chain, hfs, "hedge"))
+                    hops.append(self._launch(query, shard, chain, hfs, "hedge"))
                     continue  # reap immediately (the hedge may be shed)
             # 5. park until the next signal
-            waits = [e["session"].done for e in entries if e["session"] is not None]
-            horizons = [e["ready_at"] for e in entries if e["session"] is None]
+            waits = [h.session.done for h in hops if h.session is not None]
+            horizons = [h.ready_at for h in hops if h.session is None]
             if deadline is not None:
                 horizons.append(deadline)
             if hedge_at is not None:
@@ -929,36 +906,58 @@ class EngineFleet:
         chain: FallbackChain,
         fs: FleetServer,
         kind: str,
-    ) -> dict:
+    ) -> _Hop:
         """Open a hop on ``fs`` and submit — or park on its partition."""
-        entry: dict = {
-            "hop": self._open_hop(chain, fs),
-            "fs": fs,
-            "session": None,
-            "kind": kind,
-            "ready_at": self.sim.now,
-        }
-        stall_end = fs.stall_end(self.sim.now)
-        if stall_end is not None:
+        fs.inflight += 1
+        fs.dispatches += 1
+        self._pump.emit(self._m_dispatches.inc, server=fs.name)
+        now = self.sim.now
+        stall_end = fs.stall_end(now)
+        hop = _Hop(
+            chain.begin_attempt(fs.name),
+            fs,
+            kind,
             # control-plane partition: the dispatch hangs at the fleet
             # edge until the window lifts (or the watchdog kills it)
-            entry["ready_at"] = stall_end
-            return entry
-        self._activate_entry(query, shard, entry)
-        return entry
+            ready_at=now if stall_end is None else stall_end,
+        )
+        if stall_end is None:
+            self._activate_entry(query, shard, hop)
+        return hop
 
     def _activate_entry(
-        self, query: FleetQuery, shard: Optional[int], entry: dict
+        self, query: FleetQuery, shard: Optional[int], hop: _Hop
     ) -> None:
         """Submit a hop's session.  An edge refusal (AdmissionError: the
         demand can never fit, identically on every replica) becomes an
         already-terminal stand-in session, so the reap loop resolves the
         hop through the one shared path."""
-        session, error = self._submit_to(entry["fs"], query, shard)
-        if session is None:
-            entry["session"] = _FailedEdge(classify_failure(error)[0], error)
-            return
-        entry["session"] = session
+        plan = query.plan if shard is None else self._scatter_plan(query.plan)
+        where = "" if shard is None else f"/s{shard}"
+        try:
+            hop.session = hop.fs.server.submit(
+                plan, query.config, name=f"{query.name}{where}@{hop.fs.name}"
+            )
+        except AdmissionError as error:
+            hop.session = _FailedEdge(classify_failure(error)[0], error)
+
+    def _close_hop(
+        self, query: FleetQuery, chain: FallbackChain, hop: _Hop, outcome: str
+    ) -> None:
+        """Resolve one hop — the only code that does: the typed entry in
+        the chain's attempt log, the backend's live-load count, its
+        breaker (``ok`` is a success; only outcomes that indict the
+        *server* are failures) and the hedge win/loss feed."""
+        chain.resolve(hop.hop, outcome)
+        hop.fs.inflight -= 1
+        if outcome == "ok":
+            hop.fs.breaker.record_success()
+        elif outcome in _BREAKER_CLASSES:
+            hop.fs.breaker.record_failure()
+        if hop.kind == "hedge":
+            won = outcome == "ok"
+            query.hedge_wins += won
+            self._pump.emit(self._m_hedges.inc, result="win" if won else "loss")
 
     # -- gather + merge ----------------------------------------------------
 
@@ -1018,12 +1017,31 @@ class EngineFleet:
             dispatches={fs.name: fs.dispatches for fs in self._servers},
             failovers_by_outcome=failovers,
             hedge_wins=sum(q.hedge_wins for q in finished),
-            server_losses=self._fired_losses,
+            server_losses=len(self._losses),
             breaker_states={fs.name: fs.breaker.state for fs in self._servers},
             lost_servers=[fs.name for fs in self._servers if not fs.alive],
-            events=list(self.events),
+            events=self._events(),
             metrics=self.metrics.snapshot(),
         )
+
+    def _events(self) -> list[dict]:
+        """The fleet-scope log, rebuilt from where each fact is kept:
+        the stall windows, the fired losses and every backend's
+        :attr:`~repro.engine.failover.CircuitBreaker.transitions` —
+        which timestamps *every* flip, whether a probe or a dispatch
+        outcome caused it — merged in simulated-time order."""
+        events = [
+            {"kind": "server_stall", "server": fs.name, "at": start, "until": end}
+            for fs in self._servers
+            for start, end in fs.stall_windows
+        ]
+        events += self._losses
+        events += [
+            {"kind": f"breaker_{state}", "server": fs.name, "at": at}
+            for fs in self._servers
+            for at, state in fs.breaker.transitions
+        ]
+        return sorted(events, key=lambda event: event["at"])
 
     def check_conservation(self) -> dict[str, dict[str, float]]:
         """Per-backend conservation audit (budgets, state, staging)."""

@@ -12,19 +12,21 @@ a debugger; this module gives the serving stack that surface:
   :class:`~repro.jit.cache.CacheStats`, the fault injector's fired-fault
   counts) into the family without double counting.
 * :class:`MetricsPump` — the off-hot-path sampler.  Hot paths never
-  touch the registry directly: they :meth:`~MetricsPump.emit` a raw
-  event (an O(1) queue append) and a dedicated DES process drains the
-  queue into the registry at ``sample_interval`` simulated seconds,
-  coalescing bursts and taking the periodic gauge samples (resource
-  utilization, budget in-use) while it is awake.  The pump parks on a
-  wakeup event when the queue is empty, so a drained simulator still
-  terminates — the same idle-parking contract the scheduler's admission
-  pump follows.  :meth:`MetricsPump.drain` is also called synchronously
-  at the end of every drive, so per-drive snapshots are complete and
+  touch the registry directly: they :meth:`~MetricsPump.emit` the
+  family's bound feed and its labels (``pump.emit(shed.inc, tenant=…,
+  reason=…)`` — an O(1) queue append) and a dedicated DES process calls
+  the queued feeds at ``sample_interval`` simulated seconds, coalescing
+  bursts and taking the periodic gauge samples (resource utilization,
+  budget in-use) while it is awake.  The pump parks on a wakeup event
+  when the queue is empty, so a drained simulator still terminates —
+  the same idle-parking contract the scheduler's admission pump
+  follows.  :meth:`MetricsPump.drain` is also called synchronously at
+  the end of every drive, so per-drive snapshots are complete and
   deterministic regardless of where the sampling windows fell.
 
-The scheduler owns the folding logic (which event kinds increment which
-families); this module knows only metrics, queues and exposition.
+There is one hop from a hot path to a metric family and no event
+vocabulary in between: the emitting site names the family and its
+labels, and this module knows only metrics, a queue and exposition.
 """
 
 from __future__ import annotations
@@ -106,7 +108,29 @@ class _MetricFamily:
         return lines
 
 
-class Counter(_MetricFamily):
+class _ScalarFamily(_MetricFamily):
+    """One float per label set: what a counter and a gauge both read
+    back and render."""
+
+    def value(self, **labels: object) -> float:
+        return self._children.get(_label_key(self, labels), 0.0)
+
+    def render(self) -> list[str]:
+        lines = self.header()
+        for key, value in self._sorted_children():
+            lines.append(
+                f"{self.name}{_render_labels(self.label_names, key)} {value:g}"
+            )
+        return lines
+
+    def snapshot_values(self) -> dict:
+        return {
+            _render_labels(self.label_names, key) or "": value
+            for key, value in self._sorted_children()
+        }
+
+
+class Counter(_ScalarFamily):
     """Monotonically increasing count (per label set)."""
 
     kind = "counter"
@@ -136,25 +160,8 @@ class Counter(_MetricFamily):
         super().__init__(name, help, label_names)
         self._synced: dict[tuple[str, ...], float] = {}
 
-    def value(self, **labels: object) -> float:
-        return self._children.get(_label_key(self, labels), 0.0)
 
-    def render(self) -> list[str]:
-        lines = self.header()
-        for key, value in self._sorted_children():
-            lines.append(
-                f"{self.name}{_render_labels(self.label_names, key)} {value:g}"
-            )
-        return lines
-
-    def snapshot_values(self) -> dict:
-        return {
-            _render_labels(self.label_names, key) or "": value
-            for key, value in self._sorted_children()
-        }
-
-
-class Gauge(_MetricFamily):
+class Gauge(_ScalarFamily):
     """A value that goes up and down (per label set)."""
 
     kind = "gauge"
@@ -162,23 +169,6 @@ class Gauge(_MetricFamily):
     def set(self, value: float, **labels: object) -> None:
         key, _ = self._child(labels, float)
         self._children[key] = float(value)
-
-    def value(self, **labels: object) -> float:
-        return self._children.get(_label_key(self, labels), 0.0)
-
-    def render(self) -> list[str]:
-        lines = self.header()
-        for key, value in self._sorted_children():
-            lines.append(
-                f"{self.name}{_render_labels(self.label_names, key)} {value:g}"
-            )
-        return lines
-
-    def snapshot_values(self) -> dict:
-        return {
-            _render_labels(self.label_names, key) or "": value
-            for key, value in self._sorted_children()
-        }
 
 
 class _HistogramChild:
@@ -219,10 +209,6 @@ class Histogram(_MetricFamily):
     def observe(self, value: float, **labels: object) -> None:
         _, child = self._child(labels, lambda: _HistogramChild(self.buckets))
         child.observe(float(value))
-
-    def child(self, **labels: object) -> _HistogramChild:
-        _, child = self._child(labels, lambda: _HistogramChild(self.buckets))
-        return child
 
     def render(self) -> list[str]:
         lines = self.header()
@@ -334,49 +320,51 @@ class MetricsPump:
     """Async queue-drain sampler between hot paths and the registry.
 
     ``emit`` is the only call a hot path makes: an append plus (at most)
-    one event trigger.  The drain side runs as a DES process owned by
-    whoever constructed the pump: it wakes when events arrive, sleeps
-    ``sample_interval`` simulated seconds to coalesce the burst, then
-    folds the queued events through ``fold`` and calls ``sample_gauges``
-    for the periodic point-in-time figures.  ``drain()`` runs the same
-    folding synchronously — the end-of-drive call that makes per-drive
-    snapshots complete.
+    one event trigger.  What it queues is the *feed itself* — a family's
+    bound ``inc`` / ``observe`` (or a method feeding several families)
+    with the labels it will be called with — so the labels are written,
+    and checked (RP005), at the emitting site and nothing translates an
+    event name into a family later.  The drain side runs as a DES
+    process owned by whoever constructed the pump: it wakes when feeds
+    arrive, sleeps ``sample_interval`` simulated seconds to coalesce the
+    burst, then calls each queued ``feed(**labels)`` in emit order and
+    ``sample_gauges`` for the periodic point-in-time figures.
+    ``drain()`` runs the same synchronously — the end-of-drive call that
+    makes per-drive snapshots complete.
     """
 
     def __init__(
         self,
         sim: Any,
-        fold: Callable[[str, dict], None],
         sample_gauges: Optional[Callable[[], None]] = None,
         sample_interval: float = 0.25,
     ) -> None:
         if sample_interval <= 0:
             raise ValueError("sample_interval must be positive")
         self.sim = sim
-        self.fold = fold
         self.sample_gauges = sample_gauges
         self.sample_interval = sample_interval
-        self._queue: list[tuple[str, dict]] = []
+        self._queue: list[tuple[Callable[..., None], dict[str, object]]] = []
         self._wakeup: Optional[Any] = None
         self._proc: Optional[Any] = None
-        #: drained-event count (tests assert the hot path stayed queued)
+        #: drained-feed count (tests assert the hot path stayed queued)
         self.drained = 0
 
-    def emit(self, kind: str, **fields: object) -> None:
-        """Queue one raw event; O(1) on the hot path."""
-        self._queue.append((kind, fields))
+    def emit(self, feed: Callable[..., None], **labels: object) -> None:
+        """Queue one ``feed(**labels)`` call; O(1) on the hot path."""
+        self._queue.append((feed, labels))
         if self._wakeup is not None and not self._wakeup.triggered:
             self._wakeup.trigger(None)
 
     def drain(self) -> int:
-        """Fold every queued event now; returns how many were folded."""
-        events, self._queue = self._queue, []
-        for kind, fields in events:
-            self.fold(kind, fields)
+        """Call every queued feed now; returns how many were called."""
+        queued, self._queue = self._queue, []
+        for feed, labels in queued:
+            feed(**labels)
         if self.sample_gauges is not None:
             self.sample_gauges()
-        self.drained += len(events)
-        return len(events)
+        self.drained += len(queued)
+        return len(queued)
 
     def ensure_running(self) -> None:
         """Start (or restart) the drain process on the simulator."""
@@ -389,7 +377,7 @@ class MetricsPump:
                 self._wakeup = self.sim.event(name="metrics:wakeup")
                 yield self._wakeup
                 self._wakeup = None
-            # coalesce the burst: fold once per sampling window, not
-            # once per event
+            # coalesce the burst: drain once per sampling window, not
+            # once per emit
             yield self.sim.timeout(self.sample_interval)
             self.drain()

@@ -130,17 +130,6 @@ class Proteus:
         raw = self.executor.execute(het, config)
         return self._collect(het.collect, raw)
 
-    def serve(self, **kwargs) -> "EngineServer":
-        """Wrap this engine in a multi-query :class:`EngineServer`.
-
-        The server shares this engine's simulator, catalog, block
-        managers and pipeline cache; see
-        :mod:`repro.engine.scheduler` for the serving semantics.
-        """
-        from .scheduler import EngineServer
-
-        return EngineServer(engine=self, **kwargs)
-
     # -- result shaping ("pipeline 2": the single-threaded collector) ---------------
 
     def _collect(self, spec: CollectSpec, raw: RawExecution) -> QueryResult:

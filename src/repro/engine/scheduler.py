@@ -667,6 +667,17 @@ def _percentile(ordered: Sequence[float], pct: float) -> float:
     return ordered[min(rank, len(ordered)) - 1]
 
 
+def _done_latency_tails(
+    sessions: Sequence[QuerySession], percentiles: Sequence[float] = (50, 95, 99)
+) -> Optional[dict[str, float]]:
+    """``{"p50": ..., "p95": ..., "p99": ...}`` over the *completed*
+    sessions' latencies, or None when none completed."""
+    latencies = sorted(s.latency for s in sessions if s.status == "done")
+    if not latencies:
+        return None
+    return {f"p{pct:g}": _percentile(latencies, pct) for pct in percentiles}
+
+
 def drive_window(items: Sequence, reported: set[int]) -> tuple[list, float]:
     """What one drive reports: the ``items`` (sessions, fleet queries)
     that finished and were not reported by an earlier drive — now marked
@@ -829,15 +840,11 @@ class BatchReport:
         nearest-rank percentiles (exact on the small, deterministic
         sample sizes a simulated batch produces).
         """
-        out: dict[str, dict[str, float]] = {}
-        for label, group in self.by_class().items():
-            latencies = sorted(s.latency for s in group if s.status == "done")
-            if not latencies:
-                continue
-            out[label] = {
-                f"p{pct:g}": _percentile(latencies, pct) for pct in percentiles
-            }
-        return out
+        tails = {
+            label: _done_latency_tails(group, percentiles)
+            for label, group in self.by_class().items()
+        }
+        return {label: tail for label, tail in tails.items() if tail is not None}
 
     def deadline_hit_rates(self) -> dict[str, float]:
         """Per-class fraction of deadline-carrying sessions that met
@@ -1013,9 +1020,10 @@ class EngineServer:
     Observability: the server attaches its metric families to the
     engine's :class:`~repro.engine.metrics.MetricsRegistry`
     (``engine.metrics``, so two servers over one engine share a
-    surface).  Hot paths only ``emit`` raw events; a
-    :class:`~repro.engine.metrics.MetricsPump` DES process drains them
-    into the registry off the hot path, and every drive ends with a
+    surface).  Hot paths only ``emit`` a family's bound feed and its
+    labels (``self._pump.emit(self._m_shed.inc, tenant=…, reason=…)``);
+    a :class:`~repro.engine.metrics.MetricsPump` DES process calls them
+    off the hot path, and every drive ends with a
     synchronous drain so :attr:`BatchReport.metrics` is complete and
     deterministic.  :meth:`metrics_text` renders the Prometheus text
     exposition.
@@ -1176,11 +1184,7 @@ class EngineServer:
         self._metrics_monitor = _UtilizationMonitor(
             self.sim, self.server, elastic_policy.window_seconds
         )
-        self._pump = MetricsPump(
-            self.sim,
-            self._fold_metric,
-            sample_gauges=self._sample_gauges,
-        )
+        self._pump = MetricsPump(self.sim, sample_gauges=self._sample_gauges)
         #: armed fault injector, or None when the drive is fault-free
         self.faults: Optional[FaultInjector] = (
             FaultInjector(self.sim, self.server, fault_plan)
@@ -1281,28 +1285,22 @@ class EngineServer:
             "repro_drives_total", "Completed EngineServer.run() drives"
         )
 
-    def _fold_metric(self, kind: str, fields: dict) -> None:
-        """Fold one queued raw event into the registry (pump drain side)."""
-        if kind == "session":
-            self._m_sessions.inc(
-                tenant=fields["tenant"],
-                qos_class=fields["qos_class"],
-                status=fields["status"],
-            )
-            if fields["status"] == "done" and fields["latency"] is not None:
-                self._m_latency.observe(fields["latency"], tenant=fields["tenant"])
-            if fields.get("queue_wait") is not None:
-                self._m_queue_wait.observe(
-                    fields["queue_wait"], tenant=fields["tenant"]
-                )
-        elif kind == "shed":
-            self._m_shed.inc(tenant=fields["tenant"], reason=fields["reason"])
-        elif kind == "preemption":
-            self._m_preemptions.inc()
-        elif kind == "resize":
-            self._m_resizes.inc()
-        elif kind == "retry":
-            self._m_retries.inc(failure_class=fields["failure_class"])
+    def _observe_session(
+        self,
+        tenant: str,
+        qos_class: str,
+        status: str,
+        latency: Optional[float],
+        queue_wait: Optional[float],
+    ) -> None:
+        """The one feed that touches three families: a terminal session
+        counts once and, when it has them, lands in the latency and
+        queue-wait histograms (pump drain side)."""
+        self._m_sessions.inc(tenant=tenant, qos_class=qos_class, status=status)
+        if status == "done" and latency is not None:
+            self._m_latency.observe(latency, tenant=tenant)
+        if queue_wait is not None:
+            self._m_queue_wait.observe(queue_wait, tenant=tenant)
 
     def _sample_gauges(self) -> None:
         """Point-in-time gauges + lifetime-counter syncs (pump drain side)."""
@@ -1449,7 +1447,7 @@ class EngineServer:
         session.shed_reason = reason
         session.retry_after = retry_after
         self._pump.emit(
-            "shed", tenant=self._tenant_label(session.tenant), reason=reason
+            self._m_shed.inc, tenant=self._tenant_label(session.tenant), reason=reason
         )
         self._finish(session, "shed")
         return session
@@ -1725,8 +1723,8 @@ class EngineServer:
         """Make a session terminal — the only code that does.
 
         Typed status, the pause tail, the refund of whatever is still
-        charged, the one ``session`` metric event (status already
-        terminal), the done event and the admission wake-up all happen
+        charged, the one ``_observe_session`` metric feed (status
+        already terminal), the done event and the admission wake-up all happen
         here, in this order, whoever ends the session: its driver,
         :meth:`cancel`, a shed at the edge, or stall cleanup.
         """
@@ -1740,7 +1738,7 @@ class EngineServer:
         self._drivers.pop(session.query_id, None)
         self._refund(session)
         self._pump.emit(
-            "session",
+            self._observe_session,
             tenant=self._tenant_label(session.tenant),
             qos_class=session.label,
             status=status,
@@ -1887,7 +1885,7 @@ class EngineServer:
             if not any(w.priority > session.priority for w in self._waiting()):
                 return None
             session.preemptions += 1
-            self._pump.emit("preemption")
+            self._pump.emit(self._m_preemptions.inc)
             # compute share back to the pool; memory stays charged for
             # the hash tables resident in the suspended generator
             self._budget_of(session).release(_compute_share(session.demand))
@@ -1986,7 +1984,7 @@ class EngineServer:
             budget.allocate(QueryDemand(cpu_cores=delta))
         else:
             budget.release(QueryDemand(cpu_cores=-delta))
-        self._pump.emit("resize")
+        self._pump.emit(self._m_resizes.inc)
         new_config = config.derive(cpu_workers=target)
         affinity = self.placer.cpu_affinity(new_config)
         session.current_config = new_config
@@ -2055,7 +2053,7 @@ class EngineServer:
                     failure = error
                     break
                 session.retried_classes.append(label)
-                self._pump.emit("retry", failure_class=label)
+                self._pump.emit(self._m_retries.inc, failure_class=label)
                 try:
                     yield from self._requeue_for_retry(session, retry)
                 except Interrupt as interrupt:
@@ -2243,7 +2241,7 @@ class EngineServer:
         completed = sum(1 for s in finished if s.status == "done")
         throughput = completed / makespan if makespan > 0 else 0.0
         cache = self.executor.pipeline_cache
-        # close the metrics surface for this drive: fold whatever is
+        # close the metrics surface for this drive: call whatever is
         # still queued and take a final gauge sample, so the snapshot in
         # the report is complete regardless of where the pump's sampling
         # windows fell
@@ -2304,12 +2302,9 @@ class EngineServer:
                 "preemptions": sum(s.preemptions for s in sessions),
                 "retries": sum(s.retries for s in sessions),
             }
-            latencies = sorted(s.latency for s in sessions if s.status == "done")
-            if latencies:
-                record["latency"] = {
-                    f"p{pct:g}": _percentile(latencies, pct)
-                    for pct in (50, 95, 99)
-                }
+            tails = _done_latency_tails(sessions)
+            if tails is not None:
+                record["latency"] = tails
             if state.budget is not self.budget:
                 capped = {
                     dim for dim in DIMENSIONS

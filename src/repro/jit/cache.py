@@ -399,10 +399,6 @@ class _EntryTable:
             for entry in sorted(self._entries.values(), key=self.policy.priority)
         ]
 
-    def entry(self, key: Hashable) -> Optional[_CacheEntry]:
-        """The resident entry's metadata (introspection; may be None)."""
-        return self._entries.get(key)
-
     def clear(self) -> None:
         self._entries.clear()
         self.stats.entry_hits.clear()
@@ -494,8 +490,6 @@ class PipelineCache(_EntryTable):
         super().__init__(capacity, policy)
         self.shared = shared
         self.top_entries = top_entries
-        if shared is not None:
-            shared.attach(self)
 
     def get(
         self, key: Hashable, tenant: Optional[str] = None
@@ -611,16 +605,6 @@ class SharedCacheDirectory(_EntryTable):
 
     def __init__(self, capacity: int = 512, policy="cost_aware"):
         super().__init__(capacity, policy)
-        self._attached: list[PipelineCache] = []
-
-    @property
-    def attached(self) -> tuple:
-        """The L1 caches currently attached (read-only view)."""
-        return tuple(self._attached)
-
-    def attach(self, cache: PipelineCache) -> None:
-        if cache not in self._attached:
-            self._attached.append(cache)
 
     def fetch(
         self, key: Hashable, requester: Optional[PipelineCache] = None

@@ -1,10 +1,9 @@
 """Engine invariant analyzer tests.
 
 Each checker gets fixture-tree positives *and* negatives (the compliant
-engine idioms must stay legal), plus suppression and baseline round
-trips, CLI exit-code contracts, and a self-scan asserting the repo's
-own ``src/`` + ``benchmarks/`` trees carry zero unbaselined findings —
-the same gate CI enforces.
+engine idioms must stay legal), plus noqa suppression, CLI exit-code
+contracts, and a self-scan asserting the repo's own ``src/`` +
+``benchmarks/`` trees carry zero findings — the same gate CI enforces.
 """
 
 import io
@@ -12,17 +11,7 @@ import json
 import textwrap
 from pathlib import Path
 
-import pytest
-
-from repro.analysis import (
-    Baseline,
-    all_checkers,
-    analyze_paths,
-    load_baseline,
-    main,
-    write_baseline,
-)
-from repro.analysis.baseline import DEFAULT_BASELINE_NAME, BaselineError
+from repro.analysis import all_checkers, analyze_paths, main
 from repro.analysis.runner import PARSE_RULE
 from repro.analysis.suppress import is_suppressed, noqa_lines
 
@@ -425,6 +414,33 @@ class TestRP005MetricsSchema:
         )
         assert by_rule(scan(root), "RP005") == []
 
+    def test_labels_are_checked_where_a_queued_feed_is_emitted(self, tmp_path):
+        root = project(
+            tmp_path,
+            {
+                "src/repro/engine/surface.py": """                class Surface:
+                    def __init__(self, registry, pump):
+                        self.pump = pump
+                        self.jobs = registry.counter(
+                            "repro_jobs_total", "jobs", labels=("tenant",)
+                        )
+
+                    def _observe_job(self, tenant, latency):
+                        self.jobs.inc(tenant=tenant)
+
+                    def queued(self, tenant):
+                        self.pump.emit(self.jobs.inc, tenant=tenant)
+                        self.pump.emit(self._observe_job, tenant=tenant, latency=1.0)
+
+                    def queued_bad(self):
+                        self.pump.emit(self.jobs.inc, shard="s0")
+                """,
+            },
+        )
+        found = by_rule(scan(root), "RP005")
+        assert [f.line for f in found] == [16]
+        assert "passes ('shard',)" in found[0].message
+
 
 class TestRP006ConfigHygiene:
     def test_mutable_defaults_flagged(self, tmp_path):
@@ -636,49 +652,6 @@ VIOLATION = {
 }
 
 
-class TestBaseline:
-    def test_round_trip(self, tmp_path):
-        root = project(tmp_path, dict(VIOLATION))
-        result = scan(root)
-        assert len(result.findings) == 1
-        path = root / DEFAULT_BASELINE_NAME
-        assert write_baseline(path, result.findings) == 1
-        fresh, baselined = load_baseline(path).apply(result.findings)
-        assert fresh == []
-        assert len(baselined) == 1
-
-    def test_reasons_survive_regeneration(self, tmp_path):
-        root = project(tmp_path, dict(VIOLATION))
-        result = scan(root)
-        path = root / DEFAULT_BASELINE_NAME
-        write_baseline(path, result.findings)
-        payload = json.loads(path.read_text())
-        payload["entries"][0]["reason"] = "intentional wall-clock probe"
-        path.write_text(json.dumps(payload))
-        previous = load_baseline(path)
-        write_baseline(path, result.findings, previous)
-        regenerated = load_baseline(path)
-        assert list(regenerated.reasons.values()) == [
-            "intentional wall-clock probe"
-        ]
-
-    def test_fixed_findings_become_stale_entries(self, tmp_path):
-        root = project(tmp_path, dict(VIOLATION))
-        result = scan(root)
-        path = root / DEFAULT_BASELINE_NAME
-        write_baseline(path, result.findings)
-        baseline = load_baseline(path)
-        stale = baseline.stale_entries([])
-        assert len(stale) == 1
-        assert stale[0][0] == "RP001"
-
-    def test_malformed_baseline_raises(self, tmp_path):
-        path = tmp_path / DEFAULT_BASELINE_NAME
-        path.write_text('{"entries": [{"rule": "RP001"}]}')
-        with pytest.raises(BaselineError):
-            load_baseline(path)
-
-
 class TestCli:
     def test_violation_exits_one_with_text_report(self, tmp_path):
         root = project(tmp_path, dict(VIOLATION))
@@ -695,20 +668,7 @@ class TestCli:
         payload = json.loads(out.getvalue())
         assert payload["version"] == 1
         assert payload["checked_files"] == 1
-        assert payload["baselined"] == 0
         assert [f["rule"] for f in payload["findings"]] == ["RP001"]
-
-    def test_write_baseline_then_gate_passes(self, tmp_path):
-        root = project(tmp_path, dict(VIOLATION))
-        out = io.StringIO()
-        assert main([str(root), "--write-baseline"], out=out) == 0
-        assert main([str(root)], out=out) == 0
-        assert main([str(root), "--no-baseline"], out=out) == 1
-
-    def test_broken_baseline_exits_two(self, tmp_path):
-        root = project(tmp_path, dict(VIOLATION))
-        (root / DEFAULT_BASELINE_NAME).write_text("not json")
-        assert main([str(root)], out=io.StringIO()) == 2
 
     def test_missing_path_exits_two(self, tmp_path):
         assert main([str(tmp_path / "nope")], out=io.StringIO()) == 2
@@ -725,16 +685,13 @@ class TestSelfScan:
     """The repo's own tree must pass its own gate (CI runs this too)."""
 
     def test_src_and_benchmarks_have_no_unbaselined_findings(self):
+        # the name predates ISSUE 16: with the baseline file gone, every
+        # finding is "unbaselined" and the gate is simply no findings
         result = analyze_paths(
             [REPO_ROOT / "src", REPO_ROOT / "benchmarks"], root=REPO_ROOT
         )
         assert result.checked_files > 50
-        baseline_path = REPO_ROOT / DEFAULT_BASELINE_NAME
-        baseline = Baseline()
-        if baseline_path.exists():
-            baseline = load_baseline(baseline_path)
-        fresh, _ = baseline.apply(result.findings)
-        assert [f.render_text() for f in fresh] == []
+        assert [f.render_text() for f in result.findings] == []
 
     def test_cli_gate_passes_on_repo(self):
         out = io.StringIO()

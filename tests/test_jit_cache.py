@@ -18,6 +18,7 @@ import pytest
 
 from repro import (
     CachePolicy,
+    EngineServer,
     ExecutionConfig,
     Proteus,
     SharedCacheDirectory,
@@ -587,6 +588,6 @@ class TestReviewRegressions:
         report must test identity, not truthiness, or an enabled cache
         with only-miss history disappears from the report."""
         engine = _engine()
-        report = engine.serve().run()  # no sessions, cache untouched
+        report = EngineServer(engine=engine).run()  # no sessions, cache untouched
         assert report.cache != {}
         assert report.cache["capacity"] == 128

@@ -6,8 +6,11 @@ format, registry idempotency).  The integration tests drive a real
 :class:`EngineServer` and assert the contracts an external scraper
 relies on: the snapshot's *exact* family set is stable across drives,
 every counter is monotone from one drive to the next, histogram bucket
-sums always equal their counts, and the hot path never folds events
-inline (the pump drains them).
+sums always equal their counts, and the hot path never feeds a family
+inline (the pump drains the queued feeds).  The fleet tier gets the same
+lifecycle invariant — every query terminal and counted once, every hop
+closed — on hedged, loss and stall + watchdog drives, plus the
+``FleetReport.events`` completeness and ordering contract.
 """
 
 import re
@@ -15,7 +18,14 @@ import re
 import pytest
 
 from repro import EngineServer, ExecutionConfig
-from repro.engine.faults import DeviceLossFault, FaultPlan
+from repro.engine.failover import BreakerPolicy, FailoverPolicy
+from repro.engine.faults import (
+    DeviceLossFault,
+    FaultPlan,
+    ServerLossFault,
+    ServerStallFault,
+)
+from repro.engine.fleet import EngineFleet
 from repro.engine.metrics import (
     Counter,
     DEFAULT_LATENCY_BUCKETS,
@@ -85,6 +95,28 @@ def assert_sessions_counted_once_and_terminal(report) -> None:
         status = re.search(r'status="([^"]*)"', labels).group(1)
         assert status in {"done", "failed", "shed"}, labels
     assert sum(values.values()) == len(report.sessions)
+
+
+def assert_fleet_queries_counted_once_and_terminal(fleet, report) -> None:
+    """The same invariant one tier up, for a fresh fleet's first drive:
+    every reported query is terminal and counted exactly once in
+    ``repro_fleet_queries_total``, every hedge win is counted once,
+    every failover hop was closed and no backend is left with a
+    dispatch in flight."""
+    for query in report.queries:
+        assert query.status in {"done", "failed"}, query.name
+        assert query.finish_time is not None, query.name
+        for chain in query.chains.values():
+            chain.assert_closed()
+    values = report.metrics["repro_fleet_queries_total"]["values"]
+    assert set(values) <= {'{status="done"}', '{status="failed"}'}
+    assert sum(values.values()) == len(report.queries)
+    hedges = report.metrics["repro_fleet_hedges_total"]["values"]
+    assert hedges.get('{result="win"}', 0.0) == sum(
+        q.hedge_wins for q in report.queries
+    )
+    for fs in fleet.servers:
+        assert fs.inflight == 0, fs.name
 
 
 class TestCounter:
@@ -183,39 +215,36 @@ class TestRegistry:
 
 class TestPump:
     def test_emit_queues_and_drain_folds(self):
-        folded = []
-        sim = Simulator()
-        pump = MetricsPump(sim, lambda kind, fields: folded.append((kind, fields)))
-        pump.emit("a", x=1)
-        pump.emit("b")
-        assert folded == []  # hot path never folds inline
+        counter = Counter("c_total", "", ("status",))
+        ticks = []
+        pump = MetricsPump(Simulator())
+        pump.emit(counter.inc, status="ok")
+        pump.emit(lambda: ticks.append("tick"))
+        # the hot path never feeds inline
+        assert counter.value(status="ok") == 0.0 and ticks == []
         assert pump.drain() == 2
-        assert folded == [("a", {"x": 1}), ("b", {})]
+        assert counter.value(status="ok") == 1.0 and ticks == ["tick"]
 
     def test_des_process_parks_idle_and_wakes_on_emit(self):
-        folded = []
+        fed = []
         sim = Simulator()
-        pump = MetricsPump(
-            sim,
-            lambda kind, fields: folded.append(kind),
-            sample_interval=0.25,
-        )
+        pump = MetricsPump(sim, sample_interval=0.25)
         pump.ensure_running()
 
         def producer():
             yield sim.timeout(1.0)
-            pump.emit("tick")
+            pump.emit(lambda: fed.append("tick"))
             yield sim.timeout(1.0)
-            pump.emit("tock")
+            pump.emit(lambda: fed.append("tock"))
 
         sim.process(producer(), name="producer")
         sim.run()  # terminates: the pump parks on an untriggered event
-        assert folded == ["tick", "tock"]
+        assert fed == ["tick", "tock"]
         assert pump.drained == 2
 
     def test_invalid_interval(self):
         with pytest.raises(ValueError, match="sample_interval"):
-            MetricsPump(Simulator(), lambda k, f: None, sample_interval=0.0)
+            MetricsPump(Simulator(), sample_interval=0.0)
 
 
 class TestServerMetricsSurface:
@@ -329,8 +358,6 @@ class TestServerMetricsSurface:
 
 class TestFleetMetricsSurface:
     def test_fleet_schema_is_exact_from_construction(self):
-        from repro.engine.fleet import EngineFleet
-
         fleet = EngineFleet(num_servers=2, replication=1)
         snapshot = fleet.metrics.snapshot()
         assert set(snapshot) == FLEET_FAMILIES
@@ -341,3 +368,87 @@ class TestFleetMetricsSurface:
     def test_fleet_and_server_schemas_partition_the_pin(self):
         assert FLEET_FAMILIES | SERVER_FAMILIES == EXPECTED_FAMILIES
         assert not FLEET_FAMILIES & SERVER_FAMILIES
+
+
+def _drive_fleet(tables, queries=("Q1.1", "Q2.1"), **kwargs):
+    fleet = EngineFleet(4, replication=2, segment_rows=2048, **kwargs)
+    fleet.load_tables(tables, fact="lineorder")
+    for qid in queries:
+        fleet.submit(ssb_query(qid), CPU4, name=qid)
+    return fleet, fleet.run()
+
+
+class TestFleetLifecycle:
+    """One terminal path (``EngineFleet._finish``) and one hop-close
+    (``_close_hop``): whatever ends a query or a hop, it is counted once."""
+
+    def test_hedged_drive(self, tables):
+        # srv0 is partitioned when the drive starts: its primary parks at
+        # the fleet edge, the hedge on the other replica answers first
+        fleet, report = _drive_fleet(
+            tables,
+            failover=FailoverPolicy(max_attempts=3, hedge_delay_seconds=1e-3),
+            fault_plan=FaultPlan(server_stalls=(ServerStallFault("srv0", 0.0, 0.05),)),
+        )
+        assert [q.status for q in report.queries] == ["done", "done"]
+        assert report.hedge_wins >= 1
+        hedges = report.metrics["repro_fleet_hedges_total"]["values"]
+        assert hedges['{result="loss"}'] >= 1.0
+        assert_fleet_queries_counted_once_and_terminal(fleet, report)
+        fleet.check_conservation()
+
+    def test_loss_mid_scatter_drive(self, tables):
+        fleet, report = _drive_fleet(
+            tables,
+            fault_plan=FaultPlan(server_losses=(ServerLossFault("srv1", 1e-3),)),
+        )
+        assert [q.status for q in report.queries] == ["done", "done"]
+        assert report.failovers_by_outcome == {"server_lost": 1}
+        assert_fleet_queries_counted_once_and_terminal(fleet, report)
+        fleet.check_conservation()
+
+    def test_stall_and_watchdog_drive(self, tables):
+        # the watchdog fails the dispatch parked on srv0's partition; the
+        # hop fails over to the other replica and the query completes
+        fleet, report = _drive_fleet(
+            tables,
+            failover=FailoverPolicy(max_attempts=3, dispatch_timeout_seconds=0.5),
+            fault_plan=FaultPlan(server_stalls=(ServerStallFault("srv0", 0.0, 2.0),)),
+        )
+        assert [q.status for q in report.queries] == ["done", "done"]
+        assert report.failovers_by_outcome == {"stall_timeout": 1}
+        assert_fleet_queries_counted_once_and_terminal(fleet, report)
+        fleet.check_conservation()
+
+
+class TestFleetEventLog:
+    """``FleetReport.events``: complete, and in simulated-time order."""
+
+    def test_breaker_tripped_by_a_dispatch_outcome_is_logged(self, tables):
+        # the watchdog (t = 0.001) trips srv0's breaker before the first
+        # health probe (t = 0.0025) ever runs
+        fleet, report = _drive_fleet(
+            tables,
+            queries=("Q1.1",),
+            failover=FailoverPolicy(max_attempts=4, dispatch_timeout_seconds=1e-3),
+            breaker=BreakerPolicy(failure_threshold=1, open_seconds=1.0),
+            fault_plan=FaultPlan(server_stalls=(ServerStallFault("srv0", 0.0, 0.02),)),
+        )
+        assert fleet.server("srv0").breaker.transitions == [(1e-3, "open")]
+        assert {"kind": "breaker_open", "server": "srv0", "at": 1e-3} in report.events
+        assert report.queries[0].error_class == "fleet_exhausted"
+        assert_fleet_queries_counted_once_and_terminal(fleet, report)
+
+    def test_events_are_in_simulated_time_order(self, tables):
+        _, report = _drive_fleet(
+            tables,
+            fault_plan=FaultPlan(
+                server_losses=(ServerLossFault("srv1", 1e-3),),
+                server_stalls=(ServerStallFault("srv0", 4e-3, 2e-3),),
+            ),
+        )
+        assert [(e["kind"], e["server"], e["at"]) for e in report.events] == [
+            ("server_loss", "srv1", 1e-3),
+            ("breaker_open", "srv1", 1e-3),
+            ("server_stall", "srv0", 4e-3),
+        ]

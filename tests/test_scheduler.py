@@ -253,14 +253,14 @@ class TestBudgetArithmetic:
         server.budget.assert_conserved()
 
     def test_engine_kwargs_rejected_with_existing_engine(self, tables):
-        """serve()/EngineServer must not silently drop engine options."""
+        """EngineServer must not silently drop engine options."""
         engine = Proteus(segment_rows=2048)
         with pytest.raises(ValueError, match="no effect"):
-            engine.serve(segment_rows=1024)
+            EngineServer(engine=engine, segment_rows=1024)
         with pytest.raises(ValueError, match="no effect"):
             EngineServer(engine=engine, cache_policy=None)
         # scheduler options still work with an existing engine
-        server = engine.serve(max_concurrent=2)
+        server = EngineServer(engine=engine, max_concurrent=2)
         assert server.max_concurrent == 2
 
     def test_latencies_keyed_uniquely_despite_duplicate_names(self, tables):
