@@ -1,4 +1,4 @@
-"""Ablation benches for the design choices DESIGN.md calls out.
+"""Ablation benches for three design choices of the engine.
 
 Not paper figures — these isolate the mechanisms behind them:
 
@@ -9,30 +9,24 @@ Not paper figures — these isolate the mechanisms behind them:
   pipelining (the paper's block-at-a-time argument, Section 3.2).
 """
 
-import pytest
-
 from repro.engine.config import ExecutionConfig
 from repro.engine.proteus import Proteus
-from repro.ssb import generate_ssb, load_ssb, ssb_query
+from repro.ssb import load_ssb, ssb_query
+from scenario import ssb_tables
 
 
-@pytest.fixture(scope="module")
-def tables():
-    return generate_ssb(0.01, 42)
-
-
-def _engine(tables, logical_sf=1000.0):
+def _engine(logical_sf=1000.0):
     engine = Proteus(segment_rows=2048)
-    load_ssb(engine, tables=tables, logical_sf=logical_sf)
+    load_ssb(engine, tables=ssb_tables(0.01, 42), logical_sf=logical_sf)
     return engine
 
 
-def test_ablation_join_order(benchmark, tables):
+def test_ablation_join_order(benchmark):
     """Q3.4 on CPUs with and without selectivity-aware probe ordering."""
 
     def run():
-        optimized = _engine(tables)
-        baseline = _engine(tables)
+        optimized = _engine()
+        baseline = _engine()
         baseline.placer.optimize_join_order = False
         config = ExecutionConfig.cpu_only(24, block_tuples=256)
         return (optimized.query(ssb_query("Q3.4"), config).seconds,
@@ -46,17 +40,17 @@ def test_ablation_join_order(benchmark, tables):
         "a >1.5x win on Q3.4")
 
 
-def test_ablation_dma_priority(benchmark, tables, monkeypatch):
+def test_ablation_dma_priority(benchmark, monkeypatch):
     """Hybrid Q2.1 with and without DMA arbitration priority."""
     from repro.core import mem_move as mem_move_module
 
     config = ExecutionConfig.hybrid(24, [0, 1], block_tuples=256)
 
     def run():
-        prioritised = _engine(tables).query(ssb_query("Q2.1"), config).seconds
+        prioritised = _engine().query(ssb_query("Q2.1"), config).seconds
         monkeypatch.setattr(mem_move_module, "DMA_WEIGHT", 1.0)
         try:
-            fair = _engine(tables).query(ssb_query("Q2.1"), config).seconds
+            fair = _engine().query(ssb_query("Q2.1"), config).seconds
         finally:
             monkeypatch.undo()
         return prioritised, fair
@@ -68,15 +62,15 @@ def test_ablation_dma_priority(benchmark, tables, monkeypatch):
         "removing DMA priority should not make the hybrid faster")
 
 
-def test_ablation_block_granularity(benchmark, tables):
+def test_ablation_block_granularity(benchmark):
     """Q1.1 on GPUs across block sizes: tiny blocks pay per-block
     overheads (launches, routing), huge blocks lose pipelining."""
 
     def run():
         out = {}
         for block_tuples in (32, 256, 2048):
-            engine = _engine(tables, logical_sf=100.0)
-            for name in tables:
+            engine = _engine(logical_sf=100.0)
+            for name in engine.catalog.tables:
                 engine.place_gpu_partitioned(name, seed=42)
             config = ExecutionConfig.gpu_only([0, 1],
                                               block_tuples=block_tuples)

@@ -26,86 +26,60 @@ from repro.engine.faults import (
     SpuriousAbortFault,
     StragglerFault,
 )
-from repro.engine.reference import ReferenceExecutor
-from repro.engine.scheduler import EngineServer
-from repro.ssb import generate_ssb, load_ssb, ssb_query
+from scenario import Arrival, OpenLoop, Scenario, Tables, run_scenario
 
 #: the mixed batch the device loss lands in: GPU-placed victims plus
 #: CPU-only bystanders that must ride through the loss untouched
 SMOKE_BATCH = ["Q1.1", "Q2.1", "Q3.1", "Q1.2"]
 
 CHAOS_BACKGROUND = ["Q1.1", "Q2.1", "Q3.1", "Q4.1", "Q1.2", "Q2.2"]
-CHAOS_OPEN_LOOP = ["Q1.1", "Q1.2", "Q1.3"]
+CHAOS_OPEN_LOOP = ("Q1.1", "Q1.2", "Q1.3")
 
-TERMINAL = ("done", "failed", "shed")
 TYPED_CLASSES = RETRYABLE_CLASSES + ("fatal",)
 
 
-@pytest.fixture(scope="module")
-def tables(settings):
-    return generate_ssb(scale_factor=settings.physical_sf, seed=42)
+def _chaos(settings, arrivals, **server) -> Scenario:
+    """The chaos acceptance contract is the runner's: every session
+    terminal and typed, every completed one byte-identical to the
+    fault-free reference (retried queries re-run CPU-only), no budget
+    or staging leak."""
+    return Scenario(
+        arrivals,
+        server={"max_concurrent": 4, **server},
+        tables=Tables(settings.physical_sf, settings.seed, None, settings.segment_rows),
+    )
 
 
-@pytest.fixture(scope="module")
-def reference(tables):
-    return ReferenceExecutor(tables)
-
-
-def _session_query_id(session):
-    qid = session.name.split("#")[0].split("-")[0]
-    if qid == "chaos":
-        index = int(session.name.split("-")[1])
-        qid = CHAOS_OPEN_LOOP[index % len(CHAOS_OPEN_LOOP)]
-    return qid
-
-
-def _assert_graceful(report, reference, server):
-    """The chaos acceptance contract, shared by both tiers."""
+def _assert_typed(report):
     assert report.sessions, "the drive produced no sessions at all"
-    for session in report.sessions:
-        assert session.status in TERMINAL, session.name
-        if session.status == "failed":
-            assert session.error_class in TYPED_CLASSES, session.name
-            assert session.error is not None, session.name
-    for session in report.completed:
-        expected = reference.execute(ssb_query(_session_query_id(session)))
-        assert sorted(session.result.rows) == sorted(expected), (
-            f"{session.name} diverged after "
-            f"{session.retries} retry/retries"
-        )
-    # no budget or staging leak, faults or not
-    server.check_conservation()
+    for session in report.failed:
+        assert session.error_class in TYPED_CLASSES, session.name
 
 
 class TestChaosSmoke:
     """Fast single-fault smoke: runs in the default (tier-1) suite."""
 
-    def test_device_loss_mid_batch_degrades_gracefully(
-        self, tables, reference, settings
-    ):
+    def test_device_loss_mid_batch_degrades_gracefully(self, settings):
+        gpu_cfg = ExecutionConfig.gpu_only([0, 1], block_tuples=settings.block_tuples)
+        cpu_cfg = ExecutionConfig.cpu_only(4, block_tuples=settings.block_tuples)
+        arrivals = tuple(
+            Arrival(qid, cpu_cfg if index % 2 else gpu_cfg, name=f"{qid}#{index}")
+            for index, qid in enumerate(SMOKE_BATCH)
+        )
         plan = FaultPlan(
             seed=7,
             device_losses=(DeviceLossFault(gpu_id=0, at_seconds=1e-3),),
         )
-        server = EngineServer(
-            segment_rows=settings.segment_rows,
-            max_concurrent=4,
-            fault_plan=plan,
-            retry_policy=RetryPolicy(max_attempts=3),
-        )
-        load_ssb(server.engine, tables=tables)
-        gpu_cfg = ExecutionConfig.gpu_only(
-            [0, 1], block_tuples=settings.block_tuples
-        )
-        cpu_cfg = ExecutionConfig.cpu_only(
-            4, block_tuples=settings.block_tuples
-        )
-        for index, qid in enumerate(SMOKE_BATCH):
-            config = gpu_cfg if index % 2 == 0 else cpu_cfg
-            server.submit(ssb_query(qid), config, name=f"{qid}#{index}")
-        report = server.run()
+        report = run_scenario(
+            _chaos(
+                settings,
+                arrivals,
+                fault_plan=plan,
+                retry_policy=RetryPolicy(max_attempts=3),
+            )
+        ).report
         print("\n" + report.summary())
-        _assert_graceful(report, reference, server)
+        _assert_typed(report)
         # the fault actually fired and at least one GPU query retried
         # onto a device-reduced placement with byte-identical rows
         assert report.faults["device_losses"] == 1
@@ -118,7 +92,8 @@ class TestChaosSmoke:
 class TestChaosUnderLoad:
     """The full chaos tier: Poisson arrivals into the full fault mix."""
 
-    def _drive(self, tables, settings):
+    @staticmethod
+    def _scenario(settings) -> Scenario:
         plan = FaultPlan(
             seed=23,
             device_losses=(DeviceLossFault(gpu_id=0, at_seconds=5e-3),),
@@ -128,39 +103,37 @@ class TestChaosUnderLoad:
                 SpuriousAbortFault(at_seconds=8e-3),
             ),
         )
-        server = EngineServer(
-            segment_rows=settings.segment_rows,
-            max_concurrent=4,
+        gpu_cfg = ExecutionConfig.gpu_only([0, 1], block_tuples=settings.block_tuples)
+        hybrid_cfg = ExecutionConfig.hybrid(
+            4, [0, 1], block_tuples=settings.block_tuples
+        )
+        arrivals = (
+            *(
+                Arrival(
+                    qid,
+                    hybrid_cfg if index % 2 else gpu_cfg,
+                    name=f"{qid}#bg{index}",
+                    qos=QoS.batch(),
+                )
+                for index, qid in enumerate(CHAOS_BACKGROUND)
+            ),
+            OpenLoop(
+                CHAOS_OPEN_LOOP, gpu_cfg, rate_qps=100.0, arrivals=8, seed=5,
+                name="chaos",
+            ),
+        )
+        return _chaos(
+            settings,
+            arrivals,
             max_queue_depth=8,
             fault_plan=plan,
             retry_policy=RetryPolicy(max_attempts=4),
         )
-        load_ssb(server.engine, tables=tables)
-        gpu_cfg = ExecutionConfig.gpu_only(
-            [0, 1], block_tuples=settings.block_tuples
-        )
-        hybrid_cfg = ExecutionConfig.hybrid(
-            4, [0, 1], block_tuples=settings.block_tuples
-        )
-        for index, qid in enumerate(CHAOS_BACKGROUND):
-            config = gpu_cfg if index % 2 == 0 else hybrid_cfg
-            server.submit(
-                ssb_query(qid), config, name=f"{qid}#bg{index}",
-                qos=QoS.batch(),
-            )
-        server.spawn_open_loop(
-            [ssb_query(qid) for qid in CHAOS_OPEN_LOOP], gpu_cfg,
-            rate_qps=100.0, arrivals=8, seed=5, name="chaos",
-        )
-        report = server.run()
-        return server, report
 
-    def test_poisson_load_survives_full_fault_mix(
-        self, tables, reference, settings
-    ):
-        server, report = self._drive(tables, settings)
+    def test_poisson_load_survives_full_fault_mix(self, settings):
+        report = run_scenario(self._scenario(settings)).report
         print("\n" + report.summary())
-        _assert_graceful(report, reference, server)
+        _assert_typed(report)
         # the chaos actually happened: the GPU died, DMAs straggled, and
         # retries moved real queries onto device-reduced placements
         assert report.faults["device_losses"] == 1
@@ -172,14 +145,6 @@ class TestChaosUnderLoad:
         assert len(report.completed) >= len(CHAOS_BACKGROUND)
         assert not report.failures_by_class().get("fatal")
 
-    def test_chaos_is_deterministic_per_seed(self, tables, settings):
-        _, first = self._drive(tables, settings)
-        _, second = self._drive(tables, settings)
-        assert first.faults == second.faults
-        assert first.makespan == second.makespan
-        assert len(first.sessions) == len(second.sessions)
-        for a, b in zip(first.sessions, second.sessions):
-            assert a.name == b.name
-            assert a.status == b.status
-            assert a.latency == b.latency
-            assert a.retried_classes == b.retried_classes
+    def test_chaos_is_deterministic_per_seed(self, settings):
+        scenario = self._scenario(settings)
+        assert run_scenario(scenario).signature() == run_scenario(scenario).signature()

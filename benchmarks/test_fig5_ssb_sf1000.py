@@ -116,10 +116,11 @@ class TestTransferOverlap:
     @pytest.fixture(scope="class")
     def sweep(self, settings):
         from repro.engine.config import ExecutionConfig
-        from repro.ssb import generate_ssb, load_ssb, ssb_query
+        from repro.ssb import load_ssb, ssb_query
         from repro.engine.proteus import Proteus
+        from scenario import ssb_tables
 
-        tables = generate_ssb(settings.physical_sf, settings.seed)
+        tables = ssb_tables(settings.physical_sf, settings.seed)
         out = {}
         for depth in (1, 2):
             engine = Proteus(segment_rows=settings.segment_rows)

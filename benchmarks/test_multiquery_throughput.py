@@ -15,10 +15,8 @@ scenario at a larger scale.
 import pytest
 
 from repro.engine.config import CachePolicy, ExecutionConfig, QoS
-from repro.engine.reference import ReferenceExecutor
-from repro.engine.scheduler import EngineServer, ResourceBudget, Tenant
-from repro.jit.cache import SharedCacheDirectory
-from repro.ssb import generate_ssb, load_ssb, ssb_query
+from repro.engine.scheduler import Tenant
+from scenario import Arrival, ClosedLoop, OpenLoop, Scenario, Tables, run_scenario
 
 #: logical scale factor for the elastic-dop scenario: big enough that
 #: execution (not router init) dominates, so worker counts matter
@@ -31,27 +29,11 @@ MIXED_BATCH = ["Q1.1", "Q2.1", "Q3.1", "Q4.1", "Q1.2", "Q2.2", "Q3.2", "Q4.2"]
 #: queries that monopolise a FIFO server...
 SLA_BACKGROUND = ["Q4.1", "Q4.2", "Q4.3", "Q3.1", "Q4.1", "Q3.2", "Q4.2", "Q3.3"]
 #: ...while short flight-1 queries arrive open-loop with a latency SLO
-SLA_INTERACTIVE = ["Q1.1", "Q1.2", "Q1.3"]
+SLA_INTERACTIVE = ("Q1.1", "Q1.2", "Q1.3")
 
 
-def _session_query_id(session):
-    """Recover the SSB query id from a saturation-mix session name.
-
-    Background sessions are named ``<qid>#bg<i>``; open-loop interactive
-    sessions ``inter-<i>`` cycling through SLA_INTERACTIVE.  Both the
-    SLA and the elastic scenario verify against the reference through
-    this one convention.
-    """
-    qid = session.name.split("#")[0].split("-")[0]
-    if qid == "inter":
-        index = int(session.name.split("-")[1])
-        qid = SLA_INTERACTIVE[index % len(SLA_INTERACTIVE)]
-    return qid
-
-
-@pytest.fixture(scope="module")
-def tables():
-    return generate_ssb(scale_factor=0.01, seed=42)
+def _tables(settings, logical_sf=None) -> Tables:
+    return Tables(0.01, 42, logical_sf, settings.segment_rows)
 
 
 def _configs(settings):
@@ -63,36 +45,33 @@ def _configs(settings):
     ]
 
 
-def _serve_batch(tables, settings, queries, max_concurrent):
-    server = EngineServer(
-        segment_rows=settings.segment_rows, max_concurrent=max_concurrent
-    )
-    load_ssb(server.engine, tables=tables)
+def _mixed(settings, queries, round_tag="") -> tuple[Arrival, ...]:
+    """Each query under the next of the three device configurations."""
     configs = _configs(settings)
-    for index, qid in enumerate(queries):
-        server.submit(
-            ssb_query(qid), configs[index % len(configs)], name=f"{qid}#{index}"
-        )
-    report = server.run()
-    server.check_conservation()
-    return server, report
+    return tuple(
+        Arrival(qid, configs[index % 3], name=f"{qid}{round_tag or f'#{index}'}")
+        for index, qid in enumerate(queries)
+    )
+
+
+def _batch(settings, queries, max_concurrent) -> Scenario:
+    return Scenario(
+        _mixed(settings, queries),
+        server={"max_concurrent": max_concurrent},
+        tables=_tables(settings),
+    )
 
 
 class TestMixedBatchConcurrency:
     """The acceptance scenario: 8 mixed SSB queries, one shared server."""
 
-    def test_concurrent_results_match_solo_reference(self, tables, settings):
-        _, report = _serve_batch(tables, settings, MIXED_BATCH, max_concurrent=8)
+    def test_concurrent_results_match_solo_reference(self, settings):
+        report = run_scenario(_batch(settings, MIXED_BATCH, 8)).report
         assert len(report.completed) == len(MIXED_BATCH)
-        reference = ReferenceExecutor(tables)
-        for session in report.sessions:
-            qid = session.name.split("#")[0]
-            expected = reference.execute(ssb_query(qid))
-            assert sorted(session.result.rows) == sorted(expected), session.name
 
-    def test_concurrent_throughput_strictly_beats_serial(self, tables, settings):
-        _, concurrent = _serve_batch(tables, settings, MIXED_BATCH, max_concurrent=8)
-        _, serial = _serve_batch(tables, settings, MIXED_BATCH, max_concurrent=1)
+    def test_concurrent_throughput_strictly_beats_serial(self, settings):
+        concurrent = run_scenario(_batch(settings, MIXED_BATCH, 8)).report
+        serial = run_scenario(_batch(settings, MIXED_BATCH, 1)).report
         print(
             f"\nconcurrent: {concurrent.makespan:.4f}s "
             f"({concurrent.throughput_qps:.2f} q/s)  |  "
@@ -102,21 +81,14 @@ class TestMixedBatchConcurrency:
         assert concurrent.makespan < serial.makespan
         assert concurrent.throughput_qps > serial.throughput_qps
 
-    def test_repeated_workload_hits_pipeline_cache(self, tables, settings):
+    def test_repeated_workload_hits_pipeline_cache(self, settings):
         """Serve the batch, then serve it twice more on the warm server:
         the repeated rounds must run >= 90 % out of the pipeline cache."""
-        server, _ = _serve_batch(tables, settings, MIXED_BATCH, max_concurrent=8)
-        stats = server.executor.pipeline_cache.stats
+        out = run_scenario(_batch(settings, MIXED_BATCH, 8))
+        stats = out.system.executor.pipeline_cache.stats
         hits_before, misses_before = stats.hits, stats.misses
-        configs = _configs(settings)
         for round_index in range(2):
-            for index, qid in enumerate(MIXED_BATCH):
-                server.submit(
-                    ssb_query(qid),
-                    configs[index % len(configs)],
-                    name=f"{qid}@r{round_index}",
-                )
-            server.run()
+            out = out.then(*_mixed(settings, MIXED_BATCH, f"@r{round_index}"))
         repeated_hits = stats.hits - hits_before
         repeated_misses = stats.misses - misses_before
         hit_rate = repeated_hits / max(1, repeated_hits + repeated_misses)
@@ -125,7 +97,27 @@ class TestMixedBatchConcurrency:
             f"{repeated_misses} misses (hit rate {hit_rate:.1%})"
         )
         assert hit_rate >= 0.90
-        server.check_conservation()
+
+
+def _saturated(background, interactive, slo, rate_qps, qos, **scenario) -> Scenario:
+    """Eight join-heavy background queries up front plus six short
+    interactive ones arriving open-loop (Poisson, seeded) with an SLO."""
+    arrivals = (
+        *(
+            Arrival(qid, background, name=f"{qid}#bg{index}", qos=qos)
+            for index, qid in enumerate(SLA_BACKGROUND)
+        ),
+        OpenLoop(
+            SLA_INTERACTIVE,
+            interactive,
+            rate_qps=rate_qps,
+            arrivals=6,
+            seed=5,
+            qos=QoS.interactive(deadline_seconds=slo),
+            name="inter",
+        ),
+    )
+    return Scenario(arrivals, **scenario)
 
 
 class TestSlaTailLatency:
@@ -137,38 +129,27 @@ class TestSlaTailLatency:
     under the original FIFO admission, once under the SLA scheduler
     (priority + earliest-deadline ordering, backfill, phase-boundary
     preemption).  The SLA run must cut the interactive p99 while every
-    completed query still matches the reference executor exactly.
+    completed query still matches the reference executor exactly (the
+    runner's check, on both drives).
     """
 
-    def _drive(self, tables, settings, admission):
-        server = EngineServer(
-            segment_rows=settings.segment_rows,
-            max_concurrent=2,
-            admission=admission,
-            budget=ResourceBudget(cpu_cores=12),
-        )
-        load_ssb(server.engine, tables=tables)
+    def test_high_priority_p99_beats_fifo_at_saturation(self, settings):
         config = ExecutionConfig.cpu_only(6, block_tuples=settings.block_tuples)
-        for index, qid in enumerate(SLA_BACKGROUND):
-            server.submit(
-                ssb_query(qid), config, name=f"{qid}#bg{index}", qos=QoS.background()
-            )
-        server.spawn_open_loop(
-            [ssb_query(qid) for qid in SLA_INTERACTIVE],
-            config,
-            rate_qps=50.0,
-            arrivals=6,
-            seed=5,
-            qos=QoS.interactive(deadline_seconds=0.2),
-            name="inter",
+        fifo, sla = (
+            run_scenario(
+                _saturated(
+                    config,
+                    config,
+                    slo=0.2,
+                    rate_qps=50.0,
+                    qos=QoS.background(),
+                    server={"max_concurrent": 2, "admission": admission},
+                    budget={"cpu_cores": 12},
+                    tables=_tables(settings),
+                )
+            ).report
+            for admission in ("fifo", "sla")
         )
-        report = server.run()
-        server.check_conservation()
-        return report
-
-    def test_high_priority_p99_beats_fifo_at_saturation(self, tables, settings):
-        fifo = self._drive(tables, settings, admission="fifo")
-        sla = self._drive(tables, settings, admission="sla")
         fifo_tail = fifo.latency_percentiles()["interactive"]
         sla_tail = sla.latency_percentiles()["interactive"]
         print(
@@ -190,14 +171,9 @@ class TestSlaTailLatency:
             sla.deadline_hit_rates()["interactive"]
             > fifo.deadline_hit_rates()["interactive"]
         )
-        # scheduling never trades correctness: every completed query in
-        # BOTH runs matches the reference executor exactly
-        reference = ReferenceExecutor(tables)
+        # scheduling never trades correctness for latency
         for report in (fifo, sla):
             assert len(report.completed) == len(SLA_BACKGROUND) + 6
-            for session in report.completed:
-                expected = reference.execute(ssb_query(_session_query_id(session)))
-                assert sorted(session.result.rows) == sorted(expected), session.name
 
 
 class TestElasticThroughput:
@@ -213,38 +189,8 @@ class TestElasticThroughput:
     the budget) and shrinks contended ones.  Elastic mode must deliver
     strictly higher *batch* throughput while the interactive p99 does
     not regress, and every completed query must still match the
-    reference executor exactly.
+    reference executor exactly (the runner's check, on both drives).
     """
-
-    def _drive(self, tables, settings, elastic):
-        kwargs = dict(
-            segment_rows=settings.segment_rows,
-            max_concurrent=3,
-            admission="sla",
-            compile_seconds=0.0,
-        )
-        if elastic:
-            kwargs.update(elastic=True, max_dop=8)
-        server = EngineServer(**kwargs)
-        load_ssb(server.engine, tables=tables, logical_sf=ELASTIC_LOGICAL_SF)
-        background = ExecutionConfig.cpu_only(3, block_tuples=settings.block_tuples)
-        interactive = ExecutionConfig.cpu_only(4, block_tuples=settings.block_tuples)
-        for index, qid in enumerate(SLA_BACKGROUND):
-            server.submit(
-                ssb_query(qid), background, name=f"{qid}#bg{index}", qos=QoS.batch()
-            )
-        server.spawn_open_loop(
-            [ssb_query(qid) for qid in SLA_INTERACTIVE],
-            interactive,
-            rate_qps=2.0,
-            arrivals=6,
-            seed=5,
-            qos=QoS.interactive(deadline_seconds=2.0),
-            name="inter",
-        )
-        report = server.run()
-        server.check_conservation()
-        return report
 
     @staticmethod
     def _batch_throughput(report):
@@ -252,9 +198,22 @@ class TestElasticThroughput:
         span = max(s.finish_time for s in batch) - min(s.submit_time for s in batch)
         return len(batch) / span
 
-    def test_elastic_beats_fixed_dop_at_saturation(self, tables, settings):
-        fixed = self._drive(tables, settings, elastic=False)
-        elastic = self._drive(tables, settings, elastic=True)
+    def test_elastic_beats_fixed_dop_at_saturation(self, settings):
+        server = {"max_concurrent": 3, "admission": "sla", "compile_seconds": 0.0}
+        fixed, elastic = (
+            run_scenario(
+                _saturated(
+                    ExecutionConfig.cpu_only(3, block_tuples=settings.block_tuples),
+                    ExecutionConfig.cpu_only(4, block_tuples=settings.block_tuples),
+                    slo=2.0,
+                    rate_qps=2.0,
+                    qos=QoS.batch(),
+                    server={**server, **knobs},
+                    tables=_tables(settings, ELASTIC_LOGICAL_SF),
+                )
+            ).report
+            for knobs in ({}, {"elastic": True, "max_dop": 8})
+        )
         fixed_tp = self._batch_throughput(fixed)
         elastic_tp = self._batch_throughput(elastic)
         fixed_tail = fixed.latency_percentiles()["interactive"]
@@ -282,14 +241,9 @@ class TestElasticThroughput:
         assert elastic.resizes >= 1
         assert elastic_tp > fixed_tp
         assert elastic_tail["p99"] <= fixed_tail["p99"]
-        # elasticity never trades correctness: every completed query in
-        # BOTH runs matches the reference executor exactly
-        reference = ReferenceExecutor(tables)
+        # elasticity never trades correctness for throughput
         for report in (fixed, elastic):
             assert len(report.completed) == len(SLA_BACKGROUND) + 6
-            for session in report.completed:
-                expected = reference.execute(ssb_query(_session_query_id(session)))
-                assert sorted(session.result.rows) == sorted(expected), session.name
 
 
 #: the cache-policy scenario: a hot GPU mix recompiled every round plus a
@@ -314,39 +268,37 @@ class TestCachePolicyEfficacy:
     hits > 0, zero fresh compiles) with byte-identical results.
     """
 
-    def _drive(self, tables, settings, eviction, shared=None, rounds=1):
-        server = EngineServer(
-            segment_rows=settings.segment_rows,
-            max_concurrent=4,
-            cache_policy=CachePolicy(capacity=CACHE_CAPACITY, eviction=eviction),
-            shared_cache=shared,
-        )
-        load_ssb(server.engine, tables=tables)
+    @staticmethod
+    def _round(settings, round_index) -> tuple[Arrival, ...]:
         gpu_cfg = ExecutionConfig.gpu_only([0, 1], block_tuples=settings.block_tuples)
         cpu_cfg = ExecutionConfig.cpu_only(4, block_tuples=settings.block_tuples)
-        recompile_cost = 0.0
-        reports = []
-        for round_index in range(rounds):
-            mix = [(qid, gpu_cfg) for qid in CACHE_HOT_GPU]
-            mix += [(qid, cpu_cfg) for qid in CACHE_CHURN]
-            for index, (qid, cfg) in enumerate(mix):
-                server.submit(
-                    ssb_query(qid), cfg, name=f"{qid}#r{round_index}.{index}"
-                )
-            report = server.run()
-            assert len(report.completed) == len(mix)
-            recompile_cost += report.recompile_seconds
-            reports.append(report)
-        server.check_conservation()
-        return server, recompile_cost, reports
+        mix = [(qid, gpu_cfg) for qid in CACHE_HOT_GPU]
+        mix += [(qid, cpu_cfg) for qid in CACHE_CHURN]
+        return tuple(
+            Arrival(qid, cfg, name=f"{qid}#r{round_index}.{index}")
+            for index, (qid, cfg) in enumerate(mix)
+        )
 
-    def test_cost_aware_eviction_beats_lru_recompile_cost(self, tables, settings):
+    def _scenario(self, settings, eviction, shared_cache=None) -> Scenario:
+        policy = CachePolicy(capacity=CACHE_CAPACITY, eviction=eviction)
+        return Scenario(
+            self._round(settings, 0),
+            server={"max_concurrent": 4, "cache_policy": policy},
+            shared_cache=shared_cache,
+            tables=_tables(settings),
+            expect="done",
+        )
+
+    def test_cost_aware_eviction_beats_lru_recompile_cost(self, settings):
         costs = {}
         hit_rates = {}
         for eviction in ("lru", "cost_aware"):
-            server, cost, _ = self._drive(tables, settings, eviction, rounds=3)
-            costs[eviction] = cost
-            hit_rates[eviction] = server.executor.pipeline_cache.stats.hit_rate
+            out = run_scenario(self._scenario(settings, eviction))
+            costs[eviction] = out.report.recompile_seconds
+            for round_index in (1, 2):
+                out = out.then(*self._round(settings, round_index))
+                costs[eviction] += out.report.recompile_seconds
+            hit_rates[eviction] = out.system.executor.pipeline_cache.stats.hit_rate
         print(
             f"\ncache-policy recompile cost (3 rounds, capacity "
             f"{CACHE_CAPACITY}) — "
@@ -360,14 +312,14 @@ class TestCachePolicyEfficacy:
         assert costs["cost_aware"] < costs["lru"]
         assert hit_rates["cost_aware"] > hit_rates["lru"]
 
-    def test_shared_directory_serves_cross_server_hits(self, tables, settings):
-        directory = SharedCacheDirectory(capacity=256)
-        server_a, cost_a, reports_a = self._drive(
-            tables, settings, "cost_aware", shared=directory
-        )
-        server_b, cost_b, reports_b = self._drive(
-            tables, settings, "cost_aware", shared=directory
-        )
+    def test_shared_directory_serves_cross_server_hits(self, settings):
+        # sharing compiled artefacts never trades correctness: the runner
+        # holds both servers' answers byte-identical to the reference
+        scenario = self._scenario(settings, "cost_aware", (256, "cost_aware"))
+        a = run_scenario(scenario)
+        directory = a.system.executor.pipeline_cache.shared
+        b = run_scenario(scenario, shared_cache=directory)
+        cost_a, cost_b = a.report.recompile_seconds, b.report.recompile_seconds
         snap = directory.snapshot()
         print(
             f"\nshared cache directory — server A recompiled "
@@ -379,20 +331,7 @@ class TestCachePolicyEfficacy:
         assert cost_a > 0
         assert cost_b == 0.0
         assert snap["cross_server_hits"] > 0
-        assert all(
-            s.compiled_fresh == 0 for report in reports_b for s in report.sessions
-        )
-        # sharing compiled artefacts never trades correctness: both
-        # servers' answers are byte-identical to the reference executor
-        reference = ReferenceExecutor(tables)
-        for reports in (reports_a, reports_b):
-            for report in reports:
-                for session in report.completed:
-                    qid = session.name.split("#")[0]
-                    expected = reference.execute(ssb_query(qid))
-                    assert sorted(session.result.rows) == sorted(expected), (
-                        session.name
-                    )
+        assert all(s.compiled_fresh == 0 for s in b.items)
 
 
 @pytest.mark.slow
@@ -400,11 +339,11 @@ class TestSaturationSweep:
     """Throughput vs admitted concurrency: rises, then the shared DRAM
     and PCIe resources saturate and the curve flattens."""
 
-    def test_throughput_rises_then_saturates(self, tables, settings):
+    def test_throughput_rises_then_saturates(self, settings):
         batch = MIXED_BATCH * 3  # 24 queries
         throughput = {}
         for level in (1, 2, 4, 8, 16):
-            _, report = _serve_batch(tables, settings, batch, max_concurrent=level)
+            report = run_scenario(_batch(settings, batch, level)).report
             throughput[level] = report.throughput_qps
         print(
             "\nconcurrency -> queries/s: "
@@ -416,25 +355,26 @@ class TestSaturationSweep:
         # the sweep never trades correctness: ratios stay finite/positive
         assert all(qps > 0 for qps in throughput.values())
 
-    def test_closed_loop_clients_saturate_gracefully(self, tables, settings):
-        server = EngineServer(segment_rows=settings.segment_rows, max_concurrent=6)
-        load_ssb(server.engine, tables=tables)
+    def test_closed_loop_clients_saturate_gracefully(self, settings):
         configs = _configs(settings)
         flights = [
-            ["Q1.1", "Q2.1", "Q3.1", "Q4.1"],
-            ["Q1.2", "Q2.2", "Q3.2", "Q4.2"],
-            ["Q1.3", "Q2.3", "Q3.3", "Q3.4"],
+            ("Q1.1", "Q2.1", "Q3.1", "Q4.1"),
+            ("Q1.2", "Q2.2", "Q3.2", "Q4.2"),
+            ("Q1.3", "Q2.3", "Q3.3", "Q3.4"),
         ]
-        for client_index, qids in enumerate(flights):
-            server.spawn_client(
-                [ssb_query(qid) for qid in qids],
+        clients = tuple(
+            ClosedLoop(
+                qids,
                 configs[client_index % len(configs)],
                 think_seconds=0.002,
                 name=f"client{client_index}",
             )
-        report = server.run()
+            for client_index, qids in enumerate(flights)
+        )
+        report = run_scenario(
+            Scenario(clients, server={"max_concurrent": 6}, tables=_tables(settings))
+        ).report
         assert len(report.completed) == sum(len(f) for f in flights)
-        server.check_conservation()
 
 
 class TestTenantIsolation:
@@ -450,47 +390,27 @@ class TestTenantIsolation:
     noisy tenant's in-flight demand never exceeds its quota slice, the
     victim's p99 stays within 20 % of its solo run, aggregate
     throughput is preserved, and every query in every run still returns
-    byte-identical rows.
+    byte-identical rows (the runner's check, on all three drives).
     """
 
     VICTIM = ["Q1.1", "Q2.1", "Q3.1", "Q1.2"]
     NOISY = ["Q1.1", "Q1.2", "Q1.3", "Q1.1", "Q1.2", "Q1.3", "Q1.1", "Q1.2"]
 
-    def _server(self, tables, settings, tenants=None):
-        server = EngineServer(
-            segment_rows=settings.segment_rows,
-            max_concurrent=4,
-            budget=ResourceBudget(cpu_cores=12),
-            tenants=tenants,
-        )
-        load_ssb(server.engine, tables=tables)
-        return server
-
-    def _submit_victim(self, server, settings, tenant=None):
+    def _victim(self, settings, tenant=None) -> tuple[Arrival, ...]:
         config = ExecutionConfig.cpu_only(6, block_tuples=settings.block_tuples)
-        return [
-            server.submit(
-                ssb_query(qid),
-                config,
-                name=f"victim-{qid}#{i}",
-                qos=QoS.interactive(),
-                tenant=tenant,
-            )
+        qos = QoS.interactive()
+        return tuple(
+            Arrival(qid, config, name=f"victim-{qid}#{i}", qos=qos, tenant=tenant)
             for i, qid in enumerate(self.VICTIM)
-        ]
+        )
 
-    def _submit_noisy(self, server, settings, tenant=None):
+    def _noisy(self, settings, tenant=None) -> tuple[Arrival, ...]:
         config = ExecutionConfig.cpu_only(2, block_tuples=settings.block_tuples)
-        return [
-            server.submit(
-                ssb_query(qid),
-                config,
-                name=f"noisy-{qid}#{i}",
-                qos=QoS.background(),
-                tenant=tenant,
-            )
+        qos = QoS.background()
+        return tuple(
+            Arrival(qid, config, name=f"noisy-{qid}#{i}", qos=qos, tenant=tenant)
             for i, qid in enumerate(self.NOISY)
-        ]
+        )
 
     @staticmethod
     def _p99(sessions):
@@ -498,32 +418,41 @@ class TestTenantIsolation:
         assert ordered, "no completed victim sessions"
         return ordered[-1] if len(ordered) < 100 else ordered[int(0.99 * len(ordered))]
 
-    def test_noisy_neighbor_contained(self, tables, settings):
+    def test_noisy_neighbor_contained(self, settings):
+        def serve(arrivals, tenants=()):
+            return run_scenario(
+                Scenario(
+                    arrivals,
+                    server={"max_concurrent": 4, "tenants": tenants},
+                    budget={"cpu_cores": 12},
+                    tables=_tables(settings),
+                    expect="done",
+                )
+            )
+
+        def split(out):
+            victim = [s for s in out.items if s.name.startswith("victim")]
+            return victim, [s for s in out.items if s.name.startswith("noisy")]
+
         # 1. victim alone: the baseline tail
-        solo_server = self._server(tables, settings)
-        solo = self._submit_victim(solo_server, settings)
-        solo_server.run()
-        solo_server.check_conservation()
-        solo_p99 = self._p99(solo)
+        solo_p99 = self._p99(serve(self._victim(settings)).items)
 
         # 2. mixed traffic, no isolation
-        bare_server = self._server(tables, settings)
-        bare_victim = self._submit_victim(bare_server, settings)
-        bare_noisy = self._submit_noisy(bare_server, settings)
-        bare_report = bare_server.run()
-        bare_server.check_conservation()
+        bare = serve(self._victim(settings) + self._noisy(settings))
+        bare_report = bare.report
+        bare_victim, bare_noisy = split(bare)
 
         # 3. mixed traffic, isolation on: noisy quota-capped at 1/4 of
         # the 12-core budget, victim weighted up
-        tenants = [
+        tenants = (
             Tenant("victim", weight=2.0),
             Tenant("noisy", weight=1.0, compute_quota=0.25),
-        ]
-        iso_server = self._server(tables, settings, tenants=tenants)
-        iso_victim = self._submit_victim(iso_server, settings, tenant="victim")
-        iso_noisy = self._submit_noisy(iso_server, settings, tenant="noisy")
-        iso_report = iso_server.run()
-        iso_server.check_conservation()
+        )
+        iso = serve(
+            self._victim(settings, "victim") + self._noisy(settings, "noisy"), tenants
+        )
+        iso_report = iso.report
+        iso_victim, _ = split(iso)
 
         iso_p99 = self._p99(iso_victim)
         bare_p99 = self._p99(bare_victim)
@@ -538,17 +467,8 @@ class TestTenantIsolation:
             f"{iso_report.throughput_qps:.2f} q/s"
         )
 
-        # every session in every run completed with byte-identical rows
-        reference = ReferenceExecutor(tables)
-        for sessions in (solo, bare_victim, bare_noisy, iso_victim, iso_noisy):
-            for session in sessions:
-                assert session.status == "done", session.name
-                qid = session.name.split("-")[1].split("#")[0]
-                expected = reference.execute(ssb_query(qid))
-                assert sorted(session.result.rows) == sorted(expected), session.name
-
         # the capped tenant's in-flight demand never exceeded its slice
-        noisy_budget = iso_server.tenant_states["noisy"].budget
+        noisy_budget = iso.system.tenant_states["noisy"].budget
         assert noisy_budget.peak["cpu_cores"] <= 3.0 + 1e-9
         assert iso_report.tenants["noisy"]["budget_peak"]["cpu_cores"] <= 3.0
 

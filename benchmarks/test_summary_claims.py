@@ -10,7 +10,7 @@
   throughputs.
 
 Exact constants depend on the authors' hardware; the assertions pin the
-bands, not the decimals (see EXPERIMENTS.md for measured values).
+bands, not the decimals (each test prints the values it measured).
 """
 
 import math

@@ -15,9 +15,12 @@ import sys
 
 import pytest
 
-_SRC = os.path.join(os.path.dirname(__file__), "src")
-if _SRC not in sys.path:
-    sys.path.insert(0, _SRC)
+# src/ for the package; tests/ for the scenario harness (tests/scenario.py)
+# that both tests/ and benchmarks/ import
+for _dir in ("src", "tests"):
+    _path = os.path.join(os.path.dirname(__file__), _dir)
+    if _path not in sys.path:
+        sys.path.insert(0, _path)
 
 
 def pytest_addoption(parser):

@@ -64,12 +64,12 @@ from ..algebra.physical import (
     validate_stage_placement,
 )
 from ..core.device_crossing import Cpu2Gpu, Gpu2Cpu
-from ..core.mem_move import DEFAULT_PREFETCH_DEPTH, MemMove, path_transfer_jobs
+from ..core.mem_move import MemMove, path_transfer_jobs
 from ..core.router import ConsumerGroup, Router
 from ..core.segmenter import Segmenter
 from ..engine.config import ExecutionConfig
 from ..engine.results import ExecutionProfile
-from ..hardware.costmodel import BlockStats, CostModel
+from ..hardware.costmodel import DEFAULT_COMPILE_SECONDS, BlockStats, CostModel
 from ..hardware.sim import Simulator, Store
 from ..hardware.topology import DeviceType, Server
 from ..jit.cache import PipelineCache, stage_signature
@@ -84,13 +84,7 @@ __all__ = [
     "RawExecution",
     "PlanCompilation",
     "QueryError",
-    "PREFETCH_DEPTH",
 ]
-
-#: default staging depth a consumer instance prefetches ahead of its
-#: compute (overridden per query by ``ExecutionConfig.prefetch_depth``;
-#: kept as a module constant for backward compatibility)
-PREFETCH_DEPTH = DEFAULT_PREFETCH_DEPTH
 
 
 class QueryError(RuntimeError):
@@ -181,8 +175,6 @@ class PlanCompilation:
         ``base_seconds`` rescales the whole charge (a scheduler's
         ``compile_seconds`` knob; 0 disables charging).
         """
-        from ..hardware.costmodel import DEFAULT_COMPILE_SECONDS
-
         base = DEFAULT_COMPILE_SECONDS if base_seconds is None else base_seconds
         scale = base / DEFAULT_COMPILE_SECONDS
         return scale * sum(self.cost_of(stage) for stage, _ in self.missing)

@@ -141,7 +141,6 @@ from .proteus import Proteus
 from .results import QueryResult
 from .tenancy import (
     DeficitRoundRobin,
-    RateLimit,
     Tenant,
     TenantState,
     TokenBucket,
@@ -156,9 +155,6 @@ __all__ = [
     "AdmissionError",
     "SchedulerError",
     "drive_window",
-    "FaultPlan",
-    "RetryPolicy",
-    "RateLimit",
     "Tenant",
     "DEFAULT_COMPILE_SECONDS",
 ]

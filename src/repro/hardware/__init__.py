@@ -1,7 +1,8 @@
 """Simulated heterogeneous server: DES kernel, resources, topology, costs.
 
 The paper evaluates on a physical 2-socket Xeon + 2x GTX 1080 machine; this
-package is the calibrated substitute (see DESIGN.md section 2).
+package is the calibrated substitute (every constant, with the paper
+figure it comes from, is in :mod:`repro.hardware.specs`).
 """
 
 from .costmodel import (

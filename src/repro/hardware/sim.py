@@ -4,7 +4,7 @@ This module is the substrate on which the whole reproduction runs.  The
 paper evaluates HetExchange on a physical 2-socket, 2-GPU server; we do not
 have that hardware, so every pipeline instance, DMA transfer, and kernel
 launch in this repository executes as a *process* inside this simulator,
-and "execution time" means the simulated makespan (see DESIGN.md section 5).
+and "execution time" means the simulated makespan.
 
 The kernel follows the classical process-interaction style (compare SimPy):
 

@@ -6,7 +6,8 @@ and replays it through the cost model at the *logical* scale: each table's
 blocks carry ``logical_rows / physical_rows`` as their byte multiplier
 (per-table, because ``date`` is constant-size and ``part`` grows
 logarithmically).  All engines are scaled identically, so relative shapes
-are preserved (DESIGN.md section 5).
+are preserved (the rule is :func:`load_ssb`'s ``logical_sf`` and
+:meth:`~repro.storage.catalog.Catalog.set_logical_scale`).
 """
 
 from __future__ import annotations

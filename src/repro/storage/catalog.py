@@ -51,7 +51,7 @@ class Catalog:
         self.placements: dict[str, Placement] = {}
         #: replicas: table -> node ids holding a full copy
         self.replicas: dict[str, set[str]] = {}
-        #: per-table logical byte multiplier (see DESIGN.md section 5):
+        #: per-table logical byte multiplier (see :meth:`set_logical_scale`):
         #: a physically small table replayed as an SF100-sized stream has
         #: scale = logical_rows / physical_rows
         self.logical_scales: dict[str, float] = {}

@@ -20,12 +20,8 @@ from repro.algebra.logical import (
 )
 from repro.engine.reference import ReferenceExecutor
 from repro.storage import Column, DataType, Table
-from repro.ssb import SSB_QUERY_IDS, generate_ssb, ssb_logical_scales, ssb_query
-
-
-@pytest.fixture(scope="module")
-def tables():
-    return generate_ssb(scale_factor=0.005, seed=13)
+from repro.ssb import SSB_QUERY_IDS, ssb_logical_scales, ssb_query
+from scenario import reference_rows, ssb_tables
 
 
 def _normalise(rows):
@@ -35,14 +31,16 @@ def _normalise(rows):
     )
 
 
-def _dbms_c(tables):
+def _dbms_c():
+    tables = ssb_tables()
     engine = DBMSC(segment_rows=2048)
     for table in tables.values():
         engine.register(table)
     return engine
 
 
-def _dbms_g(tables, logical_sf=None):
+def _dbms_g(logical_sf=None):
+    tables = ssb_tables()
     engine = DBMSG(segment_rows=2048)
     for table in tables.values():
         engine.register(table)
@@ -66,8 +64,8 @@ class TestStarDecomposition:
         assert star.scalar and len(star.joins) == 1
         assert len(star.fact_ops) == 1  # the fact filter
 
-    def test_string_inequality_detection(self, tables):
-        engine = _dbms_g(tables)
+    def test_string_inequality_detection(self):
+        engine = _dbms_g()
         assert plan_has_string_inequality(ssb_query("Q2.2"),
                                           engine.catalog.is_string)
         for qid in ("Q1.1", "Q2.1", "Q2.3", "Q3.3", "Q4.3"):
@@ -106,76 +104,76 @@ class TestBuildSide:
 
 class TestDBMSC:
     @pytest.mark.parametrize("qid", SSB_QUERY_IDS)
-    def test_all_queries_match_reference(self, tables, qid):
-        engine = _dbms_c(tables)
+    def test_all_queries_match_reference(self, qid):
+        engine = _dbms_c()
         plan = ssb_query(qid)
         result = engine.query(plan, workers=8)
-        expected = ReferenceExecutor(tables).execute(plan)
+        expected = reference_rows(qid)
         assert _normalise(result.rows) == _normalise(expected), qid
 
-    def test_more_workers_is_faster(self, tables):
+    def test_more_workers_is_faster(self):
         plan = ssb_query("Q2.1")
-        slow = _dbms_c(tables).query(plan, workers=2).seconds
-        fast = _dbms_c(tables).query(plan, workers=16).seconds
+        slow = _dbms_c().query(plan, workers=2).seconds
+        fast = _dbms_c().query(plan, workers=16).seconds
         assert fast < slow
 
-    def test_worker_bounds_validated(self, tables):
+    def test_worker_bounds_validated(self):
         with pytest.raises(ValueError):
-            _dbms_c(tables).query(ssb_query("Q1.1"), workers=0)
+            _dbms_c().query(ssb_query("Q1.1"), workers=0)
         with pytest.raises(ValueError):
-            _dbms_c(tables).query(ssb_query("Q1.1"), workers=99)
+            _dbms_c().query(ssb_query("Q1.1"), workers=99)
 
 
 class TestDBMSG:
     @pytest.mark.parametrize("qid", [q for q in SSB_QUERY_IDS if q != "Q2.2"])
-    def test_all_queries_match_reference(self, tables, qid):
-        engine = _dbms_g(tables)
+    def test_all_queries_match_reference(self, qid):
+        engine = _dbms_g()
         plan = ssb_query(qid)
         result = engine.query(plan, gpu_resident=True, vector_tuples=4096)
-        expected = ReferenceExecutor(tables).execute(plan)
+        expected = reference_rows(qid)
         assert _normalise(result.rows) == _normalise(expected), qid
 
-    def test_q22_unsupported_when_gpu_resident(self, tables):
+    def test_q22_unsupported_when_gpu_resident(self):
         with pytest.raises(UnsupportedQueryError, match="string inequality"):
-            _dbms_g(tables).query(ssb_query("Q2.2"), gpu_resident=True)
+            _dbms_g().query(ssb_query("Q2.2"), gpu_resident=True)
 
-    def test_q22_cpu_fallback_is_correct_and_glacial(self, tables):
-        engine = _dbms_g(tables, logical_sf=1000.0)
+    def test_q22_cpu_fallback_is_correct_and_glacial(self):
+        engine = _dbms_g(logical_sf=1000.0)
         result = engine.query(ssb_query("Q2.2"), gpu_resident=False)
-        expected = ReferenceExecutor(tables).execute(ssb_query("Q2.2"))
+        expected = reference_rows("Q2.2")
         assert _normalise(result.rows) == _normalise(expected)
         assert result.seconds > 3600, "paper: more than 1 hour at SF1000"
 
-    def test_q43_fails_at_sf1000(self, tables):
-        engine = _dbms_g(tables, logical_sf=1000.0)
+    def test_q43_fails_at_sf1000(self):
+        engine = _dbms_g(logical_sf=1000.0)
         with pytest.raises(GpuMemoryError, match="cardinality"):
             engine.query(ssb_query("Q4.3"), gpu_resident=False,
                          vector_tuples=4096)
 
-    def test_q43_succeeds_at_sf100(self, tables):
-        engine = _dbms_g(tables, logical_sf=100.0)
+    def test_q43_succeeds_at_sf100(self):
+        engine = _dbms_g(logical_sf=100.0)
         result = engine.query(ssb_query("Q4.3"), gpu_resident=True,
                               vector_tuples=4096)
         assert result.seconds > 0
 
-    def test_out_of_core_slower_than_resident(self, tables):
+    def test_out_of_core_slower_than_resident(self):
         plan = ssb_query("Q1.1")
-        resident = _dbms_g(tables, logical_sf=100.0).query(
+        resident = _dbms_g(logical_sf=100.0).query(
             plan, gpu_resident=True, vector_tuples=4096).seconds
-        streamed = _dbms_g(tables, logical_sf=100.0).query(
+        streamed = _dbms_g(logical_sf=100.0).query(
             plan, gpu_resident=False, vector_tuples=4096).seconds
         assert streamed > resident * 2
 
-    def test_filters_after_join_selectivity_insensitive(self, tables):
+    def test_filters_after_join_selectivity_insensitive(self):
         """DBMS G gathers from every dimension for every fact row, so a
         highly selective query costs about the same as an unselective one
         with the same join fan-out (the paper's Q3 observation)."""
-        engine = _dbms_g(tables, logical_sf=100.0)
+        engine = _dbms_g(logical_sf=100.0)
         broad = engine.query(ssb_query("Q3.1"), vector_tuples=4096).seconds
         narrow = engine.query(ssb_query("Q3.4"), vector_tuples=4096).seconds
         assert narrow >= broad * 0.6
 
-    def test_non_star_plan_rejected(self, tables):
+    def test_non_star_plan_rejected(self):
         # a projection inside a dimension is not supported by the dense
         # array layout
         inner = scan("date", ["d_datekey", "d_year"]).project(
@@ -185,7 +183,7 @@ class TestDBMSG:
             payload=["dy"])
         # the computed dimension column defeats the dense-array layout
         with pytest.raises(UnsupportedQueryError):
-            _dbms_g(tables).query(
+            _dbms_g().query(
                 bad.reduce([agg_sum(col("lo_revenue"), "s")]),
                 vector_tuples=4096)
 

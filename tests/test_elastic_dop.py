@@ -18,11 +18,11 @@ import math
 
 import pytest
 
-from repro import ElasticPolicy, EngineServer, ExecutionConfig, ResourceBudget
+from repro import ElasticPolicy, EngineServer, ExecutionConfig
 from repro.algebra.physical import PlanValidationError
 from repro.engine.config import QoS
-from repro.engine.reference import ReferenceExecutor
-from repro.ssb import SSB_QUERY_IDS, generate_ssb, load_ssb, ssb_query
+from repro.ssb import SSB_QUERY_IDS
+from scenario import PLANS, Arrival, OpenLoop, Scenario, batch, build, run_scenario
 
 #: forces a shrink at every phase boundary (any nonzero utilization
 #: exceeds the target); tiny window so the first boundary already has a
@@ -35,100 +35,65 @@ ALWAYS_GROW = ElasticPolicy(
 )
 
 STORM_BACKGROUND = ["Q4.1", "Q4.2", "Q3.1", "Q3.2", "Q4.3", "Q3.3"]
-STORM_INTERACTIVE = ["Q1.1", "Q1.2", "Q1.3"]
+STORM_INTERACTIVE = ("Q1.1", "Q1.2", "Q1.3")
 
 
-@pytest.fixture(scope="module")
-def tables():
-    return generate_ssb(scale_factor=0.005, seed=13)
+def _cpu(workers: int) -> ExecutionConfig:
+    return ExecutionConfig.cpu_only(workers, block_tuples=4096)
 
 
-@pytest.fixture(scope="module")
-def reference(tables):
-    ref = ReferenceExecutor(tables)
-    return {qid: ref.execute(ssb_query(qid)) for qid in SSB_QUERY_IDS}
-
-
-def _server(tables, **kwargs) -> EngineServer:
-    server = EngineServer(segment_rows=2048, elastic=True, **kwargs)
-    load_ssb(server.engine, tables=tables)
-    return server
-
-
-def _submit_all(server, config, query_ids):
-    sessions = []
-    for qid in query_ids:
-        sessions.append(server.submit(ssb_query(qid), config, name=qid))
-    return sessions
+def _elastic(policy, max_concurrent, arrivals, **scenario) -> Scenario:
+    """An elastic server under ``policy`` serving ``arrivals``."""
+    server = {"elastic": True, "max_concurrent": max_concurrent}
+    if policy is not None:
+        server["elastic_policy"] = policy
+    return Scenario(arrivals=arrivals, server=server, **scenario)
 
 
 class TestDifferentialCorrectness:
     """Elastic results == solo reference results, for all 13 queries."""
 
-    def test_shrink_mid_query_matches_reference(self, tables, reference):
-        server = _server(tables, max_concurrent=3, elastic_policy=ALWAYS_SHRINK)
-        config = ExecutionConfig.cpu_only(6, block_tuples=4096)
-        sessions = _submit_all(server, config, SSB_QUERY_IDS)
-        report = server.run()
-        assert report.resizes == len(SSB_QUERY_IDS)
-        for session in sessions:
-            assert session.status == "done", (session.name, session.error)
-            expected = sorted(reference[session.name])
-            assert sorted(session.result.rows) == expected, session.name
+    def test_shrink_mid_query_matches_reference(self):
+        out = run_scenario(
+            _elastic(ALWAYS_SHRINK, 3, batch(SSB_QUERY_IDS, _cpu(6)), expect="done")
+        )
+        assert out.report.resizes == len(SSB_QUERY_IDS)
         # every query shrank: trajectories strictly decrease 6 -> 3
-        for path in report.dop_trajectories().values():
+        for path in out.report.dop_trajectories().values():
             assert path[0] == 6
             assert all(b < a for a, b in zip(path, path[1:]))
-        server.check_conservation()
 
-    def test_grow_mid_query_matches_reference(self, tables, reference):
-        server = _server(tables, max_concurrent=2, elastic_policy=ALWAYS_GROW)
-        config = ExecutionConfig.cpu_only(2, block_tuples=4096)
-        sessions = _submit_all(server, config, SSB_QUERY_IDS)
-        report = server.run()
-        assert report.resizes == len(SSB_QUERY_IDS)
-        for session in sessions:
-            assert session.status == "done", (session.name, session.error)
-            expected = sorted(reference[session.name])
-            assert sorted(session.result.rows) == expected, session.name
-        for path in report.dop_trajectories().values():
+    def test_grow_mid_query_matches_reference(self):
+        out = run_scenario(
+            _elastic(ALWAYS_GROW, 2, batch(SSB_QUERY_IDS, _cpu(2)), expect="done")
+        )
+        assert out.report.resizes == len(SSB_QUERY_IDS)
+        for path in out.report.dop_trajectories().values():
             assert path[0] == 2
             assert all(b > a for a, b in zip(path, path[1:]))
             assert max(path) <= 12
-        server.check_conservation()
 
-    def test_hybrid_queries_resize_cpu_side_only(self, tables, reference):
+    def test_hybrid_queries_resize_cpu_side_only(self):
         """GPU stages are pinned to the hash-table domains built in
         earlier phases; only the CPU worker set is elastic."""
-        server = _server(tables, max_concurrent=2, elastic_policy=ALWAYS_SHRINK)
         config = ExecutionConfig.hybrid(6, [0, 1], block_tuples=4096)
-        sessions = _submit_all(server, config, SSB_QUERY_IDS[:6])
-        report = server.run()
-        assert report.resizes >= 1
-        for session in sessions:
-            assert session.status == "done", (session.name, session.error)
-            expected = sorted(reference[session.name])
-            assert sorted(session.result.rows) == expected, session.name
+        arrivals = batch(SSB_QUERY_IDS[:6], config)
+        out = run_scenario(_elastic(ALWAYS_SHRINK, 2, arrivals, expect="done"))
+        assert out.report.resizes >= 1
+        for session in out.items:
             # the admitted GPU set never changed
             assert session.current_config.gpu_ids == (0, 1)
-        server.check_conservation()
 
-    def test_gpu_only_queries_are_never_resized(self, tables, reference):
-        server = _server(tables, max_concurrent=2, elastic_policy=ALWAYS_GROW)
+    def test_gpu_only_queries_are_never_resized(self):
         config = ExecutionConfig.gpu_only([0, 1], block_tuples=4096)
-        sessions = _submit_all(server, config, SSB_QUERY_IDS[:4])
-        report = server.run()
-        assert report.resizes == 0
-        assert report.dop_trajectories() == {}
-        for session in sessions:
-            assert session.status == "done", (session.name, session.error)
-            expected = sorted(reference[session.name])
-            assert sorted(session.result.rows) == expected, session.name
-        server.check_conservation()
+        arrivals = batch(SSB_QUERY_IDS[:4], config)
+        out = run_scenario(_elastic(ALWAYS_GROW, 2, arrivals, expect="done"))
+        assert out.report.resizes == 0
+        assert out.report.dop_trajectories() == {}
 
 
 class TestClamping:
-    def test_min_equals_max_pins_the_dop(self, tables, reference):
+    def test_min_equals_max_pins_the_dop(self):
         """min_dop == max_dop == admitted dop: the controller has no
         room in either direction, whatever the utilization says."""
         policies = (
@@ -136,174 +101,102 @@ class TestClamping:
             ALWAYS_GROW.derive(min_dop=4, max_dop=4),
         )
         for policy in policies:
-            server = _server(tables, max_concurrent=2, elastic_policy=policy)
-            config = ExecutionConfig.cpu_only(4, block_tuples=4096)
-            sessions = _submit_all(server, config, SSB_QUERY_IDS[:4])
-            report = server.run()
-            assert report.resizes == 0
-            for session in sessions:
-                assert session.status == "done"
-                expected = sorted(reference[session.name])
-                assert sorted(session.result.rows) == expected, session.name
+            arrivals = batch(SSB_QUERY_IDS[:4], _cpu(4))
+            out = run_scenario(_elastic(policy, 2, arrivals, expect="done"))
+            assert out.report.resizes == 0
+            for session in out.items:
                 assert session.current_config.cpu_workers == 4
-            server.check_conservation()
 
-    def test_shrink_stops_at_min_dop(self, tables, reference):
-        server = _server(
-            tables,
-            max_concurrent=2,
-            elastic_policy=ALWAYS_SHRINK.derive(min_dop=3),
-        )
-        config = ExecutionConfig.cpu_only(6, block_tuples=4096)
-        sessions = _submit_all(server, config, SSB_QUERY_IDS[:4])
-        report = server.run()
-        for path in report.dop_trajectories().values():
+    def test_shrink_stops_at_min_dop(self):
+        arrivals = batch(SSB_QUERY_IDS[:4], _cpu(6))
+        policy = ALWAYS_SHRINK.derive(min_dop=3)
+        out = run_scenario(_elastic(policy, 2, arrivals, expect="done"))
+        for path in out.report.dop_trajectories().values():
             assert min(path) >= 3
-        for session in sessions:
-            expected = sorted(reference[session.name])
-            assert sorted(session.result.rows) == expected, session.name
-        server.check_conservation()
 
-    def test_grow_is_clamped_by_budget_headroom(self, tables, reference):
+    def test_grow_is_clamped_by_budget_headroom(self):
         """An always-grow policy can only expand into *freed* capacity:
         the budget's peak never exceeds its core cap, however hard the
         controller pushes."""
-        server = _server(
-            tables,
-            max_concurrent=2,
-            elastic_policy=ALWAYS_GROW,
-            budget=ResourceBudget(cpu_cores=8),
+        arrivals = batch(SSB_QUERY_IDS[:4], _cpu(4))
+        out = run_scenario(
+            _elastic(ALWAYS_GROW, 2, arrivals, budget={"cpu_cores": 8}, expect="done")
         )
-        config = ExecutionConfig.cpu_only(4, block_tuples=4096)
-        sessions = _submit_all(server, config, SSB_QUERY_IDS[:4])
-        report = server.run()
-        assert server.budget.peak["cpu_cores"] <= 8.0
+        assert out.system.budget.peak["cpu_cores"] <= 8.0
         # while both 4-core queries were running the budget was full, so
         # any grow that did happen used capacity a finished query freed
-        for session in sessions:
+        for session in out.items:
             for _, dop in session.dop_trajectory[1:]:
                 assert dop <= 8
-        assert report.resizes <= len(sessions)
-        for session in sessions:
-            assert session.status == "done"
-            expected = sorted(reference[session.name])
-            assert sorted(session.result.rows) == expected, session.name
-        server.check_conservation()
+        assert out.report.resizes <= len(out.items)
 
-    def test_grow_respects_physical_cores_with_uncapped_budget(self, tables):
+    def test_grow_respects_physical_cores_with_uncapped_budget(self):
         """With no cpu_cores cap in the budget, the growth headroom is
         the machine's cores minus what admitted queries already hold:
         three co-resident dop-8 queries must not collectively grow past
         the 24 physical cores."""
-        server = _server(
-            tables,
-            max_concurrent=3,
-            elastic_policy=ALWAYS_GROW.derive(max_dop=24),
-            budget=ResourceBudget(dram_bytes=1e15),
-        )
-        config = ExecutionConfig.cpu_only(8, block_tuples=4096)
-        _submit_all(server, config, SSB_QUERY_IDS[:6])
-        server.run()
-        assert server.budget.peak["cpu_cores"] <= 24.0
-        server.check_conservation()
+        policy = ALWAYS_GROW.derive(max_dop=24)
+        arrivals = batch(SSB_QUERY_IDS[:6], _cpu(8))
+        out = run_scenario(_elastic(policy, 3, arrivals, budget={"dram_bytes": 1e15}))
+        assert out.system.budget.peak["cpu_cores"] <= 24.0
 
-    def test_grow_never_exceeds_server_cores(self, tables):
+    def test_grow_never_exceeds_server_cores(self):
         """max_dop above the machine's core count is clamped to it."""
-        server = _server(
-            tables,
-            max_concurrent=1,
-            elastic_policy=ALWAYS_GROW.derive(max_dop=4096),
+        policy = ALWAYS_GROW.derive(max_dop=4096)
+        out = run_scenario(
+            _elastic(policy, 1, batch(["Q1.1"], _cpu(23)), expect="done")
         )
-        config = ExecutionConfig.cpu_only(23, block_tuples=4096)
-        session = server.submit(ssb_query("Q1.1"), config)
-        server.run()
-        assert session.status == "done"
-        assert session.current_config.cpu_workers <= len(server.server.cores)
-        server.check_conservation()
+        workers = out.sessions["Q1.1"].current_config.cpu_workers
+        assert workers <= len(out.system.server.cores)
 
 
 class TestBudgetAccounting:
-    def test_resize_storm_conserves_budget(self, tables, reference):
+    def test_resize_storm_conserves_budget(self):
         """Shrinks, preemption pauses/resumes and open-loop arrivals in
         one drive: the budget must drain to exactly zero afterwards."""
-        server = _server(
-            tables,
-            max_concurrent=2,
-            elastic_policy=ALWAYS_SHRINK,
-            budget=ResourceBudget(cpu_cores=12),
+        arrivals = (
+            *(
+                Arrival(qid, _cpu(6), name=f"bg-{index}", qos=QoS.background())
+                for index, qid in enumerate(STORM_BACKGROUND)
+            ),
+            OpenLoop(
+                STORM_INTERACTIVE,
+                _cpu(6),
+                rate_qps=100.0,
+                arrivals=6,
+                seed=5,
+                qos=QoS.interactive(deadline_seconds=0.2),
+            ),
         )
-        config = ExecutionConfig.cpu_only(6, block_tuples=4096)
-        background = []
-        for index, qid in enumerate(STORM_BACKGROUND):
-            background.append(
-                server.submit(
-                    ssb_query(qid),
-                    config,
-                    name=f"bg-{index}",
-                    qos=QoS.background(),
-                )
-            )
-        server.spawn_open_loop(
-            [ssb_query(qid) for qid in STORM_INTERACTIVE],
-            config,
-            rate_qps=100.0,
-            arrivals=6,
-            seed=5,
-            qos=QoS.interactive(deadline_seconds=0.2),
+        out = run_scenario(
+            _elastic(ALWAYS_SHRINK, 2, arrivals, budget={"cpu_cores": 12})
         )
-        report = server.run()
-        assert report.resizes >= len(background)
-        for session in report.completed:
-            if session.name.startswith("bg-"):
-                qid = STORM_BACKGROUND[int(session.name.split("-")[1])]
-            else:
-                index = int(session.name.split("-")[1])
-                qid = STORM_INTERACTIVE[index % len(STORM_INTERACTIVE)]
-            expected = sorted(reference[qid])
-            assert sorted(session.result.rows) == expected, session.name
-        server.check_conservation()
-        allocated = server.budget.total_allocated["cpu_cores"]
-        assert allocated == server.budget.total_released["cpu_cores"]
+        assert out.report.resizes >= len(STORM_BACKGROUND)
+        budget = out.system.budget
+        assert budget.total_allocated["cpu_cores"] == budget.total_released["cpu_cores"]
 
-    def test_shrink_frees_cores_for_queued_sessions(self, tables):
+    def test_shrink_frees_cores_for_queued_sessions(self):
         """The freed compute delta is immediately admissible: with a
         12-core budget and 6-core queries, the third query gets in as
         soon as the first two shrink to 3 workers each."""
-        server = _server(
-            tables,
-            max_concurrent=8,
-            elastic_policy=ALWAYS_SHRINK.derive(min_dop=3),
-            budget=ResourceBudget(cpu_cores=12),
-        )
-        config = ExecutionConfig.cpu_only(6, block_tuples=4096)
-        sessions = []
-        for i in range(3):
-            sessions.append(
-                server.submit(ssb_query("Q4.1"), config, name=f"q{i}")
+        arrivals = tuple(Arrival("Q4.1", _cpu(6), name=f"q{i}") for i in range(3))
+        out = run_scenario(
+            _elastic(
+                ALWAYS_SHRINK.derive(min_dop=3),
+                8,
+                arrivals,
+                budget={"cpu_cores": 12},
+                expect="done",
             )
-        server.run()
-        assert all(s.status == "done" for s in sessions)
+        )
         # the third query was admitted before either of the first two
         # finished — only possible because shrinking released cores
-        third = sessions[2]
-        assert third.admit_time < min(s.finish_time for s in sessions[:2])
-        server.check_conservation()
+        first, second, third = out.items
+        assert third.admit_time < min(first.finish_time, second.finish_time)
 
-    def test_deterministic_for_fixed_workload(self, tables):
-        def drive():
-            server = _server(
-                tables, max_concurrent=3, elastic_policy=ALWAYS_SHRINK
-            )
-            config = ExecutionConfig.cpu_only(6, block_tuples=4096)
-            sessions = _submit_all(server, config, SSB_QUERY_IDS[:6])
-            report = server.run()
-            return (
-                report.makespan,
-                report.dop_trajectories(),
-                [tuple(s.result.rows) for s in sessions],
-            )
-
-        assert drive() == drive()
+    def test_deterministic_for_fixed_workload(self):
+        scenario = _elastic(ALWAYS_SHRINK, 3, batch(SSB_QUERY_IDS[:6], _cpu(6)))
+        assert run_scenario(scenario).signature() == run_scenario(scenario).signature()
 
 
 class TestPolicyValidation:
@@ -347,12 +240,11 @@ class TestPolicyValidation:
 class TestStageReDerivation:
     """Stage.with_dop keeps identity where it matters."""
 
-    def test_with_dop_preserves_template_and_signature(self, tables):
+    def test_with_dop_preserves_template_and_signature(self):
         from repro.jit.cache import stage_signature
 
-        server = _server(tables, max_concurrent=1)
-        config = ExecutionConfig.cpu_only(6, block_tuples=4096)
-        het = server.placer.place(ssb_query("Q1.1"), config)
+        server = build(_elastic(None, 1, ()))
+        het = server.placer.place(PLANS["Q1.1"], _cpu(6))
         stage = next(s for s in het.all_stages() if s.dop == 6)
         resized = stage.with_dop(3, [0, 12, 1])
         assert resized.stage_id == stage.stage_id
@@ -361,20 +253,19 @@ class TestStageReDerivation:
         width = server.engine.catalog.column_widths().__getitem__
         assert stage_signature(resized, width) == stage_signature(stage, width)
 
-    def test_with_dop_validates_arguments(self, tables):
-        server = _server(tables, max_concurrent=1)
-        config = ExecutionConfig.cpu_only(4, block_tuples=4096)
-        het = server.placer.place(ssb_query("Q1.1"), config)
+    def test_with_dop_validates_arguments(self):
+        server = build(_elastic(None, 1, ()))
+        het = server.placer.place(PLANS["Q1.1"], _cpu(4))
         stage = next(s for s in het.all_stages() if not s.is_source)
         with pytest.raises(PlanValidationError, match="dop 0"):
             stage.with_dop(0)
         with pytest.raises(PlanValidationError, match="affinity"):
             stage.with_dop(3, [0])
 
-    def test_with_cpu_dop_rebuilds_edges_consistently(self, tables):
-        server = _server(tables, max_concurrent=1)
+    def test_with_cpu_dop_rebuilds_edges_consistently(self):
+        server = build(_elastic(None, 1, ()))
         config = ExecutionConfig.hybrid(6, [0, 1], block_tuples=4096)
-        het = server.placer.place(ssb_query("Q2.1"), config)
+        het = server.placer.place(PLANS["Q2.1"], config)
         probe = het.phases[-1]
         resized = probe.with_cpu_dop(3, [0, 12, 1])
         by_id = {s.stage_id: s for s in resized.stages}
@@ -388,53 +279,40 @@ class TestStageReDerivation:
         assert all(s.dop == 3 for s in cpu)
         assert all(s.dop == 2 for s in gpu)  # GPU side untouched
 
-    def test_monitor_requires_closed_window(self, tables):
+    def test_monitor_requires_closed_window(self):
         """Before the first window closes the controller must not act."""
-        server = _server(tables, max_concurrent=1)
+        server = build(_elastic(None, 1, ()))
         assert server._monitor.sample() == {}
         assert server._monitor.dram_utilization() is None
 
 
 class TestSessionDemandTracking:
-    def test_resized_demand_rides_through_preemption(self, tables):
+    def test_resized_demand_rides_through_preemption(self):
         """A session shrunk to 3 workers then paused must release the
         *resized* compute share — over- or under-releasing would trip
         the budget's conservation check at the end of the drive."""
-        server = _server(
-            tables,
-            max_concurrent=2,
-            elastic_policy=ALWAYS_SHRINK.derive(min_dop=3),
-            budget=ResourceBudget(cpu_cores=12),
+        arrivals = (
+            Arrival("Q4.1", _cpu(6), name="bg0", qos=QoS.background()),
+            Arrival("Q4.2", _cpu(6), name="bg1", qos=QoS.background()),
+            OpenLoop(
+                ("Q1.1",),
+                _cpu(6),
+                rate_qps=200.0,
+                arrivals=3,
+                seed=9,
+                qos=QoS.interactive(deadline_seconds=0.1),
+            ),
         )
-        config = ExecutionConfig.cpu_only(6, block_tuples=4096)
-        victims = []
-        for i, qid in enumerate(["Q4.1", "Q4.2"]):
-            victims.append(
-                server.submit(
-                    ssb_query(qid),
-                    config,
-                    name=f"bg{i}",
-                    qos=QoS.background(),
-                )
-            )
-        server.spawn_open_loop(
-            [ssb_query("Q1.1")],
-            config,
-            rate_qps=200.0,
-            arrivals=3,
-            seed=9,
-            qos=QoS.interactive(deadline_seconds=0.1),
-        )
-        report = server.run()
-        assert report.resizes >= 1
-        for session in victims:
-            assert session.demand.cpu_cores == 3
-        server.check_conservation()
+        policy = ALWAYS_SHRINK.derive(min_dop=3)
+        out = run_scenario(_elastic(policy, 2, arrivals, budget={"cpu_cores": 12}))
+        assert out.report.resizes >= 1
+        for name in ("bg0", "bg1"):
+            assert out.sessions[name].demand.cpu_cores == 3
 
-    def test_resize_updates_demand_only_in_compute(self, tables):
-        server = _server(tables, max_concurrent=1, elastic_policy=ALWAYS_SHRINK)
-        config = ExecutionConfig.cpu_only(6, block_tuples=4096)
-        session = server.submit(ssb_query("Q2.1"), config)
+    def test_resize_updates_demand_only_in_compute(self):
+        # a bare drive: the demand *before* the run is the subject
+        server = build(_elastic(ALWAYS_SHRINK, 1, ()))
+        session = server.submit(PLANS["Q2.1"], _cpu(6))
         before = session.demand
         server.run()
         after = session.demand

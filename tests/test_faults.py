@@ -23,7 +23,7 @@ Three layers:
 import numpy as np
 import pytest
 
-from repro import EngineServer, ExecutionConfig, Proteus
+from repro import ExecutionConfig, Proteus
 from repro.algebra.physical import DeviceType
 from repro.algebra.placer import PlacementError
 from repro.core.mem_move import MemMove, TransferTimeout
@@ -39,7 +39,6 @@ from repro.engine.faults import (
     StragglerFault,
     classify_failure,
 )
-from repro.engine.reference import ReferenceExecutor
 from repro.engine.tenancy import Tenant
 from repro.hardware.costmodel import CostModel
 from repro.hardware.sim import Interrupt, Simulator
@@ -47,27 +46,16 @@ from repro.hardware.specs import PAPER_SERVER
 from repro.hardware.topology import DeviceLostError, Server
 from repro.memory.block import Block, BlockHandle
 from repro.memory.managers import BlockManagerSet
-from repro.ssb import generate_ssb, load_ssb, ssb_query
+from repro.ssb import load_ssb
+from scenario import PLANS, Arrival, Scenario, run_scenario, ssb_tables
+
+GPU = ExecutionConfig.gpu_only([0, 1], block_tuples=4096)
 
 
-@pytest.fixture(scope="module")
-def tables():
-    return generate_ssb(scale_factor=0.005, seed=13)
-
-
-@pytest.fixture(scope="module")
-def reference(tables):
-    ref = ReferenceExecutor(tables)
-    return {
-        qid: ref.execute(ssb_query(qid))
-        for qid in ("Q1.1", "Q2.1", "Q3.1")
-    }
-
-
-def _server(tables, **kwargs) -> EngineServer:
-    server = EngineServer(segment_rows=2048, **kwargs)
-    load_ssb(server.engine, tables=tables)
-    return server
+def _gpu_query(query="Q1.1", **server) -> Scenario:
+    """One GPU-placed query, named by its id, on a server built with
+    ``server`` keywords (the fault plan, the retry policy)."""
+    return Scenario((Arrival(query, GPU, name=query),), server=server)
 
 
 # ---------------------------------------------------------------------------
@@ -377,35 +365,28 @@ class TestTransferTimeout:
         with pytest.raises(ValueError):
             self._env(dma_timeout=0.0)
 
-    def _drive_with_stragglers(self, tables, probability, max_attempts):
+    def _drive_with_stragglers(self, probability, max_attempts):
         """End to end: the plan's deadline reaches every query's mem-move."""
-        server = _server(
-            tables,
-            fault_plan=FaultPlan(
-                seed=7,
-                straggler=StragglerFault(probability=probability, multiplier=1000.0),
-                transfer_timeout_seconds=1e-4,
-            ),
-            retry_policy=RetryPolicy(max_attempts=max_attempts),
+        plan = FaultPlan(
+            seed=7,
+            straggler=StragglerFault(probability=probability, multiplier=1000.0),
+            transfer_timeout_seconds=1e-4,
         )
-        config = ExecutionConfig.gpu_only([0, 1], block_tuples=4096)
-        session = server.submit(ssb_query("Q1.1"), config)
-        server.run()
-        server.check_conservation()
-        return session
+        retry = RetryPolicy(max_attempts=max_attempts)
+        out = run_scenario(_gpu_query(fault_plan=plan, retry_policy=retry))
+        return out.sessions["Q1.1"]
 
-    def test_plan_deadline_fails_a_query_typed_after_bounded_retries(self, tables):
-        session = self._drive_with_stragglers(tables, 1.0, max_attempts=2)
+    def test_plan_deadline_fails_a_query_typed_after_bounded_retries(self):
+        session = self._drive_with_stragglers(1.0, max_attempts=2)
         assert session.status == "failed"
         assert session.error_class == "transfer_timeout"
         assert session.retried_classes == ["transfer_timeout"]
         assert session.attempts == 2
 
-    def test_plan_deadline_retries_through_rare_stragglers(self, tables, reference):
-        session = self._drive_with_stragglers(tables, 0.05, max_attempts=3)
+    def test_plan_deadline_retries_through_rare_stragglers(self):
+        session = self._drive_with_stragglers(0.05, max_attempts=3)
         assert session.status == "done"
         assert session.retried_classes == ["transfer_timeout"] * 2
-        assert sorted(session.result.rows) == sorted(reference["Q1.1"])
 
 
 # ---------------------------------------------------------------------------
@@ -414,13 +395,11 @@ class TestTransferTimeout:
 
 
 class TestPlacerExcludesDeadDevices:
-    def test_surviving_gpu_only(self, tables):
+    def test_surviving_gpu_only(self):
         engine = Proteus(segment_rows=2048)
-        load_ssb(engine, tables=tables)
+        load_ssb(engine, tables=ssb_tables())
         config = ExecutionConfig.hybrid(4, [0, 1], block_tuples=4096)
-        het = engine.placer.place(
-            ssb_query("Q1.1"), config, exclude_devices={0}
-        )
+        het = engine.placer.place(PLANS["Q1.1"], config, exclude_devices={0})
         gpu_stages = [
             s for s in het.all_stages() if s.device is DeviceType.GPU
         ]
@@ -428,23 +407,17 @@ class TestPlacerExcludesDeadDevices:
         for stage in gpu_stages:
             assert 0 not in stage.affinity
 
-    def test_all_devices_excluded_is_typed(self, tables):
+    def test_all_devices_excluded_is_typed(self):
         engine = Proteus(segment_rows=2048)
-        load_ssb(engine, tables=tables)
-        config = ExecutionConfig.gpu_only([0, 1], block_tuples=4096)
+        load_ssb(engine, tables=ssb_tables())
         with pytest.raises(PlacementError, match="excluded"):
-            engine.placer.place(
-                ssb_query("Q1.1"), config,
-                exclude_devices={0, 1},
-            )
+            engine.placer.place(PLANS["Q1.1"], GPU, exclude_devices={0, 1})
 
-    def test_no_exclusions_is_the_identity(self, tables):
+    def test_no_exclusions_is_the_identity(self):
         engine = Proteus(segment_rows=2048)
-        load_ssb(engine, tables=tables)
-        config = ExecutionConfig.gpu_only([0, 1], block_tuples=4096)
-        plan = ssb_query("Q1.1")
-        base = engine.placer.place(plan, config)
-        same = engine.placer.place(plan, config, exclude_devices=())
+        load_ssb(engine, tables=ssb_tables())
+        base = engine.placer.place(PLANS["Q1.1"], GPU)
+        same = engine.placer.place(PLANS["Q1.1"], GPU, exclude_devices=())
         assert [s.name for s in base.all_stages()] == [
             s.name for s in same.all_stages()
         ]
@@ -455,198 +428,113 @@ class TestPlacerExcludesDeadDevices:
 # ---------------------------------------------------------------------------
 
 
-def _loss_plan(at_seconds, gpu_id=0, seed=7):
-    return FaultPlan(
-        seed=seed,
-        device_losses=(
-            DeviceLossFault(gpu_id=gpu_id, at_seconds=at_seconds),
-        ),
-    )
+#: GPU 0 dies half a millisecond into the drive
+GPU0_LOST = FaultPlan(
+    seed=7, device_losses=(DeviceLossFault(gpu_id=0, at_seconds=5e-4),)
+)
 
 
 class TestSchedulerRetry:
-    def test_device_loss_retries_cpu_only_byte_identical(
-        self, tables, reference
-    ):
-        server = _server(
-            tables,
-            fault_plan=_loss_plan(5e-4),
-            retry_policy=RetryPolicy(max_attempts=3),
-        )
-        session = server.submit(
-            ssb_query("Q1.1"),
-            ExecutionConfig.gpu_only([0, 1], block_tuples=4096),
-            name="Q1.1",
-        )
-        report = server.run()
+    def test_device_loss_retries_cpu_only_byte_identical(self):
+        retry = RetryPolicy(max_attempts=3)
+        out = run_scenario(_gpu_query(fault_plan=GPU0_LOST, retry_policy=retry))
+        session, report = out.sessions["Q1.1"], out.report
         assert session.status == "done"
         assert session.retried_classes == ["device_lost"]
         assert session.fell_back
         assert not (session.current_config or session.config).uses_gpu
-        assert sorted(session.result.rows) == sorted(reference["Q1.1"])
         assert report.faults["device_losses"] == 1
         assert report.retries == 1
         assert report.fallbacks == 1
-        server.check_conservation()
 
-    def test_without_retry_policy_failure_is_terminal_but_typed(
-        self, tables
-    ):
-        server = _server(tables, fault_plan=_loss_plan(5e-4))
-        session = server.submit(
-            ssb_query("Q1.1"),
-            ExecutionConfig.gpu_only([0, 1], block_tuples=4096),
-            name="Q1.1",
-        )
-        report = server.run()
+    def test_without_retry_policy_failure_is_terminal_but_typed(self):
+        out = run_scenario(_gpu_query(fault_plan=GPU0_LOST))
+        session = out.sessions["Q1.1"]
         assert session.status == "failed"
         assert session.error_class == "device_lost"
         assert session.error is not None
         assert classify_failure(session.error) == ("device_lost", True)
-        assert "[device_lost]" in report.summary()
-        server.check_conservation()
+        assert "[device_lost]" in out.report.summary()
 
-    def test_exhausted_attempts_fail_typed(self, tables):
-        server = _server(
-            tables,
-            fault_plan=_loss_plan(5e-4),
-            retry_policy=RetryPolicy(max_attempts=1),
-        )
-        session = server.submit(
-            ssb_query("Q1.1"),
-            ExecutionConfig.gpu_only([0, 1], block_tuples=4096),
-            name="Q1.1",
-        )
-        server.run()
+    def test_exhausted_attempts_fail_typed(self):
+        retry = RetryPolicy(max_attempts=1)
+        out = run_scenario(_gpu_query(fault_plan=GPU0_LOST, retry_policy=retry))
+        session = out.sessions["Q1.1"]
         assert session.status == "failed"
         assert session.error_class == "device_lost"
         assert session.attempts == 1
-        server.check_conservation()
 
-    def test_retry_beyond_tenant_quota_ends_campaign(self, tables):
+    def test_retry_beyond_tenant_quota_ends_campaign(self):
         """A retry's degraded shape is held to the walls a first
         submission is: the CPU-only fallback needs 16 cores against the
         tenant's 12-core quota, so the campaign ends with the ORIGINAL
         typed failure instead of parking forever on re-admission."""
-        server = _server(
-            tables,
-            tenants=[Tenant("small", compute_quota=0.5)],
-            fault_plan=_loss_plan(5e-4),
-            retry_policy=RetryPolicy(max_attempts=3, fallback_cpu_workers=16),
-        )
-        session = server.submit(
-            ssb_query("Q1.1"),
-            ExecutionConfig.gpu_only([0, 1], block_tuples=4096),
-            name="Q1.1",
-            tenant="small",
-        )
-        report = server.run()  # used to raise SchedulerError: batch stalled
+        server = {
+            "tenants": (Tenant("small", compute_quota=0.5),),
+            "fault_plan": GPU0_LOST,
+            "retry_policy": RetryPolicy(max_attempts=3, fallback_cpu_workers=16),
+        }
+        arrivals = (Arrival("Q1.1", GPU, name="Q1.1", tenant="small"),)
+        # used to raise SchedulerError: batch stalled
+        out = run_scenario(Scenario(arrivals, server))
+        session = out.sessions["Q1.1"]
         assert session.status == "failed"
         assert session.error_class == "device_lost"
         assert session.retried_classes == []
-        assert report.sessions == [session]
-        server.check_conservation()
+        assert out.report.sessions == [session]
 
-    def test_phase_boundary_loss_retries(self, tables, reference):
-        plan = FaultPlan(
-            seed=11,
-            device_losses=(
-                DeviceLossFault(gpu_id=1, at_phase_boundary=1),
-            ),
+    def test_phase_boundary_loss_retries(self):
+        loss = DeviceLossFault(gpu_id=1, at_phase_boundary=1)
+        plan = FaultPlan(seed=11, device_losses=(loss,))
+        out = run_scenario(
+            _gpu_query("Q3.1", fault_plan=plan, retry_policy=RetryPolicy())
         )
-        server = _server(
-            tables, fault_plan=plan, retry_policy=RetryPolicy(),
-        )
-        session = server.submit(
-            ssb_query("Q3.1"),
-            ExecutionConfig.gpu_only([0, 1], block_tuples=4096),
-            name="Q3.1",
-        )
-        report = server.run()
+        session = out.sessions["Q3.1"]
         assert session.status == "done"
         assert session.retried_classes == ["device_lost"]
-        assert sorted(session.result.rows) == sorted(reference["Q3.1"])
-        assert report.faults["device_losses"] == 1
-        server.check_conservation()
+        assert out.report.faults["device_losses"] == 1
 
-    def test_spurious_abort_is_retried(self, tables, reference):
-        plan = FaultPlan(
-            seed=3,
-            aborts=(SpuriousAbortFault(at_seconds=1e-3),),
-        )
-        server = _server(
-            tables,
-            compile_seconds=0.0,
-            fault_plan=plan,
-            retry_policy=RetryPolicy(),
-        )
-        session = server.submit(
-            ssb_query("Q1.1"),
-            ExecutionConfig.gpu_only([0, 1], block_tuples=4096),
-            name="Q1.1",
-        )
-        report = server.run()
+    def test_spurious_abort_is_retried(self):
+        abort = SpuriousAbortFault(at_seconds=1e-3)
+        server = {
+            "compile_seconds": 0.0,
+            "fault_plan": FaultPlan(seed=3, aborts=(abort,)),
+            "retry_policy": RetryPolicy(),
+        }
+        out = run_scenario(_gpu_query(**server))
+        session = out.sessions["Q1.1"]
         assert session.status == "done"
         assert session.retried_classes == ["aborted"]
         assert not session.fell_back  # no device died: same placement
-        assert sorted(session.result.rows) == sorted(reference["Q1.1"])
-        assert report.faults["spurious_aborts"] == 1
-        server.check_conservation()
+        assert out.report.faults["spurious_aborts"] == 1
 
-    def test_straggler_runs_are_deterministic_per_seed(self, tables, reference):
-        def drive():
-            plan = FaultPlan(
-                seed=5,
-                straggler=StragglerFault(probability=0.5, multiplier=6.0),
-            )
-            server = _server(tables, fault_plan=plan)
-            session = server.submit(
-                ssb_query("Q2.1"),
-                ExecutionConfig.gpu_only([0, 1], block_tuples=4096),
-                name="Q2.1",
-            )
-            report = server.run()
-            server.check_conservation()
-            return session, report
+    def test_straggler_runs_are_deterministic_per_seed(self):
+        straggler = StragglerFault(probability=0.5, multiplier=6.0)
+        scenario = _gpu_query("Q2.1", fault_plan=FaultPlan(seed=5, straggler=straggler))
+        first, second = run_scenario(scenario), run_scenario(scenario)
+        assert first.sessions["Q2.1"].status == "done"
+        assert first.report.faults["stragglers"] > 0
+        assert first.signature() == second.signature()
 
-        first_session, first = drive()
-        second_session, second = drive()
-        assert first_session.status == "done"
-        assert sorted(first_session.result.rows) == sorted(reference["Q2.1"])
-        assert first.faults["stragglers"] > 0
-        assert first.faults == second.faults
-        assert first.makespan == second.makespan
-        assert first_session.latency == second_session.latency
-
-    def test_survivors_unaffected_by_siblings_device_loss(
-        self, tables, reference
-    ):
+    def test_survivors_unaffected_by_siblings_device_loss(self):
         """A CPU-only sibling sharing the server with the victim query
         completes untouched while the victim retries."""
-        server = _server(
-            tables,
-            max_concurrent=4,
-            fault_plan=_loss_plan(5e-4),
-            retry_policy=RetryPolicy(),
+        cpu = ExecutionConfig.cpu_only(4, block_tuples=4096)
+        arrivals = (
+            Arrival("Q1.1", GPU, name="victim"),
+            Arrival("Q2.1", cpu, name="bystander"),
         )
-        victim = server.submit(
-            ssb_query("Q1.1"),
-            ExecutionConfig.gpu_only([0, 1], block_tuples=4096),
-            name="victim",
-        )
-        bystander = server.submit(
-            ssb_query("Q2.1"),
-            ExecutionConfig.cpu_only(4, block_tuples=4096),
-            name="bystander",
-        )
-        server.run()
+        server = {
+            "max_concurrent": 4,
+            "fault_plan": GPU0_LOST,
+            "retry_policy": RetryPolicy(),
+        }
+        out = run_scenario(Scenario(arrivals, server))
+        victim, bystander = out.sessions["victim"], out.sessions["bystander"]
         assert victim.status == "done"
         assert victim.retries == 1
         assert bystander.status == "done"
         assert bystander.retries == 0
-        assert sorted(victim.result.rows) == sorted(reference["Q1.1"])
-        assert sorted(bystander.result.rows) == sorted(reference["Q2.1"])
-        server.check_conservation()
 
 
 # ---------------------------------------------------------------------------
@@ -655,14 +543,9 @@ class TestSchedulerRetry:
 
 
 class TestFailureAttribution:
-    def test_session_error_preserves_cause_chain(self, tables):
-        server = _server(tables, fault_plan=_loss_plan(5e-4))
-        session = server.submit(
-            ssb_query("Q1.1"),
-            ExecutionConfig.gpu_only([0, 1], block_tuples=4096),
-            name="Q1.1",
-        )
-        server.run()
+    def test_session_error_preserves_cause_chain(self):
+        out = run_scenario(_gpu_query(fault_plan=GPU0_LOST))
+        session = out.sessions["Q1.1"]
         assert session.status == "failed"
         chain = []
         exc = session.error
@@ -671,32 +554,19 @@ class TestFailureAttribution:
             exc = exc.__cause__ or exc.__context__
         assert any(isinstance(e, DeviceLostError) for e in chain)
 
-    def test_summary_names_the_failed_process(self, tables):
-        server = _server(tables, fault_plan=_loss_plan(5e-4))
-        session = server.submit(
-            ssb_query("Q1.1"),
-            ExecutionConfig.gpu_only([0, 1], block_tuples=4096),
-            name="Q1.1",
-        )
-        report = server.run()
-        detail = session.failure_detail()
+    def test_summary_names_the_failed_process(self):
+        out = run_scenario(_gpu_query(fault_plan=GPU0_LOST))
+        detail = out.sessions["Q1.1"].failure_detail()
         assert detail.startswith(("process ", "phase "))
         assert "DeviceLostError" in detail
-        assert detail in report.summary()
+        assert detail in out.report.summary()
 
-    def test_wave_interrupt_attributed_to_phase_not_question_mark(
-        self, tables
-    ):
+    def test_wave_interrupt_attributed_to_phase_not_question_mark(self):
         """An interrupt delivered to the wave wait itself (no failed
         worker process) must name the executing phase, never ``"?"``."""
         plan = FaultPlan(aborts=(SpuriousAbortFault(at_seconds=1e-3),))
-        server = _server(tables, compile_seconds=0.0, fault_plan=plan)
-        session = server.submit(
-            ssb_query("Q1.1"),
-            ExecutionConfig.gpu_only([0, 1], block_tuples=4096),
-            name="Q1.1",
-        )
-        server.run()
+        out = run_scenario(_gpu_query(compile_seconds=0.0, fault_plan=plan))
+        session = out.sessions["Q1.1"]
         assert session.status == "failed"
         assert session.error_class == "aborted"
         assert isinstance(session.error, QueryError)
@@ -706,4 +576,3 @@ class TestFailureAttribution:
         assert "phase" in session.failure_detail() or (
             session.error.process is not None
         )
-        server.check_conservation()

@@ -30,8 +30,9 @@ from repro.engine.reference import ReferenceExecutor
 from repro.jit.cache import PipelineCache, make_eviction_policy, stage_signature
 from repro.jit.codegen import PipelineCompiler
 from repro.jit.pipeline import QueryState
-from repro.ssb import SSB_QUERY_IDS, generate_ssb, load_ssb, ssb_query
+from repro.ssb import SSB_QUERY_IDS, load_ssb, ssb_query
 from repro.storage import Column, DataType, Table
+from scenario import reference_rows, ssb_tables
 
 
 def _table(seed=3, rows=4_000):
@@ -174,7 +175,7 @@ class TestOneCompilePath:
     same cache traffic and, warm, the same function objects."""
 
     def test_compile_plan_equals_begin_then_finish(self):
-        tables = generate_ssb(scale_factor=0.002, seed=5)
+        tables = ssb_tables(0.002, 5)
         one_shot, two_phase = (
             Proteus(segment_rows=1024, cache_policy=CachePolicy(capacity=32))
             for _ in range(2)
@@ -374,11 +375,6 @@ class TestEvictionPolicySemantics:
         assert "small" in cache and "next" in cache
 
 
-@pytest.fixture(scope="module")
-def ssb_tables():
-    return generate_ssb(scale_factor=0.005, seed=13)
-
-
 #: the repeated-trace working set: a hot GPU mix recompiled every round
 #: plus a churn of every SSB flight's CPU shapes (~48 distinct stage
 #: signatures against a capacity-18 cache)
@@ -396,12 +392,12 @@ class TestEvictionPolicyMatrix:
     ~8x) and spends its misses on the cheap CPU shapes instead.
     """
 
-    def _engine(self, tables, eviction):
+    def _engine(self, eviction):
         engine = Proteus(
             segment_rows=2048,
             cache_policy=CachePolicy(capacity=_TRACE_CAPACITY, eviction=eviction),
         )
-        load_ssb(engine, tables=tables)
+        load_ssb(engine, tables=ssb_tables())
         return engine
 
     def _replay(self, engine, rounds=3):
@@ -423,10 +419,10 @@ class TestEvictionPolicyMatrix:
     def _gpu_resident(self, engine):
         return sum(1 for key in engine.pipeline_cache.keys() if key[0] == "gpu")
 
-    def test_cost_aware_retains_gpu_pipelines_lru_evicts(self, ssb_tables):
+    def test_cost_aware_retains_gpu_pipelines_lru_evicts(self):
         results = {}
         for eviction in ("lru", "cost_aware"):
-            engine = self._engine(ssb_tables, eviction)
+            engine = self._engine(eviction)
             cost = self._replay(engine)
             results[eviction] = (cost, engine.pipeline_cache.stats.hit_rate,
                                  self._gpu_resident(engine))
@@ -440,12 +436,11 @@ class TestEvictionPolicyMatrix:
         # ... which also lifts the hit rate on this trace
         assert ca_rate > lru_rate
 
-    def test_policy_choice_never_changes_results(self, ssb_tables):
-        reference = ReferenceExecutor(ssb_tables)
-        expected = sorted(reference.execute(ssb_query("Q2.1")))
+    def test_policy_choice_never_changes_results(self):
+        expected = sorted(reference_rows("Q2.1"))
         cfg = ExecutionConfig.hybrid(3, [0, 1], block_tuples=4096)
         for eviction in ("lru", "cost_aware"):
-            engine = self._engine(ssb_tables, eviction)
+            engine = self._engine(eviction)
             self._replay(engine, rounds=1)  # pre-churned, part-evicted cache
             result = engine.query(ssb_query("Q2.1"), cfg)
             assert sorted(result.rows) == expected, eviction
@@ -513,7 +508,7 @@ class TestSharedDirectory:
         assert "gpu" in directory  # the expensive entry survived
         assert directory.stats.evictions == 1
 
-    def test_two_engines_share_compilations(self, ssb_tables):
+    def test_two_engines_share_compilations(self):
         """Engine-level promotion: B never compiles what A already
         published, and the answers stay identical to the reference."""
         directory = SharedCacheDirectory(capacity=256)
@@ -521,11 +516,10 @@ class TestSharedDirectory:
         engines = []
         for _ in range(2):
             engine = Proteus(segment_rows=2048, shared_cache=directory)
-            load_ssb(engine, tables=ssb_tables)
+            load_ssb(engine, tables=ssb_tables())
             engines.append(engine)
         a, b = engines
-        reference = ReferenceExecutor(ssb_tables)
-        expected = sorted(reference.execute(ssb_query("Q3.1")))
+        expected = sorted(reference_rows("Q3.1"))
         result_a = a.query(ssb_query("Q3.1"), cfg)
         assert a.pipeline_cache.stats.misses > 0  # cold fleet: A compiles
         result_b = b.query(ssb_query("Q3.1"), cfg)

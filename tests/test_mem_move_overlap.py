@@ -31,15 +31,23 @@ from repro.algebra.physical import (
 from repro.core.mem_move import MemMove
 from repro.core.router import ConsumerGroup, Router
 from repro.engine.config import ExecutionConfig
-from repro.engine.reference import ReferenceExecutor
-from repro.engine.scheduler import EngineServer
 from repro.hardware.costmodel import CostModel
 from repro.hardware.sim import Simulator, Store
 from repro.hardware.specs import PAPER_SERVER
 from repro.hardware.topology import DeviceType, Server
 from repro.memory.block import Block, BlockHandle
 from repro.memory.managers import BlockManagerSet
-from repro.ssb import generate_ssb, load_ssb, ssb_query
+from repro.ssb import load_ssb, ssb_query
+from scenario import (
+    Arrival,
+    OpenLoop,
+    Scenario,
+    Tables,
+    build,
+    reference_rows,
+    run_scenario,
+    ssb_tables,
+)
 
 DEPTHS = (1, 2, 4)
 #: route selection is contention-priced only; the single-valued axis
@@ -51,21 +59,15 @@ POLICIES = ("contention",)
 QUERIES = ("Q1.1", "Q3.1")
 
 
-@pytest.fixture(scope="module")
-def tables():
-    return generate_ssb(scale_factor=0.01, seed=42)
+#: the (physical scale factor, seed) of this suite's SSB tables
+SF = (0.01, 42)
 
 
-@pytest.fixture(scope="module")
-def reference(tables):
-    return ReferenceExecutor(tables)
-
-
-def _engine(tables, logical_sf=1.0):
+def _engine(logical_sf=1.0):
     from repro.engine.proteus import Proteus
 
     engine = Proteus(segment_rows=2048)
-    load_ssb(engine, tables=tables, logical_sf=logical_sf)
+    load_ssb(engine, tables=ssb_tables(*SF), logical_sf=logical_sf)
     return engine
 
 
@@ -74,36 +76,36 @@ class TestDifferential:
 
     @pytest.mark.parametrize("depth", DEPTHS)
     @pytest.mark.parametrize("policy", POLICIES)
-    def test_gpu_only_matches_reference(self, tables, reference, depth, policy):
-        engine = _engine(tables)
+    def test_gpu_only_matches_reference(self, depth, policy):
+        engine = _engine()
         config = ExecutionConfig.gpu_only(
             [0, 1], block_tuples=512, prefetch_depth=depth
         )
         for qid in QUERIES:
             result = engine.query(ssb_query(qid), config)
             assert sorted(result.rows) == sorted(
-                reference.execute(ssb_query(qid))
+                reference_rows(qid, *SF)
             ), f"{qid} depth={depth} policy={policy}"
 
     @pytest.mark.parametrize("depth", DEPTHS)
     @pytest.mark.parametrize("policy", POLICIES)
-    def test_hybrid_matches_reference(self, tables, reference, depth, policy):
-        engine = _engine(tables)
+    def test_hybrid_matches_reference(self, depth, policy):
+        engine = _engine()
         config = ExecutionConfig.hybrid(
             4, [0, 1], block_tuples=512, prefetch_depth=depth
         )
         for qid in QUERIES:
             result = engine.query(ssb_query(qid), config)
             assert sorted(result.rows) == sorted(
-                reference.execute(ssb_query(qid))
+                reference_rows(qid, *SF)
             ), f"{qid} depth={depth} policy={policy}"
 
-    def test_overlap_never_slower_simulated(self, tables):
+    def test_overlap_never_slower_simulated(self):
         """At a PCIe-bound logical scale, depth>=2 must not lose to the
         overlap-off baseline on any query (and must win on at least one)."""
         times = {}
         for depth in (1, 2):
-            engine = _engine(tables, logical_sf=1000.0)
+            engine = _engine(logical_sf=1000.0)
             config = ExecutionConfig.gpu_only(
                 [0, 1], block_tuples=256, prefetch_depth=depth
             )
@@ -117,8 +119,8 @@ class TestDifferential:
             times[2][qid] < times[1][qid] * 0.97 for qid in QUERIES
         ), f"overlap bought nothing: {times}"
 
-    def test_staging_conserved_after_each_run(self, tables):
-        engine = _engine(tables)
+    def test_staging_conserved_after_each_run(self):
+        engine = _engine()
         config = ExecutionConfig.gpu_only(
             [0, 1], block_tuples=512, prefetch_depth=4
         )
@@ -276,7 +278,7 @@ class TestStagingAbortAccounting:
         assert proc.triggered and proc.ok
         assert progressed, "prefetcher stranded on a credit waiter"
 
-    def test_failed_query_releases_staged_slots_under_prefetch(self, tables):
+    def test_failed_query_releases_staged_slots_under_prefetch(self):
         """End to end: a query that dies mid-probe with depth-4 prefetch
         in flight leaves the shared staging arenas whole, and a
         co-resident query is unaffected."""
@@ -284,8 +286,8 @@ class TestStagingAbortAccounting:
         from repro.algebra.logical import agg_sum, scan
         from repro.storage import Column, DataType, Table
 
-        server = EngineServer(segment_rows=2048, max_concurrent=4)
-        load_ssb(server.engine, tables=tables)
+        # a bare drive: the failing plan needs two non-SSB tables
+        server = build(Scenario(server={"max_concurrent": 4}, tables=Tables(*SF)))
         server.register(Table("dup_dim", [
             Column.from_values("dk", DataType.INT64, np.array([1, 1, 2])),
             Column.from_values("dv", DataType.INT64, np.array([7, 8, 9])),
@@ -411,30 +413,22 @@ class TestRouterLocalityTieBreak:
         second = self._route(nodes)
         assert first == second
 
-    def test_seeded_concurrent_batches_are_deterministic(self, tables):
+    def test_seeded_concurrent_batches_are_deterministic(self):
         """Two identical seeded concurrent drives produce identical
         routing outcomes — same per-session latencies and results."""
-
-        def drive():
-            server = EngineServer(segment_rows=2048, max_concurrent=4)
-            load_ssb(server.engine, tables=tables)
-            config = ExecutionConfig.gpu_only([0, 1], block_tuples=512)
-            for index, qid in enumerate(("Q1.1", "Q2.1", "Q3.1", "Q4.1")):
-                server.submit(ssb_query(qid), config, name=f"{qid}#{index}")
-            server.spawn_open_loop(
-                [ssb_query("Q1.2")], config, rate_qps=200.0, arrivals=3,
-                seed=7, name="open",
-            )
-            report = server.run()
-            server.check_conservation()
-            return report
-
-        a, b = drive(), drive()
-        assert a.makespan == b.makespan
-        assert len(a.sessions) == len(b.sessions)
-        for sa, sb in zip(a.sessions, b.sessions):
-            assert sa.latency == sb.latency
-            assert sa.result.rows == sb.result.rows
+        config = ExecutionConfig.gpu_only([0, 1], block_tuples=512)
+        scenario = Scenario(
+            (
+                *(
+                    Arrival(qid, config, name=f"{qid}#{index}")
+                    for index, qid in enumerate(("Q1.1", "Q2.1", "Q3.1", "Q4.1"))
+                ),
+                OpenLoop(("Q1.2",), config, rate_qps=200.0, arrivals=3, seed=7),
+            ),
+            server={"max_concurrent": 4},
+            tables=Tables(*SF),
+        )
+        assert run_scenario(scenario).signature() == run_scenario(scenario).signature()
 
 
 class TestPathPolicyDynamics:

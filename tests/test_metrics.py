@@ -13,11 +13,9 @@ closed — on hedged, loss and stall + watchdog drives, plus the
 ``FleetReport.events`` completeness and ordering contract.
 """
 
-import re
-
 import pytest
 
-from repro import EngineServer, ExecutionConfig
+from repro import ExecutionConfig
 from repro.engine.failover import BreakerPolicy, FailoverPolicy
 from repro.engine.faults import (
     DeviceLossFault,
@@ -37,19 +35,15 @@ from repro.engine.metrics import (
 from repro.engine.scheduler import SchedulerError
 from repro.engine.tenancy import Tenant
 from repro.hardware.sim import Simulator
-from repro.ssb import generate_ssb, load_ssb, ssb_query
-
-
-@pytest.fixture(scope="module")
-def tables():
-    return generate_ssb(scale_factor=0.005, seed=13)
-
-
-def _server(tables, **kwargs) -> EngineServer:
-    server = EngineServer(segment_rows=2048, **kwargs)
-    load_ssb(server.engine, tables=tables)
-    return server
-
+from scenario import (
+    PLANS,
+    Arrival,
+    Scenario,
+    assert_sessions_counted_once_and_terminal,
+    batch,
+    build,
+    run_scenario,
+)
 
 CPU4 = ExecutionConfig.cpu_only(4, block_tuples=4096)
 
@@ -84,39 +78,6 @@ FLEET_FAMILIES = {name for name in EXPECTED_FAMILIES if name.startswith("repro_f
 
 #: the single-server exposition schema (what a server drive snapshots)
 SERVER_FAMILIES = EXPECTED_FAMILIES - FLEET_FAMILIES
-
-
-def assert_sessions_counted_once_and_terminal(report) -> None:
-    """Lifecycle invariant of a fresh server's first drive, whatever the
-    mix of features and faults: ``repro_sessions_total`` counts every
-    reported session exactly once, under a terminal status."""
-    values = report.metrics["repro_sessions_total"]["values"]
-    for labels in values:
-        status = re.search(r'status="([^"]*)"', labels).group(1)
-        assert status in {"done", "failed", "shed"}, labels
-    assert sum(values.values()) == len(report.sessions)
-
-
-def assert_fleet_queries_counted_once_and_terminal(fleet, report) -> None:
-    """The same invariant one tier up, for a fresh fleet's first drive:
-    every reported query is terminal and counted exactly once in
-    ``repro_fleet_queries_total``, every hedge win is counted once,
-    every failover hop was closed and no backend is left with a
-    dispatch in flight."""
-    for query in report.queries:
-        assert query.status in {"done", "failed"}, query.name
-        assert query.finish_time is not None, query.name
-        for chain in query.chains.values():
-            chain.assert_closed()
-    values = report.metrics["repro_fleet_queries_total"]["values"]
-    assert set(values) <= {'{status="done"}', '{status="failed"}'}
-    assert sum(values.values()) == len(report.queries)
-    hedges = report.metrics["repro_fleet_hedges_total"]["values"]
-    assert hedges.get('{result="win"}', 0.0) == sum(
-        q.hedge_wins for q in report.queries
-    )
-    for fs in fleet.servers:
-        assert fs.inflight == 0, fs.name
 
 
 class TestCounter:
@@ -247,25 +208,24 @@ class TestPump:
             MetricsPump(Simulator(), sample_interval=0.0)
 
 
+ACME = {"tenants": (Tenant("acme"),)}
+
+
 class TestServerMetricsSurface:
-    def test_schema_is_exact_and_stable_across_drives(self, tables):
-        server = _server(tables, tenants=[Tenant("acme")])
-        server.submit(ssb_query("Q1.1"), CPU4, tenant="acme")
-        first = server.run().metrics
+    def test_schema_is_exact_and_stable_across_drives(self):
+        arrivals = (Arrival("Q1.1", CPU4, tenant="acme"),)
+        cold = run_scenario(Scenario(arrivals, ACME))
+        first = cold.report.metrics
+        second = cold.then(Arrival("Q2.1", CPU4)).report.metrics
         assert set(first) == SERVER_FAMILIES
-        server.submit(ssb_query("Q2.1"), CPU4)
-        second = server.run().metrics
         assert set(second) == SERVER_FAMILIES
         for name, family in second.items():
             assert family["type"] == first[name]["type"]
 
-    def test_counters_monotone_across_two_drives(self, tables):
-        server = _server(tables)
-        server.submit(ssb_query("Q1.1"), CPU4)
-        first = server.run().metrics
-        server.submit(ssb_query("Q1.1"), CPU4)
-        server.submit(ssb_query("Q3.1"), CPU4)
-        second = server.run().metrics
+    def test_counters_monotone_across_two_drives(self):
+        cold = run_scenario(Scenario((Arrival("Q1.1", CPU4),)))
+        warm = cold.then(Arrival("Q1.1", CPU4), Arrival("Q3.1", CPU4))
+        first, second = cold.report.metrics, warm.report.metrics
         for name, family in second.items():
             if family["type"] != "counter":
                 continue
@@ -281,11 +241,12 @@ class TestServerMetricsSurface:
         done = '{tenant="default",qos_class="batch",status="done"}'
         assert second["repro_sessions_total"]["values"][done] == 3.0
 
-    def test_histogram_bucket_sums_equal_counts(self, tables):
-        server = _server(tables, tenants=[Tenant("acme")])
-        for index in range(3):
-            server.submit(ssb_query("Q1.1"), CPU4, tenant="acme" if index % 2 else None)
-        snapshot = server.run().metrics
+    def test_histogram_bucket_sums_equal_counts(self):
+        arrivals = tuple(
+            Arrival("Q1.1", CPU4, tenant="acme" if index % 2 else None)
+            for index in range(3)
+        )
+        snapshot = run_scenario(Scenario(arrivals, ACME)).report.metrics
         checked = 0
         for family in snapshot.values():
             if family["type"] != "histogram":
@@ -295,9 +256,10 @@ class TestServerMetricsSurface:
                 checked += 1
         assert checked >= 2  # latency + queue-wait, per tenant label
 
-    def test_hot_path_stays_queued_until_pump_drains(self, tables):
-        server = _server(tables)
-        session = server.submit(ssb_query("Q1.1"), CPU4)
+    def test_hot_path_stays_queued_until_pump_drains(self):
+        # a bare drive: the pump's state between submit and run is the subject
+        server = build(Scenario())
+        session = server.submit(PLANS["Q1.1"], CPU4)
         # submission-side sheds aside, nothing has been folded yet
         assert server._pump.drained == 0
         report = server.run()
@@ -306,11 +268,9 @@ class TestServerMetricsSurface:
         latency = report.metrics["repro_query_latency_seconds"]["values"]
         assert latency['{tenant="default"}']["count"] == 1
 
-    def test_text_exposition_of_live_server(self, tables):
-        server = _server(tables, tenants=[Tenant("acme")])
-        server.submit(ssb_query("Q1.1"), CPU4, tenant="acme")
-        server.run()
-        text = server.metrics_text()
+    def test_text_exposition_of_live_server(self):
+        arrivals = (Arrival("Q1.1", CPU4, tenant="acme"),)
+        text = run_scenario(Scenario(arrivals, ACME)).system.metrics_text()
         assert "# TYPE repro_sessions_total counter" in text
         assert (
             'repro_sessions_total{tenant="acme",qos_class="batch",'
@@ -319,9 +279,10 @@ class TestServerMetricsSurface:
         assert "# TYPE repro_query_latency_seconds histogram" in text
         assert 'repro_query_latency_seconds_bucket{tenant="acme",le="+Inf"} 1' in text
 
-    def test_stalled_drive_counts_sessions_under_terminal_status(self, tables):
-        server = _server(tables)
-        session = server.submit(ssb_query("Q2.1"), CPU4)
+    def test_stalled_drive_counts_sessions_under_terminal_status(self):
+        # a bare drive: the simulator is stopped mid-execution by hand
+        server = build(Scenario())
+        session = server.submit(PLANS["Q2.1"], CPU4)
         server.start()
         server.sim.run(until=2e-3)  # cut the drive short, mid-execution
         with pytest.raises(SchedulerError, match="batch stalled"):
@@ -330,29 +291,25 @@ class TestServerMetricsSurface:
         assert_sessions_counted_once_and_terminal(server.last_report)
         server.check_conservation()
 
-    def test_mixed_drive_counts_sessions_under_terminal_status(self, tables):
-        server = _server(
-            tables,
-            max_concurrent=1,
-            max_queue_depth=2,
-            tenants=[Tenant("acme")],
-            fault_plan=FaultPlan(
-                seed=7, device_losses=(DeviceLossFault(gpu_id=0, at_seconds=5e-4),)
-            ),
-        )
+    def test_mixed_drive_counts_sessions_under_terminal_status(self):
         gpu = ExecutionConfig.gpu_only([0, 1], block_tuples=4096)
-        sessions = [
-            server.submit(ssb_query("Q1.1"), gpu, tenant="acme"),
-            server.submit(ssb_query("Q1.2"), CPU4),
-            server.submit(ssb_query("Q1.3"), CPU4),
-        ]
-        report = server.run()
-        assert [s.status for s in sessions] == ["failed", "done", "shed"]
-        assert_sessions_counted_once_and_terminal(report)
-        server.check_conservation()
+        arrivals = (
+            Arrival("Q1.1", gpu, tenant="acme"),
+            Arrival("Q1.2", CPU4),
+            Arrival("Q1.3", CPU4),
+        )
+        loss = DeviceLossFault(gpu_id=0, at_seconds=5e-4)
+        server = {
+            **ACME,
+            "max_concurrent": 1,
+            "max_queue_depth": 2,
+            "fault_plan": FaultPlan(seed=7, device_losses=(loss,)),
+        }
+        out = run_scenario(Scenario(arrivals, server))
+        assert [s.status for s in out.items] == ["failed", "done", "shed"]
 
-    def test_registry_shared_through_engine_facade(self, tables):
-        server = _server(tables)
+    def test_registry_shared_through_engine_facade(self):
+        server = build(Scenario())
         assert server.metrics is server.engine.metrics
 
 
@@ -370,83 +327,72 @@ class TestFleetMetricsSurface:
         assert not FLEET_FAMILIES & SERVER_FAMILIES
 
 
-def _drive_fleet(tables, queries=("Q1.1", "Q2.1"), **kwargs):
-    fleet = EngineFleet(4, replication=2, segment_rows=2048, **kwargs)
-    fleet.load_tables(tables, fact="lineorder")
-    for qid in queries:
-        fleet.submit(ssb_query(qid), CPU4, name=qid)
-    return fleet, fleet.run()
+def _sharded(queries=("Q1.1", "Q2.1"), **fleet) -> Scenario:
+    fleet = {"num_servers": 4, "replication": 2, **fleet}
+    return Scenario(batch(queries, CPU4), fleet=fleet)
+
+
+def _srv0_partitioned(seconds: float) -> FaultPlan:
+    """srv0 is unreachable from the start of the drive for ``seconds``."""
+    return FaultPlan(server_stalls=(ServerStallFault("srv0", 0.0, seconds),))
 
 
 class TestFleetLifecycle:
     """One terminal path (``EngineFleet._finish``) and one hop-close
-    (``_close_hop``): whatever ends a query or a hop, it is counted once."""
+    (``_close_hop``): whatever ends a query or a hop, it is counted once
+    — the runner's lifecycle check, on three ways a hop can end."""
 
-    def test_hedged_drive(self, tables):
+    def test_hedged_drive(self):
         # srv0 is partitioned when the drive starts: its primary parks at
         # the fleet edge, the hedge on the other replica answers first
-        fleet, report = _drive_fleet(
-            tables,
-            failover=FailoverPolicy(max_attempts=3, hedge_delay_seconds=1e-3),
-            fault_plan=FaultPlan(server_stalls=(ServerStallFault("srv0", 0.0, 0.05),)),
-        )
+        policy = FailoverPolicy(max_attempts=3, hedge_delay_seconds=1e-3)
+        scenario = _sharded(failover=policy, fault_plan=_srv0_partitioned(0.05))
+        report = run_scenario(scenario).report
         assert [q.status for q in report.queries] == ["done", "done"]
         assert report.hedge_wins >= 1
         hedges = report.metrics["repro_fleet_hedges_total"]["values"]
         assert hedges['{result="loss"}'] >= 1.0
-        assert_fleet_queries_counted_once_and_terminal(fleet, report)
-        fleet.check_conservation()
 
-    def test_loss_mid_scatter_drive(self, tables):
-        fleet, report = _drive_fleet(
-            tables,
-            fault_plan=FaultPlan(server_losses=(ServerLossFault("srv1", 1e-3),)),
-        )
+    def test_loss_mid_scatter_drive(self):
+        plan = FaultPlan(server_losses=(ServerLossFault("srv1", 1e-3),))
+        report = run_scenario(_sharded(fault_plan=plan)).report
         assert [q.status for q in report.queries] == ["done", "done"]
         assert report.failovers_by_outcome == {"server_lost": 1}
-        assert_fleet_queries_counted_once_and_terminal(fleet, report)
-        fleet.check_conservation()
 
-    def test_stall_and_watchdog_drive(self, tables):
+    def test_stall_and_watchdog_drive(self):
         # the watchdog fails the dispatch parked on srv0's partition; the
         # hop fails over to the other replica and the query completes
-        fleet, report = _drive_fleet(
-            tables,
-            failover=FailoverPolicy(max_attempts=3, dispatch_timeout_seconds=0.5),
-            fault_plan=FaultPlan(server_stalls=(ServerStallFault("srv0", 0.0, 2.0),)),
-        )
+        policy = FailoverPolicy(max_attempts=3, dispatch_timeout_seconds=0.5)
+        scenario = _sharded(failover=policy, fault_plan=_srv0_partitioned(2.0))
+        report = run_scenario(scenario).report
         assert [q.status for q in report.queries] == ["done", "done"]
         assert report.failovers_by_outcome == {"stall_timeout": 1}
-        assert_fleet_queries_counted_once_and_terminal(fleet, report)
-        fleet.check_conservation()
 
 
 class TestFleetEventLog:
     """``FleetReport.events``: complete, and in simulated-time order."""
 
-    def test_breaker_tripped_by_a_dispatch_outcome_is_logged(self, tables):
+    def test_breaker_tripped_by_a_dispatch_outcome_is_logged(self):
         # the watchdog (t = 0.001) trips srv0's breaker before the first
         # health probe (t = 0.0025) ever runs
-        fleet, report = _drive_fleet(
-            tables,
+        scenario = _sharded(
             queries=("Q1.1",),
             failover=FailoverPolicy(max_attempts=4, dispatch_timeout_seconds=1e-3),
             breaker=BreakerPolicy(failure_threshold=1, open_seconds=1.0),
-            fault_plan=FaultPlan(server_stalls=(ServerStallFault("srv0", 0.0, 0.02),)),
+            fault_plan=_srv0_partitioned(0.02),
         )
-        assert fleet.server("srv0").breaker.transitions == [(1e-3, "open")]
-        assert {"kind": "breaker_open", "server": "srv0", "at": 1e-3} in report.events
-        assert report.queries[0].error_class == "fleet_exhausted"
-        assert_fleet_queries_counted_once_and_terminal(fleet, report)
+        out = run_scenario(scenario)
+        assert out.system.server("srv0").breaker.transitions == [(1e-3, "open")]
+        event = {"kind": "breaker_open", "server": "srv0", "at": 1e-3}
+        assert event in out.report.events
+        assert out.report.queries[0].error_class == "fleet_exhausted"
 
-    def test_events_are_in_simulated_time_order(self, tables):
-        _, report = _drive_fleet(
-            tables,
-            fault_plan=FaultPlan(
-                server_losses=(ServerLossFault("srv1", 1e-3),),
-                server_stalls=(ServerStallFault("srv0", 4e-3, 2e-3),),
-            ),
+    def test_events_are_in_simulated_time_order(self):
+        plan = FaultPlan(
+            server_losses=(ServerLossFault("srv1", 1e-3),),
+            server_stalls=(ServerStallFault("srv0", 4e-3, 2e-3),),
         )
+        report = run_scenario(_sharded(fault_plan=plan)).report
         assert [(e["kind"], e["server"], e["at"]) for e in report.events] == [
             ("server_loss", "srv1", 1e-3),
             ("breaker_open", "srv1", 1e-3),

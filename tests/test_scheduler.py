@@ -22,124 +22,90 @@ from repro.algebra.expressions import col
 from repro.algebra.logical import agg_sum, scan
 from repro.algebra.physical import RouterPolicy
 from repro.core.router import ConsumerGroup, Router
-from repro.engine.reference import ReferenceExecutor
 from repro.engine.scheduler import AdmissionError
 from repro.hardware.sim import Simulator
-from repro.ssb import SSB_QUERY_IDS, generate_ssb, load_ssb, ssb_query
+from repro.ssb import SSB_QUERY_IDS, load_ssb
 from repro.storage import Column, DataType, Table
+from scenario import (
+    PLANS,
+    Arrival,
+    ClosedLoop,
+    Scenario,
+    build,
+    reference_rows,
+    run_scenario,
+    ssb_tables,
+)
+
+CONFIGS = [
+    ExecutionConfig.cpu_only(6, block_tuples=4096),
+    ExecutionConfig.gpu_only([0, 1], block_tuples=4096),
+    ExecutionConfig.hybrid(4, [0, 1], block_tuples=4096),
+]
 
 
-@pytest.fixture(scope="module")
-def tables():
-    return generate_ssb(scale_factor=0.005, seed=13)
+def _cpu(workers: int) -> ExecutionConfig:
+    return ExecutionConfig.cpu_only(workers, block_tuples=4096)
 
 
-@pytest.fixture(scope="module")
-def reference(tables):
-    ref = ReferenceExecutor(tables)
-    return {qid: ref.execute(ssb_query(qid)) for qid in SSB_QUERY_IDS}
+def _mixed(queries) -> tuple[Arrival, ...]:
+    """Each query under the next of the three device configurations."""
+    return tuple(
+        Arrival(qid, CONFIGS[index % len(CONFIGS)], name=qid)
+        for index, qid in enumerate(queries)
+    )
 
 
-def _mixed_config(index: int) -> ExecutionConfig:
-    configs = [
-        ExecutionConfig.cpu_only(6, block_tuples=4096),
-        ExecutionConfig.gpu_only([0, 1], block_tuples=4096),
-        ExecutionConfig.hybrid(4, [0, 1], block_tuples=4096),
-    ]
-    return configs[index % len(configs)]
-
-
-def _server(tables, **kwargs) -> EngineServer:
-    server = EngineServer(segment_rows=2048, **kwargs)
-    load_ssb(server.engine, tables=tables)
-    return server
+#: every dimension finite, so a test caps exactly the one it names
+WIDE_BUDGET = {"dram_bytes": 1e15, "hbm_bytes": 1e12, "pcie_bytes": 1e15}
 
 
 class TestDifferentialCorrectness:
     """Concurrent results == solo reference results, bit for bit."""
 
     @pytest.mark.parametrize("concurrency", [2, 5, 13])
-    def test_all_ssb_queries_concurrent_match_reference(
-        self, tables, reference, concurrency
-    ):
-        server = _server(tables, max_concurrent=concurrency)
-        sessions = [
-            server.submit(ssb_query(qid), _mixed_config(index), name=qid)
-            for index, qid in enumerate(SSB_QUERY_IDS)
-        ]
-        report = server.run()
-        assert [s.status for s in sessions] == ["done"] * len(SSB_QUERY_IDS)
-        for session in sessions:
-            assert sorted(session.result.rows) == sorted(reference[session.name]), (
-                f"{session.name} diverged at concurrency {concurrency}"
-            )
+    def test_all_ssb_queries_concurrent_match_reference(self, concurrency):
+        server = {"max_concurrent": concurrency}
+        out = run_scenario(Scenario(_mixed(SSB_QUERY_IDS), server, expect="done"))
         # all queries genuinely overlapped: batch finished faster than the
         # sum of individual service times (except at concurrency levels
         # where queueing dominates, overlap still shortens the makespan)
-        service = [s.service_seconds for s in sessions]
-        assert report.makespan < sum(service)
-        server.check_conservation()
+        service = [s.service_seconds for s in out.items]
+        assert out.report.makespan < sum(service)
 
-    def test_deterministic_for_fixed_seed(self, tables):
-        def run_once():
-            server = _server(tables, max_concurrent=4)
-            sessions = [
-                server.submit(ssb_query(qid), _mixed_config(i), name=qid)
-                for i, qid in enumerate(SSB_QUERY_IDS[:6])
-            ]
-            report = server.run()
-            return report, sessions
-
-        report_a, sessions_a = run_once()
-        report_b, sessions_b = run_once()
-        assert report_a.makespan == report_b.makespan
-        for a, b in zip(sessions_a, sessions_b):
-            assert a.result.rows == b.result.rows
-            assert a.latency == b.latency
+    def test_deterministic_for_fixed_seed(self):
+        scenario = Scenario(_mixed(SSB_QUERY_IDS[:6]), {"max_concurrent": 4})
+        assert run_scenario(scenario).signature() == run_scenario(scenario).signature()
 
 
 class TestAdmissionControl:
-    def test_budget_caps_concurrent_cores(self, tables):
-        budget = ResourceBudget(
-            dram_bytes=1e15, hbm_bytes=1e12, pcie_bytes=1e15,
-            cpu_cores=8, gpu_units=4,
-        )
-        server = _server(tables, max_concurrent=16, budget=budget)
-        config = ExecutionConfig.cpu_only(4, block_tuples=4096)
-        for index in range(5):
-            server.submit(ssb_query("Q1.1"), config, name=f"r{index}")
-        server.run()
+    def test_budget_caps_concurrent_cores(self):
+        arrivals = tuple(Arrival("Q1.1", _cpu(4), name=f"r{i}") for i in range(5))
+        budget = {**WIDE_BUDGET, "cpu_cores": 8, "gpu_units": 4}
+        out = run_scenario(Scenario(arrivals, {"max_concurrent": 16}, budget=budget))
         # at most two 4-core queries ever ran together
-        assert budget.peak["cpu_cores"] == 8
-        budget.assert_conserved()
+        assert out.system.budget.peak["cpu_cores"] == 8
 
-    def test_oversized_query_rejected_at_submit(self, tables):
-        budget = ResourceBudget(
-            dram_bytes=1e15, hbm_bytes=1e12, pcie_bytes=1e15,
-            cpu_cores=2, gpu_units=0,
-        )
-        server = _server(tables, budget=budget)
+    def test_oversized_query_rejected_at_submit(self):
+        budget = {**WIDE_BUDGET, "cpu_cores": 2, "gpu_units": 0}
+        server = build(Scenario(budget=budget))
         with pytest.raises(AdmissionError, match="exceeds server budget"):
-            server.submit(
-                ssb_query("Q1.1"), ExecutionConfig.cpu_only(4, block_tuples=4096)
-            )
+            server.submit(PLANS["Q1.1"], _cpu(4))
 
-    def test_queueing_delay_is_recorded(self, tables):
-        server = _server(tables, max_concurrent=1)
-        config = ExecutionConfig.cpu_only(4, block_tuples=4096)
-        first = server.submit(ssb_query("Q1.1"), config)
-        second = server.submit(ssb_query("Q1.1"), config)
-        server.run()
+    def test_queueing_delay_is_recorded(self):
+        arrivals = (Arrival("Q1.1", _cpu(4)), Arrival("Q1.1", _cpu(4)))
+        first, second = run_scenario(Scenario(arrivals, {"max_concurrent": 1})).items
         assert first.queue_seconds == 0.0
         assert second.queue_seconds > 0.0
         assert second.admit_time >= first.finish_time
 
-    def test_failure_releases_budget_and_isolates_others(self, tables):
+    def test_failure_releases_budget_and_isolates_others(self):
+        # a bare drive: the failing plan needs two non-SSB tables
         dup = Table("dup_dim", [
             Column.from_values("dk", DataType.INT64, np.array([1, 1, 2])),
             Column.from_values("dv", DataType.INT64, np.array([7, 8, 9])),
         ])
-        server = _server(tables, max_concurrent=4)
+        server = build(Scenario(server={"max_concurrent": 4}))
         server.register(dup)
         fact = Table("dup_fact", [
             Column.from_values("fk", DataType.INT64, np.arange(1, 100) % 3),
@@ -156,9 +122,7 @@ class TestAdmissionControl:
         # failure also exercises the staged-slot reclamation path
         config = ExecutionConfig.hybrid(2, [0], block_tuples=1024)
         bad = server.submit(bad_plan, config, name="bad")
-        good = server.submit(ssb_query("Q1.1"),
-                             ExecutionConfig.cpu_only(4, block_tuples=4096),
-                             name="good")
+        good = server.submit(PLANS["Q1.1"], _cpu(4), name="good")
         server.run()
         assert bad.status == "failed"
         assert bad.error is not None
@@ -240,19 +204,14 @@ class TestBudgetArithmetic:
         assert drive_window(items, reported) == ([items[1]], 7.0)
         assert drive_window(items, reported) == ([], 0.0)
 
-    def test_unspecified_budget_dimensions_are_unlimited(self, tables):
+    def test_unspecified_budget_dimensions_are_unlimited(self):
         """ResourceBudget(cpu_cores=8) must not silently zero the other
         dimensions and reject every query touching them."""
-        server = _server(tables, budget=ResourceBudget(cpu_cores=8),
-                         max_concurrent=4)
-        session = server.submit(
-            ssb_query("Q1.1"), ExecutionConfig.hybrid(4, [0, 1],
-                                                      block_tuples=4096))
-        server.run()
-        assert session.status == "done"
-        server.budget.assert_conserved()
+        arrivals = (Arrival("Q1.1", CONFIGS[2]),)
+        server, budget = {"max_concurrent": 4}, {"cpu_cores": 8}
+        run_scenario(Scenario(arrivals, server, budget=budget, expect="done"))
 
-    def test_engine_kwargs_rejected_with_existing_engine(self, tables):
+    def test_engine_kwargs_rejected_with_existing_engine(self):
         """EngineServer must not silently drop engine options."""
         engine = Proteus(segment_rows=2048)
         with pytest.raises(ValueError, match="no effect"):
@@ -263,38 +222,32 @@ class TestBudgetArithmetic:
         server = EngineServer(engine=engine, max_concurrent=2)
         assert server.max_concurrent == 2
 
-    def test_latencies_keyed_uniquely_despite_duplicate_names(self, tables):
-        server = _server(tables, max_concurrent=2)
-        config = ExecutionConfig.cpu_only(3, block_tuples=4096)
-        server.submit(ssb_query("Q1.1"), config, name="same")
-        server.submit(ssb_query("Q1.2"), config, name="same")
-        report = server.run()
+    def test_latencies_keyed_uniquely_despite_duplicate_names(self):
+        arrivals = (
+            Arrival("Q1.1", _cpu(3), name="same"),
+            Arrival("Q1.2", _cpu(3), name="same"),
+        )
+        report = run_scenario(Scenario(arrivals, {"max_concurrent": 2})).report
         assert len(report.latencies) == 2
         assert report.mean_latency > 0.0
 
 
 class TestClosedLoopClients:
-    def test_dead_client_is_surfaced_not_swallowed(self, tables):
+    def test_dead_client_is_surfaced_not_swallowed(self):
         """A client whose later submission is rejected must fail the run
         loudly — its remaining queries were never submitted."""
         from repro.engine.scheduler import SchedulerError
 
-        budget = ResourceBudget(
-            dram_bytes=1e15, hbm_bytes=1e12, pcie_bytes=1e15,
-            cpu_cores=4, gpu_units=0,
-        )
-        server = _server(tables, max_concurrent=4, budget=budget)
-        small = ExecutionConfig.cpu_only(2, block_tuples=4096)
-        plans = [ssb_query("Q1.1"), ssb_query("Q1.2"), ssb_query("Q1.3")]
+        # a bare drive: the client changes its config mid-loop
+        budget = {**WIDE_BUDGET, "cpu_cores": 4, "gpu_units": 0}
+        server = build(Scenario(server={"max_concurrent": 4}, budget=budget))
 
         def greedy_client():
             # first query fits; the second asks for more cores than the
             # budget will ever have -> AdmissionError inside the client
-            session = server.submit(plans[0], small, name="greedy-0")
+            session = server.submit(PLANS["Q1.1"], _cpu(2), name="greedy-0")
             yield session.done
-            server.submit(plans[1],
-                          ExecutionConfig.cpu_only(8, block_tuples=4096),
-                          name="greedy-1")
+            server.submit(PLANS["Q1.2"], _cpu(8), name="greedy-1")
 
         proc = server.sim.process(greedy_client(), name="client:greedy")
         server._clients.append(proc)
@@ -304,19 +257,19 @@ class TestClosedLoopClients:
         # report must not be skewed by them
         assert server.last_report is not None
         assert len(server.last_report.completed) == 1
-        fresh = server.submit(ssb_query("Q1.3"), small, name="fresh")
+        fresh = server.submit(PLANS["Q1.3"], _cpu(2), name="fresh")
         report = server.run()
         assert [s.name for s in report.sessions] == ["fresh"]
         assert report.makespan == fresh.latency
         server.check_conservation()
 
-    def test_clients_resubmit_after_completion(self, tables):
-        server = _server(tables, max_concurrent=4)
-        plans = [ssb_query("Q1.1"), ssb_query("Q1.2"), ssb_query("Q1.3")]
-        config = ExecutionConfig.cpu_only(3, block_tuples=4096)
-        server.spawn_client(plans, config, think_seconds=0.005, name="alice")
-        server.spawn_client(plans, config, think_seconds=0.0, name="bob")
-        report = server.run()
+    def test_clients_resubmit_after_completion(self):
+        flight = ("Q1.1", "Q1.2", "Q1.3")
+        arrivals = (
+            ClosedLoop(flight, _cpu(3), think_seconds=0.005, name="alice"),
+            ClosedLoop(flight, _cpu(3), name="bob"),
+        )
+        report = run_scenario(Scenario(arrivals, {"max_concurrent": 4})).report
         assert len(report.completed) == 6
         # closed loop: a client's queries never overlap with themselves
         by_client = {}
@@ -329,64 +282,50 @@ class TestClosedLoopClients:
 
 
 class TestWarmServerLatency:
-    def test_concurrent_identical_queries_both_pay_compilation(self, tables):
+    def test_concurrent_identical_queries_both_pay_compilation(self):
         """A pipeline becomes cache-visible only after its simulated
         compile latency: two identical queries admitted together on a
         cold server must BOTH pay compilation — the second cannot finish
         before the first's compilation would even have completed."""
         from repro.engine.scheduler import DEFAULT_COMPILE_SECONDS
 
-        server = _server(tables, max_concurrent=2)
-        config = ExecutionConfig.cpu_only(3, block_tuples=4096)
-        a = server.submit(ssb_query("Q1.1"), config, name="a")
-        b = server.submit(ssb_query("Q1.1"), config, name="b")
-        server.run()
+        arrivals = tuple(Arrival("Q1.1", _cpu(3), name=name) for name in "ab")
+        a, b = run_scenario(Scenario(arrivals, {"max_concurrent": 2})).items
         assert a.compiled_fresh == b.compiled_fresh > 0
         compile_charge = a.compiled_fresh * DEFAULT_COMPILE_SECONDS
         assert a.latency >= compile_charge
         assert b.latency >= compile_charge
 
-    def test_reports_cover_only_their_own_drive(self, tables):
-        server = _server(tables, max_concurrent=2)
-        config = ExecutionConfig.cpu_only(3, block_tuples=4096)
-        server.submit(ssb_query("Q1.1"), config)
-        first = server.run()
-        server.submit(ssb_query("Q1.2"), config)
-        second = server.run()
+    def test_reports_cover_only_their_own_drive(self):
+        arrivals = (Arrival("Q1.1", _cpu(3)),)
+        cold = run_scenario(Scenario(arrivals, {"max_concurrent": 2}))
+        first, second = cold.report, cold.then(Arrival("Q1.2", _cpu(3))).report
         assert len(first.sessions) == 1 and len(second.sessions) == 1
         assert first.sessions[0].query_id != second.sessions[0].query_id
         # second drive's makespan is exactly its own session's span, not
         # the server's lifetime
         assert second.makespan == second.sessions[0].latency
 
-    def test_repeated_query_skips_compilation(self, tables):
-        server = _server(tables, max_concurrent=1)
-        config = ExecutionConfig.cpu_only(4, block_tuples=4096)
-        cold = server.submit(ssb_query("Q2.1"), config, name="cold")
-        server.run()
-        warm = server.submit(ssb_query("Q2.1"), config, name="warm")
-        server.run()
+    def test_repeated_query_skips_compilation(self):
+        arrivals = (Arrival("Q2.1", _cpu(4), name="cold"),)
+        first = run_scenario(Scenario(arrivals, {"max_concurrent": 1}))
+        second = first.then(Arrival("Q2.1", _cpu(4), name="warm"))
+        cold, warm = first.sessions["cold"], second.sessions["warm"]
         assert cold.compiled_fresh > 0
         assert warm.compiled_fresh == 0
         assert warm.latency < cold.latency
         assert warm.result.rows == cold.result.rows
 
-    def test_gpu_pipelines_charge_more_compile_latency(self, tables):
+    def test_gpu_pipelines_charge_more_compile_latency(self):
         """The per-device compile-cost model: the same query compiled
         for the GPUs pays ~5-10x the per-pipeline latency of its
         CPU-only shape — no longer one flat constant per miss."""
         from repro.engine.scheduler import DEFAULT_COMPILE_SECONDS
 
-        server = _server(tables, max_concurrent=1)
-        cpu = server.submit(
-            ssb_query("Q1.1"), ExecutionConfig.cpu_only(3, block_tuples=4096),
-            name="cpu")
-        server.run()
-        gpu = server.submit(
-            ssb_query("Q1.1"), ExecutionConfig.gpu_only([0, 1],
-                                                        block_tuples=4096),
-            name="gpu")
-        server.run()
+        arrivals = (Arrival("Q1.1", _cpu(3), name="cpu"),)
+        first = run_scenario(Scenario(arrivals, {"max_concurrent": 1}))
+        second = first.then(Arrival("Q1.1", CONFIGS[1], name="gpu"))
+        cpu, gpu = first.sessions["cpu"], second.sessions["gpu"]
         assert cpu.compiled_fresh > 0 and gpu.compiled_fresh > 0
         cpu_per_stage = cpu.compile_seconds_charged / cpu.compiled_fresh
         gpu_per_stage = gpu.compile_seconds_charged / gpu.compiled_fresh
@@ -397,14 +336,11 @@ class TestWarmServerLatency:
         assert cpu.compile_seconds_charged >= \
             cpu.compiled_fresh * DEFAULT_COMPILE_SECONDS
 
-    def test_batch_report_carries_per_tier_cache_stats(self, tables):
+    def test_batch_report_carries_per_tier_cache_stats(self):
         """The per-batch cache report describes residency: lookups,
         size/capacity and the hottest entries, not just hit/miss."""
-        server = _server(tables, max_concurrent=2)
-        config = ExecutionConfig.cpu_only(3, block_tuples=4096)
-        server.submit(ssb_query("Q1.1"), config)
-        server.submit(ssb_query("Q1.1"), config)
-        report = server.run()
+        arrivals = (Arrival("Q1.1", _cpu(3)), Arrival("Q1.1", _cpu(3)))
+        report = run_scenario(Scenario(arrivals, {"max_concurrent": 2})).report
         cache = report.cache
         assert cache["lookups"] == cache["hits"] + cache["misses"]
         assert cache["size"] > 0 and cache["capacity"] > 0
@@ -416,18 +352,18 @@ class TestWarmServerLatency:
 class TestReentrancyRegressions:
     """Pin the fixes that made phase networks re-entrant."""
 
-    def test_interleaved_queries_share_one_simulator(self, tables):
+    def test_interleaved_queries_share_one_simulator(self):
         """Two execute_process generators interleave on one sim and both
         finish with correct, independent state (the old executor kept
         operator-state handles on the *instance*, so one query's cleanup
         freed the other's hash tables)."""
         engine = Proteus(segment_rows=2048)
-        load_ssb(engine, tables=tables)
-        config = ExecutionConfig.cpu_only(4, block_tuples=4096)
+        load_ssb(engine, tables=ssb_tables())
+        config = _cpu(4)
         results = {}
 
         def run(tag, qid):
-            het = engine.placer.place(ssb_query(qid), config)
+            het = engine.placer.place(PLANS[qid], config)
             raw = yield from engine.executor.execute_process(
                 het, config, query_id=tag
             )
@@ -436,11 +372,8 @@ class TestReentrancyRegressions:
         engine.sim.process(run("qa", "Q1.1"), name="qa")
         engine.sim.process(run("qb", "Q2.1"), name="qb")
         engine.sim.run()
-        reference = ReferenceExecutor(tables)
-        assert sorted(results["qa"].rows) == sorted(
-            reference.execute(ssb_query("Q1.1")))
-        assert sorted(results["qb"].rows) == sorted(
-            reference.execute(ssb_query("Q2.1")))
+        assert sorted(results["qa"].rows) == sorted(reference_rows("Q1.1"))
+        assert sorted(results["qb"].rows) == sorted(reference_rows("Q2.1"))
         for manager in engine.executor.memory_managers.values():
             assert manager.live_handles == 0
 
@@ -510,11 +443,11 @@ class TestReentrancyRegressions:
         assert router.query_id == "q7"
         assert router.name.startswith("q7:")
 
-    def test_state_handles_freed_after_failed_query(self, tables):
+    def test_state_handles_freed_after_failed_query(self):
         """A failing query must release exactly its own state; the next
         query on the same executor starts clean."""
         engine = Proteus(segment_rows=2048)
-        load_ssb(engine, tables=tables)
+        load_ssb(engine, tables=ssb_tables())
         dup = Table("dup_dim2", [
             Column.from_values("dk", DataType.INT64, np.array([5, 5])),
             Column.from_values("dv", DataType.INT64, np.array([1, 2])),
@@ -538,10 +471,8 @@ class TestReentrancyRegressions:
             engine.query(bad, config)
         for manager in engine.executor.memory_managers.values():
             assert manager.live_handles == 0
-        result = engine.query(ssb_query("Q1.1"),
-                              ExecutionConfig.cpu_only(4, block_tuples=4096))
-        reference = ReferenceExecutor(tables)
-        assert sorted(result.rows) == sorted(reference.execute(ssb_query("Q1.1")))
+        result = engine.query(PLANS["Q1.1"], _cpu(4))
+        assert sorted(result.rows) == sorted(reference_rows("Q1.1"))
 
 
 class TestDemoScript:

@@ -14,207 +14,141 @@ import math
 
 import pytest
 
-from repro import EngineServer, ExecutionConfig, QoS, ResourceBudget
-from repro.algebra.expressions import col
-from repro.algebra.logical import agg_sum, scan
-from repro.engine.reference import ReferenceExecutor
+from repro import ExecutionConfig, QoS, ResourceBudget
 from repro.engine.scheduler import BatchReport, QuerySession, _percentile
 from repro.hardware.costmodel import QueryDemand
-from repro.ssb import generate_ssb, load_ssb, ssb_query
-
-
-@pytest.fixture(scope="module")
-def tables():
-    return generate_ssb(scale_factor=0.005, seed=13)
-
-
-@pytest.fixture(scope="module")
-def reference(tables):
-    return ReferenceExecutor(tables)
-
-
-def _server(tables, **kwargs):
-    kwargs.setdefault("compile_seconds", 0.0)
-    server = EngineServer(segment_rows=2048, **kwargs)
-    load_ssb(server.engine, tables=tables)
-    return server
+from scenario import PLANS, Arrival, OpenLoop, Scenario, build, run_scenario
 
 
 def _config(workers=4):
     return ExecutionConfig.cpu_only(workers, block_tuples=4096)
 
 
-def _submit_later(server, delay, plan, config, **kwargs):
-    """Submit from inside the simulation, ``delay`` seconds in."""
-    holder = {}
-
-    def arrival():
-        yield server.sim.timeout(delay)
-        holder["session"] = server.submit(plan, config, **kwargs)
-
-    server.sim.process(arrival(), name=f"arrival+{delay:g}")
-    return holder
+def _sla(*arrivals, cores=None, **server) -> Scenario:
+    """A zero-compile-cost server (so phase boundaries fall where the
+    arrival offsets below expect them) under an optional core cap."""
+    budget = None if cores is None else {"cpu_cores": cores}
+    return Scenario(arrivals, {"compile_seconds": 0.0, **server}, budget=budget)
 
 
-#: a plan with no joins places as a single phase: its only wave is also
-#: its last, so it exposes the preempt-during-last-phase no-op
-SINGLE_PHASE_PLAN = scan("lineorder", ["lo_revenue"]).reduce(
-    [agg_sum(col("lo_revenue"), "rev")]
+LOW_THEN_HIGH = (
+    Arrival("Q1.1", _config(), name="low", qos=QoS.background()),
+    Arrival("Q1.2", _config(), name="high", qos=QoS.interactive()),
+)
+#: 4 + 4 + 2 cores against a 6-core cap: the head blocks, the small fits
+BLOCKED_HEAD = (
+    Arrival("Q1.1", _config(4), name="first"),
+    Arrival("Q2.1", _config(4), name="head"),
+    Arrival("Q1.2", _config(2), name="small"),
 )
 
-#: same shape but streaming four columns — slow enough to still be
-#: running when a join query reaches its first phase boundary
-WIDE_SINGLE_PHASE_PLAN = scan(
-    "lineorder",
-    ["lo_revenue", "lo_extendedprice", "lo_ordtotalprice", "lo_quantity"],
-).reduce([agg_sum(col("lo_revenue"), "rev")])
+
+def _victim(query="Q2.1"):
+    return Arrival(query, _config(4), name="victim", qos=QoS.background())
+
+
+def _hi(at, workers=4, name="hi", query="Q1.1", qos=QoS.interactive()):
+    """The mid-run interactive arrival that asks for the victim's cores."""
+    return Arrival(query, _config(workers), at=at, name=name, qos=qos)
 
 
 class TestAdmissionOrdering:
-    def test_priority_beats_submission_order(self, tables, reference):
-        server = _server(tables, max_concurrent=1)
-        low = server.submit(
-            ssb_query("Q1.1"), _config(), name="low", qos=QoS.background()
-        )
-        high = server.submit(
-            ssb_query("Q1.2"), _config(), name="high", qos=QoS.interactive()
-        )
-        server.run()
+    def test_priority_beats_submission_order(self):
+        out = run_scenario(_sla(*LOW_THEN_HIGH, max_concurrent=1))
+        low, high = out.sessions["low"], out.sessions["high"]
         assert high.admit_time < low.admit_time
         assert high.finish_time < low.finish_time
-        for session, qid in ((low, "Q1.1"), (high, "Q1.2")):
-            expected = reference.execute(ssb_query(qid))
-            assert sorted(session.result.rows) == sorted(expected)
+        assert low.status == high.status == "done"
 
-    def test_earliest_deadline_first_within_class(self, tables):
-        server = _server(tables, max_concurrent=1)
-        relaxed = server.submit(
-            ssb_query("Q1.1"),
-            _config(),
-            name="relaxed",
-            qos=QoS(priority=5, deadline_seconds=10.0),
+    def test_earliest_deadline_first_within_class(self):
+        relaxed = QoS(priority=5, deadline_seconds=10.0)
+        urgent = QoS(priority=5, deadline_seconds=0.5)
+        arrivals = (
+            Arrival("Q1.1", _config(), name="relaxed", qos=relaxed),
+            Arrival("Q1.2", _config(), name="urgent", qos=urgent),
         )
-        urgent = server.submit(
-            ssb_query("Q1.2"),
-            _config(),
-            name="urgent",
-            qos=QoS(priority=5, deadline_seconds=0.5),
-        )
-        server.run()
-        assert urgent.admit_time < relaxed.admit_time
+        out = run_scenario(_sla(*arrivals, max_concurrent=1))
+        assert out.sessions["urgent"].admit_time < out.sessions["relaxed"].admit_time
 
-    def test_backfill_lets_small_query_pass_blocked_head(self, tables):
-        budget = ResourceBudget(cpu_cores=6)
-        server = _server(tables, max_concurrent=8, budget=budget)
-        first = server.submit(ssb_query("Q1.1"), _config(4), name="first")
-        blocked_head = server.submit(ssb_query("Q2.1"), _config(4), name="head")
-        small = server.submit(ssb_query("Q1.2"), _config(2), name="small")
-        server.run()
+    def test_backfill_lets_small_query_pass_blocked_head(self):
+        out = run_scenario(_sla(*BLOCKED_HEAD, cores=6, max_concurrent=8))
+        first, blocked_head, small = out.items
         # the 2-core query slipped past the blocked 4-core head and ran
         # alongside the first query; the head waited for cores
         assert small.admit_time == first.admit_time
         assert blocked_head.admit_time > small.admit_time
-        server.check_conservation()
 
-    def test_backfill_limit_bounds_starvation_of_blocked_head(self, tables):
+    def test_backfill_limit_bounds_starvation_of_blocked_head(self):
         """A large equal-priority query must not be starved forever by a
         staggered stream of small backfilling queries (something is
         always running, so the 8-core head never fits): after
         ``backfill_limit`` bypasses the barrier closes, the budget
         drains, and the head is admitted before the remaining smalls."""
-        budget = ResourceBudget(cpu_cores=8)
-        server = _server(tables, max_concurrent=8, budget=budget, backfill_limit=2)
-        server.submit(ssb_query("Q1.1"), _config(4), name="s0")
-        big = server.submit(ssb_query("Q2.1"), _config(8), name="big")
-        holders = [
-            _submit_later(
-                server,
-                0.004 * (1 + index),
-                ssb_query("Q1.2"),
-                _config(4),
-                name=f"s{1 + index}",
-            )
-            for index in range(4)
-        ]
-        server.run()
+        arrivals = (
+            Arrival("Q1.1", _config(4), name="s0"),
+            Arrival("Q2.1", _config(8), name="big"),
+            *(
+                Arrival("Q1.2", _config(4), at=0.004 * index, name=f"s{index}")
+                for index in range(1, 5)
+            ),
+        )
+        out = run_scenario(
+            _sla(*arrivals, cores=8, max_concurrent=8, backfill_limit=2)
+        )
+        big = out.sessions["big"]
         assert big.status == "done"
         # exactly two bypasses were tolerated, then the barrier held
         assert big.bypassed == 2
-        later = [holders[2]["session"], holders[3]["session"]]
+        later = [out.sessions["s3"], out.sessions["s4"]]
         assert all(big.admit_time < s.admit_time for s in later)
-        server.check_conservation()
 
-    def test_fifo_mode_preserves_head_of_line_blocking(self, tables):
-        budget = ResourceBudget(cpu_cores=6)
-        server = _server(tables, max_concurrent=8, budget=budget, admission="fifo")
-        server.submit(ssb_query("Q1.1"), _config(4), name="first")
-        blocked_head = server.submit(ssb_query("Q2.1"), _config(4), name="head")
-        small = server.submit(ssb_query("Q1.2"), _config(2), name="small")
-        server.run()
+    def test_fifo_mode_preserves_head_of_line_blocking(self):
+        out = run_scenario(
+            _sla(*BLOCKED_HEAD, cores=6, max_concurrent=8, admission="fifo")
+        )
         # FIFO: nothing passes the blocked head, priorities are ignored
-        assert small.admit_time >= blocked_head.admit_time
-        server.check_conservation()
+        assert out.sessions["small"].admit_time >= out.sessions["head"].admit_time
 
-    def test_fifo_mode_ignores_priorities(self, tables):
-        server = _server(tables, max_concurrent=1, admission="fifo")
-        low = server.submit(
-            ssb_query("Q1.1"), _config(), name="low", qos=QoS.background()
-        )
-        high = server.submit(
-            ssb_query("Q1.2"), _config(), name="high", qos=QoS.interactive()
-        )
-        server.run()
-        assert low.admit_time < high.admit_time
+    def test_fifo_mode_ignores_priorities(self):
+        out = run_scenario(_sla(*LOW_THEN_HIGH, max_concurrent=1, admission="fifo"))
+        assert out.sessions["low"].admit_time < out.sessions["high"].admit_time
 
     def test_qos_rejects_nonpositive_deadline(self):
         with pytest.raises(ValueError, match="deadline_seconds"):
             QoS(priority=1, deadline_seconds=0.0)
 
-    def test_priority_shorthand_reports_under_own_class(self, tables):
+    def test_priority_shorthand_reports_under_own_class(self):
         """A QoS with its own label must not pool its latencies into the
         priority-0 'batch' class in per-class reporting."""
-        server = _server(tables, max_concurrent=1)
-        server.submit(ssb_query("Q1.1"), _config(), name="plain")
-        hot = server.submit(
-            ssb_query("Q1.2"), _config(), name="hot", qos=QoS(priority=7, label="hot")
+        arrivals = (
+            Arrival("Q1.1", _config(), name="plain"),
+            Arrival("Q1.2", _config(), name="hot", qos=QoS(priority=7, label="hot")),
         )
-        report = server.run()
+        out = run_scenario(_sla(*arrivals, max_concurrent=1))
+        hot = out.sessions["hot"]
         assert hot.label == "hot"
         # the demand is the scheduling source of truth the queue ranks by
         assert hot.demand.priority == 7
         assert hot.priority == hot.demand.priority
-        tails = report.latency_percentiles()
+        tails = out.report.latency_percentiles()
         assert set(tails) == {"hot", "batch"}
         assert tails["hot"]["p99"] == hot.latency
 
 
 class TestPhaseBoundaryPreemption:
-    def test_preempted_query_resumes_byte_identical(self, tables, reference):
+    def test_preempted_query_resumes_byte_identical(self):
         """A mid-run interactive arrival pauses the running background
         query at its build->probe boundary; the resumed query's rows are
         byte-identical to the reference and to an unpreempted run."""
-        solo_server = _server(tables, max_concurrent=1)
-        solo = solo_server.submit(ssb_query("Q2.1"), _config(4), name="solo")
-        solo_server.run()
+        alone = _sla(Arrival("Q2.1", _config(4), name="solo"), max_concurrent=1)
+        solo = run_scenario(alone).sessions["solo"]
 
-        budget = ResourceBudget(cpu_cores=4)
-        server = _server(tables, max_concurrent=4, budget=budget)
-        victim = server.submit(
-            ssb_query("Q2.1"), _config(4), name="victim", qos=QoS.background()
-        )
-        holder = _submit_later(
-            server,
-            0.002,
-            ssb_query("Q1.1"),
-            _config(4),
-            name="hi",
-            qos=QoS.interactive(deadline_seconds=1.0),
-        )
-        report = server.run()
-        hi = holder["session"]
+        hi = _hi(0.002, qos=QoS.interactive(deadline_seconds=1.0))
+        out = run_scenario(_sla(_victim(), hi, cores=4, max_concurrent=4))
+        victim, hi = out.sessions["victim"], out.sessions["hi"]
         assert victim.status == "done" and hi.status == "done"
         assert victim.preemptions == 1
-        assert report.preemptions == 1
+        assert out.report.preemptions == 1
         assert hi.finish_time < victim.finish_time
         assert hi.deadline_met is True
         # the pause is visible in the victim's profile, not the high-
@@ -229,117 +163,61 @@ class TestPhaseBoundaryPreemption:
         assert victim.service_seconds == pytest.approx(
             victim.finish_time - victim.admit_time - victim.suspended_seconds
         )
-        expected = reference.execute(ssb_query("Q2.1"))
-        assert sorted(victim.result.rows) == sorted(expected)
         assert victim.result.rows == solo.result.rows
-        server.check_conservation()
 
-    def test_preempt_during_last_phase_is_noop(self, tables, reference):
+    def test_preempt_during_last_phase_is_noop(self):
         """A single-phase query is always in its final phase: requesting
         preemption finds no remaining checkpoint and must change
         nothing."""
-        budget = ResourceBudget(cpu_cores=4)
-        server = _server(tables, max_concurrent=4, budget=budget)
-        victim = server.submit(
-            SINGLE_PHASE_PLAN, _config(4), name="victim", qos=QoS.background()
+        out = run_scenario(
+            _sla(_victim("single_phase"), _hi(0.001), cores=4, max_concurrent=4)
         )
-        holder = _submit_later(
-            server,
-            0.001,
-            ssb_query("Q1.1"),
-            _config(4),
-            name="hi",
-            qos=QoS.interactive(),
-        )
-        server.run()
-        hi = holder["session"]
+        victim, hi = out.sessions["victim"], out.sessions["hi"]
         assert victim.status == "done" and hi.status == "done"
         assert victim.preemptions == 0
         assert victim.result.profile.suspended_seconds == 0.0
         # no checkpoint ever fired: the victim ran to completion first
         assert hi.admit_time >= victim.finish_time
-        expected = reference.execute(SINGLE_PHASE_PLAN)
-        assert sorted(victim.result.rows) == sorted(expected)
-        server.check_conservation()
 
-    def test_preemption_disabled_keeps_victim_running(self, tables):
-        budget = ResourceBudget(cpu_cores=4)
-        server = _server(tables, max_concurrent=4, budget=budget, preemption=False)
-        victim = server.submit(
-            ssb_query("Q2.1"), _config(4), name="victim", qos=QoS.background()
+    def test_preemption_disabled_keeps_victim_running(self):
+        out = run_scenario(
+            _sla(_victim(), _hi(0.002), cores=4, max_concurrent=4, preemption=False)
         )
-        holder = _submit_later(
-            server,
-            0.002,
-            ssb_query("Q1.1"),
-            _config(4),
-            name="hi",
-            qos=QoS.interactive(),
-        )
-        server.run()
-        hi = holder["session"]
+        victim, hi = out.sessions["victim"], out.sessions["hi"]
         assert victim.preemptions == 0
         assert hi.admit_time >= victim.finish_time
-        server.check_conservation()
 
-    def test_equal_priority_never_preempts(self, tables):
-        budget = ResourceBudget(cpu_cores=4)
-        server = _server(tables, max_concurrent=4, budget=budget)
-        victim = server.submit(ssb_query("Q2.1"), _config(4), name="victim")
-        _submit_later(server, 0.002, ssb_query("Q1.1"), _config(4), name="peer")
-        server.run()
-        assert victim.preemptions == 0
-        server.check_conservation()
+    def test_equal_priority_never_preempts(self):
+        arrivals = (
+            Arrival("Q2.1", _config(4), name="victim"),
+            Arrival("Q1.1", _config(4), at=0.002, name="peer"),
+        )
+        out = run_scenario(_sla(*arrivals, cores=4, max_concurrent=4))
+        assert out.sessions["victim"].preemptions == 0
 
-    def test_final_phase_victim_is_skipped_for_preemptable_one(self, tables):
+    def test_final_phase_victim_is_skipped_for_preemptable_one(self):
         """A victim that can never yield (single phase, no checkpoint
         ahead) must not absorb the preemption request: the planner skips
         it and asks the join query that still has a boundary to cross."""
-        budget = ResourceBudget(cpu_cores=6)
-        server = _server(tables, max_concurrent=8, budget=budget)
-        join_victim = server.submit(
-            ssb_query("Q2.1"), _config(4), name="join", qos=QoS.background()
+        low = QoS.background()
+        arrivals = (
+            Arrival("Q2.1", _config(4), name="join", qos=low),
+            Arrival("wide_single_phase", _config(2), name="last-phase", qos=low),
+            _hi(0.002),
         )
-        last_phase = server.submit(
-            WIDE_SINGLE_PHASE_PLAN,
-            _config(2),
-            name="last-phase",
-            qos=QoS.background(),
-        )
-        holder = _submit_later(
-            server,
-            0.002,
-            ssb_query("Q1.1"),
-            _config(4),
-            name="hi",
-            qos=QoS.interactive(),
-        )
-        server.run()
-        hi = holder["session"]
-        assert last_phase.preemptions == 0
+        out = run_scenario(_sla(*arrivals, cores=6, max_concurrent=8))
+        join_victim, hi = out.sessions["join"], out.sessions["hi"]
+        assert out.sessions["last-phase"].preemptions == 0
         assert join_victim.preemptions == 1
         assert hi.finish_time < join_victim.finish_time
-        server.check_conservation()
 
-    def test_paused_query_keeps_memory_charged(self, tables):
+    def test_paused_query_keeps_memory_charged(self):
         """Pausing frees compute dimensions only: the victim's DRAM stays
         charged (its hash tables remain resident), and is re-charged for
         nothing on resume — visible in the budget's conservation totals."""
-        budget = ResourceBudget(cpu_cores=4)
-        server = _server(tables, max_concurrent=4, budget=budget)
-        victim = server.submit(
-            ssb_query("Q2.1"), _config(4), name="victim", qos=QoS.background()
-        )
-        holder = _submit_later(
-            server,
-            0.002,
-            ssb_query("Q1.1"),
-            _config(4),
-            name="hi",
-            qos=QoS.interactive(),
-        )
-        server.run()
-        hi = holder["session"]
+        out = run_scenario(_sla(_victim(), _hi(0.002), cores=4, max_concurrent=4))
+        victim, hi = out.sessions["victim"], out.sessions["hi"]
+        budget = out.system.budget
         assert victim.preemptions == 1
         # cpu cores: victim admitted + resumed (twice) plus hi once
         expected_cores = victim.demand.cpu_cores * 2 + hi.demand.cpu_cores
@@ -348,31 +226,19 @@ class TestPhaseBoundaryPreemption:
         # pause, never double-charged at the resume
         expected_dram = victim.demand.dram_bytes + hi.demand.dram_bytes
         assert budget.total_allocated["dram_bytes"] == pytest.approx(expected_dram)
-        server.check_conservation()
 
-    def test_multi_victim_preemption_accumulates_headroom(self, tables):
+    def test_multi_victim_preemption_accumulates_headroom(self):
         """A waiter too big for any single victim's release: backfill
         must not resume the first paused victim while the second's
         preempt request is still in flight, or the campaign can never
         accumulate enough free compute."""
-        budget = ResourceBudget(cpu_cores=12)
-        server = _server(tables, max_concurrent=8, budget=budget)
-        first = server.submit(
-            ssb_query("Q4.1"), _config(6), name="v1", qos=QoS.background()
+        arrivals = (
+            Arrival("Q4.1", _config(6), name="v1", qos=QoS.background()),
+            Arrival("Q3.1", _config(6), name="v2", qos=QoS.background()),
+            _hi(0.002, workers=12),
         )
-        second = server.submit(
-            ssb_query("Q3.1"), _config(6), name="v2", qos=QoS.background()
-        )
-        holder = _submit_later(
-            server,
-            0.002,
-            ssb_query("Q1.1"),
-            _config(12),
-            name="hi",
-            qos=QoS.interactive(),
-        )
-        server.run()
-        hi = holder["session"]
+        out = run_scenario(_sla(*arrivals, cores=12, max_concurrent=8))
+        first, second, hi = (out.sessions[name] for name in ("v1", "v2", "hi"))
         assert first.preemptions == 1 and second.preemptions == 1
         # both pauses were real (no same-instant backfill resume)...
         assert first.suspended_seconds > 0.0
@@ -381,105 +247,64 @@ class TestPhaseBoundaryPreemption:
         # accumulated headroom, not after a victim's natural completion
         assert hi.admit_time < min(first.finish_time, second.finish_time)
         assert all(s.status == "done" for s in (first, second, hi))
-        server.check_conservation()
 
-    def test_preemption_survives_multiple_rounds(self, tables, reference):
+    def test_preemption_survives_multiple_rounds(self):
         """Two successive interactive arrivals pause the same background
         query at two different phase boundaries; it still finishes with
         exact results."""
-        budget = ResourceBudget(cpu_cores=4)
-        server = _server(tables, max_concurrent=4, budget=budget)
-        victim = server.submit(
-            ssb_query("Q4.1"), _config(4), name="victim", qos=QoS.background()
-        )
-        _submit_later(
-            server,
-            0.002,
-            ssb_query("Q1.1"),
-            _config(4),
-            name="hi-0",
-            qos=QoS.interactive(),
-        )
-        _submit_later(
-            server,
-            0.030,
-            ssb_query("Q1.2"),
-            _config(4),
-            name="hi-1",
-            qos=QoS.interactive(),
-        )
-        server.run()
+        his = (_hi(0.002, name="hi-0"), _hi(0.030, name="hi-1", query="Q1.2"))
+        out = run_scenario(_sla(_victim("Q4.1"), *his, cores=4, max_concurrent=4))
+        victim = out.sessions["victim"]
         assert victim.status == "done"
         assert victim.preemptions >= 1
-        expected = reference.execute(ssb_query("Q4.1"))
-        assert sorted(victim.result.rows) == sorted(expected)
-        server.check_conservation()
+
+
+def _overload(arrivals, seed, queries=("Q1.1", "Q2.1", "Q3.1"), **server) -> Scenario:
+    """Open-loop Poisson load at 400 q/s onto two 4-core seats."""
+    load = OpenLoop(queries, _config(4), rate_qps=400.0, arrivals=arrivals, seed=seed)
+    return _sla(load, cores=8, max_concurrent=2, **server)
 
 
 class TestOpenLoopArrivals:
-    def test_bounded_queue_sheds_under_overload(self, tables):
-        server = _server(
-            tables,
-            max_concurrent=2,
-            max_queue_depth=3,
-            budget=ResourceBudget(cpu_cores=8),
-        )
-        plans = [ssb_query(q) for q in ("Q1.1", "Q2.1", "Q3.1")]
-        server.spawn_open_loop(plans, _config(4), rate_qps=400.0, arrivals=30, seed=7)
-        report = server.run()
+    def test_bounded_queue_sheds_under_overload(self):
+        out = run_scenario(_overload(30, seed=7, max_queue_depth=3))
+        report = out.report
         assert len(report.shed) > 0
         assert len(report.completed) + len(report.shed) == 30
         assert not report.failed
-        # shed sessions hold nothing: budget drained, no staging slots
-        # or state handles leaked anywhere
-        server.check_conservation()
-        leaked = server.engine.blocks.unaccounted_blocks()
+        # shed sessions hold nothing: no staging slots or state handles
+        # leaked anywhere
+        leaked = out.system.engine.blocks.unaccounted_blocks()
         assert all(count == 0 for count in leaked.values())
         for session in report.shed:
             assert session.done.triggered
             assert session.queue_seconds is None
 
-    def test_open_loop_is_deterministic_per_seed(self, tables):
-        def drive(seed):
-            server = _server(
-                tables,
-                max_concurrent=2,
-                max_queue_depth=3,
-                budget=ResourceBudget(cpu_cores=8),
-            )
-            plans = [ssb_query(q) for q in ("Q1.1", "Q2.1", "Q3.1")]
-            server.spawn_open_loop(
-                plans, _config(4), rate_qps=400.0, arrivals=20, seed=seed
-            )
-            report = server.run()
-            return report.makespan, [s.status for s in report.sessions]
-
-        makespan_a, statuses_a = drive(seed=11)
-        makespan_b, statuses_b = drive(seed=11)
-        makespan_c, statuses_c = drive(seed=12)
-        assert makespan_a == makespan_b
-        assert statuses_a == statuses_b
+    def test_open_loop_is_deterministic_per_seed(self):
+        a, b, c = (
+            run_scenario(_overload(20, seed, max_queue_depth=3))
+            for seed in (11, 11, 12)
+        )
+        assert a.signature() == b.signature()
         # a different seed produces a different arrival pattern
-        assert (makespan_a, statuses_a) != (makespan_c, statuses_c)
+        statuses_a = [s.status for s in a.items]
+        statuses_c = [s.status for s in c.items]
+        assert (a.report.makespan, statuses_a) != (c.report.makespan, statuses_c)
 
-    def test_unbounded_queue_never_sheds(self, tables):
-        server = _server(tables, max_concurrent=2, budget=ResourceBudget(cpu_cores=8))
-        plans = [ssb_query(q) for q in ("Q1.1", "Q1.2")]
-        server.spawn_open_loop(plans, _config(4), rate_qps=400.0, arrivals=12, seed=3)
-        report = server.run()
+    def test_unbounded_queue_never_sheds(self):
+        report = run_scenario(_overload(12, seed=3, queries=("Q1.1", "Q1.2"))).report
         assert not report.shed
         assert len(report.completed) == 12
-        server.check_conservation()
 
-    def test_open_loop_validates_arguments(self, tables):
-        server = _server(tables)
+    def test_open_loop_validates_arguments(self):
+        server = build(_sla())
         with pytest.raises(ValueError, match="rate_qps"):
             server.spawn_open_loop(
-                [ssb_query("Q1.1")], _config(), rate_qps=0.0, arrivals=1
+                [PLANS["Q1.1"]], _config(), rate_qps=0.0, arrivals=1
             )
         with pytest.raises(ValueError, match="arrivals"):
             server.spawn_open_loop(
-                [ssb_query("Q1.1")], _config(), rate_qps=1.0, arrivals=0
+                [PLANS["Q1.1"]], _config(), rate_qps=1.0, arrivals=0
             )
         with pytest.raises(ValueError, match="plans"):
             server.spawn_open_loop([], _config(), rate_qps=1.0, arrivals=1)

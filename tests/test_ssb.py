@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro import ExecutionConfig, Proteus
-from repro.engine.reference import ReferenceExecutor
 from repro.ssb import (
     NATIONS,
     REGIONS,
@@ -18,6 +17,7 @@ from repro.ssb import (
     working_set_bytes,
 )
 from repro.ssb.queries import QUERY_GROUP
+from scenario import reference_rows
 
 
 @pytest.fixture(scope="module")
@@ -136,7 +136,6 @@ class TestQueryCorrectness:
             engine = Proteus(segment_rows=2048)
             load_ssb(engine, tables=tables)
             out[mode] = engine
-        out["ref"] = ReferenceExecutor(tables)
         return out
 
     @staticmethod
@@ -155,7 +154,7 @@ class TestQueryCorrectness:
     def test_query_matches_reference(self, engines, qid, mode, config):
         plan = ssb_query(qid)
         result = engines[mode].query(plan, config)
-        expected = engines["ref"].execute(plan)
+        expected = reference_rows(qid)
         assert self._normalise(result.rows) == self._normalise(expected), (
             f"{qid} on {mode}")
 

@@ -12,10 +12,9 @@ while every query still returns byte-identical rows.
 
 import pytest
 
-from repro import EngineServer, ExecutionConfig, Proteus, ResourceBudget
+from repro import ExecutionConfig, ResourceBudget
 from repro.engine.config import QoS
 from repro.engine.faults import DeviceLossFault, FaultPlan, RetryPolicy
-from repro.engine.reference import ReferenceExecutor
 from repro.engine.scheduler import AdmissionError
 from repro.engine.tenancy import (
     COMPUTE_DIMENSIONS,
@@ -26,27 +25,24 @@ from repro.engine.tenancy import (
     TokenBucket,
     quota_capacities,
 )
-from repro.ssb import SSB_QUERY_IDS, generate_ssb, load_ssb, ssb_query
-
-
-@pytest.fixture(scope="module")
-def tables():
-    return generate_ssb(scale_factor=0.005, seed=13)
-
-
-@pytest.fixture(scope="module")
-def reference(tables):
-    ref = ReferenceExecutor(tables)
-    return {qid: ref.execute(ssb_query(qid)) for qid in SSB_QUERY_IDS}
-
-
-def _server(tables, **kwargs) -> EngineServer:
-    server = EngineServer(segment_rows=2048, **kwargs)
-    load_ssb(server.engine, tables=tables)
-    return server
-
+from scenario import PLANS, Arrival, Scenario, build, run_scenario
 
 CPU4 = ExecutionConfig.cpu_only(4, block_tuples=4096)
+
+BATCH = QoS(priority=0, label="batch")
+INTERACTIVE = QoS(priority=5, label="interactive")
+
+
+def _tenanted(*tenants, arrivals=(), cores=None, **server) -> Scenario:
+    """``arrivals`` on a server shared by ``tenants``, every one expected
+    to complete.  ``cores`` caps the budget's compute; every other
+    dimension is finite too, so memory quotas have a capacity to scale."""
+    budget = None
+    if cores is not None:
+        budget = {"dram_bytes": 1e15, "hbm_bytes": 1e12, "pcie_bytes": 1e15}
+        budget.update(cpu_cores=cores, gpu_units=4)
+    server["tenants"] = tenants
+    return Scenario(arrivals, server, budget=budget, expect="done")
 
 
 class TestTenantConfig:
@@ -138,24 +134,23 @@ class TestDeficitRoundRobin:
 
 
 class TestSubmissionEdge:
-    def test_unknown_tenant_rejected(self, tables):
-        server = _server(tables, tenants=[Tenant("acme")])
+    """Bare drives: what ``submit`` returns *before* the run is the subject."""
+
+    def test_unknown_tenant_rejected(self):
+        server = build(_tenanted(Tenant("acme")))
         with pytest.raises(ValueError, match="unknown tenant"):
-            server.submit(ssb_query("Q1.1"), CPU4, tenant="ghost")
+            server.submit(PLANS["Q1.1"], CPU4, tenant="ghost")
 
-    def test_reserved_and_duplicate_names(self, tables):
+    def test_reserved_and_duplicate_names(self):
         with pytest.raises(ValueError, match="reserved"):
-            _server(tables, tenants=[Tenant("default")])
+            build(_tenanted(Tenant("default")))
         with pytest.raises(ValueError, match="duplicate"):
-            _server(tables, tenants=[Tenant("a"), Tenant("a")])
+            build(_tenanted(Tenant("a"), Tenant("a")))
 
-    def test_rate_limited_shed_carries_retry_after(self, tables):
-        server = _server(
-            tables,
-            tenants=[Tenant("acme", rate_limit=RateLimit(rate_qps=2.0))],
-        )
-        first = server.submit(ssb_query("Q1.1"), CPU4, tenant="acme")
-        second = server.submit(ssb_query("Q1.1"), CPU4, tenant="acme")
+    def test_rate_limited_shed_carries_retry_after(self):
+        server = build(_tenanted(Tenant("acme", rate_limit=RateLimit(rate_qps=2.0))))
+        first = server.submit(PLANS["Q1.1"], CPU4, tenant="acme")
+        second = server.submit(PLANS["Q1.1"], CPU4, tenant="acme")
         assert first.status == "queued"
         assert second.status == "shed"
         assert second.shed_reason == "rate_limited"
@@ -168,10 +163,10 @@ class TestSubmissionEdge:
         assert acme["done"] == 1
         server.check_conservation()
 
-    def test_queue_full_shed_reports_reason(self, tables):
-        server = _server(tables, max_concurrent=1, max_queue_depth=2)
-        kept = [server.submit(ssb_query("Q1.1"), CPU4) for _ in range(2)]
-        dropped = server.submit(ssb_query("Q1.1"), CPU4)
+    def test_queue_full_shed_reports_reason(self):
+        server = build(Scenario(server={"max_concurrent": 1, "max_queue_depth": 2}))
+        kept = [server.submit(PLANS["Q1.1"], CPU4) for _ in range(2)]
+        dropped = server.submit(PLANS["Q1.1"], CPU4)
         assert dropped.status == "shed"
         assert dropped.shed_reason == "queue_full"
         assert dropped.retry_after is None
@@ -179,201 +174,115 @@ class TestSubmissionEdge:
         assert all(s.status == "done" for s in kept)
         assert report.tenants["default"]["shed_queue_full"] == 1
 
-    def test_query_exceeding_tenant_quota_rejected(self, tables):
-        budget = ResourceBudget(
-            dram_bytes=1e15, hbm_bytes=1e12, pcie_bytes=1e15, cpu_cores=8, gpu_units=4
-        )
-        server = _server(
-            tables,
-            budget=budget,
-            tenants=[Tenant("small", compute_quota=0.25)],  # 2 cores
-        )
+    def test_query_exceeding_tenant_quota_rejected(self):
+        small = Tenant("small", compute_quota=0.25)  # 2 cores
+        server = build(_tenanted(small, cores=8))
         with pytest.raises(AdmissionError, match="tenant 'small' quota"):
-            server.submit(ssb_query("Q1.1"), CPU4, tenant="small")
+            server.submit(PLANS["Q1.1"], CPU4, tenant="small")
         # the same query is fine untenanted
-        server.submit(ssb_query("Q1.1"), CPU4)
+        server.submit(PLANS["Q1.1"], CPU4)
 
 
 class TestQuotaEnforcement:
-    def test_saturating_tenant_capped_at_its_share(self, tables, reference):
-        budget = ResourceBudget(
-            dram_bytes=1e15, hbm_bytes=1e12, pcie_bytes=1e15, cpu_cores=16, gpu_units=4
+    def test_saturating_tenant_capped_at_its_share(self):
+        arrivals = tuple(
+            Arrival("Q1.1", CPU4, name=f"n{i}", tenant="noisy") for i in range(6)
         )
-        server = _server(
-            tables,
-            max_concurrent=8,
-            budget=budget,
-            tenants=[Tenant("noisy", compute_quota=0.5)],  # 8 cores max
+        noisy = Tenant("noisy", compute_quota=0.5)  # 8 cores max
+        out = run_scenario(
+            _tenanted(noisy, arrivals=arrivals, cores=16, max_concurrent=8)
         )
-        sessions = [
-            server.submit(ssb_query("Q1.1"), CPU4, name=f"n{i}", tenant="noisy")
-            for i in range(6)
-        ]
-        server.run()
-        assert all(s.status == "done" for s in sessions)
-        for session in sessions:
-            assert sorted(session.result.rows) == sorted(reference["Q1.1"])
-        noisy = server.tenant_states["noisy"].budget
+        slice_ = out.system.tenant_states["noisy"].budget
         # never more than two 4-core queries of this tenant in flight
-        assert noisy.peak["cpu_cores"] <= 8.0
-        assert budget.peak["cpu_cores"] <= 16.0
-        server.check_conservation()
+        assert slice_.peak["cpu_cores"] <= 8.0
+        assert out.system.budget.peak["cpu_cores"] <= 16.0
 
-    def test_quota_shares_conserved_across_preemption(self, tables):
-        budget = ResourceBudget(
-            dram_bytes=1e15, hbm_bytes=1e12, pcie_bytes=1e15, cpu_cores=8, gpu_units=4
+    def test_quota_shares_conserved_across_preemption(self):
+        cpu6 = ExecutionConfig.cpu_only(6, block_tuples=4096)
+        arrivals = (
+            Arrival("Q4.1", CPU4, name="lo0", tenant="lo", qos=BATCH),
+            Arrival("Q4.1", CPU4, name="lo1", tenant="lo", qos=BATCH),
+            Arrival("Q1.1", cpu6, name="hi", tenant="hi", qos=INTERACTIVE),
         )
-        server = _server(
-            tables,
-            max_concurrent=4,
-            budget=budget,
-            preemption=True,
-            tenants=[
-                Tenant("lo", compute_quota=0.75, memory_quota=0.9),
-                Tenant("hi", compute_quota=0.75, memory_quota=0.9),
-            ],
+        tenants = (
+            Tenant("lo", compute_quota=0.75, memory_quota=0.9),
+            Tenant("hi", compute_quota=0.75, memory_quota=0.9),
         )
-        low = [
-            server.submit(
-                ssb_query("Q4.1"),
-                CPU4,
-                name=f"lo{i}",
-                tenant="lo",
-                qos=QoS(priority=0, label="batch"),
+        out = run_scenario(
+            _tenanted(
+                *tenants, arrivals=arrivals, cores=8, max_concurrent=4, preemption=True
             )
-            for i in range(2)
-        ]
-        hi = server.submit(
-            ssb_query("Q1.1"),
-            ExecutionConfig.cpu_only(6, block_tuples=4096),
-            name="hi",
-            tenant="hi",
-            qos=QoS(priority=5, label="interactive"),
         )
-        report = server.run()
-        assert all(s.status == "done" for s in (*low, hi))
-        for name, state in (("lo", None), ("hi", None)):
-            tenant_budget = server.tenant_states[name].budget
+        for name in ("lo", "hi"):
+            tenant_budget = out.system.tenant_states[name].budget
             for dim in ("cpu_cores", "dram_bytes"):
                 assert tenant_budget.peak[dim] <= tenant_budget.capacity[dim] + 1e-6
-        # check_conservation asserts the per-tenant mirrors drained too
-        server.check_conservation()
-        assert report.preemptions >= 0  # preemption path exercised or not,
-        # the mirrors must balance either way
+        # the runner's check_conservation asserts the per-tenant mirrors
+        # drained too: preemption path exercised or not, they must balance
+        assert out.report.preemptions >= 0
 
-    def test_quota_shares_conserved_across_retries(self, tables):
-        budget = ResourceBudget(
-            dram_bytes=1e15, hbm_bytes=1e12, pcie_bytes=1e15, cpu_cores=12, gpu_units=4
+    def test_quota_shares_conserved_across_retries(self):
+        hybrid = ExecutionConfig.hybrid(4, [0, 1], block_tuples=4096)
+        out = run_scenario(
+            _tenanted(
+                Tenant("acme", compute_quota=0.9, memory_quota=0.9),
+                arrivals=(Arrival("Q1.1", hybrid, name="survivor", tenant="acme"),),
+                cores=12,
+                max_concurrent=4,
+                fault_plan=FaultPlan(
+                    device_losses=(DeviceLossFault(gpu_id=0, at_seconds=0.001),)
+                ),
+                retry_policy=RetryPolicy(max_attempts=3),
+            )
         )
-        server = _server(
-            tables,
-            max_concurrent=4,
-            budget=budget,
-            tenants=[Tenant("acme", compute_quota=0.9, memory_quota=0.9)],
-            fault_plan=FaultPlan(
-                device_losses=(DeviceLossFault(gpu_id=0, at_seconds=0.001),)
-            ),
-            retry_policy=RetryPolicy(max_attempts=3),
-        )
-        session = server.submit(
-            ssb_query("Q1.1"),
-            ExecutionConfig.hybrid(4, [0, 1], block_tuples=4096),
-            name="survivor",
-            tenant="acme",
-        )
-        server.run()
-        assert session.status == "done"
-        assert session.retries >= 1
-        server.check_conservation()
-        acme = server.tenant_states["acme"].budget
+        assert out.sessions["survivor"].retries >= 1
+        acme = out.system.tenant_states["acme"].budget
         for dim in acme.capacity:
             assert acme.in_use[dim] == 0.0
 
-    def test_tenant_quota_block_never_preempts_other_tenants(self, tables):
-        budget = ResourceBudget(
-            dram_bytes=1e15, hbm_bytes=1e12, pcie_bytes=1e15, cpu_cores=16, gpu_units=4
+    def test_tenant_quota_block_never_preempts_other_tenants(self):
+        arrivals = (
+            Arrival("Q4.1", CPU4, name="bystander", tenant="victim", qos=BATCH),
+            Arrival("Q1.1", CPU4, name="g0", tenant="greedy", qos=INTERACTIVE),
+            Arrival("Q1.1", CPU4, name="g1", tenant="greedy", qos=INTERACTIVE),
         )
-        server = _server(
-            tables,
-            max_concurrent=8,
-            budget=budget,
-            preemption=True,
-            tenants=[
-                # greedy's own quota (4 cores) blocks its second query;
-                # victim has plenty of global headroom around it
-                Tenant("greedy", compute_quota=0.25),
-                Tenant("victim"),
-            ],
-        )
-        bystander = server.submit(
-            ssb_query("Q4.1"),
-            CPU4,
-            name="bystander",
-            tenant="victim",
-            qos=QoS(priority=0, label="batch"),
-        )
-        blocked = [
-            server.submit(
-                ssb_query("Q1.1"),
-                CPU4,
-                name=f"g{i}",
-                tenant="greedy",
-                qos=QoS(priority=5, label="interactive"),
+        # greedy's own quota (4 cores) blocks its second query; victim
+        # has plenty of global headroom around it
+        tenants = (Tenant("greedy", compute_quota=0.25), Tenant("victim"))
+        out = run_scenario(
+            _tenanted(
+                *tenants, arrivals=arrivals, cores=16, max_concurrent=8, preemption=True
             )
-            for i in range(2)
-        ]
-        server.run()
-        assert all(s.status == "done" for s in (bystander, *blocked))
+        )
         # the high-priority tenant was quota-blocked, not budget-blocked:
         # the other tenant's query must not have been paused for it
-        assert bystander.preemptions == 0
-        server.check_conservation()
+        assert out.sessions["bystander"].preemptions == 0
 
 
 class TestWeightedFairness:
-    def test_drr_serves_backlogged_tenants_by_weight(self, tables):
-        server = _server(
-            tables,
-            max_concurrent=1,
-            tenants=[Tenant("heavy", weight=2.0), Tenant("light", weight=1.0)],
-        )
-        sessions = []
+    def test_drr_serves_backlogged_tenants_by_weight(self):
+        arrivals = []
         for i in range(6):
-            sessions.append(
-                server.submit(ssb_query("Q1.1"), CPU4, name=f"h{i}", tenant="heavy")
-            )
-            sessions.append(
-                server.submit(ssb_query("Q1.1"), CPU4, name=f"l{i}", tenant="light")
-            )
-        server.run()
-        assert all(s.status == "done" for s in sessions)
-        admitted = sorted(sessions, key=lambda s: s.admit_time)
+            arrivals.append(Arrival("Q1.1", CPU4, name=f"h{i}", tenant="heavy"))
+            arrivals.append(Arrival("Q1.1", CPU4, name=f"l{i}", tenant="light"))
+        tenants = (Tenant("heavy", weight=2.0), Tenant("light", weight=1.0))
+        out = run_scenario(
+            _tenanted(*tenants, arrivals=tuple(arrivals), max_concurrent=1)
+        )
+        admitted = sorted(out.items, key=lambda s: s.admit_time)
         first_six = [s.tenant for s in admitted[:6]]
         assert first_six.count("heavy") == 4
         assert first_six.count("light") == 2
-        server.check_conservation()
 
-    def test_priority_still_strict_across_tenants(self, tables):
-        server = _server(
-            tables,
-            max_concurrent=1,
-            tenants=[Tenant("a", weight=10.0), Tenant("b", weight=1.0)],
+    def test_priority_still_strict_across_tenants(self):
+        arrivals = (
+            *(Arrival("Q1.1", CPU4, name=f"a{i}", tenant="a") for i in range(3)),
+            Arrival("Q1.1", CPU4, name="urgent", tenant="b", qos=INTERACTIVE),
         )
-        batch = [
-            server.submit(ssb_query("Q1.1"), CPU4, name=f"a{i}", tenant="a")
-            for i in range(3)
-        ]
-        urgent = server.submit(
-            ssb_query("Q1.1"),
-            CPU4,
-            name="urgent",
-            tenant="b",
-            qos=QoS(priority=5, label="interactive"),
-        )
-        server.run()
-        assert all(s.status == "done" for s in (*batch, urgent))
+        tenants = (Tenant("a", weight=10.0), Tenant("b", weight=1.0))
+        out = run_scenario(_tenanted(*tenants, arrivals=arrivals, max_concurrent=1))
+        *batch, urgent = out.items
         # tenant b's interactive query beat tenant a's remaining batch
         # work despite a's 10x weight
         later_batch = [s for s in batch if s.admit_time > 0.0]
         assert all(urgent.admit_time <= s.admit_time for s in later_batch)
-        server.check_conservation()
