@@ -53,7 +53,7 @@ class Cpu2Gpu:
             yield self.sim.timeout(work.setup_seconds)
             job = self.gpu.memory.bandwidth.submit(
                 work.work_bytes, rate_cap=work.rate_cap,
-                label=f"kernel:{self.gpu.name}",
+                label=("kernel:{}", self.gpu.name),
             )
             yield job
         finally:

@@ -49,7 +49,7 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from ..hardware.costmodel import CostModel
-from ..hardware.sim import Event, Simulator, Store
+from ..hardware.sim import Event, Name, Simulator, Store
 from ..hardware.topology import Path, Server
 from ..memory.block import Block, BlockHandle
 from ..memory.managers import BlockManagerSet
@@ -82,7 +82,7 @@ DEFAULT_PREFETCH_DEPTH = 2
 
 
 def path_transfer_jobs(path: Path, nbytes: float, rate_cap: float,
-                       label: str) -> list[Event]:
+                       label: Name) -> list[Event]:
     """Occupy every resource of one interconnect route for a transfer.
 
     The single definition of what "a transfer crosses ``path``" means —
@@ -97,7 +97,7 @@ def path_transfer_jobs(path: Path, nbytes: float, rate_cap: float,
     ]
     jobs.extend(
         dram.bandwidth.submit(nbytes, rate_cap=rate_cap,
-                              label=f"{label}-host", weight=DMA_WEIGHT)
+                              label=("{}-host", label), weight=DMA_WEIGHT)
         for dram in path.drams
     )
     return jobs
@@ -214,10 +214,12 @@ class MemMove:
                                 scale=handle.block.logical_scale)
         self.path_counts[path.key] = self.path_counts.get(path.key, 0) + 1
         moved = handle.block.with_node(target_node)
-        done = self.sim.event(name=f"dma:{handle.block.block_id}->{target_node}")
+        done = self.sim.event(
+            name=("dma:{}->{}", handle.block.block_id, target_node)
+        )
         self.sim.process(
             self._dma(handle.block, path, acquire_latency, done),
-            name=f"memmove:{handle.block.block_id}",
+            name=("memmove:{}", handle.block.block_id),
         )
         new_handle = handle.routed_copy(block=moved)
         new_handle.transfer_done = done
@@ -240,7 +242,7 @@ class MemMove:
         Callers must re-check :meth:`has_credit` after waking (wake-ups
         are broadcast so an aborted pipeline cannot strand waiters).
         """
-        event = self.sim.event(name=f"memmove-credit:{node_id}")
+        event = self.sim.event(name=("memmove-credit:{}", node_id))
         self._credit_waiters.setdefault(node_id, []).append(event)
         return event
 
@@ -336,7 +338,7 @@ class MemMove:
                 plan.setup_seconds * path.setups + acquire_latency
             )
             jobs = path_transfer_jobs(
-                path, plan.nbytes, rate_cap, label=f"dma:{block.block_id}"
+                path, plan.nbytes, rate_cap, label=("dma:{}", block.block_id)
             )
             if jobs:
                 yield self.sim.all_of(jobs)

@@ -228,7 +228,7 @@ class Router:
                     # load balancing).  Wait for a completion when all
                     # groups are saturated.
                     while not any(self._has_credit(g) for g in self.groups):
-                        wakeup = self.sim.event(name=f"{self.name}:credit")
+                        wakeup = self.sim.event(name=("{}:credit", self.name))
                         self._arm_wakeup(wakeup)
                         yield wakeup
                 group, instance = self._select(handle)

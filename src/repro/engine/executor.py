@@ -484,7 +484,7 @@ class Executor:
                 if proc.is_alive:
                     proc.interrupt("query aborted")
             run.mem_move.abort_outstanding()
-            self.sim._schedule_call(run.mem_move.abort_outstanding)
+            self.sim._schedule_call(MemMove.abort_outstanding, run.mem_move)
 
     def checkpoints_remaining(self, query_id: str) -> Optional[int]:
         """Phase boundaries the running query has yet to cross.
@@ -959,7 +959,7 @@ class Executor:
             job = node.bandwidth.submit(
                 req.work_bytes,
                 rate_cap=req.rate_cap,
-                label=f"cpu-work:{instance.stage.name}",
+                label=("cpu-work:{}", instance.stage.name),
             )
             yield job
             return

@@ -123,10 +123,13 @@ deadline-hit rates, preemption and shed counts.
 
 from __future__ import annotations
 
+import heapq
 import math
 import random
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field, replace
-from typing import Any, Optional, Sequence
+from operator import attrgetter
+from typing import Any, Iterator, Optional, Sequence
 
 from ..algebra.logical import Plan
 from ..algebra.physical import HetPlan, OpBuildSink
@@ -169,6 +172,7 @@ __all__ = [
 #: from as_dict and therefore never become budget dimensions)
 DIMENSIONS = tuple(QueryDemand().as_dict())
 _NOTHING = dict.fromkeys(DIMENSIONS, 0.0)
+_PRIORITY = attrgetter("priority")
 
 
 class AdmissionError(RuntimeError):
@@ -207,6 +211,11 @@ class ResourceBudget:
         # reject every query that has nonzero demand elsewhere.
         self.capacity = {
             dim: float(capacities.get(dim, math.inf)) for dim in DIMENSIONS
+        }
+        #: the constant part of _tolerance's scale (capacities are fixed)
+        self._scale_floor = {
+            dim: max(1.0, capacity if math.isfinite(capacity) else 0.0)
+            for dim, capacity in self.capacity.items()
         }
         self.in_use = {dim: 0.0 for dim in DIMENSIONS}
         self.peak = {dim: 0.0 for dim in DIMENSIONS}
@@ -268,20 +277,18 @@ class ResourceBudget:
         # few ulps per allocate/release pair, which an absolute epsilon
         # would miss at realistic (1e10+) scales.  Unlimited capacities
         # are excluded from the scale, or the tolerance would be inf.
-        capacity = self.capacity[dim]
-        return 1e-9 * max(
-            1.0,
-            capacity if math.isfinite(capacity) else 0.0,
-            self.total_allocated[dim],
-        )
+        return 1e-9 * max(self._scale_floor[dim], self.total_allocated[dim])
 
     def _has_room(self, d: dict[str, float], freed: dict[str, float]) -> bool:
         """This level alone: does ``d`` fit once ``freed`` is given back?"""
-        return all(
-            self.in_use[dim] - freed[dim] + d[dim]
-            <= self.capacity[dim] + self._tolerance(dim)
-            for dim in DIMENSIONS
-        )
+        in_use, capacity = self.in_use, self.capacity
+        floor, allocated = self._scale_floor, self.total_allocated
+        for dim in DIMENSIONS:
+            # _tolerance(dim), inlined: backfill asks this of every waiter
+            tolerance = 1e-9 * max(floor[dim], allocated[dim])
+            if not in_use[dim] - freed[dim] + d[dim] <= capacity[dim] + tolerance:
+                return False
+        return True
 
     def blocked_at(self, demand: QueryDemand) -> Optional["ResourceBudget"]:
         """The innermost budget of the chain with no room for ``demand``
@@ -1133,6 +1140,10 @@ class EngineServer:
             "paused": self._paused,
             "running": self._active_sessions,
         }
+        #: the admission order, kept as it changes: per tenant label (in
+        #: registration order), its queued + paused sessions sorted by
+        #: _rank.  _move inserts and removes; _reshape re-keys
+        self._queues: dict[str, list[QuerySession]] = {"default": []}
         self._next_id = 0
         self._reported_ids: set[int] = set()
         self._clients: list = []
@@ -1152,7 +1163,6 @@ class EngineServer:
         self.tenant_states: dict[Optional[str], TenantState] = {
             None: TenantState(tenant=Tenant("default"), budget=self.budget)
         }
-        self._tenant_order: list[str] = []
         for tenant in tenants or ():
             if tenant.name == "default":
                 raise ValueError(
@@ -1169,8 +1179,12 @@ class EngineServer:
             if tenant.rate_limit is not None:
                 state.bucket = TokenBucket(tenant.rate_limit, now=self.sim.now)
             self.tenant_states[tenant.name] = state
-            self._tenant_order.append(tenant.name)
+            self._queues[tenant.name] = []
         self._drr = DeficitRoundRobin()
+        self._drr_weights = {
+            self._tenant_label(key): state.tenant.weight
+            for key, state in self.tenant_states.items()
+        }
         #: the engine facade's registry, so two servers over one engine
         #: share a surface
         self.metrics = self.engine.metrics
@@ -1595,9 +1609,10 @@ class EngineServer:
         deadline = session.deadline if session.deadline is not None else math.inf
         return (-session.priority, deadline, session.submit_time, session.query_id)
 
-    def _waiting(self) -> list[QuerySession]:
+    def _waiting(self) -> Iterator[QuerySession]:
         """Queued + paused sessions in admission order (paused sessions
-        re-enter the same priority queue to be resumed).
+        re-enter the same priority queue to be resumed), merged lazily
+        from the per-tenant queues: reading the head costs the head.
 
         With registered tenants and SLA admission, the per-tenant queues
         are merged by weighted deficit round-robin: among deficit-
@@ -1606,22 +1621,35 @@ class EngineServer:
         weights arbitrate within a priority band.  FIFO mode keeps pure
         submission order — tenancy there is accounting only.
         """
-        waiting = sorted(
-            [*self._pending.values(), *self._paused.values()], key=self._rank
+        backlogged = [queue for queue in self._queues.values() if queue]
+        if len(backlogged) <= 1:
+            return iter(backlogged[0] if backlogged else ())
+        if self.admission == "fifo":
+            return heapq.merge(*backlogged, key=self._rank)
+        # (the queues' keys are the tenants in registration order)
+        return self._drr.merge(
+            self._queues, self._drr_weights, self._queues, _PRIORITY
         )
-        if self.admission == "fifo" or len(self.tenant_states) <= 1:
-            return waiting
-        queues: dict[str, list[QuerySession]] = {}
-        for session in waiting:
-            queues.setdefault(self._tenant_label(session.tenant), []).append(session)
-        if len(queues) <= 1:
-            return waiting
-        order = ["default", *self._tenant_order]
-        weights = {
-            self._tenant_label(key): state.tenant.weight
-            for key, state in self.tenant_states.items()
-        }
-        return self._drr.interleave(queues, weights, order, lambda s: s.priority)
+
+    def _queue_of(self, session: QuerySession) -> list[QuerySession]:
+        return self._queues[self._tenant_label(session.tenant)]
+
+    def _enqueue(self, session: QuerySession) -> None:
+        insort(self._queue_of(session), session, key=self._rank)
+
+    def _unqueue(self, session: QuerySession) -> None:
+        queue = self._queue_of(session)
+        del queue[bisect_left(queue, self._rank(session), key=self._rank)]
+
+    def _reshape(self, session: QuerySession, demand: QueryDemand) -> None:
+        """Replace the session's demand — which carries the priority
+        ``_rank`` reads, so a waiting session is re-keyed around it."""
+        waiting = session.query_id in self._pending or session.query_id in self._paused
+        if waiting:
+            self._unqueue(session)
+        session.demand = demand
+        if waiting:
+            self._enqueue(session)
 
     @staticmethod
     def _admission_need(session: QuerySession) -> QueryDemand:
@@ -1693,7 +1721,9 @@ class EngineServer:
         giving it a new one: a retry backing off (or being cancelled
         while parked) is ``queued`` but must not be admitted.
         """
-        self._seats[session.status].pop(session.query_id, None)
+        seated = self._seats[session.status].pop(session.query_id, None)
+        if seated is not None and session.status != "running":
+            self._unqueue(session)
         if session.pause_started is not None:
             # leaving a pause, to resume or for good: the span counts
             session.suspended_seconds += self.sim.now - session.pause_started
@@ -1703,6 +1733,8 @@ class EngineServer:
             session.pause_started = self.sim.now
         if admissible and status in self._seats:
             self._seats[status][session.query_id] = session
+            if status != "running":
+                self._enqueue(session)
 
     def _refund(self, session: QuerySession) -> None:
         """Give back whatever the session still holds."""
@@ -1788,14 +1820,14 @@ class EngineServer:
         tenants' deficits replenish by weight until someone is eligible."""
         if len(self.tenant_states) <= 1:
             return
-        backlog: dict[str, float] = {}
-        for other in (*self._pending.values(), *self._paused.values()):
-            if other is session:
-                continue
-            backlog[self._tenant_label(other.tenant)] = (
-                self.tenant_states[other.tenant].tenant.weight
-            )
-        self._drr.charge(self._tenant_label(session.tenant), backlog)
+        own = self._tenant_label(session.tenant)
+        backlog = {
+            label: self._drr_weights[label]
+            for label, queue in self._queues.items()
+            # the session being admitted still sits in its own queue
+            if len(queue) > (1 if label == own else 0)
+        }
+        self._drr.charge(own, backlog)
 
     def _preemptable(self, session: QuerySession) -> bool:
         """Can this running session still honour a preemption request?
@@ -1822,10 +1854,9 @@ class EngineServer:
         not made at all — pausing queries without unblocking anyone only
         wastes phase boundaries.
         """
-        waiting = self._waiting()
-        if not waiting:
+        blocked = next(self._waiting(), None)
+        if blocked is None:
             return
-        blocked = waiting[0]
         need = self._admission_need(blocked)
         budget = self._budget_of(blocked)
         pending = [
@@ -1908,9 +1939,9 @@ class EngineServer:
             # falling back to the raw core count would let co-resident
             # elastic queries collectively grow far past the machine
             headroom = len(self.server.cores) - self.budget.in_use["cpu_cores"]
-        waiting = self._waiting()
-        if waiting and self._running < self.max_concurrent:
-            headroom -= self._admission_need(waiting[0]).cpu_cores
+        head = next(self._waiting(), None)
+        if head is not None and self._running < self.max_concurrent:
+            headroom -= self._admission_need(head).cpu_cores
         own = self._budget_of(session).headroom()["cpu_cores"]
         return min(max(0.0, headroom), own)
 
@@ -1984,7 +2015,7 @@ class EngineServer:
         new_config = config.derive(cpu_workers=target)
         affinity = self.placer.cpu_affinity(new_config)
         session.current_config = new_config
-        session.demand = replace(session.demand, cpu_cores=target)
+        self._reshape(session, replace(session.demand, cpu_cores=target))
         if session.held_demand is not None:
             session.held_demand = replace(session.held_demand, cpu_cores=target)
         session.resizes += 1
@@ -2114,7 +2145,7 @@ class EngineServer:
         session.attempts += 1
         session.current_config = new_config
         session.het = het
-        session.demand = demand
+        self._reshape(session, demand)
         session.preempt_requested = False
         self._move(session, "queued", admissible=False)
         backoff = self.retry_policy.backoff_seconds * (session.attempts - 1)

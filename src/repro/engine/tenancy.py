@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 __all__ = [
     "Tenant",
@@ -197,8 +197,8 @@ class DeficitRoundRobin:
 
     Persistent deficits record how far each tenant has been served ahead
     of (negative) or behind (positive) its weighted share.  The
-    scheduler calls :meth:`interleave` to order the waiting sessions —
-    a *pure* computation over a copy of the deficits — and
+    scheduler calls :meth:`merge` to order the waiting sessions —
+    a computation over a copy of the deficits — and
     :meth:`charge` when a session is actually admitted, which spends one
     unit and replenishes every still-backlogged tenant by its weight
     until someone is eligible again (so deficits stay bounded instead of
@@ -237,47 +237,66 @@ class DeficitRoundRobin:
             for n, weight in backlog_weights.items():
                 self._deficits[n] = self.deficit(n) + weight
 
-    def interleave(
+    def merge(
         self,
         queues: Mapping[str, Sequence],
         weights: Mapping[str, float],
-        order: Sequence[str],
+        order: Iterable[str],
         priority_of: Callable[[object], int],
-    ) -> list:
+    ) -> Iterator:
         """Merge per-tenant queues (each already in admission order) into
-        one weighted-fair sequence.
+        one weighted-fair sequence, lazily: a caller that reads the head
+        pays for the head.
 
         At every step the deficit-eligible tenant whose *head* session
         has the highest priority is served (registration order breaks
         ties), so the QoS ladder stays strict across tenants and DRR
-        arbitrates within a priority band.  Pure: works on a copy of the
-        deficits; the persistent state moves only through
-        :meth:`charge`.
+        arbitrates within a priority band.  Idle tenants forfeit their
+        deficit when this is *called*, consumed or not; beyond that it
+        is pure — it works on a copy of the deficits, the persistent
+        state moves only through :meth:`charge`.  The queues must not
+        change while the result is being read.
         """
         backlogged = [name for name in order if queues.get(name)]
         self._drop_idle(backlogged)
         deficits = {name: self.deficit(name) for name in backlogged}
-        cursor = {name: 0 for name in backlogged}
-        rank = {name: index for index, name in enumerate(order)}
-        out: list = []
-        while True:
-            remaining = [
-                name for name in backlogged if cursor[name] < len(queues[name])
-            ]
-            if not remaining:
-                return out
-            eligible = [name for name in remaining if deficits[name] >= self._ELIGIBLE]
-            if not eligible:
+        return self._merged(backlogged, deficits, queues, weights, priority_of)
+
+    def _merged(
+        self,
+        remaining: list[str],
+        deficits: dict[str, float],
+        queues: Mapping[str, Sequence],
+        weights: Mapping[str, float],
+        priority_of: Callable[[object], int],
+    ) -> Iterator:
+        cursor = dict.fromkeys(remaining, 0)
+        while remaining:
+            best: Optional[str] = None
+            best_priority = 0
+            for name in remaining:
+                if deficits[name] >= self._ELIGIBLE:
+                    priority = priority_of(queues[name][cursor[name]])
+                    # strictly higher only: remaining keeps registration
+                    # order, so the earlier-registered tenant wins a tie
+                    if best is None or priority > best_priority:
+                        best, best_priority = name, priority
+            if best is None:
                 for name in remaining:
                     deficits[name] += weights[name]
                 continue
-            best = max(
-                eligible,
-                key=lambda name: (
-                    priority_of(queues[name][cursor[name]]),
-                    -rank[name],
-                ),
-            )
-            out.append(queues[best][cursor[best]])
+            yield queues[best][cursor[best]]
             cursor[best] += 1
             deficits[best] -= 1.0
+            if cursor[best] == len(queues[best]):
+                remaining.remove(best)
+
+    def interleave(
+        self,
+        queues: Mapping[str, Sequence],
+        weights: Mapping[str, float],
+        order: Iterable[str],
+        priority_of: Callable[[object], int],
+    ) -> list:
+        """:meth:`merge`, read to the end."""
+        return list(self.merge(queues, weights, order, priority_of))

@@ -22,11 +22,11 @@ curves in Figures 6 and 7 flatten at the measured socket bandwidth.
 
 from __future__ import annotations
 
-import itertools
 import math
+from collections import deque
 from typing import Optional
 
-from .sim import Event, SimulationError, Simulator
+from .sim import Event, Name, SimulationError, Simulator
 
 __all__ = ["FifoResource", "BandwidthResource", "BandwidthJob"]
 
@@ -49,7 +49,7 @@ class FifoResource:
         self.name = name
         self.slots = slots
         self._in_use = 0
-        self._waiters: list[Event] = []
+        self._waiters: deque[Event] = deque()
         self.total_busy_time = 0.0
         self._busy_since: Optional[float] = None
         #: once set, every acquire (queued or future) fails with this
@@ -82,7 +82,7 @@ class FifoResource:
         return min(1.0, self.busy_time / horizon)
 
     def acquire(self) -> Event:
-        event = Event(self.sim, name=f"acquire:{self.name}")
+        event = Event(self.sim, name=("acquire:{}", self.name))
         if self._poisoned is not None:
             event.fail(self._poisoned)
         elif self._in_use < self.slots:
@@ -101,7 +101,7 @@ class FifoResource:
         if self._poisoned is not None:
             return
         self._poisoned = exc
-        waiters, self._waiters = self._waiters, []
+        waiters, self._waiters = self._waiters, deque()
         for event in waiters:
             if not event.triggered:
                 event.fail(exc)
@@ -114,7 +114,7 @@ class FifoResource:
             self.total_busy_time += self.sim.now - self._busy_since
             self._busy_since = None
         if self._waiters:
-            self._grant(self._waiters.pop(0))
+            self._grant(self._waiters.popleft())
 
     def _grant(self, event: Event) -> None:
         self._in_use += 1
@@ -126,12 +126,15 @@ class FifoResource:
 class BandwidthJob:
     """One in-flight demand on a :class:`BandwidthResource`."""
 
-    __slots__ = ("work", "remaining", "rate_cap", "rate", "done", "label", "weight")
+    __slots__ = ("work", "remaining", "residue", "rate_cap", "rate", "done",
+                 "label", "weight")
 
     def __init__(self, work: float, rate_cap: Optional[float], done: Event,
-                 label: str, weight: float = 1.0):
+                 label: Name, weight: float = 1.0):
         self.work = work
         self.remaining = work
+        #: float residue of serving ``work`` in slices: at or below it, done
+        self.residue = 1e-9 * max(1.0, work)
         self.rate_cap = rate_cap
         self.rate = 0.0
         self.done = done
@@ -157,7 +160,7 @@ class BandwidthResource:
         self.name = name
         self._jobs: list[BandwidthJob] = []
         self._last_update = 0.0
-        self._epoch = itertools.count()
+        #: bumped by every state change; a tick carrying an older one is stale
         self._current_epoch = -1
         self.total_work_served = 0.0
         self._busy_time = 0.0
@@ -177,7 +180,7 @@ class BandwidthResource:
         return self._busy_time
 
     def submit(self, work: float, rate_cap: Optional[float] = None,
-               label: str = "", weight: float = 1.0) -> Event:
+               label: Name = "", weight: float = 1.0) -> Event:
         """Enqueue ``work`` units; the returned event fires at completion.
 
         ``weight`` biases the fair share (DMA engines get arbitration
@@ -189,7 +192,7 @@ class BandwidthResource:
             raise SimulationError(f"rate cap must be positive, got {rate_cap}")
         if weight <= 0:
             raise SimulationError(f"weight must be positive, got {weight}")
-        done = Event(self.sim, name=f"bw:{self.name}:{label}")
+        done = Event(self.sim, name=("bw:{}:{}", self.name, label))
         if self._poisoned is not None:
             done.fail(self._poisoned)
             return done
@@ -210,7 +213,7 @@ class BandwidthResource:
         if self._poisoned is not None:
             return
         self._advance()
-        self._current_epoch = next(self._epoch)
+        self._current_epoch += 1
         self._poisoned = exc
         jobs, self._jobs = self._jobs, []
         for job in jobs:
@@ -239,45 +242,60 @@ class BandwidthResource:
 
     def _allocate(self) -> None:
         """Weighted water-filling allocation across active jobs."""
-        pending = list(self._jobs)
+        pending = self._jobs
         remaining_capacity = self.capacity
+        if len(pending) == 1:
+            job = pending[0]
+            share = job.weight * (remaining_capacity / job.weight)
+            cap = job.rate_cap
+            job.rate = cap if cap is not None and cap < share else share
+            return
         # Jobs with caps below their weighted fair share get their cap;
         # the freed capacity is redistributed among the rest.
         while pending:
-            total_weight = sum(j.weight for j in pending)
+            total_weight = sum([j.weight for j in pending])
             per_weight = remaining_capacity / total_weight
-            capped = [
-                j for j in pending
-                if j.rate_cap is not None and j.rate_cap < j.weight * per_weight
-            ]
-            if not capped:
+            uncapped = []
+            for job in pending:
+                cap = job.rate_cap
+                if cap is not None and cap < job.weight * per_weight:
+                    job.rate = cap
+                    remaining_capacity -= cap
+                else:
+                    uncapped.append(job)
+            if len(uncapped) == len(pending):
                 for job in pending:
                     job.rate = job.weight * per_weight
                 return
-            for job in capped:
-                job.rate = job.rate_cap
-                remaining_capacity -= job.rate_cap
-                pending.remove(job)
+            pending = uncapped
         # All jobs were capped below the fair share; spare capacity is idle.
 
     def _reschedule(self) -> None:
         """Recompute rates and schedule the next completion."""
-        epoch = next(self._epoch)
-        self._current_epoch = epoch
-        finished = [j for j in self._jobs if j.remaining <= 1e-9 * max(1.0, j.work)]
-        for job in finished:
-            self._jobs.remove(job)
-            job.remaining = 0.0
-            job.done.trigger(None)
-        if not self._jobs:
+        self._current_epoch = epoch = self._current_epoch + 1
+        jobs = self._jobs
+        finished = False
+        for job in jobs:
+            if job.remaining <= job.residue:
+                job.remaining = 0.0
+                job.done.trigger(None)
+                finished = True
+        if finished:
+            # (zeroed just above: exactly the finished ones)
+            self._jobs = jobs = [job for job in jobs if job.remaining]
+        if not jobs:
             return
         self._allocate()
-        rates = [job.remaining / job.rate for job in self._jobs if job.rate > 0]
-        if not rates:
+        next_finish = None
+        for job in jobs:
+            if job.rate > 0:
+                finish = job.remaining / job.rate
+                if next_finish is None or finish < next_finish:
+                    next_finish = finish
+        if next_finish is None:
             raise SimulationError(
                 f"bandwidth resource {self.name!r} stalled: no job makes progress"
             )
-        next_finish = min(rates)
         if not math.isfinite(next_finish):
             raise SimulationError(f"bandwidth resource {self.name!r} stalled")
         # Guard against float underflow: now + delay must strictly advance
@@ -285,11 +303,10 @@ class BandwidthResource:
         # relative to the current time (ulp-sized steps still advance).
         min_tick = max(abs(self.sim.now) * 1e-12, 1e-15)
         next_finish = max(next_finish, min_tick)
+        self.sim._schedule_call(self._on_tick, epoch, delay=next_finish)
 
-        def on_tick() -> None:
-            if self._current_epoch != epoch:
-                return  # a newer state change superseded this tick
-            self._advance()
-            self._reschedule()
-
-        self.sim._schedule_call(on_tick, delay=next_finish)
+    def _on_tick(self, epoch: int) -> None:
+        if self._current_epoch != epoch:
+            return  # a newer state change superseded this tick
+        self._advance()
+        self._reschedule()

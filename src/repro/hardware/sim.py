@@ -16,13 +16,24 @@ The kernel follows the classical process-interaction style (compare SimPy):
   producer/consumer queues used by routers and gpu2cpu).
 
 The implementation is deterministic: events scheduled for the same instant
-fire in schedule order.
+fire in schedule order.  A heap entry is ``(time, seq, arg, fn)``: ``seq``
+is a per-simulator counter incremented once per push, so it alone breaks
+ties between entries of one instant and ``arg`` / ``fn`` are never
+compared.  ``fn is None`` marks a triggered :class:`Event` (``arg``),
+whose callbacks :meth:`Simulator.run` calls in place; any other entry is
+the call ``fn(arg)``.  Nothing is allocated per event beyond the entry.
+
+Names are for people (``repr()``, error messages), so they are formatted
+when read, not when the event is created: a name is a ``str`` or the
+parts ``(format, *args)`` of one.
 """
 
 from __future__ import annotations
 
-import heapq
-from typing import Any, Callable, Generator, Iterable, Optional
+import math
+from collections import deque
+from heapq import heappop, heappush
+from typing import Any, Callable, Generator, Iterable, Optional, Union
 
 __all__ = [
     "Simulator",
@@ -35,6 +46,16 @@ __all__ = [
     "Interrupt",
     "SimulationError",
 ]
+
+
+#: a name, or the ``(format, *args)`` parts of one (args may nest)
+Name = Union[str, tuple]
+
+
+def _text(name: Any) -> Any:
+    if isinstance(name, tuple):
+        return name[0].format(*map(_text, name[1:]))
+    return name
 
 
 class SimulationError(RuntimeError):
@@ -57,24 +78,24 @@ class Event:
     current instant.  Processes wait on events by yielding them.
     """
 
-    __slots__ = ("sim", "callbacks", "_value", "_ok", "_triggered", "name")
+    __slots__ = ("sim", "callbacks", "_value", "_ok", "_triggered", "_name")
 
-    def __init__(self, sim: "Simulator", name: str = ""):
+    def __init__(self, sim: "Simulator", name: Name = ""):
         self.sim = sim
+        #: consumed (set to None) when the simulator runs them
         self.callbacks: Optional[list[Callable[["Event"], None]]] = []
         self._value: Any = None
         self._ok: bool = True
         self._triggered = False
-        self.name = name
+        self._name = name
+
+    @property
+    def name(self) -> str:
+        return _text(self._name)
 
     @property
     def triggered(self) -> bool:
         return self._triggered
-
-    @property
-    def processed(self) -> bool:
-        """True once callbacks have run (callbacks list is consumed)."""
-        return self.callbacks is None
 
     @property
     def ok(self) -> bool:
@@ -94,7 +115,9 @@ class Event:
             raise SimulationError(f"event {self!r} already triggered")
         self._triggered = True
         self._value = value
-        self.sim._schedule_event(self)
+        sim = self.sim
+        sim._seq = seq = sim._seq + 1
+        heappush(sim._heap, (sim.now, seq, self, None))
         return self
 
     def fail(self, exc: BaseException) -> "Event":
@@ -106,13 +129,15 @@ class Event:
         self._triggered = True
         self._ok = False
         self._value = exc
-        self.sim._schedule_event(self)
+        sim = self.sim
+        sim._seq = seq = sim._seq + 1
+        heappush(sim._heap, (sim.now, seq, self, None))
         return self
 
     def add_callback(self, fn: Callable[["Event"], None]) -> None:
         if self.callbacks is None:
             # Already processed: run at the current instant.
-            self.sim._schedule_call(lambda: fn(self))
+            self.sim._schedule_call(fn, self)
         else:
             self.callbacks.append(fn)
 
@@ -130,10 +155,11 @@ class Timeout(Event):
     def __init__(self, sim: "Simulator", delay: float, value: Any = None):
         if delay < 0:
             raise SimulationError(f"negative timeout delay: {delay}")
-        super().__init__(sim, name=f"Timeout({delay:g})")
+        super().__init__(sim, name=("Timeout({:g})", delay))
         self._triggered = True
         self._value = value
-        sim._schedule_event(self, delay=delay)
+        sim._seq = seq = sim._seq + 1
+        heappush(sim._heap, (sim.now + delay, seq, self, None))
 
 
 class Process(Event):
@@ -148,12 +174,12 @@ class Process(Event):
 
     __slots__ = ("_gen", "_waiting_on")
 
-    def __init__(self, sim: "Simulator", gen: Generator, name: str = ""):
+    def __init__(self, sim: "Simulator", gen: Generator, name: Name = ""):
         super().__init__(sim, name=name or getattr(gen, "__name__", "process"))
         self._gen = gen
         self._waiting_on: Optional[Event] = None
         # Kick off at the current instant.
-        sim._schedule_call(lambda: self._resume(None, None))
+        sim._schedule_call(self._resume, None)
 
     @property
     def is_alive(self) -> bool:
@@ -163,18 +189,18 @@ class Process(Event):
         """Throw :class:`Interrupt` into the process at the current instant."""
         if self._triggered:
             return
-        self.sim._schedule_call(lambda: self._resume(None, Interrupt(cause)))
+        self.sim._schedule_call(self._resume, Interrupt(cause))
 
     def _on_wait_done(self, event: Event) -> None:
         if self._waiting_on is not event:
             return  # stale wake-up (e.g. interrupted while waiting)
         self._waiting_on = None
         if event._ok:
-            self._resume(event._value, None)
-        else:
             self._resume(None, event._value)
+        else:
+            self._resume(event._value)
 
-    def _resume(self, value: Any, exc: Optional[BaseException]) -> None:
+    def _resume(self, exc: Optional[BaseException], value: Any = None) -> None:
         if self._triggered:
             return
         self._waiting_on = None
@@ -199,7 +225,12 @@ class Process(Event):
             self.fail(SimulationError("process yielded an event from another simulator"))
             return
         self._waiting_on = target
-        target.add_callback(self._on_wait_done)
+        # add_callback, in place: this runs once per resume
+        callbacks = target.callbacks
+        if callbacks is None:
+            self.sim._schedule_call(self._on_wait_done, target)
+        else:
+            callbacks.append(self._on_wait_done)
 
 
 class AllOf(Event):
@@ -267,9 +298,9 @@ class Store:
         self.sim = sim
         self.capacity = capacity
         self.name = name
-        self.items: list[Any] = []
-        self._getters: list[Event] = []
-        self._putters: list[tuple[Event, Any]] = []
+        self.items: deque[Any] = deque()
+        self._getters: deque[Event] = deque()
+        self._putters: deque[tuple[Event, Any]] = deque()
         self._closed = False
 
     def __len__(self) -> int:
@@ -283,9 +314,9 @@ class Store:
         """Return an event that triggers once ``item`` is enqueued."""
         if self._closed:
             raise SimulationError(f"put() on closed store {self.name!r}")
-        event = Event(self.sim, name=f"put:{self.name}")
+        event = Event(self.sim, name=("put:{}", self.name))
         if self._getters:
-            getter = self._getters.pop(0)
+            getter = self._getters.popleft()
             getter.trigger(item)
             event.trigger(None)
         elif self.capacity is None or len(self.items) < self.capacity:
@@ -301,9 +332,9 @@ class Store:
         If the store is closed and drained, the event triggers with
         :data:`Store.END`.
         """
-        event = Event(self.sim, name=f"get:{self.name}")
+        event = Event(self.sim, name=("get:{}", self.name))
         if self.items:
-            item = self.items.pop(0)
+            item = self.items.popleft()
             self._admit_putter()
             event.trigger(item)
         elif self._closed:
@@ -319,16 +350,16 @@ class Store:
         self._closed = True
         if not self.items:
             while self._getters:
-                self._getters.pop(0).trigger(Store.END)
+                self._getters.popleft().trigger(Store.END)
 
     def _admit_putter(self) -> None:
         if self._putters and (self.capacity is None or len(self.items) < self.capacity):
-            event, item = self._putters.pop(0)
+            event, item = self._putters.popleft()
             self.items.append(item)
             event.trigger(None)
         if self._closed and not self.items:
             while self._getters:
-                self._getters.pop(0).trigger(Store.END)
+                self._getters.popleft().trigger(Store.END)
 
     class _EndOfStream:
         __slots__ = ()
@@ -344,36 +375,29 @@ class Simulator:
 
     def __init__(self):
         self.now: float = 0.0
-        self._heap: list[tuple[float, int, Callable[[], None]]] = []
+        #: (time, seq, arg, fn) entries — see the module docstring
+        self._heap: list[tuple[float, int, Any, Optional[Callable[[Any], None]]]] = []
         self._seq = 0
         self._running = False
 
     # -- scheduling ------------------------------------------------------
 
-    def _schedule_call(self, fn: Callable[[], None], delay: float = 0.0) -> None:
-        self._seq += 1
-        heapq.heappush(self._heap, (self.now + delay, self._seq, fn))
-
-    def _schedule_event(self, event: Event, delay: float = 0.0) -> None:
-        self._schedule_call(lambda: self._dispatch(event), delay=delay)
-
-    @staticmethod
-    def _dispatch(event: Event) -> None:
-        callbacks = event.callbacks
-        event.callbacks = None
-        if callbacks:
-            for fn in callbacks:
-                fn(event)
+    def _schedule_call(
+        self, fn: Callable[[Any], None], arg: Any = None, delay: float = 0.0
+    ) -> None:
+        """Call ``fn(arg)`` ``delay`` seconds from now."""
+        self._seq = seq = self._seq + 1
+        heappush(self._heap, (self.now + delay, seq, arg, fn))
 
     # -- public factory helpers -----------------------------------------
 
-    def event(self, name: str = "") -> Event:
+    def event(self, name: Name = "") -> Event:
         return Event(self, name=name)
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         return Timeout(self, delay, value=value)
 
-    def process(self, gen: Generator, name: str = "") -> Process:
+    def process(self, gen: Generator, name: Name = "") -> Process:
         return Process(self, gen, name=name)
 
     def store(self, capacity: Optional[int] = None, name: str = "") -> Store:
@@ -398,17 +422,26 @@ class Simulator:
         if self._running:
             raise SimulationError("simulator is already running")
         self._running = True
+        heap = self._heap
+        pop = heappop
+        limit = math.inf if until is None else until
         try:
-            while self._heap:
-                time, _seq, fn = self._heap[0]
-                if until is not None and time > until:
+            while heap:
+                if heap[0][0] > limit:
                     self.now = until
                     break
-                heapq.heappop(self._heap)
+                time, _seq, arg, fn = pop(heap)
                 if time < self.now - 1e-12:
                     raise SimulationError("event scheduled in the past")
                 self.now = time
-                fn()
+                if fn is None:
+                    # a triggered event: its callbacks run once, here
+                    callbacks = arg.callbacks
+                    arg.callbacks = None
+                    for callback in callbacks:
+                        callback(arg)
+                else:
+                    fn(arg)
         finally:
             self._running = False
         return self.now

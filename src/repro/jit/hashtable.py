@@ -67,7 +67,6 @@ class HashTable:
         self._payload_parts: dict[str, list[np.ndarray]] = {
             name: [] for name in self.payload_names
         }
-        self._keys_seen: list[np.ndarray] = []
 
     # -- build -------------------------------------------------------------
 
@@ -76,8 +75,6 @@ class HashTable:
         keys = np.ascontiguousarray(keys, dtype=np.int64)
         if keys.size == 0:
             return
-        if np.unique(keys).size != keys.size:
-            raise DuplicateKeyError("duplicate keys within insert batch")
         payload = payload or {}
         missing = [n for n in self.payload_names if n not in payload]
         if missing:
@@ -88,13 +85,13 @@ class HashTable:
         row_ids = np.arange(base_row, base_row + keys.size, dtype=np.int64)
         self._place(keys, row_ids)
         self.num_keys += keys.size
-        self._keys_seen.append(keys)
         for name in self.payload_names:
             self._payload_parts[name].append(np.asarray(payload[name]))
         for name in self.payload_names:
             self.payload[name] = np.concatenate(self._payload_parts[name])
 
     def _place(self, keys: np.ndarray, row_ids: np.ndarray) -> None:
+        step_mask = np.int64(self._mask)
         slots = (hash_int64(keys) & self._mask).astype(np.int64)
         pending = np.arange(keys.size)
         guard = 0
@@ -106,24 +103,33 @@ class HashTable:
             occupant = self.keys[slot]
             free = occupant == _EMPTY
             clash_same = occupant == keys[pending]
-            if np.any(clash_same):
+            if clash_same.any():
                 dup = keys[pending[clash_same]][0]
                 raise DuplicateKeyError(f"duplicate build key {int(dup)}")
             # Claim free slots; NumPy fancy-store keeps the *last* writer on
             # intra-batch slot collisions, so verify and retry the losers.
             take = pending[free]
-            if take.size:
-                self.keys[slots[take]] = keys[take]
-                self.rows[slots[take]] = row_ids[take]
-                won = self.rows[slots[take]] == row_ids[take]
-                lost = take[~won]
+            claimed = slot[free]
+            claimants = row_ids[take]
+            self.keys[claimed] = keys[take]
+            self.rows[claimed] = claimants
+            beaten = self.rows[claimed] != claimants
+            if not beaten.any():
+                if take.size == pending.size:
+                    return
+                lost = take[:0]
             else:
-                lost = np.empty(0, dtype=pending.dtype)
+                lost = take[beaten]
+                # Equal keys walk the same slots in step, so they claim
+                # the same free slot in the same round: the loser finds
+                # its own key there.
+                if (self.keys[claimed[beaten]] == keys[lost]).any():
+                    raise DuplicateKeyError("duplicate keys within insert batch")
             retry = np.concatenate([pending[~free], lost])
-            slots[retry] = (slots[retry] + 1) & np.int64(self._mask)
+            slots[retry] = (slots[retry] + 1) & step_mask
             pending = retry
-            # Batch-internal duplicates would loop forever; detect them when
-            # the batch makes no progress placing identical keys.
+            # Backstop for the claim check above: a batch that makes no
+            # progress is placing identical keys.
             if pending.size and guard > 2 * self.capacity:
                 raise DuplicateKeyError("duplicate keys within insert batch")
 
@@ -144,25 +150,29 @@ class HashTable:
     def probe(self, keys: np.ndarray) -> np.ndarray:
         """Row index of the build match per key, or -1 on a miss."""
         keys = np.ascontiguousarray(keys, dtype=np.int64)
-        result = np.full(keys.size, -1, dtype=np.int64)
         if keys.size == 0 or self.num_keys == 0:
-            return result
-        slots = (hash_int64(keys) & self._mask).astype(np.int64)
-        pending = np.arange(keys.size)
-        guard = 0
-        while pending.size:
+            return np.full(keys.size, -1, dtype=np.int64)
+        step_mask = np.int64(self._mask)
+        slot = (hash_int64(keys) & self._mask).astype(np.int64)
+        occupant = self.keys[slot]
+        match = occupant == keys
+        result = np.where(match, self.rows[slot], np.int64(-1))
+        # keys that met a foreign occupant walk on: ``walking`` indexes
+        # them in ``keys``, ``slot`` stays aligned with it
+        walking = np.flatnonzero(~(match | (occupant == _EMPTY)))
+        slot = slot[walking]
+        guard = 1
+        while walking.size:
             guard += 1
             if guard > self.capacity:
                 raise RuntimeError("hash table probe failed to converge")
-            slot = slots[pending]
+            slot = (slot + 1) & step_mask
             occupant = self.keys[slot]
-            empty = occupant == _EMPTY
-            match = occupant == keys[pending]
-            hit = pending[match]
-            result[hit] = self.rows[slot[match]]
-            keep = ~(empty | match)
-            pending = pending[keep]
-            slots[pending] = (slots[pending] + 1) & np.int64(self._mask)
+            match = occupant == keys[walking]
+            result[walking[match]] = self.rows[slot[match]]
+            keep = ~(match | (occupant == _EMPTY))
+            walking = walking[keep]
+            slot = slot[keep]
         return result
 
     # -- introspection --------------------------------------------------------

@@ -121,3 +121,30 @@ def test_incremental_batches_equal_single_batch(chunks):
     hits_a = incremental.probe(probes) >= 0
     hits_b = bulk.probe(probes) >= 0
     assert np.array_equal(hits_a, hits_b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    resident=st.lists(st.integers(min_value=0, max_value=500), max_size=40,
+                      unique=True),
+    batch=st.lists(st.integers(min_value=501, max_value=10**6), min_size=1,
+                   max_size=300, unique=True),
+    copies=st.integers(min_value=1, max_value=3),
+    data=st.data(),
+)
+def test_any_repeat_inside_a_batch_raises(resident, batch, copies, data):
+    """Detection is exact wherever the repeats sit — adjacent or not,
+    twice or more, in an empty, filling or growing table — and a batch
+    without one still lands."""
+    ht = HashTable(4)
+    ht.insert(np.array(resident, dtype=np.int64))
+    repeated = data.draw(st.sampled_from(batch))
+    doubled = list(batch)
+    for _ in range(copies):
+        doubled.insert(data.draw(st.integers(0, len(doubled))), repeated)
+    with pytest.raises(DuplicateKeyError):
+        ht.insert(np.array(doubled, dtype=np.int64))
+    clean = HashTable(4)
+    clean.insert(np.array(resident, dtype=np.int64))
+    clean.insert(np.array(batch, dtype=np.int64))
+    assert np.all(clean.probe(np.array(resident + batch, dtype=np.int64)) >= 0)

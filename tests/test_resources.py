@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.hardware.resources import BandwidthResource, FifoResource
+from repro.hardware.resources import BandwidthJob, BandwidthResource, FifoResource
 from repro.hardware.sim import SimulationError, Simulator
 
 
@@ -235,6 +235,64 @@ class TestBandwidthResource:
             return bus.busy_time
 
         assert sim.run_process(proc()) == pytest.approx(3.0)
+
+
+def test_names_are_formatted_when_read():
+    sim = Simulator()
+    core = FifoResource(sim, name="core0")
+    bus = BandwidthResource(sim, capacity=10.0, name="pcie:0")
+    assert repr(core.acquire()) == "<acquire:core0 triggered>"
+    assert repr(core.acquire()) == "<acquire:core0 pending>"
+    assert repr(bus.submit(5.0, label="uva")) == "<bw:pcie:0:uva pending>"
+    # call sites hand over the parts of a label, nested parts included
+    job = bus.submit(5.0, label=("{}-host", ("dma:{}", 7)))
+    assert repr(job) == "<bw:pcie:0:dma:7-host pending>"
+
+
+def _reference_rates(capacity, jobs):
+    """Water-filling as first written (three lists a round): the
+    arithmetic _allocate must reproduce to the last bit."""
+    rates = {}
+    pending = list(jobs)
+    remaining_capacity = capacity
+    while pending:
+        total_weight = sum(j.weight for j in pending)
+        per_weight = remaining_capacity / total_weight
+        capped = [
+            j for j in pending
+            if j.rate_cap is not None and j.rate_cap < j.weight * per_weight
+        ]
+        if not capped:
+            for job in pending:
+                rates[id(job)] = job.weight * per_weight
+            break
+        for job in capped:
+            rates[id(job)] = job.rate_cap
+            remaining_capacity -= job.rate_cap
+            pending.remove(job)
+    return [rates[id(job)] for job in jobs]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    capacity=st.floats(min_value=1.0, max_value=1e11),
+    jobs=st.lists(
+        st.tuples(
+            st.one_of(st.none(), st.floats(min_value=0.01, max_value=1e11)),
+            st.sampled_from([1.0, 2.0, 0.3, 7.5]),
+        ),
+        min_size=1,
+        max_size=12,
+    ),
+)
+def test_allocation_is_bit_identical_to_the_reference(capacity, jobs):
+    sim = Simulator()
+    bus = BandwidthResource(sim, capacity=capacity)
+    bus._jobs = [
+        BandwidthJob(1.0, cap, sim.event(), "", weight) for cap, weight in jobs
+    ]
+    bus._allocate()
+    assert [job.rate for job in bus._jobs] == _reference_rates(capacity, bus._jobs)
 
 
 @settings(max_examples=40, deadline=None)

@@ -37,6 +37,19 @@ def test_same_scenario_same_signature(scenario):
     assert first[-1] > 0  # the simulator's event count
 
 
+@pytest.mark.parametrize(
+    "scenario, pushes, makespan",
+    [(CAPPED, 850, 0.14270464305555555), (SHARED, 3248, 1.960557138087274)],
+    ids=["budget", "shared-cache"],
+)
+def test_event_count_is_pinned(scenario, pushes, makespan):
+    """The simulator's heap pushes of a drive, recorded at ``ea635c4``.
+    A speed-up of the event path adds, removes and reorders none: one
+    event more or fewer moves this integer (and, reordered, the clock)."""
+    signature = run_scenario(scenario).signature()
+    assert (signature[-1], signature[0]) == (pushes, makespan)
+
+
 def test_a_scenario_holds_no_live_object():
     for live in (ResourceBudget(cpu_cores=8), SharedCacheDirectory(), [CPU4]):
         with pytest.raises(TypeError, match="plain data"):

@@ -70,6 +70,85 @@ def test_same_time_events_fire_in_schedule_order():
     assert order == ["a", "b", "c"]
 
 
+def test_same_instant_entries_are_ordered_by_sequence_alone():
+    """A heap entry is (time, seq, arg, fn); an Event, None, an Interrupt
+    and bound methods share one instant here and none of them is
+    orderable, so a tie that fell through to the payload would raise."""
+    sim = Simulator()
+    order = []
+
+    def sleeper():
+        try:
+            yield sim.timeout(5)
+        except Interrupt:
+            order.append("interrupt")
+
+    def starter(tag):
+        order.append(tag)
+        yield sim.timeout(0)
+
+    sleeping = sim.process(sleeper())
+    sim.run(until=1)
+    first = sim.event()
+    first.add_callback(lambda event: order.append("first"))
+    first.trigger()                        # (now, seq, event, None)
+    sim.process(starter("start"))          # (now, seq, None, bound method)
+    sleeping.interrupt()                   # (now, seq, Interrupt, bound method)
+    second = sim.event()
+    second.add_callback(lambda event: order.append("second"))
+    second.fail(ValueError("boom"))
+    sim.run(until=1)
+    assert order == ["first", "start", "interrupt", "second"]
+    # a callback added after the event was processed is its own entry
+    first.add_callback(lambda event: order.append("after"))
+    sim.run(until=1)
+    assert order[4:] == ["after"]
+
+
+def test_event_triggered_inside_a_callback_fires_after_the_instants_queue():
+    sim = Simulator()
+    order = []
+    inner = sim.event()
+    inner.add_callback(lambda event: order.append("inner"))
+    outer = sim.event()
+    outer.add_callback(lambda event: (order.append("outer"), inner.trigger()))
+    outer.trigger()
+    for tag in ("a", "b"):
+        queued = sim.event()
+        queued.add_callback(lambda event, tag=tag: order.append(tag))
+        queued.trigger()
+    pushes = sim._seq
+    sim.run()
+    assert order == ["outer", "a", "b", "inner"]
+    assert sim.now == 0.0 and sim._seq == pushes + 1
+
+
+def test_entry_scheduled_in_the_past_is_refused():
+    sim = Simulator()
+    sim.run_process(iter_timeouts(sim, [2]))
+    sim._schedule_call(print, "never", delay=-1.0)
+    with pytest.raises(SimulationError, match="in the past"):
+        sim.run()
+
+
+def test_names_are_formatted_when_read():
+    """repr() shows what it always showed; nothing is formatted before."""
+    sim = Simulator()
+    store = sim.store(capacity=1, name="q")
+    assert repr(sim.timeout(2.5)) == "<Timeout(2.5) triggered>"
+    assert repr(sim.timeout(1e-07)) == "<Timeout(1e-07) triggered>"
+    assert repr(store.get()) == "<get:q pending>"
+    assert repr(store.put(1)) == "<put:q triggered>"
+    assert repr(sim.event()) == "<Event pending>"
+    assert repr(sim.event(("{}:credit", "router-7"))) == "<router-7:credit pending>"
+
+    def worker():
+        yield sim.timeout(1)
+
+    assert sim.process(worker()).name == "worker"
+    assert sim.process(worker(), name=("memmove:{}", 12)).name == "memmove:12"
+
+
 def test_event_trigger_and_value():
     sim = Simulator()
     event = sim.event("flag")

@@ -10,10 +10,13 @@ admission service follows the configured weights under contention —
 while every query still returns byte-identical rows.
 """
 
+from itertools import islice
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import ExecutionConfig, ResourceBudget
-from repro.engine.config import QoS
+from repro.engine.config import ElasticPolicy, QoS
 from repro.engine.faults import DeviceLossFault, FaultPlan, RetryPolicy
 from repro.engine.scheduler import AdmissionError
 from repro.engine.tenancy import (
@@ -131,6 +134,79 @@ class TestDeficitRoundRobin:
         assert drr.deficit("b") >= 1.0 - 1e-9  # backlogged b banked credit
         drr.charge("a", {"a": 2.0})  # b went idle: its deficit is forfeit
         assert drr.deficit("b") == 0.0
+
+
+def _reference_interleave(deficits, queues, weights, order, priority_of):
+    """The eager merge as first written (four lists a step), over its own
+    copy of the deficits: what the lazy merge must reproduce."""
+    backlogged = [name for name in order if queues.get(name)]
+    deficits = {name: deficits.get(name, 0.0) for name in backlogged}
+    cursor = {name: 0 for name in backlogged}
+    rank = {name: index for index, name in enumerate(order)}
+    out = []
+    while True:
+        remaining = [n for n in backlogged if cursor[n] < len(queues[n])]
+        if not remaining:
+            return out
+        eligible = [n for n in remaining if deficits[n] >= 1.0 - 1e-9]
+        if not eligible:
+            for name in remaining:
+                deficits[name] += weights[name]
+            continue
+        best = max(
+            eligible,
+            key=lambda n: (priority_of(queues[n][cursor[n]]), -rank[n]),
+        )
+        out.append(queues[best][cursor[best]])
+        cursor[best] += 1
+        deficits[best] -= 1.0
+
+
+_TENANTS = ["default", "a", "b", "c"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    # per tenant, its queue as the priorities of its sessions (sorted:
+    # a tenant's queue arrives in admission order)
+    priorities=st.fixed_dictionaries(
+        {name: st.lists(st.integers(0, 3), max_size=6) for name in _TENANTS}
+    ),
+    weights=st.fixed_dictionaries(
+        {name: st.sampled_from([0.25, 0.5, 1.0, 2.0, 3.0]) for name in _TENANTS}
+    ),
+    start=st.dictionaries(
+        st.sampled_from(_TENANTS), st.floats(min_value=-1.0, max_value=3.0)
+    ),
+)
+def test_lazy_merge_equals_the_eager_merge(priorities, weights, start):
+    queues = {
+        name: [(name, index, priority)
+               for index, priority in enumerate(sorted(levels, reverse=True))]
+        for name, levels in priorities.items()
+    }
+    backlogged = {name for name in _TENANTS if queues[name]}
+
+    def fresh():
+        drr = DeficitRoundRobin()
+        drr._deficits = dict(start)
+        return drr
+
+    def priority_of(session):
+        return session[2]
+
+    args = (queues, weights, _TENANTS, priority_of)
+    expected = _reference_interleave(start, *args)
+    after = {name: value for name, value in start.items() if name in backlogged}
+    assert sorted(expected) == sorted(s for q in queues.values() for s in q)
+    for k in range(len(expected) + 2):
+        drr = fresh()
+        assert list(islice(drr.merge(*args), k)) == expected[:k]
+        # idle tenants forfeit at the call, read or not; nothing else moves
+        assert drr._deficits == after
+    drr = fresh()
+    assert drr.interleave(*args) == expected
+    assert drr._deficits == after
 
 
 class TestSubmissionEdge:
@@ -286,3 +362,54 @@ class TestWeightedFairness:
         # work despite a's 10x weight
         later_batch = [s for s in batch if s.admit_time > 0.0]
         assert all(urgent.admit_time <= s.admit_time for s in later_batch)
+
+
+def test_incremental_waiting_order_is_the_sorted_order():
+    """The per-tenant queues ``_move`` keeps are, at every dispatch of a
+    drive that pauses, resizes and retries sessions, what sorting the
+    queued + paused sessions by ``_rank`` would give."""
+    cpu6 = ExecutionConfig.cpu_only(6, block_tuples=4096)
+    hybrid = ExecutionConfig.hybrid(4, [0, 1], block_tuples=4096)
+    arrivals = (
+        *(
+            Arrival(query, CPU4, name=f"lo{i}", tenant="lo", qos=BATCH)
+            for i, query in enumerate(("Q4.1", "Q3.1", "Q4.2", "Q2.1"))
+        ),
+        Arrival("Q2.1", hybrid, name="gpu", tenant="hi", qos=BATCH),
+        *(
+            Arrival("Q1.1", cpu6, name=f"hi{i}", tenant="hi", qos=INTERACTIVE,
+                    at=0.002 * (i + 1))
+            for i in range(3)
+        ),
+    )
+    idle = run_scenario(
+        _tenanted(
+            Tenant("lo", weight=2.0),
+            Tenant("hi"),
+            cores=10,
+            max_concurrent=3,
+            preemption=True,
+            elastic=True,
+            elastic_policy=ElasticPolicy(target_utilization=1e-9, window_seconds=1e-4),
+            fault_plan=FaultPlan(
+                device_losses=(DeviceLossFault(gpu_id=0, at_seconds=0.001),)
+            ),
+            retry_policy=RetryPolicy(max_attempts=3),
+        )
+    )
+    server, dispatch, depths = idle.system, idle.system._dispatch, []
+
+    def audited_dispatch():
+        waiting = [*server._pending.values(), *server._paused.values()]
+        for label, queue in server._queues.items():
+            mine = [s for s in waiting if server._tenant_label(s.tenant) == label]
+            assert queue == sorted(mine, key=server._rank)
+        depths.append((len(server._pending), len(server._paused)))
+        dispatch()
+
+    server._dispatch = audited_dispatch
+    report = idle.then(*arrivals).report
+    # the drive did pause, resize and retry, with sessions waiting meanwhile
+    assert min(report.preemptions, report.resizes, report.retries) >= 1
+    assert max(queued for queued, _ in depths) >= 5
+    assert max(paused for _, paused in depths) >= 1
