@@ -311,8 +311,7 @@ class Executor:
         config: ExecutionConfig,
         query_id: str = "q0",
         pipelines: Optional[dict[int, CompiledPipeline]] = None,
-        checkpoint: Optional[Any] = None,
-        reconfigure: Optional[Any] = None,
+        boundary: Optional[Any] = None,
     ):
         """DES process executing one query; returns a :class:`RawExecution`.
 
@@ -322,21 +321,20 @@ class Executor:
         among concurrently running queries; it tags every router, store
         and process the query creates.
 
-        ``checkpoint`` is the preemption hook: a zero-argument callable
-        consulted at every *phase boundary* (between dependency waves —
-        never before the first wave or after the last).  Returning ``None``
-        continues immediately; returning an :class:`~repro.hardware.sim.Event`
-        parks the query on that event until a scheduler triggers it.  All
-        operator state (hash tables built by earlier waves, the per-query
-        ``QueryState``, accounting) lives in this generator's locals, so a
-        resumed query continues bit-for-bit where it left off.  A query in
-        its final wave has no remaining checkpoint: requesting preemption
-        there is a no-op by construction.
+        ``boundary`` is the scheduler's one hook: a zero-argument
+        callable returning a generator, run with ``yield from`` at every
+        *phase boundary* (between dependency waves — never before the
+        first wave or after the last).  The generator may yield events
+        — a preempted query parks on its resume event there; all
+        operator state (hash tables built by earlier waves, the
+        per-query ``QueryState``, accounting) lives in this generator's
+        locals, so a resumed query continues bit-for-bit where it left
+        off — and the time spent in it counts as suspended.  A query in
+        its final wave has no boundary left: requesting preemption there
+        is a no-op by construction.
 
-        ``reconfigure`` is the elastic-dop hook, consulted at the same
-        phase boundaries (after the checkpoint gate, so a resumed query
-        can be resized in the same instant).  Returning ``None`` keeps
-        the current shape; returning ``(new_config, cpu_affinity)``
+        The generator's return value is the elastic-dop decision:
+        ``None`` keeps the current shape; ``(new_config, cpu_affinity)``
         re-derives every CPU consumer stage of the *remaining* waves at
         ``new_config.cpu_workers`` instances pinned to ``cpu_affinity``
         (:meth:`~repro.algebra.physical.Phase.with_cpu_dop`).  GPU
@@ -348,9 +346,7 @@ class Executor:
         # typed PlanValidationError at the call site, not an IndexError
         # after the simulator has started driving the query.
         validate_placement(plan, len(self.server.cores), len(self.server.gpus))
-        return self._execute_gen(
-            plan, config, query_id, pipelines, checkpoint, reconfigure
-        )
+        return self._execute_gen(plan, config, query_id, pipelines, boundary)
 
     def _execute_gen(
         self,
@@ -358,8 +354,7 @@ class Executor:
         config: ExecutionConfig,
         query_id: str,
         pipelines: Optional[dict[int, CompiledPipeline]],
-        checkpoint: Optional[Any],
-        reconfigure: Optional[Any],
+        boundary: Optional[Any],
     ):
         if pipelines is None:
             pipelines = self.compile_plan(plan)
@@ -373,14 +368,10 @@ class Executor:
         try:
             for wave_index, wave in enumerate(waves):
                 self._checkpoints_ahead[query_id] = len(waves) - 1 - wave_index
-                if checkpoint is not None and wave_index > 0:
-                    gate = checkpoint()
-                    if gate is not None:
-                        pause_start = self.sim.now
-                        yield gate
-                        suspended_seconds += self.sim.now - pause_start
-                if reconfigure is not None and wave_index > 0:
-                    update = reconfigure()
+                if boundary is not None and wave_index > 0:
+                    pause_start = self.sim.now
+                    update = yield from boundary()
+                    suspended_seconds += self.sim.now - pause_start
                     if update is not None:
                         config, cpu_affinity = update
                         self._apply_cpu_resize(

@@ -265,24 +265,20 @@ class FaultPlan:
 class RetryPolicy:
     """Bounded-retry contract for retryable failures.
 
-    ``max_attempts`` counts *total* attempts including the first;
-    ``backoff_seconds`` delays the k-th retry by ``k * backoff_seconds``
-    of simulated time before it re-enters the admission queue.  A
-    retry that lost a GPU always falls back to a CPU-only placement
-    (byte-identical rows by construction); ``fallback_cpu_workers`` is
-    the CPU dop substituted when the degraded placement would otherwise
-    have no compute units at all.
+    ``max_attempts`` counts *total* attempts including the first; a
+    retry re-enters the admission queue at once, like any queued
+    session.  A retry that lost a GPU always falls back to a CPU-only
+    placement (byte-identical rows by construction);
+    ``fallback_cpu_workers`` is the CPU dop substituted when the
+    degraded placement would otherwise have no compute units at all.
     """
 
     max_attempts: int = 3
-    backoff_seconds: float = 0.0
     fallback_cpu_workers: int = 4
 
     def __post_init__(self):
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
-        if self.backoff_seconds < 0:
-            raise ValueError("backoff_seconds must be >= 0")
         if self.fallback_cpu_workers < 1:
             raise ValueError("fallback_cpu_workers must be >= 1")
 
@@ -293,9 +289,10 @@ class FaultInjector:
     The scheduler owns the wiring: it installs :attr:`abort_running`
     (how a spurious abort reaches a driver process), forwards
     :meth:`straggler_factor`/:attr:`transfer_timeout` into each query's
-    mem-move, calls :meth:`on_phase_boundary` from its checkpoint hook,
-    and :meth:`arm` at the start of a drive.  :meth:`snapshot` feeds
-    the :class:`~repro.engine.scheduler.BatchReport` ``faults`` section.
+    mem-move, calls :meth:`on_phase_boundary` first thing in its one
+    phase-boundary hook, and :meth:`arm` at the start of a drive.
+    :meth:`snapshot` feeds the
+    :class:`~repro.engine.scheduler.BatchReport` ``faults`` section.
     """
 
     def __init__(self, sim: Simulator, server: Server, plan: FaultPlan):

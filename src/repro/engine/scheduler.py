@@ -27,7 +27,8 @@ re-entrant executor:
 * **phase-boundary preemption**: when a higher-priority query is blocked,
   the scheduler asks a running lower-priority victim to yield at its next
   phase boundary (:meth:`~repro.engine.executor.Executor.execute_process`
-  checkpoints between dependency waves).  A paused query releases its
+  runs the scheduler's one ``boundary`` hook, ``_at_boundary``, between
+  dependency waves).  A paused query releases its
   *compute* budget (CPU cores, GPU units, PCIe stream window) back to the
   shared :class:`ResourceBudget`; its *memory* dimensions stay charged,
   because the operator state built so far (hash tables) physically
@@ -87,7 +88,7 @@ tenant's slice, one call), and one method makes a session terminal
 ===========  ====================  ==========================================
 status       sits in               charged to its budget (``held_demand``)
 ===========  ====================  ==========================================
-``queued``   ``_pending`` [1]_     nothing
+``queued``   ``_pending``          nothing
 ``running``  ``_active_sessions``  the full demand (elastic resizes move the
                                    CPU-core delta)
 ``paused``   ``_paused``           the memory share — the operator state
@@ -101,19 +102,23 @@ transition                 performed by              budget
 (new) -> ``queued``        ``submit``                —
 (new) -> ``shed``          ``_shed`` -> ``_finish``  —
 ``queued`` -> ``running``  ``_activate``             charge the demand
-``running`` -> ``paused``  the checkpoint hook       refund the compute share
+``running`` -> ``paused``  ``_at_boundary``          refund the compute share
 ``paused`` -> ``running``  ``_activate``             charge the compute share
-``running`` -> ``queued``  ``_requeue_for_retry``    refund everything held
+``running`` -> ``queued``  ``_requeue`` (a retry)    refund everything held
 any live -> terminal       ``_finish``               refund everything held
 =========================  ========================  ========================
 
-.. [1] except a retry that is backing off, or being cancelled while
-   parked: ``queued`` but on no queue, so it cannot be admitted.
+``_activate`` is the one way into ``running``: it starts the driver of
+every attempt — the first admission and each retry's re-admission
+alike — and resumes a paused one.  A retryable failure ends its
+attempt's driver after ``_requeue``; the session then waits in the
+queue like any other.
 
 ``_finish`` is reached from the session's driver (done, or a failure
-that is not retried), from :meth:`EngineServer.cancel` for a session no
-driver owns yet, from ``_shed`` at the submission edge, and from stall
-cleanup at the end of a drive.
+that is not retried), from :meth:`EngineServer.cancel` for a session
+with no live driver (queued, first time or after a retry), from
+``_shed`` at the submission edge, and from stall cleanup at the end of a
+drive.
 
 :meth:`EngineServer.run` drives the whole batch to completion and returns
 a :class:`BatchReport` with per-query latencies, aggregate throughput,
@@ -128,13 +133,14 @@ import math
 import random
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field, replace
+from functools import partial
 from operator import attrgetter
 from typing import Any, Iterator, Optional, Sequence
 
 from ..algebra.logical import Plan
 from ..algebra.physical import HetPlan, OpBuildSink
 from ..hardware.costmodel import DEFAULT_COMPILE_SECONDS, QueryDemand
-from ..hardware.sim import Event, Interrupt
+from ..hardware.sim import Event
 from ..hardware.topology import DeviceType, Server
 from ..storage.table import Placement, Table
 from .config import ElasticPolicy, ExecutionConfig, QoS
@@ -536,9 +542,10 @@ class QuerySession:
     #: simulated compile latency actually charged for those misses
     #: (per-device: GPU pipelines cost ~5-10x the CPU base)
     compile_seconds_charged: float = 0.0
-    #: shape executed for the *remaining* waves: elastic resizes update
-    #: this; ``config`` keeps the shape the query was admitted with
-    current_config: Optional[ExecutionConfig] = None
+    #: shape executed for the *remaining* waves, ``config`` at first:
+    #: elastic resizes and retries update this; ``config`` keeps the
+    #: shape the query was submitted with
+    current_config: ExecutionConfig = field(init=False)
     #: times the elastic controller resized this session's worker set
     resizes: int = 0
     #: (simulated time, cpu dop): the admitted shape first, then one
@@ -568,8 +575,9 @@ class QuerySession:
     fell_back: bool = False
     #: typed classification of the terminal failure (None unless failed)
     error_class: Optional[str] = None
-    #: triggered by _activate when a retrying session is re-admitted
-    readmit_event: Optional[Event] = None
+
+    def __post_init__(self) -> None:
+        self.current_config = self.config
 
     @property
     def tag(self) -> str:
@@ -1041,8 +1049,9 @@ class EngineServer:
     injection (device loss, DMA stragglers, spurious aborts) for the
     next drive; ``retry_policy=RetryPolicy(...)`` turns retryable
     failures (:func:`~repro.engine.faults.classify_failure`) into
-    bounded re-admissions on a placement that excludes dead devices —
-    a query that lost a GPU retries CPU-only and returns byte-identical
+    bounded re-admissions: the session re-enters the admission queue on
+    a placement that excludes dead devices and runs a fresh attempt — a
+    query that lost a GPU retries CPU-only and returns byte-identical
     rows.  Without a retry policy every failure is terminal but still
     typed (``session.error_class``).
     """
@@ -1150,12 +1159,14 @@ class EngineServer:
         #: report of the most recent drive (also set when run() raises)
         self.last_report: Optional[BatchReport] = None
         self._admission_proc = None
-        self._admission_waiters: list[Event] = []
-        #: query id -> (the _query_proc generator, its DES Process) from
-        #: first admission until _finish.  Interrupting the process is how
-        #: a live session is aborted or cancelled; closing the generator
-        #: is how a stalled one is torn down (through yield-from
-        #: delegation that runs the executor's state cleanup)
+        #: the sleeping admission pump's wake-up (None while it runs)
+        self._admission_wakeup: Optional[Event] = None
+        #: query id -> (the _query_proc generator, its DES Process) of
+        #: the session's latest attempt, set by _activate, dropped by
+        #: _finish.  Interrupting the process is how a live session is
+        #: aborted or cancelled; closing the generator is how a stalled
+        #: one is torn down (through yield-from delegation that runs the
+        #: executor's state cleanup)
         self._drivers: dict[int, tuple[Any, Any]] = {}
         self.retry_policy = retry_policy
         #: per-tenant runtime state; the None key is the implicit
@@ -1392,7 +1403,6 @@ class EngineServer:
             name=name or f"q{self._next_id}",
             plan=plan,
             config=config,
-            current_config=config,
             het=het,
             demand=demand,
             qos=qos,
@@ -1410,13 +1420,11 @@ class EngineServer:
         if state.bucket is not None:
             retry_after = state.bucket.take(now)
             if retry_after is not None:
-                state.shed_rate_limited += 1
                 return self._shed(session, "rate_limited", retry_after)
         if (
             self.max_queue_depth is not None
             and len(self._pending) >= self.max_queue_depth
         ):
-            state.shed_queue_full += 1
             return self._shed(session, "queue_full")
         self._move(session, "queued")
         self._wake_admission()
@@ -1580,21 +1588,16 @@ class EngineServer:
             )
 
     def _admission(self):
-        """Admission pump: dispatch all admissible work, then sleep."""
+        """Admission pump: dispatch all work that fits, then sleep."""
         while True:
             self._dispatch()
-            yield self._admission_event()
-
-    def _admission_event(self) -> Event:
-        event = self.sim.event(name="admission:wakeup")
-        self._admission_waiters.append(event)
-        return event
+            self._admission_wakeup = self.sim.event(name="admission:wakeup")
+            yield self._admission_wakeup
 
     def _wake_admission(self) -> None:
-        waiters, self._admission_waiters = self._admission_waiters, []
-        for event in waiters:
-            if not event.triggered:
-                event.trigger(None)
+        wakeup, self._admission_wakeup = self._admission_wakeup, None
+        if wakeup is not None:
+            wakeup.trigger(None)
 
     # -- admission policy --------------------------------------------------
 
@@ -1711,16 +1714,9 @@ class EngineServer:
         if self.preemption:
             self._maybe_preempt()
 
-    def _move(
-        self, session: QuerySession, status: str, admissible: bool = True
-    ) -> None:
+    def _move(self, session: QuerySession, status: str) -> None:
         """The one place a session's status changes — and with it the
-        queue it sits in and the pause span it may be closing.
-
-        ``admissible=False`` takes the session off every queue without
-        giving it a new one: a retry backing off (or being cancelled
-        while parked) is ``queued`` but must not be admitted.
-        """
+        queue it sits in and the pause span it may be closing."""
         seated = self._seats[session.status].pop(session.query_id, None)
         if seated is not None and session.status != "running":
             self._unqueue(session)
@@ -1731,7 +1727,7 @@ class EngineServer:
         session.status = status
         if status == "paused":
             session.pause_started = self.sim.now
-        if admissible and status in self._seats:
+        if status in self._seats:
             self._seats[status][session.query_id] = session
             if status != "running":
                 self._enqueue(session)
@@ -1754,7 +1750,8 @@ class EngineServer:
         charged, the one ``_observe_session`` metric feed (status
         already terminal), the done event and the admission wake-up all happen
         here, in this order, whoever ends the session: its driver,
-        :meth:`cancel`, a shed at the edge, or stall cleanup.
+        :meth:`cancel` of a queued session (first time or after a
+        retry), a shed at the edge, or stall cleanup.
         """
         self._move(session, status)
         session.error = error
@@ -1786,29 +1783,25 @@ class EngineServer:
         )
 
     def _activate(self, session: QuerySession) -> None:
-        """Start a queued session or resume a paused one."""
-        budget = self._budget_of(session)
-        budget.allocate(self._admission_need(session))
+        """Resume a paused session, or start a queued one's attempt —
+        the one place any attempt's driver is spawned."""
+        self._budget_of(session).allocate(self._admission_need(session))
         self._charge_drr(session)
         resumed = session.status == "paused"
-        if not resumed:
-            self.tenant_states[session.tenant].admitted += 1
         session.held_demand = session.demand
         self._move(session, "running")
         if resumed:
             resume, session.resume_event = session.resume_event, None
             resume.trigger(None)
             return
-        if session.readmit_event is not None:
-            # a retrying driver is parked on this event — resume it in
-            # place instead of spawning a second driver (its first
-            # admit_time stands: queue_seconds measures the first wait)
-            readmit, session.readmit_event = session.readmit_event, None
-            readmit.trigger(None)
-            return
-        session.admit_time = self.sim.now
-        if self.elastic and session.config.cpu_workers:
-            session.dop_trajectory.append((self.sim.now, session.config.cpu_workers))
+        if session.admit_time is None:
+            # a retry keeps its first admission: queue_seconds measures
+            # the first wait, and the trajectory starts once
+            session.admit_time = self.sim.now
+            if self.elastic and session.config.cpu_workers:
+                session.dop_trajectory.append(
+                    (self.sim.now, session.config.cpu_workers)
+                )
         driver = self._query_proc(session)
         self._drivers[session.query_id] = (
             driver,
@@ -1895,34 +1888,32 @@ class EngineServer:
                     session.preempt_requested = True
                 return
 
-    def _make_checkpoint(self, session: QuerySession):
-        """The executor-side preemption hook for one session."""
-
-        def checkpoint() -> Optional[Event]:
-            if self.faults is not None:
-                # phase boundaries are the chaos tier's second clock:
-                # boundary-triggered device losses fire here
-                self.faults.on_phase_boundary()
-            if not session.preempt_requested:
-                return None
+    def _at_boundary(self, session: QuerySession):
+        """The executor's one phase-boundary hook (a generator): fire
+        the chaos tier's boundary faults, pause for a preemption request
+        (yielding the resume event), then return the elastic resize for
+        the remaining waves, or None."""
+        if self.faults is not None:
+            # phase boundaries are the chaos tier's second clock:
+            # boundary-triggered device losses fire here
+            self.faults.on_phase_boundary()
+        if session.preempt_requested:
             session.preempt_requested = False
             # The requester may already have finished (e.g. it fit after
             # another session completed): only pause if yielding still
             # serves a higher-priority waiter.
-            if not any(w.priority > session.priority for w in self._waiting()):
-                return None
-            session.preemptions += 1
-            self._pump.emit(self._m_preemptions.inc)
-            # compute share back to the pool; memory stays charged for
-            # the hash tables resident in the suspended generator
-            self._budget_of(session).release(_compute_share(session.demand))
-            session.held_demand = _memory_share(session.demand)
-            self._move(session, "paused")
-            session.resume_event = self.sim.event(name=f"{session.tag}:resume")
-            self._wake_admission()
-            return session.resume_event
-
-        return checkpoint
+            if any(w.priority > session.priority for w in self._waiting()):
+                session.preemptions += 1
+                self._pump.emit(self._m_preemptions.inc)
+                # compute share back to the pool; memory stays charged
+                # for the hash tables resident in the suspended generator
+                self._budget_of(session).release(_compute_share(session.demand))
+                session.held_demand = _memory_share(session.demand)
+                self._move(session, "paused")
+                session.resume_event = self.sim.event(name=f"{session.tag}:resume")
+                self._wake_admission()
+                yield session.resume_event
+        return self._elastic_decision(session) if self.elastic else None
 
     # -- elastic degree of parallelism -------------------------------------
 
@@ -1957,7 +1948,7 @@ class EngineServer:
         the compute the victims free is reserved for the blocked waiter.
         """
         policy = self.elastic_policy
-        config = session.current_config or session.config
+        config = session.current_config
         if config.bare or config.cpu_workers == 0:
             return None
         dram = self._monitor.dram_utilization()
@@ -2002,7 +1993,7 @@ class EngineServer:
         the remaining waves, or None to keep the current shape.
         """
         target = self._elastic_target(session)
-        config = session.current_config or session.config
+        config = session.current_config
         if target is None or target == config.cpu_workers:
             return None
         delta = target - config.cpu_workers
@@ -2026,69 +2017,54 @@ class EngineServer:
         return new_config, affinity
 
     def _query_proc(self, session: QuerySession):
-        """DES driver for one admitted query: compile, execute, collect.
+        """DES driver for one attempt of an admitted query: compile,
+        execute, collect.
 
         Failures are classified (:func:`~repro.engine.faults.classify_failure`)
-        instead of blanket-failed: retryable classes — device loss,
-        transfer timeouts, spurious aborts — loop back through admission
+        instead of blanket-failed: a retryable class — device loss,
+        transfer timeouts, spurious aborts — is handed to :meth:`_requeue`
         on a placement that excludes dead devices (bounded by the
-        server's :class:`~repro.engine.faults.RetryPolicy`); plan bugs,
-        OOM and placement errors stay fatal but carry a typed
+        server's :class:`~repro.engine.faults.RetryPolicy`) and this
+        driver ends; :meth:`_activate` starts the next attempt's.  Plan
+        bugs, OOM and placement errors stay fatal but carry a typed
         ``error_class`` either way.
         """
         failure: Optional[BaseException] = None
-        while True:
-            try:
-                # Two-phase compilation: resident pipelines are pinned
-                # NOW (a concurrent eviction cannot invalidate them),
-                # fresh ones are compiled — and published to the shared
-                # cache — only after their simulated compile latency has
-                # elapsed, so a concurrently admitted identical query
-                # pays for its own compilation instead of free-riding
-                # on an unfinished one.
-                compilation = self.executor.begin_compilation(
-                    session.het, tenant=session.tenant
-                )
-                session.compiled_fresh += compilation.fresh_count
-                if compilation.fresh_count and self.compile_seconds:
-                    # per-device, per-complexity pricing: a GPU
-                    # build-sink pipeline pays ~5-10x what a trivial
-                    # CPU filter does
-                    charged = compilation.compile_seconds(self.compile_seconds)
-                    session.compile_seconds_charged += charged
-                    yield self.sim.timeout(charged)
-                pipelines = compilation.finish()
-                raw = yield from self.executor.execute_process(
-                    session.het,
-                    session.current_config or session.config,
-                    query_id=session.tag,
-                    pipelines=pipelines,
-                    checkpoint=self._make_checkpoint(session),
-                    # the elastic-dop hook, consulted at phase boundaries
-                    reconfigure=(
-                        (lambda: self._elastic_decision(session))
-                        if self.elastic
-                        else None
-                    ),
-                )
-                session.result = self.engine._collect(session.het.collect, raw)
-                break
-            except Exception as error:
-                label, retryable = classify_failure(error)
-                retry = self._plan_retry(session) if retryable else None
-                if retry is None:
-                    failure = error
-                    break
+        try:
+            # Two-phase compilation: resident pipelines are pinned NOW (a
+            # concurrent eviction cannot invalidate them), fresh ones are
+            # compiled — and published to the shared cache — only after
+            # their simulated compile latency has elapsed, so a
+            # concurrently admitted identical query pays for its own
+            # compilation instead of free-riding on an unfinished one.
+            compilation = self.executor.begin_compilation(
+                session.het, tenant=session.tenant
+            )
+            session.compiled_fresh += compilation.fresh_count
+            if compilation.fresh_count and self.compile_seconds:
+                # per-device, per-complexity pricing: a GPU build-sink
+                # pipeline pays ~5-10x what a trivial CPU filter does
+                charged = compilation.compile_seconds(self.compile_seconds)
+                session.compile_seconds_charged += charged
+                yield self.sim.timeout(charged)
+            pipelines = compilation.finish()
+            raw = yield from self.executor.execute_process(
+                session.het,
+                session.current_config,
+                query_id=session.tag,
+                pipelines=pipelines,
+                boundary=partial(self._at_boundary, session),
+            )
+            session.result = self.engine._collect(session.het.collect, raw)
+        except Exception as error:
+            label, retryable = classify_failure(error)
+            retry = self._plan_retry(session) if retryable else None
+            if retry is not None:
                 session.retried_classes.append(label)
                 self._pump.emit(self._m_retries.inc, failure_class=label)
-                try:
-                    yield from self._requeue_for_retry(session, retry)
-                except Interrupt as interrupt:
-                    # cancelled while parked on backoff/readmission
-                    # (e.g. the fleet lost this server): terminal,
-                    # typed from the interrupt's cause
-                    failure = interrupt
-                    break
+                self._requeue(session, retry)
+                return
+            failure = error
         self._finish(session, "done" if failure is None else "failed", failure)
 
     def _plan_retry(
@@ -2106,7 +2082,7 @@ class EngineServer:
         if policy is None or session.attempts >= policy.max_attempts:
             return None
         dead = frozenset(self.server.failed_gpus)
-        config = session.current_config or session.config
+        config = session.current_config
         gpu_ids = () if dead.intersection(config.gpu_ids) else config.gpu_ids
         cpu_workers = config.cpu_workers
         if not gpu_ids and cpu_workers == 0:
@@ -2128,57 +2104,47 @@ class EngineServer:
             return None
         return new_config, het, demand
 
-    def _requeue_for_retry(
+    def _requeue(
         self,
         session: QuerySession,
         retry: tuple[ExecutionConfig, HetPlan, QueryDemand],
-    ):
-        """Generator: give back the failed attempt's budget, back off,
-        and re-enter the admission queue; resumes when :meth:`_activate`
-        re-admits the session (its driver stays parked on
-        ``readmit_event`` — no second driver is ever spawned)."""
+    ) -> None:
+        """``running -> queued`` for a retry: give back the failed
+        attempt's budget, reshape the session for the next attempt and
+        re-enter the admission queue, where :meth:`_activate` starts the
+        next attempt's driver."""
         new_config, het, demand = retry
         self._refund(session)
-        old_config = session.current_config or session.config
-        if len(new_config.gpu_ids) < len(old_config.gpu_ids):
+        if len(new_config.gpu_ids) < len(session.current_config.gpu_ids):
             session.fell_back = True
         session.attempts += 1
         session.current_config = new_config
         session.het = het
         self._reshape(session, demand)
         session.preempt_requested = False
-        self._move(session, "queued", admissible=False)
-        backoff = self.retry_policy.backoff_seconds * (session.attempts - 1)
-        if backoff > 0:
-            yield self.sim.timeout(backoff)
-        session.readmit_event = self.sim.event(name=f"{session.tag}:readmit")
         # a retry is not a new arrival: it bypasses max_queue_depth (the
         # session was already admitted once and sheds nothing)
         self._move(session, "queued")
         self._wake_admission()
-        yield session.readmit_event
 
     def cancel(self, session: QuerySession, cause: Any) -> bool:
         """Cancel one session with a typed cause (the fleet's lever).
 
-        A session with a live driver — running, paused at a checkpoint,
-        or parked on a retry's readmit event — is interrupted with
-        ``cause``; the driver unwinds (executor state teardown via
-        ``abort_outstanding``) into :meth:`_finish`, and
-        :func:`~repro.engine.faults.classify_failure` types the terminal
-        status from the cause.  A still-queued session is failed at the
-        edge, holding nothing.  Returns False if the session already
-        reached a terminal state (cancellation raced completion).
+        A session with a live driver — running, or paused at a phase
+        boundary — is interrupted with ``cause``; the driver unwinds
+        (executor state teardown via ``abort_outstanding``) into
+        :meth:`_finish`, and :func:`~repro.engine.faults.classify_failure`
+        types the terminal status from the cause.  A queued session — not
+        admitted yet, or waiting to be re-admitted after a retry — is
+        failed at the edge, holding nothing: an exception cause is its
+        error, a string becomes ``SchedulerError("cancelled: …")``.
+        Returns False if the session already reached a terminal state
+        (cancellation raced completion).
         """
         if session.finished:
             return False
         _, process = self._drivers.get(session.query_id, (None, None))
         if process is not None and process.is_alive:
-            if session.status == "queued":
-                # off the queue first: a driver interrupted while parked
-                # on its readmit event must not be re-admitted before
-                # the interrupt lands
-                self._move(session, "queued", admissible=False)
             process.interrupt(cause)
             return True
         self._finish(
@@ -2220,21 +2186,12 @@ class EngineServer:
         stuck session's budget and trigger its done event.
         """
         problems: list[str] = []
-        # a "queued" session with a live driver is a retry parked on its
-        # readmit event — if the sim drained it will never be re-admitted
-        stuck = [
-            s for s in self.sessions
-            if s.status in ("running", "paused")
-            or (s.status == "queued" and s.query_id in self._drivers)
-        ]
+        stuck = [s for s in self.sessions if s.status in ("running", "paused")]
         if stuck:
             details = "; ".join(
                 f"{s.name}: parked at a preemption checkpoint with no "
                 f"scheduler left to resume it"
                 if s.status == "paused"
-                else f"{s.name}: retry waiting for re-admission that "
-                f"never came"
-                if s.status == "queued"
                 else f"{s.name}: {self.executor.describe_stall(s.tag)}"
                 for s in stuck
             )

@@ -181,11 +181,9 @@ class TenantState:
     #: import-independent of the scheduler module)
     budget: Optional[object] = None
     bucket: Optional[TokenBucket] = None
-    #: lifetime counters (monotone; the metrics surface syncs to them)
+    #: lifetime submissions (the drive rollup skips a tenant that never
+    #: saw traffic)
     submitted: int = 0
-    admitted: int = 0
-    shed_rate_limited: int = 0
-    shed_queue_full: int = 0
 
     @property
     def name(self) -> str:

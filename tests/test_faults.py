@@ -23,7 +23,7 @@ Three layers:
 import numpy as np
 import pytest
 
-from repro import ExecutionConfig, Proteus
+from repro import ExecutionConfig, Proteus, QoS
 from repro.algebra.physical import DeviceType
 from repro.algebra.placer import PlacementError
 from repro.core.mem_move import MemMove, TransferTimeout
@@ -47,7 +47,15 @@ from repro.hardware.topology import DeviceLostError, Server
 from repro.memory.block import Block, BlockHandle
 from repro.memory.managers import BlockManagerSet
 from repro.ssb import load_ssb
-from scenario import PLANS, Arrival, Scenario, run_scenario, ssb_tables
+from scenario import (
+    PLANS,
+    Arrival,
+    Outcome,
+    Scenario,
+    build,
+    run_scenario,
+    ssb_tables,
+)
 
 GPU = ExecutionConfig.gpu_only([0, 1], block_tuples=4096)
 
@@ -434,6 +442,20 @@ GPU0_LOST = FaultPlan(
 )
 
 
+PHASE_BOUNDARY_LOSS = _gpu_query(
+    "Q3.1",
+    fault_plan=FaultPlan(
+        seed=11, device_losses=(DeviceLossFault(gpu_id=1, at_phase_boundary=1),)
+    ),
+    retry_policy=RetryPolicy(),
+)
+SPURIOUS_ABORT = _gpu_query(
+    compile_seconds=0.0,
+    fault_plan=FaultPlan(seed=3, aborts=(SpuriousAbortFault(at_seconds=1e-3),)),
+    retry_policy=RetryPolicy(),
+)
+
+
 class TestSchedulerRetry:
     def test_device_loss_retries_cpu_only_byte_identical(self):
         retry = RetryPolicy(max_attempts=3)
@@ -535,6 +557,171 @@ class TestSchedulerRetry:
         assert victim.retries == 1
         assert bystander.status == "done"
         assert bystander.retries == 0
+
+    @pytest.mark.parametrize(
+        "scenario, makespan, events",
+        [
+            (PHASE_BOUNDARY_LOSS, 1.1227433946895424, 566),
+            (SPURIOUS_ABORT, 0.01121498274509804, 504),
+        ],
+        ids=["phase-boundary-loss", "spurious-abort"],
+    )
+    def test_a_retry_is_one_more_admission(self, scenario, makespan, events):
+        """Makespan, latency and event count recorded at ``617b8eb``,
+        where a retry parked its driver and resumed it on re-admission.
+        A fresh driver per attempt moves no clock: it adds exactly one
+        event per retry, the finished driver's own completion, which
+        nothing waits on."""
+        out = run_scenario(scenario)
+        signature = out.signature()
+        assert out.report.retries == 1
+        assert signature[0] == makespan
+        assert [latency for _, _, latency, _ in signature[1]] == [makespan]
+        assert signature[-1] == events + out.report.retries
+
+    def test_retried_session_keeps_its_first_admission(self):
+        """On an elastic server a retried hybrid query keeps its first
+        ``admit_time`` and its one admission entry in the dop
+        trajectory, and ``_drivers`` holds each attempt's live driver."""
+        hybrid = ExecutionConfig.hybrid(4, [0, 1], block_tuples=4096)
+        server = build(
+            Scenario(
+                server={
+                    "elastic": True,
+                    "fault_plan": GPU0_LOST,
+                    "retry_policy": RetryPolicy(),
+                }
+            )
+        )
+        session = server.submit(PLANS["Q1.1"], hybrid, name="Q1.1")
+        drivers, admitted = [], []
+
+        def watch():
+            while not session.finished:
+                if session.status == "running":
+                    _, process = server._drivers[session.query_id]
+                    if not drivers or drivers[-1] is not process:
+                        assert process.is_alive
+                        drivers.append(process)
+                        admitted.append(session.admit_time)
+                yield server.sim.timeout(1e-5)
+
+        server.sim.process(watch(), name="watch")
+        Outcome(Scenario(), server, server.run()).check()
+        assert session.status == "done"
+        assert session.retried_classes == ["device_lost"]
+        assert len(drivers) == 2 and not drivers[0].is_alive
+        assert admitted == [0.0, 0.0] == [session.admit_time] * 2
+        trajectory = session.dop_trajectory
+        assert trajectory[0] == (0.0, hybrid.cpu_workers)
+        assert len(trajectory) == 1 + session.resizes
+        assert session.query_id not in server._drivers
+
+
+# ---------------------------------------------------------------------------
+# EngineServer.cancel: one rule per state, whatever the cause
+# ---------------------------------------------------------------------------
+
+
+CPU4 = ExecutionConfig.cpu_only(4, block_tuples=4096)
+
+
+def _queued(server):
+    """One slot, taken by a first query: the target never gets in."""
+    server.submit(PLANS["Q1.1"], CPU4, name="first")
+    target = server.submit(PLANS["Q1.2"], CPU4, name="target")
+    return target, lambda: True
+
+
+def _running(server):
+    target = server.submit(PLANS["Q2.1"], CPU4, name="target")
+    # inside execute_process, with operator state and staging live
+    inside = server.executor.checkpoints_remaining
+    return target, lambda: inside(target.tag) is not None
+
+
+def _paused(server):
+    """A background query paused at its build->probe boundary by an
+    interactive arrival that needs its cores."""
+    target = server.submit(PLANS["Q2.1"], CPU4, name="target", qos=QoS.background())
+
+    def arrive():
+        yield server.sim.timeout(0.002)
+        server.submit(PLANS["Q1.1"], CPU4, name="hi", qos=QoS.interactive())
+
+    server.sim.process(arrive(), name="arrive")
+    return target, lambda: target.status == "paused"
+
+
+def _retried(server):
+    """GPU 0 dies under the target; an interactive query that arrived
+    after the target was admitted takes the freed slot, so the retry
+    waits in the queue."""
+    target = server.submit(PLANS["Q1.1"], GPU, name="target")
+
+    def arrive():
+        yield server.sim.timeout(1e-4)
+        server.submit(PLANS["Q2.1"], CPU4, name="blocker", qos=QoS.interactive())
+
+    server.sim.process(arrive(), name="arrive")
+    return target, lambda: target.status == "queued" and target.retries == 1
+
+
+CANCEL_STATES = {
+    "queued": (_queued, {"max_concurrent": 1}, None, "fatal"),
+    "running": (_running, {}, None, "aborted"),
+    "paused": (_paused, {"compile_seconds": 0.0}, {"cpu_cores": 4}, "aborted"),
+    "retried": (
+        _retried,
+        {
+            "max_concurrent": 1,
+            "preemption": False,
+            "fault_plan": GPU0_LOST,
+            "retry_policy": RetryPolicy(max_attempts=2),
+        },
+        None,
+        "fatal",
+    ),
+}
+
+
+class TestCancel:
+    @pytest.mark.parametrize("state", sorted(CANCEL_STATES))
+    @pytest.mark.parametrize("cause", ["exception", "string"])
+    def test_cancel_fails_the_session_once_typed(self, state, cause):
+        """A session with a live driver (running, paused) is interrupted
+        and typed from the cause; a queued one (never admitted, or
+        waiting after a retry) fails at the edge: an exception cause
+        is its error, a string a fatal ``SchedulerError``."""
+        setup, server_kwargs, budget, string_class = CANCEL_STATES[state]
+        scenario = Scenario(server=server_kwargs, budget=budget)
+        server = build(scenario)
+        target, ready = setup(server)
+        reason = ServerLostError("backend lost") if cause == "exception" else "operator"
+        fired = []
+        target.done.add_callback(fired.append)
+        cancelled = []
+
+        def watch():
+            while not ready():
+                assert not target.finished, "the state to cancel never came"
+                yield server.sim.timeout(1e-5)
+            assert target.status == {"retried": "queued"}.get(state, state)
+            cancelled.append(server.cancel(target, reason))
+
+        server.sim.process(watch(), name="watch")
+        report = server.run()
+        Outcome(scenario, server, report).check()
+        assert cancelled == [True]
+        assert server.cancel(target, reason) is False
+        assert target.status == "failed"
+        want = "server_lost" if cause == "exception" else string_class
+        assert target.error_class == want
+        assert fired == [target.done]
+        failed = report.metrics["repro_sessions_total"]["values"]
+        assert sum(v for k, v in failed.items() if 'status="failed"' in k) == 1
+        if state == "retried":
+            assert target.attempts == 2 and target.retries == 1
 
 
 # ---------------------------------------------------------------------------

@@ -207,11 +207,7 @@ class TestConfigurationSurface:
             "grow_below",
             "window_seconds",
         ]
-        assert _fields(RetryPolicy) == [
-            "max_attempts",
-            "backoff_seconds",
-            "fallback_cpu_workers",
-        ]
+        assert _fields(RetryPolicy) == ["max_attempts", "fallback_cpu_workers"]
 
     def test_data_plane_surface_only_grows_on_purpose(self):
         """The same pin for the constructors below the scheduler (ISSUE 14
