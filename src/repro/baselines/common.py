@@ -56,7 +56,7 @@ from ..hardware.costmodel import BlockStats, CostModel, EngineTuning
 from ..hardware.sim import Simulator
 from ..hardware.specs import ServerSpec
 from ..hardware.topology import Server
-from ..jit.pipeline import agg_identity, merge_agg
+from ..jit.pipeline import agg_identity, group_rows, merge_agg
 from ..storage.catalog import Catalog
 from ..storage.table import Placement, Table
 
@@ -263,7 +263,7 @@ def fold_block(group_keys: list[str], bound_aggs, env, n: int, groups: dict,
     key_matrix = np.stack(
         [np.asarray(env[k], dtype=np.int64) for k in group_keys], axis=1
     )
-    uniq, inv = np.unique(key_matrix, axis=0, return_inverse=True)
+    uniq, inv = group_rows(key_matrix)
     for alias, kind, expr in bound_aggs:
         if kind == "count":
             agg = np.bincount(inv, minlength=len(uniq))

@@ -153,6 +153,7 @@ class ReferenceExecutor:
         key_matrix = np.stack(
             [np.asarray(env[k], dtype=np.int64) for k in node.keys], axis=1
         )
+        # np.unique, not jit's group_rows: the oracle shares no resolver with the engine
         uniq, inverse = np.unique(key_matrix, axis=0, return_inverse=True)
         agg_columns = []
         for agg in node.aggs:

@@ -374,7 +374,7 @@ class PipelineCompiler:
         out.indent += 1
         keys = ", ".join(f"{_var(k)}.astype(np.int64)" for k in op.keys)
         out.emit(f"_gkeys = np.stack([{keys}], axis=1)")
-        out.emit("_uniq, _inv = np.unique(_gkeys, axis=0, return_inverse=True)")
+        out.emit("_uniq, _inv = state.group_rows(_gkeys)")
         cycles = CYCLES.hash_compute + CYCLES.group_lookup
         gpu = CYCLES.gpu_hash_compute + CYCLES.gpu_group_lookup
         parts = []

@@ -1,16 +1,32 @@
 """Open-addressing hash table used by generated join pipelines.
 
 Build and probe are the hot loops of every SSB query; generated pipelines
-call into this table the way the paper's generated LLVM IR calls its hash
-join runtime.  The implementation is vectorised open addressing with
-linear probing over NumPy arrays:
+call into this table once per block, the way the paper's generated LLVM
+IR calls its hash join runtime.  The implementation is vectorised open
+addressing with linear probing over NumPy arrays, so a batch costs a few
+whole-array passes plus a short loop over the keys that collided:
 
-* keys are int64; empty slots hold a sentinel;
-* :meth:`HashTable.insert` resolves collisions iteratively over the still
-  unplaced keys (a data-parallel formulation of the usual insert loop —
-  the same shape a GPU kernel uses);
+* keys are int64; slot ``s`` is ``(keys[s], rows[s])``, and an empty
+  slot holds a sentinel key and row -1;
+* a key's home slot is its Fibonacci hash — the key's bits viewed as
+  uint64, times ``2**64 / golden ratio``, keeping the top
+  ``log2(capacity)`` bits (:func:`hash_int64` is the product).  The view
+  copies nothing, and the top bits of the product spread arithmetic
+  progressions such as sequential or ``yyyymmdd`` keys evenly;
+* :meth:`HashTable.insert` claims home slots for the whole batch at once
+  and walks the keys that lost a claim one slot on per round (a
+  data-parallel formulation of the usual insert loop — the same shape a
+  GPU kernel uses);
 * :meth:`HashTable.probe` returns, per probe key, the *row index* of the
-  matching build tuple or -1, again resolving collisions iteratively.
+  matching build tuple or -1: one gather of the home slots' keys and
+  rows answers every key that met its own key or a hole, and the same
+  walk finishes the few that met a foreign occupant.
+
+The slot layout is host-only: nothing simulated reads which slot a key
+took or how many rounds a batch walked.  ``capacity`` and :attr:`nbytes`
+are the modelled bucket count and footprint — the executor judges cache
+spill from :attr:`nbytes`, which prices simulated probes — so they follow
+the sizing rule of ``__init__`` / ``_grow`` alone.
 
 Join keys in the supported plans are unique on the build side (SSB
 dimension tables join on their primary keys); duplicate keys raise.
@@ -34,9 +50,8 @@ class DuplicateKeyError(ValueError):
 
 
 def hash_int64(keys: np.ndarray) -> np.ndarray:
-    """Multiplicative hash of int64 keys to uint64."""
-    mixed = keys.astype(np.uint64) * _MIX
-    return mixed ^ (mixed >> np.uint64(32))
+    """Fibonacci hash of int64 keys to uint64; a table keeps the top bits."""
+    return np.asarray(keys, dtype=np.int64).view(np.uint64) * _MIX
 
 
 def _next_pow2(n: int) -> int:
@@ -54,126 +69,125 @@ class HashTable:
     """
 
     def __init__(self, expected: int, payload_names: Optional[list[str]] = None):
-        capacity = max(16, _next_pow2(int(expected * 2) + 1))
-        self._mask = np.uint64(capacity - 1)
-        self.capacity = capacity
-        self.keys = np.full(capacity, _EMPTY, dtype=np.int64)
-        self.rows = np.full(capacity, -1, dtype=np.int64)
+        self._allocate(max(16, _next_pow2(int(expected * 2) + 1)))
         self.num_keys = 0
         self.payload_names = list(payload_names or [])
-        self.payload: dict[str, np.ndarray] = {
+        self._payload: dict[str, np.ndarray] = {
             name: np.empty(0, dtype=np.int64) for name in self.payload_names
         }
-        self._payload_parts: dict[str, list[np.ndarray]] = {
+        #: per column, every inserted batch; joined into ``payload`` on read
+        self._parts: dict[str, list[np.ndarray]] = {
             name: [] for name in self.payload_names
         }
+        self._unjoined = False
+
+    def _allocate(self, capacity: int) -> None:
+        self.capacity = capacity
+        self._mask = capacity - 1
+        self._shift = np.uint64(65 - capacity.bit_length())
+        self.keys = np.full(capacity, _EMPTY, dtype=np.int64)
+        self.rows = np.full(capacity, -1, dtype=np.int64)
+
+    def _home(self, keys: np.ndarray) -> np.ndarray:
+        slot = hash_int64(keys)
+        slot >>= self._shift
+        return slot.view(np.int64)
 
     # -- build -------------------------------------------------------------
 
     def insert(self, keys: np.ndarray, payload: Optional[dict[str, np.ndarray]] = None) -> None:
         """Insert a batch of unique keys with aligned payload columns."""
         keys = np.ascontiguousarray(keys, dtype=np.int64)
-        if keys.size == 0:
-            return
         payload = payload or {}
         missing = [n for n in self.payload_names if n not in payload]
         if missing:
             raise KeyError(f"insert missing payload columns {missing}")
+        columns = {name: np.asarray(payload[name]) for name in self.payload_names}
+        misaligned = {n: len(c) for n, c in columns.items() if len(c) != keys.size}
+        if misaligned:
+            raise ValueError(
+                f"payload columns {misaligned} do not align with {keys.size} keys"
+            )
+        if keys.size == 0:
+            return
         if self.num_keys + keys.size > self.capacity // 2:
             self._grow(self.num_keys + keys.size)
         base_row = self.num_keys
-        row_ids = np.arange(base_row, base_row + keys.size, dtype=np.int64)
-        self._place(keys, row_ids)
+        self._place(keys, np.arange(base_row, base_row + keys.size, dtype=np.int64))
         self.num_keys += keys.size
-        for name in self.payload_names:
-            self._payload_parts[name].append(np.asarray(payload[name]))
-        for name in self.payload_names:
-            self.payload[name] = np.concatenate(self._payload_parts[name])
+        for name, column in columns.items():
+            self._parts[name].append(column)
+        self._unjoined = True
 
     def _place(self, keys: np.ndarray, row_ids: np.ndarray) -> None:
-        step_mask = np.int64(self._mask)
-        slots = (hash_int64(keys) & self._mask).astype(np.int64)
-        pending = np.arange(keys.size)
-        guard = 0
-        while pending.size:
-            guard += 1
-            if guard > self.capacity + keys.size:
-                raise RuntimeError("hash table insert failed to converge")
-            slot = slots[pending]
+        slot = self._home(keys)
+        for _ in range(self.capacity):
             occupant = self.keys[slot]
-            free = occupant == _EMPTY
-            clash_same = occupant == keys[pending]
-            if clash_same.any():
-                dup = keys[pending[clash_same]][0]
+            resident = occupant == keys
+            if resident.any():
+                dup = keys[resident][0]
                 raise DuplicateKeyError(f"duplicate build key {int(dup)}")
             # Claim free slots; NumPy fancy-store keeps the *last* writer on
-            # intra-batch slot collisions, so verify and retry the losers.
-            take = pending[free]
+            # intra-batch slot collisions.  A key whose slot does not hold
+            # its row afterwards (lost the claim, or met a foreign occupant)
+            # walks on.
+            free = occupant == _EMPTY
             claimed = slot[free]
-            claimants = row_ids[take]
-            self.keys[claimed] = keys[take]
-            self.rows[claimed] = claimants
-            beaten = self.rows[claimed] != claimants
-            if not beaten.any():
-                if take.size == pending.size:
-                    return
-                lost = take[:0]
-            else:
-                lost = take[beaten]
-                # Equal keys walk the same slots in step, so they claim
-                # the same free slot in the same round: the loser finds
-                # its own key there.
-                if (self.keys[claimed[beaten]] == keys[lost]).any():
-                    raise DuplicateKeyError("duplicate keys within insert batch")
-            retry = np.concatenate([pending[~free], lost])
-            slots[retry] = (slots[retry] + 1) & step_mask
-            pending = retry
-            # Backstop for the claim check above: a batch that makes no
-            # progress is placing identical keys.
-            if pending.size and guard > 2 * self.capacity:
+            self.keys[claimed] = keys[free]
+            self.rows[claimed] = row_ids[free]
+            lost = self.rows[slot] != row_ids
+            if not lost.any():
+                return
+            slot, keys, row_ids = slot[lost], keys[lost], row_ids[lost]
+            # Equal keys walk the same slots in step, so they claim the
+            # same free slot in the same round: the loser finds its own
+            # key there.
+            if (self.keys[slot] == keys).any():
                 raise DuplicateKeyError("duplicate keys within insert batch")
+            slot += 1
+            slot &= self._mask
+        raise RuntimeError("hash table insert failed to converge")
 
     def _grow(self, needed: int) -> None:
-        new_capacity = _next_pow2(max(needed * 4, self.capacity * 2))
         old_keys = self.keys
         old_rows = self.rows
-        self.capacity = new_capacity
-        self._mask = np.uint64(new_capacity - 1)
-        self.keys = np.full(new_capacity, _EMPTY, dtype=np.int64)
-        self.rows = np.full(new_capacity, -1, dtype=np.int64)
+        self._allocate(_next_pow2(max(needed * 4, self.capacity * 2)))
         live = old_keys != _EMPTY
         if np.any(live):
             self._place(old_keys[live], old_rows[live])
+
+    @property
+    def payload(self) -> dict[str, np.ndarray]:
+        """Payload columns, row-aligned; batches are joined on first read."""
+        if self._unjoined:
+            for name, parts in self._parts.items():
+                parts[:] = [np.concatenate(parts)]
+                self._payload[name] = parts[0]
+            self._unjoined = False
+        return self._payload
 
     # -- probe -------------------------------------------------------------
 
     def probe(self, keys: np.ndarray) -> np.ndarray:
         """Row index of the build match per key, or -1 on a miss."""
         keys = np.ascontiguousarray(keys, dtype=np.int64)
-        if keys.size == 0 or self.num_keys == 0:
-            return np.full(keys.size, -1, dtype=np.int64)
-        step_mask = np.int64(self._mask)
-        slot = (hash_int64(keys) & self._mask).astype(np.int64)
-        occupant = self.keys[slot]
-        match = occupant == keys
-        result = np.where(match, self.rows[slot], np.int64(-1))
-        # keys that met a foreign occupant walk on: ``walking`` indexes
-        # them in ``keys``, ``slot`` stays aligned with it
-        walking = np.flatnonzero(~(match | (occupant == _EMPTY)))
-        slot = slot[walking]
-        guard = 1
-        while walking.size:
-            guard += 1
-            if guard > self.capacity:
-                raise RuntimeError("hash table probe failed to converge")
-            slot = (slot + 1) & step_mask
-            occupant = self.keys[slot]
-            match = occupant == keys[walking]
-            result[walking[match]] = self.rows[slot[match]]
-            keep = ~(match | (occupant == _EMPTY))
-            walking = walking[keep]
-            slot = slot[keep]
-        return result
+        slot = self._home(keys)
+        occupant = self.keys.take(slot)
+        # an empty slot's row is -1, so the gather already answers every
+        # key that found its own key or a hole at home
+        result = self.rows.take(slot)
+        walking = np.flatnonzero((occupant != keys) & (occupant != _EMPTY))
+        slot, keys = slot[walking], keys[walking]
+        for _ in range(self.capacity):
+            if not walking.size:
+                return result
+            slot += 1
+            slot &= self._mask
+            occupant = self.keys.take(slot)
+            result[walking] = self.rows.take(slot)
+            keep = (occupant != keys) & (occupant != _EMPTY)
+            walking, slot, keys = walking[keep], slot[keep], keys[keep]
+        raise RuntimeError("hash table probe failed to converge")
 
     # -- introspection --------------------------------------------------------
 

@@ -34,6 +34,7 @@ __all__ = [
     "HashPacker",
     "agg_identity",
     "merge_agg",
+    "group_rows",
 ]
 
 
@@ -56,6 +57,25 @@ def merge_agg(kind: str, left, right):
     if kind == "min":
         return min(left, right)
     return max(left, right)
+
+
+def group_rows(keys_2d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows of an int64 key matrix and each row's group index.
+
+    The same ``(uniq, inverse)`` as NumPy's row-wise ``unique`` with
+    ``return_inverse`` — groups in lexicographic row order, inverse flat
+    — from one lexsort instead of a sort over void-viewed rows.
+    """
+    order = np.lexsort(keys_2d.T[::-1])
+    ordered = keys_2d[order]
+    # a group starts at the first row and wherever any column changes
+    starts = np.zeros(len(order), dtype=bool)
+    starts[:1] = True
+    for column in ordered.T:
+        starts[1:] |= column[1:] != column[:-1]
+    inverse = np.empty(len(order), dtype=np.intp)
+    inverse[order] = np.cumsum(starts) - 1
+    return ordered[starts], inverse
 
 
 class QueryState:
@@ -97,10 +117,12 @@ class PipelineState:
     """Per-instance runtime state handed to the generated function.
 
     Generated code reads/writes the ``acc_<alias>`` attributes (reduce
-    sinks), calls :meth:`group_update` (group-agg sinks),
-    :meth:`hash_table` (probes/builds) and uses :attr:`packer` /
+    sinks), calls :meth:`group_rows` and :meth:`group_update` (group-agg
+    sinks), :meth:`hash_table` (probes/builds) and uses :attr:`packer` /
     :attr:`hash_packer` (pack sinks).
     """
+
+    group_rows = staticmethod(group_rows)
 
     def __init__(
         self,
@@ -145,18 +167,23 @@ class PipelineState:
 
         ``keys_2d`` holds one row per distinct group in the block;
         ``agg_arrays[alias][i]`` is that group's partial for ``alias``.
+        Each group merges once, in block order, from Python scalars
+        (``int`` counts, ``float`` otherwise).
         """
         kinds = {agg.alias: agg.kind for agg in self.group_aggs}
-        for i, key_row in enumerate(keys_2d):
-            key = tuple(int(k) for k in key_row)
-            row = self.groups.get(key)
+        identity = {alias: agg_identity(kind) for alias, kind in kinds.items()}
+        columns = []
+        for alias, kind in kinds.items():
+            dtype = np.int64 if kind == "count" else np.float64
+            values = np.asarray(agg_arrays[alias], dtype=dtype).tolist()
+            columns.append((alias, kind, values))
+        groups = self.groups
+        for i, key in enumerate(map(tuple, keys_2d.tolist())):
+            row = groups.get(key)
             if row is None:
-                row = {alias: agg_identity(kind) for alias, kind in kinds.items()}
-                self.groups[key] = row
-            for alias, kind in kinds.items():
-                value = agg_arrays[alias][i]
-                value = int(value) if kind == "count" else float(value)
-                row[alias] = merge_agg(kind, row[alias], value)
+                row = groups[key] = dict(identity)
+            for alias, kind, values in columns:
+                row[alias] = merge_agg(kind, row[alias], values[i])
 
     # -- partial extraction (for the collector) --------------------------------------
 

@@ -65,12 +65,54 @@ class TestBuildProbe:
         assert ht.nbytes >= ht.content_nbytes
         assert ht.content_nbytes == 50 * 2 * 16 + 50 * 8
 
+    def test_misaligned_payload_raises_and_leaves_table_unchanged(self):
+        ht = HashTable(16, ["v"])
+        with pytest.raises(ValueError, match="align"):
+            ht.insert(np.array([1, 2], dtype=np.int64), {"v": np.array([10, 20, 30])})
+        with pytest.raises(ValueError, match="align"):
+            ht.insert(np.array([3, 4], dtype=np.int64), {"v": np.array([40])})
+        assert len(ht) == 0 and ht.payload["v"].size == 0
+        assert list(ht.probe(np.array([1, 2, 3, 4], dtype=np.int64))) == [-1] * 4
+        # the rejected rows cannot shift later ones onto the wrong payload
+        ht.insert(np.array([5], dtype=np.int64), {"v": np.array([50])})
+        assert ht.payload["v"][ht.probe(np.array([5], dtype=np.int64))].tolist() == [50]
+
+    def test_payload_is_joined_once_when_read(self, monkeypatch):
+        joins = []
+        concatenate = np.concatenate
+
+        def counting(parts, *args, **kwargs):
+            joins.append(len(parts))
+            return concatenate(parts, *args, **kwargs)
+
+        monkeypatch.setattr(np, "concatenate", counting)
+        ht = HashTable(4, ["v", "w"])
+        for start in range(0, 60, 10):
+            keys = np.arange(start, start + 10, dtype=np.int64)
+            ht.insert(keys, {"v": keys * 2, "w": keys * 3.0})
+        assert joins == []
+        payload = ht.payload
+        assert joins == [6, 6]
+        assert ht.payload is payload and joins == [6, 6]
+        idx = ht.probe(np.arange(60, dtype=np.int64))
+        assert np.array_equal(payload["v"][idx], np.arange(60) * 2)
+        assert payload["w"].dtype == np.float64
+        ht.insert(np.array([99], dtype=np.int64), {"v": [7], "w": [8.0]})
+        assert ht.payload["v"][ht.probe(np.array([99], dtype=np.int64))].tolist() == [7]
+        assert joins == [6, 6, 2, 2]
+
 
 def test_hash_mixes_sequential_keys():
-    hashes = hash_int64(np.arange(1024, dtype=np.int64))
-    low_bits = hashes & np.uint64(255)
-    # sequential keys must spread over the low bits (multiplicative mix)
-    assert len(np.unique(low_bits)) > 128
+    keys = np.arange(512, dtype=np.int64)
+    table = HashTable(256)
+    table.insert(keys)
+    # at capacity 2**10 a key's home slot is the top 10 bits of its hash
+    assert table.capacity == 2**10
+    homes = (hash_int64(keys) >> np.uint64(64 - 10)).astype(np.int64)
+    # sequential keys must spread over those bits (Fibonacci hashing):
+    # no two share a home, so each sits at its own
+    assert len(np.unique(homes)) == keys.size
+    assert np.array_equal(table.keys[homes], keys)
 
 
 @settings(max_examples=40, deadline=None)
@@ -148,3 +190,70 @@ def test_any_repeat_inside_a_batch_raises(resident, batch, copies, data):
     clean.insert(np.array(resident, dtype=np.int64))
     clean.insert(np.array(batch, dtype=np.int64))
     assert np.all(clean.probe(np.array(resident + batch, dtype=np.int64)) >= 0)
+
+
+_YEAR, _MONTH, _DAY = np.meshgrid(
+    np.arange(1000, 3000), np.arange(1, 13), np.arange(1, 32), indexing="ij"
+)
+#: ascending yyyymmdd-like keys (every month has 31 days)
+_YYYYMMDD = (_YEAR * 10000 + _MONTH * 100 + _DAY).ravel().astype(np.int64)
+
+
+def _shaped_keys(shape: str, n: int, start: int, stride: int) -> np.ndarray:
+    """``n`` distinct keys: sequential, strided dates, or strided negatives."""
+    if shape == "sequential":
+        return start + np.arange(n, dtype=np.int64)
+    if shape == "yyyymmdd":
+        first = start % (_YYYYMMDD.size - n * stride)
+        return _YYYYMMDD[first : first + n * stride : stride].copy()
+    return -1 - abs(start) - stride * np.arange(n, dtype=np.int64)
+
+
+@st.composite
+def shaped_builds(draw):
+    """A build of ``batches`` x ``batch`` keys that fills a table of the
+    drawn size to load 0.5 (or, with ``expected=1``, grows into it)."""
+    batch, batches = draw(
+        st.sampled_from([(1, 8), (1, 16), (256, 1), (256, 2), (256, 4), (65536, 1)])
+    )
+    shape = draw(st.sampled_from(["sequential", "yyyymmdd", "negative"]))
+    start = draw(st.integers(min_value=-(2**40), max_value=2**40))
+    stride = draw(st.integers(min_value=1, max_value=3 if shape == "yyyymmdd" else 997))
+    order = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # twice as many keys as the build: the second half are probe misses
+    keys = order.permutation(_shaped_keys(shape, 2 * batch * batches, start, stride))
+    n = batch * batches
+    expected = draw(st.sampled_from([n // 2, 1]))
+    return keys[:n].reshape(batches, batch), keys[n:], expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(build=shaped_builds(), data=st.data())
+def test_probe_and_insert_match_dict_oracle_at_half_load(build, data):
+    """Probe and insert agree with a dict on the key shapes joins see —
+    sequential surrogate keys, strided ``yyyymmdd`` dates, negatives — in
+    batches of 1, 256 and 65 536 at the table's maximum load, and both
+    duplicate paths raise."""
+    batches, misses, expected = build
+    ht = HashTable(expected, ["v"])
+    oracle: dict[int, int] = {}
+    for keys in batches:
+        values = np.arange(len(oracle), len(oracle) + keys.size, dtype=np.int64) * 7
+        ht.insert(keys, {"v": values})
+        oracle.update(zip(keys.tolist(), values.tolist()))
+    assert len(ht) == len(oracle)
+    # a presized table ends exactly half full; a grown one is sparser
+    assert ht.num_keys * 2 == ht.capacity or expected == 1
+    probes = np.concatenate([batches.ravel(), misses, [0, -1, 2**63 - 1, -(2**63)]])
+    idx = ht.probe(probes)
+    got = np.where(idx >= 0, ht.payload["v"][idx], -1).tolist()
+    assert got == [oracle.get(k, -1) for k in probes.tolist()]
+
+    resident = int(data.draw(st.sampled_from(batches.ravel().tolist())))
+    with pytest.raises(DuplicateKeyError):
+        ht.insert(np.array([*misses[:3], resident], dtype=np.int64), {"v": [0] * 4})
+    fresh = HashTable(expected)
+    twin = data.draw(st.integers(0, misses.size - 1))
+    repeated = np.insert(misses, data.draw(st.integers(0, misses.size)), misses[twin])
+    with pytest.raises(DuplicateKeyError):
+        fresh.insert(repeated)
