@@ -115,13 +115,15 @@ class TestTransferOverlap:
 
     @pytest.fixture(scope="class")
     def sweep(self, settings):
+        """``(results, totals)``, both keyed by depth: each query's
+        result, and the drive's simulated seconds and heap pushes."""
         from repro.engine.config import ExecutionConfig
         from repro.ssb import load_ssb, ssb_query
         from repro.engine.proteus import Proteus
         from scenario import ssb_tables
 
         tables = ssb_tables(settings.physical_sf, settings.seed)
-        out = {}
+        out, totals = {}, {}
         for depth in (1, 2):
             engine = Proteus(segment_rows=settings.segment_rows)
             load_ssb(engine, tables=tables, logical_sf=1000.0)
@@ -129,15 +131,27 @@ class TestTransferOverlap:
                 settings.gpu_ids, block_tuples=settings.block_tuples,
                 prefetch_depth=depth,
             )
-            out[depth] = {
-                qid: engine.query(ssb_query(qid), config)
-                for qid in SSB_QUERY_IDS
-            }
-        return out
+            results = out[depth] = {}
+            seconds = 0.0
+            for qid in SSB_QUERY_IDS:
+                results[qid] = engine.query(ssb_query(qid), config)
+                # a left fold, never sum(): compensated from Python 3.12 on
+                seconds += results[qid].seconds
+            totals[depth] = (seconds, engine.sim._seq)
+        return out, totals
+
+    def test_simulated_seconds_and_heap_pushes_are_pinned(self, sweep):
+        """Exact on every supported Python: a drift means the engine's
+        behaviour changed."""
+        assert sweep[1] == {
+            1: (68.57606500379626, 77_948),
+            2: (59.06146078131773, 90_247),
+        }
 
     def test_overlap_beats_serial_by_15_percent_geomean(self, sweep):
+        results, _ = sweep
         ratios = {
-            qid: sweep[1][qid].seconds / sweep[2][qid].seconds
+            qid: results[1][qid].seconds / results[2][qid].seconds
             for qid in SSB_QUERY_IDS
         }
         geomean = math.exp(
@@ -145,8 +159,8 @@ class TestTransferOverlap:
         )
         print("\nprefetch_depth=1 vs 2, simulated seconds:")
         for qid in SSB_QUERY_IDS:
-            print(f"  {qid}: serial={sweep[1][qid].seconds:.3f}s  "
-                  f"overlap={sweep[2][qid].seconds:.3f}s  "
+            print(f"  {qid}: serial={results[1][qid].seconds:.3f}s  "
+                  f"overlap={results[2][qid].seconds:.3f}s  "
                   f"speedup={ratios[qid]:.3f}x")
         print(f"  geo-mean speedup: {geomean:.3f}x")
         assert geomean >= 1.15, (
@@ -156,8 +170,9 @@ class TestTransferOverlap:
         assert all(r >= 1.0 - 1e-9 for r in ratios.values()), ratios
 
     def test_overlap_results_byte_identical(self, sweep):
+        results, _ = sweep
         for qid in SSB_QUERY_IDS:
-            assert sweep[1][qid].rows == sweep[2][qid].rows, qid
+            assert results[1][qid].rows == results[2][qid].rows, qid
 
 
 def test_dbms_g_out_of_core_behaviours(fig5):

@@ -109,9 +109,12 @@ class TestFleetFailoverSmoke:
             seed=7,
             server_losses=(ServerLossFault(server_id="srv0", at_seconds=1e-3),),
         )
-        report = run_scenario(_sharded(settings, SMOKE_BATCH, fault_plan=plan)).report
+        out = run_scenario(_sharded(settings, SMOKE_BATCH, fault_plan=plan))
+        report = out.report
         print("\n" + report.summary())
         _assert_typed(report)
+        # simulated makespan and heap pushes, exact on every supported Python
+        assert (report.makespan, out.system.sim._seq) == (0.13363601875, 8_658)
         # the loss actually fired mid-drive and the fleet failed over
         assert report.server_losses == 1
         assert report.lost_servers == ["srv0"]

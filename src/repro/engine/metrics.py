@@ -65,11 +65,25 @@ def _label_key(family: "_MetricFamily", labels: dict[str, object]) -> tuple[str,
     return tuple(str(labels[name]) for name in family.label_names)
 
 
+def _escape(value: str) -> str:
+    return value.replace("\\", r"\\").replace('"', r"\"").replace("\n", r"\n")
+
+
 def _render_labels(names: Sequence[str], values: Sequence[str]) -> str:
     if not names:
         return ""
-    inner = ",".join(f'{name}="{value}"' for name, value in zip(names, values))
+    inner = ",".join(f'{name}="{_escape(value)}"' for name, value in zip(names, values))
     return "{" + inner + "}"
+
+
+def _render_value(value: float) -> str:
+    """A sample value: integral as an integer, otherwise the shortest
+    text that round-trips, infinities and NaN as Prometheus spells them."""
+    if math.isnan(value):
+        return "NaN"
+    if math.isinf(value):
+        return "+Inf" if value > 0 else "-Inf"
+    return str(int(value)) if value == int(value) else repr(float(value))
 
 
 class _MetricFamily:
@@ -118,9 +132,8 @@ class _ScalarFamily(_MetricFamily):
     def render(self) -> list[str]:
         lines = self.header()
         for key, value in self._sorted_children():
-            lines.append(
-                f"{self.name}{_render_labels(self.label_names, key)} {value:g}"
-            )
+            labels = _render_labels(self.label_names, key)
+            lines.append(f"{self.name}{labels} {_render_value(value)}")
         return lines
 
     def snapshot_values(self) -> dict:
@@ -222,7 +235,7 @@ class Histogram(_MetricFamily):
             labels = _render_labels((*self.label_names, "le"), (*key, "+Inf"))
             lines.append(f"{self.name}_bucket{labels} {cumulative}")
             plain = _render_labels(self.label_names, key)
-            lines.append(f"{self.name}_sum{plain} {child.sum:g}")
+            lines.append(f"{self.name}_sum{plain} {_render_value(child.sum)}")
             lines.append(f"{self.name}_count{plain} {child.count}")
         return lines
 

@@ -159,10 +159,28 @@ class TestRegistry:
     def test_render_text_format(self):
         registry = MetricsRegistry()
         registry.counter("a_total", "things").inc(2)
-        registry.gauge("b", "level", labels=("k",)).set(0.5, k="v")
+        gauge = registry.gauge("b", "level", labels=("k",))
+        gauge.set(0.5, k="v")
+        # integral values print as integers, other values round-trip
+        registry.counter("big_total").inc(1234567)
+        gauge.set(1 / 3, k="third")
+        gauge.set(float("-inf"), k="low")
+        gauge.set(float("nan"), k="nan")
+        # a label value escapes backslash, double quote and newline
+        gauge.set(1, k='a"b\\')
+        gauge.set(2, k="x\ny")
         text = registry.render_text()
-        assert "# HELP a_total things\n# TYPE a_total counter\na_total 2" in text
-        assert '# TYPE b gauge\nb{k="v"} 0.5' in text
+        assert "# HELP a_total things\n# TYPE a_total counter\na_total 2\n" in text
+        assert "# TYPE big_total counter\nbig_total 1234567\n" in text
+        assert (
+            "# TYPE b gauge\n"
+            'b{k="a\\"b\\\\"} 1\n'
+            'b{k="low"} -Inf\n'
+            'b{k="nan"} NaN\n'
+            'b{k="third"} 0.3333333333333333\n'
+            'b{k="v"} 0.5\n'
+            'b{k="x\\ny"} 2\n'
+        ) in text
         assert text.endswith("\n")
 
     def test_snapshot_shape(self):
