@@ -16,9 +16,8 @@ External scrapers rely on three contracts (pinned by
 Registrations are recognised as ``<registry>.counter|gauge|histogram(
 "repro_...", ...)`` with a literal name; feeds as ``self.<attr>.inc/
 observe/set/sync(...)`` where ``self.<attr>`` was bound to a
-registration in the same class — called directly, or queued off the hot
-path as ``<pump>.emit(self.<attr>.inc, **labels)``, whose keywords are
-the labels the pump will call the feed with.
+registration in the same class.  Every feed is called inline at its
+site, so the labels checked are the labels the family receives.
 """
 
 from __future__ import annotations
@@ -181,8 +180,6 @@ def _feed_mismatch(
     if not isinstance(node, ast.Call):
         return None
     func = node.func
-    if isinstance(func, ast.Attribute) and func.attr == "emit" and node.args:
-        func = node.args[0]  # the queued feed; the call's keywords are its labels
     if not isinstance(func, ast.Attribute) or func.attr not in _FEED_METHODS:
         return None
     if not isinstance(func.value, ast.Attribute):

@@ -47,7 +47,7 @@ from .faults import (
     TransferTimeout,
     classify_failure,
 )
-from .metrics import MetricsPump, MetricsRegistry
+from .metrics import MetricsRegistry
 from .proteus import Proteus
 from .results import ExecutionProfile, QueryResult
 from .tenancy import DeficitRoundRobin, RateLimit, Tenant, TokenBucket
@@ -70,7 +70,6 @@ __all__ = [
     "TokenBucket",
     "DeficitRoundRobin",
     "MetricsRegistry",
-    "MetricsPump",
     "Executor",
     "QueryError",
     "RawExecution",

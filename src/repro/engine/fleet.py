@@ -75,11 +75,15 @@ dispatch the watchdog fails while it is still parked on a partition.
 
 The fleet keeps its own ``repro_fleet_*`` metric families (dispatches,
 failovers by outcome, hedge wins/losses, per-server breaker state,
-terminal query statuses, server losses) on a dedicated registry.  Hot
-paths queue the family's bound feed on the fleet's
-:class:`~repro.engine.metrics.MetricsPump`
-(``self._pump.emit(self._m_failovers.inc, outcome=…)``), off the hot
-path like the per-server surface.  :attr:`FleetReport.events` is not a
+terminal query statuses, server losses) on a dedicated registry.  Each
+site calls its family inline (``self._m_failovers.inc(outcome=…)``),
+and the breaker gauge is sampled when the surface is read — by
+:meth:`EngineFleet.metrics_text` and at the end of :meth:`EngineFleet.run`
+— so, as on the per-server surface, observing a drive schedules no
+event and moves no simulated time.  (Reading a breaker's ``state`` does
+take its timed open -> half-open step, as any dispatch would; a scrape
+can only stamp that step earlier in its transition log.)
+:attr:`FleetReport.events` is not a
 second log kept in step by hand: it is rebuilt at report time from the
 stall windows, the fired losses and every breaker's own
 :attr:`~repro.engine.failover.CircuitBreaker.transitions`.
@@ -111,7 +115,7 @@ from .faults import (
     ServerStallTimeout,
     classify_failure,
 )
-from .metrics import MetricsPump, MetricsRegistry
+from .metrics import MetricsRegistry
 from .proteus import Proteus
 from .results import QueryResult
 from .scheduler import (
@@ -415,7 +419,6 @@ class EngineFleet:
         self._losses: list[dict] = []
         self.metrics = MetricsRegistry()
         self._metric_families()
-        self._pump = MetricsPump(self.sim, sample_gauges=self._sample_gauges)
         self._apply_stall_windows()
 
     @property
@@ -471,6 +474,7 @@ class EngineFleet:
 
     def metrics_text(self) -> str:
         """Prometheus text exposition of the fleet metrics surface."""
+        self._sample_gauges()
         return self.metrics.render_text()
 
     # -- data plane --------------------------------------------------------
@@ -563,7 +567,7 @@ class EngineFleet:
         fs.alive = False
         # latch the breaker: a dead backend is never probed back in
         fs.breaker.force_open()
-        self._pump.emit(self._m_losses.inc)
+        self._m_losses.inc()
         self._losses.append(
             {"kind": "server_loss", "server": fs.name, "at": self.sim.now}
         )
@@ -657,7 +661,6 @@ class EngineFleet:
         """Drive every submitted fleet query to a typed terminal status."""
         for fs in self._servers:
             fs.server.start()
-        self._pump.ensure_running()
         self._arm()
         fresh = [
             q for q in self._queries
@@ -696,7 +699,7 @@ class EngineFleet:
                         f"state: {'; '.join(problems) or 'coordinator stalled'}"
                     ),
                 )
-        self._pump.drain()
+        self._sample_gauges()
         return self._report(reports)
 
     def _query_proc(self, query: FleetQuery):
@@ -739,7 +742,7 @@ class EngineFleet:
                 else classify_failure(error)[0]
             )
         query.finish_time = self.sim.now
-        self._pump.emit(self._m_queries.inc, status=query.status)
+        self._m_queries.inc(status=query.status)
 
     def _shard_proc(self, query: FleetQuery, shard: Optional[int], results: dict):
         """One shard's bounded failover loop.
@@ -786,7 +789,7 @@ class EngineFleet:
                 )
                 return
             query.failovers += 1
-            self._pump.emit(self._m_failovers.inc, outcome=outcome)
+            self._m_failovers.inc(outcome=outcome)
             tried.add(fs.index)
 
     def _run_attempt(
@@ -910,7 +913,7 @@ class EngineFleet:
         """Open a hop on ``fs`` and submit — or park on its partition."""
         fs.inflight += 1
         fs.dispatches += 1
-        self._pump.emit(self._m_dispatches.inc, server=fs.name)
+        self._m_dispatches.inc(server=fs.name)
         now = self.sim.now
         stall_end = fs.stall_end(now)
         hop = _Hop(
@@ -957,7 +960,7 @@ class EngineFleet:
         if hop.kind == "hedge":
             won = outcome == "ok"
             query.hedge_wins += won
-            self._pump.emit(self._m_hedges.inc, result="win" if won else "loss")
+            self._m_hedges.inc(result="win" if won else "loss")
 
     # -- gather + merge ----------------------------------------------------
 

@@ -11,36 +11,27 @@ a debugger; this module gives the serving stack that surface:
   externally maintained monotone total (the pipeline cache's lifetime
   :class:`~repro.jit.cache.CacheStats`, the fault injector's fired-fault
   counts) into the family without double counting.
-* :class:`MetricsPump` — the off-hot-path sampler.  Hot paths never
-  touch the registry directly: they :meth:`~MetricsPump.emit` the
-  family's bound feed and its labels (``pump.emit(shed.inc, tenant=…,
-  reason=…)`` — an O(1) queue append) and a dedicated DES process calls
-  the queued feeds at ``sample_interval`` simulated seconds, coalescing
-  bursts and taking the periodic gauge samples (resource utilization,
-  budget in-use) while it is awake.  The pump parks on a wakeup event
-  when the queue is empty, so a drained simulator still terminates —
-  the same idle-parking contract the scheduler's admission pump
-  follows.  :meth:`MetricsPump.drain` is also called synchronously at
-  the end of every drive, so per-drive snapshots are complete and
-  deterministic regardless of where the sampling windows fell.
 
-There is one hop from a hot path to a metric family and no event
-vocabulary in between: the emitting site names the family and its
-labels, and this module knows only metrics, a queue and exposition.
+Metrics are read, not simulated.  A hot path calls its family directly
+(``self._m_shed.inc(tenant=…, reason=…)``): one hop, no event
+vocabulary, no queue.  Point-in-time gauges (resource utilization,
+budget in-use) are sampled by their owner when the surface is read — a
+scrape or a drive's report — and those samples only read the simulator.
+Observing a drive therefore schedules no event and moves no simulated
+time: a drive scraped every tick runs exactly as an unobserved one.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from typing import Any, Callable, Iterable, Iterator, Optional, Sequence, TypeVar
+from typing import Any, Callable, Iterable, Sequence, TypeVar
 
 __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "MetricsPump",
     "DEFAULT_LATENCY_BUCKETS",
 ]
 
@@ -327,70 +318,3 @@ class MetricsRegistry:
             }
             for family in self.families()
         }
-
-
-class MetricsPump:
-    """Async queue-drain sampler between hot paths and the registry.
-
-    ``emit`` is the only call a hot path makes: an append plus (at most)
-    one event trigger.  What it queues is the *feed itself* — a family's
-    bound ``inc`` / ``observe`` (or a method feeding several families)
-    with the labels it will be called with — so the labels are written,
-    and checked (RP005), at the emitting site and nothing translates an
-    event name into a family later.  The drain side runs as a DES
-    process owned by whoever constructed the pump: it wakes when feeds
-    arrive, sleeps ``sample_interval`` simulated seconds to coalesce the
-    burst, then calls each queued ``feed(**labels)`` in emit order and
-    ``sample_gauges`` for the periodic point-in-time figures.
-    ``drain()`` runs the same synchronously — the end-of-drive call that
-    makes per-drive snapshots complete.
-    """
-
-    def __init__(
-        self,
-        sim: Any,
-        sample_gauges: Optional[Callable[[], None]] = None,
-        sample_interval: float = 0.25,
-    ) -> None:
-        if sample_interval <= 0:
-            raise ValueError("sample_interval must be positive")
-        self.sim = sim
-        self.sample_gauges = sample_gauges
-        self.sample_interval = sample_interval
-        self._queue: list[tuple[Callable[..., None], dict[str, object]]] = []
-        self._wakeup: Optional[Any] = None
-        self._proc: Optional[Any] = None
-        #: drained-feed count (tests assert the hot path stayed queued)
-        self.drained = 0
-
-    def emit(self, feed: Callable[..., None], **labels: object) -> None:
-        """Queue one ``feed(**labels)`` call; O(1) on the hot path."""
-        self._queue.append((feed, labels))
-        if self._wakeup is not None and not self._wakeup.triggered:
-            self._wakeup.trigger(None)
-
-    def drain(self) -> int:
-        """Call every queued feed now; returns how many were called."""
-        queued, self._queue = self._queue, []
-        for feed, labels in queued:
-            feed(**labels)
-        if self.sample_gauges is not None:
-            self.sample_gauges()
-        self.drained += len(queued)
-        return len(queued)
-
-    def ensure_running(self) -> None:
-        """Start (or restart) the drain process on the simulator."""
-        if self._proc is None or self._proc.triggered:
-            self._proc = self.sim.process(self._run(), name="metrics-writer")
-
-    def _run(self) -> Iterator[Any]:
-        while True:
-            if not self._queue:
-                self._wakeup = self.sim.event(name="metrics:wakeup")
-                yield self._wakeup
-                self._wakeup = None
-            # coalesce the burst: drain once per sampling window, not
-            # once per emit
-            yield self.sim.timeout(self.sample_interval)
-            self.drain()

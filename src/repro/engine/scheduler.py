@@ -69,7 +69,8 @@ re-entrant executor:
   :class:`~repro.jit.cache.PipelineCache`; a cache miss pays a simulated
   per-device compilation latency
   (:meth:`~repro.hardware.costmodel.CostModel.compile_demand`: GPU
-  pipelines ~5–10x the CPU base :data:`DEFAULT_COMPILE_SECONDS`, longer
+  pipelines ~5–10x the CPU base
+  :data:`~repro.hardware.costmodel.DEFAULT_COMPILE_SECONDS`, longer
   operator chains proportionally more), a hit — local or served out of
   an attached cross-server
   :class:`~repro.jit.cache.SharedCacheDirectory` — pays nothing, so a
@@ -145,7 +146,6 @@ from ..hardware.topology import DeviceType, Server
 from ..storage.table import Placement, Table
 from .config import ElasticPolicy, ExecutionConfig, QoS
 from .faults import FaultInjector, FaultPlan, RetryPolicy, classify_failure
-from .metrics import MetricsPump
 from .proteus import Proteus
 from .results import QueryResult
 from .tenancy import (
@@ -165,12 +165,7 @@ __all__ = [
     "SchedulerError",
     "drive_window",
     "Tenant",
-    "DEFAULT_COMPILE_SECONDS",
 ]
-
-# DEFAULT_COMPILE_SECONDS now lives in repro.hardware.costmodel (the
-# per-device compile-cost model scales it); re-exported here because the
-# scheduler's compile_seconds knob is where callers historically found it.
 
 #: budget dimensions — derived from QueryDemand so the two modules cannot
 #: silently diverge when a dimension is added or removed (QueryDemand's
@@ -416,9 +411,7 @@ class _UtilizationMonitor:
     * **busy fraction** — share of the window during which the resource
       served at least one job.  Cumulative busy times include the open
       in-flight interval (see :attr:`FifoResource.busy_time` and
-      :attr:`BandwidthResource.busy_time` — the former used to fold only
-      on the release that idled the resource, silently under-counting
-      exactly this kind of mid-run sample).  The natural measure for
+      :attr:`BandwidthResource.busy_time`).  The natural measure for
       exclusive servers (GPU compute engines).
     * **rate utilization** (``rate:`` keys, bandwidth resources only) —
       fraction of the resource's *capacity* actually consumed
@@ -1031,13 +1024,12 @@ class EngineServer:
     Observability: the server attaches its metric families to the
     engine's :class:`~repro.engine.metrics.MetricsRegistry`
     (``engine.metrics``, so two servers over one engine share a
-    surface).  Hot paths only ``emit`` a family's bound feed and its
-    labels (``self._pump.emit(self._m_shed.inc, tenant=…, reason=…)``);
-    a :class:`~repro.engine.metrics.MetricsPump` DES process calls them
-    off the hot path, and every drive ends with a
-    synchronous drain so :attr:`BatchReport.metrics` is complete and
-    deterministic.  :meth:`metrics_text` renders the Prometheus text
-    exposition.
+    surface).  Each site calls its family inline with its labels
+    (``self._m_shed.inc(tenant=…, reason=…)``); the gauges are sampled
+    when the surface is read — by :meth:`metrics_text`, which renders
+    the Prometheus text exposition, and by each drive's
+    :attr:`BatchReport.metrics` snapshot.  Observation schedules no
+    event and changes no simulated state.
 
     Cache knobs travel with the engine: construct the server with
     ``cache_policy=CachePolicy(capacity, eviction="cost_aware", ...)``
@@ -1200,12 +1192,11 @@ class EngineServer:
         #: share a surface
         self.metrics = self.engine.metrics
         self._metric_families()
-        # the metrics gauges sample their own utilization monitor so the
-        # pump's window closures never perturb the elastic controller's
+        # the metrics gauges sample their own utilization monitor so a
+        # scrape's window closures never perturb the elastic controller's
         self._metrics_monitor = _UtilizationMonitor(
             self.sim, self.server, elastic_policy.window_seconds
         )
-        self._pump = MetricsPump(self.sim, sample_gauges=self._sample_gauges)
         #: armed fault injector, or None when the drive is fault-free
         self.faults: Optional[FaultInjector] = (
             FaultInjector(self.sim, self.server, fault_plan)
@@ -1306,25 +1297,10 @@ class EngineServer:
             "repro_drives_total", "Completed EngineServer.run() drives"
         )
 
-    def _observe_session(
-        self,
-        tenant: str,
-        qos_class: str,
-        status: str,
-        latency: Optional[float],
-        queue_wait: Optional[float],
-    ) -> None:
-        """The one feed that touches three families: a terminal session
-        counts once and, when it has them, lands in the latency and
-        queue-wait histograms (pump drain side)."""
-        self._m_sessions.inc(tenant=tenant, qos_class=qos_class, status=status)
-        if status == "done" and latency is not None:
-            self._m_latency.observe(latency, tenant=tenant)
-        if queue_wait is not None:
-            self._m_queue_wait.observe(queue_wait, tenant=tenant)
-
     def _sample_gauges(self) -> None:
-        """Point-in-time gauges + lifetime-counter syncs (pump drain side)."""
+        """Point-in-time gauges + lifetime-counter syncs, taken when the
+        surface is read (a scrape or a drive's report).  Reads the
+        simulation, writes only the metrics side."""
         for resource, value in self._metrics_monitor.sample().items():
             self._m_util.set(value, resource=resource)
         for dim in DIMENSIONS:
@@ -1352,6 +1328,7 @@ class EngineServer:
 
     def metrics_text(self) -> str:
         """Prometheus text exposition of the live metrics surface."""
+        self._sample_gauges()
         return self.metrics.render_text()
 
     # -- data plane (delegates to the shared engine) -----------------------
@@ -1464,9 +1441,7 @@ class EngineServer:
         """Refuse a submission at the edge (terminal, holds nothing)."""
         session.shed_reason = reason
         session.retry_after = retry_after
-        self._pump.emit(
-            self._m_shed.inc, tenant=self._tenant_label(session.tenant), reason=reason
-        )
+        self._m_shed.inc(tenant=self._tenant_label(session.tenant), reason=reason)
         self._finish(session, "shed")
         return session
 
@@ -1569,7 +1544,6 @@ class EngineServer:
         single-server composition of the three.
         """
         self._ensure_admission()
-        self._pump.ensure_running()
         if self.faults is not None:
             self.faults.arm()
 
@@ -1747,8 +1721,8 @@ class EngineServer:
         """Make a session terminal — the only code that does.
 
         Typed status, the pause tail, the refund of whatever is still
-        charged, the one ``_observe_session`` metric feed (status
-        already terminal), the done event and the admission wake-up all happen
+        charged, the session's metric feeds (status already terminal),
+        the done event and the admission wake-up all happen
         here, in this order, whoever ends the session: its driver,
         :meth:`cancel` of a queued session (first time or after a
         retry), a shed at the edge, or stall cleanup.
@@ -1762,14 +1736,12 @@ class EngineServer:
         session.preempt_requested = False
         self._drivers.pop(session.query_id, None)
         self._refund(session)
-        self._pump.emit(
-            self._observe_session,
-            tenant=self._tenant_label(session.tenant),
-            qos_class=session.label,
-            status=status,
-            latency=session.latency,
-            queue_wait=session.queue_seconds,
-        )
+        tenant = self._tenant_label(session.tenant)
+        self._m_sessions.inc(tenant=tenant, qos_class=session.label, status=status)
+        if status == "done" and session.latency is not None:
+            self._m_latency.observe(session.latency, tenant=tenant)
+        if session.queue_seconds is not None:
+            self._m_queue_wait.observe(session.queue_seconds, tenant=tenant)
         session.done.trigger(session)
         if status != "shed":
             # a shed session never entered the queue and held nothing:
@@ -1904,7 +1876,7 @@ class EngineServer:
             # serves a higher-priority waiter.
             if any(w.priority > session.priority for w in self._waiting()):
                 session.preemptions += 1
-                self._pump.emit(self._m_preemptions.inc)
+                self._m_preemptions.inc()
                 # compute share back to the pool; memory stays charged
                 # for the hash tables resident in the suspended generator
                 self._budget_of(session).release(_compute_share(session.demand))
@@ -2002,7 +1974,7 @@ class EngineServer:
             budget.allocate(QueryDemand(cpu_cores=delta))
         else:
             budget.release(QueryDemand(cpu_cores=-delta))
-        self._pump.emit(self._m_resizes.inc)
+        self._m_resizes.inc()
         new_config = config.derive(cpu_workers=target)
         affinity = self.placer.cpu_affinity(new_config)
         session.current_config = new_config
@@ -2061,7 +2033,7 @@ class EngineServer:
             retry = self._plan_retry(session) if retryable else None
             if retry is not None:
                 session.retried_classes.append(label)
-                self._pump.emit(self._m_retries.inc, failure_class=label)
+                self._m_retries.inc(failure_class=label)
                 self._requeue(session, retry)
                 return
             failure = error
@@ -2225,12 +2197,8 @@ class EngineServer:
         completed = sum(1 for s in finished if s.status == "done")
         throughput = completed / makespan if makespan > 0 else 0.0
         cache = self.executor.pipeline_cache
-        # close the metrics surface for this drive: call whatever is
-        # still queued and take a final gauge sample, so the snapshot in
-        # the report is complete regardless of where the pump's sampling
-        # windows fell
         self._m_drives.inc()
-        self._pump.drain()
+        self._sample_gauges()
         return BatchReport(
             sessions=finished,
             makespan=makespan,

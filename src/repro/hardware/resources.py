@@ -64,22 +64,16 @@ class FifoResource:
         """Total simulated time during which the resource was held.
 
         Includes the currently open busy interval (``_busy_since`` to
-        now), mirroring :meth:`BandwidthResource.busy_time`'s
-        ``_advance()`` discipline — ``total_busy_time`` alone is only
-        folded when the last holder releases, so a mid-run sample of it
-        (e.g. a scheduler's utilization probe at a phase boundary)
-        silently under-counts by the whole in-flight interval.
+        now): ``total_busy_time`` alone is only folded when the last
+        holder releases, so a mid-run sample of it (e.g. a scheduler's
+        utilization probe at a phase boundary) would under-count by the
+        whole in-flight interval.  A pure read, like
+        :attr:`BandwidthResource.busy_time`.
         """
         total = self.total_busy_time
         if self._busy_since is not None:
             total += self.sim.now - self._busy_since
         return total
-
-    def utilization(self, horizon: float) -> float:
-        """Fraction of ``horizon`` during which the resource was busy."""
-        if horizon <= 0:
-            return 0.0
-        return min(1.0, self.busy_time / horizon)
 
     def acquire(self) -> Event:
         event = Event(self.sim, name=("acquire:{}", self.name))
@@ -162,7 +156,7 @@ class BandwidthResource:
         self._last_update = 0.0
         #: bumped by every state change; a tick carrying an older one is stale
         self._current_epoch = -1
-        self.total_work_served = 0.0
+        self._work_served = 0.0
         self._busy_time = 0.0
         #: once set, in-flight and future jobs fail with this
         self._poisoned: Optional[BaseException] = None
@@ -175,9 +169,25 @@ class BandwidthResource:
 
     @property
     def busy_time(self) -> float:
-        """Total simulated time during which at least one job was active."""
-        self._advance()
+        """Total simulated time during which at least one job was active.
+
+        A pure read: the open interval since the last state change is
+        added here, never folded into the accounting, so sampling the
+        resource cannot move the float results of the jobs it serves.
+        """
+        if self._jobs:
+            return self._busy_time + (self.sim.now - self._last_update)
         return self._busy_time
+
+    @property
+    def total_work_served(self) -> float:
+        """Work units served so far, the open interval included (a pure
+        read, like :attr:`busy_time`)."""
+        elapsed = self.sim.now - self._last_update
+        total = self._work_served
+        for job in self._jobs:
+            total += job.rate * elapsed
+        return total
 
     def submit(self, work: float, rate_cap: Optional[float] = None,
                label: Name = "", weight: float = 1.0) -> Event:
@@ -220,12 +230,6 @@ class BandwidthResource:
             if not job.done.triggered:
                 job.done.fail(exc)
 
-    def utilization(self, horizon: float) -> float:
-        """Fraction of ``horizon`` during which the resource was busy."""
-        if horizon <= 0:
-            return 0.0
-        return min(1.0, self.busy_time / horizon)
-
     # -- internals -------------------------------------------------------
 
     def _advance(self) -> None:
@@ -237,7 +241,7 @@ class BandwidthResource:
             for job in self._jobs:
                 served = job.rate * elapsed
                 job.remaining -= served
-                self.total_work_served += served
+                self._work_served += served
         self._last_update = now
 
     def _allocate(self) -> None:

@@ -43,7 +43,13 @@ from repro import (
 )
 from repro.engine.reference import ReferenceExecutor
 from repro.engine.scheduler import SchedulerError
-from repro.ssb import SSB_QUERY_IDS, generate_ssb, load_ssb, ssb_query
+from repro.ssb import (
+    SSB_QUERY_IDS,
+    generate_ssb,
+    load_ssb,
+    ssb_logical_scales,
+    ssb_query,
+)
 
 #: every query a scenario can name -> its one plan object: the 13 SSB
 #: ids plus two join-free plans over ``lineorder``.  A plan with no
@@ -188,7 +194,10 @@ def build(scenario: Scenario, shared_cache: Optional[SharedCacheDirectory] = Non
         fleet = EngineFleet(
             **scenario.fleet, server_kwargs=dict(scenario.server), **kwargs
         )
-        fleet.load_tables(tables, fact="lineorder")
+        scales = None
+        if spec.logical_sf is not None:
+            scales = ssb_logical_scales(tables, spec.logical_sf)
+        fleet.load_tables(tables, fact="lineorder", logical_scales=scales)
         return fleet
     if scenario.budget is not None:
         kwargs["budget"] = ResourceBudget(**scenario.budget)

@@ -414,33 +414,6 @@ class TestRP005MetricsSchema:
         )
         assert by_rule(scan(root), "RP005") == []
 
-    def test_labels_are_checked_where_a_queued_feed_is_emitted(self, tmp_path):
-        root = project(
-            tmp_path,
-            {
-                "src/repro/engine/surface.py": """                class Surface:
-                    def __init__(self, registry, pump):
-                        self.pump = pump
-                        self.jobs = registry.counter(
-                            "repro_jobs_total", "jobs", labels=("tenant",)
-                        )
-
-                    def _observe_job(self, tenant, latency):
-                        self.jobs.inc(tenant=tenant)
-
-                    def queued(self, tenant):
-                        self.pump.emit(self.jobs.inc, tenant=tenant)
-                        self.pump.emit(self._observe_job, tenant=tenant, latency=1.0)
-
-                    def queued_bad(self):
-                        self.pump.emit(self.jobs.inc, shard="s0")
-                """,
-            },
-        )
-        found = by_rule(scan(root), "RP005")
-        assert [f.line for f in found] == [16]
-        assert "passes ('shard',)" in found[0].message
-
 
 class TestRP006ConfigHygiene:
     def test_mutable_defaults_flagged(self, tmp_path):

@@ -1,4 +1,5 @@
-"""Metrics surface tests: registry semantics, pump, schema stability.
+"""Metrics surface tests: registry semantics, schema stability, and
+observation that changes nothing.
 
 Unit tests pin the Prometheus semantics (counter monotonicity including
 ``sync`` re-basing, cumulative histogram buckets, text exposition
@@ -6,8 +7,8 @@ format, registry idempotency).  The integration tests drive a real
 :class:`EngineServer` and assert the contracts an external scraper
 relies on: the snapshot's *exact* family set is stable across drives,
 every counter is monotone from one drive to the next, histogram bucket
-sums always equal their counts, and the hot path never feeds a family
-inline (the pump drains the queued feeds).  The fleet tier gets the same
+sums always equal their counts, and scraping a drive while it runs
+leaves it bit-identical to an unobserved one.  The fleet tier gets the same
 lifecycle invariant — every query terminal and counted once, every hop
 closed — on hedged, loss and stall + watchdog drives, plus the
 ``FleetReport.events`` completeness and ordering contract.
@@ -16,10 +17,12 @@ closed — on hedged, loss and stall + watchdog drives, plus the
 import pytest
 
 from repro import ExecutionConfig
+from repro.engine.config import ElasticPolicy, QoS
 from repro.engine.failover import BreakerPolicy, FailoverPolicy
 from repro.engine.faults import (
     DeviceLossFault,
     FaultPlan,
+    RetryPolicy,
     ServerLossFault,
     ServerStallFault,
 )
@@ -29,16 +32,16 @@ from repro.engine.metrics import (
     DEFAULT_LATENCY_BUCKETS,
     Gauge,
     Histogram,
-    MetricsPump,
     MetricsRegistry,
 )
 from repro.engine.scheduler import SchedulerError
 from repro.engine.tenancy import Tenant
-from repro.hardware.sim import Simulator
 from scenario import (
     PLANS,
     Arrival,
     Scenario,
+    Tables,
+    _drive,
     assert_sessions_counted_once_and_terminal,
     batch,
     build,
@@ -192,40 +195,6 @@ class TestRegistry:
         }
 
 
-class TestPump:
-    def test_emit_queues_and_drain_folds(self):
-        counter = Counter("c_total", "", ("status",))
-        ticks = []
-        pump = MetricsPump(Simulator())
-        pump.emit(counter.inc, status="ok")
-        pump.emit(lambda: ticks.append("tick"))
-        # the hot path never feeds inline
-        assert counter.value(status="ok") == 0.0 and ticks == []
-        assert pump.drain() == 2
-        assert counter.value(status="ok") == 1.0 and ticks == ["tick"]
-
-    def test_des_process_parks_idle_and_wakes_on_emit(self):
-        fed = []
-        sim = Simulator()
-        pump = MetricsPump(sim, sample_interval=0.25)
-        pump.ensure_running()
-
-        def producer():
-            yield sim.timeout(1.0)
-            pump.emit(lambda: fed.append("tick"))
-            yield sim.timeout(1.0)
-            pump.emit(lambda: fed.append("tock"))
-
-        sim.process(producer(), name="producer")
-        sim.run()  # terminates: the pump parks on an untriggered event
-        assert fed == ["tick", "tock"]
-        assert pump.drained == 2
-
-    def test_invalid_interval(self):
-        with pytest.raises(ValueError, match="sample_interval"):
-            MetricsPump(Simulator(), sample_interval=0.0)
-
-
 ACME = {"tenants": (Tenant("acme"),)}
 
 
@@ -273,18 +242,6 @@ class TestServerMetricsSurface:
                 assert sum(child["buckets"].values()) == child["count"]
                 checked += 1
         assert checked >= 2  # latency + queue-wait, per tenant label
-
-    def test_hot_path_stays_queued_until_pump_drains(self):
-        # a bare drive: the pump's state between submit and run is the subject
-        server = build(Scenario())
-        session = server.submit(PLANS["Q1.1"], CPU4)
-        # submission-side sheds aside, nothing has been folded yet
-        assert server._pump.drained == 0
-        report = server.run()
-        assert session.status == "done"
-        assert server._pump.drained >= 1
-        latency = report.metrics["repro_query_latency_seconds"]["values"]
-        assert latency['{tenant="default"}']["count"] == 1
 
     def test_text_exposition_of_live_server(self):
         arrivals = (Arrival("Q1.1", CPU4, tenant="acme"),)
@@ -416,3 +373,114 @@ class TestFleetEventLog:
             ("breaker_open", "srv1", 1e-3),
             ("server_stall", "srv0", 4e-3),
         ]
+
+
+# The two drives below run at logical SF 1 with compilation free, so
+# bandwidth jobs are in flight at most of the watcher's ticks; at block
+# 4096 over the physical tables the buses are busy for microseconds of
+# a drive and a read almost never meets an open interval.
+HYBRID = ExecutionConfig.hybrid(4, [0, 1], block_tuples=4096)
+CPU6 = ExecutionConfig.cpu_only(6, block_tuples=4096)
+INTERACTIVE = QoS(priority=5, label="interactive")
+
+#: an elastic two-tenant server whose drive pauses, resizes and retries:
+#: GPU 0 dies under the hybrid query while interactive arrivals preempt
+ELASTIC_TENANTS = Scenario(
+    (
+        *(
+            Arrival(query, CPU4, name=f"lo{i}", tenant="lo")
+            for i, query in enumerate(("Q4.1", "Q3.1", "Q4.2", "Q2.1"))
+        ),
+        Arrival("Q2.1", HYBRID, name="gpu", tenant="hi"),
+        *(
+            Arrival(
+                "Q1.1",
+                CPU6,
+                name=f"hi{i}",
+                tenant="hi",
+                qos=INTERACTIVE,
+                at=0.002 * (i + 1),
+            )
+            for i in range(3)
+        ),
+    ),
+    {
+        "tenants": (Tenant("lo", weight=2.0), Tenant("hi")),
+        "max_concurrent": 3,
+        "compile_seconds": 0.0,
+        "elastic": True,
+        "elastic_policy": ElasticPolicy(target_utilization=1e-9, window_seconds=1e-4),
+        "fault_plan": FaultPlan(device_losses=(DeviceLossFault(0, 1e-3),)),
+        "retry_policy": RetryPolicy(max_attempts=3),
+    },
+    budget={
+        "cpu_cores": 10,
+        "gpu_units": 4,
+        "dram_bytes": 1e15,
+        "hbm_bytes": 1e12,
+        "pcie_bytes": 1e15,
+    },
+    tables=Tables(logical_sf=1.0),
+)
+
+#: the fleet loss smoke (``benchmarks/test_fleet.py``): srv0 of four
+#: backends (two shards, two replicas each) is lost mid-scatter-gather
+FLEET_LOSS = Scenario(
+    batch(
+        ("Q1.1", "Q2.1", "Q3.1", "Q1.2"),
+        ExecutionConfig.cpu_only(4, block_tuples=256),
+    ),
+    {"max_concurrent": 4, "compile_seconds": 0.0},
+    fleet={
+        "num_servers": 4,
+        "replication": 2,
+        "fault_plan": FaultPlan(seed=7, server_losses=(ServerLossFault("srv0", 1e-3),)),
+    },
+    tables=Tables(scale_factor=0.01, seed=42, logical_sf=1.0),
+)
+
+
+def _watched(scenario: Scenario):
+    """Drive ``scenario`` under a watcher that, every 1e-4 s until
+    nothing else is scheduled, scrapes every metrics surface and reads
+    every DRAM, HBM and PCIe resource."""
+    system = build(scenario)
+    sim = system.sim
+    servers = [fs.server for fs in system.servers] if scenario.fleet else [system]
+    surfaces = [system, *servers] if scenario.fleet else servers
+    buses = [
+        bus
+        for server in servers
+        for bus in (
+            *(node.bandwidth for node in server.server.memory_nodes.values()),
+            *(gpu.link.bandwidth for gpu in server.server.gpus),
+        )
+    ]
+
+    def watcher():
+        while sim._heap:  # anything scheduled but this watcher?
+            for surface in surfaces:
+                surface.metrics_text()
+            for bus in buses:
+                bus.busy_time, bus.total_work_served
+            yield sim.timeout(1e-4)
+
+    sim.process(watcher(), name="watcher")
+    return _drive(scenario, system, scenario.arrivals, ())
+
+
+@pytest.mark.parametrize(
+    "scenario", [ELASTIC_TENANTS, FLEET_LOSS], ids=["elastic-tenants", "fleet-loss"]
+)
+def test_observing_a_drive_never_changes_it(scenario):
+    """Metrics are read, not simulated: a drive scraped every 1e-4 s
+    ends bit-identical to the unobserved one — makespan, every latency
+    and row, the behavioural counters and the budgets' lifetime totals.
+    Only the event count differs, by the watcher's own timeouts."""
+    plain = run_scenario(scenario)
+    if scenario.fleet is None:
+        report = plain.report
+        assert min(report.preemptions, report.resizes, report.retries) >= 1
+    else:
+        assert plain.report.server_losses == 1
+    assert _watched(scenario).signature()[:-1] == plain.signature()[:-1]

@@ -21,7 +21,6 @@ from repro.core.mem_move import MemMove
 from repro.core.router import Router
 from repro.core.segmenter import Segmenter
 from repro.engine.executor import Executor
-from repro.engine.metrics import MetricsPump
 from repro.engine.reference import ReferenceExecutor
 from repro.jit.cache import PipelineCache, SharedCacheDirectory
 from repro.jit.codegen import PipelineCompiler
@@ -191,7 +190,6 @@ class TestConfigurationSurface:
             "fault_plan",
             "server_kwargs",
         ]
-        assert _parameters(MetricsPump) == ["sim", "sample_gauges", "sample_interval"]
         assert _fields(ExecutionConfig) == [
             "cpu_workers",
             "gpu_ids",

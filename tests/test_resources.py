@@ -111,8 +111,7 @@ class TestFifoResource:
 
         sim.process(worker())
         sim.run()
-        assert resource.utilization(4.0) == pytest.approx(0.75)
-        assert resource.utilization(0.0) == 0.0
+        assert resource.busy_time / 4.0 == pytest.approx(0.75)
 
 
 class TestBandwidthResource:
@@ -235,6 +234,41 @@ class TestBandwidthResource:
             return bus.busy_time
 
         assert sim.run_process(proc()) == pytest.approx(3.0)
+
+    def test_reads_are_pure(self):
+        """Reading ``busy_time`` and ``total_work_served`` every 1e-4 s
+        of a drive moves no completion time and no served total, to the
+        bit: a read adds the open interval, it never folds it in."""
+
+        def drive(watched):
+            sim = Simulator()
+            bus = BandwidthResource(sim, capacity=97.3)
+            finishes = []
+
+            def job(start, work, cap, weight):
+                yield sim.timeout(start)
+                yield bus.submit(work, rate_cap=cap, weight=weight)
+                finishes.append(sim.now)
+
+            def watcher():
+                while sim._heap:  # anything left but this watcher?
+                    bus.busy_time, bus.total_work_served
+                    yield sim.timeout(1e-4)
+
+            for args in (
+                (0.0, 13.7, None, 1.0),
+                (1.3e-3, 7.1, 9.3, 3.0),
+                (2.1e-3, 5.3, 31.0, 1.0),
+                (5e-3, 11.9, None, 2.0),
+                (1e-2, 3.3, 4.1, 1.0),
+            ):
+                sim.process(job(*args))
+            if watched:
+                sim.process(watcher())
+            sim.run()
+            return finishes, bus.total_work_served
+
+        assert drive(watched=True) == drive(watched=False)
 
 
 def test_names_are_formatted_when_read():

@@ -287,7 +287,7 @@ class TestWarmServerLatency:
         compile latency: two identical queries admitted together on a
         cold server must BOTH pay compilation — the second cannot finish
         before the first's compilation would even have completed."""
-        from repro.engine.scheduler import DEFAULT_COMPILE_SECONDS
+        from repro.hardware.costmodel import DEFAULT_COMPILE_SECONDS
 
         arrivals = tuple(Arrival("Q1.1", _cpu(3), name=name) for name in "ab")
         a, b = run_scenario(Scenario(arrivals, {"max_concurrent": 2})).items
@@ -320,7 +320,7 @@ class TestWarmServerLatency:
         """The per-device compile-cost model: the same query compiled
         for the GPUs pays ~5-10x the per-pipeline latency of its
         CPU-only shape — no longer one flat constant per miss."""
-        from repro.engine.scheduler import DEFAULT_COMPILE_SECONDS
+        from repro.hardware.costmodel import DEFAULT_COMPILE_SECONDS
 
         arrivals = (Arrival("Q1.1", _cpu(3), name="cpu"),)
         first = run_scenario(Scenario(arrivals, {"max_concurrent": 1}))
