@@ -432,6 +432,7 @@ def bind_strings(expr: Expression, resolver: Resolver) -> Expression:
     Rules (``d`` = dictionary of the string column, sorted codes):
 
     * ``c == 'v'``  -> ``c == d.encode(v)``; false literal if absent;
+    * ``c != 'v'``  -> ``~(c == d.encode(v))``; true literal if absent;
     * ``c <  'v'``  -> ``c <  bisect_left(v)``
     * ``c <= 'v'``  -> ``c <  bisect_right(v)``
     * ``c >  'v'``  -> ``c >= bisect_right(v)``
@@ -452,7 +453,11 @@ def bind_strings(expr: Expression, resolver: Resolver) -> Expression:
             expr.op, bind_strings(expr.left, resolver), bind_strings(expr.right, resolver)
         )
     if isinstance(expr, Not):
-        return Not(bind_strings(expr.operand, resolver))
+        operand = bind_strings(expr.operand, resolver)
+        # fold ~True / ~False: on a Python bool ``~`` is integer negation
+        if isinstance(operand, Literal) and isinstance(operand.value, (bool, np.bool_)):
+            return Literal(not operand.value)
+        return Not(operand)
     if isinstance(expr, Comparison):
         return _bind_comparison(expr, resolver)
     if isinstance(expr, Between):
@@ -480,7 +485,7 @@ def _bind_comparison(expr: Comparison, resolver: Resolver) -> Expression:
     if expr.op == "==":
         return Comparison("==", left, Literal(lo)) if present else _FALSE
     if expr.op == "!=":
-        return Not(Comparison("==", left, Literal(lo))) if present else Not(_FALSE)
+        return Not(Comparison("==", left, Literal(lo))) if present else Literal(True)
     if expr.op == "<":
         return Comparison("<", left, Literal(lo))
     if expr.op == "<=":

@@ -43,7 +43,7 @@ def estimate_build_selectivity(catalog: Catalog, build: LogicalNode) -> float:
     for op in ops:
         if isinstance(op, LogicalFilter):
             mask = bind_strings(op.predicate, catalog.dictionary_of).evaluate(env)
-            if isinstance(mask, (bool, np.bool_)):
+            if np.ndim(mask) == 0:  # a constant predicate: all rows or none
                 size = len(next(iter(env.values()))) if env else 0
                 mask = np.full(size, bool(mask))
             env = {name: values[mask] for name, values in env.items()}

@@ -331,7 +331,7 @@ class DBMSG(_BaselineEngine):
             ]:
                 bound = bind_strings(predicate, self.catalog.dictionary_of)
                 result = bound.evaluate(env)
-                if isinstance(result, (bool, np.bool_)):
+                if np.ndim(result) == 0:  # a constant predicate: all rows or none
                     result = np.full(n, bool(result))
                 mask &= result
                 counts = bound.op_counts()

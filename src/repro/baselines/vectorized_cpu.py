@@ -83,7 +83,7 @@ class DBMSC(_BaselineEngine):
             predicate = bind_strings(node.predicate, self.catalog.dictionary_of)
             mask = predicate.evaluate(env)
             n = len(next(iter(env.values()))) if env else 0
-            if isinstance(mask, (bool, np.bool_)):
+            if np.ndim(mask) == 0:  # a constant predicate: all rows or none
                 mask = np.full(n, bool(mask))
             counts = predicate.op_counts()
             stats.cpu_cycles += n * (

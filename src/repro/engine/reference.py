@@ -87,7 +87,7 @@ class ReferenceExecutor:
             env = self._eval(node.child)
             predicate = bind_strings(node.predicate, self._resolver)
             mask = predicate.evaluate(env)
-            if isinstance(mask, (bool, np.bool_)):
+            if np.ndim(mask) == 0:  # a constant predicate: all rows or none
                 n = len(next(iter(env.values()))) if env else 0
                 mask = np.full(n, bool(mask))
             return {name: values[mask] for name, values in env.items()}

@@ -20,7 +20,10 @@ Two fidelity points:
   stats to the cost model, which converts them into simulated time.
 
 Liveness analysis prunes dead columns at every selection point, mirroring
-how a real JIT engine keeps only live attributes in registers.
+how a real JIT engine keeps only live attributes in registers.  Survivors
+are compacted by position: a filter or probe turns its predicate into one
+index array of surviving rows (one ``nonzero()``), and each live column is
+gathered with one ``take`` — only when some row was dropped.
 
 The compiler is **pure**: a stage in, a fresh
 :class:`~repro.jit.pipeline.CompiledPipeline` out, no cache and no
@@ -249,15 +252,25 @@ class PipelineCompiler:
     def _src(expr: Expression) -> str:
         return expr.source(_var)
 
-    def _compress(self, out: _Emitter, mask_var: str, active: set[str],
-                  live_after: set[str]) -> None:
-        """Apply a selection mask to every column still live downstream."""
-        keep = sorted(active & live_after)
-        for name in keep:
-            out.emit(f"{_var(name)} = {_var(name)}[{mask_var}]")
-        dead = active - live_after
-        active -= dead
-        active &= live_after | set()
+    def _compress(self, out: _Emitter, selection: str, active: set[str],
+                  live_after: set[str], also: tuple[str, ...] = ()) -> None:
+        """Compact every column still live downstream to the selected rows.
+
+        ``selection`` is the source of an index array of surviving row
+        positions: one ``take`` per live column (and per array in
+        ``also``) gathers them, and only when some row was dropped — a
+        selection that keeps every row copies nothing.
+        """
+        out.emit(f"_sel = {selection}")
+        arrays = [_var(name) for name in sorted(active & live_after)] + list(also)
+        if arrays:
+            out.emit("if _sel.shape[0] != _n:")
+            out.indent += 1
+            for array in arrays:
+                out.emit(f"{array} = {array}.take(_sel)")
+            out.indent -= 1
+        out.emit("_n = _sel.shape[0]")
+        active &= live_after
 
     def _emit_unpack(self, out, op: OpUnpack, active: set[str], live_after) -> None:
         out.emit("# unpack: block -> tuple stream (stride #threadsInWorker)")
@@ -275,11 +288,19 @@ class PipelineCompiler:
     def _emit_filter(self, out, op: OpFilter, active: set[str], live_after) -> None:
         counts = op.predicate.op_counts()
         out.emit("# filter")
-        out.emit(f"_mask = {self._src(op.predicate)}")
+        if op.predicate.columns():
+            out.emit(f"_mask = {self._src(op.predicate)}")
+            selection = "_mask.nonzero()[0]"
+        elif op.predicate.evaluate({}):
+            selection = None  # constant true: every row survives
+        else:
+            selection = "np.zeros(0, dtype=np.intp)"  # constant false: none
         out.emit(f"stats.cpu_cycles += _n * {_expr_cycles(counts)!r}")
         out.emit(f"stats.gpu_ops += _n * {_expr_gpu_ops(counts)!r}")
-        self._compress(out, "_mask", active, live_after)
-        out.emit("_n = int(np.count_nonzero(_mask))")
+        if selection is None:
+            active &= live_after
+        else:
+            self._compress(out, selection, active, live_after)
 
     def _emit_project(self, out, op: OpProject, active: set[str], live_after) -> None:
         out.emit("# project (extend tuple with computed attributes)")
@@ -299,7 +320,6 @@ class PipelineCompiler:
     def _emit_probe(self, out, op: OpProbe, active: set[str], live_after) -> None:
         ht = f"_ht_{_ident(op.ht_id)}"
         idx = f"_idx_{_ident(op.ht_id)}"
-        hits = f"_hits_{_ident(op.ht_id)}"
         row_width = 16 + sum(self.width(p) for p in op.payload)
         out.emit(f"# hash-join probe against {op.ht_id}")
         out.emit(f"{ht} = state.hash_table({op.ht_id!r})")
@@ -316,13 +336,11 @@ class PipelineCompiler:
         out.emit(
             f"stats.gpu_ops += _n * {CYCLES.gpu_hash_compute + CYCLES.gpu_hash_probe!r}"
         )
-        out.emit(f"{hits} = {idx} >= 0")
-        out.emit(f"{idx} = {idx}[{hits}]")
-        self._compress(out, hits, active, live_after)
-        out.emit(f"_n = {idx}.shape[0]")
+        self._compress(out, f"({idx} >= 0).nonzero()[0]", active, live_after,
+                       also=(idx,))
         for name in op.payload:
             if name in live_after:
-                out.emit(f"{_var(name)} = {ht}.payload[{name!r}][{idx}]")
+                out.emit(f"{_var(name)} = {ht}.payload[{name!r}].take({idx})")
                 active.add(name)
 
     def _emit_build(self, out, op: OpBuildSink, active: set[str]) -> None:

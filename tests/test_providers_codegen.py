@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.algebra.expressions import col
+from repro.algebra.expressions import col, lit
 from repro.algebra.logical import AggSpec
 from repro.algebra.physical import (
     OpBuildSink,
@@ -230,6 +230,23 @@ class TestCodegen:
         # the dead column is bound once but never compressed
         assert pipeline.source.count("c_unused = cols['unused']") == 1
         assert "c_unused = c_unused[" not in pipeline.source
+        assert "c_unused = c_unused.take(" not in pipeline.source
+        # ... while the live one is
+        assert "c_a = c_a.take(_sel)" in pipeline.source
+
+    @pytest.mark.parametrize("value", [True, False])
+    def test_constant_predicate_is_folded(self, value):
+        pipeline = _compile([
+            OpUnpack(["a"]),
+            OpFilter(lit(value)),
+            OpReduceSink([AggSpec("sum", col("a"), "s"),
+                          AggSpec("count", col("__count__"), "n")]),
+        ])
+        # never a .nonzero() on a Python bool
+        assert ".nonzero()" not in pipeline.source
+        state, stats, _ = _run(pipeline, {"a": np.arange(10, dtype=np.int64)})
+        assert (state.acc_s, state.acc_n) == ((45.0, 10) if value else (0.0, 0))
+        assert stats.tuples_in == 10
 
     def test_source_stage_not_compilable(self):
         from repro.algebra.physical import SegmentSource
