@@ -2,8 +2,11 @@
 
 Interprets logical plans directly over whole tables with plain NumPy —
 no blocks, no pipelines, no codegen, no simulation.  Deliberately an
-independent implementation (sort-merge style joins instead of hash
-tables) so that agreement with the JIT engines is meaningful.
+independent implementation so that agreement with the JIT engines is
+meaningful: a join finds each probe key's build row by sorted search or
+direct address over the build keys, never a hash table, and a filter or
+join selects rows by position (one ``flatnonzero``, then a ``take`` per
+column).
 """
 
 from __future__ import annotations
@@ -27,6 +30,33 @@ from ..algebra.logical import (
 from ..storage.table import Table
 
 __all__ = ["ReferenceExecutor"]
+
+#: build keys spanning fewer slots than this per row, plus the floor, are
+#: looked up by direct address; wider spans by sorted search
+_DIRECT_SLOTS_PER_ROW = 4
+_DIRECT_SLOTS_FLOOR = 65_536
+
+
+def _build_row_of(build_keys: np.ndarray, probe_keys: np.ndarray):
+    """Each probe key's build row (-1 on a miss); None if a build key repeats."""
+    if build_keys.size == 0:
+        return np.full(probe_keys.size, -1, dtype=np.int64)
+    low, high = int(build_keys.min()), int(build_keys.max())
+    span = high - low + 1
+    if span < _DIRECT_SLOTS_PER_ROW * build_keys.size + _DIRECT_SLOTS_FLOOR:
+        # one slot per key in [low, high], and a last one every miss reads
+        slots = np.full(span + 1, -1, dtype=np.int64)
+        slots[build_keys - low] = np.arange(build_keys.size)
+        if np.count_nonzero(slots >= 0) < build_keys.size:
+            return None
+        inside = (probe_keys >= low) & (probe_keys <= high)
+        return slots.take(np.where(inside, probe_keys - low, span))
+    order = np.argsort(build_keys, kind="stable")
+    sorted_keys = build_keys.take(order)
+    if np.any(sorted_keys[1:] == sorted_keys[:-1]):
+        return None
+    pos = np.minimum(np.searchsorted(sorted_keys, probe_keys), sorted_keys.size - 1)
+    return np.where(sorted_keys.take(pos) == probe_keys, order.take(pos), -1)
 
 
 class ReferenceExecutor:
@@ -89,8 +119,10 @@ class ReferenceExecutor:
             mask = predicate.evaluate(env)
             if np.ndim(mask) == 0:  # a constant predicate: all rows or none
                 n = len(next(iter(env.values()))) if env else 0
-                mask = np.full(n, bool(mask))
-            return {name: values[mask] for name, values in env.items()}
+                rows = np.arange(n if mask else 0)
+            else:
+                rows = np.flatnonzero(mask)
+            return {name: values.take(rows) for name, values in env.items()}
         if isinstance(node, LogicalProject):
             env = self._eval(node.child)
             for alias, expr in node.exprs:
@@ -105,24 +137,17 @@ class ReferenceExecutor:
         probe_env = self._eval(node.probe)
         build_env = self._eval(node.build)
         build_keys = np.asarray(build_env[node.build_key], dtype=np.int64)
-        order = np.argsort(build_keys, kind="stable")
-        sorted_keys = build_keys[order]
-        if sorted_keys.size > 1 and np.any(sorted_keys[1:] == sorted_keys[:-1]):
+        probe_keys = np.asarray(probe_env[node.probe_key], dtype=np.int64)
+        match = _build_row_of(build_keys, probe_keys)
+        if match is None:
             raise ValueError(
                 f"duplicate build keys in reference join on {node.build_key!r}"
             )
-        probe_keys = np.asarray(probe_env[node.probe_key], dtype=np.int64)
-        if sorted_keys.size == 0:
-            hit = np.zeros(probe_keys.size, dtype=bool)
-            build_rows = np.array([], dtype=np.int64)
-        else:
-            pos = np.searchsorted(sorted_keys, probe_keys)
-            pos_clipped = np.minimum(pos, sorted_keys.size - 1)
-            hit = (pos < sorted_keys.size) & (sorted_keys[pos_clipped] == probe_keys)
-            build_rows = order[pos_clipped[hit]]
-        out = {name: values[hit] for name, values in probe_env.items()}
+        rows = np.flatnonzero(match >= 0)
+        build_rows = match.take(rows)
+        out = {name: values.take(rows) for name, values in probe_env.items()}
         for name in node.payload:
-            out[name] = np.asarray(build_env[name])[build_rows]
+            out[name] = np.asarray(build_env[name]).take(build_rows)
         return out
 
     # -- aggregation ------------------------------------------------------------

@@ -15,16 +15,20 @@ queries' selectivities depend on:
 The paper runs SF100 (~60 GB) and SF1000 (~600 GB); this reproduction
 generates small physical data and replays it through the cost model at
 the paper's logical scale (see ``repro.ssb.loader``).
+
+A string column drawn from a fixed vocabulary is encoded straight from
+its integer draw (:func:`_strings`), with no Python string per row; only
+the per-key names ``c_name`` / ``s_name`` are formatted row by row.
 """
 
 from __future__ import annotations
 
-import datetime
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from ..storage.column import Column
+from ..storage.column import Column, StringDictionary
 from ..storage.table import Table
 from ..storage.types import DataType
 from .schema import NATIONS, REGIONS, rows_at_scale
@@ -71,8 +75,34 @@ def physical_rows(table: str, scale_factor: float) -> int:
     raise KeyError(f"unknown SSB table {table!r}")
 
 
-def _city(nation: str, digit: int) -> str:
-    return f"{nation[:9]:<9}{digit}"
+#: city ``10 * nation + digit``: the nation's first nine characters, padded
+_CITIES = [f"{nation[:9]:<9}{digit}" for nation in NATIONS for digit in range(10)]
+_REGION_OF_NATION = [REGIONS[i // 5] for i in range(len(NATIONS))]
+_PART_NAMES = [f"{color} part" for color in _COLORS]
+#: manufacturer ``m - 1``, category ``5 * (m - 1) + c - 1`` and brand
+#: ``40 * (5 * (m - 1) + c - 1) + b - 1`` for draws m, c in 1..5, b in 1..40
+_MFGRS = [f"MFGR#{m}" for m in range(1, 6)]
+_CATEGORIES = [f"MFGR#{m}{c}" for m in range(1, 6) for c in range(1, 6)]
+_BRANDS = [
+    f"MFGR#{m}{c}{b}" for m in range(1, 6) for c in range(1, 6) for b in range(1, 41)
+]
+
+
+def _strings(name: str, vocabulary: Sequence[str], index: np.ndarray) -> Column:
+    """The string column whose row ``i`` is ``vocabulary[index[i]]``.
+
+    Equal to ``Column.from_strings(name, [vocabulary[i] for i in index])``
+    without a string per row: the dictionary holds the entries that occur
+    (sorted as strings, which composite names do not follow: "MFGR#1110"
+    < "MFGR#119"), and each row's code is read from a table the size of
+    the vocabulary.
+    """
+    index = np.asarray(index, dtype=np.intp)
+    present = np.flatnonzero(np.bincount(index, minlength=len(vocabulary)))
+    dictionary = StringDictionary([vocabulary[i] for i in present])
+    code_of = np.zeros(len(vocabulary), dtype=np.int32)
+    code_of[present] = [dictionary.encode(vocabulary[i]) for i in present]
+    return Column(name, DataType.STRING, code_of[index], dictionary)
 
 
 @dataclass
@@ -100,104 +130,83 @@ class SSBGenerator:
     # -- dimensions ------------------------------------------------------------
 
     def _date(self) -> Table:
-        start = datetime.date(1992, 1, 1)
-        days = [start + datetime.timedelta(days=i)
-                for i in range(physical_rows("date", self.scale_factor))]
-        datekey = np.array([d.year * 10000 + d.month * 100 + d.day for d in days],
-                           dtype=np.int32)
-        year = np.array([d.year for d in days], dtype=np.int32)
-        month_num = np.array([d.month for d in days], dtype=np.int32)
-        yearmonthnum = year * 100 + month_num
-        yearmonth = [f"{_MONTHS[d.month - 1][:3]}{d.year}" for d in days]
-        weekday = [_WEEKDAYS[d.weekday()] for d in days]
-        daynuminweek = np.array([d.isoweekday() for d in days], dtype=np.int32)
-        daynuminmonth = np.array([d.day for d in days], dtype=np.int32)
-        daynuminyear = np.array([d.timetuple().tm_yday for d in days], dtype=np.int32)
-        weeknuminyear = np.array([(d.timetuple().tm_yday - 1) // 7 + 1 for d in days],
-                                 dtype=np.int32)
-        season = [
-            "Christmas" if d.month == 12 else _SEASONS[(d.month % 12) // 3]
-            for d in days
-        ]
-        holiday = np.array([1 if (d.month, d.day) in {(1, 1), (7, 4), (12, 25)} else 0
-                            for d in days], dtype=np.int32)
-        weekdayfl = np.array([1 if d.isoweekday() <= 5 else 0 for d in days],
-                             dtype=np.int32)
+        n = physical_rows("date", self.scale_factor)
+        days = np.datetime64("1992-01-01", "D") + np.arange(n)
+        years = days.astype("datetime64[Y]")
+        months = days.astype("datetime64[M]")
+        year = (years.astype(np.int64) + 1970).astype(np.int32)
+        month = (months - years).astype(np.int32)  # 0 = January
+        day = (days - months).astype(np.int32) + 1
+        daynuminyear = (days - years).astype(np.int32) + 1
+        # 0 = Monday; day 0 of datetime64, 1970-01-01, was a Thursday
+        weekday = ((days.astype(np.int64) + 3) % 7).astype(np.int32)
+        first, last = int(year[0]), int(year[-1])
+        yearmonths = [f"{m[:3]}{y}" for y in range(first, last + 1) for m in _MONTHS]
+        season = np.where(month == 11, 4, (month + 1) % 12 // 3)  # into _SEASONS
+        holiday = (
+            ((month == 0) & (day == 1))
+            | ((month == 6) & (day == 4))
+            | ((month == 11) & (day == 25))
+        )
+        datekey = year * 10000 + (month + 1) * 100 + day
         return Table("date", [
             Column("d_datekey", DataType.DATE32, datekey),
-            Column.from_strings("d_dayofweek", weekday),
-            Column.from_strings("d_month", [_MONTHS[d.month - 1] for d in days]),
+            _strings("d_dayofweek", _WEEKDAYS, weekday),
+            _strings("d_month", _MONTHS, month),
             Column("d_year", DataType.INT32, year),
-            Column("d_yearmonthnum", DataType.INT32, yearmonthnum),
-            Column.from_strings("d_yearmonth", yearmonth),
-            Column("d_daynuminweek", DataType.INT32, daynuminweek),
-            Column("d_daynuminmonth", DataType.INT32, daynuminmonth),
+            Column("d_yearmonthnum", DataType.INT32, year * 100 + month + 1),
+            _strings("d_yearmonth", yearmonths, (year - first) * 12 + month),
+            Column("d_daynuminweek", DataType.INT32, weekday + 1),
+            Column("d_daynuminmonth", DataType.INT32, day),
             Column("d_daynuminyear", DataType.INT32, daynuminyear),
-            Column("d_monthnuminyear", DataType.INT32, month_num),
-            Column("d_weeknuminyear", DataType.INT32, weeknuminyear),
-            Column.from_strings("d_sellingseason", season),
+            Column("d_monthnuminyear", DataType.INT32, month + 1),
+            Column("d_weeknuminyear", DataType.INT32, (daynuminyear - 1) // 7 + 1),
+            _strings("d_sellingseason", _SEASONS, season),
             Column("d_holidayfl", DataType.INT32, holiday),
-            Column("d_weekdayfl", DataType.INT32, weekdayfl),
+            Column("d_weekdayfl", DataType.INT32, weekday < 5),
         ])
 
     def _customer(self, rng: np.random.Generator) -> Table:
         n = physical_rows("customer", self.scale_factor)
         nation_idx = rng.integers(0, len(NATIONS), n)
         digits = rng.integers(0, 10, n)
-        nations = [NATIONS[i] for i in nation_idx]
         return Table("customer", [
             Column("c_custkey", DataType.INT32, np.arange(1, n + 1, dtype=np.int32)),
             Column.from_strings("c_name", [f"Customer#{i:09d}" for i in range(1, n + 1)]),
-            Column.from_strings(
-                "c_city", [_city(nat, d) for nat, d in zip(nations, digits)]
-            ),
-            Column.from_strings("c_nation", nations),
-            Column.from_strings("c_region", [REGIONS[i // 5] for i in nation_idx]),
-            Column.from_strings(
-                "c_mktsegment", [_SEGMENTS[i] for i in rng.integers(0, 5, n)]
-            ),
+            _strings("c_city", _CITIES, nation_idx * 10 + digits),
+            _strings("c_nation", NATIONS, nation_idx),
+            _strings("c_region", _REGION_OF_NATION, nation_idx),
+            _strings("c_mktsegment", _SEGMENTS, rng.integers(0, 5, n)),
         ])
 
     def _supplier(self, rng: np.random.Generator) -> Table:
         n = physical_rows("supplier", self.scale_factor)
         nation_idx = rng.integers(0, len(NATIONS), n)
         digits = rng.integers(0, 10, n)
-        nations = [NATIONS[i] for i in nation_idx]
         return Table("supplier", [
             Column("s_suppkey", DataType.INT32, np.arange(1, n + 1, dtype=np.int32)),
             Column.from_strings("s_name", [f"Supplier#{i:09d}" for i in range(1, n + 1)]),
-            Column.from_strings(
-                "s_city", [_city(nat, d) for nat, d in zip(nations, digits)]
-            ),
-            Column.from_strings("s_nation", nations),
-            Column.from_strings("s_region", [REGIONS[i // 5] for i in nation_idx]),
+            _strings("s_city", _CITIES, nation_idx * 10 + digits),
+            _strings("s_nation", NATIONS, nation_idx),
+            _strings("s_region", _REGION_OF_NATION, nation_idx),
         ])
 
     def _part(self, rng: np.random.Generator) -> Table:
         n = physical_rows("part", self.scale_factor)
-        mfgr_idx = rng.integers(1, 6, n)
-        cat_idx = rng.integers(1, 6, n)
-        brand_idx = rng.integers(1, 41, n)
-        mfgr = [f"MFGR#{m}" for m in mfgr_idx]
-        category = [f"MFGR#{m}{c}" for m, c in zip(mfgr_idx, cat_idx)]
-        brand = [f"MFGR#{m}{c}{b}" for m, c, b in zip(mfgr_idx, cat_idx, brand_idx)]
+        mfgr = rng.integers(1, 6, n) - 1
+        category = mfgr * 5 + rng.integers(1, 6, n) - 1
+        brand = category * 40 + rng.integers(1, 41, n) - 1
+        name = rng.integers(0, 1 << 30, n) % len(_COLORS)
         return Table("part", [
             Column("p_partkey", DataType.INT32, np.arange(1, n + 1, dtype=np.int32)),
-            Column.from_strings("p_name", [
-                f"{_COLORS[i % len(_COLORS)]} part" for i in rng.integers(0, 1 << 30, n)
-            ]),
-            Column.from_strings("p_mfgr", mfgr),
-            Column.from_strings("p_category", category),
-            Column.from_strings("p_brand1", brand),
-            Column.from_strings(
-                "p_color", [_COLORS[i] for i in rng.integers(0, len(_COLORS), n)]
-            ),
+            _strings("p_name", _PART_NAMES, name),
+            _strings("p_mfgr", _MFGRS, mfgr),
+            _strings("p_category", _CATEGORIES, category),
+            _strings("p_brand1", _BRANDS, brand),
+            _strings("p_color", _COLORS, rng.integers(0, len(_COLORS), n)),
             Column("p_size", DataType.INT32,
                    rng.integers(1, 51, n).astype(np.int32)),
-            Column.from_strings(
-                "p_container",
-                [_CONTAINERS[i] for i in rng.integers(0, len(_CONTAINERS), n)],
-            ),
+            _strings("p_container", _CONTAINERS, rng.integers(0, len(_CONTAINERS), n)),
         ])
 
     # -- fact ---------------------------------------------------------------------
@@ -245,9 +254,7 @@ class SSBGenerator:
             Column("lo_supplycost", DataType.INT32, supplycost),
             Column("lo_tax", DataType.INT32, rng.integers(0, 9, n).astype(np.int32)),
             Column("lo_commitdate", DataType.DATE32, commitdate),
-            Column.from_strings(
-                "lo_shipmode", [_SHIPMODES[i] for i in rng.integers(0, 7, n)]
-            ),
+            _strings("lo_shipmode", _SHIPMODES, rng.integers(0, 7, n)),
         ])
 
 

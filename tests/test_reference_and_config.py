@@ -1,9 +1,11 @@
 """Tests for the reference executor and execution configurations."""
 
 import dataclasses
+import hashlib
 import inspect
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from repro import (
     CachePolicy,
@@ -20,13 +22,16 @@ from repro.algebra.placer import HeterogeneousPlacer
 from repro.core.mem_move import MemMove
 from repro.core.router import Router
 from repro.core.segmenter import Segmenter
+from repro.engine import reference
 from repro.engine.executor import Executor
 from repro.engine.reference import ReferenceExecutor
 from repro.jit.cache import PipelineCache, SharedCacheDirectory
 from repro.jit.codegen import PipelineCompiler
 from repro.memory.managers import BlockManagerSet
+from repro.ssb import SSB_QUERY_IDS
 from repro.storage import Catalog
 from repro.storage import Column, DataType, Table
+from scenario import reference_rows
 
 
 @pytest.fixture
@@ -87,6 +92,113 @@ class TestReferenceExecutor:
     def test_scalar_requires_reduce_root(self, tables):
         with pytest.raises(TypeError):
             ReferenceExecutor(tables).scalar(scan("fact", ["v"]))
+
+
+def _join_pairs(build_keys, probe_keys):
+    """(probe row, build row) of every match, as ReferenceExecutor joins."""
+    tables = {
+        "probe": Table("probe", [
+            Column.from_values("pk", DataType.INT64, probe_keys),
+            Column.from_values("prow", DataType.INT64, range(len(probe_keys))),
+        ]),
+        "build": Table("build", [
+            Column.from_values("bk", DataType.INT64, build_keys),
+            Column.from_values("brow", DataType.INT64, range(len(build_keys))),
+        ]),
+    }
+    plan = scan("probe", ["pk", "prow"]).join(
+        scan("build", ["bk", "brow"]), probe_key="pk", build_key="bk",
+        payload=["brow"])
+    return [(prow, brow) for _, prow, brow in ReferenceExecutor(tables).execute(plan)]
+
+
+def _dict_join(build_keys, probe_keys):
+    """The same join through a dict: the oracle's own oracle."""
+    row_of = {}
+    for row, key in enumerate(build_keys):
+        if key in row_of:
+            raise ValueError("duplicate build keys")
+        row_of[key] = row
+    return [(i, row_of[key]) for i, key in enumerate(probe_keys) if key in row_of]
+
+
+def _direct_address(build_keys) -> bool:
+    """Whether the oracle looks these build keys up by direct address."""
+    span = max(build_keys) - min(build_keys) + 1
+    return span < (reference._DIRECT_SLOTS_PER_ROW * len(build_keys)
+                   + reference._DIRECT_SLOTS_FLOOR)
+
+
+@st.composite
+def _join_inputs(draw, keys):
+    build = draw(st.lists(keys, max_size=40, unique=True))
+    if build and draw(st.integers(0, 4)) == 0:
+        build.insert(draw(st.integers(0, len(build))), draw(st.sampled_from(build)))
+    low, high = (min(build), max(build)) if build else (0, 0)
+    # hits, misses inside the span, and misses just and far outside it
+    outside = [low - 1, high + 1, low - 2**41, high + 2**41]
+    probe_key = st.one_of(keys, st.sampled_from(build or [0]), st.sampled_from(outside))
+    return build, draw(st.lists(probe_key, max_size=60))
+
+
+class TestReferenceJoinPaths:
+    """Both build-key lookups against a dict join: direct address over a
+    span of at most 60 001 keys, sorted search over keys up to ±2^40."""
+
+    @pytest.mark.parametrize("keys,direct", [
+        (st.integers(-30_000, 30_000), True),
+        (st.integers(-(2**40), 2**40), False),
+    ], ids=["direct-address", "sorted-search"])
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_join_matches_a_dict_join(self, keys, direct, data):
+        build, probe = data.draw(_join_inputs(keys))
+        if build:
+            assume(_direct_address(build) == direct)
+        try:
+            expected = _dict_join(build, probe)
+        except ValueError:
+            with pytest.raises(ValueError, match="duplicate build keys"):
+                _join_pairs(build, probe)
+            return
+        assert _join_pairs(build, probe) == expected
+
+    @pytest.mark.parametrize("build", [[5, 7, 5], [0, 2**40, -(2**40), 0]],
+                             ids=["direct-address", "sorted-search"])
+    def test_duplicate_build_key_rejected_on_either_path(self, build):
+        with pytest.raises(ValueError, match="duplicate build keys"):
+            _join_pairs(build, [5, 0])
+
+    def test_empty_build_or_probe_joins_nothing(self):
+        assert _join_pairs([], [1, 2, 3]) == []
+        assert _join_pairs([1, 2, 3], []) == []
+        assert _join_pairs([0, 2**40], []) == []
+        assert _join_pairs([], []) == []
+
+
+#: sha256 of repr(rows) per SSB query at SF 0.01, seed 42, recorded when
+#: every join was a sorted search and every selection a boolean mask
+_ORACLE_DIGESTS = {
+    "Q1.1": "db80d4bfb17f73cbe27f70cca5ad71c0549d1b59084793d82038db09a6ed5be6",
+    "Q1.2": "f8c6a4ff54cdb46703ae3812e4704ac0f902f0f1dc6250be2234c9d376562994",
+    "Q1.3": "4a30f3b57e7fd7ef94ea5f3eb921bd3185e77de257f1753225c907c95166e524",
+    "Q2.1": "7aed2feac482d86b0651b581c69809ef9646a5fac2f3a8dfaeb361ef4bea5890",
+    "Q2.2": "f3657ca249a213d3756fd9aaebedff100900789c7b893983a9bba9da84f470ec",
+    "Q2.3": "bead569752e4de3c99cb80e640b8c31fa9870e06d3285d55ba729ddc719c84c8",
+    "Q3.1": "1838840d1e7fd26aac6ceae6c168ceaf8f4f08b3787b393dfd8f854d07b7c0b6",
+    "Q3.2": "9f4cc7910d5aeb2b23b4f468fa6913bb903ffee4814f2f6b145ff9a050980955",
+    "Q3.3": "eaa4cbd3edde1493bc341fb787435f6bee7cf07b7fca0f10204a23d421db1bf3",
+    "Q3.4": "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+    "Q4.1": "781b0a3945d6d0888b5fc3517e94ad249da9fea79028687ec42b1a7e9e25bde3",
+    "Q4.2": "d0a8a6ba824412d629e544e6b8564c0230498f25e54c5556b14ac6c38cb51477",
+    "Q4.3": "c6c890f5a86d75fbd973b526495b4b7128b3d6b812d9c26a4e7a755e1d8eaf51",
+}
+
+
+@pytest.mark.parametrize("qid", SSB_QUERY_IDS)
+def test_ssb_oracle_rows_are_pinned(qid):
+    rows = reference_rows(qid, 0.01, 42)
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == _ORACLE_DIGESTS[qid]
 
 
 class TestExecutionConfig:

@@ -1,7 +1,10 @@
 """Tests for the SSB generator, schema conformance, and all 13 queries."""
 
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro import ExecutionConfig, Proteus
 from repro.ssb import (
@@ -16,13 +19,28 @@ from repro.ssb import (
     ssb_query,
     working_set_bytes,
 )
+from repro.ssb.generator import _strings
 from repro.ssb.queries import QUERY_GROUP
+from repro.storage import Column
 from scenario import reference_rows
 
 
 @pytest.fixture(scope="module")
 def tables():
     return generate_ssb(scale_factor=0.005, seed=13)
+
+
+def table_digest(table) -> str:
+    """sha256 over each column's name, dtype, value bytes and dictionary."""
+    digest = hashlib.sha256()
+    for name, column in table.columns.items():
+        kind = f"{name}:{column.dtype.value}:{column.values.dtype.str}:"
+        digest.update(kind.encode())
+        digest.update(column.values.tobytes())
+        if column.dictionary is not None:
+            digest.update("\x00".join(column.dictionary.values).encode())
+        digest.update(b"\x01")
+    return digest.hexdigest()
 
 
 class TestGenerator:
@@ -101,6 +119,73 @@ class TestGenerator:
         assert scales["date"] == pytest.approx(1.0)
         assert scales["lineorder"] == pytest.approx(
             600_000_000 / tables["lineorder"].num_rows)
+
+
+#: table_digest of every table, recorded when each string was still built
+#: per row and encoded through Column.from_strings: (scale factor, seed)
+_DATE_DIGEST = "06938787e252422068614dcdd20bd2e4b133af89243ed757e83337f943e29280"
+_TABLE_DIGESTS = {
+    (0.0005, 1): {
+        "date": _DATE_DIGEST,
+        "customer": "3bbe936e29a2f8fef9c3e93f2b21e64c5ca205543796a172fea2fdb39d6a0fdd",
+        "supplier": "50dcfcd2c8551784709e8691c304686636998afb2b2c50d58e433c2cde7dbf78",
+        "part": "ca222d09f7ca6fade262a9ad8087abf5f28d4831bbf946fe7a0a92db31b79275",
+        "lineorder": "1d032f11402af2ae18c9da6d29bef374b560370461d35d9f5d7708c66eb6d66f",
+    },
+    (0.005, 13): {
+        "date": _DATE_DIGEST,
+        "customer": "12eaa33f72e9faa3a9ab258d66889a10377032ea343395056f394d6d0c2d623c",
+        "supplier": "08bb7881aa89610deec05e0c0643e3e7531063c470799110129ff4030369729f",
+        "part": "7effd78070d20c6773943e1adf561b9c67b20380e673f5a5baa1f519a4b8d193",
+        "lineorder": "df56cc13e7f97e3ffcd2e8abf56c054b81967ffdedb89b0e10c7145bfd026e29",
+    },
+    (0.01, 42): {
+        "date": _DATE_DIGEST,
+        "customer": "446e05db09fbb1d5538849d9497113e09e1fffec2f1589079a38616a78605e16",
+        "supplier": "112436061c4333e4cbf6ae6af3b05a615e1af7a77b812196c20be60134dedeb2",
+        "part": "f0f02ea6a2ceb48050f2d0e82eb9ad213268535f90d79b2c934cca4e25fbaf3e",
+        "lineorder": "164639e7b012aa5b961181f5670d0440a2015431177b15343cfd967b328c30d8",
+    },
+    (0.2, 42): {
+        "date": _DATE_DIGEST,
+        "customer": "c244870328cc19d68694b36c2474f2446694bc5e3fd1cb1ec7b09d8c975c184d",
+        "supplier": "8f371ef8d195376416d41e4ddab7d9c469fe847ce3f4efd2bf16fa905d06bcd3",
+        "part": "a8a255d1106dd569810815da8309234b07c163642276ee1c4393d32a1f5cb522",
+        "lineorder": "d81e8e7093086af3f219923a2eb07418db621a94bc177fe66bfb8bbacacb493c",
+    },
+}
+
+
+class TestGeneratedTablesArePinned:
+    """Encoding strings from their draws changed no value, dtype or
+    dictionary: every simulated second downstream depends on these bytes."""
+
+    @pytest.mark.parametrize("scale_factor,seed", list(_TABLE_DIGESTS))
+    def test_tables_match_their_digests(self, scale_factor, seed):
+        generated = generate_ssb(scale_factor=scale_factor, seed=seed)
+        digests = {name: table_digest(table) for name, table in generated.items()}
+        assert digests == _TABLE_DIGESTS[scale_factor, seed]
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        # a three-letter alphabet repeats vocabulary strings, and
+        # "MFGR#119" / "MFGR#1110" sort unlike their integer tuples
+        vocabulary=st.lists(
+            st.sampled_from(["", "a", "b", "ab", "MFGR#119", "MFGR#1110"]),
+            min_size=1, max_size=12,
+        ),
+        draws=st.lists(st.integers(0, 63), max_size=60),
+    )
+    @example(vocabulary=["MFGR#119", "MFGR#1110", "MFGR#119"], draws=[])
+    @example(vocabulary=["b", "a", "c", "a"], draws=[3, 3, 0])
+    def test_strings_is_from_strings_of_the_looked_up_values(self, vocabulary, draws):
+        index = np.array(draws, dtype=np.int64) % len(vocabulary)
+        column = _strings("s", vocabulary, index)
+        expected = Column.from_strings("s", [vocabulary[i] for i in index])
+        assert column.dtype is expected.dtype
+        assert column.values.dtype == expected.values.dtype
+        assert column.values.tobytes() == expected.values.tobytes()
+        assert column.dictionary.values == expected.dictionary.values
 
 
 class TestQueryDefinitions:
