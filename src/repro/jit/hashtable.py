@@ -1,35 +1,55 @@
-"""Open-addressing hash table used by generated join pipelines.
+"""Join table used by generated join pipelines.
 
 Build and probe are the hot loops of every SSB query; generated pipelines
 call into this table once per block, the way the paper's generated LLVM
-IR calls its hash join runtime.  The implementation is vectorised open
-addressing with linear probing over NumPy arrays, so a batch costs a few
-whole-array passes plus a short loop over the keys that collided:
+IR calls its hash join runtime.  A table holds its keys in one of two
+host layouts, chosen from the keys it is given:
 
-* keys are int64; slot ``s`` is ``(keys[s], rows[s])``, and an empty
-  slot holds a sentinel key and row -1;
-* a key's home slot is its Fibonacci hash — the key's bits viewed as
+* **direct** — used while every built key fits a window of
+  ``2 * capacity`` consecutive keys.  The table is one int32 array of
+  row ids over that window, padded with a -1 at each end, so key ``k``
+  sits at ``k - base`` with ``base`` one below the window.
+  :meth:`HashTable.probe` is one subtract and one clipped gather: a key
+  below the window clips onto the low padding, one above onto the high
+  padding, and both read -1.  If ``k - base`` wraps for a key near the
+  int64 limits it still cannot land on a live slot: slot ``i`` holds
+  key ``base + i``, and two int64 values congruent modulo ``2**64`` are
+  equal, so a wrapped difference that reaches ``i`` came from that very
+  key.  Dense surrogate keys (SSB's ``custkey``, ``suppkey``,
+  ``partkey``) and short date ranges take this layout.  The window is
+  anchored around the first batch's ``[min, max]``, grows with the
+  table's capacity (one copy), and a later key outside it converts the
+  table to the hash layout once.
+* **hash** — vectorised open addressing with linear probing over two
+  int64 slot arrays, so a batch costs a few whole-array passes plus a
+  short loop over the keys that collided.  Slot ``s`` is
+  ``(keys[s], rows[s])``; an empty slot holds a sentinel key and row -1.
+  A key's home slot is its Fibonacci hash — the key's bits viewed as
   uint64, times ``2**64 / golden ratio``, keeping the top
-  ``log2(capacity)`` bits (:func:`hash_int64` is the product).  The view
-  copies nothing, and the top bits of the product spread arithmetic
-  progressions such as sequential or ``yyyymmdd`` keys evenly;
-* :meth:`HashTable.insert` claims home slots for the whole batch at once
-  and walks the keys that lost a claim one slot on per round (a
-  data-parallel formulation of the usual insert loop — the same shape a
-  GPU kernel uses);
-* :meth:`HashTable.probe` returns, per probe key, the *row index* of the
-  matching build tuple or -1: one gather of the home slots' keys and
-  rows answers every key that met its own key or a hole, and the same
-  walk finishes the few that met a foreign occupant.
+  ``log2(capacity)`` bits (:func:`hash_int64` is the product), which
+  spreads arithmetic progressions such as sequential or ``yyyymmdd``
+  keys evenly.  :meth:`HashTable.insert` claims home slots for the whole
+  batch at once and walks the keys that lost a claim one slot on per
+  round (a data-parallel formulation of the usual insert loop — the
+  same shape a GPU kernel uses); a probe gathers the home slots' keys
+  and rows, which answers every key that met its own key or a hole, and
+  the same walk finishes the few that met a foreign occupant.
 
-The slot layout is host-only: nothing simulated reads which slot a key
-took or how many rounds a batch walked.  ``capacity`` and :attr:`nbytes`
-are the modelled bucket count and footprint — the executor judges cache
-spill from :attr:`nbytes`, which prices simulated probes — so they follow
-the sizing rule of ``__init__`` / ``_grow`` alone.
+The direct window costs 8 bytes per capacity slot and the slot arrays
+16, so the layout rule never raises host memory.  Both layouts report
+the same row index for every key, and the layout is host-only: nothing
+simulated reads which layout a table took.  ``capacity`` is the
+modelled bucket count, and :attr:`~HashTable.nbytes` and
+:attr:`~HashTable.content_nbytes` are the modelled footprint of int64
+key and row slots, computed from ``capacity`` and the key count — the
+executor judges cache spill from ``nbytes``, which prices simulated
+probes — so they follow the sizing rule of ``__init__`` / ``_grow``
+alone, whatever the host arrays weigh.
 
 Join keys in the supported plans are unique on the build side (SSB
-dimension tables join on their primary keys); duplicate keys raise.
+dimension tables join on their primary keys); a duplicate key raises
+:class:`DuplicateKeyError` naming it.  The hash layout's sentinel
+``-(2**62)`` is not a valid key.
 """
 
 from __future__ import annotations
@@ -43,6 +63,9 @@ __all__ = ["HashTable", "DuplicateKeyError", "hash_int64"]
 _EMPTY = np.int64(-(2**62))  # sentinel; valid keys must differ
 #: Knuth/Fibonacci multiplicative constant for 64-bit hashing.
 _MIX = np.uint64(0x9E3779B97F4A7C15)
+#: modelled bytes of one slot: an int64 key and an int64 row index
+_SLOT_BYTES = 16
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 
 class DuplicateKeyError(ValueError):
@@ -62,15 +85,25 @@ def _next_pow2(n: int) -> int:
 
 
 class HashTable:
-    """Linear-probing table mapping unique int64 keys to build-row indices.
+    """Join table mapping unique int64 keys to build-row indices.
 
-    Payload columns are stored row-aligned in ``payload``; a probe hit at
-    slot ``s`` yields build row ``rows[s]``, indexing every payload array.
+    Payload columns are stored row-aligned in ``payload``; a probe hit
+    yields a build row index into every payload array.  ``keys`` and
+    ``rows`` are the hash layout's slot arrays, None while the table is
+    direct.
     """
 
     def __init__(self, expected: int, payload_names: Optional[list[str]] = None):
-        self._allocate(max(16, _next_pow2(int(expected * 2) + 1)))
+        self.capacity = max(16, _next_pow2(int(expected * 2) + 1))
         self.num_keys = 0
+        #: direct layout: row id of key ``_base + i`` at ``_direct[i]``,
+        #: None once hashed.  The first insert anchors it; it is allocated
+        #: here, as the slot arrays were, because allocating it among the
+        #: build's temporaries raised peak RSS.
+        self._direct: Optional[np.ndarray] = self._window(2 * self.capacity)
+        self._base = np.int64(0)
+        self.keys: Optional[np.ndarray] = None
+        self.rows: Optional[np.ndarray] = None
         self.payload_names = list(payload_names or [])
         self._payload: dict[str, np.ndarray] = {
             name: np.empty(0, dtype=np.int64) for name in self.payload_names
@@ -81,12 +114,11 @@ class HashTable:
         }
         self._unjoined = False
 
-    def _allocate(self, capacity: int) -> None:
-        self.capacity = capacity
-        self._mask = capacity - 1
-        self._shift = np.uint64(65 - capacity.bit_length())
-        self.keys = np.full(capacity, _EMPTY, dtype=np.int64)
-        self.rows = np.full(capacity, -1, dtype=np.int64)
+    def _allocate_slots(self) -> None:
+        self._mask = self.capacity - 1
+        self._shift = np.uint64(65 - self.capacity.bit_length())
+        self.keys = np.full(self.capacity, _EMPTY, dtype=np.int64)
+        self.rows = np.full(self.capacity, -1, dtype=np.int64)
 
     def _home(self, keys: np.ndarray) -> np.ndarray:
         slot = hash_int64(keys)
@@ -112,12 +144,53 @@ class HashTable:
             return
         if self.num_keys + keys.size > self.capacity // 2:
             self._grow(self.num_keys + keys.size)
-        base_row = self.num_keys
-        self._place(keys, np.arange(base_row, base_row + keys.size, dtype=np.int64))
+        stop = self.num_keys + keys.size
+        if self._direct is not None and not self._fits(keys):
+            self._to_hash()
+        if self._direct is not None:
+            # int32 row ids: 2**31 keys would need a 2**34-key window
+            self._scatter(keys, np.arange(self.num_keys, stop, dtype=np.int32))
+        else:
+            self._place(keys, np.arange(self.num_keys, stop, dtype=np.int64))
         self.num_keys += keys.size
         for name, column in columns.items():
             self._parts[name].append(column)
         self._unjoined = True
+
+    def _fits(self, keys: np.ndarray) -> bool:
+        """Do ``keys`` fit the direct window?  An empty table anchors its
+        window of ``2 * capacity`` keys around them."""
+        low, high = int(keys.min()), int(keys.max())
+        if self.num_keys:
+            base = int(self._base)
+            return base < low and high < base + self._direct.size - 1
+        window = 2 * self.capacity
+        base = _centre(low, high, window)
+        if base is None:
+            return False
+        if self._direct.size != window + 2:
+            self._direct = self._window(window)
+        self._base = np.int64(base)
+        return True
+
+    @staticmethod
+    def _window(keys: int) -> np.ndarray:
+        """An empty direct window of ``keys`` keys and its two paddings."""
+        return np.full(keys + 2, -1, dtype=np.int32)
+
+    def _scatter(self, keys: np.ndarray, row_ids: np.ndarray) -> None:
+        slot = keys - self._base
+        held = self._direct.take(slot)
+        if held.max() >= 0:
+            dup = keys[(held >= 0).argmax()]
+            raise DuplicateKeyError(f"duplicate build key {int(dup)}")
+        self._direct[slot] = row_ids
+        # a fancy store keeps the last writer of a repeated key, so an
+        # earlier copy does not find its row; clear the batch and name it
+        lost = self._direct.take(slot) != row_ids
+        if lost.any():
+            self._direct[slot] = -1
+            _raise_within_batch(keys[lost.argmax()])
 
     def _place(self, keys: np.ndarray, row_ids: np.ndarray) -> None:
         slot = self._home(keys)
@@ -142,19 +215,46 @@ class HashTable:
             # Equal keys walk the same slots in step, so they claim the
             # same free slot in the same round: the loser finds its own
             # key there.
-            if (self.keys[slot] == keys).any():
-                raise DuplicateKeyError("duplicate keys within insert batch")
+            repeat = self.keys[slot] == keys
+            if repeat.any():
+                _raise_within_batch(keys[repeat.argmax()])
             slot += 1
             slot &= self._mask
         raise RuntimeError("hash table insert failed to converge")
 
     def _grow(self, needed: int) -> None:
+        self.capacity = _next_pow2(max(needed * 4, self.capacity * 2))
+        if self._direct is not None:
+            if self.num_keys:
+                self._widen()
+            return
         old_keys = self.keys
         old_rows = self.rows
-        self._allocate(_next_pow2(max(needed * 4, self.capacity * 2)))
+        self._allocate_slots()
         live = old_keys != _EMPTY
         if np.any(live):
             self._place(old_keys[live], old_rows[live])
+
+    def _widen(self) -> None:
+        """Grow the direct window to ``2 * capacity`` keys around its
+        centre, copying the old window in once."""
+        old, old_base = self._direct, int(self._base)
+        window = 2 * self.capacity
+        base = _centre(old_base + 1, old_base + old.size - 2, window)
+        self._direct = self._window(window)
+        offset = old_base - base
+        self._direct[offset + 1 : offset + old.size - 1] = old[1:-1]
+        self._base = np.int64(base)
+
+    def _to_hash(self) -> None:
+        """Move every resident key into freshly allocated hash slots."""
+        live = np.flatnonzero(self._direct >= 0)
+        row_ids = self._direct[live].astype(np.int64)
+        keys = live + self._base
+        self._direct = None  # freed before the slots are allocated
+        self._allocate_slots()
+        if live.size:
+            self._place(keys, row_ids)
 
     @property
     def payload(self) -> dict[str, np.ndarray]:
@@ -171,6 +271,8 @@ class HashTable:
     def probe(self, keys: np.ndarray) -> np.ndarray:
         """Row index of the build match per key, or -1 on a miss."""
         keys = np.ascontiguousarray(keys, dtype=np.int64)
+        if self._direct is not None:
+            return self._direct.take(keys - self._base, mode="clip")
         slot = self._home(keys)
         occupant = self.keys.take(slot)
         # an empty slot's row is -1, so the gather already answers every
@@ -193,10 +295,9 @@ class HashTable:
 
     @property
     def nbytes(self) -> int:
-        """Physical footprint: slot arrays plus payload columns."""
-        size = self.keys.nbytes + self.rows.nbytes
-        size += sum(arr.nbytes for arr in self.payload.values())
-        return int(size)
+        """Modelled footprint: ``capacity`` slots plus payload columns."""
+        payload = sum(arr.nbytes for arr in self.payload.values())
+        return int(self.capacity * _SLOT_BYTES + payload)
 
     @property
     def content_nbytes(self) -> int:
@@ -207,12 +308,25 @@ class HashTable:
         accounting should reflect the data actually stored, at ~50 %% load
         factor for the slot arrays.
         """
-        per_key = 2 * (self.keys.itemsize + self.rows.itemsize)
         payload = sum(arr.nbytes for arr in self.payload.values())
-        return int(self.num_keys * per_key + payload)
+        return int(self.num_keys * 2 * _SLOT_BYTES + payload)
 
     def __len__(self) -> int:
         return self.num_keys
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<HashTable n={self.num_keys} cap={self.capacity}>"
+        layout = "direct" if self._direct is not None else "hash"
+        return f"<HashTable n={self.num_keys} cap={self.capacity} {layout}>"
+
+
+def _centre(low: int, high: int, window: int) -> Optional[int]:
+    """Base of a window of ``window`` keys centred on ``[low, high]`` and
+    moved the least to keep it and its base (one below it) int64 values;
+    None when the keys do not fit it."""
+    start = low - (window - (high - low + 1)) // 2
+    start = min(max(start, _INT64_MIN + 1), _INT64_MAX - window + 1)
+    return start - 1 if start <= low and high < start + window else None
+
+
+def _raise_within_batch(key) -> None:
+    raise DuplicateKeyError(f"duplicate build key {int(key)} within insert batch")

@@ -1,10 +1,23 @@
-"""Unit and property tests for the open-addressing hash table."""
+"""Unit and property tests for the join table and its two layouts."""
+
+from collections import defaultdict
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
+from repro import ExecutionConfig
 from repro.jit.hashtable import DuplicateKeyError, HashTable, hash_int64
+from repro.jit.pipeline import QueryState
+from repro.ssb import SSB_QUERY_IDS
+from scenario import Scenario, Tables, batch, run_scenario
+
+_I64_MIN, _I64_MAX = -(2**63), 2**63 - 1
+
+
+def _layout(table: HashTable) -> str:
+    """``keys`` / ``rows`` are the hash layout's slot arrays."""
+    return "direct" if table.keys is None else "hash"
 
 
 class TestBuildProbe:
@@ -30,6 +43,8 @@ class TestBuildProbe:
         for start in range(0, 1000, 100):
             keys = np.arange(start, start + 100, dtype=np.int64)
             ht.insert(keys, {"v": keys * 3})
+            # the direct window grows with the capacity
+            assert _layout(ht) == "direct"
         assert len(ht) == 1000
         idx = ht.probe(np.arange(1000, dtype=np.int64))
         assert np.all(idx >= 0)
@@ -103,16 +118,21 @@ class TestBuildProbe:
 
 
 def test_hash_mixes_sequential_keys():
+    # at capacity 2**10 a key's home slot is the top 10 bits of its hash;
+    # sequential keys must spread over those bits (Fibonacci hashing)
     keys = np.arange(512, dtype=np.int64)
-    table = HashTable(256)
-    table.insert(keys)
-    # at capacity 2**10 a key's home slot is the top 10 bits of its hash
-    assert table.capacity == 2**10
     homes = (hash_int64(keys) >> np.uint64(64 - 10)).astype(np.int64)
-    # sequential keys must spread over those bits (Fibonacci hashing):
-    # no two share a home, so each sits at its own
     assert len(np.unique(homes)) == keys.size
-    assert np.array_equal(table.keys[homes], keys)
+    # Sequential keys take the direct layout, so slot placement is checked
+    # on keys whose span exceeds the 2**11-key window: they hash, no two
+    # share a home, and each sits at its own.
+    sparse = keys * 10007
+    table = HashTable(256)
+    table.insert(sparse)
+    assert table.capacity == 2**10 and _layout(table) == "hash"
+    homes = (hash_int64(sparse) >> np.uint64(64 - 10)).astype(np.int64)
+    assert len(np.unique(homes)) == sparse.size
+    assert np.array_equal(table.keys[homes], sparse)
 
 
 @settings(max_examples=40, deadline=None)
@@ -257,3 +277,227 @@ def test_probe_and_insert_match_dict_oracle_at_half_load(build, data):
     repeated = np.insert(misses, data.draw(st.integers(0, misses.size)), misses[twin])
     with pytest.raises(DuplicateKeyError):
         fresh.insert(repeated)
+
+
+class TestLayouts:
+    def test_a_key_outside_the_window_converts_the_table_once(self):
+        ht = HashTable(100, ["v"])
+        ht.insert(np.arange(100, dtype=np.int64), {"v": np.arange(100)})
+        assert _layout(ht) == "direct"
+        ht.insert(np.array([7, 10**9], dtype=np.int64) + 100, {"v": [100, 101]})
+        assert _layout(ht) == "hash"
+        ht.insert(np.array([-1], dtype=np.int64), {"v": [102]})
+        assert _layout(ht) == "hash"
+        probes = np.array([*range(100), 107, 10**9 + 100, -1, 106, 2**40])
+        assert ht.probe(probes).tolist() == [*range(103), -1, -1]
+
+    def test_a_window_filled_edge_to_edge_keeps_its_paddings(self):
+        ht = HashTable(8)  # capacity 32: a window of 64 keys
+        ht.insert(np.array([0, 63, 17], dtype=np.int64))
+        assert ht.capacity == 32 and _layout(ht) == "direct"
+        probes = np.array([-1, 0, 17, 63, 64, _I64_MIN, _I64_MAX])
+        assert ht.probe(probes).tolist() == [-1, 0, 2, 1, -1, -1, -1]
+
+    def test_keys_at_the_int64_edges(self):
+        high = HashTable(4)
+        high.insert(np.array([_I64_MAX, _I64_MAX - 2], dtype=np.int64))
+        assert _layout(high) == "direct"
+        probes = np.array([_I64_MAX, _I64_MAX - 1, _I64_MAX - 2, _I64_MIN, -1, 0])
+        assert high.probe(probes).tolist() == [0, -1, 1, -1, -1, -1]
+        lowest = HashTable(4)
+        lowest.insert(np.array([_I64_MIN + 2, _I64_MIN + 1], dtype=np.int64))
+        assert _layout(lowest) == "direct"
+        near = _I64_MIN + np.arange(4)
+        assert lowest.probe(near).tolist() == [-1, 1, 0, -1]
+        assert lowest.probe(probes).tolist() == [-1] * 6
+        # no window holds the lowest key with a base one below it
+        low = HashTable(4)
+        low.insert(np.array([_I64_MIN + 1, _I64_MIN], dtype=np.int64))
+        assert _layout(low) == "hash"
+        assert low.probe(probes[::-1]).tolist() == [-1, -1, 1, -1, -1, -1]
+
+    @pytest.mark.parametrize(
+        "keys, layout", [([3, 1, 4, 1, 5], "direct"), ([3, 10**12, 4, 10**12], "hash")]
+    )
+    def test_a_repeat_inside_a_batch_is_named(self, keys, layout):
+        ht = HashTable(8)
+        repeat = f"^duplicate build key {keys[1]} within insert batch$"
+        with pytest.raises(DuplicateKeyError, match=repeat):
+            ht.insert(np.array(keys, dtype=np.int64))
+        assert _layout(ht) == layout
+        if layout == "direct":  # the direct layout clears the failed batch
+            assert ht.probe(np.array(keys, dtype=np.int64)).tolist() == [-1] * len(keys)
+
+
+def _next_pow2(n: int) -> int:
+    return 1 << max(0, n - 1).bit_length()
+
+
+@st.composite
+def layout_builds(draw):
+    """Unique keys in batches, shaped to take either layout or to leave the
+    direct window mid-build, and as many unique keys that are never built."""
+    shapes = ["dense", "negative", "sparse", "leaves", "low_edge", "high_edge"]
+    shape = draw(st.sampled_from(shapes))
+    n = draw(st.integers(0, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    offsets = rng.choice(3 * n + 1, 2 * n, replace=False)
+    if shape == "sparse":
+        pool = rng.permutation(np.unique(rng.integers(-(2**40), 2**40, 2 * n)))
+    elif shape == "negative":
+        pool = -1 - offsets
+    elif shape == "low_edge":
+        pool = _I64_MIN + offsets
+    elif shape == "high_edge":
+        pool = _I64_MAX - offsets
+    else:
+        pool = draw(st.integers(-(2**40), 2**40)) + offsets
+    pool = pool.astype(np.int64)
+    keys, misses = pool[: pool.size // 2], pool[pool.size // 2 :]
+    cuts = draw(st.lists(st.integers(0, keys.size), max_size=3))
+    if shape == "leaves" and keys.size > 1:
+        # the last quarter lies far beyond any window the rest anchored
+        far = keys.size * 3 // 4
+        keys[far:] += 2**41
+        cuts.append(far)
+    expected = draw(st.sampled_from([0, 1, n // 2, n]))
+    return np.split(keys, sorted(cuts)), misses, expected
+
+
+def _build(batches, expected: int, hashed: bool) -> HashTable:
+    ht = HashTable(expected, ["v"])
+    if hashed:
+        ht._to_hash()  # the same inserts, hash layout throughout
+    row = 0
+    for keys in batches:
+        ht.insert(keys, {"v": np.arange(row, row + keys.size) * 7})
+        row += keys.size
+    return ht
+
+
+@settings(max_examples=80, deadline=None)
+@given(build=layout_builds(), data=st.data())
+def test_both_layouts_match_a_dict_oracle(build, data):
+    """Whatever layout a build takes, it answers every probe as a dict
+    does and as the same inserts into a hash-layout table do, reports the
+    hash layout's sizing, and names both kinds of duplicate key."""
+    batches, misses, expected = build
+    table = HashTable(expected, ["v"])
+    hashed = HashTable(expected, ["v"])
+    hashed._to_hash()
+    oracle: dict[int, int] = {}
+    capacity = max(16, _next_pow2(2 * expected + 1))
+    for keys in batches:
+        values = np.arange(len(oracle), len(oracle) + keys.size, dtype=np.int64) * 7
+        for ht in (table, hashed):
+            ht.insert(keys, {"v": values})
+        if keys.size and len(oracle) + keys.size > capacity // 2:
+            capacity = _next_pow2(max(4 * (len(oracle) + keys.size), 2 * capacity))
+        oracle.update(zip(keys.tolist(), values.tolist()))
+        payload = 8 * len(oracle)
+        for ht in (table, hashed):
+            assert (ht.capacity, len(ht)) == (capacity, len(oracle))
+            assert ht.nbytes == 16 * capacity + payload
+            assert ht.content_nbytes == 32 * len(oracle) + payload
+        # the direct window never outweighs the slot arrays it replaces
+        assert table.keys is not None or table._direct.nbytes <= 16 * capacity
+    assert _layout(hashed) == "hash"
+    event(f"layout={_layout(table)}")
+
+    built = np.concatenate(batches)
+    edges = np.array([_I64_MIN, _I64_MIN + 1, -1, 0, 1, _I64_MAX - 1, _I64_MAX])
+    # keys one past the built range, and keys whose distance to any window
+    # base wraps around int64
+    near = [built - 1, built + 1, built ^ np.int64(_I64_MIN)]
+    if table.keys is None:  # both paddings and the keys just past them
+        window = table._direct.size - 2
+        near.append(table._base + np.array([-1, 0, 1, window, window + 1, window + 2]))
+    probes = np.concatenate([built, misses, edges, *near]).astype(np.int64)
+    idx = table.probe(probes)
+    assert np.array_equal(idx, hashed.probe(probes))
+    # a miss (-1) reads the -1 appended after the payload
+    got = np.append(table.payload["v"], -1)[idx].tolist()
+    assert got == [oracle.get(k, -1) for k in probes.tolist()]
+    assert table.probe(np.empty(0, dtype=np.int64)).size == 0
+
+    if not misses.size:
+        return
+    for hashed_throughout in (False, True):
+        if oracle:
+            resident = data.draw(st.sampled_from(sorted(oracle)))
+            repeat = np.array([*misses[:2], resident], dtype=np.int64)
+            ht = _build(batches, expected, hashed_throughout)
+            named = f"^duplicate build key {resident}$"
+            with pytest.raises(DuplicateKeyError, match=named):
+                ht.insert(repeat, {"v": np.zeros(repeat.size)})
+        twin = int(misses[data.draw(st.integers(0, misses.size - 1))])
+        repeat = np.insert(misses, data.draw(st.integers(0, misses.size)), twin)
+        ht = _build(batches, expected, hashed_throughout)
+        with pytest.raises(
+            DuplicateKeyError, match=f"^duplicate build key {twin} within insert batch$"
+        ):
+            ht.insert(repeat, {"v": np.zeros(repeat.size)})
+
+
+#: The layout every SSB build takes at SF 0.01, per query: one group per
+#: hash table (``ht0`` first), one letter per domain in sorted order
+#: (``cpu``, ``gpu:0``, ``gpu:1``), D = direct, H = hash.  A change to the
+#: layout rule shows up here as a diff.
+_SSB_LAYOUTS = {
+    "hybrid, block 65536": {
+        **dict.fromkeys(["Q1.1", "Q1.2", "Q1.3"], "DDD"),
+        # the date table's whole yyyymmdd span, or 1992-1997, is too wide
+        **dict.fromkeys(["Q2.1", "Q2.2", "Q2.3"], "HHH DDD DDD"),
+        **dict.fromkeys(["Q3.1", "Q3.2", "Q3.3"], "HHH DDD DDD"),
+        "Q3.4": "DDD DDD DDD",
+        "Q4.1": "HHH DDD DDD DDD",
+        **dict.fromkeys(["Q4.2", "Q4.3"], "DDD DDD DDD DDD"),
+    },
+    "GPU-only, block 256": {
+        **dict.fromkeys(["Q1.1", "Q1.2", "Q1.3"], "DD"),
+        **dict.fromkeys(["Q2.1", "Q2.2", "Q2.3"], "HH DD DD"),
+        **dict.fromkeys(["Q3.1", "Q3.2", "Q3.3"], "HH DD DD"),
+        "Q3.4": "DD DD DD",
+        # 1997-1998 fits the window, but the window is anchored on the
+        # first 256 dates, and a later one leaves it
+        **dict.fromkeys(["Q4.1", "Q4.2", "Q4.3"], "HH DD DD DD"),
+    },
+}
+_SSB_DRIVES = {
+    "hybrid, block 65536": (
+        ExecutionConfig.hybrid(24, [0, 1], block_tuples=65536),
+        131072,
+    ),
+    "GPU-only, block 256": (
+        ExecutionConfig.gpu_only((0, 1), block_tuples=256, prefetch_depth=2),
+        2048,
+    ),
+}
+
+
+@pytest.mark.parametrize("drive", sorted(_SSB_DRIVES))
+def test_ssb_build_layouts_are_pinned(drive, monkeypatch):
+    config, segment_rows = _SSB_DRIVES[drive]
+    built = []
+    create = QueryState.create_hash_table
+
+    def recording(state, ht_id, domain, *args):
+        table = create(state, ht_id, domain, *args)
+        built.append((state.query_id, ht_id, domain, table))
+        return table
+
+    monkeypatch.setattr(QueryState, "create_hash_table", recording)
+    run_scenario(
+        Scenario(
+            batch(SSB_QUERY_IDS, config),
+            {"max_concurrent": 1},
+            tables=Tables(scale_factor=0.01, segment_rows=segment_rows),
+        )
+    )
+    layouts: dict = defaultdict(lambda: defaultdict(str))
+    for query_id, ht_id, _domain, table in sorted(built, key=lambda b: b[1:3]):
+        # a session's query id counts submissions: q<i> runs SSB_QUERY_IDS[i]
+        query = SSB_QUERY_IDS[int(query_id[1:])]
+        layouts[query][ht_id] += _layout(table)[0].upper()
+    pinned = {query: " ".join(tables.values()) for query, tables in layouts.items()}
+    assert pinned == _SSB_LAYOUTS[drive]
