@@ -323,6 +323,7 @@ class HeterogeneousPlacer:
         interleaving the original placement used.
         """
         cores_by_socket = [list(s.cores) for s in self.server.sockets]
+        last_index = 4 * sum(len(c) for c in cores_by_socket)
         order: list[int] = []
         index = 0
         while len(order) < config.cpu_workers:
@@ -331,7 +332,7 @@ class HeterogeneousPlacer:
             if position < len(socket):
                 order.append(socket[position].core_id)
             index += 1
-            if index > 4 * sum(len(c) for c in cores_by_socket):
+            if index > last_index:
                 break
         if len(order) < config.cpu_workers:
             raise PlacementError(

@@ -3,10 +3,33 @@
 Interprets logical plans directly over whole tables with plain NumPy —
 no blocks, no pipelines, no codegen, no simulation.  Deliberately an
 independent implementation so that agreement with the JIT engines is
-meaningful: a join finds each probe key's build row by sorted search or
-direct address over the build keys, never a hash table, and a filter or
-join selects rows by position (one ``flatnonzero``, then a ``take`` per
-column).
+meaningful.  It imports nothing from ``jit``: generated pipelines group
+through a lexsort and join through a hash table, and the oracle does
+neither.
+
+- **Selection** is by position: a filter or join keeps rows with one
+  ``flatnonzero`` and a ``take`` per column.
+- **Joins** find each probe key's build row by direct address when the
+  build keys span fewer than ``_DIRECT_SLOTS_PER_ROW`` slots per build
+  row plus ``_DIRECT_SLOTS_FLOOR``, and by sorted search otherwise.  The
+  direct slot array covers ``[low - 1, high + 1]``: one live slot per key
+  of the build span and a miss slot (-1) at each end.  A probe is two
+  passes, ``take(keys - (low - 1), mode="clip")``.  The subtraction wraps
+  modulo 2**64, and a wrapped difference that lands on slot ``i`` came
+  from key ``low - 1 + i``, because subtracting a constant is a bijection
+  modulo 2**64.  Every key on a live slot is therefore a build key, and
+  every key outside the span lands on, or clips to, a miss slot.  The
+  shift ``low - 1`` is itself taken modulo 2**64, so a build key at the
+  int64 minimum shifts by the int64 maximum and the same argument holds.
+- **Grouping** ranks each key column densely with a 1-D ``np.unique`` and
+  folds the ranks left to right into one int64 code, first column most
+  significant, re-ranking after each fold.  Both factors of a fold are
+  below the row count, so a code never overflows for fewer than 3 * 10**9
+  rows.  Groups come out in lexicographic key order, as a row-wise
+  ``np.unique`` over the key matrix gives them, with the same group per
+  row, so ``np.add.at`` sums each group's rows in the same order.  Each
+  group's key values are decoded from the folded codes.  One 1-D sort per
+  key column and per fold replaces the row-wise sort of opaque records.
 """
 
 from __future__ import annotations
@@ -44,19 +67,42 @@ def _build_row_of(build_keys: np.ndarray, probe_keys: np.ndarray):
     low, high = int(build_keys.min()), int(build_keys.max())
     span = high - low + 1
     if span < _DIRECT_SLOTS_PER_ROW * build_keys.size + _DIRECT_SLOTS_FLOOR:
-        # one slot per key in [low, high], and a last one every miss reads
-        slots = np.full(span + 1, -1, dtype=np.int64)
-        slots[build_keys - low] = np.arange(build_keys.size)
+        shift = (low - 1 + 2**63) % 2**64 - 2**63  # low - 1, modulo 2**64
+        slots = np.full(span + 2, -1, dtype=np.int64)
+        slots[build_keys - shift] = np.arange(build_keys.size)
         if np.count_nonzero(slots >= 0) < build_keys.size:
             return None
-        inside = (probe_keys >= low) & (probe_keys <= high)
-        return slots.take(np.where(inside, probe_keys - low, span))
+        return slots.take(probe_keys - shift, mode="clip")
     order = np.argsort(build_keys, kind="stable")
     sorted_keys = build_keys.take(order)
     if np.any(sorted_keys[1:] == sorted_keys[:-1]):
         return None
     pos = np.minimum(np.searchsorted(sorted_keys, probe_keys), sorted_keys.size - 1)
     return np.where(sorted_keys.take(pos) == probe_keys, order.take(pos), -1)
+
+
+def _smallest_repeat(keys: np.ndarray) -> int:
+    """The smallest key that occurs more than once (keys must repeat)."""
+    ordered = np.sort(keys)
+    return int(ordered[np.argmax(ordered[1:] == ordered[:-1])])
+
+
+def _groups(key_columns: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Each row's group and each key column's value per group.
+
+    Groups are numbered in lexicographic order of their key rows.
+    """
+    code, keys = None, []
+    for column in key_columns:
+        values, rank = np.unique(column, return_inverse=True)
+        if code is None:
+            code = rank
+        else:
+            pairs, code = np.unique(code * values.size + rank, return_inverse=True)
+            keys = [k.take(pairs // values.size) for k in keys]
+            values = values.take(pairs % values.size)
+        keys.append(values)
+    return code, keys
 
 
 class ReferenceExecutor:
@@ -141,7 +187,8 @@ class ReferenceExecutor:
         match = _build_row_of(build_keys, probe_keys)
         if match is None:
             raise ValueError(
-                f"duplicate build keys in reference join on {node.build_key!r}"
+                f"duplicate build keys in reference join on {node.build_key!r}: "
+                f"key {_smallest_repeat(build_keys)} repeats"
             )
         rows = np.flatnonzero(match >= 0)
         build_rows = match.take(rows)
@@ -175,40 +222,33 @@ class ReferenceExecutor:
         n = len(next(iter(env.values()))) if env else 0
         if n == 0:
             return [], columns
-        key_matrix = np.stack(
-            [np.asarray(env[k], dtype=np.int64) for k in node.keys], axis=1
+        inverse, keys = _groups(
+            [np.asarray(env[k], dtype=np.int64) for k in node.keys]
         )
-        # np.unique, not jit's group_rows: the oracle shares no resolver with the engine
-        uniq, inverse = np.unique(key_matrix, axis=0, return_inverse=True)
+        groups = keys[0].size
         agg_columns = []
         for agg in node.aggs:
             if agg.kind == "count":
-                agg_columns.append(np.bincount(inverse, minlength=len(uniq)))
+                agg_columns.append(np.bincount(inverse, minlength=groups))
                 continue
             values = self._agg_values(agg, env)
             if agg.kind == "sum":
-                out = np.zeros(len(uniq))
+                out = np.zeros(groups)
                 np.add.at(out, inverse, values)
             elif agg.kind == "min":
-                out = np.full(len(uniq), math.inf)
+                out = np.full(groups, math.inf)
                 np.minimum.at(out, inverse, values)
             else:
-                out = np.full(len(uniq), -math.inf)
+                out = np.full(groups, -math.inf)
                 np.maximum.at(out, inverse, values)
             agg_columns.append(out)
-        dictionaries = [self._dictionary_of(k) for k in node.keys]
-        rows = []
-        for i in range(len(uniq)):
-            key = tuple(
-                dictionaries[j].decode(int(uniq[i, j])) if dictionaries[j]
-                else int(uniq[i, j])
-                for j in range(len(node.keys))
-            )
-            aggs = tuple(
-                int(c[i]) if node.aggs[j].kind == "count" else float(c[i])
-                for j, c in enumerate(agg_columns)
-            )
-            rows.append(key + aggs)
+        key_lists = []
+        for name, values in zip(node.keys, keys):
+            dictionary = self._dictionary_of(name)
+            values = values.tolist()
+            key_lists.append([dictionary.decode(v) for v in values] if dictionary
+                             else values)
+        rows = list(zip(*key_lists, *(c.tolist() for c in agg_columns)))
         return rows, columns
 
     def _decode_rows(self, env: dict[str, np.ndarray], columns: list[str]):

@@ -1,5 +1,8 @@
 """Unit tests for the heterogeneity-aware placer and plan validation."""
 
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -20,6 +23,7 @@ from repro.algebra.physical import (
 from repro.algebra.placer import HeterogeneousPlacer, PlacementError
 from repro.engine.config import ExecutionConfig
 from repro.hardware.sim import Simulator
+from repro.hardware.specs import PAPER_SERVER
 from repro.hardware.topology import DeviceType, Server
 from repro.storage import Catalog, Column, DataType, Table
 
@@ -130,6 +134,39 @@ class TestDeviceStages:
         _, _, placer = setup
         with pytest.raises(PlacementError, match="GPU"):
             placer.place(_join_plan(), ExecutionConfig.gpu_only([7]))
+
+
+#: sha256 of repr([cpu_affinity or PlacementError text for 1..48 workers])
+#: per (sockets, cores per socket), recorded before the loop bound was hoisted
+_AFFINITY_DIGESTS = {
+    (2, 12): "591bc56e3ca0201a072312f71dba244c0d04a77a2f7ee72529f40bcf10ec15e4",
+    (1, 4): "aaa6f946ee13cee451541ad717125900975fb60021dc3d51d4c1a1c3308e42b4",
+    (3, 5): "797565c5bb2c0c86bf392782a1b9bc24eacc61db4c8b9436caf8b3506863810b",
+    (4, 12): "0b2af65af5daeb4cb69e9adb82c1dea97ee3d3e21e4119cf0955d485c083b821",
+}
+
+
+@pytest.mark.parametrize("sockets,cores", list(_AFFINITY_DIGESTS))
+def test_cpu_affinity_is_pinned_for_1_to_48_workers(sockets, cores):
+    spec = dataclasses.replace(
+        PAPER_SERVER, num_sockets=sockets, cores_per_socket=cores,
+        num_gpus=0, gpus_per_socket=(0,) * sockets,
+    )
+    server = Server(Simulator(), spec)
+    placer = HeterogeneousPlacer(server, Catalog(server))
+    placements = []
+    for workers in range(1, 49):
+        try:
+            placements.append(placer.cpu_affinity(ExecutionConfig.cpu_only(workers)))
+        except PlacementError as error:
+            placements.append(str(error))
+    digest = hashlib.sha256(repr(placements).encode()).hexdigest()
+    assert digest == _AFFINITY_DIGESTS[(sockets, cores)]
+    total = sockets * cores
+    assert sorted(placements[total - 1]) == list(range(total))
+    if total < 48:
+        assert placements[total] == (f"requested {total + 1} CPU workers but "
+                                     f"the server has {total} cores")
 
 
 class TestBareMode:

@@ -4,8 +4,9 @@ import dataclasses
 import hashlib
 import inspect
 
+import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from repro import (
     CachePolicy,
@@ -122,6 +123,14 @@ def _dict_join(build_keys, probe_keys):
     return [(i, row_of[key]) for i, key in enumerate(probe_keys) if key in row_of]
 
 
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+
+
+def _int64(value: int) -> int:
+    """``value`` wrapped into int64, as NumPy arithmetic wraps it."""
+    return (value + 2**63) % 2**64 - 2**63
+
+
 def _direct_address(build_keys) -> bool:
     """Whether the oracle looks these build keys up by direct address."""
     span = max(build_keys) - min(build_keys) + 1
@@ -135,20 +144,25 @@ def _join_inputs(draw, keys):
     if build and draw(st.integers(0, 4)) == 0:
         build.insert(draw(st.integers(0, len(build))), draw(st.sampled_from(build)))
     low, high = (min(build), max(build)) if build else (0, 0)
-    # hits, misses inside the span, and misses just and far outside it
-    outside = [low - 1, high + 1, low - 2**41, high + 2**41]
+    # hits, misses inside the span, misses just and far outside it, and
+    # both int64 limits; a key past a limit wraps, as NumPy would wrap it
+    outside = [_int64(k) for k in (low - 1, high + 1, low - 2**41, high + 2**41,
+                                   _INT64_MIN, _INT64_MAX, low ^ -(2**63))]
     probe_key = st.one_of(keys, st.sampled_from(build or [0]), st.sampled_from(outside))
     return build, draw(st.lists(probe_key, max_size=60))
 
 
 class TestReferenceJoinPaths:
     """Both build-key lookups against a dict join: direct address over a
-    span of at most 60 001 keys, sorted search over keys up to ±2^40."""
+    span of at most 60 001 keys, also at either int64 limit, and sorted
+    search over keys up to ±2^40."""
 
     @pytest.mark.parametrize("keys,direct", [
         (st.integers(-30_000, 30_000), True),
         (st.integers(-(2**40), 2**40), False),
-    ], ids=["direct-address", "sorted-search"])
+        (st.integers(_INT64_MIN, _INT64_MIN + 30_000), True),
+        (st.integers(_INT64_MAX - 30_000, _INT64_MAX), True),
+    ], ids=["direct-address", "sorted-search", "direct-int64-min", "direct-int64-max"])
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
     def test_join_matches_a_dict_join(self, keys, direct, data):
@@ -163,17 +177,67 @@ class TestReferenceJoinPaths:
             return
         assert _join_pairs(build, probe) == expected
 
-    @pytest.mark.parametrize("build", [[5, 7, 5], [0, 2**40, -(2**40), 0]],
-                             ids=["direct-address", "sorted-search"])
-    def test_duplicate_build_key_rejected_on_either_path(self, build):
-        with pytest.raises(ValueError, match="duplicate build keys"):
+    @pytest.mark.parametrize("build,direct,key", [
+        ([7, 5, 7, 5], True, 5),
+        ([0, 2**40, -(2**40), 2**40, 0], False, 0),
+    ], ids=["direct-address", "sorted-search"])
+    def test_duplicate_build_key_rejected_on_either_path(self, build, direct, key):
+        """Both paths name the smallest repeated key, not the first seen."""
+        assert _direct_address(build) == direct
+        with pytest.raises(ValueError, match=f"duplicate build keys in reference "
+                                             f"join on 'bk': key {key} repeats$"):
             _join_pairs(build, [5, 0])
+
+    @pytest.mark.parametrize("build", [
+        [_INT64_MIN, _INT64_MIN + 2, _INT64_MIN + 5],
+        [_INT64_MAX - 5, _INT64_MAX - 2, _INT64_MAX],
+    ], ids=["int64-min", "int64-max"])
+    def test_int64_limits_on_the_direct_path(self, build):
+        assert _direct_address(build)
+        probe = [_INT64_MIN, _INT64_MIN + 1, _INT64_MIN + 2, _INT64_MIN + 5,
+                 _INT64_MIN + 6, -1, 0, 1, _INT64_MAX - 6, _INT64_MAX - 5,
+                 _INT64_MAX - 2, _INT64_MAX - 1, _INT64_MAX]
+        probe += [_int64(k ^ -(2**63)) for k in probe]
+        pairs = _join_pairs(build, probe)
+        assert pairs == _dict_join(build, probe)
+        assert {row for _, row in pairs} == {0, 1, 2}
 
     def test_empty_build_or_probe_joins_nothing(self):
         assert _join_pairs([], [1, 2, 3]) == []
         assert _join_pairs([1, 2, 3], []) == []
         assert _join_pairs([0, 2**40], []) == []
         assert _join_pairs([], []) == []
+
+
+_EDGE_KEYS = [_INT64_MIN, _INT64_MIN + 1, -1, 0, 1, _INT64_MAX - 1, _INT64_MAX]
+
+
+@st.composite
+def _key_matrix(draw):
+    """1-4 int64 key columns: small values that repeat, the int64 limits,
+    and values anywhere in int64, whose spans overflow a mixed-radix code."""
+    width = draw(st.integers(1, 4))
+    value = st.one_of(st.integers(-3, 3), st.sampled_from(_EDGE_KEYS),
+                      st.integers(_INT64_MIN, _INT64_MAX))
+    rows = draw(st.lists(st.tuples(*[value] * width), min_size=1, max_size=50))
+    rows += draw(st.lists(st.sampled_from(rows), max_size=20))
+    return np.array(rows, dtype=np.int64).reshape(len(rows), width)
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrix=_key_matrix())
+@example(matrix=np.array([[_INT64_MIN, 0, _INT64_MAX, -1]], dtype=np.int64))
+@example(matrix=np.array([[_INT64_MIN, _INT64_MAX, _INT64_MIN, _INT64_MAX],
+                          [_INT64_MAX, _INT64_MIN, _INT64_MAX, _INT64_MIN],
+                          [_INT64_MIN, _INT64_MAX, _INT64_MIN, _INT64_MAX],
+                          [0, -1, 1, _INT64_MIN + 1]], dtype=np.int64))
+def test_grouping_matches_unique_key_rows(matrix):
+    """The oracle's folded 1-D code groups rows as the row-wise unique does:
+    the same groups in the same order, and the same group per row."""
+    expected_keys, expected_inverse = np.unique(matrix, axis=0, return_inverse=True)
+    inverse, keys = reference._groups(list(matrix.T))
+    assert np.array_equal(inverse, expected_inverse.ravel())
+    assert np.array_equal(np.stack(keys, axis=1), expected_keys)
 
 
 #: sha256 of repr(rows) per SSB query at SF 0.01, seed 42, recorded when
@@ -199,6 +263,32 @@ _ORACLE_DIGESTS = {
 def test_ssb_oracle_rows_are_pinned(qid):
     rows = reference_rows(qid, 0.01, 42)
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == _ORACLE_DIGESTS[qid]
+
+
+#: the same at SF 0.05, seed 7 (up to 280 groups a query), recorded when
+#: every group-by sorted its key rows with ``np.unique(..., axis=0)``
+_ORACLE_DIGESTS_SF005_SEED7 = {
+    "Q1.1": "887938f85d66eac9ab97863b62b78d88581b074cf235899733aac9d70740d7f8",
+    "Q1.2": "653ca6d21da5d7a7ed6d37cbcf68bd32701192369aa5a45c24535e9a2375c364",
+    "Q1.3": "d06bb8780a7af0def9b99f01b23a53661095a251ceb7951c6a74b5e6fc7edb72",
+    "Q2.1": "f38d08ea0b29199d5ad016a28227ee00a328851997426c4027643c63ff9621d3",
+    "Q2.2": "e9fa49d3ed41ffc4ede1e3f3774c00e7a3209be41572775e1f4da76a11a4106b",
+    "Q2.3": "22ac9f8edfd0dabd075c859cc05de62a960ad0cce715537bdc9f0da529738d43",
+    "Q3.1": "1e4efc88bf335fcaca96b35aa28ea265ac5ad1d894880ca51574d5a97b3a6d1d",
+    "Q3.2": "be385f828ec9e83539dff1ac24605bada03493b92efb7110e7d5a43b8d7fe95e",
+    "Q3.3": "546fc848abd6cfef1fbcb893b63154cf48285628598d5bb05c00b8600b1e92d9",
+    "Q3.4": "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+    "Q4.1": "0d9f046acbf78d4fe5ac15fbae0fd1a9cb874fb301d501fb06c817bb17d2d1b8",
+    "Q4.2": "57586da063d5525824c7cbebc9e94b82c02f35e01e42158f333f1f1d7ef75f34",
+    "Q4.3": "955cdf7979fd981a1ef8f8205e802f8191073e5fc2b5e56e1f351b4c78b3b5d1",
+}
+
+
+@pytest.mark.parametrize("qid", SSB_QUERY_IDS)
+def test_ssb_oracle_rows_are_pinned_at_sf005_seed7(qid):
+    rows = reference_rows(qid, 0.05, 7)
+    digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+    assert digest == _ORACLE_DIGESTS_SF005_SEED7[qid]
 
 
 class TestExecutionConfig:
