@@ -41,7 +41,7 @@ from typing import Any, Optional, Sequence
 
 from ..core.mem_move import DEFAULT_PREFETCH_DEPTH
 from ..hardware.topology import DeviceType
-from ..jit.cache import EVICTION_POLICIES
+from ..jit.cache import EVICTION_RULES
 from .tenancy import RateLimit, Tenant
 
 __all__ = [
@@ -164,25 +164,19 @@ class CachePolicy:
     :class:`~repro.jit.cache.SharedCacheDirectory` (L2) via
     ``Proteus(shared_cache=...)``; the directory carries its own
     capacity and eviction policy (cost-aware by default).
-
-    ``top_entries`` bounds the hottest-entries list in per-batch cache
-    snapshots (:meth:`~repro.jit.cache.CacheStats.snapshot`).
     """
 
     capacity: int = 128
     eviction: str = "lru"
-    top_entries: int = 5
 
     def __post_init__(self) -> None:
         if self.capacity < 1:
             raise ValueError("cache capacity must be positive")
-        if self.eviction not in EVICTION_POLICIES:
+        if self.eviction not in EVICTION_RULES:
             raise ValueError(
                 f"unknown eviction policy {self.eviction!r}; expected one "
-                f"of {sorted(EVICTION_POLICIES)}"
+                f"of {sorted(EVICTION_RULES)}"
             )
-        if self.top_entries < 0:
-            raise ValueError("top_entries must be >= 0")
 
     def derive(self, **overrides: Any) -> "CachePolicy":
         return replace(self, **overrides)

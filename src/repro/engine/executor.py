@@ -39,10 +39,10 @@ every stage and fetches (pins) the resident pipelines,
 :meth:`PlanCompilation.finish` compiles the rest with the pure
 :class:`~repro.jit.codegen.PipelineCompiler` and publishes them
 first-writer-wins, priced by
-:meth:`~repro.hardware.costmodel.CostModel.compile_demand` and
-attributed to the tenant.  :meth:`Executor.compile_plan` is the two
-phases back to back.  Likewise every block's stats become simulated
-resource demand in one place, :meth:`Executor._charge`.
+:meth:`~repro.hardware.costmodel.CostModel.compile_demand`.
+:meth:`Executor.compile_plan` is the two phases back to back.  Likewise
+every block's stats become simulated resource demand in one place,
+:meth:`Executor._charge`.
 """
 
 from __future__ import annotations
@@ -159,9 +159,6 @@ class PlanCompilation:
     cost_of: Callable[[Stage], float]
     pipelines: dict[int, "CompiledPipeline"]
     missing: list[tuple[Stage, Optional[tuple]]]
-    #: tenant the compilation is attributed to in the cache's
-    #: per-tenant accounting (None = untenanted)
-    tenant: Optional[str] = None
 
     @property
     def fresh_count(self) -> int:
@@ -186,9 +183,7 @@ class PlanCompilation:
                 # first-writer-wins: adopt the published entry so a
                 # racing compile of the same shape never leaves two
                 # distinct function objects in flight
-                pipeline = self.cache.put(
-                    key, pipeline, cost=self.cost_of(stage), tenant=self.tenant
-                )
+                pipeline = self.cache.put(key, pipeline, cost=self.cost_of(stage))
             self.pipelines[stage.stage_id] = pipeline
         self.missing = []
         return self.pipelines
@@ -244,9 +239,7 @@ class Executor:
         """Compile every non-source stage, consulting the shared cache."""
         return self.begin_compilation(plan).finish()
 
-    def begin_compilation(
-        self, plan: HetPlan, tenant: Optional[str] = None
-    ) -> "PlanCompilation":
+    def begin_compilation(self, plan: HetPlan) -> "PlanCompilation":
         """Two-phase compilation for schedulers charging compile latency.
 
         Cache-resident pipelines are fetched (and thereby pinned — a
@@ -268,7 +261,7 @@ class Executor:
             if self.pipeline_cache is not None:
                 key = stage_signature(stage, compiler.width)
                 if key is not None:
-                    cached = self.pipeline_cache.get(key, tenant=tenant)
+                    cached = self.pipeline_cache.get(key)
             if cached is not None:
                 resident[stage.stage_id] = cached
             else:
@@ -279,7 +272,6 @@ class Executor:
             self.cost.compile_demand,
             resident,
             missing,
-            tenant=tenant,
         )
 
     def execute(self, plan: HetPlan, config: ExecutionConfig,

@@ -87,7 +87,6 @@ class Proteus:
                 cache_policy.capacity,
                 policy=cache_policy.eviction,
                 shared=shared_cache,
-                top_entries=cache_policy.top_entries,
             )
             if cache_policy is not None
             else None

@@ -173,6 +173,8 @@ __all__ = [
 #: from as_dict and therefore never become budget dimensions)
 DIMENSIONS = tuple(QueryDemand().as_dict())
 _NOTHING = dict.fromkeys(DIMENSIONS, 0.0)
+#: pipeline-cache snapshot counters mirrored into repro_cache_events_total
+CACHE_EVENTS = ("hits", "misses", "evictions", "shared_hits")
 _PRIORITY = attrgetter("priority")
 
 
@@ -733,7 +735,6 @@ class BatchReport:
     #: per-tier pipeline-cache snapshot: the L1 counters flat, plus a
     #: nested ``"shared"`` dict when a SharedCacheDirectory is attached
     cache: dict = field(default_factory=dict)
-    budget_peak: dict[str, float] = field(default_factory=dict)
     #: fired-fault counters + event log from the server's FaultInjector
     #: (empty when no FaultPlan is armed)
     faults: dict = field(default_factory=dict)
@@ -1318,9 +1319,8 @@ class EngineServer:
         cache = self.executor.pipeline_cache
         if cache is not None:
             snap = cache.snapshot()
-            for event in ("hits", "misses", "insertions", "evictions", "shared_hits"):
-                if event in snap:
-                    self._m_cache.sync(snap[event], event=event)
+            for event in CACHE_EVENTS:
+                self._m_cache.sync(snap[event], event=event)
         if self.faults is not None:
             fired = self.faults.snapshot()
             for kind in ("device_losses", "stragglers", "spurious_aborts"):
@@ -2009,9 +2009,7 @@ class EngineServer:
             # their simulated compile latency has elapsed, so a
             # concurrently admitted identical query pays for its own
             # compilation instead of free-riding on an unfinished one.
-            compilation = self.executor.begin_compilation(
-                session.het, tenant=session.tenant
-            )
+            compilation = self.executor.begin_compilation(session.het)
             session.compiled_fresh += compilation.fresh_count
             if compilation.fresh_count and self.compile_seconds:
                 # per-device, per-complexity pricing: a GPU build-sink
@@ -2206,7 +2204,6 @@ class EngineServer:
             # `is not None`, not truthiness: an enabled-but-empty cache
             # (e.g. every session failed before put) still has counters
             cache=cache.snapshot() if cache is not None else {},
-            budget_peak=dict(self.budget.peak),
             faults=self.faults.snapshot() if self.faults is not None else {},
             tenants=self._tenant_rollup(finished),
             metrics=self.metrics.snapshot(),
@@ -2217,8 +2214,7 @@ class EngineServer:
 
         Session counts and latency percentiles cover *this* drive;
         ``budget_peak``/``budget_capacity`` (capped tenants only) are
-        the quota slice's lifetime figures, like the report's global
-        ``budget_peak``.
+        the quota slice's lifetime figures.
         """
         out: dict[str, dict] = {}
         groups: dict[str, list[QuerySession]] = {}

@@ -112,7 +112,6 @@ class TransferPlan:
 
     nbytes: float
     link_rate_cap: float
-    dram_rate_cap: float
     setup_seconds: float
 
 
@@ -290,7 +289,6 @@ class CostModel:
         return TransferPlan(
             nbytes=nbytes * scale,
             link_rate_cap=link_cap,
-            dram_rate_cap=self.spec.socket_dram_bandwidth,
             setup_seconds=self.spec.dma_setup_seconds,
         )
 
@@ -414,7 +412,7 @@ class CostModel:
         operator beyond the minimal unpack+sink pair, so a five-way
         probe chain costs visibly more than a trivial filter.  The same
         estimate prices cache entries for cost-aware eviction
-        (:class:`~repro.jit.cache.CostAwarePolicy`), so miss penalties
+        (the ``cost_aware`` rule of :mod:`repro.jit.cache`), so miss penalties
         match what eviction scores assume.
 
         ``base_seconds`` rescales the whole model (the scheduler's

@@ -99,7 +99,6 @@ class Core:
 
     core_id: int
     socket_id: int
-    device_type: DeviceType = DeviceType.CPU
 
     @property
     def name(self) -> str:
@@ -209,7 +208,6 @@ class Gpu:
     memory: MemoryNode
     compute: FifoResource
     link: PcieLink
-    device_type: DeviceType = DeviceType.GPU
     #: cleared by Server.fail_device; dead GPUs are excluded from
     #: retry placements and never revived within a simulation
     alive: bool = True

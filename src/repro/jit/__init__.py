@@ -2,14 +2,9 @@
 and hash-table kernels."""
 
 from .cache import (
-    EVICTION_POLICIES,
     CacheStats,
-    CostAwarePolicy,
-    EvictionPolicy,
-    LruPolicy,
     PipelineCache,
     SharedCacheDirectory,
-    make_eviction_policy,
     stage_signature,
 )
 from .codegen import CodegenError, PipelineCompiler
@@ -23,11 +18,6 @@ __all__ = [
     "PipelineCache",
     "SharedCacheDirectory",
     "CacheStats",
-    "EvictionPolicy",
-    "LruPolicy",
-    "CostAwarePolicy",
-    "EVICTION_POLICIES",
-    "make_eviction_policy",
     "stage_signature",
     "HashTable",
     "DuplicateKeyError",

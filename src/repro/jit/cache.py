@@ -19,8 +19,8 @@ through a :class:`SharedCacheDirectory`, by any number of *servers*.
 
 Two layers of policy live here:
 
-* **Eviction** is pluggable (:class:`EvictionPolicy`): plain recency
-  (``lru``) or the GDSF-style ``cost_aware`` policy whose score is
+* **Eviction** is one of two fixed rules, chosen by name: plain recency
+  (``lru``) or the GDSF-style ``cost_aware`` rule whose score is
   ``floor + cost * (hits + 1) / size`` (``cost`` = compile seconds) —
   an expensive-to-compile GPU pipeline outlives many cheap CPU filters
   even when it is touched less recently, because evicting it costs the
@@ -46,14 +46,16 @@ the same shape never yield distinct function objects mid-batch.
 
 :class:`CacheStats` exposes the hit/miss/eviction counters the scheduler
 reports per batch; :meth:`CacheStats.snapshot` includes lookups, the
-top-N hottest resident entries, and the current size/capacity.
+:data:`TOP_ENTRIES` hottest resident entries, and the current
+size/capacity.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Hashable, Optional, Protocol
+from operator import attrgetter
+from typing import Callable, Hashable, Optional
 
 from ..algebra.physical import (
     OpBuildSink,
@@ -74,13 +76,14 @@ __all__ = [
     "PipelineCache",
     "SharedCacheDirectory",
     "CacheStats",
-    "EvictionPolicy",
-    "LruPolicy",
-    "CostAwarePolicy",
-    "EVICTION_POLICIES",
-    "make_eviction_policy",
     "stage_signature",
 ]
+
+#: the eviction rules a cache tier can be built with (see _EntryTable)
+EVICTION_RULES = ("lru", "cost_aware")
+
+#: length of the hottest-resident-entries list in a snapshot
+TOP_ENTRIES = 5
 
 
 def _ident(name: str) -> str:
@@ -192,93 +195,11 @@ class _CacheEntry:
     hits: int = 0
     #: monotonic recency tick (maintained by the owning cache)
     last_used: int = 0
-    #: cost-aware score (maintained by CostAwarePolicy)
+    #: cost-aware score (maintained by the owning cache)
     score: float = 0.0
     #: the L1 cache that published this entry into a shared directory
     #: (None for L1-resident entries; identity drives cross-server stats)
     publisher: Optional[object] = None
-    #: the tenant whose query inserted this entry (None = untenanted);
-    #: evictions it suffers are reported against this tenant
-    tenant: Optional[str] = None
-
-
-class EvictionPolicy(Protocol):
-    """Ranks resident entries for eviction.
-
-    The cache calls :meth:`touch` whenever an entry is inserted or hit
-    (after updating ``hits``/``last_used``), picks the victim as the
-    entry with the *minimum* :meth:`priority`, and reports each eviction
-    through :meth:`on_evict`.  Policies are per-cache instances: they may
-    keep state (the cost-aware aging floor).
-    """
-
-    name: str
-
-    def touch(self, entry: _CacheEntry) -> None: ...
-
-    def priority(self, entry: _CacheEntry) -> tuple: ...
-
-    def on_evict(self, entry: _CacheEntry) -> None: ...
-
-
-class LruPolicy:
-    """Evict the least recently used entry (the original behaviour)."""
-
-    name = "lru"
-
-    def touch(self, entry: _CacheEntry) -> None:
-        pass  # recency is the cache-maintained last_used tick
-
-    def priority(self, entry: _CacheEntry) -> tuple:
-        return (entry.last_used,)
-
-    def on_evict(self, entry: _CacheEntry) -> None:
-        pass
-
-
-class CostAwarePolicy:
-    """GDSF-style eviction: keep what is expensive to recreate.
-
-    Score = ``floor + cost * (hits + 1) / size``: an entry is
-    worth keeping in proportion to the recompilation latency its next
-    miss would charge, times how often it is actually asked for, per
-    byte of cache it occupies.  ``floor`` rises to each victim's score
-    (GreedyDual aging), so a once-hot entry that stops being touched is
-    eventually overtaken by fresh traffic instead of squatting forever.
-    """
-
-    name = "cost_aware"
-
-    def __init__(self):
-        self._floor = 0.0
-
-    def touch(self, entry: _CacheEntry) -> None:
-        entry.score = self._floor + entry.cost * (entry.hits + 1.0) / entry.size
-
-    def priority(self, entry: _CacheEntry) -> tuple:
-        return (entry.score, entry.last_used)
-
-    def on_evict(self, entry: _CacheEntry) -> None:
-        self._floor = max(self._floor, entry.score)
-
-
-EVICTION_POLICIES: dict[str, type] = {
-    LruPolicy.name: LruPolicy,
-    CostAwarePolicy.name: CostAwarePolicy,
-}
-
-
-def make_eviction_policy(policy) -> EvictionPolicy:
-    """Resolve a policy name (or pass through an instance)."""
-    if isinstance(policy, str):
-        try:
-            return EVICTION_POLICIES[policy]()
-        except KeyError:
-            raise ValueError(
-                f"unknown eviction policy {policy!r}; expected one of "
-                f"{sorted(EVICTION_POLICIES)}"
-            ) from None
-    return policy
 
 
 @dataclass
@@ -301,32 +222,6 @@ class CacheStats:
     #: resident entries / configured bound (maintained by the cache)
     size: int = 0
     capacity: int = 0
-    #: per-tenant accounting: tenant name -> counter record (see
-    #: :meth:`tenant`); only tenanted traffic is recorded here
-    tenant_stats: dict = field(default_factory=dict)
-
-    #: the per-tenant counter schema (eviction *cause* is charged to the
-    #: tenant whose insertion forced the eviction; *suffered* to the
-    #: tenant whose entry was dropped)
-    TENANT_COUNTERS = (
-        "hits",
-        "misses",
-        "shared_hits",
-        "insertions",
-        "evictions_caused",
-        "evictions_suffered",
-    )
-
-    def tenant(self, name: str) -> dict:
-        """The (auto-created) counter record of one tenant."""
-        record = self.tenant_stats.get(name)
-        if record is None:
-            record = self.tenant_stats[name] = {key: 0 for key in self.TENANT_COUNTERS}
-        return record
-
-    def count_for(self, tenant: Optional[str], counter: str, by: int = 1) -> None:
-        if tenant is not None:
-            self.tenant(tenant)[counter] += by
 
     @property
     def lookups(self) -> int:
@@ -338,16 +233,17 @@ class CacheStats:
             return 0.0
         return (self.hits + self.shared_hits) / self.lookups
 
-    def snapshot(self, top_entries: int = 5) -> dict:
+    def snapshot(self) -> dict:
         """Full per-tier report: counters, rates, residency.
 
-        ``top_entries`` bounds the hottest-resident-entries list (the
-        per-batch cache report would otherwise grow with the cache).
+        The hottest-resident-entries list is capped at
+        :data:`TOP_ENTRIES` (the per-batch cache report would otherwise
+        grow with the cache).
         """
         top = sorted(
             self.entry_hits.items(),
             key=lambda kv: (-kv[1], _entry_label(kv[0])),
-        )[:max(0, top_entries)]
+        )[:TOP_ENTRIES]
         return {
             "hits": self.hits,
             "misses": self.misses,
@@ -362,29 +258,43 @@ class CacheStats:
             "top_entries": [
                 {"entry": _entry_label(key), "hits": hits} for key, hits in top
             ],
-            "tenants": {
-                name: dict(record)
-                for name, record in sorted(self.tenant_stats.items())
-            },
         }
 
 
 class _EntryTable:
-    """Shared mechanics of one cache tier: residency, policy, stats.
+    """Shared mechanics of one cache tier: residency, eviction, stats.
 
     Both the per-server L1 and the cross-server directory are an entry
     table; they differ only in how entries arrive (put+promote vs
     publish+demote), which the subclasses implement.
+
+    ``policy`` names the eviction rule (one of :data:`EVICTION_RULES`);
+    the victim is the resident entry with the smallest rank: ``lru``
+    ranks by ``last_used``, ``cost_aware`` by ``(score, last_used)``.
+    Every touch (insert or hit) refreshes ``score = floor + cost *
+    (hits + 1) / size``, and each eviction raises ``floor`` to the
+    victim's score (GreedyDual aging, see the module docstring).
     """
 
-    def __init__(self, capacity: int, policy="lru"):
+    def __init__(self, capacity: int, policy: str = "lru"):
         if capacity <= 0:
             raise ValueError("cache capacity must be positive")
+        if policy not in EVICTION_RULES:
+            raise ValueError(
+                f"unknown eviction policy {policy!r}; expected one of "
+                f"{sorted(EVICTION_RULES)}"
+            )
         self.capacity = capacity
-        self.policy: EvictionPolicy = make_eviction_policy(policy)
         self.stats = CacheStats(capacity=capacity)
         self._entries: dict[Hashable, _CacheEntry] = {}
         self._tick = 0
+        #: GreedyDual aging floor (lru ranks ignore scores)
+        self._floor = 0.0
+        self._rank = (
+            attrgetter("score", "last_used")
+            if policy == "cost_aware"
+            else attrgetter("last_used")
+        )
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -394,10 +304,7 @@ class _EntryTable:
 
     def keys(self) -> list:
         """Resident keys in eviction order (most evictable first)."""
-        return [
-            entry.key
-            for entry in sorted(self._entries.values(), key=self.policy.priority)
-        ]
+        return [entry.key for entry in sorted(self._entries.values(), key=self._rank)]
 
     def clear(self) -> None:
         self._entries.clear()
@@ -406,11 +313,14 @@ class _EntryTable:
 
     # -- tier mechanics ----------------------------------------------------
 
-    def _record_hit(self, entry: _CacheEntry) -> None:
+    def _touch(self, entry: _CacheEntry) -> None:
         self._tick += 1
         entry.last_used = self._tick
+        entry.score = self._floor + entry.cost * (entry.hits + 1.0) / entry.size
+
+    def _record_hit(self, entry: _CacheEntry) -> None:
         entry.hits += 1
-        self.policy.touch(entry)
+        self._touch(entry)
         self.stats.hits += 1
         self.stats.entry_hits[entry.key] = self.stats.entry_hits.get(entry.key, 0) + 1
 
@@ -421,19 +331,15 @@ class _EntryTable:
         cost: float,
         size: float,
         publisher: Optional[object] = None,
-        tenant: Optional[str] = None,
     ) -> _CacheEntry:
-        self._tick += 1
         entry = _CacheEntry(
             key=key,
             pipeline=pipeline,
             cost=cost,
             size=max(1.0, float(size)),
-            last_used=self._tick,
             publisher=publisher,
-            tenant=tenant,
         )
-        self.policy.touch(entry)
+        self._touch(entry)
         self._entries[key] = entry
         # seed the residency-hit counter BEFORE the eviction scan: the
         # incoming entry may itself be the victim (lowest cost-aware
@@ -442,17 +348,11 @@ class _EntryTable:
         # entry_hits forever
         self.stats.entry_hits.setdefault(key, 0)
         while len(self._entries) > self.capacity:
-            victim = min(self._entries.values(), key=self.policy.priority)
+            victim = min(self._entries.values(), key=self._rank)
             del self._entries[victim.key]
             self.stats.entry_hits.pop(victim.key, None)
             self.stats.evictions += 1
-            # the eviction is charged to the tenant whose insertion
-            # forced it, and reported against the tenant who lost the
-            # entry — a noisy tenant's shapes show up as its own
-            # evictions_caused, not as mystery churn
-            self.stats.count_for(tenant, "evictions_caused")
-            self.stats.count_for(victim.tenant, "evictions_suffered")
-            self.policy.on_evict(victim)
+            self._floor = max(self._floor, victim.score)
             self._evicted(victim)
         self.stats.size = len(self._entries)
         return entry
@@ -474,56 +374,40 @@ class _EntryTable:
 class PipelineCache(_EntryTable):
     """Per-server (L1) cache of :class:`CompiledPipeline` objects.
 
-    ``policy`` selects eviction (``"lru"``, ``"cost_aware"`` or an
-    :class:`EvictionPolicy` instance); ``shared`` attaches the cache to
-    a cross-server :class:`SharedCacheDirectory` (L2) that L1 misses
-    fall back to and fresh compilations publish into.
+    ``policy`` names the eviction rule (``"lru"`` or ``"cost_aware"``);
+    ``shared`` attaches the cache to a cross-server
+    :class:`SharedCacheDirectory` (L2) that L1 misses fall back to and
+    fresh compilations publish into.
     """
 
     def __init__(
         self,
         capacity: int = 128,
-        policy="lru",
+        policy: str = "lru",
         shared: Optional["SharedCacheDirectory"] = None,
-        top_entries: int = 5,
     ):
         super().__init__(capacity, policy)
         self.shared = shared
-        self.top_entries = top_entries
 
-    def get(
-        self, key: Hashable, tenant: Optional[str] = None
-    ) -> Optional[CompiledPipeline]:
+    def get(self, key: Hashable) -> Optional[CompiledPipeline]:
         """Look up a compiled pipeline; counts a hit, shared hit or miss.
 
         An L1 miss consults the attached directory; a directory hit is
         *promoted* — inserted into this cache (possibly demoting an L1
         victim back to the directory) — and counted as ``shared_hits``,
         never as a miss: the caller gets a pipeline without compiling.
-        ``tenant`` attributes the lookup in the per-tenant accounting.
         """
         entry = self._entries.get(key)
         if entry is not None:
             self._record_hit(entry)
-            self.stats.count_for(tenant, "hits")
             return entry.pipeline
         if self.shared is not None:
             fetched = self.shared.fetch(key, requester=self)
             if fetched is not None:
                 self.stats.shared_hits += 1
-                self.stats.count_for(tenant, "shared_hits")
-                # the promotion is the fetching tenant's insertion: any
-                # L1 eviction it forces is charged to that tenant
-                self._insert(
-                    key,
-                    fetched.pipeline,
-                    fetched.cost,
-                    fetched.size,
-                    tenant=tenant,
-                )
+                self._insert(key, fetched.pipeline, fetched.cost, fetched.size)
                 return fetched.pipeline
         self.stats.misses += 1
-        self.stats.count_for(tenant, "misses")
         return None
 
     def put(
@@ -532,7 +416,6 @@ class PipelineCache(_EntryTable):
         pipeline: CompiledPipeline,
         cost: Optional[float] = None,
         size: Optional[float] = None,
-        tenant: Optional[str] = None,
     ) -> CompiledPipeline:
         """Insert a freshly compiled pipeline; returns the entry to USE.
 
@@ -541,7 +424,7 @@ class PipelineCache(_EntryTable):
         returned — callers must adopt the return value so two racing
         compiles of the same shape never put distinct function objects
         in flight.  ``cost`` is the simulated recompile latency the
-        eviction policy protects (defaults to the flat per-pipeline
+        eviction rule protects (defaults to the flat per-pipeline
         constant); ``size`` the footprint proxy (defaults to the
         generated source length).  New entries are also published to the
         attached directory, which applies its own first-writer-wins —
@@ -554,20 +437,16 @@ class PipelineCache(_EntryTable):
         cost = DEFAULT_COMPILE_SECONDS if cost is None else float(cost)
         size = self._size_of(pipeline, size)
         if self.shared is not None:
-            pipeline = self.shared.publish(
-                key, pipeline, cost, size, publisher=self, tenant=tenant
-            )
-        self.stats.count_for(tenant, "insertions")
-        self._insert(key, pipeline, cost, size, tenant=tenant)
+            pipeline = self.shared.publish(key, pipeline, cost, size, publisher=self)
+        self._insert(key, pipeline, cost, size)
         return pipeline
 
-    def snapshot(self, top_entries: Optional[int] = None) -> dict:
+    def snapshot(self) -> dict:
         """Per-tier stats: this cache's counters plus the directory's
         (under ``"shared"``) when one is attached."""
-        top = self.top_entries if top_entries is None else top_entries
-        out = self.stats.snapshot(top)
+        out = self.stats.snapshot()
         if self.shared is not None:
-            out["shared"] = self.shared.stats.snapshot(top)
+            out["shared"] = self.shared.stats.snapshot()
         return out
 
     def _evicted(self, entry: _CacheEntry) -> None:
@@ -582,7 +461,6 @@ class PipelineCache(_EntryTable):
                 entry.size,
                 publisher=self,
                 demotion=True,
-                tenant=entry.tenant,
             )
 
 
@@ -603,7 +481,7 @@ class SharedCacheDirectory(_EntryTable):
     moved compilations between servers rather than around one.
     """
 
-    def __init__(self, capacity: int = 512, policy="cost_aware"):
+    def __init__(self, capacity: int = 512, policy: str = "cost_aware"):
         super().__init__(capacity, policy)
 
     def fetch(
@@ -627,7 +505,6 @@ class SharedCacheDirectory(_EntryTable):
         size: float,
         publisher: Optional[PipelineCache] = None,
         demotion: bool = False,
-        tenant: Optional[str] = None,
     ) -> CompiledPipeline:
         """First-writer-wins insert; returns the canonical pipeline.
 
@@ -641,8 +518,8 @@ class SharedCacheDirectory(_EntryTable):
             if not demotion:
                 self.stats.redundant_compiles += 1
             return resident.pipeline
-        self._insert(key, pipeline, cost, size, publisher=publisher, tenant=tenant)
+        self._insert(key, pipeline, cost, size, publisher=publisher)
         return pipeline
 
-    def snapshot(self, top_entries: int = 5) -> dict:
-        return self.stats.snapshot(top_entries)
+    def snapshot(self) -> dict:
+        return self.stats.snapshot()

@@ -172,15 +172,12 @@ class PipelineCompiler:
         code = provider.convert_to_machine_code(source, stage.name)
         fn = provider.load_machine_code(code, fn_name)
 
-        unpack = stage.ops[0]
-        assert isinstance(unpack, OpUnpack)
         sink = stage.sink
         return CompiledPipeline(
             name=stage.name,
             device=stage.device,
             source=source,
             fn=fn,
-            input_columns=list(unpack.columns),
             reduce_aggs=list(sink.aggs) if isinstance(sink, OpReduceSink) else [],
             group_aggs=list(sink.aggs) if isinstance(sink, OpGroupAggSink) else [],
             hash_pack_partitions=(

@@ -202,8 +202,6 @@ class CompiledPipeline:
     device: DeviceType
     source: str
     fn: Callable
-    #: column names the pipeline expects in its input blocks
-    input_columns: list[str]
     #: sink metadata mirrored from the stage, used for state creation
     reduce_aggs: list[AggSpec] = field(default_factory=list)
     group_aggs: list[AggSpec] = field(default_factory=list)

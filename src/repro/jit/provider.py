@@ -71,7 +71,6 @@ def _gpu_atomic_max(state, attr: str, value) -> None:
 class DeviceProvider:
     """Base provider; see Table 1 of the paper for the method inventory."""
 
-    device_type: DeviceType
     name: str
 
     # -- SIMT geometry ----------------------------------------------------------
@@ -123,7 +122,6 @@ class DeviceProvider:
 class CPUProvider(DeviceProvider):
     """x86 backend: scalar pipelines, one thread per worker."""
 
-    device_type = DeviceType.CPU
     name = "cpu"
 
     def threads_in_worker(self) -> str:
@@ -152,7 +150,6 @@ class CPUProvider(DeviceProvider):
 class GPUProvider(DeviceProvider):
     """NVPTX-style backend: data-parallel kernels with atomics."""
 
-    device_type = DeviceType.GPU
     name = "gpu"
 
     #: grid geometry the launches use; "the compiler knows better" than

@@ -48,19 +48,11 @@ class OutOfDeviceMemory(MemoryError):
     """A memory node cannot satisfy an allocation (GPU memory pressure)."""
 
 
-@dataclass
-class AllocationStats:
-    allocations: int = 0
-    frees: int = 0
-    peak_bytes: float = 0.0
-
-
 class MemoryManager:
     """Per-node allocator for operator state (hash tables, accumulators)."""
 
     def __init__(self, node: MemoryNode):
         self.node = node
-        self.stats = AllocationStats()
         self._live: dict[int, float] = {}
         self._next_id = 0
 
@@ -76,8 +68,6 @@ class MemoryManager:
         handle = self._next_id
         self._next_id += 1
         self._live[handle] = logical_bytes
-        self.stats.allocations += 1
-        self.stats.peak_bytes = max(self.stats.peak_bytes, self.node.used_bytes)
         return handle
 
     @property
@@ -93,7 +83,6 @@ class MemoryManager:
     def free(self, handle: int) -> None:
         nbytes = self._live.pop(handle)
         self.node.free(nbytes)
-        self.stats.frees += 1
 
     def free_all(self) -> None:
         for handle in list(self._live):
@@ -102,11 +91,10 @@ class MemoryManager:
 
 @dataclass
 class BlockManagerStats:
-    local_acquires: int = 0
-    remote_acquires: int = 0
+    #: remote acquires served from a pre-acquired cache (no round-trip)
     remote_cache_hits: int = 0
+    #: remote acquires that refilled a cache with one batched round-trip
     remote_batches: int = 0
-    releases: int = 0
 
 
 class BlockManager:
@@ -144,14 +132,12 @@ class BlockManager:
                 f"(requested {count}, free {self._free}/{self.arena_blocks})"
             )
         self._free -= count
-        self.stats.local_acquires += count
         return count
 
     def release(self, count: int = 1) -> None:
         if self._free + count > self.arena_blocks:
             raise ValueError("releasing more blocks than were acquired")
         self._free += count
-        self.stats.releases += count
 
 
 class BlockManagerSet:
@@ -175,9 +161,6 @@ class BlockManagerSet:
     def manager(self, node_id: str) -> BlockManager:
         return self.managers[node_id]
 
-    def acquire_local(self, node_id: str, count: int = 1) -> None:
-        self.manager(node_id).acquire(count)
-
     def acquire_remote(self, local_node: str, remote_node: str) -> float:
         """Acquire one block on ``remote_node`` from ``local_node``.
 
@@ -190,7 +173,6 @@ class BlockManagerSet:
         if cached > 0:
             self._remote_cache[key] = cached - 1
             manager.stats.remote_cache_hits += 1
-            manager.stats.remote_acquires += 1
             return 0.0
         batch = min(REMOTE_BATCH_SIZE, manager.free_blocks)
         if batch <= 0:
@@ -199,7 +181,6 @@ class BlockManagerSet:
             )
         manager.acquire(batch)
         manager.stats.remote_batches += 1
-        manager.stats.remote_acquires += 1
         self._remote_cache[key] = batch - 1
         return 2 * REMOTE_ACQUIRE_LATENCY
 

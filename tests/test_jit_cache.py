@@ -13,6 +13,9 @@ effects) and at the whole-query level (cached engine == cache-disabled
 engine == shared-directory engine == reference).
 """
 
+import hashlib
+import random
+
 import numpy as np
 import pytest
 
@@ -27,7 +30,7 @@ from repro import (
     scan,
 )
 from repro.engine.reference import ReferenceExecutor
-from repro.jit.cache import PipelineCache, make_eviction_policy, stage_signature
+from repro.jit.cache import TOP_ENTRIES, PipelineCache, stage_signature
 from repro.jit.codegen import PipelineCompiler
 from repro.jit.pipeline import QueryState
 from repro.ssb import SSB_QUERY_IDS, load_ssb, ssb_query
@@ -310,12 +313,15 @@ class TestSnapshotAccounting:
         assert snap["top_entries"][1] == {"entry": "warm", "hits": 1}
 
     def test_snapshot_top_n_is_bounded(self):
-        cache = PipelineCache(capacity=16, top_entries=2)
-        for i in range(8):
+        directory = SharedCacheDirectory(capacity=16)
+        cache = PipelineCache(capacity=16, shared=directory)
+        for i in range(TOP_ENTRIES + 3):
             cache.put(f"k{i}", _Fake(i))
             cache.get(f"k{i}")
-        assert len(cache.snapshot()["top_entries"]) == 2
-        assert len(cache.snapshot(top_entries=5)["top_entries"]) == 5
+        snap = cache.snapshot()
+        assert len(cache) == TOP_ENTRIES + 3
+        assert len(snap["top_entries"]) == TOP_ENTRIES
+        assert len(snap["shared"]["top_entries"]) == TOP_ENTRIES
 
     def test_eviction_drops_entry_hits(self):
         cache = PipelineCache(capacity=1)
@@ -329,7 +335,7 @@ class TestSnapshotAccounting:
         with pytest.raises(ValueError):
             PipelineCache(capacity=2, policy="fifo")
         with pytest.raises(ValueError):
-            make_eviction_policy("belady")
+            SharedCacheDirectory(policy="belady")
         with pytest.raises(ValueError):
             CachePolicy(eviction="fifo")
         with pytest.raises(ValueError):
@@ -534,6 +540,68 @@ class TestSharedDirectory:
         with pytest.raises(ValueError):
             Proteus(segment_rows=1024, cache_policy=None,
                     shared_cache=SharedCacheDirectory())
+
+
+class TestEvictionDecisionsArePinned:
+    """Every promotion, demotion and victim of a mixed two-tier trace.
+
+    Two L1 caches (one per eviction rule) share a cost-aware directory;
+    a seeded stream of ~500 gets and puts over keys of mixed compile
+    cost and source size overflows all three tiers.  Every 50 calls the
+    eviction order of each tier and its hit/miss/eviction/shared/
+    cross-server counters are hashed: a change to either rule's
+    arithmetic, tie-breaking or aging floor moves a digest.
+    """
+
+    #: recorded with the pluggable-policy implementation this one replaced
+    DIGESTS = [
+        "b4e1098b43f1eb00", "fb248c97e7c5a1bf", "3a38c31d3b701e91",
+        "7947bc2b7fa831c5", "093fce549555ffa6", "96f266110375a222",
+        "0e86646a847ee5bc", "8f6144dc54397950", "b235faff2f9678f6",
+        "7b79409f9f6d7d2b",
+    ]
+
+    def _digests(self, calls=500, every=50, seed=33):
+        rng = random.Random(seed)
+        directory = SharedCacheDirectory(capacity=12, policy="cost_aware")
+        l1 = [
+            PipelineCache(capacity=6, policy="lru", shared=directory),
+            PipelineCache(capacity=6, policy="cost_aware", shared=directory),
+        ]
+        shapes = {
+            f"k{i}": (rng.choice((0.025, 0.05, 0.2)),
+                      rng.choice((100, 400, 1600, 4000)))
+            for i in range(30)
+        }
+        names = sorted(shapes)
+        digests = []
+        for call in range(1, calls + 1):
+            cache = l1[rng.choice((0, 1))]
+            key = names[min(int(rng.expovariate(1 / 8)), len(names) - 1)]
+            if rng.random() < 0.6:
+                cache.get(key)
+            else:
+                cost, size = shapes[key]
+                cache.put(key, _Fake(key, size), cost=cost)
+            if call % every == 0:
+                state = [
+                    (tier.keys(), tier.stats.hits, tier.stats.misses,
+                     tier.stats.evictions, tier.stats.shared_hits,
+                     tier.stats.cross_server_hits)
+                    for tier in (*l1, directory)
+                ]
+                digests.append(
+                    hashlib.sha256(repr(state).encode()).hexdigest()[:16])
+        return digests, l1, directory
+
+    def test_trace_is_pinned(self):
+        digests, l1, directory = self._digests()
+        # the trace exercises promotion, demotion and directory eviction
+        assert all(cache.stats.shared_hits > 0 for cache in l1)
+        assert all(cache.stats.evictions > 0 for cache in l1)
+        assert directory.stats.evictions > 0
+        assert directory.stats.cross_server_hits > 0
+        assert digests == self.DIGESTS
 
 
 class TestFirstWriterWinsCompilation:

@@ -34,7 +34,7 @@ from repro.engine.metrics import (
     Histogram,
     MetricsRegistry,
 )
-from repro.engine.scheduler import SchedulerError
+from repro.engine.scheduler import CACHE_EVENTS, SchedulerError
 from repro.engine.tenancy import Tenant
 from scenario import (
     PLANS,
@@ -227,6 +227,17 @@ class TestServerMetricsSurface:
         )
         done = '{tenant="default",qos_class="batch",status="done"}'
         assert second["repro_sessions_total"]["values"][done] == 3.0
+
+    def test_cache_events_equal_the_snapshot(self):
+        """Every event the cache counter mirrors is a snapshot counter,
+        and after a drive the two read the same value."""
+        cold = run_scenario(Scenario((Arrival("Q1.1", CPU4),)))
+        warm = cold.then(Arrival("Q1.1", CPU4), Arrival("Q3.1", CPU4))
+        snap = warm.system.executor.pipeline_cache.snapshot()
+        events = warm.report.metrics["repro_cache_events_total"]["values"]
+        assert snap["hits"] > 0 and snap["misses"] > 0
+        for event in CACHE_EVENTS:
+            assert events.get(f'{{event="{event}"}}', 0.0) == snap[event], event
 
     def test_histogram_bucket_sums_equal_counts(self):
         arrivals = tuple(

@@ -399,7 +399,7 @@ class TestConfigurationSurface:
             "block_tuples",
             "prefetch_depth",
         ]
-        assert _fields(CachePolicy) == ["capacity", "eviction", "top_entries"]
+        assert _fields(CachePolicy) == ["capacity", "eviction"]
         assert _fields(ElasticPolicy) == [
             "min_dop",
             "max_dop",
@@ -432,7 +432,7 @@ class TestConfigurationSurface:
             ],
             "Catalog": ["server", "segment_rows"],
             "HeterogeneousPlacer": ["server", "catalog", "optimize_join_order"],
-            "PipelineCache": ["capacity", "policy", "shared", "top_entries"],
+            "PipelineCache": ["capacity", "policy", "shared"],
             "SharedCacheDirectory": ["capacity", "policy"],
             "Router": [
                 "sim", "producer", "groups", "policy", "broadcast", "name",
