@@ -56,7 +56,7 @@ from ..hardware.costmodel import BlockStats, CostModel, EngineTuning
 from ..hardware.sim import Simulator
 from ..hardware.specs import ServerSpec
 from ..hardware.topology import Server
-from ..jit.pipeline import agg_identity, group_rows, merge_agg
+from ..jit.pipeline import GroupTable, group_rows
 from ..storage.catalog import Catalog
 from ..storage.table import Placement, Table
 
@@ -235,15 +235,16 @@ def plan_has_string_inequality(plan: Plan, is_string_column) -> bool:
     return found
 
 
-def fold_block(group_keys: list[str], bound_aggs, env, n: int, groups: dict,
+def fold_block(group_keys: list[str], bound_aggs, env, n: int, groups: GroupTable,
                scalars: dict, stats: BlockStats) -> None:
     """Fold one block's ``n`` surviving tuples into a worker's partials.
 
-    ``bound_aggs`` is ``(alias, kind, bound expression)`` per aggregate.
-    Grouped plans merge the block's per-key partial aggregates into
-    ``groups`` alias by alias, key by key (the order float sums depend
-    on), and a large group table pays random traffic; scalar plans fold
-    into ``scalars``.  The caller charges its own device's compute.
+    ``bound_aggs`` is ``(alias, kind, bound expression)`` per aggregate,
+    in ``groups.aggs`` order.  Grouped plans group the block with the
+    engine's :func:`~repro.jit.pipeline.group_rows`, take each group's
+    partials in row order and merge them into ``groups`` by slot, and a
+    large group table pays random traffic; scalar plans fold into
+    ``scalars``.  The caller charges its own device's compute.
     """
     if n == 0:
         return
@@ -260,31 +261,19 @@ def fold_block(group_keys: list[str], bound_aggs, env, n: int, groups: dict,
                 else:
                     scalars[alias] = max(scalars[alias], float(values.max()))
         return
-    key_matrix = np.stack(
-        [np.asarray(env[k], dtype=np.int64) for k in group_keys], axis=1
-    )
-    uniq, inv = group_rows(key_matrix)
+    uniq, inv = group_rows(*(env[k] for k in group_keys))
+    partials = []
     for alias, kind, expr in bound_aggs:
         if kind == "count":
-            agg = np.bincount(inv, minlength=len(uniq))
-        else:
-            values = np.asarray(expr.evaluate(env), dtype=np.float64)
-            agg = np.zeros(len(uniq))
-            if kind == "sum":
-                np.add.at(agg, inv, values)
-            elif kind == "min":
-                agg.fill(np.inf)
-                np.minimum.at(agg, inv, values)
-            else:
-                agg.fill(-np.inf)
-                np.maximum.at(agg, inv, values)
-        for i, key_row in enumerate(uniq):
-            key = tuple(int(k) for k in key_row)
-            row = groups.setdefault(
-                key, {a: agg_identity(kd) for a, kd, _ in bound_aggs}
-            )
-            value = int(agg[i]) if kind == "count" else float(agg[i])
-            row[alias] = merge_agg(kind, row[alias], value)
-    if len(groups) > 4096:
+            partials.append(np.bincount(inv))
+            continue
+        values = np.asarray(expr.evaluate(env), dtype=np.float64)
+        if kind == "sum":
+            partials.append(np.bincount(inv, values))
+            continue
+        agg = np.full(uniq[0].shape[0], np.inf if kind == "min" else -np.inf)
+        (np.minimum if kind == "min" else np.maximum).at(agg, inv, values)
+        partials.append(agg)
+    if groups.update(uniq, partials) > 4096:
         stats.random_accesses += n
         stats.random_bytes += n * 8 * (len(group_keys) + len(bound_aggs))

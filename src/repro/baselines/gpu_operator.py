@@ -46,7 +46,7 @@ from ..algebra.logical import LogicalFilter, Plan
 from ..engine.results import ExecutionProfile, QueryResult
 from ..hardware.costmodel import CYCLES, DBMS_G_TUNING, BlockStats
 from ..hardware.specs import ServerSpec
-from ..jit.pipeline import agg_identity
+from ..jit.pipeline import GroupTable, agg_identity
 from ..memory.managers import MemoryManager, OutOfDeviceMemory
 from .common import (
     StarShape,
@@ -269,7 +269,7 @@ class DBMSG(_BaselineEngine):
             if star.group_keys
             else CYCLES.gpu_aggregate_update
         )
-        groups: dict[tuple, dict] = {}
+        groups = GroupTable(star.aggs)
         scalars = {a.alias: agg_identity(a.kind) for a in star.aggs}
         host = self.server.dram_node(gpu.socket_id)
         for begin, stop in ranges:
@@ -361,7 +361,7 @@ class DBMSG(_BaselineEngine):
             agg = profile.device_stats.setdefault("gpu", BlockStats())
             agg.merge(stats)
             profile.kernels_launched += kernels
-        partials.append(groups if star.group_keys else scalars)
+        partials.append(groups.groups() if star.group_keys else scalars)
 
     # -- the Q2.2@SF1000 CPU fallback ---------------------------------------------------------
 

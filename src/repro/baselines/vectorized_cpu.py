@@ -33,7 +33,7 @@ from ..engine.results import ExecutionProfile, QueryResult
 from ..hardware.costmodel import CYCLES, DBMS_C_TUNING, BlockStats
 from ..hardware.sim import Store
 from ..jit.hashtable import HashTable
-from ..jit.pipeline import agg_identity
+from ..jit.pipeline import GroupTable, agg_identity
 from .common import (
     StarShape,
     UnsupportedQueryError,
@@ -194,7 +194,7 @@ class DBMSC(_BaselineEngine):
         worker_partials: list = []
 
         def worker(core_id: int):
-            groups: dict[tuple, dict] = {}
+            groups = GroupTable(star.aggs)
             scalars = {a.alias: agg_identity(a.kind) for a in star.aggs}
             home = self.server.cores[core_id].socket_id
             while True:
@@ -248,7 +248,7 @@ class DBMSC(_BaselineEngine):
                 agg = profile.device_stats.setdefault("cpu", BlockStats())
                 agg.merge(stats)
             if star.group_keys:
-                worker_partials.append(groups)
+                worker_partials.append(groups.groups())
             else:
                 worker_partials.append(scalars)
 

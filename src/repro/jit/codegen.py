@@ -19,11 +19,24 @@ Two fidelity points:
   streamed, random accesses, cycle/op estimates).  The executor feeds the
   stats to the cost model, which converts them into simulated time.
 
-Liveness analysis prunes dead columns at every selection point, mirroring
-how a real JIT engine keeps only live attributes in registers.  Survivors
-are compacted by position: a filter or probe turns its predicate into one
-index array of surviving rows (one ``nonzero()``), and each live column is
-gathered with one ``take`` — only when some row was dropped.
+Columns are materialised late (Abadi et al., ICDE 2007), mirroring how a
+real JIT engine keeps only live attributes in registers: each row-wise
+pass happens once.  A filter or probe yields only positions, one
+``nonzero()`` (``_nz``), and the pipeline composes them into one
+selection ``_sel``: row positions into the unpacked block.  At each
+selection only the arrays that already hold one value per current row
+and are still live are compacted, one ``take(_nz)`` each and only when
+some row was dropped: computed columns, columns already gathered, the
+probes' pending row ids, and ``_sel`` itself.  An unpacked column is
+gathered with one ``take(_sel)`` when an operator first reads it, and a
+probe's payload stays that probe's row-id array until it is read
+(:class:`_Rows` is the bookkeeping).  Join keys and group keys are
+passed to the join table and :func:`~repro.jit.pipeline.group_rows` as
+stored; a group sink sums with ``np.bincount`` over the group inverse
+and merges by slot.  Statistics are counted from ``_n`` as before, so
+no simulated second depends on how the rows were carried.  Generated
+source length is the pipeline cache's size proxy and every cold drive
+compiles it, so the emitted shape is kept short.
 
 The compiler is **pure**: a stage in, a fresh
 :class:`~repro.jit.pipeline.CompiledPipeline` out, no cache and no
@@ -198,10 +211,10 @@ class PipelineCompiler:
         out.emit("_emitted = []")
         out.emit(f"_threads = {provider.threads_in_worker()}")
         out.emit(f"_tid = {provider.thread_id_in_worker()}")
-        active: set[str] = set()
+        rows = _Rows()
         for index, op in enumerate(ops):
             out.emit()
-            self._emit_op(out, op, provider, active, live_after[index])
+            self._emit_op(out, op, provider, rows, live_after[index])
         out.emit()
         out.emit("return _emitted")
         return out.source()
@@ -221,27 +234,27 @@ class PipelineCompiler:
         out: _Emitter,
         op: PipelineOp,
         provider: DeviceProvider,
-        active: set[str],
+        rows: "_Rows",
         live_after: set[str],
     ) -> None:
         if isinstance(op, OpUnpack):
-            self._emit_unpack(out, op, active, live_after)
+            self._emit_unpack(out, op, rows)
         elif isinstance(op, OpFilter):
-            self._emit_filter(out, op, active, live_after)
+            self._emit_filter(out, op, rows, live_after)
         elif isinstance(op, OpProject):
-            self._emit_project(out, op, active, live_after)
+            self._emit_project(out, op, rows, live_after)
         elif isinstance(op, OpProbe):
-            self._emit_probe(out, op, active, live_after)
+            self._emit_probe(out, op, rows, live_after)
         elif isinstance(op, OpBuildSink):
-            self._emit_build(out, op, active)
+            self._emit_build(out, op, rows)
         elif isinstance(op, OpReduceSink):
-            self._emit_reduce(out, op, provider, active)
+            self._emit_reduce(out, op, rows, provider)
         elif isinstance(op, OpGroupAggSink):
-            self._emit_group_agg(out, op, provider, active)
+            self._emit_group_agg(out, op, rows)
         elif isinstance(op, OpPackSink):
-            self._emit_pack(out, op, active)
+            self._emit_pack(out, op, rows)
         elif isinstance(op, OpHashPackSink):
-            self._emit_hash_pack(out, op, active)
+            self._emit_hash_pack(out, op, rows)
         else:
             raise CodegenError(f"cannot generate code for {type(op).__name__}")
 
@@ -249,27 +262,56 @@ class PipelineCompiler:
     def _src(expr: Expression) -> str:
         return expr.source(_var)
 
-    def _compress(self, out: _Emitter, selection: str, active: set[str],
-                  live_after: set[str], also: tuple[str, ...] = ()) -> None:
-        """Compact every column still live downstream to the selected rows.
+    @staticmethod
+    def _gather(out: _Emitter, rows: "_Rows", op: PipelineOp) -> None:
+        """Materialise the columns ``op`` reads at the current rows: an
+        unpacked column with one ``take(_sel)``, a probe payload column
+        with one ``take`` of its probe's pending row ids.  Each emitter
+        calls it right after its comment line."""
+        for name in sorted(_requires(op)):
+            var = _var(name)
+            if name in rows.pending:
+                ht, idx = rows.pending.pop(name)
+                out.emit(f"{var} = {ht}.payload[{name!r}].take({idx})")
+            elif name in rows.unpacked and rows.selected:
+                rows.unpacked.discard(name)
+                out.emit(f"{var} = {var}.take(_sel)")
 
-        ``selection`` is the source of an index array of surviving row
-        positions: one ``take`` per live column (and per array in
-        ``also``) gathers them, and only when some row was dropped — a
-        selection that keeps every row copies nothing.
+    @staticmethod
+    def _select(out: _Emitter, positions: str, rows: "_Rows",
+                live_after: set[str]) -> None:
+        """Narrow the current rows to ``positions`` (``_nz``), an index
+        array of the surviving rows.
+
+        Only the arrays that already exist at the current rows and are
+        still needed are compacted, one ``take`` each and only when some
+        row was dropped: computed or gathered columns, pending probe row
+        ids, and ``_sel`` itself — the surviving rows' positions in the
+        unpacked block — while an unpacked column is still to be read.
+        The first selection that leaves one to read starts ``_sel``.
         """
-        out.emit(f"_sel = {selection}")
-        arrays = [_var(name) for name in sorted(active & live_after)] + list(also)
+        rows.active &= live_after
+        rows.unpacked &= live_after
+        rows.pending = {n: p for n, p in rows.pending.items() if n in live_after}
+        arrays = [
+            _var(name)
+            for name in sorted(rows.active - rows.unpacked - rows.pending.keys())
+        ]
+        arrays += sorted({idx for _, idx in rows.pending.values()})
+        start = bool(rows.unpacked) and not rows.selected
+        if rows.unpacked and rows.selected:
+            arrays.append("_sel")
+        out.emit(f"{'_sel = ' if start else ''}_nz = {positions}")
         if arrays:
-            out.emit("if _sel.shape[0] != _n:")
+            out.emit("if _nz.shape[0] != _n:")
             out.indent += 1
             for array in arrays:
-                out.emit(f"{array} = {array}.take(_sel)")
+                out.emit(f"{array} = {array}.take(_nz)")
             out.indent -= 1
-        out.emit("_n = _sel.shape[0]")
-        active &= live_after
+        out.emit("_n = _nz.shape[0]")
+        rows.selected |= start
 
-    def _emit_unpack(self, out, op: OpUnpack, active: set[str], live_after) -> None:
+    def _emit_unpack(self, out, op: OpUnpack, rows: "_Rows") -> None:
         out.emit("# unpack: block -> tuple stream (stride #threadsInWorker)")
         for name in op.columns:
             out.emit(f"{_var(name)} = cols[{name!r}]")
@@ -280,27 +322,26 @@ class PipelineCompiler:
         out.emit(f"stats.bytes_in += _n * {width}")
         out.emit(f"stats.cpu_cycles += _n * {CYCLES.unpack_per_tuple!r}")
         out.emit(f"stats.gpu_ops += _n * {CYCLES.gpu_unpack_per_tuple!r}")
-        active |= set(op.columns)
+        rows.active |= set(op.columns)
+        rows.unpacked |= set(op.columns)
 
-    def _emit_filter(self, out, op: OpFilter, active: set[str], live_after) -> None:
+    def _emit_filter(self, out, op: OpFilter, rows: "_Rows", live_after) -> None:
         counts = op.predicate.op_counts()
         out.emit("# filter")
-        if op.predicate.columns():
-            out.emit(f"_mask = {self._src(op.predicate)}")
-            selection = "_mask.nonzero()[0]"
-        elif op.predicate.evaluate({}):
-            selection = None  # constant true: every row survives
-        else:
-            selection = "np.zeros(0, dtype=np.intp)"  # constant false: none
+        self._gather(out, rows, op)
         out.emit(f"stats.cpu_cycles += _n * {_expr_cycles(counts)!r}")
         out.emit(f"stats.gpu_ops += _n * {_expr_gpu_ops(counts)!r}")
-        if selection is None:
-            active &= live_after
+        if op.predicate.columns():
+            self._select(out, f"({self._src(op.predicate)}).nonzero()[0]", rows,
+                         live_after)
+        elif op.predicate.evaluate({}):
+            rows.active &= live_after  # constant true: every row survives
         else:
-            self._compress(out, selection, active, live_after)
+            self._select(out, "np.zeros(0, dtype=np.intp)", rows, live_after)
 
-    def _emit_project(self, out, op: OpProject, active: set[str], live_after) -> None:
+    def _emit_project(self, out, op: OpProject, rows: "_Rows", live_after) -> None:
         out.emit("# project (extend tuple with computed attributes)")
+        self._gather(out, rows, op)
         total_cycles = 0.0
         total_gpu = 0.0
         for alias, expr in op.exprs:
@@ -308,19 +349,21 @@ class PipelineCompiler:
             counts = expr.op_counts()
             total_cycles += _expr_cycles(counts)
             total_gpu += _expr_gpu_ops(counts)
-            active.add(alias)
+            rows.active.add(alias)
+            rows.unpacked.discard(alias)
+            rows.pending.pop(alias, None)
         out.emit(f"stats.cpu_cycles += _n * {total_cycles!r}")
         out.emit(f"stats.gpu_ops += _n * {total_gpu!r}")
-        for name in sorted(active - live_after):
-            active.discard(name)
+        rows.active &= live_after
 
-    def _emit_probe(self, out, op: OpProbe, active: set[str], live_after) -> None:
+    def _emit_probe(self, out, op: OpProbe, rows: "_Rows", live_after) -> None:
         ht = f"_ht_{_ident(op.ht_id)}"
         idx = f"_idx_{_ident(op.ht_id)}"
         row_width = 16 + sum(self.width(p) for p in op.payload)
         out.emit(f"# hash-join probe against {op.ht_id}")
+        self._gather(out, rows, op)
         out.emit(f"{ht} = state.hash_table({op.ht_id!r})")
-        out.emit(f"{idx} = {ht}.probe({_var(op.probe_key)}.astype(np.int64))")
+        out.emit(f"{idx} = {ht}.probe({_var(op.probe_key)})")
         out.emit(f"if state.ht_spilled({op.ht_id!r}):")
         out.indent += 1
         out.emit("# table exceeds the on-chip cache: probes hit memory")
@@ -333,46 +376,44 @@ class PipelineCompiler:
         out.emit(
             f"stats.gpu_ops += _n * {CYCLES.gpu_hash_compute + CYCLES.gpu_hash_probe!r}"
         )
-        self._compress(out, f"({idx} >= 0).nonzero()[0]", active, live_after,
-                       also=(idx,))
         for name in op.payload:
-            if name in live_after:
-                out.emit(f"{_var(name)} = {ht}.payload[{name!r}].take({idx})")
-                active.add(name)
+            rows.active.add(name)
+            rows.unpacked.discard(name)
+            rows.pending[name] = (ht, idx)
+        self._select(out, f"({idx} >= 0).nonzero()[0]", rows, live_after)
 
-    def _emit_build(self, out, op: OpBuildSink, active: set[str]) -> None:
+    def _emit_build(self, out, op: OpBuildSink, rows: "_Rows") -> None:
         ht = f"_ht_{_ident(op.ht_id)}"
         row_width = 16 + sum(self.width(p) for p in op.payload)
         out.emit(f"# hash-join build into {op.ht_id} (worker-scoped table)")
+        self._gather(out, rows, op)
         out.emit("if _n:")
         out.indent += 1
         out.emit(f"{ht} = state.hash_table({op.ht_id!r})")
         payload = ", ".join(f"{p!r}: {_var(p)}" for p in op.payload)
-        out.emit(f"{ht}.insert({_var(op.build_key)}.astype(np.int64), {{{payload}}})")
+        out.emit(f"{ht}.insert({_var(op.build_key)}, {{{payload}}})")
         out.emit("stats.random_accesses += _n")
         out.emit(f"stats.random_bytes += _n * {row_width}")
         out.emit(f"stats.cpu_cycles += _n * {CYCLES.hash_compute + CYCLES.hash_build_insert!r}")
         out.emit(f"stats.gpu_ops += _n * {CYCLES.gpu_hash_compute + CYCLES.gpu_hash_build_insert!r}")
         out.indent -= 1
 
-    def _emit_reduce(self, out, op: OpReduceSink, provider: DeviceProvider,
-                     active: set[str]) -> None:
+    def _emit_reduce(self, out, op: OpReduceSink, rows: "_Rows",
+                     provider: DeviceProvider) -> None:
         out.emit("# ungrouped (partial) reduction into worker accumulators")
+        self._gather(out, rows, op)
         out.emit("if _n:")
         out.indent += 1
         cycles = 0.0
         gpu = 0.0
         for agg in op.aggs:
-            attr = f"acc_{_ident(agg.alias)}"
             if agg.kind == "count":
-                out.emit_all(provider.emit_accumulate(attr, "_n", "sum"))
+                out.emit_all(provider.emit_accumulate(agg.alias, "_n", "sum"))
             else:
                 value = self._src(agg.expr)
                 reducer = {"sum": "np.sum", "min": "np.min", "max": "np.max"}[agg.kind]
-                kind = "sum" if agg.kind == "sum" else agg.kind
-                out.emit_all(
-                    provider.emit_accumulate(attr, f"float({reducer}({value}))", kind)
-                )
+                out.emit_all(provider.emit_accumulate(
+                    agg.alias, f"float({reducer}({value}))", agg.kind))
                 counts = agg.expr.op_counts()
                 cycles += _expr_cycles(counts)
                 gpu += _expr_gpu_ops(counts)
@@ -382,43 +423,40 @@ class PipelineCompiler:
         out.emit(f"stats.gpu_ops += _n * {gpu!r}")
         out.indent -= 1
 
-    def _emit_group_agg(self, out, op: OpGroupAggSink, provider: DeviceProvider,
-                        active: set[str]) -> None:
+    def _emit_group_agg(self, out, op: OpGroupAggSink, rows: "_Rows") -> None:
         out.emit("# grouped (partial) aggregation into the worker's hash table")
+        self._gather(out, rows, op)
         out.emit("if _n:")
         out.indent += 1
-        keys = ", ".join(f"{_var(k)}.astype(np.int64)" for k in op.keys)
-        out.emit(f"_gkeys = np.stack([{keys}], axis=1)")
-        out.emit("_uniq, _inv = state.group_rows(_gkeys)")
+        keys = ", ".join(_var(k) for k in op.keys)
+        out.emit(f"_uniq, _inv = state.group_rows({keys})")
         cycles = CYCLES.hash_compute + CYCLES.group_lookup
         gpu = CYCLES.gpu_hash_compute + CYCLES.gpu_group_lookup
         parts = []
         row_width = 8 * len(op.keys)
-        for agg in op.aggs:
-            var = f"_agg_{_ident(agg.alias)}"
+        for index, agg in enumerate(op.aggs):
+            # every group has a row, so a bincount is as long as the groups
+            var = f"_agg{index}"
             if agg.kind == "count":
-                out.emit(f"{var} = np.bincount(_inv, minlength=_uniq.shape[0])")
+                out.emit(f"{var} = np.bincount(_inv)")
             else:
                 value = self._src(agg.expr)
-                out.emit(f"{var} = np.zeros(_uniq.shape[0], dtype=np.float64)")
                 if agg.kind == "sum":
-                    out.emit(f"np.add.at({var}, _inv, ({value}).astype(np.float64))")
-                elif agg.kind == "min":
-                    out.emit(f"{var}.fill(np.inf)")
-                    out.emit(f"np.minimum.at({var}, _inv, ({value}).astype(np.float64))")
+                    out.emit(f"{var} = np.bincount(_inv, {value})")
                 else:
-                    out.emit(f"{var}.fill(-np.inf)")
-                    out.emit(f"np.maximum.at({var}, _inv, ({value}).astype(np.float64))")
+                    identity = "np.inf" if agg.kind == "min" else "-np.inf"
+                    out.emit(f"{var} = np.full(_uniq[0].shape[0], {identity})")
+                    ufunc = "minimum" if agg.kind == "min" else "maximum"
+                    out.emit(f"np.{ufunc}.at({var}, _inv, ({value}).astype(np.float64))")
                 counts = agg.expr.op_counts()
                 cycles += _expr_cycles(counts)
                 gpu += _expr_gpu_ops(counts)
             cycles += CYCLES.aggregate_update
             gpu += CYCLES.gpu_aggregate_update
             row_width += 8
-            parts.append(f"{agg.alias!r}: {var}")
+            parts.append(var)
         out.emit("# worker-scoped merge (atomic per group on the GPU)")
-        out.emit(f"state.group_update(_uniq, {{{', '.join(parts)}}})")
-        out.emit("if len(state.groups) > 4096:")
+        out.emit(f"if state.group_update(_uniq, [{', '.join(parts)}]) > 4096:")
         out.indent += 1
         out.emit("# large group table: updates spill the cache")
         out.emit("stats.random_accesses += _n")
@@ -428,9 +466,10 @@ class PipelineCompiler:
         out.emit(f"stats.gpu_ops += _n * {gpu!r}")
         out.indent -= 1
 
-    def _emit_pack(self, out, op: OpPackSink, active: set[str]) -> None:
+    def _emit_pack(self, out, op: OpPackSink, rows: "_Rows") -> None:
         width = sum(self.width(c) for c in op.columns)
         out.emit("# pack: tuple stream -> blocks, flush when full")
+        self._gather(out, rows, op)
         out.emit("if _n:")
         out.indent += 1
         arrays = ", ".join(f"{c!r}: {_var(c)}" for c in op.columns)
@@ -440,14 +479,13 @@ class PipelineCompiler:
         out.emit(f"stats.gpu_ops += _n * {CYCLES.gpu_pack_per_tuple!r}")
         out.indent -= 1
 
-    def _emit_hash_pack(self, out, op: OpHashPackSink, active: set[str]) -> None:
+    def _emit_hash_pack(self, out, op: OpHashPackSink, rows: "_Rows") -> None:
         width = sum(self.width(c) for c in op.columns)
         out.emit("# hash-pack: one open block per hash value (router routes on it)")
+        self._gather(out, rows, op)
         out.emit("if _n:")
         out.indent += 1
-        out.emit(
-            f"_hpart = ({_var(op.key)}.astype(np.int64) % {op.partitions})"
-        )
+        out.emit(f"_hpart = {_var(op.key)} % {op.partitions}")
         out.emit("for _p in np.unique(_hpart):")
         out.indent += 1
         out.emit("_pm = _hpart == _p")
@@ -462,3 +500,21 @@ class PipelineCompiler:
             f"stats.gpu_ops += _n * {CYCLES.gpu_pack_per_tuple + CYCLES.gpu_hash_compute!r}"
         )
         out.indent -= 1
+
+
+class _Rows:
+    """Codegen's view of the arrays a pipeline holds (late materialisation).
+
+    ``active`` names every column still available.  Of these, an
+    ``unpacked`` column is still the block's own array, read at the
+    current rows through ``_sel`` once a selection ran (``selected``);
+    a ``pending`` column is a probe payload column, ``name -> (table,
+    row ids)``, gathered when first read; every other column already
+    holds one value per current row.
+    """
+
+    def __init__(self):
+        self.active: set[str] = set()
+        self.unpacked: set[str] = set()
+        self.pending: dict[str, tuple[str, str]] = {}
+        self.selected = False

@@ -5,10 +5,14 @@ call into this table once per block, the way the paper's generated LLVM
 IR calls its hash join runtime.  A table holds its keys in one of two
 host layouts, chosen from the keys it is given:
 
-* **direct** — used while every built key fits a window of
-  ``2 * capacity`` consecutive keys.  The table is one int32 array of
-  row ids over that window, padded with a -1 at each end, so key ``k``
-  sits at ``k - base`` with ``base`` one below the window.
+* **direct** — used while every built key fits a window of consecutive
+  keys within a byte budget: the window may take as many bytes as the
+  hash layout's ``_SLOT_BYTES`` (16) per capacity slot.  The table is
+  one array of row ids over that window, padded with a -1 at each end,
+  so key ``k`` sits at ``k - base`` with ``base`` one below the window.
+  Row ids are int16 while ``capacity <= 2**16`` (a table holds at most
+  ``capacity // 2`` keys) and int32 beyond, so the window may span
+  ``8 * capacity - 2`` or ``4 * capacity - 2`` keys.
   :meth:`HashTable.probe` is one subtract and one clipped gather: a key
   below the window clips onto the low padding, one above onto the high
   padding, and both read -1.  If ``k - base`` wraps for a key near the
@@ -16,10 +20,20 @@ host layouts, chosen from the keys it is given:
   key ``base + i``, and two int64 values congruent modulo ``2**64`` are
   equal, so a wrapped difference that reaches ``i`` came from that very
   key.  Dense surrogate keys (SSB's ``custkey``, ``suppkey``,
-  ``partkey``) and short date ranges take this layout.  The window is
-  anchored around the first batch's ``[min, max]``, grows with the
-  table's capacity (one copy), and a later key outside it converts the
-  table to the hash layout once.
+  ``partkey``) and every SSB date table take this layout: 2 556
+  ``yyyymmdd`` keys in a table of capacity 8 192 span 61 130 keys, within
+  the 65 534 keys of an int16 window as heavy as the 131 072 B of hash
+  slots it replaces.  The first batch anchors a window of
+  ``2 * capacity`` keys centred on its ``[min, max]``, or a budget-wide
+  one when it is wider.  A later batch
+  outside the window re-windows once: the residents move into a
+  budget-wide window that reaches from them towards the new keys, so
+  ascending batches (a GPU building from 256-key blocks) stay direct.
+  Only a batch that does not fit the budget together with the residents
+  converts the table to the hash layout.  A grown table re-windows to
+  at least ``2 * capacity`` keys in row ids wide enough for it.
+  Keys are used as stored (int32 for every SSB key): subtracting the
+  ``np.int64`` base makes the arithmetic int64 without a copy.
 * **hash** — vectorised open addressing with linear probing over two
   int64 slot arrays, so a batch costs a few whole-array passes plus a
   short loop over the keys that collided.  Slot ``s`` is
@@ -33,10 +47,12 @@ host layouts, chosen from the keys it is given:
   round (a data-parallel formulation of the usual insert loop — the
   same shape a GPU kernel uses); a probe gathers the home slots' keys
   and rows, which answers every key that met its own key or a hole, and
-  the same walk finishes the few that met a foreign occupant.
+  the same walk finishes the few that met a foreign occupant.  Keys
+  are converted to int64 on this path only.
 
-The direct window costs 8 bytes per capacity slot and the slot arrays
-16, so the layout rule never raises host memory.  Both layouts report
+The direct window costs at most the slot arrays' 16 bytes per capacity
+slot (4 or 8 for the default ``2 * capacity`` window), so the layout
+rule never raises host memory.  Both layouts report
 the same row index for every key, and the layout is host-only: nothing
 simulated reads which layout a table took.  ``capacity`` is the
 modelled bucket count, and :attr:`~HashTable.nbytes` and
@@ -129,7 +145,7 @@ class HashTable:
 
     def insert(self, keys: np.ndarray, payload: Optional[dict[str, np.ndarray]] = None) -> None:
         """Insert a batch of unique keys with aligned payload columns."""
-        keys = np.ascontiguousarray(keys, dtype=np.int64)
+        keys = _as_keys(keys)
         payload = payload or {}
         missing = [n for n in self.payload_names if n not in payload]
         if missing:
@@ -148,35 +164,66 @@ class HashTable:
         if self._direct is not None and not self._fits(keys):
             self._to_hash()
         if self._direct is not None:
-            # int32 row ids: 2**31 keys would need a 2**34-key window
-            self._scatter(keys, np.arange(self.num_keys, stop, dtype=np.int32))
+            self._scatter(keys, np.arange(self.num_keys, stop, dtype=self._direct.dtype))
         else:
-            self._place(keys, np.arange(self.num_keys, stop, dtype=np.int64))
+            self._place(
+                keys.astype(np.int64, copy=False),
+                np.arange(self.num_keys, stop, dtype=np.int64),
+            )
         self.num_keys += keys.size
         for name, column in columns.items():
             self._parts[name].append(column)
         self._unjoined = True
 
     def _fits(self, keys: np.ndarray) -> bool:
-        """Do ``keys`` fit the direct window?  An empty table anchors its
-        window of ``2 * capacity`` keys around them."""
+        """Can the direct window hold ``keys``?  An empty table anchors a
+        window of ``2 * capacity`` keys around them, or of the byte
+        budget's keys when they are wider.  A later batch outside the
+        window moves the residents once into a budget-wide window that
+        holds both, reaching from the residents towards the new keys."""
         low, high = int(keys.min()), int(keys.max())
-        if self.num_keys:
-            base = int(self._base)
-            return base < low and high < base + self._direct.size - 1
-        window = 2 * self.capacity
-        base = _centre(low, high, window)
-        if base is None:
+        base, top = int(self._base), int(self._base) + self._direct.size - 2
+        if not self.num_keys:
+            window = 2 * self.capacity
+            if high - low >= window:
+                window = self._budget()
+            anchored = _centre(low, high, window)
+            if anchored is None:
+                return False
+            if self._direct.size != window + 2 or self._direct.dtype != _row_ids(self.capacity):
+                self._direct = self._window(window)
+            self._base = np.int64(anchored)
+            return True
+        if base < low and high <= top:
+            return True
+        live = np.flatnonzero(self._direct >= 0)
+        low, high = min(low, base + int(live[0])), max(high, base + int(live[-1]))
+        window = self._budget()
+        moved = _anchor(low, high, window, low if high > top else high - window + 1)
+        if moved is None:
             return False
-        if self._direct.size != window + 2:
-            self._direct = self._window(window)
-        self._base = np.int64(base)
+        self._move(window, moved)
         return True
 
-    @staticmethod
-    def _window(keys: int) -> np.ndarray:
+    def _budget(self) -> int:
+        """Keys a direct window may span: as many row ids and paddings as
+        fit the hash layout's ``_SLOT_BYTES`` per capacity slot."""
+        row_bytes = np.dtype(_row_ids(self.capacity)).itemsize
+        return _SLOT_BYTES * self.capacity // row_bytes - 2
+
+    def _window(self, keys: int) -> np.ndarray:
         """An empty direct window of ``keys`` keys and its two paddings."""
-        return np.full(keys + 2, -1, dtype=np.int32)
+        return np.full(keys + 2, -1, dtype=_row_ids(self.capacity))
+
+    def _move(self, window: int, base: int) -> None:
+        """Re-allocate the direct window as ``window`` keys above ``base``
+        and copy the resident row ids in once."""
+        old, shift = self._direct, int(self._base) - base
+        live = np.flatnonzero(old >= 0)
+        self._direct = self._window(window)
+        first, stop = int(live[0]), int(live[-1]) + 1
+        self._direct[first + shift : stop + shift] = old[first:stop]
+        self._base = np.int64(base)
 
     def _scatter(self, keys: np.ndarray, row_ids: np.ndarray) -> None:
         slot = keys - self._base
@@ -226,7 +273,11 @@ class HashTable:
         self.capacity = _next_pow2(max(needed * 4, self.capacity * 2))
         if self._direct is not None:
             if self.num_keys:
-                self._widen()
+                # at least ``2 * capacity`` keys around the residents, in
+                # row ids wide enough for the new capacity
+                live = np.flatnonzero(self._direct >= 0) + int(self._base)
+                window = max(2 * self.capacity, self._direct.size - 2)
+                self._move(window, _centre(int(live[0]), int(live[-1]), window))
             return
         old_keys = self.keys
         old_rows = self.rows
@@ -234,17 +285,6 @@ class HashTable:
         live = old_keys != _EMPTY
         if np.any(live):
             self._place(old_keys[live], old_rows[live])
-
-    def _widen(self) -> None:
-        """Grow the direct window to ``2 * capacity`` keys around its
-        centre, copying the old window in once."""
-        old, old_base = self._direct, int(self._base)
-        window = 2 * self.capacity
-        base = _centre(old_base + 1, old_base + old.size - 2, window)
-        self._direct = self._window(window)
-        offset = old_base - base
-        self._direct[offset + 1 : offset + old.size - 1] = old[1:-1]
-        self._base = np.int64(base)
 
     def _to_hash(self) -> None:
         """Move every resident key into freshly allocated hash slots."""
@@ -270,9 +310,10 @@ class HashTable:
 
     def probe(self, keys: np.ndarray) -> np.ndarray:
         """Row index of the build match per key, or -1 on a miss."""
-        keys = np.ascontiguousarray(keys, dtype=np.int64)
+        keys = _as_keys(keys)
         if self._direct is not None:
             return self._direct.take(keys - self._base, mode="clip")
+        keys = keys.astype(np.int64, copy=False)
         slot = self._home(keys)
         occupant = self.keys.take(slot)
         # an empty slot's row is -1, so the gather already answers every
@@ -319,13 +360,34 @@ class HashTable:
         return f"<HashTable n={self.num_keys} cap={self.capacity} {layout}>"
 
 
-def _centre(low: int, high: int, window: int) -> Optional[int]:
-    """Base of a window of ``window`` keys centred on ``[low, high]`` and
-    moved the least to keep it and its base (one below it) int64 values;
-    None when the keys do not fit it."""
-    start = low - (window - (high - low + 1)) // 2
+def _row_ids(capacity: int) -> type:
+    """Row-id type of a direct window: a table holds at most
+    ``capacity // 2`` keys, so int16 row ids last to capacity ``2**16``.
+
+    Narrow ids stretch the byte budget: intp ones would span only
+    ``2 * capacity`` keys, too few for a date table.  NumPy converts
+    them before a ``take``; the SSB hybrid drive's payload gathers cost
+    3.4 ms with them against 2.7 ms with intp ids (Xeon, NumPy 2.4)."""
+    return np.int16 if capacity <= 1 << 16 else np.int32
+
+
+def _as_keys(keys) -> np.ndarray:
+    """Join keys as stored when they are signed integers, else as int64."""
+    keys = np.asarray(keys)
+    return keys if keys.dtype.kind == "i" else keys.astype(np.int64)
+
+
+def _anchor(low: int, high: int, window: int, start: int) -> Optional[int]:
+    """Base of a window of ``window`` keys from ``start``, moved the least
+    to keep it and its base (one below it) int64 values; None when
+    ``[low, high]`` does not fit it."""
     start = min(max(start, _INT64_MIN + 1), _INT64_MAX - window + 1)
     return start - 1 if start <= low and high < start + window else None
+
+
+def _centre(low: int, high: int, window: int) -> Optional[int]:
+    """Base of a window of ``window`` keys centred on ``[low, high]``."""
+    return _anchor(low, high, window, low - (window - (high - low + 1)) // 2)
 
 
 def _raise_within_batch(key) -> None:

@@ -55,17 +55,17 @@ def _gpu_neighborhood_reduce(values: float) -> float:
     return values
 
 
-def _gpu_atomic_add(state, attr: str, value) -> None:
+def _gpu_atomic_add(acc: dict, alias: str, value) -> None:
     """Runtime intrinsic: worker-scoped atomicAdd on a state accumulator."""
-    setattr(state, attr, getattr(state, attr) + value)
+    acc[alias] = acc[alias] + value
 
 
-def _gpu_atomic_min(state, attr: str, value) -> None:
-    setattr(state, attr, min(getattr(state, attr), value))
+def _gpu_atomic_min(acc: dict, alias: str, value) -> None:
+    acc[alias] = min(acc[alias], value)
 
 
-def _gpu_atomic_max(state, attr: str, value) -> None:
-    setattr(state, attr, max(getattr(state, attr), value))
+def _gpu_atomic_max(acc: dict, alias: str, value) -> None:
+    acc[alias] = max(acc[alias], value)
 
 
 class DeviceProvider:
@@ -85,8 +85,9 @@ class DeviceProvider:
 
     # -- codegen hooks ------------------------------------------------------------
 
-    def emit_accumulate(self, attr: str, value_expr: str, kind: str = "sum") -> list[str]:
-        """Render a worker-scoped accumulation of ``value_expr`` into state."""
+    def emit_accumulate(self, alias: str, value_expr: str, kind: str = "sum") -> list[str]:
+        """Render a worker-scoped accumulation of ``value_expr`` into the
+        state's accumulator ``alias`` (``state.acc[alias]``)."""
         raise NotImplementedError
 
     def emit_kernel_header(self, name: str) -> list[str]:
@@ -130,14 +131,15 @@ class CPUProvider(DeviceProvider):
     def thread_id_in_worker(self) -> str:
         return "0"
 
-    def emit_accumulate(self, attr: str, value_expr: str, kind: str = "sum") -> list[str]:
+    def emit_accumulate(self, alias: str, value_expr: str, kind: str = "sum") -> list[str]:
         # Single thread per worker: the atomic is optimised out.
+        acc = f"state.acc[{alias!r}]"
         if kind == "sum":
-            return [f"state.{attr} += {value_expr}"]
+            return [f"{acc} += {value_expr}"]
         if kind == "min":
-            return [f"state.{attr} = min(state.{attr}, {value_expr})"]
+            return [f"{acc} = min({acc}, {value_expr})"]
         if kind == "max":
-            return [f"state.{attr} = max(state.{attr}, {value_expr})"]
+            return [f"{acc} = max({acc}, {value_expr})"]
         raise ValueError(f"unknown accumulation kind {kind!r}")
 
     def emit_kernel_header(self, name: str) -> list[str]:
@@ -163,13 +165,13 @@ class GPUProvider(DeviceProvider):
     def thread_id_in_worker(self) -> str:
         return "_thread_id_in_worker"
 
-    def emit_accumulate(self, attr: str, value_expr: str, kind: str = "sum") -> list[str]:
+    def emit_accumulate(self, alias: str, value_expr: str, kind: str = "sum") -> list[str]:
         # Listing 1, lines 27-29: neighbourhood reduce, then the
         # neighbourhood leader issues one worker-scoped atomic.
         op = {"sum": "_atomic_add", "min": "_atomic_min", "max": "_atomic_max"}[kind]
         return [
             f"_nh_acc = _neighborhood_reduce({value_expr})",
-            f"{op}(state, {attr!r}, _nh_acc)  # neighbourhood leader only",
+            f"{op}(state.acc, {alias!r}, _nh_acc)  # neighbourhood leader only",
         ]
 
     def emit_kernel_header(self, name: str) -> list[str]:

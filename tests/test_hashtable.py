@@ -329,19 +329,74 @@ class TestLayouts:
             assert ht.probe(np.array(keys, dtype=np.int64)).tolist() == [-1] * len(keys)
 
 
+    def test_ascending_date_blocks_re_window_once_and_stay_direct(self):
+        # the SSB date dimension: 1992-01-01 .. 1998-12-31 as int32 yyyymmdd
+        days = np.arange("1992-01-01", "1999-01-01", dtype="datetime64[D]")
+        dates = np.array([d.strftime("%Y%m%d") for d in days.tolist()], dtype=np.int32)
+        ht = HashTable(2556, ["row"])
+        assert ht.capacity == 8192
+        windows = []
+        for start in range(0, dates.size, 256):
+            block = dates[start : start + 256]
+            ht.insert(block, {"row": np.arange(start, start + block.size)})
+            windows.append(ht._direct)
+        assert _layout(ht) == "direct"
+        assert len({id(w) for w in windows}) == 2  # anchored, then re-windowed once
+        assert ht._direct.dtype == np.int16
+        assert ht._direct.nbytes <= 16 * ht.capacity
+        probes = np.concatenate([dates, dates + 1, [19911231, 19990101]]).astype(np.int32)
+        idx = ht.probe(probes)
+        hit = np.isin(probes, dates)
+        assert np.array_equal(idx >= 0, hit)
+        assert np.array_equal(ht.payload["row"][idx[hit]], np.searchsorted(dates, probes[hit]))
+
+    def test_a_re_window_then_a_grow_keeps_every_row(self):
+        ht = HashTable(0, ["v"])
+        steps = []
+        keys = np.arange(100, dtype=np.int32) * 3
+        for batch in np.split(keys, [20, 40, 60, 80]):
+            window, capacity = ht._direct, ht.capacity
+            ht.insert(batch, {"v": batch * 7})
+            steps.append(("grow " if ht.capacity != capacity else "")
+                         + ("move" if ht._direct is not window else "stay"))
+        assert steps == ["grow move", "stay", "move", "grow move", "stay"]
+        assert _layout(ht) == "direct"
+        idx = ht.probe(np.arange(-1, 301, dtype=np.int32))
+        assert np.array_equal(np.flatnonzero(idx >= 0) - 1, keys)
+        assert np.array_equal(ht.payload["v"][idx[idx >= 0]], keys * 7)
+
+    def test_a_grow_past_2_16_widens_the_row_ids(self):
+        ht = HashTable(16000, ["v"])
+        assert ht.capacity == 32768 and ht._direct.dtype == np.int16
+        keys = np.arange(20000, dtype=np.int64) * 2 - 7
+        ht.insert(keys[:16000], {"v": keys[:16000]})
+        assert ht._direct.dtype == np.int16
+        ht.insert(keys[16000:], {"v": keys[16000:]})
+        assert ht.capacity == 131072 and _layout(ht) == "direct"
+        assert ht._direct.dtype == np.int32
+        assert ht._direct.nbytes <= 16 * ht.capacity
+        idx = ht.probe(np.concatenate([keys, keys + 1]))
+        assert np.array_equal(idx[:20000], np.arange(20000))
+        assert np.all(idx[20000:] == -1)
+
+
 def _next_pow2(n: int) -> int:
     return 1 << max(0, n - 1).bit_length()
 
 
 @st.composite
 def layout_builds(draw):
-    """Unique keys in batches, shaped to take either layout or to leave the
-    direct window mid-build, and as many unique keys that are never built."""
-    shapes = ["dense", "negative", "sparse", "leaves", "low_edge", "high_edge"]
+    """Unique keys in batches, shaped to take either layout, to leave the
+    direct window mid-build, or to climb out of it batch by batch, as
+    int64 or int32 keys, and as many unique keys that are never built."""
+    shapes = ["dense", "negative", "sparse", "leaves", "low_edge", "high_edge",
+              "ascending", "ascending"]
     shape = draw(st.sampled_from(shapes))
     n = draw(st.integers(0, 300))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     offsets = rng.choice(3 * n + 1, 2 * n, replace=False)
+    narrow = shape in ("dense", "negative", "ascending") and draw(st.booleans())
+    start = draw(st.integers(-(2**29), 2**29) if narrow else st.integers(-(2**40), 2**40))
     if shape == "sparse":
         pool = rng.permutation(np.unique(rng.integers(-(2**40), 2**40, 2 * n)))
     elif shape == "negative":
@@ -350,17 +405,30 @@ def layout_builds(draw):
         pool = _I64_MIN + offsets
     elif shape == "high_edge":
         pool = _I64_MAX - offsets
+    elif shape == "ascending":
+        # strides past the 2 * capacity window, within or past the budget,
+        # from anywhere up to either int64 edge
+        stride = draw(st.integers(1, 40))
+        if not narrow:
+            start = draw(st.sampled_from(
+                [start, _I64_MIN, _I64_MAX - stride * (3 * n + 1)]))
+        pool = start + offsets * stride
     else:
-        pool = draw(st.integers(-(2**40), 2**40)) + offsets
-    pool = pool.astype(np.int64)
+        pool = start + offsets
+    pool = pool.astype(np.int32 if narrow else np.int64)
     keys, misses = pool[: pool.size // 2], pool[pool.size // 2 :]
-    cuts = draw(st.lists(st.integers(0, keys.size), max_size=3))
+    climbs = shape == "ascending"
+    cuts = draw(st.lists(st.integers(0, keys.size), max_size=5))
+    if climbs:
+        # even batches, as a GPU builds from fixed-size blocks
+        keys = np.sort(keys)
+        cuts = list(range(0, keys.size, max(1, keys.size // draw(st.integers(3, 8)))))
     if shape == "leaves" and keys.size > 1:
         # the last quarter lies far beyond any window the rest anchored
         far = keys.size * 3 // 4
         keys[far:] += 2**41
         cuts.append(far)
-    expected = draw(st.sampled_from([0, 1, n // 2, n]))
+    expected = draw(st.sampled_from([0, 1, n // 4] if climbs else [0, 1, n // 2, n]))
     return np.split(keys, sorted(cuts)), misses, expected
 
 
@@ -375,7 +443,7 @@ def _build(batches, expected: int, hashed: bool) -> HashTable:
     return ht
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(build=layout_builds(), data=st.data())
 def test_both_layouts_match_a_dict_oracle(build, data):
     """Whatever layout a build takes, it answers every probe as a dict
@@ -387,12 +455,19 @@ def test_both_layouts_match_a_dict_oracle(build, data):
     hashed._to_hash()
     oracle: dict[int, int] = {}
     capacity = max(16, _next_pow2(2 * expected + 1))
+    moved = []
     for keys in batches:
         values = np.arange(len(oracle), len(oracle) + keys.size, dtype=np.int64) * 7
+        window = table._direct
         for ht in (table, hashed):
             ht.insert(keys, {"v": values})
-        if keys.size and len(oracle) + keys.size > capacity // 2:
+        grew = bool(keys.size) and len(oracle) + keys.size > capacity // 2
+        if grew:
             capacity = _next_pow2(max(4 * (len(oracle) + keys.size), 2 * capacity))
+        if oracle and window is not None and table._direct is not None:
+            # the residents moved into a new window: re-windowed or grown
+            moved.append("grow" if grew else "rewindow"
+                         if table._direct is not window else "stay")
         oracle.update(zip(keys.tolist(), values.tolist()))
         payload = 8 * len(oracle)
         for ht in (table, hashed):
@@ -403,6 +478,8 @@ def test_both_layouts_match_a_dict_oracle(build, data):
         assert table.keys is not None or table._direct.nbytes <= 16 * capacity
     assert _layout(hashed) == "hash"
     event(f"layout={_layout(table)}")
+    event(f"moves={'+'.join(m for m in moved if m != 'stay') or 'none'}")
+    event(f"keys={batches[0].dtype}")
 
     built = np.concatenate(batches)
     edges = np.array([_I64_MIN, _I64_MIN + 1, -1, 0, 1, _I64_MAX - 1, _I64_MAX])
@@ -442,25 +519,21 @@ def test_both_layouts_match_a_dict_oracle(build, data):
 #: The layout every SSB build takes at SF 0.01, per query: one group per
 #: hash table (``ht0`` first), one letter per domain in sorted order
 #: (``cpu``, ``gpu:0``, ``gpu:1``), D = direct, H = hash.  A change to the
-#: layout rule shows up here as a diff.
+#: layout rule shows up here as a diff.  Every table is direct: the date
+#: tables' yyyymmdd span fits the byte budget, and the GPU's 256-key
+#: date blocks re-window once instead of leaving for the hash layout.
 _SSB_LAYOUTS = {
     "hybrid, block 65536": {
         **dict.fromkeys(["Q1.1", "Q1.2", "Q1.3"], "DDD"),
-        # the date table's whole yyyymmdd span, or 1992-1997, is too wide
-        **dict.fromkeys(["Q2.1", "Q2.2", "Q2.3"], "HHH DDD DDD"),
-        **dict.fromkeys(["Q3.1", "Q3.2", "Q3.3"], "HHH DDD DDD"),
-        "Q3.4": "DDD DDD DDD",
-        "Q4.1": "HHH DDD DDD DDD",
-        **dict.fromkeys(["Q4.2", "Q4.3"], "DDD DDD DDD DDD"),
+        **dict.fromkeys(["Q2.1", "Q2.2", "Q2.3"], "DDD DDD DDD"),
+        **dict.fromkeys(["Q3.1", "Q3.2", "Q3.3", "Q3.4"], "DDD DDD DDD"),
+        **dict.fromkeys(["Q4.1", "Q4.2", "Q4.3"], "DDD DDD DDD DDD"),
     },
     "GPU-only, block 256": {
         **dict.fromkeys(["Q1.1", "Q1.2", "Q1.3"], "DD"),
-        **dict.fromkeys(["Q2.1", "Q2.2", "Q2.3"], "HH DD DD"),
-        **dict.fromkeys(["Q3.1", "Q3.2", "Q3.3"], "HH DD DD"),
-        "Q3.4": "DD DD DD",
-        # 1997-1998 fits the window, but the window is anchored on the
-        # first 256 dates, and a later one leaves it
-        **dict.fromkeys(["Q4.1", "Q4.2", "Q4.3"], "HH DD DD DD"),
+        **dict.fromkeys(["Q2.1", "Q2.2", "Q2.3"], "DD DD DD"),
+        **dict.fromkeys(["Q3.1", "Q3.2", "Q3.3", "Q3.4"], "DD DD DD"),
+        **dict.fromkeys(["Q4.1", "Q4.2", "Q4.3"], "DD DD DD DD"),
     },
 }
 _SSB_DRIVES = {
@@ -501,3 +574,7 @@ def test_ssb_build_layouts_are_pinned(drive, monkeypatch):
         layouts[query][ht_id] += _layout(table)[0].upper()
     pinned = {query: " ".join(tables.values()) for query, tables in layouts.items()}
     assert pinned == _SSB_LAYOUTS[drive]
+    # no table's host arrays outweigh the hash layout's 16 B per slot
+    for _query_id, ht_id, domain, table in built:
+        arrays = (table._direct,) if table.keys is None else (table.keys, table.rows)
+        assert sum(a.nbytes for a in arrays) <= 16 * table.capacity, (ht_id, domain)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import ExecutionConfig, Proteus, agg_count, agg_sum, scan
 from repro.algebra.expressions import col, lit
 from repro.algebra.logical import AggSpec
 from repro.algebra.physical import (
@@ -21,6 +22,9 @@ from repro.hardware.topology import DeviceType
 from repro.jit.codegen import CodegenError, PipelineCompiler
 from repro.jit.pipeline import QueryState
 from repro.jit.provider import CPUProvider, GPUProvider, provider_for
+from repro.engine.reference import ReferenceExecutor
+from repro.ssb import load_ssb
+from scenario import ssb_tables
 
 
 class TestProviders:
@@ -38,19 +42,19 @@ class TestProviders:
 
     def test_accumulate_rendering_differs(self):
         cpu, gpu = CPUProvider(), GPUProvider()
-        cpu_lines = cpu.emit_accumulate("acc_x", "value")
-        gpu_lines = gpu.emit_accumulate("acc_x", "value")
+        cpu_lines = cpu.emit_accumulate("x", "value")
+        gpu_lines = gpu.emit_accumulate("x", "value")
         # CPU: the atomic is optimised out (plain +=)
-        assert cpu_lines == ["state.acc_x += value"]
+        assert cpu_lines == ["state.acc['x'] += value"]
         # GPU: neighbourhood reduce then a worker-scoped atomic
         assert any("_neighborhood_reduce" in line for line in gpu_lines)
         assert any("_atomic_add" in line for line in gpu_lines)
 
     def test_min_max_accumulate(self):
         cpu = CPUProvider()
-        assert "min(" in cpu.emit_accumulate("acc_m", "v", "min")[0]
+        assert "min(" in cpu.emit_accumulate("m", "v", "min")[0]
         gpu = GPUProvider()
-        assert "_atomic_min" in gpu.emit_accumulate("acc_m", "v", "min")[1]
+        assert "_atomic_min" in gpu.emit_accumulate("m", "v", "min")[1]
 
     def test_compile_and_load_roundtrip(self):
         provider = CPUProvider()
@@ -94,7 +98,7 @@ class TestCodegen:
         cols = {"a": np.arange(100, dtype=np.int64),
                 "b": np.arange(100, dtype=np.int64)}
         state, stats, outputs = _run(pipeline, cols)
-        assert state.acc_total == float(np.arange(100)[np.arange(100) > 10].sum())
+        assert state.acc["total"] == float(np.arange(100)[np.arange(100) > 10].sum())
         assert outputs == []
         assert stats.tuples_in == 100
         assert stats.cpu_cycles > 0 and stats.gpu_ops > 0
@@ -107,7 +111,7 @@ class TestCodegen:
             ]
         cpu = _compile(ops(), DeviceType.CPU)
         gpu = _compile(ops(), DeviceType.GPU)
-        assert "state.acc_s +=" in cpu.source
+        assert "state.acc['s'] +=" in cpu.source
         assert "_atomic_add" in gpu.source
         assert "_neighborhood_reduce" in gpu.source
         assert "PTX" in gpu.source and "x86" in cpu.source
@@ -125,7 +129,7 @@ class TestCodegen:
         cpu_state, _, _ = _run(cpu_pipeline, dict(cols))
         gpu_state = gpu_pipeline.new_state(QueryState(), "gpu:0", 1 << 20)
         gpu_pipeline.fn(gpu_state, dict(cols), gpu_state.stats)
-        assert cpu_state.acc_s == gpu_state.acc_s
+        assert cpu_state.acc["s"] == gpu_state.acc["s"]
 
     def test_project_extends_tuples(self):
         pipeline = _compile([
@@ -136,7 +140,7 @@ class TestCodegen:
         cols = {"a": np.array([2, 3], dtype=np.int64),
                 "b": np.array([5, 7], dtype=np.int64)}
         state, _, _ = _run(pipeline, cols)
-        assert state.acc_s == 31.0
+        assert state.acc["s"] == 31.0
 
     def test_count_and_minmax(self):
         pipeline = _compile([
@@ -149,7 +153,7 @@ class TestCodegen:
         ])
         cols = {"a": np.array([5, -2, 9], dtype=np.int64)}
         state, _, _ = _run(pipeline, cols)
-        assert (state.acc_n, state.acc_lo, state.acc_hi) == (3, -2.0, 9.0)
+        assert state.acc == {"n": 3, "lo": -2.0, "hi": 9.0}
 
     def test_build_and_probe_via_state(self):
         build = _compile([
@@ -245,7 +249,7 @@ class TestCodegen:
         # never a .nonzero() on a Python bool
         assert ".nonzero()" not in pipeline.source
         state, stats, _ = _run(pipeline, {"a": np.arange(10, dtype=np.int64)})
-        assert (state.acc_s, state.acc_n) == ((45.0, 10) if value else (0.0, 0))
+        assert (state.acc["s"], state.acc["n"]) == ((45.0, 10) if value else (0.0, 0))
         assert stats.tuples_in == 10
 
     def test_source_stage_not_compilable(self):
@@ -262,3 +266,39 @@ class TestCodegen:
         )
         state, stats, _ = _run(pipeline, {"a": np.arange(10, dtype=np.int64)})
         assert stats.bytes_in == 40  # 10 tuples x declared 4-byte width
+
+
+# -- aggregate aliases that are not identifiers ---------------------------------
+
+_ALIAS_CONFIGS = {
+    "cpu": ExecutionConfig.cpu_only(4),
+    "gpu": ExecutionConfig.gpu_only([0, 1]),
+    "hybrid": ExecutionConfig.hybrid(4, [0, 1]),
+}
+_LINEORDER = ["lo_orderdate", "lo_quantity", "lo_revenue", "lo_discount"]
+_ALIAS_PLANS = {
+    "reduce": scan("lineorder", _LINEORDER).reduce([
+        agg_sum(col("lo_revenue"), "total-revenue"),
+        # sanitise to the same identifier as the first alias
+        agg_sum(col("lo_quantity"), "total_revenue"),
+        agg_count("row count"),
+    ]),
+    "group": scan("lineorder", _LINEORDER).groupby(["lo_discount"], [
+        agg_sum(col("lo_revenue"), "a-b"),
+        agg_sum(col("lo_quantity"), "a_b"),
+        agg_count("n!"),
+    ]).order_by("lo_discount"),
+}
+
+
+@pytest.mark.parametrize("plan", sorted(_ALIAS_PLANS))
+@pytest.mark.parametrize("label", sorted(_ALIAS_CONFIGS))
+def test_aliases_that_are_not_identifiers_keep_their_own_accumulators(label, plan):
+    tables = ssb_tables()
+    engine = Proteus(segment_rows=4096)
+    load_ssb(engine, tables=tables)
+    result = engine.query(_ALIAS_PLANS[plan], _ALIAS_CONFIGS[label])
+    expected = ReferenceExecutor(tables).execute(_ALIAS_PLANS[plan])
+    assert result.rows == expected
+    # the two sums that sanitise alike are two different columns
+    assert all(row[-3] != row[-2] for row in result.rows)

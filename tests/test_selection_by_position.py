@@ -1,9 +1,14 @@
 """Selections in generated pipelines, and predicates that fold to a constant.
 
 A filter or probe in a generated pipeline turns its predicate into one
-index array of surviving row positions (one ``nonzero()``) and gathers
-each live column with one ``take`` — only when some row was dropped.
-These tests pin that shape on every SSB query, pin the block statistics
+index array of surviving row positions (one ``nonzero()``).  Columns are
+materialised late: a selection compacts only the arrays that already
+hold one value per current row, an unpacked column is gathered once,
+through ``_sel``, when an operator first reads it, and a probe's payload
+waits as the probe's row ids until it is read.  These tests pin that
+shape on every SSB query, pin every block statistic and simulated second
+of the 13 SSB queries on three device configurations to the values the
+column-at-every-selection pipelines produced, pin the block statistics
 of the two edge cases (a probe that keeps every row, a filter that keeps
 none) to the values the boolean-mask pipelines produced, and cover the
 predicates that bind to a constant: ``c == 'absent'`` keeps no row and
@@ -11,6 +16,7 @@ predicates that bind to a constant: ``c == 'absent'`` keeps no row and
 """
 
 import dataclasses
+import hashlib
 import re
 
 import numpy as np
@@ -51,18 +57,70 @@ def test_every_selection_is_one_nonzero_and_takes(label):
             # no column is compacted with a boolean mask
             assert not re.search(r"\b(\w+) = \1\[", source), where
             assert "count_nonzero" not in source, where
+            # keys go to the join table and the grouping as stored; a
+            # group sink folds them itself and sums by bincount
+            assert ".astype(np.int64)" not in source, where
+            assert "np.add.at" not in source and "np.stack(" not in source, where
+            # an unpacked column is gathered at most once
+            gathered = re.findall(r"^ +(\w+) = \1\.take\(_sel\)$", source, re.M)
+            assert len(gathered) == len(set(gathered)), where
             # one blank-line-separated block per fused operator
             for block in source.split("\n\n"):
                 op = block.lstrip().splitlines()[0]
                 # a filter over no column is folded: no nonzero() runs
                 selects = op.startswith("# hash-join probe") or (
-                    op == "# filter" and "_mask = " in block
+                    op == "# filter"
+                    and "np.zeros(0" not in block
+                    and ".nonzero()" in block
                 )
                 assert block.count(".nonzero()") == int(selects), (where, block)
                 selections += selects
-                if ".take(_sel)" in block:
-                    assert "if _sel.shape[0] != _n:" in block, (where, block)
+                # compaction by the selection runs only when a row dropped
+                if ".take(_nz)" in block:
+                    assert "if _nz.shape[0] != _n:" in block, (where, block)
     assert selections > 2 * len(SSB_QUERY_IDS)
+
+
+# -- no statistic moved -------------------------------------------------------
+
+#: sha256 (first 16 hex digits) over the 13 SSB queries of every
+#: ``profile.device_stats`` field (floats by ``float.hex``) and the
+#: simulated seconds, at SF 0.01 / seed 42, segments of 4 096 rows, as
+#: the pipelines that compacted every live column at each selection,
+#: copied join keys to int64 and grouped by a lexsort produced them.
+#: SSB sums are integer-valued, so result rows cannot show a reordered
+#: float add; this digest can.
+PINNED_STATS_DIGESTS = {
+    ("cpu", 256): "d96c55dd30a656a0",
+    ("cpu", 65536): "6c13d430b6a8fe07",
+    ("gpu", 256): "9a20844b5bb65351",
+    ("gpu", 65536): "8c81e41dc1c06ad8",
+    ("hybrid", 256): "3063859fe9397e97",
+    ("hybrid", 65536): "99f913ff311609ec",
+}
+
+
+@pytest.fixture(scope="module")
+def sf01_seed42():
+    return ssb_tables(0.01, 42)
+
+
+@pytest.mark.parametrize("label, block_tuples", sorted(PINNED_STATS_DIGESTS))
+def test_no_statistic_moved(sf01_seed42, label, block_tuples):
+    engine = _engine(sf01_seed42)
+    config = dataclasses.replace(CONFIGS[label], block_tuples=block_tuples)
+    digest = hashlib.sha256()
+    for query in SSB_QUERY_IDS:
+        result = engine.query(ssb_query(query), config)
+        stats = {
+            device: tuple(
+                v.hex() if isinstance(v, float) else v
+                for v in dataclasses.astuple(block)
+            )
+            for device, block in sorted(result.profile.device_stats.items())
+        }
+        digest.update(repr((query, stats, result.seconds.hex())).encode())
+    assert digest.hexdigest()[:16] == PINNED_STATS_DIGESTS[label, block_tuples]
 
 
 # -- edge selections: every row kept, no row kept -----------------------------
