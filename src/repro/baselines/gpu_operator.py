@@ -361,7 +361,7 @@ class DBMSG(_BaselineEngine):
             agg = profile.device_stats.setdefault("gpu", BlockStats())
             agg.merge(stats)
             profile.kernels_launched += kernels
-        partials.append(groups.groups() if star.group_keys else scalars)
+        partials.append(groups if star.group_keys else scalars)
 
     # -- the Q2.2@SF1000 CPU fallback ---------------------------------------------------------
 

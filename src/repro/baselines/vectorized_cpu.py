@@ -248,7 +248,7 @@ class DBMSC(_BaselineEngine):
                 agg = profile.device_stats.setdefault("cpu", BlockStats())
                 agg.merge(stats)
             if star.group_keys:
-                worker_partials.append(groups.groups())
+                worker_partials.append(groups)
             else:
                 worker_partials.append(scalars)
 

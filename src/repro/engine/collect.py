@@ -9,16 +9,15 @@ across engines.
 
 from __future__ import annotations
 
-import math
 from typing import Any, Callable, Iterable, Mapping, Optional
 
 import numpy as np
 
 from ..algebra.physical import CollectSpec
-from ..jit.pipeline import agg_identity, merge_agg
+from ..jit.pipeline import GroupTable, agg_identity, merge_agg
 from .results import ExecutionProfile, QueryResult
 
-__all__ = ["collect_result", "merge_scalar", "merge_groups", "scalar_result"]
+__all__ = ["collect_result", "merge_scalar", "scalar_result"]
 
 DictionaryOf = Callable[[str], Optional[object]]
 
@@ -26,7 +25,7 @@ DictionaryOf = Callable[[str], Optional[object]]
 def collect_result(
     spec: CollectSpec,
     reduce_partials: list[dict[str, Any]],
-    group_partials: list[dict[tuple, dict[str, Any]]],
+    group_partials: list[GroupTable],
     row_blocks: list[dict[str, np.ndarray]],
     profile: ExecutionProfile,
     dictionary_of: DictionaryOf,
@@ -43,9 +42,10 @@ def merge_scalar(aggs, partials: Iterable[Mapping[str, Any]]) -> dict[str, Any]:
 
     Each aggregate starts from its identity and folds the partials in
     order with :func:`~repro.jit.pipeline.merge_agg`; a ``count`` ends as
-    an ``int`` and a min/max that saw no input as ``None``.  A ``None``
-    in a partial is such a finalised empty min/max (a shard's result
-    merged again by the fleet) and is skipped.
+    an ``int`` and a min / max still at its identity (a min at ``+inf``,
+    a max at ``-inf``: no input) as ``None``; a sum is never ``None``.  A
+    ``None`` in a partial is such a finalised empty min/max (a shard's
+    result merged again by the fleet) and is skipped.
 
     The merge is used twice — worker partials into a query result, shard
     results into a fleet result — and byte-identity of the two-level
@@ -63,31 +63,8 @@ def merge_scalar(aggs, partials: Iterable[Mapping[str, Any]]) -> dict[str, Any]:
     for agg in aggs:
         if agg.kind == "count":
             merged[agg.alias] = int(merged[agg.alias])
-        elif merged[agg.alias] in (math.inf, -math.inf):
+        elif agg.kind != "sum" and merged[agg.alias] == agg_identity(agg.kind):
             merged[agg.alias] = None  # min/max over empty input
-    return merged
-
-
-def merge_groups(
-    aggs, partials: Iterable[Mapping[tuple, Mapping[str, Any]]]
-) -> dict[tuple, dict[str, Any]]:
-    """Fold partial group-by aggregates (key -> alias -> value) by key.
-
-    Groups keep first-seen order; a key present in several partials is
-    folded with :func:`~repro.jit.pipeline.merge_agg` in partial order
-    (same exactness contract as :func:`merge_scalar`).
-    """
-    merged: dict[tuple, dict[str, Any]] = {}
-    for partial in partials:
-        for key, values in partial.items():
-            row = merged.get(key)
-            if row is None:
-                merged[key] = dict(values)
-            else:
-                for agg in aggs:
-                    row[agg.alias] = merge_agg(
-                        agg.kind, row[agg.alias], values[agg.alias]
-                    )
     return merged
 
 
@@ -99,17 +76,23 @@ def scalar_result(aggs, partials, profile: ExecutionProfile) -> QueryResult:
     return QueryResult(columns=columns, rows=rows, profile=profile, scalar=merged)
 
 
-def _collect_groups(spec, partials, profile, dictionary_of) -> QueryResult:
-    merged = merge_groups(spec.aggs, partials)
+def _collect_groups(spec, tables, profile, dictionary_of) -> QueryResult:
+    """Fold the workers' tables by slot, in worker order, and decode
+    each group's key codes."""
+    merged = GroupTable(spec.aggs)
+    for table in tables:
+        merged.merge(table)
     columns = list(spec.keys) + [a.alias for a in spec.aggs]
-    dictionaries = {name: dictionary_of(name) for name in spec.keys}
-    rows = []
-    for key, values in merged.items():
-        decoded = tuple(
-            dictionaries[name].decode(int(code)) if dictionaries[name] else int(code)
-            for name, code in zip(spec.keys, key)
+    width = len(spec.keys)
+    dictionaries = [dictionary_of(name) for name in spec.keys]
+    rows = [
+        tuple(
+            dictionary.decode(code) if dictionary is not None else code
+            for dictionary, code in zip(dictionaries, row[:width])
         )
-        rows.append(decoded + tuple(values[a.alias] for a in spec.aggs))
+        + row[width:]
+        for row in merged.rows()
+    ]
     rows = order_rows(rows, columns, spec)
     return QueryResult(columns=columns, rows=rows, profile=profile)
 

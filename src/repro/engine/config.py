@@ -25,9 +25,9 @@ query's CPU worker set between phases, within ``[min_dop, max_dop]``,
 driven by the observed DRAM utilization against ``target_utilization``.
 
 :class:`CachePolicy` parameterises the compiled-pipeline cache the same
-way: capacity, the eviction policy (``lru`` / the GDSF-style
+way: capacity and the eviction rule (``lru`` / the GDSF-style
 ``cost_aware`` that keeps expensive-to-compile GPU pipelines resident
-longer), and how many hot entries per-batch cache reports list.
+longer).
 
 The *tenant* contract (weights, quotas, rate limits) lives in
 :class:`repro.engine.tenancy.Tenant`, re-exported here alongside the

@@ -74,7 +74,7 @@ from ..hardware.sim import Simulator, Store
 from ..hardware.topology import DeviceType, Server
 from ..jit.cache import PipelineCache, stage_signature
 from ..jit.codegen import PipelineCompiler
-from ..jit.pipeline import CompiledPipeline, PipelineState, QueryState
+from ..jit.pipeline import CompiledPipeline, GroupTable, PipelineState, QueryState
 from ..memory.block import Block, BlockHandle
 from ..memory.managers import BlockManagerSet, MemoryManager
 from ..storage.catalog import Catalog
@@ -194,7 +194,7 @@ class RawExecution:
     """Executor output before result shaping (the engine decodes it)."""
 
     reduce_partials: list[dict[str, Any]] = field(default_factory=list)
-    group_partials: list[dict[tuple, dict[str, Any]]] = field(default_factory=list)
+    group_partials: list[GroupTable] = field(default_factory=list)
     row_blocks: list[dict[str, np.ndarray]] = field(default_factory=list)
     profile: ExecutionProfile = field(default_factory=ExecutionProfile)
 

@@ -13,9 +13,10 @@ dispatcher that:
   (replicas of the shard only, circuit-breaker-allowed first, then
   least in-flight);
 * runs **scatter-gather** for multi-shard queries: one DES process per
-  shard, partial results merged by the single-server collector's own
-  :func:`~repro.engine.collect.merge_scalar` /
-  :func:`~repro.engine.collect.merge_groups` (SSB aggregates are exact
+  shard, partial results merged as the single-server collector merges
+  its workers': scalars by :func:`~repro.engine.collect.merge_scalar`,
+  each shard's group rows folded into one
+  :class:`~repro.jit.pipeline.GroupTable` (SSB aggregates are exact
   integer sums in float64, so the shard re-association is
   byte-identical to a single-server run);
 * survives **server-level chaos**: seeded
@@ -96,9 +97,10 @@ from typing import Any, Optional, Sequence
 
 from ..algebra.logical import LogicalGroupBy, LogicalReduce, Plan
 from ..hardware.sim import Simulator
+from ..jit.pipeline import GroupTable
 from ..storage.column import Column
 from ..storage.table import Table
-from .collect import merge_groups, order_rows, scalar_result
+from .collect import order_rows, scalar_result
 from .config import ExecutionConfig
 from .failover import (
     BREAKER_STATE_VALUES,
@@ -411,7 +413,8 @@ class EngineFleet:
         self._fact: Optional[str] = None
         self._queries: list[FleetQuery] = []
         self._next_id = 0
-        self._spawned: set[int] = set()
+        #: query id -> its coordinator process, once spawned
+        self._spawned: dict[int, Any] = {}
         self._reported: set[int] = set()
         self._armed = False
         self._probe_proc_handle: Optional[Any] = None
@@ -585,13 +588,14 @@ class EngineFleet:
     def _probe_proc(self):
         """Periodic health probe: drives breaker recovery.
 
-        Runs while any fleet query is outstanding (so a drained drive
-        terminates); each tick probes every backend.  A probe into a
-        stall window fails — consecutive failures open the breaker —
-        and the first probe after the window runs the half-open trial
-        that closes it again.
+        Runs while any coordinator process is alive (so a drained drive
+        terminates, and a coordinator that died leaves its query to
+        :meth:`run`'s audit); each tick probes every backend.  A probe
+        into a stall window fails — consecutive failures open the
+        breaker — and the first probe after the window runs the
+        half-open trial that closes it again.
         """
-        while any(q.status == "pending" for q in self._queries):
+        while any(proc.is_alive for proc in self._spawned.values()):
             yield self.sim.timeout(self.probe_interval_seconds)
             for fs in self._servers:
                 self._probe(fs)
@@ -667,8 +671,9 @@ class EngineFleet:
             if q.status == "pending" and q.query_id not in self._spawned
         ]
         for query in fresh:
-            self._spawned.add(query.query_id)
-            self.sim.process(self._query_proc(query), name=f"fleet:{query.name}")
+            self._spawned[query.query_id] = self.sim.process(
+                self._query_proc(query), name=f"fleet:{query.name}"
+            )
         if fresh and (
             self._probe_proc_handle is None or self._probe_proc_handle.triggered
         ):
@@ -723,7 +728,10 @@ class EngineFleet:
             None,
         )
         if failure is None:
-            query.result = self._merge(query, shards, results)
+            try:
+                query.result = self._merge(query, shards, results)
+            except Exception as error:  # repro: noqa[RP004] _finish types it
+                failure = error
         self._finish(query, failure)
 
     def _finish(
@@ -970,10 +978,13 @@ class EngineFleet:
     ) -> QueryResult:
         """Gather: re-merge the per-shard results into the query's.
 
-        Aggregates go through the collector's own merge
-        (:func:`~repro.engine.collect.merge_scalar` /
-        :func:`~repro.engine.collect.merge_groups`); the plan's ORDER BY
-        / LIMIT, stripped from aggregating shard plans, apply here."""
+        Scalars go through the collector's
+        :func:`~repro.engine.collect.merge_scalar`, and each shard's
+        group rows fold, in shard order, into one
+        :class:`~repro.jit.pipeline.GroupTable`, the merge the collector
+        runs over worker tables.  The plan's ORDER BY / LIMIT, stripped
+        from aggregating shard plans, apply here, and the columns are
+        the plan's (an empty shard result names none)."""
         if len(shards) == 1:
             return results[shards[0]]
         parts = [results[shard] for shard in shards]  # shard order
@@ -983,22 +994,14 @@ class EngineFleet:
             return scalar_result(root.aggs, [part.scalar for part in parts], profile)
         if isinstance(root, LogicalGroupBy):
             width = len(root.keys)
-            aliases = [agg.alias for agg in root.aggs]
-            merged = merge_groups(
-                root.aggs,
-                (
-                    {row[:width]: dict(zip(aliases, row[width:])) for row in part.rows}
-                    for part in parts
-                ),
-            )
-            columns = list(parts[0].columns)
-            rows = [
-                key + tuple(values[alias] for alias in aliases)
-                for key, values in merged.items()
-            ]
+            merged = GroupTable(root.aggs)
+            for part in parts:
+                keys = [row[:width] for row in part.rows]
+                merged.fold(keys, list(zip(*part.rows))[width:])
+            rows = merged.rows()
         else:
-            columns = next((list(p.columns) for p in parts if p.columns), [])
             rows = [row for part in parts for row in part.rows]
+        columns = query.plan.output_columns()
         rows = order_rows(rows, columns, query.plan)
         return QueryResult(columns=columns, rows=rows, profile=profile)
 

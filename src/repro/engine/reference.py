@@ -4,8 +4,8 @@ Interprets logical plans directly over whole tables with plain NumPy —
 no blocks, no pipelines, no codegen, no simulation.  Deliberately an
 independent implementation so that agreement with the JIT engines is
 meaningful.  It imports nothing from ``jit``: generated pipelines group
-through a lexsort and join through a hash table, and the oracle does
-neither.
+each block through ``group_rows`` and join through ``HashTable``, and
+the oracle groups and joins whole columns with code of its own.
 
 - **Selection** is by position: a filter or join keeps rows with one
   ``flatnonzero`` and a ``take`` per column.

@@ -41,7 +41,7 @@ compiles it, so the emitted shape is kept short.
 The compiler is **pure**: a stage in, a fresh
 :class:`~repro.jit.pipeline.CompiledPipeline` out, no cache and no
 pricing.  The compile-through-the-cache protocol (signature -> lookup ->
-compile -> first-writer-wins publish, cost-priced and tenant-attributed)
+compile -> first-writer-wins publish, cost-priced)
 lives in one place, :meth:`Executor.begin_compilation
 <repro.engine.executor.Executor.begin_compilation>` /
 :meth:`PlanCompilation.finish
@@ -192,7 +192,7 @@ class PipelineCompiler:
             source=source,
             fn=fn,
             reduce_aggs=list(sink.aggs) if isinstance(sink, OpReduceSink) else [],
-            group_aggs=list(sink.aggs) if isinstance(sink, OpGroupAggSink) else [],
+            group_aggs=list(sink.aggs) if isinstance(sink, OpGroupAggSink) else None,
             hash_pack_partitions=(
                 sink.partitions if isinstance(sink, OpHashPackSink) else None
             ),

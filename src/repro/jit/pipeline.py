@@ -18,8 +18,9 @@ code and groups it without a sort when the code space is small (one
 row-wise ``np.unique``.  Per-group sums are one ``np.bincount`` over the
 inverse, which adds in row order exactly as ``np.add.at`` does.  A
 worker's :class:`GroupTable` merges each block's partials into dense
-per-aggregate arrays by slot.  The DBMS C / G proxies group and merge
-through the same two.
+per-aggregate arrays by slot, and the same table is the grouped partial
+the collector merges (worker tables by slot) and the fleet merges (shard
+rows).  The DBMS C / G proxies group and merge through the same two.
 """
 
 from __future__ import annotations
@@ -147,16 +148,22 @@ def _overflow_groups(columns: list[np.ndarray]) -> tuple[list[np.ndarray], np.nd
 
 
 class GroupTable:
-    """One worker's grouped partial aggregates, a dense slot per group.
+    """Grouped partial aggregates, a dense slot per group: the one form
+    and the one merge of grouped partials from a worker to a fleet.
 
     ``slots`` numbers the groups in first-seen order and each aggregate
-    keeps one array indexed by slot.  :meth:`update` merges a block's
-    per-group partials by slot with one NumPy operation per aggregate:
-    sums and counts add (float64 and int64 addition, bit for bit what
-    Python's ``+`` does), and min / max keep what Python's ``min`` /
-    ``max`` keep, the held value unless the new one is strictly
-    smaller / larger.  :meth:`groups` reads the table back as
-    ``key -> {alias: value}`` with ``int`` counts and ``float`` otherwise.
+    keeps one array indexed by slot.  :meth:`fold` merges per-group
+    partials by slot with one NumPy operation per aggregate: sums and
+    counts add (float64 and int64 addition, bit for bit what Python's
+    ``+`` does), and min / max keep what Python's ``min`` / ``max``
+    keep, the held value unless the new one is strictly smaller /
+    larger.  A worker folds each block (:meth:`update`), the collector
+    folds the workers' tables (:meth:`merge`) and the fleet folds each
+    shard's result rows; on integer-valued float64 (every SSB aggregate)
+    addition is exact, so folding per worker and then per shard equals
+    folding everything at once.  :meth:`rows` reads the table back as
+    ``key + aggregates`` tuples with ``int`` counts and ``float``
+    otherwise.
     """
 
     def __init__(self, aggs: list[AggSpec]):
@@ -170,17 +177,24 @@ class GroupTable:
         return np.full(size, agg_identity(kind), dtype=dtype)
 
     def update(self, keys: list[np.ndarray], partials: list[np.ndarray]) -> int:
-        """Merge one block's groups (:func:`group_rows` order) and their
-        partials (one array per aggregate, in ``aggs`` order); returns
-        the number of groups held."""
+        """Fold one block's groups (one array per key column,
+        :func:`group_rows` order) and their partials; returns the number
+        of groups held."""
+        return self.fold(list(zip(*(column.tolist() for column in keys))), partials)
+
+    def fold(self, key_tuples: list[tuple], partials: list) -> int:
+        """Fold distinct groups and their partials (one sequence per
+        aggregate, in ``aggs`` order) by slot; returns the number of
+        groups held.  No groups fold as a no-op."""
         slots = self.slots
-        rows = list(zip(*(column.tolist() for column in keys)))
-        found = list(map(slots.get, rows))
+        if not key_tuples:
+            return len(slots)
+        found = list(map(slots.get, key_tuples))
         if None in found:
-            # new groups take the next slots, in block order
+            # new groups take the next slots, in fold order
             for i, slot in enumerate(found):
                 if slot is None:
-                    found[i] = slots[rows[i]] = len(slots)
+                    found[i] = slots[key_tuples[i]] = len(slots)
         index = np.array(found, dtype=np.intp)
         held = len(slots)
         for i, (agg, values) in enumerate(zip(self.aggs, self._values)):
@@ -189,8 +203,9 @@ class GroupTable:
                     [values, self._fresh(agg.kind, max(held, 2 * values.shape[0]))]
                 )
             if agg.kind in ("sum", "count"):
-                # a sum past the float range is inf, as Python's + gives it
-                with np.errstate(over="ignore"):
+                # a sum past the float range is inf (and inf - inf is
+                # nan), silently, as Python's + gives it
+                with np.errstate(over="ignore", invalid="ignore"):
                     values[index] += partials[i]
             else:
                 old = values.take(index)
@@ -199,13 +214,18 @@ class GroupTable:
                 values[index] = np.where(better, new, old)
         return held
 
-    def groups(self) -> dict[tuple, dict[str, Any]]:
+    def merge(self, other: "GroupTable") -> int:
+        """Fold ``other``'s groups in its slot order; ``other`` is not
+        changed."""
+        held = len(other.slots)
+        return self.fold(list(other.slots), [values[:held] for values in other._values])
+
+    def rows(self) -> list[tuple]:
+        """``key + aggregates`` per group, in slot order."""
         held = len(self.slots)
-        rows: list[dict[str, Any]] = [{} for _ in range(held)]
-        for agg, values in zip(self.aggs, self._values):
-            for row, value in zip(rows, values[:held].tolist()):
-                row[agg.alias] = value
-        return dict(zip(self.slots, rows))
+        columns = [values[:held].tolist() for values in self._values]
+        aggregates = zip(*columns) if columns else [()] * held
+        return [key + values for key, values in zip(self.slots, aggregates)]
 
 
 class QueryState:
@@ -279,8 +299,8 @@ class PipelineState:
         self.acc: dict[str, Any] = {
             agg.alias: agg_identity(agg.kind) for agg in reduce_aggs or []
         }
-        self.group_aggs = group_aggs or []
-        self._groups: Optional[GroupTable] = None
+        #: a group sink's table, folded block by block (None otherwise)
+        self.groups = GroupTable(group_aggs) if group_aggs is not None else None
 
     # -- hash tables -----------------------------------------------------------
 
@@ -294,19 +314,11 @@ class PipelineState:
     # -- grouped aggregation -----------------------------------------------------
 
     def group_update(self, keys: list[np.ndarray], partials: list[np.ndarray]) -> int:
-        """Merge one block's groups and partials into the instance's
-        :class:`GroupTable`, created at the first block; returns the
-        number of groups held."""
-        if self._groups is None:
-            self._groups = GroupTable(self.group_aggs)
-        return self._groups.update(keys, partials)
+        """Fold one block's groups and partials into :attr:`groups`;
+        returns the number of groups held."""
+        return self.groups.update(keys, partials)
 
     # -- partial extraction (for the collector) --------------------------------------
-
-    @property
-    def groups(self) -> dict[tuple, dict[str, Any]]:
-        """Grouped partials, key -> alias -> value, in first-seen order."""
-        return self._groups.groups() if self._groups is not None else {}
 
     def reduce_partials(self) -> dict[str, Any]:
         return dict(self.acc)
@@ -325,7 +337,7 @@ class CompiledPipeline:
     fn: Callable
     #: sink metadata mirrored from the stage, used for state creation
     reduce_aggs: list[AggSpec] = field(default_factory=list)
-    group_aggs: list[AggSpec] = field(default_factory=list)
+    group_aggs: Optional[list[AggSpec]] = None
     hash_pack_partitions: Optional[int] = None
 
     def new_state(

@@ -39,6 +39,7 @@ from repro import (
     SharedCacheDirectory,
     agg_sum,
     col,
+    lit,
     scan,
 )
 from repro.engine.reference import ReferenceExecutor
@@ -51,8 +52,9 @@ from repro.ssb import (
     ssb_query,
 )
 
+_ORDERS = scan("lineorder", ["lo_orderkey", "lo_quantity", "lo_revenue"])
 #: every query a scenario can name -> its one plan object: the 13 SSB
-#: ids plus two join-free plans over ``lineorder``.  A plan with no
+#: ids plus three join-free plans over ``lineorder``.  A plan with no
 #: joins places as a single phase (its only wave is also its last); the
 #: wide one streams four columns — slow enough to still be running when
 #: a join query reaches its first phase boundary
@@ -65,6 +67,11 @@ PLANS = {
         "lineorder",
         ["lo_revenue", "lo_extendedprice", "lo_ordtotalprice", "lo_quantity"],
     ).reduce([agg_sum(col("lo_revenue"), "rev")]),
+    # ``lineorder`` is generated in ``lo_orderkey`` order and sharded in
+    # contiguous ranges, so only a fleet's first shard has qualifying rows
+    "first_shard_groups": _ORDERS.filter(col("lo_orderkey") <= lit(100)).groupby(
+        ["lo_quantity"], [agg_sum(col("lo_revenue"), "rev")]
+    ),
 }
 _QUERY_OF = {id(plan): query for query, plan in PLANS.items()}
 

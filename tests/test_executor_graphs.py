@@ -117,14 +117,14 @@ def test_hash_pack_producer_feeds_hash_router(env):
     raw = executor.execute(plan, ExecutionConfig.cpu_only(6, block_tuples=512))
     # each key lands in exactly one partial (hash partitioning is disjoint)
     seen = {}
-    for partial in raw.group_partials:
-        for key, values in partial.items():
+    for groups in raw.group_partials:
+        for key, total in groups.rows():
             assert key not in seen, f"key {key} split across consumers"
-            seen[key] = values["s"]
+            seen[key] = total
     table = catalog.table("t")
     k, v = table.column("k").values, table.column("v").values
     for key in np.unique(k):
-        assert seen[(int(key),)] == float(v[k == key].sum())
+        assert seen[int(key)] == float(v[k == key].sum())
 
 
 def test_locality_invariant_blocks_always_local_when_processed(env):

@@ -176,7 +176,7 @@ class TestCodegen:
                  {"k": np.array([0, 1, 2, 99], dtype=np.int64),
                   "v": np.array([10, 20, 30, 40], dtype=np.int64)},
                  probe_state.stats)
-        assert probe_state.groups == {(0,): {"s": 40.0}, (1,): {"s": 20.0}}
+        assert probe_state.groups.rows() == [(0, 40.0), (1, 20.0)]
         # the missing key 99 was dropped; random accesses = 4 probe lookups
         # (charged pre-drop); the tiny group table stays cache-resident
         assert probe_state.stats.random_accesses == 4
