@@ -1,12 +1,12 @@
 """HetExchange operators — the paper's primary contribution.
 
-Control flow: :class:`Router` (parallelism), :class:`Cpu2Gpu` /
+Control flow: :class:`Router` (parallelism), :func:`cpu2gpu` /
 :class:`Gpu2Cpu` (device crossing).
 Data flow: :class:`MemMove` (locality), :class:`Packer` /
 :class:`HashPacker` (packing), :class:`Segmenter` (leaf block source).
 """
 
-from .device_crossing import Cpu2Gpu, Gpu2Cpu
+from .device_crossing import Gpu2Cpu, cpu2gpu
 from .mem_move import MemMove
 from .pack import HashPacker, Packer
 from .router import ConsumerGroup, Router, RoutingError
@@ -16,7 +16,7 @@ __all__ = [
     "Router",
     "ConsumerGroup",
     "RoutingError",
-    "Cpu2Gpu",
+    "cpu2gpu",
     "Gpu2Cpu",
     "MemMove",
     "Packer",

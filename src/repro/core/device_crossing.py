@@ -10,11 +10,12 @@ asynchronous queue."
 
 Runtime shape in this reproduction:
 
-* :class:`Cpu2Gpu` wraps kernel launches: it serialises on the GPU's
-  compute engine, charges the launch latency, and places the kernel's
-  bandwidth demand on the device's HBM resource.  The *codegen* half of
-  cpu2gpu is the provider switch (the consumer pipeline is compiled with
-  the GPU provider).
+* :func:`cpu2gpu` is one kernel launch, run by the GPU worker with
+  ``yield from`` as a step of its own pipeline: it serialises on the
+  GPU's compute engine, charges the launch latency, and places the
+  kernel's bandwidth demand on the device's HBM resource.  The *codegen*
+  half of cpu2gpu is the provider switch (the consumer pipeline is
+  compiled with the GPU provider).
 * :class:`Gpu2Cpu` is the asynchronous queue from a producing kernel back
   to a CPU task, plus the CPU-side task-spawn cost.
 """
@@ -24,40 +25,38 @@ from __future__ import annotations
 from typing import Any
 
 from ..hardware.costmodel import CostModel, WorkRequest
-from ..hardware.sim import Simulator, Store
+from ..hardware.sim import Event, Simulator, Store
 from ..hardware.topology import Gpu
 
-__all__ = ["Cpu2Gpu", "Gpu2Cpu"]
+__all__ = ["cpu2gpu", "Gpu2Cpu"]
 
 
-class Cpu2Gpu:
-    """Host-side kernel launcher for one GPU."""
+def cpu2gpu(sim: Simulator, gpu: Gpu, work: WorkRequest):
+    """DES sub-generator: run one kernel's worth of work on ``gpu``.
 
-    def __init__(self, sim: Simulator, gpu: Gpu, cost: CostModel):
-        self.sim = sim
-        self.gpu = gpu
-        self.cost = cost
-        self.kernels_launched = 0
-
-    def launch(self, work: WorkRequest):
-        """DES sub-process: run one kernel's worth of work on the GPU.
-
-        Holds the compute engine for the kernel's duration (kernels from
-        the same stream serialise), pays the launch latency, then streams
-        the kernel's demand through device memory.
-        """
-        grant = self.gpu.compute.acquire()
+    Holds the compute engine for the kernel's duration (kernels from
+    the same stream serialise), pays the launch latency, then streams
+    the kernel's demand through device memory.  A worker aborted inside
+    the kernel gives the engine back at once; one aborted while still
+    queued for it passes the grant on when it comes.
+    """
+    grant = gpu.compute.acquire()
+    try:
         yield grant
-        try:
-            self.kernels_launched += 1
-            yield self.sim.timeout(work.setup_seconds)
-            job = self.gpu.memory.bandwidth.submit(
-                work.work_bytes, rate_cap=work.rate_cap,
-                label=("kernel:{}", self.gpu.name),
-            )
-            yield job
-        finally:
-            self.gpu.compute.release()
+        yield sim.timeout(work.setup_seconds)
+        yield gpu.memory.bandwidth.submit(
+            work.work_bytes, rate_cap=work.rate_cap, label=("kernel:{}", gpu.name)
+        )
+    finally:
+        if grant.triggered:
+            _hand_back(grant)
+        else:
+            grant.add_callback(_hand_back)
+
+
+def _hand_back(grant: Event) -> None:
+    if grant.ok:  # a grant failed by a device loss holds nothing
+        grant.value.release()  # a grant's value is the FifoResource
 
 
 class Gpu2Cpu:
@@ -68,7 +67,6 @@ class Gpu2Cpu:
         self.sim = sim
         self.cost = cost
         self.queue: Store = sim.store(capacity=capacity, name=name or "gpu2cpu")
-        self.tasks_spawned = 0
 
     def send(self, item: Any):
         """GPU half: insert a task into the queue (returns a put event)."""
@@ -83,7 +81,6 @@ class Gpu2Cpu:
         yield got
         item = got.value
         if item is not Store.END:
-            self.tasks_spawned += 1
             yield self.sim.timeout(self.cost.task_spawn_seconds)
         return item
 

@@ -38,6 +38,12 @@ transfer-side optimisations that hide PCIe latency behind compute:
   finish"), followed by :meth:`release_staged` once the block has been
   processed.
 
+``transfer_done`` is the DMA's own process: it completes when the block
+has landed and fails with the transfer's error (a :class:`TransferTimeout`,
+or a link poisoned by a device loss), which reaches a consumer parked on
+it.  A failed transfer nobody waits on (its query was aborted) fails
+quietly; :meth:`MemMove.abort_outstanding` returns its staging slot.
+
 The DMA process occupies every interconnect link on the chosen path
 *and* the host DRAM nodes it reads/writes/bounces through — this
 coupling is what produces the paper's compute/transfer interference
@@ -213,16 +219,11 @@ class MemMove:
                                 handle.block.nbytes,
                                 scale=handle.block.logical_scale)
         self.path_counts[path.key] = self.path_counts.get(path.key, 0) + 1
-        moved = handle.block.with_node(target_node)
-        done = self.sim.event(
-            name=("dma:{}->{}", handle.block.block_id, target_node)
-        )
-        self.sim.process(
-            self._dma(handle.block, path, acquire_latency, done),
+        new_handle = handle.routed_copy(block=handle.block.with_node(target_node))
+        new_handle.transfer_done = self.sim.process(
+            self._dma(handle.block, path, acquire_latency),
             name=("memmove:{}", handle.block.block_id),
         )
-        new_handle = handle.routed_copy(block=moved)
-        new_handle.transfer_done = done
         self.transfers += 1
         self.bytes_moved += handle.block.logical_bytes
         self._staged_outstanding[target_node] = (
@@ -324,48 +325,31 @@ class MemMove:
 
     # -- the asynchronous DMA process ------------------------------------------------
 
-    def _dma(self, block: Block, path: Path, acquire_latency: float,
-             done: Event):
-        start = self.sim.now
-        try:
-            plan = self.cost.transfer_plan(
-                block.nbytes, scale=block.logical_scale
-            )
-            # path_rate_cap is the single source of the stream cap (pinned /
-            # pageable / peer-DMA): it subsumes plan.link_rate_cap
-            rate_cap = self.cost.path_rate_cap(path)
-            yield self.sim.timeout(
-                plan.setup_seconds * path.setups + acquire_latency
-            )
-            jobs = path_transfer_jobs(
-                path, plan.nbytes, rate_cap, label=("dma:{}", block.block_id)
-            )
-            if jobs:
-                yield self.sim.all_of(jobs)
-            if self.straggler is not None:
-                factor = self.straggler()
-                if factor > 1.0:
-                    yield self.sim.timeout(
-                        (self.sim.now - start) * (factor - 1.0)
-                    )
-            elapsed = self.sim.now - start
-            if self.dma_timeout is not None and elapsed > self.dma_timeout:
-                done.fail(TransferTimeout(
-                    f"transfer of block {block.block_id} to {path.dst} took "
-                    f"{elapsed:.6f}s (deadline {self.dma_timeout:g}s)"
-                ))
-                return
-        except Exception as error:
-            # A link poisoned mid-flight (device loss) fails the transfer
-            # jobs; surface the typed error to the consumer parked on
-            # ``transfer_done`` instead of stranding it forever.
-            if not done.triggered:
-                done.fail(error)
-            return
+    def _dma(self, block: Block, path: Path, acquire_latency: float):
         # The staging slot acquired for this transfer is released by the
         # consumer once it has processed the block (release_staged in the
         # worker's epilogue), not when the wire goes quiet.
-        done.trigger(None)
+        start = self.sim.now
+        plan = self.cost.transfer_plan(block.nbytes, scale=block.logical_scale)
+        # path_rate_cap is the single source of the stream cap (pinned /
+        # pageable / peer-DMA): it subsumes plan.link_rate_cap
+        rate_cap = self.cost.path_rate_cap(path)
+        yield self.sim.timeout(plan.setup_seconds * path.setups + acquire_latency)
+        jobs = path_transfer_jobs(
+            path, plan.nbytes, rate_cap, label=("dma:{}", block.block_id)
+        )
+        if jobs:
+            yield self.sim.all_of(jobs)
+        if self.straggler is not None:
+            factor = self.straggler()
+            if factor > 1.0:
+                yield self.sim.timeout((self.sim.now - start) * (factor - 1.0))
+        elapsed = self.sim.now - start
+        if self.dma_timeout is not None and elapsed > self.dma_timeout:
+            raise TransferTimeout(
+                f"transfer of block {block.block_id} to {path.dst} took "
+                f"{elapsed:.6f}s (deadline {self.dma_timeout:g}s)"
+            )
 
     # -- introspection -----------------------------------------------------------------
 

@@ -17,8 +17,8 @@ the discrete-event simulator:
 * worker coroutines run the JIT-compiled pipeline over each block, charge
   the cost model's resource demands (socket DRAM / GPU HBM / PCIe), and
   forward packed outputs to the next router — GPU workers launch kernels
-  through :class:`~repro.core.device_crossing.Cpu2Gpu` and return results
-  through a :class:`~repro.core.device_crossing.Gpu2Cpu` queue.
+  inline through :func:`~repro.core.device_crossing.cpu2gpu` and return
+  results through a :class:`~repro.core.device_crossing.Gpu2Cpu` queue.
 
 Phases execute in order (hash-join builds before their probes); the
 query's simulated time is the DES clock advance across all phases.
@@ -63,7 +63,7 @@ from ..algebra.physical import (
     validate_placement,
     validate_stage_placement,
 )
-from ..core.device_crossing import Cpu2Gpu, Gpu2Cpu
+from ..core.device_crossing import Gpu2Cpu, cpu2gpu
 from ..core.mem_move import MemMove, path_transfer_jobs
 from ..core.router import ConsumerGroup, Router
 from ..core.segmenter import Segmenter
@@ -871,9 +871,7 @@ class Executor:
         group,
         mem_move: MemMove,
     ):
-        cpu2gpu = None
-        if instance.device is DeviceType.GPU:
-            cpu2gpu = Cpu2Gpu(self.sim, self.server.gpus[instance.unit], self.cost)
+        on_gpu = instance.device is DeviceType.GPU
         fn = pipelines[instance.stage.stage_id].fn
         state = instance.state
         uva = edge is not None and not edge.mem_move  # bare-GPU UVA reads
@@ -900,8 +898,8 @@ class Executor:
             before = _snapshot(state.stats)
             outputs = fn(state, handle.block.columns, state.stats)
             delta = _delta(state.stats, before)
-            yield from self._charge(instance, handle, delta, cpu2gpu, uva)
-            if cpu2gpu is not None:
+            yield from self._charge(instance, handle, delta, uva)
+            if on_gpu:
                 out.profile.kernels_launched = out.profile.kernels_launched + 1
             if handle.meta.get("staged"):
                 # via the mem-move (never blocks.release directly): the
@@ -928,7 +926,7 @@ class Executor:
             tracker.done()
 
     def _charge(self, instance: _Instance, handle: BlockHandle,
-                delta: BlockStats, cpu2gpu: Optional[Cpu2Gpu], uva: bool):
+                delta: BlockStats, uva: bool):
         """Convert a block's stats into simulated resource demands."""
         scale = handle.block.logical_scale
         if instance.device is DeviceType.CPU:
@@ -947,6 +945,7 @@ class Executor:
             yield job
             return
         req = self.cost.gpu_block_work(delta, scale)
+        gpu = self.server.gpus[instance.unit]
         if uva and handle.node_id != instance.node_id:
             # Without HetExchange the kernel reads host memory through UVA:
             # the *streamed input* crosses the direct interconnect route
@@ -958,11 +957,11 @@ class Executor:
             path = self.server.paths_between(handle.node_id, instance.node_id)[0]
             cap = self.cost.path_rate_cap(path)
             jobs = path_transfer_jobs(path, plan.nbytes, cap, label="uva")
-            launch = self.sim.process(cpu2gpu.launch(req), name="kernel-uva")
+            launch = self.sim.process(cpu2gpu(self.sim, gpu, req), name="kernel-uva")
             jobs.append(launch)
             yield self.sim.all_of(jobs)
             return
-        yield self.sim.process(cpu2gpu.launch(req), name="kernel")
+        yield from cpu2gpu(self.sim, gpu, req)
 
     def _emit(
         self,

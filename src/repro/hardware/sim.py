@@ -153,8 +153,9 @@ class Timeout(Event):
     __slots__ = ()
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None):
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay: {delay}")
+        # ``not >=`` also refuses NaN, which every comparison calls False
+        if not delay >= 0:
+            raise SimulationError(f"invalid timeout delay: {delay}")
         super().__init__(sim, name=("Timeout({:g})", delay))
         self._triggered = True
         self._value = value
@@ -314,6 +315,11 @@ class Store:
         """Return an event that triggers once ``item`` is enqueued."""
         if self._closed:
             raise SimulationError(f"put() on closed store {self.name!r}")
+        # The event is returned even when the item is enqueued at once, and
+        # the producer yields it: it resumes behind the entries already
+        # queued for this instant.  A put that skipped this turn reorders
+        # same-instant work and moves simulated time (Fig. 5's depth-2
+        # total went from 59.06146078131773 to 59.04468581672784 s).
         event = Event(self.sim, name=("put:{}", self.name))
         if self._getters:
             getter = self._getters.popleft()
@@ -417,18 +423,23 @@ class Simulator:
         Returns the final clock value.  Raises the first uncaught failure of
         a process that nobody is waiting on only if the failure surfaced as
         a Python exception during a callback; process failures with waiters
-        are delivered to the waiters instead.
+        are delivered to the waiters instead.  An ``until`` before the
+        clock (or NaN) raises :class:`SimulationError`: time never runs back.
         """
         if self._running:
             raise SimulationError("simulator is already running")
+        limit = math.inf if until is None else float(until)
+        if not limit >= self.now:
+            raise SimulationError(
+                f"run(until={until}) would move the clock back from {self.now}"
+            )
         self._running = True
         heap = self._heap
         pop = heappop
-        limit = math.inf if until is None else until
         try:
             while heap:
                 if heap[0][0] > limit:
-                    self.now = until
+                    self.now = limit
                     break
                 time, _seq, arg, fn = pop(heap)
                 if time < self.now - 1e-12:

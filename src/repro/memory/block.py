@@ -87,9 +87,10 @@ class Block:
 class BlockHandle:
     """Control-plane token referencing a block.
 
-    ``transfer_done`` is set by mem-move's producer half when it schedules
-    an asynchronous DMA; the consumer half waits on it before handing the
-    block to the pipeline (Listing 1, pipelines 10-11 of the paper).
+    ``transfer_done`` is the DMA process mem-move's producer half starts
+    for a remote block; the consumer half waits on it before handing the
+    block to the pipeline (Listing 1, pipelines 10-11 of the paper), and
+    a failed transfer raises its error in the waiter.
     """
 
     block: Block
@@ -97,7 +98,7 @@ class BlockHandle:
     hash_value: Optional[int] = None
     #: broadcast target id attached by mem-move multicast
     target_id: Optional[int] = None
-    #: DES event the consumer must wait on before reading the block
+    #: the transfer's DES process; wait on it before reading the block
     transfer_done: Any = None
     #: arbitrary per-operator annotations (kept small; control plane only)
     meta: dict = field(default_factory=dict)

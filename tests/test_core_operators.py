@@ -11,12 +11,12 @@ from repro.algebra.physical import (
     SegmentSource,
     Stage,
 )
-from repro.core.device_crossing import Cpu2Gpu, Gpu2Cpu
+from repro.core.device_crossing import Gpu2Cpu, cpu2gpu
 from repro.core.mem_move import MemMove
 from repro.core.router import ConsumerGroup, Router, RoutingError
 from repro.core.segmenter import Segmenter
 from repro.hardware.costmodel import CostModel, WorkRequest
-from repro.hardware.sim import Simulator, Store
+from repro.hardware.sim import Interrupt, Simulator, Store
 from repro.hardware.specs import PAPER_SERVER
 from repro.hardware.topology import DeviceType, Server
 from repro.memory.block import Block, BlockHandle
@@ -263,13 +263,11 @@ class TestDeviceCrossing:
     def test_cpu2gpu_serialises_kernels(self):
         sim = Simulator()
         server = Server.paper_machine(sim)
-        crossing = Cpu2Gpu(sim, server.gpus[0], CostModel(PAPER_SERVER))
         finishes = []
 
         def launch():
-            yield sim.process(crossing.launch(
-                WorkRequest(work_bytes=320e6, rate_cap=320e9,
-                            setup_seconds=10e-6)))
+            yield from cpu2gpu(sim, server.gpus[0], WorkRequest(
+                work_bytes=320e6, rate_cap=320e9, setup_seconds=10e-6))
             finishes.append(sim.now)
 
         sim.process(launch())
@@ -278,7 +276,28 @@ class TestDeviceCrossing:
         # each kernel: 10 us launch + 1 ms stream; serialised on the engine
         assert finishes[0] == pytest.approx(1.01e-3, rel=0.05)
         assert finishes[1] == pytest.approx(2.02e-3, rel=0.05)
-        assert crossing.kernels_launched == 2
+
+    def test_cpu2gpu_aborted_worker_never_keeps_the_engine(self):
+        """A worker interrupted inside its kernel, or while queued for
+        the engine, leaves it free for the next launch."""
+        sim = Simulator()
+        gpu = Server.paper_machine(sim).gpus[0]
+        work = WorkRequest(work_bytes=320e6, rate_cap=320e9, setup_seconds=10e-6)
+
+        def worker():
+            try:
+                yield from cpu2gpu(sim, gpu, work)
+            except Interrupt:
+                pass
+
+        running, queued = sim.process(worker()), sim.process(worker())
+        sim.run(until=1e-6)
+        running.interrupt()
+        queued.interrupt()
+        sim.run()
+        assert gpu.compute.in_use == 0
+        sim.run_process(cpu2gpu(sim, gpu, work))
+        assert gpu.compute.in_use == 0
 
     def test_gpu2cpu_queue_and_task_spawn(self):
         sim = Simulator()
@@ -300,7 +319,6 @@ class TestDeviceCrossing:
         proc = sim.process(cpu_side())
         sim.run()
         assert proc.value == ["task-1"]
-        assert crossing.tasks_spawned == 1
         assert sim.now == pytest.approx(PAPER_SERVER.task_spawn_seconds)
 
 

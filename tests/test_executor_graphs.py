@@ -136,10 +136,10 @@ def test_locality_invariant_blocks_always_local_when_processed(env):
     processed = []
     original = executor_module.Executor._charge
 
-    def recording_charge(self, instance, handle, delta, cpu2gpu, uva):
+    def recording_charge(self, instance, handle, delta, uva):
         processed.append((handle.node_id, instance.node_id,
                           instance.device.value))
-        return original(self, instance, handle, delta, cpu2gpu, uva)
+        return original(self, instance, handle, delta, uva)
 
     executor_module.Executor._charge = recording_charge
     try:

@@ -135,6 +135,30 @@ class TestFailDevice:
         assert len(outcomes) == 1
         assert isinstance(outcomes[0], DeviceLostError)
 
+    def test_failed_transfer_nobody_waits_on(self):
+        """A transfer whose query was aborted fails with no consumer
+        parked on it: the drive ends quietly, and the abort returns its
+        staging slot to the arena."""
+        sim, server = self._machine()
+        blocks = BlockManagerSet(server)
+        mem_move = MemMove(sim, server, blocks, CostModel(PAPER_SERVER))
+        handle = BlockHandle(Block({"a": np.zeros(1 << 16, dtype=np.int64)}, "cpu:0"))
+        moved = mem_move.schedule(handle, "gpu:0")
+        assert blocks.unaccounted_blocks()["gpu:0"] == 1
+
+        def killer():
+            yield sim.timeout(1e-6)
+            server.fail_device(0, reason="mid-flight")
+
+        sim.process(killer())
+        sim.run()
+        assert moved.transfer_done.triggered and not moved.transfer_done.ok
+        assert isinstance(moved.transfer_done.value, DeviceLostError)
+        assert mem_move.staged_outstanding("gpu:0") == 1
+        mem_move.abort_outstanding()
+        assert mem_move.staged_outstanding() == 0
+        assert set(blocks.unaccounted_blocks().values()) == {0}
+
 
 # ---------------------------------------------------------------------------
 # Unit: the failure classifier
@@ -561,8 +585,8 @@ class TestSchedulerRetry:
     @pytest.mark.parametrize(
         "scenario, makespan, events",
         [
-            (PHASE_BOUNDARY_LOSS, 1.1227433946895424, 563),
-            (SPURIOUS_ABORT, 0.01121498274509804, 501),
+            (PHASE_BOUNDARY_LOSS, 1.1227433946895424, 535),
+            (SPURIOUS_ABORT, 0.01121498274509804, 444),
         ],
         ids=["phase-boundary-loss", "spurious-abort"],
     )
@@ -570,7 +594,9 @@ class TestSchedulerRetry:
         """Makespan, latency and event count recorded at ``617b8eb``,
         where a retry parked its driver and resumed it on re-admission
         (event counts less the three a metrics DES process used to
-        push).  A fresh driver per attempt moves no clock: it adds
+        push, one per transfer and two per GPU kernel, since a transfer
+        is its own completion and a kernel runs inside its worker).  A
+        fresh driver per attempt moves no clock: it adds
         exactly one event per retry, the finished driver's own
         completion, which nothing waits on."""
         out = run_scenario(scenario)

@@ -39,13 +39,15 @@ def test_same_scenario_same_signature(scenario):
 
 @pytest.mark.parametrize(
     "scenario, pushes, makespan",
-    [(CAPPED, 848, 0.14270464305555555), (SHARED, 3239, 1.960557138087274)],
+    [(CAPPED, 848, 0.14270464305555555), (SHARED, 2861, 1.960557138087274)],
     ids=["budget", "shared-cache"],
 )
 def test_event_count_is_pinned(scenario, pushes, makespan):
     """The simulator's heap pushes of a drive, recorded at ``ea635c4``
     less the metrics DES process's own pushes (its start, and a wake-up
-    and a timeout per sampling window), deleted since.  A speed-up of
+    and a timeout per sampling window), deleted since, and less three
+    per GPU block (126 blocks here) since a transfer is its own completion and
+    a kernel runs inside its worker.  A speed-up of
     the event path adds, removes and reorders none: one event more or
     fewer moves this integer (and, reordered, the clock)."""
     signature = run_scenario(scenario).signature()

@@ -30,6 +30,13 @@ def test_timeout_rejects_negative_delay():
         sim.timeout(-1.0)
 
 
+def test_timeout_rejects_nan_delay():
+    sim = Simulator()
+    with pytest.raises(SimulationError, match="nan"):
+        sim.timeout(float("nan"))
+    assert not sim._heap
+
+
 def test_process_return_value():
     sim = Simulator()
 
@@ -277,6 +284,19 @@ def test_run_until_stops_clock():
     sim.process(iter_timeouts(sim, [1, 2, 3]))
     sim.run(until=1.5)
     assert sim.now == 1.5
+
+
+def test_run_until_never_moves_the_clock_back():
+    sim = Simulator()
+    sim.process(iter_timeouts(sim, [5.0, 1.0]))
+    sim.run(until=5.0)
+    assert sim.now == 5.0
+    for until in (3, float("nan")):
+        with pytest.raises(SimulationError, match="clock back"):
+            sim.run(until=until)
+        assert sim.now == 5.0
+    sim.run(until=6)  # an int horizon still leaves a float clock
+    assert sim.now == 6.0 and isinstance(sim.now, float)
 
 
 def iter_timeouts(sim, delays):
