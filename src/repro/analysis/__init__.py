@@ -2,10 +2,10 @@
 
 The simulator's correctness rests on invariants that differential tests
 can only catch *after* they fire at runtime: per-seed determinism,
-``ResourceBudget`` acquire/release conservation, DES-process
-discipline, the typed-failure taxonomy, the pinned ``repro_*`` metrics
-schema, and config hygiene.  This package moves that class of defect to
-check time: an AST-based lint framework with
+``ResourceBudget`` acquire/release conservation, DES-process discipline,
+the typed-failure taxonomy, the pinned ``repro_*`` metrics schema, config
+hygiene, failover hops and one site per idea.  This package moves that
+class of defect to check time: an AST-based lint framework with
 
 * a plug-in checker registry (:mod:`repro.analysis.registry`) — each
   rule is a :class:`~repro.analysis.registry.Checker` with an ``RPxxx``
@@ -29,6 +29,8 @@ RP004  exception discipline: no swallowing blanket handlers
 RP005  metrics schema: repro_* families registered once, labels
        consistent, family set matching the pinned schema
 RP006  config hygiene: no shared mutable defaults
+RP007  failover: every FallbackChain hop resolves a typed outcome
+RP010  one implementation of each idea: a removed copy stays removed
 ====== ==============================================================
 """
 

@@ -12,4 +12,5 @@ from . import (  # noqa: F401
     rp005_metrics_schema,
     rp006_config_hygiene,
     rp007_failover,
+    rp010_one_implementation,
 )

@@ -16,8 +16,8 @@ from typing import Optional, Sequence, TextIO
 from .registry import all_checkers
 from .runner import analyze_paths, find_project_root
 
-#: scanned when no paths are given and they exist under the project root
-DEFAULT_SCAN_DIRS = ("src", "benchmarks", "examples")
+#: scanned when no paths are given (CI's gate) and by the self-scan test
+DEFAULT_SCAN_DIRS = ("src", "benchmarks", "examples", "tests", "tools")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -25,9 +25,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.analysis",
         description=(
             "Engine invariant analyzer: AST lint rules enforcing the "
-            "simulator's correctness contracts (determinism, budget "
-            "pairing, DES-process discipline, typed failures, metrics "
-            "schema, config hygiene)."
+            "simulator's correctness contracts (see --list-rules)."
         ),
     )
     parser.add_argument(

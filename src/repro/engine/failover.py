@@ -157,16 +157,17 @@ class CircuitBreaker:
 
     @property
     def state(self) -> str:
-        """Current state (performs the timed open -> half-open step)."""
-        self._maybe_half_open()
-        return self._state
+        """Current state.  A read: an open breaker whose window has
+        passed reads half-open, and the step itself is taken (and
+        logged) by the next :meth:`allow` / ``record_*`` call."""
+        return HALF_OPEN if self._window_passed() else self._state
 
     def allow(self) -> bool:
         """May traffic (a dispatch or a probe) be sent right now?"""
-        return self.state != OPEN
+        return self._step() != OPEN
 
     def record_success(self) -> None:
-        if self.state == HALF_OPEN:
+        if self._step() == HALF_OPEN:
             self._transition(CLOSED)
         else:
             self._failures = 0
@@ -174,7 +175,7 @@ class CircuitBreaker:
     def record_failure(self) -> None:
         if self._latched:
             return
-        if self.state == HALF_OPEN:
+        if self._step() == HALF_OPEN:
             self._transition(OPEN)
             return
         if self._state == OPEN:
@@ -191,13 +192,18 @@ class CircuitBreaker:
 
     # -- internals -------------------------------------------------------
 
-    def _maybe_half_open(self) -> None:
+    def _window_passed(self) -> bool:
         if self._state != OPEN or self._latched:
-            return
+            return False
         assert self._opened_at is not None
         # 1e-12 absorbs float subtraction noise (0.03 - 0.02 < 0.01)
-        if self.clock() - self._opened_at >= self.policy.open_seconds - 1e-12:
+        return self.clock() - self._opened_at >= self.policy.open_seconds - 1e-12
+
+    def _step(self) -> str:
+        """Take the timed open -> half-open step; return the state."""
+        if self._window_passed():
             self._transition(HALF_OPEN)
+        return self._state
 
     def _transition(self, state: str) -> None:
         self._state = state

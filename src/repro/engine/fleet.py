@@ -81,9 +81,8 @@ site calls its family inline (``self._m_failovers.inc(outcome=…)``),
 and the breaker gauge is sampled when the surface is read — by
 :meth:`EngineFleet.metrics_text` and at the end of :meth:`EngineFleet.run`
 — so, as on the per-server surface, observing a drive schedules no
-event and moves no simulated time.  (Reading a breaker's ``state`` does
-take its timed open -> half-open step, as any dispatch would; a scrape
-can only stamp that step earlier in its transition log.)
+event and moves no simulated time.  (Reading a breaker's ``state`` is
+pure too: only a dispatch or a probe takes its open -> half-open step.)
 :attr:`FleetReport.events` is not a
 second log kept in step by hand: it is rebuilt at report time from the
 stall windows, the fired losses and every breaker's own

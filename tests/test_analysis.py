@@ -2,8 +2,10 @@
 
 Each checker gets fixture-tree positives *and* negatives (the compliant
 engine idioms must stay legal), plus noqa suppression, CLI exit-code
-contracts, and a self-scan asserting the repo's own ``src/`` +
-``benchmarks/`` trees carry zero findings — the same gate CI enforces.
+contracts, and a self-scan asserting the trees CI scans
+(``DEFAULT_SCAN_DIRS``) carry zero findings.  RP010 is one table of
+removed patterns; every row has a snippet it must flag and one it must
+not.
 """
 
 import io
@@ -11,7 +13,11 @@ import json
 import textwrap
 from pathlib import Path
 
+import pytest
+
 from repro.analysis import all_checkers, analyze_paths, main
+from repro.analysis.checkers.rp010_one_implementation import GATES
+from repro.analysis.cli import DEFAULT_SCAN_DIRS
 from repro.analysis.runner import PARSE_RULE
 from repro.analysis.suppress import is_suppressed, noqa_lines
 
@@ -41,10 +47,10 @@ def by_rule(result, rule_id):
     return [f for f in result.findings if f.rule_id == rule_id]
 
 
-def test_registry_exposes_all_seven_rules():
+def test_registry_exposes_all_eight_rules():
     ids = [checker.rule_id for checker in all_checkers()]
     assert ids == [
-        "RP001", "RP002", "RP003", "RP004", "RP005", "RP006", "RP007",
+        "RP001", "RP002", "RP003", "RP004", "RP005", "RP006", "RP007", "RP010",
     ]
 
 
@@ -561,6 +567,194 @@ class TestRP007FailoverDiscipline:
         assert by_rule(scan(root), "RP007") == []
 
 
+JIT = "src/repro/jit/mod.py"
+CODEGEN = "src/repro/jit/codegen.py"
+HASHTABLE = "src/repro/jit/hashtable.py"
+PIPELINE = "src/repro/jit/pipeline.py"
+ORACLE = "src/repro/engine/reference.py"
+FLEET = "src/repro/engine/fleet.py"
+SCHEDULER = "src/repro/engine/scheduler.py"
+SUITE = "tests/test_suite.py"
+
+#: RP010 row -> (path, source it must flag, source it must not flag);
+#: the flagged source marks each line a finding must anchor at with "# <-"
+RP010_CASES = {
+    "column-scan": (
+        ENGINE,
+        "rows = self.catalog.tables.values()  # <-\n",
+        "rows = tables.values()\n",
+    ),
+    "stage-signature": (
+        CODEGEN,
+        "key = stage_signature(stage, width)  # <-\n",
+        "key = self.cache.lookup(stage)\n",
+    ),
+    "hop-close": (
+        FLEET,
+        'chain.resolve(hop, "ok")\nchain.resolve(hop, "failed")  # <-\n',
+        '# chain.resolve( in a comment is not a call\nchain.resolve(hop, "ok")\n',
+    ),
+    "fleet-terminal": (
+        FLEET,
+        'query.status = "done"\nquery.status = "failed"  # <-\n',
+        'query.status = "done" if ok else "failed"\nok = query.status == "done"\n',
+    ),
+    "metric-fold": (
+        ENGINE,
+        "self._fold_metric(kind, fields)  # <-\n",
+        "self._m_hops.inc(outcome=kind)\n",
+    ),
+    "ssb-tables": (
+        SUITE,
+        "tables = generate_ssb(scale_factor=0.01)  # <-\n",
+        'SOURCE = "tables = generate_ssb(scale_factor=0.01)"\n',
+    ),
+    "drive-builder": (
+        SUITE,
+        "def _server(self, tables, **kwargs):  # <-\n    pass\n",
+        'SOURCE = "def _server(tables, **kwargs): pass"\n',
+    ),
+    "event-closure": (
+        "src/repro/hardware/sim.py",
+        "sim._schedule_call(lambda: fn(self))  # <-\n",
+        "sim._schedule_call(fn, self)  # a bound method, no lambda\n",
+    ),
+    "eager-label": (
+        HARDWARE,
+        'event = Event(  # <-\n    self.sim,\n    name=f"acquire:{self.name}",\n)\n',
+        'event = Event(self.sim, "acquire:{}", self.name)\n',
+    ),
+    "retry-limbo": (
+        ENGINE,
+        "session.readmit_event = None  # <-\n",
+        "self._requeue(session)\n",
+    ),
+    "boundary-hooks": (
+        ENGINE,
+        "executor.execute_process(plan, checkpoint=hook)  # <-\n",
+        "executor.execute_process(plan, boundary=hook)\n",
+    ),
+    "driver-spawn": (
+        SCHEDULER,
+        'sim.process(d, name=f"{tag}:driver")\n'
+        'sim.process(d, name=f"{tag}:driver")  # <-\n',
+        'sim.process(d, name=f"{tag}:driver")\n',
+    ),
+    "row-unique": (
+        JIT,
+        "uniq = np.unique(  # <-\n    keys,\n    axis=0,\n)\n"
+        'out.emit("_u = np.unique(_k, axis=0)")  # <-\n',
+        "uniq = np.unique(keys)\n",
+    ),
+    "hash-copy": (
+        HASHTABLE,
+        "mixed = keys.astype(np.uint64) * MIX  # <-\n",
+        "mixed = keys.view(np.uint64) * MIX\n",
+    ),
+    "metrics-process": (
+        ENGINE,
+        'sim.process(self._run(), name="metrics-writer")  # <-\n',
+        "self._m_depth.set(len(queue))\n",
+    ),
+    "emitted-mask": (
+        CODEGEN,
+        'out.emit(f"{_var(name)} = {_var(name)}[{mask}]")  # <-\n',
+        'out.emit(f"{_var(name)} = {_var(name)}.take({idx})")\n',
+    ),
+    "string-per-row": (
+        "src/repro/ssb/generator.py",
+        "cities = [_city(n, d) for n, d in zip(nations, digits)]  # <-\n"
+        "modes = [MODES[i] for i in rng.integers(0, 7, n)]  # <-\n",
+        "modes = _strings(MODES, rng.integers(0, 7, n))\n",
+    ),
+    "oracle-mask": (
+        ORACLE,
+        "out = values[mask]  # <-\n",
+        "out = values.take(np.flatnonzero(mask))\n",
+    ),
+    "oracle-jit": (
+        ORACLE,
+        "from ..jit.hashtable import HashTable  # <-\nfrom .. import jit  # <-\n",
+        "from ..storage.catalog import Catalog\n",
+    ),
+    "join-footprint": (
+        HASHTABLE,
+        "size = self.keys.nbytes + self.rows.nbytes  # <-\n",
+        "size = payload.nbytes + self.capacity * SLOT_BYTES\n",
+    ),
+    "cache-policies": (
+        "src/repro/jit/cache.py",
+        "class LruPolicy(EvictionPolicy):  # <-\n"
+        "    pass\n"
+        "cache = PipelineCache(capacity=8, top_entries=5)  # <-\n",
+        'table = _EntryTable(rule="cost")\nsnapshot = {"top_entries": entries}\n',
+    ),
+    "emitted-grouping": (
+        CODEGEN,
+        'out.emit(f"np.add.at({var}, _inv, {value})")  # <-\n',
+        'out.emit(f"{var} += np.bincount(_inv, {value})")\n',
+    ),
+    "key-sort": (
+        PIPELINE,
+        "def group_rows(keys):\n    return np.lexsort(keys)  # <-\n",
+        "def _overflow_groups(keys):\n    return np.lexsort(keys)\n",
+    ),
+    "grouped-partials": (
+        ENGINE,
+        "merged = merge_groups(aggs, partials)  # <-\n"
+        "def groups(self):  # <-\n"
+        "    acc: dict[tuple, dict[str, float]] = {}  # <-\n",
+        "merged = GroupTable.merge(partials)\nacc: dict[tuple, float] = {}\n",
+    ),
+}
+
+
+def rp010_lines(tmp_path, path, source, gate=""):
+    """Lines of the RP010 findings (of one row, when ``gate`` names it)."""
+    tmp_path.mkdir(exist_ok=True)
+    root = project(tmp_path, {path: source})
+    found = by_rule(scan(root), "RP010")
+    return [f.line for f in found if f"[{gate}" in f.message]
+
+
+class TestRP010OneImplementation:
+    def test_every_row_has_a_case(self):
+        assert sorted(RP010_CASES) == sorted(gate.name for gate in GATES)
+
+    @pytest.mark.parametrize("gate", GATES, ids=[gate.name for gate in GATES])
+    def test_row_flags_the_pattern_and_passes_the_fix(self, tmp_path, gate):
+        path, flagged, clean = RP010_CASES[gate.name]
+        marked = [
+            number
+            for number, line in enumerate(flagged.splitlines(), 1)
+            if line.endswith("# <-")
+        ]
+        assert rp010_lines(tmp_path / "flag", path, flagged, gate.name) == marked
+        assert rp010_lines(tmp_path / "clean", path, clean, gate.name) == []
+
+    def test_exempt_paths_are_exempt(self, tmp_path):
+        root = project(
+            tmp_path,
+            {
+                "src/repro/engine/executor.py": "stage_signature(stage, width)\n",
+                "tests/scenario.py": "tables = generate_ssb(0.01)\n",
+                "benchmarks/perf/run.py": "tables = generate_ssb(0.01)\n",
+            },
+        )
+        assert by_rule(scan(root), "RP010") == []
+
+    def test_exactly_once_flags_a_missing_site(self, tmp_path):
+        assert rp010_lines(tmp_path, SCHEDULER, "x = 1\n") == [1]
+
+    def test_noqa_accepts_a_finding(self, tmp_path):
+        source = (
+            "for table in self.catalog.tables.values():"
+            "  # repro: noqa[RP010] a one-off audit walks every table\n"
+            "    pass\n"
+        )
+        assert rp010_lines(tmp_path, ENGINE, source) == []
+
+
 class TestSuppression:
     def test_targeted_noqa_suppresses_only_that_rule(self, tmp_path):
         root = project(
@@ -650,25 +844,21 @@ class TestCli:
         out = io.StringIO()
         assert main(["--list-rules"], out=out) == 0
         lines = out.getvalue().splitlines()
-        assert len(lines) == 7
+        assert len(lines) == 8
         assert lines[0].startswith("RP001")
 
 
 class TestSelfScan:
     """The repo's own tree must pass its own gate (CI runs this too)."""
 
-    def test_src_and_benchmarks_have_no_unbaselined_findings(self):
-        # the name predates ISSUE 16: with the baseline file gone, every
-        # finding is "unbaselined" and the gate is simply no findings
+    def test_default_scan_dirs_have_no_findings(self):
         result = analyze_paths(
-            [REPO_ROOT / "src", REPO_ROOT / "benchmarks"], root=REPO_ROOT
+            [REPO_ROOT / name for name in DEFAULT_SCAN_DIRS], root=REPO_ROOT
         )
-        assert result.checked_files > 50
+        assert result.checked_files > 100
         assert [f.render_text() for f in result.findings] == []
 
     def test_cli_gate_passes_on_repo(self):
         out = io.StringIO()
-        code = main(
-            [str(REPO_ROOT / "src"), str(REPO_ROOT / "benchmarks")], out=out
-        )
+        code = main([str(REPO_ROOT / name) for name in DEFAULT_SCAN_DIRS], out=out)
         assert code == 0

@@ -335,6 +335,18 @@ class TestCircuitBreaker:
             (0.0, "open"), (0.01, "half_open"), (0.01, "closed"),
         ]
 
+    def test_reading_the_state_changes_nothing(self):
+        breaker, clock = _breaker(threshold=1, open_seconds=0.01)
+        breaker.record_failure()
+        clock.now = 0.015
+        assert breaker.state == "half_open"
+        assert breaker.state == "half_open"
+        assert breaker.transitions == [(0.0, "open")]
+        # the step is taken, and stamped, by the next dispatch decision
+        clock.now = 0.02
+        assert breaker.allow()
+        assert breaker.transitions == [(0.0, "open"), (0.02, "half_open")]
+
     def test_policy_validation(self):
         with pytest.raises(ValueError, match="failure_threshold"):
             BreakerPolicy(failure_threshold=0)
