@@ -185,7 +185,8 @@ class RouterPolicy:
     """Routing policies of the router operator (paper Section 3.1)."""
 
     ROUND_ROBIN = "round-robin"
-    #: pull-based load balancing (least-loaded consumer); the paper's
+    #: pull-based load balancing (earliest expected finish, priced from
+    #: the cost model until measured rates exist); the paper's
     #: router "routes partitions to consumers, while load-balancing"
     LOAD_BALANCE = "load-balance"
     #: route on the block handle's hash value (set by hash-pack)

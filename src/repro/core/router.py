@@ -9,10 +9,10 @@ like the paper's router it can have *multiple parents* (one consumer
 stage per device type) and instantiates each of them with its own degree
 of parallelism.  Policies:
 
-* ``load-balance`` — route to the least-loaded consumer group, preferring
-  a consumer whose memory already holds the block (this is the policy the
-  paper's microbenchmarks discuss: "the routing policy schedules some
-  blocks residing on the remote-to-GPU socket to the GPU");
+* ``load-balance`` — route to the consumer group expected to finish the
+  block first, preferring an instance whose memory already holds it (the
+  paper's microbenchmarks: "the routing policy schedules some blocks
+  residing on the remote-to-GPU socket to the GPU");
 * ``round-robin`` — cycle through all consumer instances;
 * ``hash`` — route on the handle's hash value (set by hash-pack; the
   router never touches tuples);
@@ -20,16 +20,45 @@ of parallelism.  Policies:
   mem-move multicast);
 * ``union`` — merge all producers into the single consumer group.
 
-Consumer queues are bounded, which yields the pull-style backpressure
-that lets heterogeneous consumers drain work proportionally to their
-throughput (the paper's hybrid configurations reach ~88.5 % of the summed
-CPU+GPU throughputs).
+Consumer queues are bounded and load-balance routing is credit-throttled,
+which yields the pull-style backpressure that lets heterogeneous
+consumers drain work in proportion to their throughput.  At the Fig. 5
+harness settings (SSB SF 0.01 replayed at SF 1000, 256-row blocks) the
+hybrid reaches on average 0.799 of the summed CPU-only and GPU-only
+throughputs (0.774 before the cold-start price below; the paper reports
+88.5 %).
+
+A load-balance router over two or more groups (a hybrid CPU + GPU probe)
+starts *cold*: no group has a measured rate yet, and a coarse stream has
+only a few blocks per worker, so the first routing decisions settle most
+of the query.  While any group is cold, the router prices each block
+before it commits it:
+
+1. *Calibrate.*  The first block goes to the group with the fewest
+   instances, and nothing else is routed until its worker has run the
+   generated pipeline on it and reported the block's work statistics.
+   Workers run the pipeline before they wait on the block's transfer, so
+   this costs no simulated time.
+2. *Price.*  Each group's ``block_seconds(handle)`` (wired by the
+   executor from the cost model and those statistics) estimates one
+   instance's seconds for the block.
+3. *Commit.*  A group takes the block only if it would finish it,
+   ``(outstanding // dop + 1) * seconds``, no later than the best other
+   group would after taking every block still waiting at the router;
+   otherwise the router waits for a completion.  When every group is
+   idle the cheapest group always qualifies, so the wait never deadlocks.
+
+Once every group has completed two blocks per worker, blocks go to the
+group with the smallest expected wait at its measured completion rate.
+Cold or warm, a group out of credit is waited for, never bypassed for a
+group that would finish the block later.
 
 Routers are fully re-entrant: every piece of routing state (round-robin
-and tie-break cursors, credit book-keeping, wake-up hooks) lives on the
-instance, never on the class or the module, so any number of queries can
-run their own routers on one shared simulator.  Each router carries the
-``query_id`` of the query that owns it for multi-query debugging.
+and tie-break cursors, credit book-keeping, calibration, wake-up hooks)
+lives on the instance, never on the class or the module, so any number
+of queries can run their own routers on one shared simulator.  Each
+router carries the ``query_id`` of the query that owns it for
+multi-query debugging.
 """
 
 from __future__ import annotations
@@ -38,6 +67,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..algebra.physical import RouterPolicy, Stage
+from ..hardware.costmodel import BlockStats
 from ..hardware.sim import Simulator, Store
 from ..hardware.topology import DeviceType
 from ..memory.block import BlockHandle
@@ -67,6 +97,10 @@ class ConsumerGroup:
     #: locality-first, not just queue-depth-first.  None falls back to
     #: a same-node/remote two-level heuristic.
     transfer_cost: Optional[object] = None
+    #: one instance's estimated seconds for a block (``fn(handle) ->
+    #: seconds``); wired by the executor from the cost model so a cold
+    #: load-balance router can price a block before it commits it
+    block_seconds: Optional[object] = None
     shared_queue: Optional[Store] = None
     instance_queues: list[Store] = field(default_factory=list)
     #: blocks handed to this group / blocks its workers finished; the
@@ -76,6 +110,9 @@ class ConsumerGroup:
     first_assign_at: Optional[float] = None
     #: router wake-up hook, set by the owning router
     on_done: Optional[object] = None
+    #: router hook a worker calls with a picked-up block's statistics;
+    #: set only while the owning router waits for them
+    on_stats: Optional[object] = None
     #: per-instance in-flight counts (per-instance groups only)
     instance_assigned: list[int] = field(default_factory=list)
     instance_completed: list[int] = field(default_factory=list)
@@ -87,14 +124,6 @@ class ConsumerGroup:
     @property
     def per_instance(self) -> bool:
         return bool(self.instance_queues)
-
-    def queued(self) -> int:
-        if self.per_instance:
-            return sum(len(q) for q in self.instance_queues)
-        return len(self.shared_queue)
-
-    def load(self) -> float:
-        return self.queued() / max(1, self.dop)
 
     def queues(self) -> list[Store]:
         return self.instance_queues if self.per_instance else [self.shared_queue]
@@ -168,9 +197,18 @@ class Router:
         self._tie_index = 0
         self.routed_blocks = 0
         self._wakeup = None
+        #: a load-balance router over several groups prices blocks until
+        #: every group is warm; ``unit_stats`` is the calibration block's
+        #: per-tuple work, which the groups' ``block_seconds`` read
+        self._cold = (
+            policy == RouterPolicy.LOAD_BALANCE and not broadcast and len(groups) > 1
+        )
+        self.unit_stats = None
         self._wire_queues()
         for group in self.groups:
             group.on_done = self._on_group_done
+            if self._cold:
+                group.on_stats = self._on_stats
         # Flattened broadcast targets: the shared CPU domain counts as ONE
         # target (its workers cooperate on one hash table); each GPU
         # instance is its own target.
@@ -221,17 +259,15 @@ class Router:
                     yield self._enqueue(copy, group, instance)
                     self.routed_blocks += 1
             else:
-                if self.policy == RouterPolicy.LOAD_BALANCE:
-                    # Credit throttling: never buffer more than ~1.5 blocks
-                    # per worker on any group — deep queues on a slow group
-                    # are makespan poison (the whole point of pull-style
-                    # load balancing).  Wait for a completion when all
-                    # groups are saturated.
-                    while not any(self._has_credit(g) for g in self.groups):
-                        wakeup = self.sim.event(name=("{}:credit", self.name))
-                        self._arm_wakeup(wakeup)
-                        yield wakeup
-                group, instance = self._select(handle)
+                choice = self._select(handle)
+                while choice is None:
+                    # No group may take the block yet (load-balance
+                    # only): wait for a completion or calibration stats.
+                    wakeup = self.sim.event(name=("{}:credit", self.name))
+                    self._arm_wakeup(wakeup)
+                    yield wakeup
+                    choice = self._select(handle)
+                group, instance = choice
                 yield self._enqueue(handle, group, instance)
                 self.routed_blocks += 1
         for group in self.groups:
@@ -271,9 +307,21 @@ class Router:
             self._wakeup.trigger(None)
         self._wakeup = None
 
+    def _on_stats(self, stats: BlockStats) -> None:
+        """Worker callback: the calibration block's work statistics."""
+        self.unit_stats = stats.scaled(1.0 / max(1, stats.tuples_in))
+        self._stop_recording()
+        self._on_group_done()
+
+    def _stop_recording(self) -> None:
+        for group in self.groups:
+            group.on_stats = None
+
     # -- policies ------------------------------------------------------------
 
-    def _select(self, handle: BlockHandle) -> tuple[ConsumerGroup, Optional[int]]:
+    def _select(
+        self, handle: BlockHandle
+    ) -> Optional[tuple[ConsumerGroup, Optional[int]]]:
         if self.policy == RouterPolicy.UNION:
             return self.groups[0], None
         if self.policy == RouterPolicy.TARGET:
@@ -293,34 +341,70 @@ class Router:
             index = self._rr_index % len(self.targets)
             self._rr_index += 1
             return self.targets[index]
-        # LOAD_BALANCE: route to the group with the smallest expected
-        # wait, estimated from observed completion rates.  Until a group
-        # has completed ~2 blocks per worker, assume unit service time
-        # (routes roughly by degree of parallelism); afterwards the
-        # measured rate dominates, so a 24-core CPU group and a 2-GPU
-        # group drain work proportionally to their actual throughputs —
-        # the paper's hybrid reaches ~88.5 % of the summed throughputs.
-        candidates = [g for g in self.groups if self._has_credit(g)] or \
-            [g for g in self.groups if g.has_space()] or self.groups
+        # LOAD_BALANCE.  Credit throttling: never buffer more than ~1.5
+        # blocks per worker on any group — deep queues on a slow group
+        # are makespan poison (the whole point of pull-style load
+        # balancing).  A group out of credit holds its blocks back: the
+        # router waits for a completion instead of handing the block to a
+        # group that would finish it later.
+        if len(self.groups) == 1:
+            group = self.groups[0]
+            return (group, None) if self._has_credit(group) else None
+        if self._cold:
+            if any(g.completed < 2 * g.dop for g in self.groups):
+                return self._price(handle)
+            self._cold = False
+            self._stop_recording()
+        # Every group is warm: route to the smallest expected wait at the
+        # measured completion rate, so a 24-core CPU group and a 2-GPU
+        # group drain work in proportion to their actual throughputs.
 
         def expected_wait(group: ConsumerGroup) -> float:
-            outstanding = group.assigned - group.completed
-            warm = group.completed >= 2 * group.dop
-            if warm and group.first_assign_at is not None:
-                elapsed = max(self.sim.now - group.first_assign_at, 1e-9)
-                rate = group.completed / elapsed
-            else:
-                rate = float(group.dop)
-            return (outstanding + 1) / max(rate, 1e-12)
+            elapsed = max(self.sim.now - group.first_assign_at, 1e-9)
+            rate = group.completed / elapsed
+            return (group.outstanding + 1) / max(rate, 1e-12)
 
-        waits = [expected_wait(g) for g in candidates]
+        waits = [expected_wait(g) for g in self.groups]
         best = min(waits)
-        tied = [g for g, w in zip(candidates, waits) if w <= best * (1 + 1e-9)]
+        tied = [
+            g for g, w in zip(self.groups, waits)
+            if w <= best * (1 + 1e-9) and self._has_credit(g)
+        ]
+        if not tied:
+            return None
         if len(tied) == 1:
             return tied[0], None
         choice = tied[self._tie_index % len(tied)]
         self._tie_index += 1
         return choice, None
+
+    def _price(
+        self, handle: BlockHandle
+    ) -> Optional[tuple[ConsumerGroup, Optional[int]]]:
+        """Cold load-balance routing: calibrate, price, commit."""
+        if self.unit_stats is None:
+            if self.routed_blocks:
+                return None  # the calibration block's stats are not in yet
+            return min(self.groups, key=lambda g: g.dop), None
+        waiting = len(self.input)
+        seconds = [g.block_seconds(handle) for g in self.groups]
+        finish = [
+            (g.outstanding // g.dop + 1) * s for g, s in zip(self.groups, seconds)
+        ]
+        drain = [
+            ((g.outstanding + waiting) // g.dop + 1) * s
+            for g, s in zip(self.groups, seconds)
+        ]
+        best = None
+        for i, group in enumerate(self.groups):
+            rival = min(d for j, d in enumerate(drain) if j != i)
+            if (
+                finish[i] <= rival
+                and (best is None or finish[i] < finish[best])
+                and self._has_credit(group)
+            ):
+                best = i
+        return None if best is None else (self.groups[best], None)
 
     def _least_loaded_instance(self, group: ConsumerGroup, handle: BlockHandle) -> int:
         # Device-resident blocks are pinned to their device: re-routing

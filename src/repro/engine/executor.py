@@ -14,11 +14,13 @@ the discrete-event simulator:
   backpressure) so transfers overlap the worker's compute;
   ``prefetch_depth=1`` disables the overlap — the worker runs the
   mem-move inline and the transfer sits on its critical path;
-* worker coroutines run the JIT-compiled pipeline over each block, charge
-  the cost model's resource demands (socket DRAM / GPU HBM / PCIe), and
-  forward packed outputs to the next router — GPU workers launch kernels
-  inline through :func:`~repro.core.device_crossing.cpu2gpu` and return
-  results through a :class:`~repro.core.device_crossing.Gpu2Cpu` queue.
+* worker coroutines run the JIT-compiled pipeline over each block (before
+  its transfer wait, which moves host order only, so a cold router gets
+  the block's stats at pickup), charge the cost model's resource demands
+  (socket DRAM / GPU HBM / PCIe), and forward packed outputs to the next
+  router — GPU workers launch kernels inline through
+  :func:`~repro.core.device_crossing.cpu2gpu` and return results through a
+  :class:`~repro.core.device_crossing.Gpu2Cpu` queue.
 
 Phases execute in order (hash-join builds before their probes); the
 query's simulated time is the DES clock advance across all phases.
@@ -48,6 +50,7 @@ every block's stats become simulated resource demand in one place,
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, Optional
 
 import numpy as np
@@ -670,6 +673,7 @@ class Executor:
         for router in routers.values():
             for group in router.groups:
                 group.transfer_cost = mem_move.projected_cost
+                group.block_seconds = partial(self._block_seconds, router, group, {})
         processes = []
 
         # Router init + thread pinning (~10 ms): all of a query's routers
@@ -868,7 +872,7 @@ class Executor:
         pipelines: dict[int, CompiledPipeline],
         phase_outputs: list,
         out: RawExecution,
-        group,
+        group: ConsumerGroup,
         mem_move: MemMove,
     ):
         on_gpu = instance.device is DeviceType.GPU
@@ -893,11 +897,16 @@ class Executor:
                 # their fetcher do this ahead of time).
                 handle = mem_move.schedule(handle, instance.node_id)
                 handle.meta["staged"] = True
-            if handle.transfer_done is not None:
-                yield handle.transfer_done  # mem-move consumer half
+            # The pipeline runs before the transfer wait (its time is
+            # charged below), so a cold router's calibration block
+            # reports its statistics at no simulated cost.
             before = _snapshot(state.stats)
             outputs = fn(state, handle.block.columns, state.stats)
             delta = _delta(state.stats, before)
+            if group.on_stats is not None:
+                group.on_stats(delta)
+            if handle.transfer_done is not None:
+                yield handle.transfer_done  # mem-move consumer half
             yield from self._charge(instance, handle, delta, uva)
             if on_gpu:
                 out.profile.kernels_launched = out.profile.kernels_launched + 1
@@ -906,8 +915,7 @@ class Executor:
                 # slot may already have been reclaimed by an abort, and
                 # release_staged absorbs that race
                 mem_move.release_staged(instance.node_id)
-            if group is not None:
-                group.report_done(instance.index if group.per_instance else None)
+            group.report_done(instance.index if group.per_instance else None)
             yield from self._emit(
                 outputs, instance, out_router, gpu2cpu, phase_outputs, current_scale
             )
@@ -924,6 +932,32 @@ class Executor:
             yield gpu2cpu.send(Store.END)
         else:
             tracker.done()
+
+    def _block_seconds(
+        self, router: Router, group: ConsumerGroup, memo: dict, handle: BlockHandle
+    ) -> float:
+        """One instance's estimated seconds for ``handle`` (a cold
+        router's price): the router's per-tuple work at the block's row
+        count, and for a GPU the longer of the kernel and the block's
+        wire time, which overlap under prefetching.  A router's blocks
+        carry one column set, so ``memo`` keeps one price per row count,
+        scale and node (the router asks again after every wake-up)."""
+        block = handle.block
+        rows, scale, node = key = (block.num_tuples, block.logical_scale, block.node_id)
+        seconds = memo.get(key)
+        if seconds is not None:
+            return seconds
+        stats = router.unit_stats.scaled(rows)
+        if group.stage.device is DeviceType.CPU:
+            seconds = self.cost.cpu_block_work(stats, scale).min_duration
+        else:
+            seconds = self.cost.gpu_block_work(stats, scale).min_duration
+            if node not in group.instance_nodes:
+                plan = self.cost.transfer_plan(block.nbytes, scale)
+                wire = plan.setup_seconds + plan.nbytes / plan.link_rate_cap
+                seconds = max(seconds, wire)
+        memo[key] = seconds
+        return seconds
 
     def _charge(self, instance: _Instance, handle: BlockHandle,
                 delta: BlockStats, uva: bool):

@@ -88,6 +88,18 @@ class BlockStats:
         self.cpu_cycles += other.cpu_cycles
         self.gpu_ops += other.gpu_ops
 
+    def scaled(self, factor: float) -> "BlockStats":
+        """These counts times ``factor`` (a price input, not a record)."""
+        return BlockStats(
+            tuples_in=self.tuples_in * factor,
+            bytes_in=self.bytes_in * factor,
+            bytes_out=self.bytes_out * factor,
+            random_accesses=self.random_accesses * factor,
+            random_bytes=self.random_bytes * factor,
+            cpu_cycles=self.cpu_cycles * factor,
+            gpu_ops=self.gpu_ops * factor,
+        )
+
 
 @dataclass(frozen=True)
 class WorkRequest:

@@ -15,7 +15,7 @@ from repro.core.device_crossing import Gpu2Cpu, cpu2gpu
 from repro.core.mem_move import MemMove
 from repro.core.router import ConsumerGroup, Router, RoutingError
 from repro.core.segmenter import Segmenter
-from repro.hardware.costmodel import CostModel, WorkRequest
+from repro.hardware.costmodel import BlockStats, CostModel, WorkRequest
 from repro.hardware.sim import Interrupt, Simulator, Store
 from repro.hardware.specs import PAPER_SERVER
 from repro.hardware.topology import DeviceType, Server
@@ -204,8 +204,91 @@ class TestRouterPolicies:
             Router(sim, _producer(), [], RouterPolicy.UNION)
 
 
-def _run_lb_router(sim, router):
-    return sim.process(router.run())
+class TestColdLoadBalancePricing:
+    """A load-balance router over several groups prices each block until
+    every group is warm (``core/router.py``'s module docstring)."""
+
+    def _router(self, cpu_seconds, gpu_seconds, count):
+        """CPU group (4 workers) and GPU group (1 instance) with stub
+        prices; their consumers take blocks and never finish them."""
+        sim = Simulator()
+        cpu = ConsumerGroup(_cpu_stage(dop=4), ["cpu:0"] * 4)
+        gpu = ConsumerGroup(_gpu_stage(dop=1), ["gpu:0"])
+        cpu.block_seconds = lambda handle: cpu_seconds
+        gpu.block_seconds = lambda handle: gpu_seconds
+        router = Router(sim, _producer(), [cpu, gpu], RouterPolicy.LOAD_BALANCE)
+
+        def holder(queue):
+            while True:
+                got = queue.get()
+                yield got
+                if got.value is Store.END:
+                    return
+
+        for group in (cpu, gpu):
+            for queue in group.queues():
+                sim.process(holder(queue))
+        for handle in _handles(count):
+            router.input.put(handle)
+        router.input.close()
+        sim.process(router.run())
+        return sim, router, cpu, gpu
+
+    def test_calibration_block_goes_to_fewest_instances_and_holds_the_rest(self):
+        sim, router, cpu, gpu = self._router(1.0, 0.25, 5)
+        sim.run()
+        assert (cpu.assigned, gpu.assigned, router.routed_blocks) == (0, 1, 1)
+        assert router.unit_stats is None and gpu.on_stats is not None
+        gpu.on_stats(BlockStats(tuples_in=4, bytes_in=32, cpu_cycles=8.0))
+        assert router.unit_stats.cpu_cycles == 2.0
+        assert router.unit_stats.bytes_in == 8.0
+        assert cpu.on_stats is None and gpu.on_stats is None
+        sim.run()
+        assert router.routed_blocks == 5
+
+    def test_a_group_is_refused_a_block_it_would_finish_last(self):
+        # The GPU takes blocks up to its credit limit (6).  It would drain
+        # those, block 7 and the one still waiting by 2.0 s; an idle CPU
+        # worker needs 2.1 s, so the router waits instead.
+        sim, router, cpu, gpu = self._router(2.1, 0.25, 8)
+        sim.run()
+        gpu.on_stats(BlockStats(tuples_in=1))
+        sim.run()
+        assert (cpu.assigned, gpu.assigned) == (0, 6)
+
+    def test_a_deep_backlog_is_shared(self):
+        # With ~35 blocks waiting, a CPU worker finishes one (1.0 s) long
+        # before the GPU would drain them all (~9 s): both groups take
+        # blocks until their credit runs out (no consumer finishes one).
+        sim, router, cpu, gpu = self._router(1.0, 0.25, 40)
+        sim.run()
+        gpu.on_stats(BlockStats(tuples_in=1))
+        sim.run()
+        assert (cpu.assigned, gpu.assigned) == (6, 6)
+
+    def test_single_group_and_warm_routers_never_price(self):
+        def never(handle):
+            raise AssertionError("priced a block")
+
+        sim = Simulator()
+        alone = ConsumerGroup(_cpu_stage(dop=2), ["cpu:0"] * 2)
+        alone.block_seconds = never
+        router = Router(sim, _producer(), [alone], RouterPolicy.LOAD_BALANCE)
+        assert alone.on_stats is None
+        assert len(_drain(sim, router, [alone], 6)[id(alone)]) == 6
+
+        sim = Simulator()
+        cpu = ConsumerGroup(_cpu_stage(dop=2), ["cpu:0"] * 2)
+        gpu = ConsumerGroup(_gpu_stage(dop=2), ["gpu:0", "gpu:1"])
+        for group in (cpu, gpu):
+            group.block_seconds = never
+            group.assigned = group.completed = 2 * group.dop
+            group.first_assign_at = 0.0
+        router = Router(sim, _producer(), [cpu, gpu], RouterPolicy.LOAD_BALANCE)
+        received = _drain(sim, router, [cpu, gpu], 6)
+        assert len(received[id(cpu)]) + len(received[id(gpu)]) == 6
+        assert router.unit_stats is None
+        assert cpu.on_stats is None and gpu.on_stats is None
 
 
 class TestMemMove:
