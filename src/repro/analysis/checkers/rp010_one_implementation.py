@@ -1,10 +1,11 @@
 """RP010: one implementation of each idea — a removed copy stays removed.
 
-Each row of :data:`GATES` bans a pattern that one of PRs 14–35 removed
-when it collapsed an idea to one site.  Structure is matched on the AST,
-so a reformat cannot hide it and a fixture string does not trip it; a
-deleted name, and code ``jit/codegen.py`` emits, on source lines
-(``_text``).  This module spells the patterns out, so it is not scanned.
+Each row of :data:`GATES` bans a pattern that was removed when an idea
+collapsed to one site, or pins a one-site idea to its one site.
+Structure is matched on the AST, so a reformat cannot hide it and a
+fixture string does not trip it; a deleted name, and code
+``jit/codegen.py`` emits, on source lines (``_text``).  This module
+spells the patterns out, so it is not scanned.
 """
 
 from __future__ import annotations
@@ -95,6 +96,7 @@ class Gate(NamedTuple):
 _REPRO, _TEST_TREES = "src/repro/", ("tests/", "benchmarks/")
 _CODEGEN, _HASHTABLE = _REPRO + "jit/codegen.py", _REPRO + "jit/hashtable.py"
 _ORACLE, _FLEET = _REPRO + "engine/reference.py", _REPRO + "engine/fleet.py"
+_EXECUTOR = _REPRO + "engine/executor.py"
 
 # fmt: off
 GATES = (
@@ -103,7 +105,7 @@ GATES = (
          (_REPRO + "storage/catalog.py", _ORACLE)),
     Gate("stage-signature", 14, (_REPRO,), _calls(r"\.stage_signature$"),
          "stage_signature( belongs to the executor's one compile site",
-         (_REPRO + "jit/cache.py", _REPRO + "engine/executor.py")),
+         (_REPRO + "jit/cache.py", _EXECUTOR)),
     Gate("hop-close", 16, (_FLEET,), _once(_calls(r"chain\.resolve$")),
          "chain.resolve( appears exactly once, in _close_hop"),
     Gate("fleet-terminal", 16, (_FLEET,), _once(_nodes(ast.Attribute, lambda n:
@@ -158,6 +160,9 @@ GATES = (
          "lexsort outside _overflow_groups: group by the folded int64 code"),
     Gate("grouped-partials", 35, (_REPRO,), _text(r"merge_groups|def groups\(|"
          r"dict\[tuple, dict"), "a second grouped-partial form: use GroupTable"),
+    Gate("pipeline-call", 39, (_EXECUTOR,), _once(_calls(r"\.fn$", lambda c: c.args
+         and ast.unparse(c.args[0]) == "state")), "the generated pipeline "
+         "fn(state, ...) runs at exactly one site: a morsel charges its block's run"),
 )
 # fmt: on
 

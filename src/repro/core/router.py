@@ -53,6 +53,29 @@ group with the smallest expected wait at its measured completion rate.
 Cold or warm, a group out of credit is waited for, never bypassed for a
 group that would finish the block later.
 
+*Morsels.*  Once the calibration stats are in, a block bound for a
+shared-queue (CPU) group that reads it in place is cut into
+``k = min(dop, rows, ceil(own / fastest))`` morsels, where ``own`` is the
+group's ``block_seconds`` and ``fastest`` the smallest over all groups:
+one morsel then takes one core about as long as the whole block takes
+the fastest instance.  Without the cut, a coarse block (65 536 rows
+replayed at SF 1000 take one core seconds, one GPU a fraction of that)
+handed to the CPU sets the query's makespan while the other cores idle
+(the fix of Leis et al., "Morsel-driven parallelism", SIGMOD 2014).  The
+router prices in items of ``seconds / k`` each: cold, the group finishes
+the block at ``((outstanding + k - 1) // dop + 1) * seconds / k`` and
+drains ``((outstanding + waiting * k + k - 1) // dop + 1) * seconds / k``;
+warm, its expected wait is ``(outstanding + k) / rate``.  A group
+takes a split block only if ``outstanding + k`` fits its credit and its
+queue has room for all ``k`` items, so the router never blocks halfway
+through one.  The ``k`` handles share one :class:`Morsels`: the first
+worker to dequeue one runs the generated pipeline on the whole block and
+stores each morsel's share of its work, every morsel charges that share,
+and the last one to finish emits the block's outputs.  ``k = 1`` is the
+whole block; per-instance (GPU) groups, single-group routers and
+broadcasts are never split.  The price is still uncontended: it reads no
+live queue depth on a device that other queries share.
+
 Routers are fully re-entrant: every piece of routing state (round-robin
 and tie-break cursors, credit book-keeping, calibration, wake-up hooks)
 lives on the instance, never on the class or the module, so any number
@@ -63,6 +86,7 @@ multi-query debugging.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -72,20 +96,45 @@ from ..hardware.sim import Simulator, Store
 from ..hardware.topology import DeviceType
 from ..memory.block import BlockHandle
 
-__all__ = ["Router", "ConsumerGroup", "RoutingError"]
+__all__ = ["Router", "ConsumerGroup", "Morsels", "RoutingError"]
 
 
 class RoutingError(RuntimeError):
     """A handle could not be routed (bad policy/metadata combination)."""
 
 
+class Morsels:
+    """One block cut into ``k`` morsels for a shared-queue group.
+
+    The router enqueues ``k`` routed copies of the block's handle that all
+    carry this object.  The first worker to dequeue one runs the pipeline
+    on the whole block and stores ``share`` (the block's statistics over
+    ``k``) and ``outputs``; every morsel charges ``share``, and
+    :meth:`finish` hands the outputs to the worker that finishes the last
+    morsel, so they leave exactly once.
+    """
+
+    __slots__ = ("k", "left", "share", "outputs")
+
+    def __init__(self, k: int):
+        self.k = self.left = k
+        self.share: Optional[BlockStats] = None
+        self.outputs = None
+
+    def finish(self):
+        """One morsel done: the block's outputs if it was the last."""
+        self.left -= 1
+        return self.outputs if self.left == 0 else None
+
+
 @dataclass
 class ConsumerGroup:
     """One consumer stage as seen by the router.
 
-    CPU groups share one queue (workers pull morsel-style); GPU groups get
-    one queue per device instance so mem-move can target the right device
-    memory ahead of the kernel launch.
+    CPU groups share one queue, and their workers pull morsels from it: a
+    coarse block is cut into up to ``dop`` of them (see :class:`Morsels`);
+    GPU groups get one queue per device instance so mem-move can target the
+    right device memory ahead of the kernel launch.
     """
 
     stage: Stage
@@ -101,6 +150,10 @@ class ConsumerGroup:
     #: seconds``); wired by the executor from the cost model so a cold
     #: load-balance router can price a block before it commits it
     block_seconds: Optional[object] = None
+    #: whether the group's workers read a block where it lies, with no
+    #: mem-move (``fn(handle) -> bool``); wired by the executor.  Only such
+    #: blocks are cut into morsels; None never cuts one
+    reads_in_place: Optional[object] = None
     shared_queue: Optional[Store] = None
     instance_queues: list[Store] = field(default_factory=list)
     #: blocks handed to this group / blocks its workers finished; the
@@ -128,14 +181,15 @@ class ConsumerGroup:
     def queues(self) -> list[Store]:
         return self.instance_queues if self.per_instance else [self.shared_queue]
 
-    def has_space(self) -> bool:
+    def has_space(self, items: int = 1) -> bool:
+        """Room for ``items`` more handles (a split block's morsels)."""
         if self.per_instance:
             return any(
                 q.capacity is None or len(q) < q.capacity
                 for q in self.instance_queues
             )
         q = self.shared_queue
-        return q.capacity is None or len(q) < q.capacity
+        return q.capacity is None or len(q) + items <= q.capacity
 
     def report_done(self, instance: Optional[int] = None) -> None:
         """Worker callback: one routed block fully processed."""
@@ -268,7 +322,15 @@ class Router:
                     yield wakeup
                     choice = self._select(handle)
                 group, instance = choice
-                yield self._enqueue(handle, group, instance)
+                k = self._morsels(group, handle)
+                if k == 1:
+                    yield self._enqueue(handle, group, instance)
+                else:
+                    morsels = Morsels(k)
+                    for _ in range(k):
+                        copy = handle.routed_copy()
+                        copy.morsels = morsels
+                        yield self._enqueue(copy, group, None)
                 self.routed_blocks += 1
         for group in self.groups:
             group.close()
@@ -296,8 +358,11 @@ class Router:
             return group.dop * depth
         return max(group.dop + 2, int(1.5 * group.dop))
 
-    def _has_credit(self, group: ConsumerGroup) -> bool:
-        return group.outstanding < self._credit_limit(group) and group.has_space()
+    def _has_credit(self, group: ConsumerGroup, items: int = 1) -> bool:
+        return (
+            group.outstanding + items <= self._credit_limit(group)
+            and group.has_space(items)
+        )
 
     def _arm_wakeup(self, event) -> None:
         self._wakeup = event
@@ -359,16 +424,18 @@ class Router:
         # measured completion rate, so a 24-core CPU group and a 2-GPU
         # group drain work in proportion to their actual throughputs.
 
-        def expected_wait(group: ConsumerGroup) -> float:
+        ks = [self._morsels(g, handle) for g in self.groups]
+
+        def expected_wait(group: ConsumerGroup, k: int) -> float:
             elapsed = max(self.sim.now - group.first_assign_at, 1e-9)
             rate = group.completed / elapsed
-            return (group.outstanding + 1) / max(rate, 1e-12)
+            return (group.outstanding + k) / max(rate, 1e-12)
 
-        waits = [expected_wait(g) for g in self.groups]
+        waits = [expected_wait(g, k) for g, k in zip(self.groups, ks)]
         best = min(waits)
         tied = [
-            g for g, w in zip(self.groups, waits)
-            if w <= best * (1 + 1e-9) and self._has_credit(g)
+            g for g, w, k in zip(self.groups, waits, ks)
+            if w <= best * (1 + 1e-9) and self._has_credit(g, k)
         ]
         if not tied:
             return None
@@ -388,12 +455,15 @@ class Router:
             return min(self.groups, key=lambda g: g.dop), None
         waiting = len(self.input)
         seconds = [g.block_seconds(handle) for g in self.groups]
+        ks = [self._morsels(g, handle) for g in self.groups]
+        # Priced in items: a split block is k items of s / k seconds each.
         finish = [
-            (g.outstanding // g.dop + 1) * s for g, s in zip(self.groups, seconds)
+            ((g.outstanding + k - 1) // g.dop + 1) * s / k
+            for g, s, k in zip(self.groups, seconds, ks)
         ]
         drain = [
-            ((g.outstanding + waiting) // g.dop + 1) * s
-            for g, s in zip(self.groups, seconds)
+            ((g.outstanding + waiting * k + k - 1) // g.dop + 1) * s / k
+            for g, s, k in zip(self.groups, seconds, ks)
         ]
         best = None
         for i, group in enumerate(self.groups):
@@ -401,10 +471,30 @@ class Router:
             if (
                 finish[i] <= rival
                 and (best is None or finish[i] < finish[best])
-                and self._has_credit(group)
+                and self._has_credit(group, ks[i])
             ):
                 best = i
         return None if best is None else (self.groups[best], None)
+
+    def _morsels(self, group: ConsumerGroup, handle: BlockHandle) -> int:
+        """How many morsels ``group`` gets ``handle`` in (1 = the whole
+        block): a priced router's shared-queue group that reads the block
+        in place is cut until one morsel takes one of its workers about as
+        long as the block takes the fastest group's instance.  Only a
+        priced router ever holds ``unit_stats``."""
+        if (
+            self.unit_stats is None
+            or group.per_instance
+            or group.reads_in_place is None
+            or not group.reads_in_place(handle)
+        ):
+            return 1
+        own = group.block_seconds(handle)
+        fastest = min(g.block_seconds(handle) for g in self.groups)
+        if own <= fastest or fastest <= 0:
+            return 1
+        rows = handle.block.num_tuples
+        return max(1, min(group.dop, rows, math.ceil(own / fastest)))
 
     def _least_loaded_instance(self, group: ConsumerGroup, handle: BlockHandle) -> int:
         # Device-resident blocks are pinned to their device: re-routing

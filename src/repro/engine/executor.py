@@ -18,7 +18,9 @@ the discrete-event simulator:
   its transfer wait, which moves host order only, so a cold router gets
   the block's stats at pickup), charge the cost model's resource demands
   (socket DRAM / GPU HBM / PCIe), and forward packed outputs to the next
-  router — GPU workers launch kernels inline through
+  router.  A block a router cut into morsels runs the pipeline once, in
+  the first worker to pick a morsel up; each morsel charges its share and
+  the last one forwards the outputs.  GPU workers launch kernels inline through
   :func:`~repro.core.device_crossing.cpu2gpu` and return results through a
   :class:`~repro.core.device_crossing.Gpu2Cpu` queue.
 
@@ -674,6 +676,14 @@ class Executor:
             for group in router.groups:
                 group.transfer_cost = mem_move.projected_cost
                 group.block_seconds = partial(self._block_seconds, router, group, {})
+                if group.stage.device is DeviceType.CPU:
+                    # the edge, not an instance: the hook outlives the
+                    # phase in the router's reference cycle, and an
+                    # instance would keep its pipeline state alive with it
+                    group.reads_in_place = partial(
+                        self._cpu_reads_in_place,
+                        edge_of_consumer[group.stage.stage_id],
+                    )
         processes = []
 
         # Router init + thread pinning (~10 ms): all of a query's routers
@@ -849,6 +859,14 @@ class Executor:
 
         return needs_move
 
+    def _cpu_reads_in_place(self, edge: ExchangeEdge, handle: BlockHandle) -> bool:
+        """Would a CPU worker read ``handle`` with no mem-move?  It reads
+        either socket's DRAM directly (see :meth:`_accessible`)."""
+        return handle.transfer_done is None and (
+            not edge.mem_move
+            or self.server.memory_nodes[handle.node_id].kind is DeviceType.CPU
+        )
+
     def _accessible(self, handle: BlockHandle, instance: _Instance) -> bool:
         """Can the instance read the block without a transfer?
 
@@ -899,12 +917,20 @@ class Executor:
                 handle.meta["staged"] = True
             # The pipeline runs before the transfer wait (its time is
             # charged below), so a cold router's calibration block
-            # reports its statistics at no simulated cost.
-            before = _snapshot(state.stats)
-            outputs = fn(state, handle.block.columns, state.stats)
-            delta = _delta(state.stats, before)
-            if group.on_stats is not None:
-                group.on_stats(delta)
+            # reports its statistics at no simulated cost.  A morsel of a
+            # block that already ran charges its share and runs nothing.
+            morsels = handle.morsels
+            if morsels is not None and morsels.share is not None:
+                delta = morsels.share
+            else:
+                before = _snapshot(state.stats)
+                outputs = fn(state, handle.block.columns, state.stats)
+                delta = _delta(state.stats, before)
+                if group.on_stats is not None:
+                    group.on_stats(delta)
+                if morsels is not None:
+                    morsels.outputs = outputs
+                    delta = morsels.share = delta.scaled(1.0 / morsels.k)
             if handle.transfer_done is not None:
                 yield handle.transfer_done  # mem-move consumer half
             yield from self._charge(instance, handle, delta, uva)
@@ -916,6 +942,8 @@ class Executor:
                 # release_staged absorbs that race
                 mem_move.release_staged(instance.node_id)
             group.report_done(instance.index if group.per_instance else None)
+            if morsels is not None:
+                outputs = morsels.finish()
             yield from self._emit(
                 outputs, instance, out_router, gpu2cpu, phase_outputs, current_scale
             )

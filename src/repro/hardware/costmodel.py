@@ -89,7 +89,8 @@ class BlockStats:
         self.gpu_ops += other.gpu_ops
 
     def scaled(self, factor: float) -> "BlockStats":
-        """These counts times ``factor`` (a price input, not a record)."""
+        """These counts times ``factor``: a price input, or one morsel's
+        share of a block's work, which the morsel charges; never a record."""
         return BlockStats(
             tuples_in=self.tuples_in * factor,
             bytes_in=self.bytes_in * factor,

@@ -102,6 +102,9 @@ class BlockHandle:
     transfer_done: Any = None
     #: arbitrary per-operator annotations (kept small; control plane only)
     meta: dict = field(default_factory=dict)
+    #: the :class:`~repro.core.router.Morsels` this handle is one morsel
+    #: of, when a router cut its block for a shared-queue group
+    morsels: Any = None
 
     @property
     def node_id(self) -> str:
@@ -119,4 +122,5 @@ class BlockHandle:
             target_id=self.target_id,
             transfer_done=self.transfer_done,
             meta=dict(self.meta),
+            morsels=self.morsels,
         )

@@ -574,6 +574,7 @@ PIPELINE = "src/repro/jit/pipeline.py"
 ORACLE = "src/repro/engine/reference.py"
 FLEET = "src/repro/engine/fleet.py"
 SCHEDULER = "src/repro/engine/scheduler.py"
+EXECUTOR = "src/repro/engine/executor.py"
 SUITE = "tests/test_suite.py"
 
 #: RP010 row -> (path, source it must flag, source it must not flag);
@@ -706,6 +707,14 @@ RP010_CASES = {
         "    acc: dict[tuple, dict[str, float]] = {}  # <-\n",
         "merged = GroupTable.merge(partials)\nacc: dict[tuple, float] = {}\n",
     ),
+    "pipeline-call": (
+        EXECUTOR,
+        "outputs = fn(state, handle.block.columns, state.stats)\n"
+        "part = fn(state, morsel, state.stats)  # <-\n",
+        "outputs = fn(state, handle.block.columns, state.stats)\n"
+        "delta = morsels.share  # fn(state, ...) ran for the first morsel\n"
+        "total = fn(partials)\n",
+    ),
 }
 
 
@@ -736,7 +745,8 @@ class TestRP010OneImplementation:
         root = project(
             tmp_path,
             {
-                "src/repro/engine/executor.py": "stage_signature(stage, width)\n",
+                EXECUTOR: "stage_signature(stage, width)\n"
+                "outputs = fn(state, columns, stats)\n",
                 "tests/scenario.py": "tables = generate_ssb(0.01)\n",
                 "benchmarks/perf/run.py": "tables = generate_ssb(0.01)\n",
             },

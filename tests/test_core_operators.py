@@ -291,6 +291,141 @@ class TestColdLoadBalancePricing:
         assert cpu.on_stats is None and gpu.on_stats is None
 
 
+class TestMorselSplitting:
+    """A priced router cuts a coarse block for a shared-queue group into
+    morsels (``core/router.py``'s module docstring)."""
+
+    def _route(self, cpu_seconds, gpu_seconds, count, cpu_dop=4,
+               in_place=True, service=None, gpu_dop=1):
+        """Route ``count`` 100-row blocks to a CPU group (shared queue)
+        and a GPU group (one queue per GPU) with stub prices.  Every
+        consumer reports the calibration stats at pickup; it keeps what
+        it takes, or finishes each item after ``service[device]`` seconds.
+        Returns the router, both groups and the log of ``(device, block
+        index, morsels)``."""
+        sim = Simulator()
+        cpu = ConsumerGroup(_cpu_stage(dop=cpu_dop), ["cpu:0"] * cpu_dop)
+        gpu = ConsumerGroup(_gpu_stage(dop=gpu_dop), ["gpu:0", "gpu:1"][:gpu_dop])
+        cpu.block_seconds = lambda handle: cpu_seconds
+        gpu.block_seconds = lambda handle: gpu_seconds
+        for group in (cpu, gpu):
+            group.reads_in_place = None if in_place is None else (
+                lambda handle: in_place
+            )
+        router = Router(sim, _producer(), [cpu, gpu], RouterPolicy.LOAD_BALANCE)
+        handles = [
+            BlockHandle(Block({"a": np.arange(100, dtype=np.int64)}, "cpu:0"))
+            for _ in range(count)
+        ]
+        index_of = {id(handle.block): i for i, handle in enumerate(handles)}
+        log = []
+
+        def consumer(group, queue):
+            while True:
+                got = queue.get()
+                yield got
+                handle = got.value
+                if handle is Store.END:
+                    return
+                device = group.stage.device.value
+                log.append((device, index_of[id(handle.block)], handle.morsels))
+                if group.on_stats is not None:
+                    group.on_stats(BlockStats(tuples_in=1))
+                if service is not None:
+                    yield sim.timeout(service[device])
+                    group.report_done()
+
+        for group in (cpu, gpu):
+            for queue in group.queues():
+                sim.process(consumer(group, queue))
+        for handle in handles:
+            router.input.put(handle)
+        router.input.close()
+        sim.process(router.run())
+        sim.run()
+        return router, cpu, gpu, log
+
+    @pytest.mark.parametrize("dop", [4, 12])
+    def test_a_block_priced_nine_times_the_fastest_is_cut_in_dop_or_nine(self, dop):
+        service = {"cpu": 1.0, "gpu": 1.0}
+        router, cpu, gpu, log = self._route(9.0, 1.0, 6, cpu_dop=dop, service=service)
+        on_cpu = [(block, morsels) for device, block, morsels in log
+                  if device == "cpu"]
+        assert on_cpu and cpu.assigned == len(on_cpu)
+        cuts = {id(morsels): morsels for _, morsels in on_cpu}
+        assert {morsels.k for morsels in cuts.values()} == {min(dop, 9)}
+        for morsels in cuts.values():
+            # every morsel of one cut is the same block, enqueued together
+            blocks = [block for block, m in on_cpu if m is morsels]
+            assert len(blocks) == morsels.k and len(set(blocks)) == 1
+        # a block is routed once, whole or cut
+        routed = [block for _, block, _ in log]
+        assert sorted(set(routed)) == list(range(6))
+        assert router.routed_blocks == 6
+
+    def test_per_instance_groups_and_transfers_are_never_cut(self):
+        # Two GPUs priced 6x the CPU still take one item per block: with
+        # the CPU out of credit and a deep backlog, they take several.
+        router, cpu, gpu, log = self._route(1.0, 6.0, 40, gpu_dop=2)
+        assert gpu.assigned > 1
+        assert all(morsels is None for _, _, morsels in log)
+        # A CPU group that would need a mem-move takes whole blocks; read
+        # in place, the same blocks are cut in two.
+        router, cpu, gpu, log = self._route(2.0, 1.0, 12, in_place=False)
+        assert cpu.assigned > 0
+        assert all(morsels is None for _, _, morsels in log)
+        router, cpu, gpu, log = self._route(2.0, 1.0, 12)
+        assert {m.k for device, _, m in log if device == "cpu"} == {2}
+
+    def test_single_group_and_broadcast_routers_never_cut(self):
+        sim = Simulator()
+        alone = ConsumerGroup(_cpu_stage(dop=4), ["cpu:0"] * 4)
+        alone.block_seconds = lambda handle: 9.0
+        alone.reads_in_place = lambda handle: True
+        router = Router(sim, _producer(), [alone], RouterPolicy.LOAD_BALANCE)
+        received = _drain(sim, router, [alone], 6)[id(alone)]
+        assert len(received) == 6
+        assert all(handle.morsels is None for handle in received)
+
+        sim = Simulator()
+        cpu = ConsumerGroup(_cpu_stage(dop=4), ["cpu:0"] * 4)
+        gpu = ConsumerGroup(_gpu_stage(dop=1), ["gpu:0"])
+        for group, seconds in ((cpu, 9.0), (gpu, 1.0)):
+            group.block_seconds = lambda handle, s=seconds: s
+            group.reads_in_place = lambda handle: True
+        router = Router(sim, _producer(), [cpu, gpu], RouterPolicy.LOAD_BALANCE,
+                        broadcast=True)
+        received = _drain(sim, router, [cpu, gpu], 3)
+        assert [len(received[id(g)]) for g in (cpu, gpu)] == [3, 3]
+        assert all(h.morsels is None for g in (cpu, gpu) for h in received[id(g)])
+
+    def test_a_cut_is_committed_only_when_credit_and_room_fit_every_morsel(self):
+        # 4 workers: credit 6 items.  One cut of 4 fits; a second would
+        # take the group to 8, so the CPU takes nothing more.  The GPU
+        # takes its credit (6 blocks, the calibration block included).
+        router, cpu, gpu, log = self._route(9.0, 1.0, 12, cpu_dop=4)
+        assert (cpu.assigned, gpu.assigned, router.routed_blocks) == (4, 6, 7)
+
+        sim = Simulator()
+        group = ConsumerGroup(_cpu_stage(dop=4), ["cpu:0"] * 4)
+        other = ConsumerGroup(_gpu_stage(dop=1), ["gpu:0"])
+        router = Router(sim, _producer(), [group, other], RouterPolicy.LOAD_BALANCE)
+        for handle in _handles(5):
+            group.shared_queue.put(handle)  # 5 of 8 slots taken
+        assert group.has_space(3) and not group.has_space(4)
+        group.shared_queue.items.clear()
+        group.assigned = 2  # credit: 2 + k <= 6
+        assert router._has_credit(group, 4) and not router._has_credit(group, 5)
+
+    def test_equal_prices_route_as_an_uncut_router(self):
+        service = {"cpu": 1.0, "gpu": 0.25}
+        cut = self._route(1.0, 1.0, 40, service=service)
+        uncut = self._route(1.0, 1.0, 40, in_place=None, service=service)
+        assert all(morsels is None for _, _, morsels in cut[3])
+        assert cut[3] == uncut[3]
+        assert cut[1].completed == 40 - cut[2].completed > 0
+
+
 class TestMemMove:
     def _env(self):
         sim = Simulator()

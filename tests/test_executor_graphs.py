@@ -7,6 +7,9 @@ CPU through the gpu2cpu asynchronous queue, hash-pack producers feeding a
 hash-routed consumer, and the locality invariant under transfers.
 """
 
+import dataclasses
+from collections import Counter, defaultdict
+
 import numpy as np
 import pytest
 
@@ -28,14 +31,18 @@ from repro.algebra.physical import (
     Stage,
     validate_stage_graph,
 )
+from repro import Proteus
 from repro.engine.config import ExecutionConfig
 from repro.engine.executor import Executor
 from repro.hardware.costmodel import CostModel
 from repro.hardware.sim import Simulator
 from repro.hardware.specs import PAPER_SERVER
 from repro.hardware.topology import DeviceType, Server
+from repro.jit.codegen import PipelineCompiler
 from repro.memory.managers import BlockManagerSet
+from repro.ssb import SSB_QUERY_IDS, load_ssb, ssb_query
 from repro.storage import Catalog, Column, DataType, Table
+from scenario import reference_rows, ssb_tables
 
 N = 20_000
 
@@ -197,3 +204,109 @@ def test_waves_run_independent_builds_concurrently(env):
     waves = Executor._waves(plan)
     assert len(waves) == 2
     assert [p.name for p in waves[1]] == ["probe"]
+
+
+# -- morsels: a coarse block cut for the CPU group -----------------------------
+
+
+def _record_morsels(monkeypatch):
+    """Count pipeline runs per input block and record every morsel's
+    charge.  Returns ``(runs, work, charged)``: runs and the stats delta
+    of each block's pipeline run, keyed by the block's column dict, and
+    each :class:`~repro.core.router.Morsels` with its ``(block, delta)``
+    charges."""
+    runs, work, charged, alive = Counter(), {}, defaultdict(list), []
+    compile_stage = PipelineCompiler.compile_stage
+
+    def counted(self, stage):
+        pipeline = compile_stage(self, stage)
+        fn = pipeline.fn
+
+        def run(state, columns, stats):
+            before = dataclasses.astuple(stats)
+            outputs = fn(state, columns, stats)
+            alive.append(columns)  # ids stay unique while recorded
+            runs[id(columns)] += 1
+            work[id(columns)] = [
+                after - was for after, was in zip(dataclasses.astuple(stats), before)
+            ]
+            return outputs
+
+        return dataclasses.replace(pipeline, fn=run)
+
+    charge = Executor._charge
+
+    def recording(self, instance, handle, delta, uva):
+        if handle.morsels is not None:
+            charged[handle.morsels].append((id(handle.block.columns), delta))
+        return charge(self, instance, handle, delta, uva)
+
+    monkeypatch.setattr(PipelineCompiler, "compile_stage", counted)
+    monkeypatch.setattr(Executor, "_charge", recording)
+    return runs, work, charged
+
+
+def test_a_cut_block_runs_its_pipeline_once_and_charges_its_shares(monkeypatch):
+    """Hybrid SSB at 65 536-row blocks: the probe router cuts blocks for
+    the 4-core group.  A cut block runs the generated pipeline once, its
+    k morsels each charge a share that sums to the block's work, and
+    every query's rows equal the reference."""
+    runs, work, charged = _record_morsels(monkeypatch)
+    engine = Proteus(segment_rows=4096)
+    load_ssb(engine, tables=ssb_tables(0.01, 42))
+    config = ExecutionConfig.hybrid(4, [0, 1], block_tuples=65536)
+    for query in SSB_QUERY_IDS:
+        plan = ssb_query(query)
+        got, want = engine.query(plan, config).rows, reference_rows(query, 0.01, 42)
+        if not plan.order:
+            got, want = sorted(got), sorted(want)
+        assert got == want, query
+    assert charged, "no block was cut"
+    for morsels, charges in charged.items():
+        blocks = {block for block, _ in charges}
+        assert len(charges) == morsels.k > 1 and len(blocks) == 1
+        (block,) = blocks
+        assert runs[block] == 1
+        assert all(delta is morsels.share for _, delta in charges)
+        total = np.array(dataclasses.astuple(morsels.share)) * morsels.k
+        assert total == pytest.approx(work[block], rel=1e-12)
+
+
+def test_a_cut_block_emits_its_outputs_once(env, monkeypatch):
+    """A filter keeping every row, packed at the block size, returns one
+    output block per input block: each leaves exactly once, from the
+    last of its morsels."""
+    catalog, executor = env
+    catalog.set_logical_scale("t", 1000.0)  # one core >= 2x one GPU
+    runs, _, charged = _record_morsels(monkeypatch)
+    emitted = []
+    emit = Executor._emit
+
+    def recording(self, outputs, *args):
+        if outputs:
+            emitted.append(outputs)
+        return emit(self, outputs, *args)
+
+    monkeypatch.setattr(Executor, "_emit", recording)
+    source = _source()
+
+    def keep_all(name, device, dop, affinity):
+        return Stage(name, device,
+                     ops=[OpUnpack(["k", "v"]), OpFilter(col("v") >= 0),
+                          OpPackSink(["k", "v"])],
+                     dop=dop, affinity=affinity)
+
+    cpu = keep_all("keep-cpu", DeviceType.CPU, 4, [0, 12, 1, 13])
+    gpu = keep_all("keep-gpu", DeviceType.GPU, 2, [0, 1])
+    phase = Phase("only", [source, cpu, gpu], [
+        ExchangeEdge(source, cpu, policy=RouterPolicy.LOAD_BALANCE),
+        ExchangeEdge(source, gpu, policy=RouterPolicy.LOAD_BALANCE),
+    ])
+    raw = executor.execute(HetPlan([phase], CollectSpec([], [])),
+                           ExecutionConfig.hybrid(4, [0, 1], block_tuples=2048))
+    assert charged and all(len(c) == m.k > 1 for m, c in charged.items())
+    assert sum(runs.values()) == len(emitted) == -(-N // 2048)
+    assert len({id(outputs) for outputs in emitted}) == len(emitted)
+    assert sum(len(block["v"]) for block in raw.row_blocks) == N
+    values = catalog.table("t").column("v").values
+    assert sum(int(block["v"].sum()) for block in raw.row_blocks) == int(values.sum())

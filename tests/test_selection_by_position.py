@@ -98,7 +98,7 @@ PINNED_STATS_DIGESTS = {
     ("gpu", 256): "9a20844b5bb65351",
     ("gpu", 65536): "8c81e41dc1c06ad8",
     ("hybrid", 256): "c93259e4c915fe6f",
-    ("hybrid", 65536): "b5d2871fa170448b",
+    ("hybrid", 65536): "5d50f35df1f9aebb",
 }
 
 
@@ -146,7 +146,8 @@ EDGE_PLANS = {"date_join": DATE_JOIN, "empty_after_date_join": EMPTY_AFTER_DATE_
 
 #: ``profile.device_stats`` of a hybrid run (4 cores, GPUs 0 and 1) over
 #: SSB SF 0.005, seed 13, as the boolean-mask pipelines produced them
-#: (the cpu / gpu split is the cold-pricing router's):
+#: (the cpu / gpu split is the cold-pricing router's, which cuts a
+#: 65 536-row block for the cores into morsels):
 #: device -> (tuples_in, bytes_in, bytes_out, random_accesses,
 #: random_bytes, cpu_cycles, gpu_ops)
 PINNED_DEVICE_STATS = {
@@ -155,16 +156,16 @@ PINNED_DEVICE_STATS = {
         "gpu": (7928, 63424, 0, 5112, 102240, 248108.0, 97324.0),
     },
     ("date_join", 65536): {
-        "cpu": (3884, 31072, 0, 2556, 51120, 120854.0, 47422.0),
-        "gpu": (33784, 270272, 0, 5112, 102240, 1282348.0, 498092.0),
+        "cpu": (7980, 63840, 0, 2556, 51120, 284694.0, 110910.0),
+        "gpu": (29688, 237504, 0, 5112, 102240, 1118508.0, 434604.0),
     },
     ("empty_after_date_join", 256): {
         "cpu": (30764, 348720, 0, 2556, 40896, 787038.0, 210190.0),
         "gpu": (6904, 41952, 0, 5112, 81792, 181164.0, 65324.0),
     },
     ("empty_after_date_join", 65536): {
-        "cpu": (3884, 26160, 0, 2556, 40896, 101598.0, 35470.0),
-        "gpu": (33784, 364512, 0, 5112, 81792, 866604.0, 240044.0),
+        "cpu": (7980, 75312, 0, 2556, 40896, 206046.0, 62094.0),
+        "gpu": (29688, 315360, 0, 5112, 81792, 762156.0, 213420.0),
     },
 }
 
