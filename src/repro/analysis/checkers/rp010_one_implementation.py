@@ -3,9 +3,10 @@
 Each row of :data:`GATES` bans a pattern that was removed when an idea
 collapsed to one site, or pins a one-site idea to its one site.
 Structure is matched on the AST, so a reformat cannot hide it and a
-fixture string does not trip it; a deleted name, and code
-``jit/codegen.py`` emits, on source lines (``_text``).  This module
-spells the patterns out, so it is not scanned.
+fixture string does not trip it; a deleted name or spelling, and code
+``jit/codegen.py`` emits, on source lines (``_text``).  ``_outside``
+keeps the one function an idea may live in out of its row.  This
+module spells the patterns out, so it is not scanned.
 """
 
 from __future__ import annotations
@@ -72,14 +73,15 @@ def _once(matcher: Matcher) -> Matcher:
     return match
 
 
-def _lexsort_outside_overflow(ctx: ModuleContext) -> Iterable[int]:
-    allowed = {
-        id(node)
-        for fn in ast.walk(ctx.tree)
-        if isinstance(fn, FUNCTION_NODES) and fn.name == "_overflow_groups"
-        for node in ast.walk(fn)
-    }
-    return _calls(r"lexsort$", lambda call: id(call) not in allowed)(ctx)
+def _outside(function: str, matcher: Matcher) -> Matcher:
+    """``matcher``'s lines outside every function called ``function``."""
+
+    def match(ctx: ModuleContext) -> Iterable[int]:
+        spans = [range(fn.lineno, fn.end_lineno + 1) for fn in ast.walk(ctx.tree)
+                 if isinstance(fn, FUNCTION_NODES) and fn.name == function]
+        return (line for line in matcher(ctx) if not any(line in s for s in spans))
+
+    return match
 
 
 class Gate(NamedTuple):
@@ -156,13 +158,23 @@ GATES = (
          "one eviction rule in _EntryTable, no tenant ledger, no top_entries knob"),
     Gate("emitted-grouping", 34, (_CODEGEN,), _text(r"np\.add\.at|np\.stack\(|"
          r"\.astype\(np\.int64\)"), "keys as stored, group_rows, np.bincount sums"),
-    Gate("key-sort", 34, (_REPRO + "jit/pipeline.py",), _lexsort_outside_overflow,
+    Gate("key-sort", 34, (_REPRO + "jit/pipeline.py",),
+         _outside("_overflow_groups", _calls(r"lexsort$")),
          "lexsort outside _overflow_groups: group by the folded int64 code"),
     Gate("grouped-partials", 35, (_REPRO,), _text(r"merge_groups|def groups\(|"
          r"dict\[tuple, dict"), "a second grouped-partial form: use GroupTable"),
     Gate("pipeline-call", 39, (_EXECUTOR,), _once(_calls(r"\.fn$", lambda c: c.args
          and ast.unparse(c.args[0]) == "state")), "the generated pipeline "
          "fn(state, ...) runs at exactly one site: a morsel charges its block's run"),
+    Gate("stats-diff", 40, (_EXECUTOR,), _text(r"\b_(snapshot|delta)\("),
+         "a stats snapshot diffed around the pipeline: pass it a fresh BlockStats"),
+    Gate("handle-meta", 40, tuple(_REPRO + d for d in ("core/", "engine/", "memory/")),
+         _text(r"\.meta\b|^\s+meta:"), "a handle annotation dict: a handle is "
+         "staged exactly when its transfer_done is set"),
+    Gate("locality-rule", 40, (_EXECUTOR, _REPRO + "core/"), _any(_text(
+         r"\b(_accessible|_cpu_reads_in_place)\b"), _outside("needs_move", _text(
+         r"\.kind is DeviceType\.CPU\b"))),
+         "a second locality rule: ask MemMove.needs_move"),
 )
 # fmt: on
 

@@ -83,6 +83,3 @@ class Gpu2Cpu:
         if item is not Store.END:
             yield self.sim.timeout(self.cost.task_spawn_seconds)
         return item
-
-    def close(self) -> None:
-        self.queue.close()

@@ -36,7 +36,12 @@ transfer-side optimisations that hide PCIe latency behind compute:
 * the **consumer half** is just ``yield handle.transfer_done`` in the
   consuming worker (Listing 1, pipeline 10: "wait DMA transfer for b to
   finish"), followed by :meth:`release_staged` once the block has been
-  processed.
+  processed.  A handle carries a transfer exactly when this phase's
+  mem-move staged it, so the transfer is also the staging mark.
+
+Whether a consumer needs a transfer at all is decided in one place,
+:meth:`MemMove.needs_move`: the prefetcher, the worker's inline mem-move
+and the router's "reads in place" hook all ask it.
 
 ``transfer_done`` is the DMA's own process: it completes when the block
 has landed and fails with the transfer's error (a :class:`TransferTimeout`,
@@ -56,7 +61,7 @@ from typing import Callable, Optional
 
 from ..hardware.costmodel import CostModel
 from ..hardware.sim import Event, Name, Simulator, Store
-from ..hardware.topology import Path, Server
+from ..hardware.topology import DeviceType, Path, Server
 from ..memory.block import Block, BlockHandle
 from ..memory.managers import BlockManagerSet
 
@@ -198,6 +203,23 @@ class MemMove:
 
     # -- producer half ------------------------------------------------------------
 
+    def needs_move(self, handle: BlockHandle, target_node: str) -> bool:
+        """Must ``handle`` be transferred before a consumer on
+        ``target_node`` reads it?  The one locality rule.
+
+        No when a transfer is already under way or the block is on
+        ``target_node``; no between two CPU DRAM nodes, since a core
+        reads the other socket directly (NUMA is charged to the block's
+        home socket); yes otherwise.
+        """
+        if handle.transfer_done is not None or handle.node_id == target_node:
+            return False
+        nodes = self.server.memory_nodes
+        return not (
+            nodes[handle.node_id].kind is DeviceType.CPU
+            and nodes[target_node].kind is DeviceType.CPU
+        )
+
     def schedule(self, handle: BlockHandle, target_node: str) -> BlockHandle:
         """Ensure the handle's block will be local to ``target_node``.
 
@@ -255,22 +277,16 @@ class MemMove:
             if not event.triggered:
                 event.trigger(None)
 
-    def prefetch_proc(
-        self,
-        source: Store,
-        fetched: Store,
-        target_node: str,
-        needs_move: Callable[[BlockHandle], bool],
-    ):
+    def prefetch_proc(self, source: Store, fetched: Store, target_node: str):
         """DES process: the producer half running ahead of one consumer.
 
         Pulls handles from ``source``, launches the mem-move for those
-        ``needs_move`` says are remote (waiting for a staging credit
+        :meth:`needs_move` says are remote (waiting for a staging credit
         first, so at most ``prefetch_depth`` transfers are ever staged
         ahead of the consumer), and forwards the relocated handles into
-        ``fetched`` for the consumer to drain.  Staged handles carry
-        ``meta["staged"]`` so the consumer's epilogue knows to call
-        :meth:`release_staged`.
+        ``fetched`` for the consumer to drain.  A staged handle carries
+        its ``transfer_done``, which tells the consumer's epilogue to
+        call :meth:`release_staged`.
         """
         while True:
             got = source.get()
@@ -279,11 +295,10 @@ class MemMove:
             if handle is Store.END:
                 fetched.close()
                 return
-            if needs_move(handle):
+            if self.needs_move(handle, target_node):
                 while not self.has_credit(target_node):
                     yield self.await_credit(target_node)
                 handle = self.schedule(handle, target_node)
-                handle.meta["staged"] = True
             yield fetched.put(handle)
 
     def release_staged(self, node_id: str) -> None:

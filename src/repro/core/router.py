@@ -143,8 +143,8 @@ class ConsumerGroup:
     #: projected transfer cost of making a handle local to a node
     #: (``fn(handle, node_id) -> seconds``); wired by the executor to
     #: the mem-move's path-priced estimate so instance selection is
-    #: locality-first, not just queue-depth-first.  None falls back to
-    #: a same-node/remote two-level heuristic.
+    #: locality-first, not just queue-depth-first.  None leaves an equal
+    #: load to the lowest tied instance index.
     transfer_cost: Optional[object] = None
     #: one instance's estimated seconds for a block (``fn(handle) ->
     #: seconds``); wired by the executor from the cost model so a cold

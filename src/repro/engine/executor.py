@@ -677,12 +677,16 @@ class Executor:
                 group.transfer_cost = mem_move.projected_cost
                 group.block_seconds = partial(self._block_seconds, router, group, {})
                 if group.stage.device is DeviceType.CPU:
-                    # the edge, not an instance: the hook outlives the
+                    # A CPU worker reads a block in place unless the
+                    # mem-move says it must move.  Bound to the edge and
+                    # a node, never an instance: the hook outlives the
                     # phase in the router's reference cycle, and an
-                    # instance would keep its pipeline state alive with it
+                    # instance would keep its pipeline state alive with it.
                     group.reads_in_place = partial(
-                        self._cpu_reads_in_place,
+                        _reads_in_place,
+                        mem_move,
                         edge_of_consumer[group.stage.stage_id],
+                        group.instance_nodes[0],
                     )
         processes = []
 
@@ -709,7 +713,7 @@ class Executor:
                 )
                 continue
             instances = instance_map[stage.stage_id]
-            edge = edge_of_consumer.get(stage.stage_id)
+            edge = edge_of_consumer[stage.stage_id]
             out_router = routers.get(stage.stage_id)
             tracker = _ProducerTracker(len(instances), out_router)
             in_router = routers[phase.edges_to(stage)[0].producer.stage_id]
@@ -737,7 +741,6 @@ class Executor:
                 overlap = (
                     instance.device is DeviceType.GPU
                     and config.prefetch_depth > 1
-                    and edge is not None
                     and edge.mem_move
                 )
                 if overlap:
@@ -749,12 +752,9 @@ class Executor:
                         capacity=config.prefetch_depth,
                         name=f"{query_id}:fetch-{stage.name}-{instance.index}",
                     )
-                    needs_move = self._needs_move(instance, edge)
                     processes.append(
                         self.sim.process(
-                            mem_move.prefetch_proc(
-                                queue, fetched, instance.node_id, needs_move
-                            ),
+                            mem_move.prefetch_proc(queue, fetched, instance.node_id),
                             name=f"{query_id}:fetch-{stage.name}-{instance.index}",
                         )
                     )
@@ -847,43 +847,11 @@ class Executor:
             yield router.input.put(handle)
         router.input.close()
 
-    def _needs_move(self, instance: _Instance, edge: Optional[ExchangeEdge]):
-        """Predicate the prefetcher uses: must this handle be staged?"""
-
-        def needs_move(handle: BlockHandle) -> bool:
-            return (
-                edge is not None
-                and edge.mem_move
-                and not self._accessible(handle, instance)
-            )
-
-        return needs_move
-
-    def _cpu_reads_in_place(self, edge: ExchangeEdge, handle: BlockHandle) -> bool:
-        """Would a CPU worker read ``handle`` with no mem-move?  It reads
-        either socket's DRAM directly (see :meth:`_accessible`)."""
-        return handle.transfer_done is None and (
-            not edge.mem_move
-            or self.server.memory_nodes[handle.node_id].kind is DeviceType.CPU
-        )
-
-    def _accessible(self, handle: BlockHandle, instance: _Instance) -> bool:
-        """Can the instance read the block without a transfer?
-
-        Same node always; CPU instances also read the other socket's DRAM
-        directly (NUMA access is charged to the data's home socket).
-        """
-        if handle.node_id == instance.node_id:
-            return True
-        if instance.device is DeviceType.CPU:
-            return self.server.memory_nodes[handle.node_id].kind is DeviceType.CPU
-        return False
-
     def _worker_proc(
         self,
         instance: _Instance,
         fetched: Store,
-        edge: Optional[ExchangeEdge],
+        edge: ExchangeEdge,
         out_router: Optional[Router],
         tracker: "_ProducerTracker",
         gpu2cpu: Optional[Gpu2Cpu],
@@ -896,7 +864,7 @@ class Executor:
         on_gpu = instance.device is DeviceType.GPU
         fn = pipelines[instance.stage.stage_id].fn
         state = instance.state
-        uva = edge is not None and not edge.mem_move  # bare-GPU UVA reads
+        uva = not edge.mem_move  # bare-GPU UVA reads
         current_scale = 1.0
         while True:
             got = fetched.get()
@@ -905,16 +873,10 @@ class Executor:
             if handle is Store.END:
                 break
             current_scale = handle.block.logical_scale
-            if (
-                edge is not None
-                and edge.mem_move
-                and handle.transfer_done is None
-                and not self._accessible(handle, instance)
-            ):
+            if edge.mem_move and mem_move.needs_move(handle, instance.node_id):
                 # CPU pull path: run the mem-move inline (GPU instances had
                 # their fetcher do this ahead of time).
                 handle = mem_move.schedule(handle, instance.node_id)
-                handle.meta["staged"] = True
             # The pipeline runs before the transfer wait (its time is
             # charged below), so a cold router's calibration block
             # reports its statistics at no simulated cost.  A morsel of a
@@ -923,9 +885,9 @@ class Executor:
             if morsels is not None and morsels.share is not None:
                 delta = morsels.share
             else:
-                before = _snapshot(state.stats)
-                outputs = fn(state, handle.block.columns, state.stats)
-                delta = _delta(state.stats, before)
+                delta = BlockStats()
+                outputs = fn(state, handle.block.columns, delta)
+                state.stats.merge(delta)
                 if group.on_stats is not None:
                     group.on_stats(delta)
                 if morsels is not None:
@@ -936,9 +898,10 @@ class Executor:
             yield from self._charge(instance, handle, delta, uva)
             if on_gpu:
                 out.profile.kernels_launched = out.profile.kernels_launched + 1
-            if handle.meta.get("staged"):
-                # via the mem-move (never blocks.release directly): the
-                # slot may already have been reclaimed by an abort, and
+            if handle.transfer_done is not None:
+                # the transfer held a staging slot; return it via the
+                # mem-move (never blocks.release directly): the slot may
+                # already have been reclaimed by an abort, and
                 # release_staged absorbs that race
                 mem_move.release_staged(instance.node_id)
             group.report_done(instance.index if group.per_instance else None)
@@ -1057,56 +1020,32 @@ class Executor:
         self, gpu2cpu: Gpu2Cpu, out_router: Router, tracker: "_ProducerTracker"
     ):
         """CPU half of gpu2cpu: receive tasks, hand them to the router."""
-        ends = 0
-        while True:
+        while tracker.remaining:
             item = yield from gpu2cpu.receive()
             if item is Store.END:
-                ends += 1
-                if ends >= tracker.total:
-                    tracker.done_all()
-                    return
-                continue
-            yield out_router.input.put(item)
+                tracker.done()
+            else:
+                yield out_router.input.put(item)
 
 
-def _snapshot(stats: BlockStats) -> tuple:
-    return (
-        stats.tuples_in,
-        stats.bytes_in,
-        stats.bytes_out,
-        stats.random_accesses,
-        stats.random_bytes,
-        stats.cpu_cycles,
-        stats.gpu_ops,
-    )
-
-
-def _delta(stats: BlockStats, before: tuple) -> BlockStats:
-    return BlockStats(
-        tuples_in=stats.tuples_in - before[0],
-        bytes_in=stats.bytes_in - before[1],
-        bytes_out=stats.bytes_out - before[2],
-        random_accesses=stats.random_accesses - before[3],
-        random_bytes=stats.random_bytes - before[4],
-        cpu_cycles=stats.cpu_cycles - before[5],
-        gpu_ops=stats.gpu_ops - before[6],
+def _reads_in_place(
+    mem_move: MemMove, edge: ExchangeEdge, node_id: str, handle: BlockHandle
+) -> bool:
+    """A CPU group's ``reads_in_place`` hook: ``handle`` is not in transfer
+    and a worker on ``node_id`` needs none (:meth:`MemMove.needs_move`)."""
+    return handle.transfer_done is None and not (
+        edge.mem_move and mem_move.needs_move(handle, node_id)
     )
 
 
 class _ProducerTracker:
     """Closes a downstream router's input once all producers finished."""
 
-    def __init__(self, total: int, router: Optional[Router]):
-        self.total = total
-        self.remaining = total
+    def __init__(self, producers: int, router: Optional[Router]):
+        self.remaining = producers
         self.router = router
 
     def done(self) -> None:
         self.remaining -= 1
         if self.remaining == 0 and self.router is not None:
-            self.router.input.close()
-
-    def done_all(self) -> None:
-        self.remaining = 0
-        if self.router is not None:
             self.router.input.close()

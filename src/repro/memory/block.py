@@ -20,7 +20,7 @@ asserts this, which is the reproduction of the paper's locality invariant
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional
 
 import numpy as np
@@ -98,10 +98,10 @@ class BlockHandle:
     hash_value: Optional[int] = None
     #: broadcast target id attached by mem-move multicast
     target_id: Optional[int] = None
-    #: the transfer's DES process; wait on it before reading the block
+    #: the transfer's DES process; wait on it before reading the block.
+    #: Only the mem-move sets it, so it also marks the staging slot the
+    #: consumer returns once done with the block
     transfer_done: Any = None
-    #: arbitrary per-operator annotations (kept small; control plane only)
-    meta: dict = field(default_factory=dict)
     #: the :class:`~repro.core.router.Morsels` this handle is one morsel
     #: of, when a router cut its block for a shared-queue group
     morsels: Any = None
@@ -121,6 +121,5 @@ class BlockHandle:
             hash_value=self.hash_value,
             target_id=self.target_id,
             transfer_done=self.transfer_done,
-            meta=dict(self.meta),
             morsels=self.morsels,
         )

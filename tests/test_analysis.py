@@ -715,6 +715,31 @@ RP010_CASES = {
         "delta = morsels.share  # fn(state, ...) ran for the first morsel\n"
         "total = fn(partials)\n",
     ),
+    "stats-diff": (
+        EXECUTOR,
+        "before = _snapshot(state.stats)  # <-\n"
+        "delta = _delta(state.stats, before)  # <-\n",
+        "delta = BlockStats()\nstate.stats.merge(delta)\n",
+    ),
+    "handle-meta": (
+        "src/repro/memory/block.py",
+        "class BlockHandle:\n"
+        "    meta: dict = field(default_factory=dict)  # <-\n"
+        'staged = handle.meta.get("staged")  # <-\n',
+        "class BlockHandle:\n    morsels: Any = None\n"
+        "staged = handle.transfer_done is not None\n",
+    ),
+    "locality-rule": (
+        "src/repro/core/router.py",
+        "def _accessible(handle, instance):  # <-\n"
+        "    return nodes[handle.node_id].kind is DeviceType.CPU  # <-\n",
+        "class MemMove:\n"
+        "    def needs_move(self, handle, target_node):\n"
+        "        return nodes[handle.node_id].kind is DeviceType.CPU\n"
+        "local = not mem_move.needs_move(handle, node)\n"
+        "home = node if node.kind is not DeviceType.CPU else other\n"
+        "on_cpu = stage.device is DeviceType.CPU\n",
+    ),
 }
 
 

@@ -183,13 +183,10 @@ class TestPrefetchCredits:
                 if handle.transfer_done is not None:
                     yield handle.transfer_done
                 yield sim.timeout(1e-3)  # slow compute
-                if handle.meta.get("staged"):
+                if handle.transfer_done is not None:
                     mem_move.release_staged("gpu:0")
 
-        sim.process(
-            mem_move.prefetch_proc(source, fetched, "gpu:0",
-                                   lambda handle: True)
-        )
+        sim.process(mem_move.prefetch_proc(source, fetched, "gpu:0"))
         sim.process(consumer())
         for _ in range(8):
             source.put(_remote_handle())
@@ -219,19 +216,43 @@ class TestPrefetchCredits:
                 )
                 if handle.transfer_done is not None:
                     yield handle.transfer_done
-                if handle.meta.get("staged"):
                     mem_move.release_staged("gpu:0")
 
-        sim.process(
-            mem_move.prefetch_proc(source, fetched, "gpu:0",
-                                   lambda handle: True)
-        )
+        sim.process(mem_move.prefetch_proc(source, fetched, "gpu:0"))
         sim.process(consumer())
         for _ in range(5):
             source.put(_remote_handle(nbytes=80_000))
         source.close()
         sim.run()
         assert max(concurrency) <= 1
+
+
+class TestLocalityRule:
+    """``MemMove.needs_move`` is the one answer to "must this block be
+    transferred before a consumer on that node reads it"."""
+
+    @pytest.mark.parametrize(
+        "block_node, consumer_node, moves",
+        [
+            ("cpu:0", "cpu:0", False),  # same node
+            ("gpu:1", "gpu:1", False),
+            ("cpu:1", "cpu:0", False),  # a core reads the other socket
+            ("cpu:0", "gpu:0", True),
+            ("gpu:0", "gpu:1", True),
+            ("gpu:0", "cpu:0", True),
+        ],
+    )
+    def test_truth_table(self, block_node, consumer_node, moves):
+        _, _, _, mem_move = _mem_move_env()
+        handle = _remote_handle(node=block_node)
+        assert mem_move.needs_move(handle, consumer_node) is moves
+
+    @pytest.mark.parametrize("consumer_node", ["cpu:0", "gpu:0", "gpu:1"])
+    def test_a_handle_in_transfer_never_moves_again(self, consumer_node):
+        _, _, _, mem_move = _mem_move_env()
+        staged = mem_move.schedule(_remote_handle(node="cpu:0"), "gpu:0")
+        assert staged.transfer_done is not None
+        assert mem_move.needs_move(staged, consumer_node) is False
 
 
 class TestStagingAbortAccounting:
