@@ -184,7 +184,6 @@ class SegmentSource:
 class RouterPolicy:
     """Routing policies of the router operator (paper Section 3.1)."""
 
-    ROUND_ROBIN = "round-robin"
     #: pull-based load balancing (earliest expected finish, priced from
     #: the cost model until measured rates exist); the paper's
     #: router "routes partitions to consumers, while load-balancing"
@@ -196,7 +195,7 @@ class RouterPolicy:
     #: route on the handle's broadcast target id (set by mem-move multicast)
     TARGET = "target"
 
-    ALL = (ROUND_ROBIN, LOAD_BALANCE, HASH, UNION, TARGET)
+    ALL = (LOAD_BALANCE, HASH, UNION, TARGET)
 
 
 @dataclass

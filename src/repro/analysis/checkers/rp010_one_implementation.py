@@ -175,6 +175,9 @@ GATES = (
          r"\b(_accessible|_cpu_reads_in_place)\b"), _outside("needs_move", _text(
          r"\.kind is DeviceType\.CPU\b"))),
          "a second locality rule: ask MemMove.needs_move"),
+    Gate("block-price", 41, (_REPRO + "engine/", _REPRO + "core/"), _nodes(
+         ast.Attribute, lambda n: n.attr in ("min_duration", "link_rate_cap")),
+         "block-time arithmetic outside the cost model: ask CostModel.block_price"),
 )
 # fmt: on
 

@@ -13,7 +13,6 @@ of parallelism.  Policies:
   block first, preferring an instance whose memory already holds it (the
   paper's microbenchmarks: "the routing policy schedules some blocks
   residing on the remote-to-GPU socket to the GPU");
-* ``round-robin`` — cycle through all consumer instances;
 * ``hash`` — route on the handle's hash value (set by hash-pack; the
   router never touches tuples);
 * ``target`` — route on the handle's broadcast target id (set by the
@@ -24,9 +23,9 @@ Consumer queues are bounded and load-balance routing is credit-throttled,
 which yields the pull-style backpressure that lets heterogeneous
 consumers drain work in proportion to their throughput.  At the Fig. 5
 harness settings (SSB SF 0.01 replayed at SF 1000, 256-row blocks) the
-hybrid reaches on average 0.799 of the summed CPU-only and GPU-only
-throughputs (0.774 before the cold-start price below; the paper reports
-88.5 %).
+hybrid reaches on average 0.791 of the summed CPU-only and GPU-only
+throughputs (0.774 before the cold-start price below, 0.743 with morsels
+cut past what a socket's DRAM feeds; the paper reports 88.5 %).
 
 A load-balance router over two or more groups (a hybrid CPU + GPU probe)
 starts *cold*: no group has a measured rate yet, and a coarse stream has
@@ -39,9 +38,9 @@ before it commits it:
    generated pipeline on it and reported the block's work statistics.
    Workers run the pipeline before they wait on the block's transfer, so
    this costs no simulated time.
-2. *Price.*  Each group's ``block_seconds(handle)`` (wired by the
-   executor from the cost model and those statistics) estimates one
-   instance's seconds for the block.
+2. *Price.*  Each group's ``block_price(handle)`` (wired by the
+   executor to :meth:`CostModel.block_price` at those statistics)
+   estimates one instance's seconds for the block.
 3. *Commit.*  A group takes the block only if it would finish it,
    ``(outstanding // dop + 1) * seconds``, no later than the best other
    group would after taking every block still waiting at the router;
@@ -55,13 +54,16 @@ group that would finish the block later.
 
 *Morsels.*  Once the calibration stats are in, a block bound for a
 shared-queue (CPU) group that reads it in place is cut into
-``k = min(dop, rows, ceil(own / fastest))`` morsels, where ``own`` is the
-group's ``block_seconds`` and ``fastest`` the smallest over all groups:
+``k = min(dop, rows, ceil(own / fastest), cores_fed)`` morsels, where
+``own`` is the group's price and ``fastest`` the smallest over all groups:
 one morsel then takes one core about as long as the whole block takes
-the fastest instance.  Without the cut, a coarse block (65 536 rows
-replayed at SF 1000 take one core seconds, one GPU a fraction of that)
-handed to the CPU sets the query's makespan while the other cores idle
-(the fix of Leis et al., "Morsel-driven parallelism", SIGMOD 2014).  The
+the fastest instance.  ``cores_fed = max(1, floor(B / r))`` counts the
+cores the block's socket DRAM (``B``) feeds at one core's rate ``r`` for
+the block, so a morsel is never priced below the block's work over ``B``
+(8 cores on the SSB joins, 28 on Q1.x).  Without the cut, a coarse block
+(65 536 rows replayed at SF 1000 take one core seconds, one GPU a fraction
+of that) handed to the CPU sets the query's makespan while the other cores
+idle (the fix of Leis et al., "Morsel-driven parallelism", SIGMOD 2014).  The
 router prices in items of ``seconds / k`` each: cold, the group finishes
 the block at ``((outstanding + k - 1) // dop + 1) * seconds / k`` and
 drains ``((outstanding + waiting * k + k - 1) // dop + 1) * seconds / k``;
@@ -73,11 +75,11 @@ worker to dequeue one runs the generated pipeline on the whole block and
 stores each morsel's share of its work, every morsel charges that share,
 and the last one to finish emits the block's outputs.  ``k = 1`` is the
 whole block; per-instance (GPU) groups, single-group routers and
-broadcasts are never split.  The price is still uncontended: it reads no
-live queue depth on a device that other queries share.
+broadcasts are never split.  The price reads no live queue depth on a
+device that other queries share.
 
-Routers are fully re-entrant: every piece of routing state (round-robin
-and tie-break cursors, credit book-keeping, calibration, wake-up hooks)
+Routers are fully re-entrant: every piece of routing state (the
+tie-break cursor, credit book-keeping, calibration, wake-up hooks)
 lives on the instance, never on the class or the module, so any number
 of queries can run their own routers on one shared simulator.  Each
 router carries the ``query_id`` of the query that owns it for
@@ -146,10 +148,11 @@ class ConsumerGroup:
     #: locality-first, not just queue-depth-first.  None leaves an equal
     #: load to the lowest tied instance index.
     transfer_cost: Optional[object] = None
-    #: one instance's estimated seconds for a block (``fn(handle) ->
-    #: seconds``); wired by the executor from the cost model so a cold
-    #: load-balance router can price a block before it commits it
-    block_seconds: Optional[object] = None
+    #: one instance's price for a block (``fn(handle) -> BlockPrice``:
+    #: seconds, and for a CPU group the cores its socket's DRAM feeds);
+    #: wired by the executor from the cost model so a cold load-balance
+    #: router can price a block before it commits it
+    block_price: Optional[object] = None
     #: whether the group's workers read a block where it lies, with no
     #: mem-move (``fn(handle) -> bool``); wired by the executor.  Only such
     #: blocks are cut into morsels; None never cuts one
@@ -243,17 +246,16 @@ class Router:
         self.input: Store = sim.store(
             capacity=4 * sum(g.dop for g in groups), name=f"{self.name}:in"
         )
-        # Plain per-instance cursors (NOT itertools.cycle objects, NOT
-        # class attributes): routing position must be private to this
+        # A plain per-instance cursor (NOT an itertools.cycle object, NOT
+        # a class attribute): routing position must be private to this
         # router and inspectable, or concurrent queries would perturb each
-        # other's round-robin distribution.
-        self._rr_index = 0
+        # other's tie-breaks.
         self._tie_index = 0
         self.routed_blocks = 0
         self._wakeup = None
         #: a load-balance router over several groups prices blocks until
         #: every group is warm; ``unit_stats`` is the calibration block's
-        #: per-tuple work, which the groups' ``block_seconds`` read
+        #: per-tuple work, which the groups' ``block_price`` read
         self._cold = (
             policy == RouterPolicy.LOAD_BALANCE and not broadcast and len(groups) > 1
         )
@@ -278,7 +280,7 @@ class Router:
         for group in self.groups:
             per_instance = (
                 group.stage.device is DeviceType.GPU
-                or self.policy in (RouterPolicy.HASH, RouterPolicy.ROUND_ROBIN)
+                or self.policy == RouterPolicy.HASH
             )
             if per_instance:
                 group.instance_queues = [
@@ -402,10 +404,6 @@ class Router:
                 )
             index = handle.hash_value % len(self.targets)
             return self.targets[index]
-        if self.policy == RouterPolicy.ROUND_ROBIN:
-            index = self._rr_index % len(self.targets)
-            self._rr_index += 1
-            return self.targets[index]
         # LOAD_BALANCE.  Credit throttling: never buffer more than ~1.5
         # blocks per worker on any group — deep queues on a slow group
         # are makespan poison (the whole point of pull-style load
@@ -454,7 +452,7 @@ class Router:
                 return None  # the calibration block's stats are not in yet
             return min(self.groups, key=lambda g: g.dop), None
         waiting = len(self.input)
-        seconds = [g.block_seconds(handle) for g in self.groups]
+        seconds = [g.block_price(handle).seconds for g in self.groups]
         ks = [self._morsels(g, handle) for g in self.groups]
         # Priced in items: a split block is k items of s / k seconds each.
         finish = [
@@ -480,8 +478,9 @@ class Router:
         """How many morsels ``group`` gets ``handle`` in (1 = the whole
         block): a priced router's shared-queue group that reads the block
         in place is cut until one morsel takes one of its workers about as
-        long as the block takes the fastest group's instance.  Only a
-        priced router ever holds ``unit_stats``."""
+        long as the block takes the fastest group's instance, into no more
+        morsels than the block's socket feeds cores.  Only a priced router
+        ever holds ``unit_stats``."""
         if (
             self.unit_stats is None
             or group.per_instance
@@ -489,12 +488,13 @@ class Router:
             or not group.reads_in_place(handle)
         ):
             return 1
-        own = group.block_seconds(handle)
-        fastest = min(g.block_seconds(handle) for g in self.groups)
-        if own <= fastest or fastest <= 0:
+        own = group.block_price(handle)
+        fastest = min(g.block_price(handle).seconds for g in self.groups)
+        if own.seconds <= fastest or fastest <= 0:
             return 1
         rows = handle.block.num_tuples
-        return max(1, min(group.dop, rows, math.ceil(own / fastest)))
+        cut = math.ceil(own.seconds / fastest)
+        return max(1, min(group.dop, rows, cut, own.cores_fed))
 
     def _least_loaded_instance(self, group: ConsumerGroup, handle: BlockHandle) -> int:
         # Device-resident blocks are pinned to their device: re-routing

@@ -74,7 +74,12 @@ from ..core.router import ConsumerGroup, Router
 from ..core.segmenter import Segmenter
 from ..engine.config import ExecutionConfig
 from ..engine.results import ExecutionProfile
-from ..hardware.costmodel import DEFAULT_COMPILE_SECONDS, BlockStats, CostModel
+from ..hardware.costmodel import (
+    DEFAULT_COMPILE_SECONDS,
+    BlockPrice,
+    BlockStats,
+    CostModel,
+)
 from ..hardware.sim import Simulator, Store
 from ..hardware.topology import DeviceType, Server
 from ..jit.cache import PipelineCache, stage_signature
@@ -675,7 +680,7 @@ class Executor:
         for router in routers.values():
             for group in router.groups:
                 group.transfer_cost = mem_move.projected_cost
-                group.block_seconds = partial(self._block_seconds, router, group, {})
+                group.block_price = partial(_block_price, self.cost, router, group, {})
                 if group.stage.device is DeviceType.CPU:
                     # A CPU worker reads a block in place unless the
                     # mem-move says it must move.  Bound to the edge and
@@ -924,32 +929,6 @@ class Executor:
         else:
             tracker.done()
 
-    def _block_seconds(
-        self, router: Router, group: ConsumerGroup, memo: dict, handle: BlockHandle
-    ) -> float:
-        """One instance's estimated seconds for ``handle`` (a cold
-        router's price): the router's per-tuple work at the block's row
-        count, and for a GPU the longer of the kernel and the block's
-        wire time, which overlap under prefetching.  A router's blocks
-        carry one column set, so ``memo`` keeps one price per row count,
-        scale and node (the router asks again after every wake-up)."""
-        block = handle.block
-        rows, scale, node = key = (block.num_tuples, block.logical_scale, block.node_id)
-        seconds = memo.get(key)
-        if seconds is not None:
-            return seconds
-        stats = router.unit_stats.scaled(rows)
-        if group.stage.device is DeviceType.CPU:
-            seconds = self.cost.cpu_block_work(stats, scale).min_duration
-        else:
-            seconds = self.cost.gpu_block_work(stats, scale).min_duration
-            if node not in group.instance_nodes:
-                plan = self.cost.transfer_plan(block.nbytes, scale)
-                wire = plan.setup_seconds + plan.nbytes / plan.link_rate_cap
-                seconds = max(seconds, wire)
-        memo[key] = seconds
-        return seconds
-
     def _charge(self, instance: _Instance, handle: BlockHandle,
                 delta: BlockStats, uva: bool):
         """Convert a block's stats into simulated resource demands."""
@@ -1026,6 +1005,32 @@ class Executor:
                 tracker.done()
             else:
                 yield out_router.input.put(item)
+
+
+def _block_price(
+    cost: CostModel,
+    router: Router,
+    group: ConsumerGroup,
+    memo: dict,
+    handle: BlockHandle,
+) -> BlockPrice:
+    """A group's ``block_price`` hook: the cost model's price of
+    ``handle`` at the router's per-tuple work (:meth:`CostModel.block_price`),
+    with wire time when a GPU group holds none of the block's node.  A
+    router's blocks carry one column set, so ``memo`` keeps one price per
+    row count, scale and node (the router asks again after every
+    wake-up)."""
+    block = handle.block
+    rows, scale, node = key = (block.num_tuples, block.logical_scale, block.node_id)
+    price = memo.get(key)
+    if price is None:
+        device = group.stage.device
+        wire = None
+        if device is DeviceType.GPU and node not in group.instance_nodes:
+            wire = block.nbytes
+        stats = router.unit_stats.scaled(rows)
+        price = memo[key] = cost.block_price(stats, device, scale, wire)
+    return price
 
 
 def _reads_in_place(

@@ -33,6 +33,7 @@ Baselines reuse the model through :class:`EngineTuning` overrides:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -42,6 +43,7 @@ from .topology import DeviceType
 __all__ = [
     "BlockStats",
     "WorkRequest",
+    "BlockPrice",
     "TransferPlan",
     "QueryDemand",
     "EngineTuning",
@@ -117,6 +119,15 @@ class WorkRequest:
     @property
     def min_duration(self) -> float:
         return self.setup_seconds + self.work_bytes / self.rate_cap
+
+
+@dataclass(frozen=True)
+class BlockPrice:
+    """One instance's estimated seconds for a block, and for a CPU the
+    most cores its socket's DRAM feeds at that block's per-core rate."""
+
+    seconds: float
+    cores_fed: int = 1
 
 
 @dataclass(frozen=True)
@@ -344,6 +355,37 @@ class CostModel:
         return path.setups * self.spec.dma_setup_seconds + (
             nbytes * scale / rate
         )
+
+    # -- block price ---------------------------------------------------------
+
+    def block_price(
+        self,
+        stats: BlockStats,
+        device: DeviceType,
+        scale: float = 1.0,
+        wire_bytes: Optional[float] = None,
+    ) -> BlockPrice:
+        """One instance's uncontended seconds for a block of work ``stats``
+        on ``device`` (a cold load-balance router's price).
+
+        A GPU reading ``wire_bytes`` from another node takes the longer of
+        the kernel and the block's wire time, which overlap under
+        prefetching.  A CPU price also counts the cores its socket's DRAM
+        feeds at the block's per-core rate, ``floor(B / rate_cap)`` and at
+        least one: a block cut into ``k`` morsels of ``seconds / k`` each
+        prices a morsel below the block's work over ``B`` unless ``k``
+        stays within that count.
+        """
+        if device is DeviceType.CPU:
+            req = self.cpu_block_work(stats, scale)
+            fed = math.floor(self.spec.socket_dram_bandwidth / req.rate_cap)
+            return BlockPrice(req.min_duration, max(1, fed))
+        seconds = self.gpu_block_work(stats, scale).min_duration
+        if wire_bytes is not None:
+            plan = self.transfer_plan(wire_bytes, scale)
+            wire = plan.setup_seconds + plan.nbytes / plan.link_rate_cap
+            seconds = max(seconds, wire)
+        return BlockPrice(seconds)
 
     # -- admission control ---------------------------------------------------
 

@@ -15,7 +15,7 @@ from repro.core.device_crossing import Gpu2Cpu, cpu2gpu
 from repro.core.mem_move import MemMove
 from repro.core.router import ConsumerGroup, Router, RoutingError
 from repro.core.segmenter import Segmenter
-from repro.hardware.costmodel import BlockStats, CostModel, WorkRequest
+from repro.hardware.costmodel import BlockPrice, BlockStats, CostModel, WorkRequest
 from repro.hardware.sim import Interrupt, Simulator, Store
 from repro.hardware.specs import PAPER_SERVER
 from repro.hardware.topology import DeviceType, Server
@@ -44,6 +44,12 @@ def _gpu_stage(name="gpu-consumer", dop=2):
     return Stage(name, DeviceType.GPU,
                  ops=[OpUnpack(["a"]), OpReduceSink([])], dop=dop,
                  affinity=[0, 1][:dop])
+
+
+def _priced(group, seconds, cores_fed=64):
+    """Stub ``group``'s price hook: ``seconds`` a block, ``cores_fed`` the
+    most morsels the block's socket feeds (binding nothing by default)."""
+    group.block_price = lambda handle: BlockPrice(seconds, cores_fed)
 
 
 def _producer():
@@ -131,31 +137,6 @@ class TestRouterPolicies:
         assert not proc.ok
         assert isinstance(proc.value, RoutingError)
 
-    def test_round_robin_cycles_instances(self):
-        sim = Simulator()
-        group = ConsumerGroup(_cpu_stage(dop=2), ["cpu:0", "cpu:1"])
-        router = Router(sim, _producer(), [group], RouterPolicy.ROUND_ROBIN)
-        counts = {0: 0, 1: 0}
-
-        def consumer(index):
-            queue = group.instance_queues[index]
-            while True:
-                got = queue.get()
-                yield got
-                if got.value is Store.END:
-                    return
-                counts[index] += 1
-                group.report_done(index)
-
-        for handle in _handles(10):
-            router.input.put(handle)
-        router.input.close()
-        sim.process(consumer(0))
-        sim.process(consumer(1))
-        sim.process(router.run())
-        sim.run()
-        assert counts == {0: 5, 1: 5}
-
     def test_broadcast_duplicates_per_target(self):
         sim = Simulator()
         cpu = ConsumerGroup(_cpu_stage(dop=3), ["cpu:0"] * 3)
@@ -214,8 +195,8 @@ class TestColdLoadBalancePricing:
         sim = Simulator()
         cpu = ConsumerGroup(_cpu_stage(dop=4), ["cpu:0"] * 4)
         gpu = ConsumerGroup(_gpu_stage(dop=1), ["gpu:0"])
-        cpu.block_seconds = lambda handle: cpu_seconds
-        gpu.block_seconds = lambda handle: gpu_seconds
+        _priced(cpu, cpu_seconds)
+        _priced(gpu, gpu_seconds)
         router = Router(sim, _producer(), [cpu, gpu], RouterPolicy.LOAD_BALANCE)
 
         def holder(queue):
@@ -272,7 +253,7 @@ class TestColdLoadBalancePricing:
 
         sim = Simulator()
         alone = ConsumerGroup(_cpu_stage(dop=2), ["cpu:0"] * 2)
-        alone.block_seconds = never
+        alone.block_price = never
         router = Router(sim, _producer(), [alone], RouterPolicy.LOAD_BALANCE)
         assert alone.on_stats is None
         assert len(_drain(sim, router, [alone], 6)[id(alone)]) == 6
@@ -281,7 +262,7 @@ class TestColdLoadBalancePricing:
         cpu = ConsumerGroup(_cpu_stage(dop=2), ["cpu:0"] * 2)
         gpu = ConsumerGroup(_gpu_stage(dop=2), ["gpu:0", "gpu:1"])
         for group in (cpu, gpu):
-            group.block_seconds = never
+            group.block_price = never
             group.assigned = group.completed = 2 * group.dop
             group.first_assign_at = 0.0
         router = Router(sim, _producer(), [cpu, gpu], RouterPolicy.LOAD_BALANCE)
@@ -296,9 +277,10 @@ class TestMorselSplitting:
     morsels (``core/router.py``'s module docstring)."""
 
     def _route(self, cpu_seconds, gpu_seconds, count, cpu_dop=4,
-               in_place=True, service=None, gpu_dop=1):
+               in_place=True, service=None, gpu_dop=1, cores_fed=64):
         """Route ``count`` 100-row blocks to a CPU group (shared queue)
-        and a GPU group (one queue per GPU) with stub prices.  Every
+        and a GPU group (one queue per GPU) with stub prices, the CPU's
+        fed by ``cores_fed`` cores.  Every
         consumer reports the calibration stats at pickup; it keeps what
         it takes, or finishes each item after ``service[device]`` seconds.
         Returns the router, both groups and the log of ``(device, block
@@ -306,8 +288,8 @@ class TestMorselSplitting:
         sim = Simulator()
         cpu = ConsumerGroup(_cpu_stage(dop=cpu_dop), ["cpu:0"] * cpu_dop)
         gpu = ConsumerGroup(_gpu_stage(dop=gpu_dop), ["gpu:0", "gpu:1"][:gpu_dop])
-        cpu.block_seconds = lambda handle: cpu_seconds
-        gpu.block_seconds = lambda handle: gpu_seconds
+        _priced(cpu, cpu_seconds, cores_fed)
+        _priced(gpu, gpu_seconds)
         for group in (cpu, gpu):
             group.reads_in_place = None if in_place is None else (
                 lambda handle: in_place
@@ -363,6 +345,17 @@ class TestMorselSplitting:
         assert sorted(set(routed)) == list(range(6))
         assert router.routed_blocks == 6
 
+    @pytest.mark.parametrize("dop, cores_fed, k", [
+        (24, 8, 8),    # a join block: 45.3 / 5.6 GB/s feeds 8 cores
+        (24, 28, 15),  # Q1.x: 28 cores fed, own / fastest = 15 binds
+        (4, 8, 4),     # dop <= 8 never reaches the cap
+    ])
+    def test_a_cut_never_exceeds_the_cores_the_socket_feeds(self, dop, cores_fed, k):
+        service = {"cpu": 1.0, "gpu": 1.0}
+        router, cpu, gpu, log = self._route(15.0, 1.0, 6, cpu_dop=dop,
+                                            service=service, cores_fed=cores_fed)
+        assert {m.k for device, _, m in log if device == "cpu"} == {k}
+
     def test_per_instance_groups_and_transfers_are_never_cut(self):
         # Two GPUs priced 6x the CPU still take one item per block: with
         # the CPU out of credit and a deep backlog, they take several.
@@ -380,7 +373,7 @@ class TestMorselSplitting:
     def test_single_group_and_broadcast_routers_never_cut(self):
         sim = Simulator()
         alone = ConsumerGroup(_cpu_stage(dop=4), ["cpu:0"] * 4)
-        alone.block_seconds = lambda handle: 9.0
+        _priced(alone, 9.0)
         alone.reads_in_place = lambda handle: True
         router = Router(sim, _producer(), [alone], RouterPolicy.LOAD_BALANCE)
         received = _drain(sim, router, [alone], 6)[id(alone)]
@@ -391,7 +384,7 @@ class TestMorselSplitting:
         cpu = ConsumerGroup(_cpu_stage(dop=4), ["cpu:0"] * 4)
         gpu = ConsumerGroup(_gpu_stage(dop=1), ["gpu:0"])
         for group, seconds in ((cpu, 9.0), (gpu, 1.0)):
-            group.block_seconds = lambda handle, s=seconds: s
+            _priced(group, seconds)
             group.reads_in_place = lambda handle: True
         router = Router(sim, _producer(), [cpu, gpu], RouterPolicy.LOAD_BALANCE,
                         broadcast=True)

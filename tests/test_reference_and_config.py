@@ -356,7 +356,7 @@ class TestConfigurationSurface:
         justified when two callers that are not tests or examples need
         different values"; with one value in use it is a constant.
         Every independent option doubles the space the scenario
-        generator (ROADMAP item 5) has to cover.
+        generator (ROADMAP item 4) has to cover.
         """
         assert _parameters(EngineServer) == [
             "engine",

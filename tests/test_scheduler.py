@@ -378,10 +378,11 @@ class TestReentrancyRegressions:
             assert manager.live_handles == 0
 
     def test_router_cursors_are_per_instance(self):
-        """Round-robin position must be private, inspectable state: two
+        """Tie-break position must be private, inspectable state: two
         routers never share a cursor, and a fresh router always starts at
-        target 0 (the old itertools.cycle cursors were opaque and, when
-        the cursor range diverged from the target count, skewed)."""
+        its first tied group (the old itertools.cycle cursors were opaque
+        and, when the cursor range diverged from the target count,
+        skewed)."""
         sim = Simulator()
         from repro.algebra.physical import (
             OpPackSink, SegmentSource, Stage,
@@ -394,27 +395,30 @@ class TestReentrancyRegressions:
                          source=SegmentSource("t", ["x"]), dop=dop)
 
         producer = stage("prod", 1)
-        groups_a = [ConsumerGroup(stage("a1", 3), ["cpu:0"] * 3),
-                    ConsumerGroup(stage("a2", 2), ["cpu:1"] * 2)]
-        groups_b = [ConsumerGroup(stage("b1", 2), ["cpu:0"] * 2)]
-        router_a = Router(sim, producer, groups_a, RouterPolicy.ROUND_ROBIN)
-        router_b = Router(sim, producer, groups_b, RouterPolicy.ROUND_ROBIN)
-        assert router_a._rr_index == 0 and router_b._rr_index == 0
+
+        def warm_router(name, *dops):
+            """A load-balance router whose groups are warm at equal
+            measured rates with nothing in flight: every block ties."""
+            groups = [ConsumerGroup(stage(f"{name}{i}", dop), ["cpu:0"] * dop)
+                      for i, dop in enumerate(dops)]
+            for group in groups:
+                group.assigned = group.completed = 6
+                group.first_assign_at = 0.0
+            return Router(sim, producer, groups, RouterPolicy.LOAD_BALANCE)
+
+        router_a = warm_router("a", 3, 2)
+        router_b = warm_router("b", 2, 2)
+        assert router_a._tie_index == 0 and router_b._tie_index == 0
         # advancing one router's cursor must not move the other's
         for _ in range(3):
             router_a._select(None)
-        assert router_a._rr_index == 3
-        assert router_b._rr_index == 0
-        # uniform coverage: 10 selections over 5 targets = exactly 2 each
-        counts = {}
-        router = Router(sim, producer,
-                        [ConsumerGroup(stage("c1", 3), ["cpu:0"] * 3),
-                         ConsumerGroup(stage("c2", 2), ["cpu:1"] * 2)],
-                        RouterPolicy.ROUND_ROBIN)
-        for _ in range(10):
-            group, instance = router._select(None)
-            counts[(id(group), instance)] = counts.get((id(group), instance), 0) + 1
-        assert sorted(counts.values()) == [2] * 5
+        assert router_a._tie_index == 3
+        assert router_b._tie_index == 0
+        # uniform coverage: 10 ties over 2 groups = exactly 5 each
+        router = warm_router("c", 3, 2)
+        picks = [router._select(None)[0] for _ in range(10)]
+        assert picks[0] is router.groups[0]
+        assert [sum(p is g for p in picks) for g in router.groups] == [5, 5]
 
     def test_consumer_groups_do_not_share_queue_lists(self):
         """Guard against mutable-default sharing across ConsumerGroups."""

@@ -1,5 +1,8 @@
 """Unit tests for server topology and the cost model."""
 
+import math
+from dataclasses import replace
+
 import pytest
 
 from repro.hardware.costmodel import (
@@ -13,7 +16,7 @@ from repro.hardware.costmodel import (
 )
 from repro.hardware.sim import Simulator
 from repro.hardware.specs import PAPER_SERVER, ServerSpec
-from repro.hardware.topology import Server
+from repro.hardware.topology import DeviceType, Server
 
 
 class TestSpecs:
@@ -231,6 +234,33 @@ class TestCostModel:
         unit = model.cpu_block_work(self._stats(), scale=1.0)
         scaled = model.cpu_block_work(self._stats(), scale=100.0)
         assert scaled.work_bytes == pytest.approx(unit.work_bytes * 100)
+
+    def test_cores_fed_is_the_socket_dram_over_one_cores_rate(self):
+        model = CostModel(PAPER_SERVER)
+        dram = PAPER_SERVER.socket_dram_bandwidth
+        memory_bound = self._stats()
+        price = model.block_price(memory_bound, DeviceType.CPU)
+        assert model.cpu_block_work(memory_bound).rate_cap == 5.6e9
+        assert price.cores_fed == 8 == math.floor(dram / 5.6e9)
+        assert price.seconds == model.cpu_block_work(memory_bound).min_duration
+        compute_bound = self._stats(cpu_cycles=2e9)
+        rate = model.cpu_block_work(compute_bound).rate_cap
+        assert rate < 1e9
+        fed = model.block_price(compute_bound, DeviceType.CPU).cores_fed
+        assert fed == math.floor(dram / rate) > 8
+        starved = CostModel(replace(PAPER_SERVER, socket_dram_bandwidth=1e9))
+        assert starved.block_price(memory_bound, DeviceType.CPU).cores_fed == 1
+
+    def test_gpu_price_overlaps_kernel_and_wire(self):
+        model = CostModel(PAPER_SERVER)
+        stats = self._stats()
+        kernel = model.gpu_block_work(stats).min_duration
+        assert model.block_price(stats, DeviceType.GPU).seconds == kernel
+        plan = model.transfer_plan(16e6)
+        wire = plan.setup_seconds + plan.nbytes / plan.link_rate_cap
+        assert wire > kernel
+        price = model.block_price(stats, DeviceType.GPU, wire_bytes=16e6)
+        assert (price.seconds, price.cores_fed) == (wire, 1)
 
     def test_gpu_work_pays_kernel_launch(self):
         model = CostModel(PAPER_SERVER)
