@@ -893,13 +893,20 @@ class TestCli:
 
 class TestSelfScan:
     """The repo's own tree must pass its own gate (CI runs this too).  One
-    CLI run parses it once; every assertion reads that run."""
+    CLI run parses it once; each test reads that run."""
 
-    def test_default_scan_dirs_have_no_findings(self):
+    @pytest.fixture(scope="class")
+    def scan(self):
         out = io.StringIO()
         paths = [str(REPO_ROOT / name) for name in DEFAULT_SCAN_DIRS]
         code = main([*paths, "--format", "json"], out=out)
-        payload = json.loads(out.getvalue())
+        return code, json.loads(out.getvalue())
+
+    def test_default_scan_dirs_have_no_findings(self, scan):
+        _, payload = scan
         assert payload["checked_files"] > 100
         assert payload["findings"] == []
+
+    def test_cli_gate_passes_on_repo(self, scan):
+        code, _ = scan
         assert code == 0
