@@ -178,6 +178,9 @@ GATES = (
     Gate("block-price", 41, (_REPRO + "engine/", _REPRO + "core/"), _nodes(
          ast.Attribute, lambda n: n.attr in ("min_duration", "link_rate_cap")),
          "block-time arithmetic outside the cost model: ask CostModel.block_price"),
+    Gate("warm-router", 42, (_REPRO + "core/", _REPRO + "engine/"), _text(
+         r"\b(first_assign_at|expected_wait|_tie_index)\b"),
+         "a second load-balance rule: a multi-group router prices every block"),
 )
 # fmt: on
 

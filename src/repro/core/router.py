@@ -23,34 +23,28 @@ Consumer queues are bounded and load-balance routing is credit-throttled,
 which yields the pull-style backpressure that lets heterogeneous
 consumers drain work in proportion to their throughput.  At the Fig. 5
 harness settings (SSB SF 0.01 replayed at SF 1000, 256-row blocks) the
-hybrid reaches on average 0.791 of the summed CPU-only and GPU-only
-throughputs (0.774 before the cold-start price below, 0.743 with morsels
-cut past what a socket's DRAM feeds; the paper reports 88.5 %).
+hybrid reaches on average 0.821 of the summed CPU-only and GPU-only
+throughputs (the paper reports 88.5 %).
 
 A load-balance router over two or more groups (a hybrid CPU + GPU probe)
-starts *cold*: no group has a measured rate yet, and a coarse stream has
-only a few blocks per worker, so the first routing decisions settle most
-of the query.  While any group is cold, the router prices each block
-before it commits it:
+has one rule for the query's whole life: it sends each block to the group
+that will finish it first, and prices every block before it commits it:
 
 1. *Calibrate.*  The first block goes to the group with the fewest
    instances, and nothing else is routed until its worker has run the
    generated pipeline on it and reported the block's work statistics.
    Workers run the pipeline before they wait on the block's transfer, so
    this costs no simulated time.
-2. *Price.*  Each group's ``block_price(handle)`` (wired by the
-   executor to :meth:`CostModel.block_price` at those statistics)
+2. *Price.*  Each group's ``block_price(handle, unit_stats)`` (wired by
+   the executor to :meth:`CostModel.block_price` at those statistics)
    estimates one instance's seconds for the block.
 3. *Commit.*  A group takes the block only if it would finish it,
    ``(outstanding // dop + 1) * seconds``, no later than the best other
    group would after taking every block still waiting at the router;
    otherwise the router waits for a completion.  When every group is
    idle the cheapest group always qualifies, so the wait never deadlocks.
-
-Once every group has completed two blocks per worker, blocks go to the
-group with the smallest expected wait at its measured completion rate.
-Cold or warm, a group out of credit is waited for, never bypassed for a
-group that would finish the block later.
+   A group out of credit is waited for, never bypassed for a group that
+   would finish the block later.
 
 *Morsels.*  Once the calibration stats are in, a block bound for a
 shared-queue (CPU) group that reads it in place is cut into
@@ -64,11 +58,10 @@ the block, so a morsel is never priced below the block's work over ``B``
 (65 536 rows replayed at SF 1000 take one core seconds, one GPU a fraction
 of that) handed to the CPU sets the query's makespan while the other cores
 idle (the fix of Leis et al., "Morsel-driven parallelism", SIGMOD 2014).  The
-router prices in items of ``seconds / k`` each: cold, the group finishes
-the block at ``((outstanding + k - 1) // dop + 1) * seconds / k`` and
-drains ``((outstanding + waiting * k + k - 1) // dop + 1) * seconds / k``;
-warm, its expected wait is ``(outstanding + k) / rate``.  A group
-takes a split block only if ``outstanding + k`` fits its credit and its
+router prices in items of ``seconds / k`` each: the group finishes the
+block at ``((outstanding + k - 1) // dop + 1) * seconds / k`` and drains
+``((outstanding + waiting * k + k - 1) // dop + 1) * seconds / k``.  A
+group takes a split block only if ``outstanding + k`` fits its credit and its
 queue has room for all ``k`` items, so the router never blocks halfway
 through one.  The ``k`` handles share one :class:`Morsels`: the first
 worker to dequeue one runs the generated pipeline on the whole block and
@@ -78,10 +71,10 @@ whole block; per-instance (GPU) groups, single-group routers and
 broadcasts are never split.  The price reads no live queue depth on a
 device that other queries share.
 
-Routers are fully re-entrant: every piece of routing state (the
-tie-break cursor, credit book-keeping, calibration, wake-up hooks)
-lives on the instance, never on the class or the module, so any number
-of queries can run their own routers on one shared simulator.  Each
+Routers are fully re-entrant: every piece of routing state (credit
+book-keeping, calibration, wake-up hooks) lives on the instance, never on
+the class or the module, so any number of queries can run their own
+routers on one shared simulator.  Each
 router carries the ``query_id`` of the query that owns it for
 multi-query debugging.
 """
@@ -148,10 +141,11 @@ class ConsumerGroup:
     #: locality-first, not just queue-depth-first.  None leaves an equal
     #: load to the lowest tied instance index.
     transfer_cost: Optional[object] = None
-    #: one instance's price for a block (``fn(handle) -> BlockPrice``:
-    #: seconds, and for a CPU group the cores its socket's DRAM feeds);
-    #: wired by the executor from the cost model so a cold load-balance
-    #: router can price a block before it commits it
+    #: one instance's price for a block at the router's per-tuple work
+    #: (``fn(handle, unit_stats) -> BlockPrice``: seconds, and for a CPU
+    #: group the cores its socket's DRAM feeds); wired by the executor
+    #: from the cost model so a load-balance router can price a block
+    #: before it commits it
     block_price: Optional[object] = None
     #: whether the group's workers read a block where it lies, with no
     #: mem-move (``fn(handle) -> bool``); wired by the executor.  Only such
@@ -159,11 +153,9 @@ class ConsumerGroup:
     reads_in_place: Optional[object] = None
     shared_queue: Optional[Store] = None
     instance_queues: list[Store] = field(default_factory=list)
-    #: blocks handed to this group / blocks its workers finished; the
-    #: load-balancing policy routes on observed completion rates
+    #: blocks handed to this group / blocks its workers finished
     assigned: int = 0
     completed: int = 0
-    first_assign_at: Optional[float] = None
     #: router wake-up hook, set by the owning router
     on_done: Optional[object] = None
     #: router hook a worker calls with a picked-up block's statistics;
@@ -246,24 +238,19 @@ class Router:
         self.input: Store = sim.store(
             capacity=4 * sum(g.dop for g in groups), name=f"{self.name}:in"
         )
-        # A plain per-instance cursor (NOT an itertools.cycle object, NOT
-        # a class attribute): routing position must be private to this
-        # router and inspectable, or concurrent queries would perturb each
-        # other's tie-breaks.
-        self._tie_index = 0
         self.routed_blocks = 0
         self._wakeup = None
-        #: a load-balance router over several groups prices blocks until
-        #: every group is warm; ``unit_stats`` is the calibration block's
-        #: per-tuple work, which the groups' ``block_price`` read
-        self._cold = (
+        #: the calibration block's per-tuple work, which the groups'
+        #: ``block_price`` read; only a load-balance router over several
+        #: groups (not a broadcast) records it, and it prices every block
+        self.unit_stats = None
+        priced = (
             policy == RouterPolicy.LOAD_BALANCE and not broadcast and len(groups) > 1
         )
-        self.unit_stats = None
         self._wire_queues()
         for group in self.groups:
             group.on_done = self._on_group_done
-            if self._cold:
+            if priced:
                 group.on_stats = self._on_stats
         # Flattened broadcast targets: the shared CPU domain counts as ONE
         # target (its workers cooperate on one hash table); each GPU
@@ -340,8 +327,6 @@ class Router:
     def _enqueue(self, handle: BlockHandle, group: ConsumerGroup,
                  instance: Optional[int]):
         group.assigned += 1
-        if group.first_assign_at is None:
-            group.first_assign_at = self.sim.now
         if group.per_instance:
             if instance is None:
                 instance = self._least_loaded_instance(group, handle)
@@ -377,12 +362,9 @@ class Router:
     def _on_stats(self, stats: BlockStats) -> None:
         """Worker callback: the calibration block's work statistics."""
         self.unit_stats = stats.scaled(1.0 / max(1, stats.tuples_in))
-        self._stop_recording()
-        self._on_group_done()
-
-    def _stop_recording(self) -> None:
         for group in self.groups:
             group.on_stats = None
+        self._on_group_done()
 
     # -- policies ------------------------------------------------------------
 
@@ -413,46 +395,19 @@ class Router:
         if len(self.groups) == 1:
             group = self.groups[0]
             return (group, None) if self._has_credit(group) else None
-        if self._cold:
-            if any(g.completed < 2 * g.dop for g in self.groups):
-                return self._price(handle)
-            self._cold = False
-            self._stop_recording()
-        # Every group is warm: route to the smallest expected wait at the
-        # measured completion rate, so a 24-core CPU group and a 2-GPU
-        # group drain work in proportion to their actual throughputs.
-
-        ks = [self._morsels(g, handle) for g in self.groups]
-
-        def expected_wait(group: ConsumerGroup, k: int) -> float:
-            elapsed = max(self.sim.now - group.first_assign_at, 1e-9)
-            rate = group.completed / elapsed
-            return (group.outstanding + k) / max(rate, 1e-12)
-
-        waits = [expected_wait(g, k) for g, k in zip(self.groups, ks)]
-        best = min(waits)
-        tied = [
-            g for g, w, k in zip(self.groups, waits, ks)
-            if w <= best * (1 + 1e-9) and self._has_credit(g, k)
-        ]
-        if not tied:
-            return None
-        if len(tied) == 1:
-            return tied[0], None
-        choice = tied[self._tie_index % len(tied)]
-        self._tie_index += 1
-        return choice, None
+        return self._price(handle)
 
     def _price(
         self, handle: BlockHandle
     ) -> Optional[tuple[ConsumerGroup, Optional[int]]]:
-        """Cold load-balance routing: calibrate, price, commit."""
-        if self.unit_stats is None:
+        """Load-balance routing over several groups: calibrate, price, commit."""
+        unit = self.unit_stats
+        if unit is None:
             if self.routed_blocks:
                 return None  # the calibration block's stats are not in yet
             return min(self.groups, key=lambda g: g.dop), None
         waiting = len(self.input)
-        seconds = [g.block_price(handle).seconds for g in self.groups]
+        seconds = [g.block_price(handle, unit).seconds for g in self.groups]
         ks = [self._morsels(g, handle) for g in self.groups]
         # Priced in items: a split block is k items of s / k seconds each.
         finish = [
@@ -481,15 +436,16 @@ class Router:
         long as the block takes the fastest group's instance, into no more
         morsels than the block's socket feeds cores.  Only a priced router
         ever holds ``unit_stats``."""
+        unit = self.unit_stats
         if (
-            self.unit_stats is None
+            unit is None
             or group.per_instance
             or group.reads_in_place is None
             or not group.reads_in_place(handle)
         ):
             return 1
-        own = group.block_price(handle)
-        fastest = min(g.block_price(handle).seconds for g in self.groups)
+        own = group.block_price(handle, unit)
+        fastest = min(g.block_price(handle, unit).seconds for g in self.groups)
         if own.seconds <= fastest or fastest <= 0:
             return 1
         rows = handle.block.num_tuples

@@ -680,7 +680,7 @@ class Executor:
         for router in routers.values():
             for group in router.groups:
                 group.transfer_cost = mem_move.projected_cost
-                group.block_price = partial(_block_price, self.cost, router, group, {})
+                group.block_price = partial(_block_price, self.cost, group, {})
                 if group.stage.device is DeviceType.CPU:
                     # A CPU worker reads a block in place unless the
                     # mem-move says it must move.  Bound to the edge and
@@ -1009,17 +1009,17 @@ class Executor:
 
 def _block_price(
     cost: CostModel,
-    router: Router,
     group: ConsumerGroup,
     memo: dict,
     handle: BlockHandle,
+    unit_stats: BlockStats,
 ) -> BlockPrice:
     """A group's ``block_price`` hook: the cost model's price of
-    ``handle`` at the router's per-tuple work (:meth:`CostModel.block_price`),
-    with wire time when a GPU group holds none of the block's node.  A
-    router's blocks carry one column set, so ``memo`` keeps one price per
-    row count, scale and node (the router asks again after every
-    wake-up)."""
+    ``handle`` at the router's per-tuple work ``unit_stats``
+    (:meth:`CostModel.block_price`), with wire time when a GPU group holds
+    none of the block's node.  A router's blocks carry one column set and
+    its ``unit_stats`` are set once, so ``memo`` keeps one price per row
+    count, scale and node (the router asks again after every wake-up)."""
     block = handle.block
     rows, scale, node = key = (block.num_tuples, block.logical_scale, block.node_id)
     price = memo.get(key)
@@ -1028,7 +1028,7 @@ def _block_price(
         wire = None
         if device is DeviceType.GPU and node not in group.instance_nodes:
             wire = block.nbytes
-        stats = router.unit_stats.scaled(rows)
+        stats = unit_stats.scaled(rows)
         price = memo[key] = cost.block_price(stats, device, scale, wire)
     return price
 

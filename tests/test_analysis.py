@@ -748,6 +748,14 @@ RP010_CASES = {
         "# the cost model's min_duration and link_rate_cap stay in hardware/\n"
         "seconds = price.seconds\n",
     ),
+    "warm-router": (
+        "src/repro/core/router.py",
+        "group.first_assign_at = self.sim.now  # <-\n"
+        "waits = [expected_wait(g, k) for g in self.groups]  # <-\n"
+        "choice = tied[self._tie_index % len(tied)]  # <-\n",
+        "return self._price(handle)\n"
+        "seconds = [g.block_price(handle, unit).seconds for g in self.groups]\n",
+    ),
 }
 
 

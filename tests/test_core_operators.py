@@ -49,7 +49,7 @@ def _gpu_stage(name="gpu-consumer", dop=2):
 def _priced(group, seconds, cores_fed=64):
     """Stub ``group``'s price hook: ``seconds`` a block, ``cores_fed`` the
     most morsels the block's socket feeds (binding nothing by default)."""
-    group.block_price = lambda handle: BlockPrice(seconds, cores_fed)
+    group.block_price = lambda handle, unit_stats: BlockPrice(seconds, cores_fed)
 
 
 def _producer():
@@ -186,8 +186,8 @@ class TestRouterPolicies:
 
 
 class TestColdLoadBalancePricing:
-    """A load-balance router over several groups prices each block until
-    every group is warm (``core/router.py``'s module docstring)."""
+    """A load-balance router over several groups prices each block for the
+    query's whole life (``core/router.py``'s module docstring)."""
 
     def _router(self, cpu_seconds, gpu_seconds, count):
         """CPU group (4 workers) and GPU group (1 instance) with stub
@@ -247,8 +247,8 @@ class TestColdLoadBalancePricing:
         sim.run()
         assert (cpu.assigned, gpu.assigned) == (6, 6)
 
-    def test_single_group_and_warm_routers_never_price(self):
-        def never(handle):
+    def test_single_group_routers_never_price(self):
+        def never(handle, unit_stats):
             raise AssertionError("priced a block")
 
         sim = Simulator()
@@ -258,18 +258,46 @@ class TestColdLoadBalancePricing:
         assert alone.on_stats is None
         assert len(_drain(sim, router, [alone], 6)[id(alone)]) == 6
 
+    def test_every_block_after_calibration_is_priced(self):
+        # Both groups complete far more than 2 x dop blocks; every block
+        # but the calibration one is still priced before it is committed.
         sim = Simulator()
         cpu = ConsumerGroup(_cpu_stage(dop=2), ["cpu:0"] * 2)
-        gpu = ConsumerGroup(_gpu_stage(dop=2), ["gpu:0", "gpu:1"])
-        for group in (cpu, gpu):
-            group.block_price = never
-            group.assigned = group.completed = 2 * group.dop
-            group.first_assign_at = 0.0
+        gpu = ConsumerGroup(_gpu_stage(dop=1), ["gpu:0"])
+        priced = set()
+
+        def price(seconds):
+            def hook(handle, unit_stats):
+                priced.add(id(handle.block))
+                return BlockPrice(seconds, 64)
+            return hook
+
+        cpu.block_price, gpu.block_price = price(1.0), price(0.5)
         router = Router(sim, _producer(), [cpu, gpu], RouterPolicy.LOAD_BALANCE)
-        received = _drain(sim, router, [cpu, gpu], 6)
-        assert len(received[id(cpu)]) + len(received[id(gpu)]) == 6
-        assert router.unit_stats is None
-        assert cpu.on_stats is None and gpu.on_stats is None
+
+        def consumer(group, queue, seconds):
+            while True:
+                got = queue.get()
+                yield got
+                if got.value is Store.END:
+                    return
+                if group.on_stats is not None:
+                    group.on_stats(BlockStats(tuples_in=1))
+                yield sim.timeout(seconds)
+                group.report_done()
+
+        for group, seconds in ((cpu, 1.0), (gpu, 0.5)):
+            for queue in group.queues():
+                sim.process(consumer(group, queue, seconds))
+        handles = _handles(40)
+        for handle in handles:
+            router.input.put(handle)
+        router.input.close()
+        sim.process(router.run())
+        sim.run()
+        assert cpu.completed >= 4 * cpu.dop and gpu.completed >= 4 * gpu.dop
+        assert cpu.completed + gpu.completed == 40
+        assert len(priced) == 39
 
 
 class TestMorselSplitting:

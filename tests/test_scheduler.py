@@ -377,16 +377,14 @@ class TestReentrancyRegressions:
         for manager in engine.executor.memory_managers.values():
             assert manager.live_handles == 0
 
-    def test_router_cursors_are_per_instance(self):
-        """Tie-break position must be private, inspectable state: two
-        routers never share a cursor, and a fresh router always starts at
-        its first tied group (the old itertools.cycle cursors were opaque
-        and, when the cursor range diverged from the target count,
-        skewed)."""
+    def test_priced_routers_hold_their_own_unit_stats(self):
+        """Routing state is private to each router: calibrating one priced
+        router on a shared simulator leaves another's untouched."""
         sim = Simulator()
         from repro.algebra.physical import (
             OpPackSink, SegmentSource, Stage,
         )
+        from repro.hardware.costmodel import BlockStats
         from repro.hardware.topology import DeviceType
 
         def stage(name, dop):
@@ -396,29 +394,14 @@ class TestReentrancyRegressions:
 
         producer = stage("prod", 1)
 
-        def warm_router(name, *dops):
-            """A load-balance router whose groups are warm at equal
-            measured rates with nothing in flight: every block ties."""
-            groups = [ConsumerGroup(stage(f"{name}{i}", dop), ["cpu:0"] * dop)
-                      for i, dop in enumerate(dops)]
-            for group in groups:
-                group.assigned = group.completed = 6
-                group.first_assign_at = 0.0
+        def priced_router(name):
+            groups = [ConsumerGroup(stage(f"{name}{i}", 2), ["cpu:0"] * 2)
+                      for i in range(2)]
             return Router(sim, producer, groups, RouterPolicy.LOAD_BALANCE)
 
-        router_a = warm_router("a", 3, 2)
-        router_b = warm_router("b", 2, 2)
-        assert router_a._tie_index == 0 and router_b._tie_index == 0
-        # advancing one router's cursor must not move the other's
-        for _ in range(3):
-            router_a._select(None)
-        assert router_a._tie_index == 3
-        assert router_b._tie_index == 0
-        # uniform coverage: 10 ties over 2 groups = exactly 5 each
-        router = warm_router("c", 3, 2)
-        picks = [router._select(None)[0] for _ in range(10)]
-        assert picks[0] is router.groups[0]
-        assert [sum(p is g for p in picks) for g in router.groups] == [5, 5]
+        router_a, router_b = priced_router("a"), priced_router("b")
+        router_a.groups[0].on_stats(BlockStats(tuples_in=2, cpu_cycles=4.0))
+        assert (router_a.unit_stats.cpu_cycles, router_b.unit_stats) == (2.0, None)
 
     def test_consumer_groups_do_not_share_queue_lists(self):
         """Guard against mutable-default sharing across ConsumerGroups."""

@@ -90,14 +90,15 @@ def test_every_selection_is_one_nonzero_and_takes(label):
 #: copied join keys to int64 and grouped by a lexsort produced them.
 #: SSB sums are integer-valued, so result rows cannot show a reordered
 #: float add; this digest can.  The hybrid rows were taken again when the
-#: load-balance router began pricing blocks while cold, which moves the
+#: load-balance router began pricing blocks while cold, and the 256-row one
+#: again when it began pricing every block of the query: each moves the
 #: cpu / gpu split and the simulated seconds.
 PINNED_STATS_DIGESTS = {
     ("cpu", 256): "d96c55dd30a656a0",
     ("cpu", 65536): "6c13d430b6a8fe07",
     ("gpu", 256): "9a20844b5bb65351",
     ("gpu", 65536): "8c81e41dc1c06ad8",
-    ("hybrid", 256): "c93259e4c915fe6f",
+    ("hybrid", 256): "135ede86346da399",
     ("hybrid", 65536): "5d50f35df1f9aebb",
 }
 
@@ -146,22 +147,22 @@ EDGE_PLANS = {"date_join": DATE_JOIN, "empty_after_date_join": EMPTY_AFTER_DATE_
 
 #: ``profile.device_stats`` of a hybrid run (4 cores, GPUs 0 and 1) over
 #: SSB SF 0.005, seed 13, as the boolean-mask pipelines produced them
-#: (the cpu / gpu split is the cold-pricing router's, which cuts a
+#: (the cpu / gpu split is the pricing router's, which cuts a
 #: 65 536-row block for the cores into morsels):
 #: device -> (tuples_in, bytes_in, bytes_out, random_accesses,
 #: random_bytes, cpu_cycles, gpu_ops)
 PINNED_DEVICE_STATS = {
     ("date_join", 256): {
-        "cpu": (29740, 237920, 0, 2556, 51120, 1155094.0, 448190.0),
-        "gpu": (7928, 63424, 0, 5112, 102240, 248108.0, 97324.0),
+        "cpu": (27948, 223584, 0, 2556, 51120, 1083414.0, 420414.0),
+        "gpu": (9720, 77760, 0, 5112, 102240, 319788.0, 125100.0),
     },
     ("date_join", 65536): {
         "cpu": (7980, 63840, 0, 2556, 51120, 284694.0, 110910.0),
         "gpu": (29688, 237504, 0, 5112, 102240, 1118508.0, 434604.0),
     },
     ("empty_after_date_join", 256): {
-        "cpu": (30764, 348720, 0, 2556, 40896, 787038.0, 210190.0),
-        "gpu": (6904, 41952, 0, 5112, 81792, 181164.0, 65324.0),
+        "cpu": (29996, 339504, 0, 2556, 40896, 767454.0, 205198.0),
+        "gpu": (7672, 51168, 0, 5112, 81792, 200748.0, 70316.0),
     },
     ("empty_after_date_join", 65536): {
         "cpu": (7980, 75312, 0, 2556, 40896, 206046.0, 62094.0),
