@@ -181,6 +181,9 @@ GATES = (
     Gate("warm-router", 42, (_REPRO + "core/", _REPRO + "engine/"), _text(
          r"\b(first_assign_at|expected_wait|_tie_index)\b"),
          "a second load-balance rule: a multi-group router prices every block"),
+    Gate("group-callback", 43, (_REPRO + "core/", _REPRO + "engine/"), _text(
+         r"\bon_(done|stats)\b"),
+         "a group holds no reference back to its router: the worker calls the router"),
 )
 # fmt: on
 

@@ -32,7 +32,8 @@ that will finish it first, and prices every block before it commits it:
 
 1. *Calibrate.*  The first block goes to the group with the fewest
    instances, and nothing else is routed until its worker has run the
-   generated pipeline on it and reported the block's work statistics.
+   generated pipeline on it and reported the block's work statistics
+   (:meth:`Router.calibrate`).
    Workers run the pipeline before they wait on the block's transfer, so
    this costs no simulated time.
 2. *Price.*  Each group's ``block_price(handle, unit_stats)`` (wired by
@@ -72,11 +73,13 @@ broadcasts are never split.  The price reads no live queue depth on a
 device that other queries share.
 
 Routers are fully re-entrant: every piece of routing state (credit
-book-keeping, calibration, wake-up hooks) lives on the instance, never on
-the class or the module, so any number of queries can run their own
-routers on one shared simulator.  Each
-router carries the ``query_id`` of the query that owns it for
-multi-query debugging.
+book-keeping, calibration, the pending wake-up) lives on the instance,
+never on the class or the module, so any number of queries can run their
+own routers on one shared simulator.  The router holds its groups and
+never the reverse: a worker calls its input router's :meth:`report_done`
+and :meth:`calibrate`, so a phase's routers, groups and queues die with
+the phase, not at the next cyclic collection.  Each router carries the
+``query_id`` of the query that owns it for multi-query debugging.
 """
 
 from __future__ import annotations
@@ -129,38 +132,34 @@ class ConsumerGroup:
     CPU groups share one queue, and their workers pull morsels from it: a
     coarse block is cut into up to ``dop`` of them (see :class:`Morsels`);
     GPU groups get one queue per device instance so mem-move can target the
-    right device memory ahead of the kernel launch.
+    right device memory ahead of the kernel launch.  The executor builds
+    each group with its hooks; none of them holds the router or the group,
+    and the group holds no reference back to its router.
     """
 
     stage: Stage
     #: memory node of each instance ('cpu:<socket>' or 'gpu:<k>')
     instance_nodes: list[str]
     #: projected transfer cost of making a handle local to a node
-    #: (``fn(handle, node_id) -> seconds``); wired by the executor to
-    #: the mem-move's path-priced estimate so instance selection is
-    #: locality-first, not just queue-depth-first.  None leaves an equal
-    #: load to the lowest tied instance index.
+    #: (``fn(handle, node_id) -> seconds``): the phase's mem-move estimate,
+    #: so instance selection is locality-first, not just
+    #: queue-depth-first.  None leaves an equal load to the lowest tied
+    #: instance index.
     transfer_cost: Optional[object] = None
     #: one instance's price for a block at the router's per-tuple work
     #: (``fn(handle, unit_stats) -> BlockPrice``: seconds, and for a CPU
-    #: group the cores its socket's DRAM feeds); wired by the executor
-    #: from the cost model so a load-balance router can price a block
-    #: before it commits it
+    #: group the cores its socket's DRAM feeds), from the cost model, so a
+    #: load-balance router can price a block before it commits it
     block_price: Optional[object] = None
     #: whether the group's workers read a block where it lies, with no
-    #: mem-move (``fn(handle) -> bool``); wired by the executor.  Only such
-    #: blocks are cut into morsels; None never cuts one
+    #: mem-move (``fn(handle) -> bool``).  Only such blocks are cut into
+    #: morsels; None never cuts one
     reads_in_place: Optional[object] = None
     shared_queue: Optional[Store] = None
     instance_queues: list[Store] = field(default_factory=list)
     #: blocks handed to this group / blocks its workers finished
     assigned: int = 0
     completed: int = 0
-    #: router wake-up hook, set by the owning router
-    on_done: Optional[object] = None
-    #: router hook a worker calls with a picked-up block's statistics;
-    #: set only while the owning router waits for them
-    on_stats: Optional[object] = None
     #: per-instance in-flight counts (per-instance groups only)
     instance_assigned: list[int] = field(default_factory=list)
     instance_completed: list[int] = field(default_factory=list)
@@ -185,14 +184,6 @@ class ConsumerGroup:
             )
         q = self.shared_queue
         return q.capacity is None or len(q) + items <= q.capacity
-
-    def report_done(self, instance: Optional[int] = None) -> None:
-        """Worker callback: one routed block fully processed."""
-        self.completed += 1
-        if instance is not None and self.instance_completed:
-            self.instance_completed[instance] += 1
-        if self.on_done is not None:
-            self.on_done()
 
     @property
     def outstanding(self) -> int:
@@ -240,18 +231,15 @@ class Router:
         )
         self.routed_blocks = 0
         self._wakeup = None
-        #: the calibration block's per-tuple work, which the groups'
-        #: ``block_price`` read; only a load-balance router over several
-        #: groups (not a broadcast) records it, and it prices every block
-        self.unit_stats = None
-        priced = (
+        #: a load-balance router over several groups (not a broadcast):
+        #: it records ``unit_stats`` and prices every block
+        self.priced = (
             policy == RouterPolicy.LOAD_BALANCE and not broadcast and len(groups) > 1
         )
+        #: the calibration block's per-tuple work, which the groups'
+        #: ``block_price`` read; set once, by :meth:`calibrate`
+        self.unit_stats = None
         self._wire_queues()
-        for group in self.groups:
-            group.on_done = self._on_group_done
-            if priced:
-                group.on_stats = self._on_stats
         # Flattened broadcast targets: the shared CPU domain counts as ONE
         # target (its workers cooperate on one hash table); each GPU
         # instance is its own target.
@@ -306,9 +294,8 @@ class Router:
                 while choice is None:
                     # No group may take the block yet (load-balance
                     # only): wait for a completion or calibration stats.
-                    wakeup = self.sim.event(name=("{}:credit", self.name))
-                    self._arm_wakeup(wakeup)
-                    yield wakeup
+                    self._wakeup = self.sim.event(name=("{}:credit", self.name))
+                    yield self._wakeup
                     choice = self._select(handle)
                 group, instance = choice
                 k = self._morsels(group, handle)
@@ -351,20 +338,24 @@ class Router:
             and group.has_space(items)
         )
 
-    def _arm_wakeup(self, event) -> None:
-        self._wakeup = event
+    def report_done(self, group: ConsumerGroup, instance: int) -> None:
+        """Worker call: one block routed to ``group`` fully processed by
+        its worker ``instance``."""
+        group.completed += 1
+        if group.instance_completed:
+            group.instance_completed[instance] += 1
+        self._wake()
 
-    def _on_group_done(self) -> None:
+    def calibrate(self, stats: BlockStats) -> None:
+        """Worker call, while a priced router lacks ``unit_stats``: the
+        calibration block's work statistics."""
+        self.unit_stats = stats.scaled(1.0 / max(1, stats.tuples_in))
+        self._wake()
+
+    def _wake(self) -> None:
         if self._wakeup is not None and not self._wakeup.triggered:
             self._wakeup.trigger(None)
         self._wakeup = None
-
-    def _on_stats(self, stats: BlockStats) -> None:
-        """Worker callback: the calibration block's work statistics."""
-        self.unit_stats = stats.scaled(1.0 / max(1, stats.tuples_in))
-        for group in self.groups:
-            group.on_stats = None
-        self._on_group_done()
 
     # -- policies ------------------------------------------------------------
 

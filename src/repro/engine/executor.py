@@ -638,7 +638,19 @@ class Executor:
                 )
         created_tables = self._create_hash_tables(phase, query_state, instance_map)
 
-        # Routers: one per producer stage with outgoing edges.
+        faults = self.fault_injector
+        mem_move = MemMove(
+            self.sim,
+            self.server,
+            self.blocks,
+            self.cost,
+            prefetch_depth=config.prefetch_depth,
+            straggler=(faults.straggler_factor if faults is not None else None),
+            dma_timeout=(faults.transfer_timeout if faults is not None else None),
+        )
+        # Routers: one per producer stage with outgoing edges.  Each group's
+        # hooks bind the mem-move, the cost model, the edge and nodes, never
+        # a group, router or instance, so the phase leaves no cycle.
         routers: dict[int, Router] = {}
         edge_of_consumer: dict[int, ExchangeEdge] = {}
         for stage in phase.stages:
@@ -649,7 +661,24 @@ class Executor:
             for edge in edges:
                 consumer = edge.consumer
                 nodes = [i.node_id for i in instance_map[consumer.stage_id]]
-                groups.append(ConsumerGroup(stage=consumer, instance_nodes=nodes))
+                price = partial(_block_price, self.cost, consumer.device, nodes, {})
+                in_place = None
+                if consumer.device is DeviceType.CPU:
+                    # A CPU worker reads a block in place unless the
+                    # mem-move says it must move.
+                    in_place = partial(_reads_in_place, mem_move, edge, nodes[0])
+                groups.append(
+                    ConsumerGroup(
+                        stage=consumer,
+                        instance_nodes=nodes,
+                        # Locality-first instance selection: equal queue
+                        # loads break toward the socket/GPU where the block
+                        # is resident or cheapest to deliver.
+                        transfer_cost=mem_move.projected_cost,
+                        block_price=price,
+                        reads_in_place=in_place,
+                    )
+                )
                 edge_of_consumer[consumer.stage_id] = edge
             policy = edges[0].policy
             broadcast = edges[0].broadcast
@@ -663,36 +692,6 @@ class Executor:
                 query_id=query_id,
             )
 
-        faults = self.fault_injector
-        mem_move = MemMove(
-            self.sim,
-            self.server,
-            self.blocks,
-            self.cost,
-            prefetch_depth=config.prefetch_depth,
-            straggler=(faults.straggler_factor if faults is not None else None),
-            dma_timeout=(faults.transfer_timeout if faults is not None else None),
-        )
-        # Locality-first instance selection: routers price a candidate
-        # consumer by the mem-move's projected (path-routed) transfer
-        # cost, so equal queue loads break toward the socket/GPU where
-        # the block is already resident or cheapest to deliver.
-        for router in routers.values():
-            for group in router.groups:
-                group.transfer_cost = mem_move.projected_cost
-                group.block_price = partial(_block_price, self.cost, group, {})
-                if group.stage.device is DeviceType.CPU:
-                    # A CPU worker reads a block in place unless the
-                    # mem-move says it must move.  Bound to the edge and
-                    # a node, never an instance: the hook outlives the
-                    # phase in the router's reference cycle, and an
-                    # instance would keep its pipeline state alive with it.
-                    group.reads_in_place = partial(
-                        _reads_in_place,
-                        mem_move,
-                        edge_of_consumer[group.stage.stage_id],
-                        group.instance_nodes[0],
-                    )
         processes = []
 
         # Router init + thread pinning (~10 ms): all of a query's routers
@@ -784,6 +783,7 @@ class Executor:
                             pipelines,
                             phase_outputs,
                             out,
+                            in_router,
                             group,
                             mem_move,
                         ),
@@ -863,6 +863,7 @@ class Executor:
         pipelines: dict[int, CompiledPipeline],
         phase_outputs: list,
         out: RawExecution,
+        in_router: Router,
         group: ConsumerGroup,
         mem_move: MemMove,
     ):
@@ -893,8 +894,8 @@ class Executor:
                 delta = BlockStats()
                 outputs = fn(state, handle.block.columns, delta)
                 state.stats.merge(delta)
-                if group.on_stats is not None:
-                    group.on_stats(delta)
+                if in_router.priced and in_router.unit_stats is None:
+                    in_router.calibrate(delta)
                 if morsels is not None:
                     morsels.outputs = outputs
                     delta = morsels.share = delta.scaled(1.0 / morsels.k)
@@ -909,7 +910,7 @@ class Executor:
                 # already have been reclaimed by an abort, and
                 # release_staged absorbs that race
                 mem_move.release_staged(instance.node_id)
-            group.report_done(instance.index if group.per_instance else None)
+            in_router.report_done(group, instance.index)
             if morsels is not None:
                 outputs = morsels.finish()
             yield from self._emit(
@@ -1009,24 +1010,25 @@ class Executor:
 
 def _block_price(
     cost: CostModel,
-    group: ConsumerGroup,
+    device: DeviceType,
+    instance_nodes: list[str],
     memo: dict,
     handle: BlockHandle,
     unit_stats: BlockStats,
 ) -> BlockPrice:
     """A group's ``block_price`` hook: the cost model's price of
     ``handle`` at the router's per-tuple work ``unit_stats``
-    (:meth:`CostModel.block_price`), with wire time when a GPU group holds
-    none of the block's node.  A router's blocks carry one column set and
-    its ``unit_stats`` are set once, so ``memo`` keeps one price per row
-    count, scale and node (the router asks again after every wake-up)."""
+    (:meth:`CostModel.block_price`) on one ``device`` instance, with wire
+    time when a GPU group's ``instance_nodes`` hold none of the block's
+    node.  A router's blocks carry one column set and its ``unit_stats``
+    are set once, so ``memo`` keeps one price per row count, scale and
+    node (the router asks again after every wake-up)."""
     block = handle.block
     rows, scale, node = key = (block.num_tuples, block.logical_scale, block.node_id)
     price = memo.get(key)
     if price is None:
-        device = group.stage.device
         wire = None
-        if device is DeviceType.GPU and node not in group.instance_nodes:
+        if device is DeviceType.GPU and node not in instance_nodes:
             wire = block.nbytes
         stats = unit_stats.scaled(rows)
         price = memo[key] = cost.block_price(stats, device, scale, wire)

@@ -23,8 +23,6 @@ what makes the DBMS G Q4.3 failure reproducible).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..hardware.topology import MemoryNode, Server
@@ -89,14 +87,6 @@ class MemoryManager:
             self.free(handle)
 
 
-@dataclass
-class BlockManagerStats:
-    #: remote acquires served from a pre-acquired cache (no round-trip)
-    remote_cache_hits: int = 0
-    #: remote acquires that refilled a cache with one batched round-trip
-    remote_batches: int = 0
-
-
 class BlockManager:
     """Per-node staging-block arena.
 
@@ -111,7 +101,6 @@ class BlockManager:
         self.block_bytes = block_bytes
         self.arena_blocks = arena_blocks
         self._free = arena_blocks
-        self.stats = BlockManagerStats()
         try:
             node.allocate(block_bytes * arena_blocks)
         except MemoryError as err:
@@ -172,7 +161,6 @@ class BlockManagerSet:
         manager = self.manager(remote_node)
         if cached > 0:
             self._remote_cache[key] = cached - 1
-            manager.stats.remote_cache_hits += 1
             return 0.0
         batch = min(REMOTE_BATCH_SIZE, manager.free_blocks)
         if batch <= 0:
@@ -180,7 +168,6 @@ class BlockManagerSet:
                 f"no staging blocks left on {remote_node} for remote acquire"
             )
         manager.acquire(batch)
-        manager.stats.remote_batches += 1
         self._remote_cache[key] = batch - 1
         return 2 * REMOTE_ACQUIRE_LATENCY
 

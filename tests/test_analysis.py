@@ -756,6 +756,13 @@ RP010_CASES = {
         "return self._price(handle)\n"
         "seconds = [g.block_price(handle, unit).seconds for g in self.groups]\n",
     ),
+    "group-callback": (
+        EXECUTOR,
+        "group.on_done = self._on_group_done  # <-\n"
+        "group.on_stats(delta)  # <-\n",
+        "in_router.report_done(group, instance.index)\n"
+        "in_router.calibrate(delta)\n",
+    ),
 }
 
 

@@ -57,29 +57,44 @@ def _producer():
                  source=SegmentSource("t", ["a"]))
 
 
-def _drain(sim, router, groups, count):
-    """Consume everything from all queues; returns items per group."""
-    received = {id(g): [] for g in groups}
+def _consume(sim, router, group, seconds=0.0, taken=None, stats=None):
+    """Start one consumer on each of ``group``'s queues.  It appends
+    ``(group, queue index, handle)`` to ``taken`` for every handle it
+    takes, reports ``stats`` at pickup while ``router`` still lacks its
+    calibration stats, and finishes the handle after ``seconds`` (never,
+    if None), as an engine worker does."""
 
-    def consumer(group, queue):
+    def consumer(index, queue):
         while True:
             got = queue.get()
             yield got
-            item = got.value
-            if item is Store.END:
+            if got.value is Store.END:
                 return
-            received[id(group)].append(item)
-            group.report_done()
+            if taken is not None:
+                taken.append((group, index, got.value))
+            if stats is not None and router.priced and router.unit_stats is None:
+                router.calibrate(stats)
+            if seconds is None:
+                continue
+            if seconds:
+                yield sim.timeout(seconds)
+            router.report_done(group, index)
 
+    for index, queue in enumerate(group.queues()):
+        sim.process(consumer(index, queue))
+
+
+def _drain(sim, router, groups, count):
+    """Consume everything from all queues; returns items per group."""
+    taken = []
     sim.process(router.run())
     for group in groups:
-        for queue in group.queues():
-            sim.process(consumer(group, queue))
+        _consume(sim, router, group, taken=taken)
     for handle in _handles(count):
         router.input.put(handle)
     router.input.close()
     sim.run()
-    return received
+    return {id(g): [h for owner, _, h in taken if owner is g] for g in groups}
 
 
 class TestRouterPolicies:
@@ -102,26 +117,15 @@ class TestRouterPolicies:
         sim = Simulator()
         group = ConsumerGroup(_cpu_stage(dop=2), ["cpu:0", "cpu:1"])
         router = Router(sim, _producer(), [group], RouterPolicy.HASH)
-        per_queue = {0: [], 1: []}
-
-        def consumer(index):
-            queue = group.instance_queues[index]
-            while True:
-                got = queue.get()
-                yield got
-                if got.value is Store.END:
-                    return
-                per_queue[index].append(got.value.hash_value)
-                group.report_done(index)
-
+        taken = []
         hash_values = [i % 6 for i in range(24)]
         for handle in _handles(24, hash_values=hash_values):
             router.input.put(handle)
         router.input.close()
         sim.process(router.run())
-        sim.process(consumer(0))
-        sim.process(consumer(1))
+        _consume(sim, router, group, taken=taken)
         sim.run()
+        per_queue = {i: [h.hash_value for _, j, h in taken if j == i] for i in (0, 1)}
         # same hash value always lands on the same instance
         assert set(per_queue[0]) & set(per_queue[1]) == set()
         assert sorted(per_queue[0] + per_queue[1]) == sorted(hash_values)
@@ -152,27 +156,16 @@ class TestRouterPolicies:
         sim = Simulator()
         gpu = ConsumerGroup(_gpu_stage(dop=2), ["gpu:0", "gpu:1"])
         router = Router(sim, _producer(), [gpu], RouterPolicy.LOAD_BALANCE)
-        landed = {0: [], 1: []}
-
-        def consumer(index):
-            queue = gpu.instance_queues[index]
-            while True:
-                got = queue.get()
-                yield got
-                if got.value is Store.END:
-                    return
-                landed[index].append(got.value.node_id)
-                gpu.report_done(index)
-
+        taken = []
         for i in range(10):
             node = f"gpu:{i % 2}"
             block = Block({"a": np.array([i])}, node)
             router.input.put(BlockHandle(block))
         router.input.close()
-        sim.process(consumer(0))
-        sim.process(consumer(1))
+        _consume(sim, router, gpu, taken=taken)
         sim.process(router.run())
         sim.run()
+        landed = {i: [h.node_id for _, j, h in taken if j == i] for i in (0, 1)}
         assert all(node == "gpu:0" for node in landed[0])
         assert all(node == "gpu:1" for node in landed[1])
 
@@ -198,17 +191,8 @@ class TestColdLoadBalancePricing:
         _priced(cpu, cpu_seconds)
         _priced(gpu, gpu_seconds)
         router = Router(sim, _producer(), [cpu, gpu], RouterPolicy.LOAD_BALANCE)
-
-        def holder(queue):
-            while True:
-                got = queue.get()
-                yield got
-                if got.value is Store.END:
-                    return
-
         for group in (cpu, gpu):
-            for queue in group.queues():
-                sim.process(holder(queue))
+            _consume(sim, router, group, seconds=None)
         for handle in _handles(count):
             router.input.put(handle)
         router.input.close()
@@ -219,11 +203,12 @@ class TestColdLoadBalancePricing:
         sim, router, cpu, gpu = self._router(1.0, 0.25, 5)
         sim.run()
         assert (cpu.assigned, gpu.assigned, router.routed_blocks) == (0, 1, 1)
-        assert router.unit_stats is None and gpu.on_stats is not None
-        gpu.on_stats(BlockStats(tuples_in=4, bytes_in=32, cpu_cycles=8.0))
+        assert router.unit_stats is None and router.priced
+        router.calibrate(BlockStats(tuples_in=4, bytes_in=32, cpu_cycles=8.0))
         assert router.unit_stats.cpu_cycles == 2.0
         assert router.unit_stats.bytes_in == 8.0
-        assert cpu.on_stats is None and gpu.on_stats is None
+        # a worker reports stats only while a priced router lacks them
+        assert not (router.priced and router.unit_stats is None)
         sim.run()
         assert router.routed_blocks == 5
 
@@ -233,7 +218,7 @@ class TestColdLoadBalancePricing:
         # worker needs 2.1 s, so the router waits instead.
         sim, router, cpu, gpu = self._router(2.1, 0.25, 8)
         sim.run()
-        gpu.on_stats(BlockStats(tuples_in=1))
+        router.calibrate(BlockStats(tuples_in=1))
         sim.run()
         assert (cpu.assigned, gpu.assigned) == (0, 6)
 
@@ -243,7 +228,7 @@ class TestColdLoadBalancePricing:
         # blocks until their credit runs out (no consumer finishes one).
         sim, router, cpu, gpu = self._router(1.0, 0.25, 40)
         sim.run()
-        gpu.on_stats(BlockStats(tuples_in=1))
+        router.calibrate(BlockStats(tuples_in=1))
         sim.run()
         assert (cpu.assigned, gpu.assigned) == (6, 6)
 
@@ -255,7 +240,7 @@ class TestColdLoadBalancePricing:
         alone = ConsumerGroup(_cpu_stage(dop=2), ["cpu:0"] * 2)
         alone.block_price = never
         router = Router(sim, _producer(), [alone], RouterPolicy.LOAD_BALANCE)
-        assert alone.on_stats is None
+        assert not router.priced
         assert len(_drain(sim, router, [alone], 6)[id(alone)]) == 6
 
     def test_every_block_after_calibration_is_priced(self):
@@ -274,21 +259,8 @@ class TestColdLoadBalancePricing:
 
         cpu.block_price, gpu.block_price = price(1.0), price(0.5)
         router = Router(sim, _producer(), [cpu, gpu], RouterPolicy.LOAD_BALANCE)
-
-        def consumer(group, queue, seconds):
-            while True:
-                got = queue.get()
-                yield got
-                if got.value is Store.END:
-                    return
-                if group.on_stats is not None:
-                    group.on_stats(BlockStats(tuples_in=1))
-                yield sim.timeout(seconds)
-                group.report_done()
-
         for group, seconds in ((cpu, 1.0), (gpu, 0.5)):
-            for queue in group.queues():
-                sim.process(consumer(group, queue, seconds))
+            _consume(sim, router, group, seconds, stats=BlockStats(tuples_in=1))
         handles = _handles(40)
         for handle in handles:
             router.input.put(handle)
@@ -328,31 +300,19 @@ class TestMorselSplitting:
             for _ in range(count)
         ]
         index_of = {id(handle.block): i for i, handle in enumerate(handles)}
-        log = []
-
-        def consumer(group, queue):
-            while True:
-                got = queue.get()
-                yield got
-                handle = got.value
-                if handle is Store.END:
-                    return
-                device = group.stage.device.value
-                log.append((device, index_of[id(handle.block)], handle.morsels))
-                if group.on_stats is not None:
-                    group.on_stats(BlockStats(tuples_in=1))
-                if service is not None:
-                    yield sim.timeout(service[device])
-                    group.report_done()
-
+        taken = []
         for group in (cpu, gpu):
-            for queue in group.queues():
-                sim.process(consumer(group, queue))
+            seconds = None if service is None else service[group.stage.device.value]
+            _consume(sim, router, group, seconds, taken, BlockStats(tuples_in=1))
         for handle in handles:
             router.input.put(handle)
         router.input.close()
         sim.process(router.run())
         sim.run()
+        log = [
+            (group.stage.device.value, index_of[id(handle.block)], handle.morsels)
+            for group, _, handle in taken
+        ]
         return router, cpu, gpu, log
 
     @pytest.mark.parametrize("dop", [4, 12])

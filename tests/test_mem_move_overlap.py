@@ -403,7 +403,7 @@ class TestRouterLocalityTieBreak:
                 if got.value is Store.END:
                     return
                 landed[index].append(got.value.node_id)
-                group.report_done(index)
+                router.report_done(group, index)
 
         sim.process(router.run())
         sim.process(consumer(0))

@@ -125,11 +125,10 @@ class TestBlockManagerSet:
         latency = blocks.acquire_remote("cpu:0", "gpu:1")
         assert latency > 0
         assert manager.free_blocks == free_before - REMOTE_BATCH_SIZE
-        assert manager.stats.remote_batches == 1
         # subsequent acquires are cache hits: free, no extra arena use
         for _ in range(REMOTE_BATCH_SIZE - 1):
             assert blocks.acquire_remote("cpu:0", "gpu:1") == 0.0
-        assert manager.stats.remote_cache_hits == REMOTE_BATCH_SIZE - 1
+        assert manager.free_blocks == free_before - REMOTE_BATCH_SIZE
         # cache drained: the next one pays again
         assert blocks.acquire_remote("cpu:0", "gpu:1") > 0
 

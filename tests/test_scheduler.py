@@ -9,10 +9,13 @@ float64, so equality is bitwise — no rounding tolerance is needed or
 used.)
 
 The rest pins the re-entrancy fixes the scheduler depends on: per-query
-operator-state handles, per-router routing cursors, query-id tagging,
+operator-state handles, per-router routing state, query-id tagging,
 admission-budget conservation, and failure isolation between concurrent
 queries.
 """
+
+import gc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -400,7 +403,7 @@ class TestReentrancyRegressions:
             return Router(sim, producer, groups, RouterPolicy.LOAD_BALANCE)
 
         router_a, router_b = priced_router("a"), priced_router("b")
-        router_a.groups[0].on_stats(BlockStats(tuples_in=2, cpu_cycles=4.0))
+        router_a.calibrate(BlockStats(tuples_in=2, cpu_cycles=4.0))
         assert (router_a.unit_stats.cpu_cycles, router_b.unit_stats) == (2.0, None)
 
     def test_consumer_groups_do_not_share_queue_lists(self):
@@ -429,6 +432,31 @@ class TestReentrancyRegressions:
                         RouterPolicy.UNION, query_id="q7")
         assert router.query_id == "q7"
         assert router.name.startswith("q7:")
+
+    def test_a_served_drive_leaves_nothing_to_the_cyclic_gc(self):
+        """A phase dies with its query: on a warm server, a clean drive of
+        hybrid, GPU-only and CPU-only queries leaves no ``repro`` object
+        (router, consumer group, mem-move, queue) that only the cyclic
+        GC can free.  Workers call their router; no hook on a group holds
+        the router or the group."""
+        arrivals = _mixed(["Q1.1", "Q2.1", "Q3.1", "Q4.1"])
+        warm = run_scenario(Scenario(arrivals, {"max_concurrent": 2}))
+        gc.collect()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            warm.then(*arrivals)
+            freed = gc.collect()
+            left = Counter(
+                type(obj).__qualname__
+                for obj in gc.garbage
+                if type(obj).__module__.startswith("repro.")
+            )
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
+        assert not left, f"{freed} objects left to the cyclic GC: {dict(left)}"
 
     def test_state_handles_freed_after_failed_query(self):
         """A failing query must release exactly its own state; the next
