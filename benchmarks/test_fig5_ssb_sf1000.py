@@ -144,8 +144,8 @@ class TestTransferOverlap:
         """Exact on every supported Python: a drift means the engine's
         behaviour changed."""
         assert sweep[1] == {
-            1: (68.57606500379626, 67_571),
-            2: (59.06146078131773, 79_860),
+            1: (68.57754318033938, 67_540),
+            2: (59.061152311294535, 80_002),
         }
 
     def test_overlap_beats_serial_by_15_percent_geomean(self, sweep):

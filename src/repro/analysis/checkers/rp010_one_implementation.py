@@ -184,6 +184,9 @@ GATES = (
     Gate("group-callback", 43, (_REPRO + "core/", _REPRO + "engine/"), _text(
          r"\bon_(done|stats)\b"),
          "a group holds no reference back to its router: the worker calls the router"),
+    Gate("remote-cache", 44, (_REPRO,), _text(
+         r"\b(_remote_cache|acquire_remote|release_all_caches)\b"), "no staging slot "
+         "outlives a phase: the phase's MemMove batches remote acquires"),
 )
 # fmt: on
 

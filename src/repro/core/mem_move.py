@@ -5,8 +5,9 @@ memory of producers and consumers...  In case the data are already local
 to the consumer, it only forwards the block handle, without doing any data
 transfers."
 
-The runtime here reproduces the operator's two halves, plus the two
-transfer-side optimisations that hide PCIe latency behind compute:
+The runtime here reproduces the operator's two halves, plus the
+transfer-side optimisations that hide PCIe latency behind compute or
+amortise it:
 
 * the **producer half** runs ahead of the consumer.
   :meth:`MemMove.prefetch_proc` is a double-buffered prefetch pipeline:
@@ -33,6 +34,13 @@ transfer-side optimisations that hide PCIe latency behind compute:
   order, so ties fall back deterministically to the first enumerated
   route).  "Direct" is only the *name of a route* (``qpi-direct``, the
   remote read without a staging hop), never a selection policy;
+* **batched remote acquires**: each :meth:`schedule` takes exactly one
+  slot from the target node's arena, and the round trip of asking a
+  remote block manager (``2 * REMOTE_ACQUIRE_LATENCY``) is charged to the
+  DMA of the 1st and then every ``REMOTE_BATCH_SIZE``-th acquire of a
+  (block node, target node) pair.  The count lives as long as this
+  mem-move, i.e. one phase, so a phase starts cold whatever the engine
+  ran before, and no pre-acquired slot is ever left to return;
 * the **consumer half** is just ``yield handle.transfer_done`` in the
   consuming worker (Listing 1, pipeline 10: "wait DMA transfer for b to
   finish"), followed by :meth:`release_staged` once the block has been
@@ -63,7 +71,11 @@ from ..hardware.costmodel import CostModel
 from ..hardware.sim import Event, Name, Simulator, Store
 from ..hardware.topology import DeviceType, Path, Server
 from ..memory.block import Block, BlockHandle
-from ..memory.managers import BlockManagerSet
+from ..memory.managers import (
+    REMOTE_ACQUIRE_LATENCY,
+    REMOTE_BATCH_SIZE,
+    BlockManagerSet,
+)
 
 __all__ = [
     "MemMove",
@@ -154,6 +166,9 @@ class MemMove:
         self._staged_outstanding: dict[str, int] = {}
         #: prefetchers parked until a staging credit frees, per target node
         self._credit_waiters: dict[str, list[Event]] = {}
+        #: remote acquires so far per (block node, target node): the 1st
+        #: and every REMOTE_BATCH_SIZE-th pay the remote round trip
+        self._remote_acquires: dict[tuple[str, str], int] = {}
 
     # -- path selection ------------------------------------------------------------
 
@@ -234,8 +249,15 @@ class MemMove:
         if handle.node_id == target_node:
             self.forwards += 1
             return handle
-        acquire_latency = self.blocks.acquire_remote(
-            local_node=handle.node_id, remote_node=target_node
+        self.blocks.manager(target_node).acquire()
+        self._staged_outstanding[target_node] = (
+            self._staged_outstanding.get(target_node, 0) + 1
+        )
+        pair = (handle.node_id, target_node)
+        acquired = self._remote_acquires.get(pair, 0)
+        self._remote_acquires[pair] = acquired + 1
+        acquire_latency = (
+            0.0 if acquired % REMOTE_BATCH_SIZE else 2 * REMOTE_ACQUIRE_LATENCY
         )
         path = self.select_path(handle.node_id, target_node,
                                 handle.block.nbytes,
@@ -248,9 +270,6 @@ class MemMove:
         )
         self.transfers += 1
         self.bytes_moved += handle.block.logical_bytes
-        self._staged_outstanding[target_node] = (
-            self._staged_outstanding.get(target_node, 0) + 1
-        )
         return new_handle
 
     # -- credit-based backpressure -------------------------------------------------

@@ -2272,9 +2272,8 @@ class EngineServer:
 
         Checks the admission budget (allocated == released, nothing in
         use), that no operator-state allocation outlived its query on
-        any memory node, and that every staging-arena slot is either
-        free or parked in a remote cache (failed and shed queries
-        included).
+        any memory node, and that every staging-arena slot is free
+        (failed and shed queries included).
         """
         for state in self.tenant_states.values():
             # the default tenant's budget is the server budget itself

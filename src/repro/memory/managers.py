@@ -10,11 +10,14 @@ The behaviours reproduced here:
   initialisation, so acquiring a staging block at query time is a free-list
   pop, not an allocation;
 * **device-local synchronisation** — only local devices acquire blocks
-  directly; a remote request goes through :meth:`BlockManagerSet.acquire_remote`,
-  which models the paper's "launching small tasks to the remote node";
-* **remote caches + batching** — each local manager keeps a per-remote-node
-  cache of pre-acquired blocks and refills it in batches, amortising the
-  remote round-trip (the common-case accelerators the paper describes).
+  directly; a remote request models the paper's "launching small tasks to
+  the remote node" as a round trip (``REMOTE_ACQUIRE_LATENCY`` each way);
+* **batched remote acquires, per phase, in the mem-move** — the phase's
+  :class:`~repro.core.mem_move.MemMove` pays that round trip once per
+  ``REMOTE_BATCH_SIZE`` acquires of a (block node, target node) pair,
+  amortising it as the paper's batching does.  Each acquire still takes
+  exactly one arena slot, so no slot sits idle and nothing outlives the
+  phase.
 
 Capacity is tracked in *logical* bytes so that SF1000-scale working sets
 overflow an 8 GB GPU exactly as they would on the real machine (this is
@@ -32,7 +35,8 @@ __all__ = ["MemoryManager", "BlockManager", "BlockManagerSet", "OutOfDeviceMemor
 
 #: Simulated one-way latency of poking a remote node's manager (seconds).
 REMOTE_ACQUIRE_LATENCY = 25e-6
-#: How many blocks a cache refill acquires at once.
+#: A phase's mem-move pays one remote round trip per this many acquires
+#: of one (block node, target node) pair.
 REMOTE_BATCH_SIZE = 8
 #: Logical bytes of one staging block, and the arena every node reserves
 #: at start-up: a fixed block count per DRAM node, a share of device
@@ -130,7 +134,7 @@ class BlockManager:
 
 
 class BlockManagerSet:
-    """All block managers of a server plus the remote-cache machinery."""
+    """All block managers of a server, one per memory node."""
 
     def __init__(self, server: Server):
         self.server = server
@@ -144,57 +148,23 @@ class BlockManagerSet:
             else:
                 arena = CPU_ARENA_BLOCKS
             self.managers[node.node_id] = BlockManager(node, BLOCK_BYTES, arena)
-        #: (local node, remote node) -> cached pre-acquired remote blocks
-        self._remote_cache: dict[tuple[str, str], int] = {}
 
     def manager(self, node_id: str) -> BlockManager:
         return self.managers[node_id]
 
-    def acquire_remote(self, local_node: str, remote_node: str) -> float:
-        """Acquire one block on ``remote_node`` from ``local_node``.
-
-        Returns the simulated latency the caller should charge: zero on a
-        cache hit, one batched remote round-trip on a miss.
-        """
-        key = (local_node, remote_node)
-        cached = self._remote_cache.get(key, 0)
-        manager = self.manager(remote_node)
-        if cached > 0:
-            self._remote_cache[key] = cached - 1
-            return 0.0
-        batch = min(REMOTE_BATCH_SIZE, manager.free_blocks)
-        if batch <= 0:
-            raise OutOfDeviceMemory(
-                f"no staging blocks left on {remote_node} for remote acquire"
-            )
-        manager.acquire(batch)
-        self._remote_cache[key] = batch - 1
-        return 2 * REMOTE_ACQUIRE_LATENCY
-
     def release(self, node_id: str, count: int = 1) -> None:
         self.manager(node_id).release(count)
 
-    def release_all_caches(self) -> None:
-        """Return every cached remote block to its home arena."""
-        for (_local, remote), count in list(self._remote_cache.items()):
-            if count:
-                self.manager(remote).release(count)
-        self._remote_cache.clear()
-
     def unaccounted_blocks(self) -> dict[str, int]:
-        """Arena slots neither free nor parked in a remote cache, per node.
+        """Arena slots not free, per node.
 
         Between queries this must be all zeros: every staging slot a
         query acquired was either released by its consumers or reclaimed
         when the query was aborted.  A positive count is a staging leak
         (conservation checks assert on it).
         """
-        cached: dict[str, int] = {}
-        for (_local, remote), count in self._remote_cache.items():
-            cached[remote] = cached.get(remote, 0) + count
         return {
             node_id: manager.arena_blocks - manager.free_blocks
-            - cached.get(node_id, 0)
             for node_id, manager in self.managers.items()
         }
 

@@ -763,6 +763,14 @@ RP010_CASES = {
         "in_router.report_done(group, instance.index)\n"
         "in_router.calibrate(delta)\n",
     ),
+    "remote-cache": (
+        "src/repro/memory/managers.py",
+        "self._remote_cache: dict[tuple[str, str], int] = {}  # <-\n"
+        "latency = self.blocks.acquire_remote(src, dst)  # <-\n"
+        "engine.blocks.release_all_caches()  # <-\n",
+        "self.blocks.manager(target_node).acquire()\n"
+        "acquired = self._remote_acquires.get(pair, 0)\n",
+    ),
 }
 
 

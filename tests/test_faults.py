@@ -597,8 +597,8 @@ class TestSchedulerRetry:
     @pytest.mark.parametrize(
         "scenario, makespan, events",
         [
-            (PHASE_BOUNDARY_LOSS, 1.1227433946895424, 535),
-            (SPURIOUS_ABORT, 0.01121498274509804, 444),
+            (PHASE_BOUNDARY_LOSS, 1.1228120380326796, 538),
+            (SPURIOUS_ABORT, 0.011215601882352945, 445),
         ],
         ids=["phase-boundary-loss", "spurious-abort"],
     )
@@ -610,7 +610,10 @@ class TestSchedulerRetry:
         is its own completion and a kernel runs inside its worker).  A
         fresh driver per attempt moves no clock: it adds
         exactly one event per retry, the finished driver's own
-        completion, which nothing waits on."""
+        completion, which nothing waits on.  Makespans and event counts
+        were taken again when each phase's mem-move began batching its
+        own remote acquires: the retry no longer inherits staging slots
+        its failed attempt left cached on the engine."""
         out = run_scenario(scenario)
         signature = out.signature()
         assert out.report.retries == 1

@@ -125,7 +125,6 @@ class TestDifferential:
             [0, 1], block_tuples=512, prefetch_depth=4
         )
         engine.query(ssb_query("Q3.1"), config)
-        engine.blocks.release_all_caches()
         for node_id, manager in engine.blocks.managers.items():
             assert manager.free_blocks == manager.arena_blocks, node_id
 
@@ -266,7 +265,6 @@ class TestStagingAbortAccounting:
         mem_move.schedule(_remote_handle(), "gpu:0")
         mem_move.abort_outstanding()
         sim.run()
-        blocks.release_all_caches()
         assert mem_move.staged_outstanding() == 0
         for node_id, manager in blocks.managers.items():
             assert manager.free_blocks == manager.arena_blocks, node_id
@@ -558,7 +556,6 @@ class TestAbortReentrancy:
         move_b.release_staged("gpu:0")
         assert move_b.staged_outstanding() == 0
         sim.run()
-        blocks.release_all_caches()
         for node_id, manager in blocks.managers.items():
             assert manager.free_blocks == manager.arena_blocks, node_id
         assert all(v == 0 for v in blocks.unaccounted_blocks().values())
@@ -571,6 +568,5 @@ class TestAbortReentrancy:
         mem_move.abort_outstanding()  # second abort: nothing to reclaim
         assert mem_move.staged_outstanding() == 0
         sim.run()
-        blocks.release_all_caches()
         for node_id, manager in blocks.managers.items():
             assert manager.free_blocks == manager.arena_blocks, node_id

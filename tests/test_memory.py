@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.core.mem_move import MemMove
+from repro.hardware.costmodel import CostModel
 from repro.hardware.sim import Simulator
+from repro.hardware.specs import PAPER_SERVER
 from repro.hardware.topology import Server
 from repro.memory import (
     Block,
@@ -11,6 +14,7 @@ from repro.memory import (
     BlockManagerSet,
     MemoryManager,
     OutOfDeviceMemory,
+    REMOTE_ACQUIRE_LATENCY,
     REMOTE_BATCH_SIZE,
 )
 from repro.memory.managers import BlockManager
@@ -118,31 +122,77 @@ class TestBlockManagerSet:
         assert set(blocks.managers) == {"cpu:0", "cpu:1", "gpu:0", "gpu:1"}
 
     def test_remote_acquire_batches_and_caches(self):
-        blocks = BlockManagerSet(_server())
-        manager = blocks.manager("gpu:1")
-        free_before = manager.free_blocks
-        # first acquire pays the round-trip and pre-acquires a batch
-        latency = blocks.acquire_remote("cpu:0", "gpu:1")
-        assert latency > 0
-        assert manager.free_blocks == free_before - REMOTE_BATCH_SIZE
-        # subsequent acquires are cache hits: free, no extra arena use
-        for _ in range(REMOTE_BATCH_SIZE - 1):
-            assert blocks.acquire_remote("cpu:0", "gpu:1") == 0.0
-        assert manager.free_blocks == free_before - REMOTE_BATCH_SIZE
-        # cache drained: the next one pays again
-        assert blocks.acquire_remote("cpu:0", "gpu:1") > 0
+        """Within one phase, acquires 1 and REMOTE_BATCH_SIZE + 1 of a
+        (block node, target node) pair pay the remote round trip; the
+        acquires between them ride the batch and pay nothing."""
+        phases = _Phases()
+        phase = phases.mem_move()
+        seconds = [phases.dma_seconds(phase)
+                   for _ in range(REMOTE_BATCH_SIZE + 1)]
+        cold, warm = seconds[0], seconds[1]
+        assert cold - warm == pytest.approx(2 * REMOTE_ACQUIRE_LATENCY, rel=1e-6)
+        for batched in seconds[1:REMOTE_BATCH_SIZE]:
+            assert batched == pytest.approx(warm, rel=1e-9)
+        assert seconds[REMOTE_BATCH_SIZE] == pytest.approx(cold, rel=1e-9)
 
     def test_caches_are_per_local_node(self):
-        blocks = BlockManagerSet(_server())
-        assert blocks.acquire_remote("cpu:0", "gpu:0") > 0
-        # a different local node has its own (empty) cache
-        assert blocks.acquire_remote("cpu:1", "gpu:0") > 0
+        """Each (block node, target node) pair counts its own acquires,
+        and a second mem-move starts cold: no count outlives its phase."""
+        phases = _Phases()
+        phase = phases.mem_move()
+        cold = phases.dma_seconds(phase)
+        assert cold - phases.dma_seconds(phase) == pytest.approx(
+            2 * REMOTE_ACQUIRE_LATENCY, rel=1e-6)
+        other = [phases.dma_seconds(phase, node="cpu:1") for _ in range(2)]
+        assert other[0] - other[1] == pytest.approx(
+            2 * REMOTE_ACQUIRE_LATENCY, rel=1e-6)
+        assert phases.dma_seconds(phases.mem_move()) == (
+            pytest.approx(cold, rel=1e-9))
 
     def test_release_all_caches_restores_arenas(self):
-        blocks = BlockManagerSet(_server())
-        manager = blocks.manager("gpu:0")
-        initial = manager.free_blocks
-        blocks.acquire_remote("cpu:0", "gpu:0")
-        blocks.release("gpu:0")  # the block actually used
-        blocks.release_all_caches()
-        assert manager.free_blocks == initial
+        """No slot is parked between phases: each schedule takes exactly
+        one arena slot, release_staged returns it, and the arena is whole
+        once the phase's blocks are released."""
+        phases = _Phases()
+        manager = phases.manager
+        phase = phases.mem_move()
+        free = manager.free_blocks
+        for taken in range(1, REMOTE_BATCH_SIZE + 2):
+            phase.schedule(phases.handle("cpu:0"), "gpu:0")
+            assert manager.free_blocks == free - taken
+        phases.sim.run()
+        for _ in range(REMOTE_BATCH_SIZE + 1):
+            phase.release_staged("gpu:0")
+        assert manager.free_blocks == free == manager.arena_blocks
+
+
+class _Phases:
+    """One engine's block managers and clock, for timing the DMA of the
+    mem-moves of successive phases into gpu:0."""
+
+    def __init__(self):
+        self.sim = Simulator()
+        self.server = Server.paper_machine(self.sim)
+        self.blocks = BlockManagerSet(self.server)
+        self.manager = self.blocks.manager("gpu:0")
+        self.cost = CostModel(PAPER_SERVER)
+
+    def mem_move(self):
+        return MemMove(self.sim, self.server, self.blocks, self.cost)
+
+    @staticmethod
+    def handle(node):
+        return BlockHandle(Block({"a": np.zeros(1000, np.int64)}, node))
+
+    def dma_seconds(self, mem_move, node="cpu:0"):
+        """Seconds from scheduling one block from ``node`` until it is
+        staged on gpu:0; the block holds one slot until it is released."""
+        free = self.manager.free_blocks
+        start = self.sim.now
+        staged = mem_move.schedule(self.handle(node), "gpu:0")
+        assert self.manager.free_blocks == free - 1
+        self.sim.run()
+        assert staged.transfer_done.triggered
+        mem_move.release_staged("gpu:0")
+        assert self.manager.free_blocks == free
+        return self.sim.now - start

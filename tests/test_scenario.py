@@ -39,7 +39,7 @@ def test_same_scenario_same_signature(scenario):
 
 @pytest.mark.parametrize(
     "scenario, pushes, makespan",
-    [(CAPPED, 848, 0.14270464305555555), (SHARED, 2861, 1.960557138087274)],
+    [(CAPPED, 848, 0.14270464305555555), (SHARED, 2863, 1.960749309899039)],
     ids=["budget", "shared-cache"],
 )
 def test_event_count_is_pinned(scenario, pushes, makespan):
@@ -49,7 +49,9 @@ def test_event_count_is_pinned(scenario, pushes, makespan):
     per GPU block (126 blocks here) since a transfer is its own completion and
     a kernel runs inside its worker.  A speed-up of
     the event path adds, removes and reorders none: one event more or
-    fewer moves this integer (and, reordered, the clock)."""
+    fewer moves this integer (and, reordered, the clock).  The shared-cache
+    pair was taken again (2 861 -> 2 863) when each phase's mem-move began
+    batching its own remote acquires instead of inheriting the engine's."""
     signature = run_scenario(scenario).signature()
     assert (signature[-1], signature[0]) == (pushes, makespan)
 

@@ -92,14 +92,16 @@ def test_every_selection_is_one_nonzero_and_takes(label):
 #: float add; this digest can.  The hybrid rows were taken again when the
 #: load-balance router began pricing blocks while cold, and the 256-row one
 #: again when it began pricing every block of the query: each moves the
-#: cpu / gpu split and the simulated seconds.
+#: cpu / gpu split and the simulated seconds.  The GPU and hybrid rows
+#: were taken again when each phase's mem-move began batching its own
+#: remote acquires, so no phase inherits an earlier one's staging slots.
 PINNED_STATS_DIGESTS = {
     ("cpu", 256): "d96c55dd30a656a0",
     ("cpu", 65536): "6c13d430b6a8fe07",
-    ("gpu", 256): "9a20844b5bb65351",
-    ("gpu", 65536): "8c81e41dc1c06ad8",
-    ("hybrid", 256): "135ede86346da399",
-    ("hybrid", 65536): "5d50f35df1f9aebb",
+    ("gpu", 256): "cb159298dbacdc3f",
+    ("gpu", 65536): "797329a6806a25cf",
+    ("hybrid", 256): "c45b556bc52c331a",
+    ("hybrid", 65536): "75d895076cfb0f73",
 }
 
 
@@ -153,16 +155,16 @@ EDGE_PLANS = {"date_join": DATE_JOIN, "empty_after_date_join": EMPTY_AFTER_DATE_
 #: random_bytes, cpu_cycles, gpu_ops)
 PINNED_DEVICE_STATS = {
     ("date_join", 256): {
-        "cpu": (27948, 223584, 0, 2556, 51120, 1083414.0, 420414.0),
-        "gpu": (9720, 77760, 0, 5112, 102240, 319788.0, 125100.0),
+        "cpu": (28972, 231776, 0, 2556, 51120, 1124374.0, 436286.0),
+        "gpu": (8696, 69568, 0, 5112, 102240, 278828.0, 109228.0),
     },
     ("date_join", 65536): {
         "cpu": (7980, 63840, 0, 2556, 51120, 284694.0, 110910.0),
         "gpu": (29688, 237504, 0, 5112, 102240, 1118508.0, 434604.0),
     },
     ("empty_after_date_join", 256): {
-        "cpu": (29996, 339504, 0, 2556, 40896, 767454.0, 205198.0),
-        "gpu": (7672, 51168, 0, 5112, 81792, 200748.0, 70316.0),
+        "cpu": (30508, 345648, 0, 2556, 40896, 780510.0, 208526.0),
+        "gpu": (7160, 45024, 0, 5112, 81792, 187692.0, 66988.0),
     },
     ("empty_after_date_join", 65536): {
         "cpu": (7980, 75312, 0, 2556, 40896, 206046.0, 62094.0),

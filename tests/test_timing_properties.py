@@ -127,6 +127,37 @@ def test_hybrid_beats_the_best_device_on_a_coarse_stream():
     assert totals[2] <= 0.8 * min(totals[:2]), f"totals {totals}"
 
 
+def test_a_query_reads_the_same_seconds_after_any_prefix():
+    """History independence: on a quiet engine a query's simulated
+    seconds depend on the clock alone, not on what ran before it.  Each
+    read is compared with a fresh engine idled to the same ``sim.now``
+    (the float clock is the one history left).  While remote staging
+    slots were cached for the engine's life, GPU-only Q1.1 after
+    hybrid Q3.1 read 4.251070442752228 s against 4.250980442752226 s."""
+    tables = ssb_tables(0.01, 42)
+
+    def ssb_engine(idle_to=0.0):
+        engine = Proteus(segment_rows=8192)
+        load_ssb(engine, tables=tables, logical_sf=1000.0)
+        if idle_to:
+            engine.sim.timeout(idle_to)  # run(until=t) does not advance an empty heap
+            engine.sim.run()
+        return engine
+
+    queries = ssb_queries()
+    hybrid = ExecutionConfig.hybrid(24, [0, 1], block_tuples=4096)
+    gpu = ExecutionConfig.gpu_only([0, 1], block_tuples=4096)
+    cpu = ExecutionConfig.cpu_only(24, block_tuples=4096)
+    engine = ssb_engine()
+    for prefix, config in (("Q3.1", hybrid), ("Q4.1", cpu)):
+        engine.query(queries[prefix], config)
+        for qid, read in (("Q1.1", gpu), ("Q4.3", hybrid)):
+            now = engine.sim.now
+            seconds = engine.query(queries[qid], read).seconds
+            fresh = ssb_engine(idle_to=now).query(queries[qid], read).seconds
+            assert seconds == fresh, f"{qid} after {prefix} at t={now}"
+
+
 def test_hetexchange_overhead_shrinks_with_input():
     """Figure 8 in miniature: relative overhead decreases with size."""
     overheads = []
