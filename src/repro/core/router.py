@@ -23,7 +23,7 @@ Consumer queues are bounded and load-balance routing is credit-throttled,
 which yields the pull-style backpressure that lets heterogeneous
 consumers drain work in proportion to their throughput.  At the Fig. 5
 harness settings (SSB SF 0.01 replayed at SF 1000, 256-row blocks) the
-hybrid reaches on average 0.821 of the summed CPU-only and GPU-only
+hybrid reaches on average 0.820 of the summed CPU-only and GPU-only
 throughputs (the paper reports 88.5 %).
 
 A load-balance router over two or more groups (a hybrid CPU + GPU probe)
@@ -59,18 +59,25 @@ the block, so a morsel is never priced below the block's work over ``B``
 (65 536 rows replayed at SF 1000 take one core seconds, one GPU a fraction
 of that) handed to the CPU sets the query's makespan while the other cores
 idle (the fix of Leis et al., "Morsel-driven parallelism", SIGMOD 2014).  The
-router prices in items of ``seconds / k`` each: the group finishes the
-block at ``((outstanding + k - 1) // dop + 1) * seconds / k`` and drains
-``((outstanding + waiting * k + k - 1) // dop + 1) * seconds / k``.  A
-group takes a split block only if ``outstanding + k`` fits its credit and its
-queue has room for all ``k`` items, so the router never blocks halfway
-through one.  The ``k`` handles share one :class:`Morsels`: the first
-worker to dequeue one runs the generated pipeline on the whole block and
-stores each morsel's share of its work, every morsel charges that share,
-and the last one to finish emits the block's outputs.  ``k = 1`` is the
+router prices in items of ``seconds / k`` each, and a shared-queue group
+counts the items it has out per home memory node (``on_node``: counted at
+enqueue, taken back by :meth:`report_done`).  The group finishes the block
+at the later of ``((outstanding + k - 1) // dop + 1) * seconds / k``, its
+cores, and ``((on_node + k - 1) // lanes + 1) * seconds / k`` with
+``lanes = min(dop, cores_fed)``, the block's home socket: every morsel of
+it streams from that socket's DRAM, whatever core runs it.  The group
+drains ``((outstanding + waiting * k + k - 1) // dop + 1) * seconds / k``,
+and never before it finishes the block.  A group takes a split block only
+if ``outstanding + k`` fits its credit and its queue has room for all ``k``
+items, so the router never blocks halfway through one.  The ``k`` handles
+share one :class:`Morsels`: the first worker to dequeue one runs the
+generated pipeline on the whole block and stores each morsel's share of
+its work, every morsel charges that share, and the last one to finish
+emits the block's outputs.  ``k = 1`` is the
 whole block; per-instance (GPU) groups, single-group routers and
-broadcasts are never split.  The price reads no live queue depth on a
-device that other queries share.
+broadcasts are never split.  The price reads only this router's own
+counts: what other queries run on a shared socket or device stays
+unpriced.
 
 Routers are fully re-entrant: every piece of routing state (credit
 book-keeping, calibration, the pending wake-up) lives on the instance,
@@ -160,6 +167,8 @@ class ConsumerGroup:
     #: blocks handed to this group / blocks its workers finished
     assigned: int = 0
     completed: int = 0
+    #: items in flight per home memory node (shared-queue groups only)
+    on_node: dict[str, int] = field(default_factory=dict)
     #: per-instance in-flight counts (per-instance groups only)
     instance_assigned: list[int] = field(default_factory=list)
     instance_completed: list[int] = field(default_factory=list)
@@ -319,6 +328,8 @@ class Router:
                 instance = self._least_loaded_instance(group, handle)
             group.instance_assigned[instance] += 1
             return group.instance_queues[instance].put(handle)
+        node = handle.node_id
+        group.on_node[node] = group.on_node.get(node, 0) + 1
         return group.shared_queue.put(handle)
 
     # -- credit throttling -----------------------------------------------------
@@ -338,12 +349,15 @@ class Router:
             and group.has_space(items)
         )
 
-    def report_done(self, group: ConsumerGroup, instance: int) -> None:
+    def report_done(self, group: ConsumerGroup, instance: int, node: str) -> None:
         """Worker call: one block routed to ``group`` fully processed by
-        its worker ``instance``."""
+        its worker ``instance``; ``node`` is the block's home node when
+        the router enqueued it (before any mem-move)."""
         group.completed += 1
         if group.instance_completed:
             group.instance_completed[instance] += 1
+        else:
+            group.on_node[node] -= 1
         self._wake()
 
     def calibrate(self, stats: BlockStats) -> None:
@@ -398,17 +412,24 @@ class Router:
                 return None  # the calibration block's stats are not in yet
             return min(self.groups, key=lambda g: g.dop), None
         waiting = len(self.input)
-        seconds = [g.block_price(handle, unit).seconds for g in self.groups]
-        ks = [self._morsels(g, handle) for g in self.groups]
-        # Priced in items: a split block is k items of s / k seconds each.
-        finish = [
-            ((g.outstanding + k - 1) // g.dop + 1) * s / k
-            for g, s, k in zip(self.groups, seconds, ks)
-        ]
-        drain = [
-            ((g.outstanding + waiting * k + k - 1) // g.dop + 1) * s / k
-            for g, s, k in zip(self.groups, seconds, ks)
-        ]
+        node = handle.node_id
+        ks, finish, drain = [], [], []
+        for g in self.groups:
+            price = g.block_price(handle, unit)
+            s, k = price.seconds, self._morsels(g, handle)
+            # Priced in items: a split block is k items of s / k seconds each.
+            done = ((g.outstanding + k - 1) // g.dop + 1) * s / k
+            if not g.per_instance:
+                # The items on the block's home socket share its DRAM,
+                # which feeds only ``cores_fed`` of the group's cores.
+                lanes = min(g.dop, price.cores_fed)
+                on_node = g.on_node.get(node, 0)
+                done = max(done, ((on_node + k - 1) // lanes + 1) * s / k)
+            rest = ((g.outstanding + waiting * k + k - 1) // g.dop + 1) * s / k
+            ks.append(k)
+            finish.append(done)
+            # No group drains the waiting blocks before it finishes this one.
+            drain.append(max(done, rest))
         best = None
         for i, group in enumerate(self.groups):
             rival = min(d for j, d in enumerate(drain) if j != i)

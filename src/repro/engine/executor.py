@@ -184,7 +184,10 @@ class PlanCompilation:
         """
         base = DEFAULT_COMPILE_SECONDS if base_seconds is None else base_seconds
         scale = base / DEFAULT_COMPILE_SECONDS
-        return scale * sum(self.cost_of(stage) for stage, _ in self.missing)
+        total = 0.0  # a left fold: builtin float sum compensates on 3.12+
+        for stage, _ in self.missing:
+            total += self.cost_of(stage)
+        return scale * total
 
     def finish(self) -> dict[int, "CompiledPipeline"]:
         for stage, key in self.missing:
@@ -879,6 +882,7 @@ class Executor:
             if handle is Store.END:
                 break
             current_scale = handle.block.logical_scale
+            home = handle.node_id  # the node the router counted it on
             if edge.mem_move and mem_move.needs_move(handle, instance.node_id):
                 # CPU pull path: run the mem-move inline (GPU instances had
                 # their fetcher do this ahead of time).
@@ -910,7 +914,7 @@ class Executor:
                 # already have been reclaimed by an abort, and
                 # release_staged absorbs that race
                 mem_move.release_staged(instance.node_id)
-            in_router.report_done(group, instance.index)
+            in_router.report_done(group, instance.index, home)
             if morsels is not None:
                 outputs = morsels.finish()
             yield from self._emit(

@@ -796,7 +796,10 @@ class BatchReport:
     def recompile_seconds(self) -> float:
         """Total simulated compile latency this drive's sessions paid on
         cache misses — the figure cost-aware eviction minimises."""
-        return sum(s.compile_seconds_charged for s in self.sessions)
+        total = 0.0  # a left fold: builtin float sum compensates on 3.12+
+        for session in self.sessions:
+            total += session.compile_seconds_charged
+        return total
 
     def dop_trajectories(self) -> dict[str, list[int]]:
         """Per-session CPU dop trajectory, keyed by session tag.

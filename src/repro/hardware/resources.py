@@ -257,7 +257,9 @@ class BandwidthResource:
         # Jobs with caps below their weighted fair share get their cap;
         # the freed capacity is redistributed among the rest.
         while pending:
-            total_weight = sum([j.weight for j in pending])
+            total_weight = 0.0  # a left fold: builtin float sum compensates on 3.12+
+            for job in pending:
+                total_weight += job.weight
             per_weight = remaining_capacity / total_weight
             uncapped = []
             for job in pending:

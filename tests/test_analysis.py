@@ -760,7 +760,7 @@ RP010_CASES = {
         EXECUTOR,
         "group.on_done = self._on_group_done  # <-\n"
         "group.on_stats(delta)  # <-\n",
-        "in_router.report_done(group, instance.index)\n"
+        "in_router.report_done(group, instance.index, home)\n"
         "in_router.calibrate(delta)\n",
     ),
     "remote-cache": (

@@ -78,7 +78,7 @@ def _consume(sim, router, group, seconds=0.0, taken=None, stats=None):
                 continue
             if seconds:
                 yield sim.timeout(seconds)
-            router.report_done(group, index)
+            router.report_done(group, index, got.value.node_id)
 
     for index, queue in enumerate(group.queues()):
         sim.process(consumer(index, queue))
@@ -397,6 +397,36 @@ class TestMorselSplitting:
         group.shared_queue.items.clear()
         group.assigned = 2  # credit: 2 + k <= 6
         assert router._has_credit(group, 4) and not router._has_credit(group, 5)
+
+    def test_a_block_on_a_busy_socket_is_priced_one_round_later(self):
+        # 24 workers on two sockets, each socket's DRAM feeding 8 of them:
+        # a block priced 8 s is cut into 6 morsels of 1.33 s against a
+        # 1.5 s GPU.  With 8 morsels out on the other socket, the CPU
+        # finishes the block in one round, before the GPU.  With them on
+        # the block's own socket, it needs two (2.67 s): the GPU takes
+        # it, since no group drains its blocks before it finishes this one.
+        def handle(node):
+            return BlockHandle(Block({"a": np.arange(100, dtype=np.int64)}, node))
+
+        sim = Simulator()
+        cpu = ConsumerGroup(_cpu_stage(dop=24), ["cpu:0", "cpu:1"] * 12)
+        gpu = ConsumerGroup(_gpu_stage(dop=1), ["gpu:0"])
+        _priced(cpu, 8.0, cores_fed=8)
+        _priced(gpu, 1.5)
+        cpu.reads_in_place = lambda handle: True
+        router = Router(sim, _producer(), [cpu, gpu], RouterPolicy.LOAD_BALANCE)
+        router.unit_stats = BlockStats(tuples_in=1)
+        block = handle("cpu:0")
+        assert router._morsels(cpu, block) == 6
+        for busy, taker in (("cpu:1", cpu), ("cpu:0", gpu)):
+            for _ in range(8):
+                router._enqueue(handle(busy), cpu, None)
+            assert cpu.on_node[busy] == cpu.outstanding == 8
+            assert router._price(block) == (taker, None)
+            for index in range(8):
+                router.report_done(cpu, index, busy)
+            assert cpu.on_node[busy] == cpu.outstanding == 0
+            assert router._price(block) == (cpu, None)
 
     def test_equal_prices_route_as_an_uncut_router(self):
         service = {"cpu": 1.0, "gpu": 0.25}

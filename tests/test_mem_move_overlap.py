@@ -401,7 +401,7 @@ class TestRouterLocalityTieBreak:
                 if got.value is Store.END:
                     return
                 landed[index].append(got.value.node_id)
-                router.report_done(group, index)
+                router.report_done(group, index, got.value.node_id)
 
         sim.process(router.run())
         sim.process(consumer(0))

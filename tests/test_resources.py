@@ -285,12 +285,15 @@ def test_names_are_formatted_when_read():
 
 def _reference_rates(capacity, jobs):
     """Water-filling as first written (three lists a round): the
-    arithmetic _allocate must reproduce to the last bit."""
+    arithmetic _allocate must reproduce to the last bit.  The weight
+    total is a left fold, as in _allocate, on every Python version."""
     rates = {}
     pending = list(jobs)
     remaining_capacity = capacity
     while pending:
-        total_weight = sum(j.weight for j in pending)
+        total_weight = 0.0
+        for job in pending:
+            total_weight += job.weight
         per_weight = remaining_capacity / total_weight
         capped = [
             j for j in pending

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro import ExecutionConfig, Proteus, agg_count, agg_sum, col, scan
-from repro.ssb import load_ssb, ssb_queries
+from repro.ssb import generate_ssb, load_ssb, ssb_queries
 from repro.storage import Column, DataType, Table
 from scenario import ssb_tables
 
@@ -125,6 +125,29 @@ def test_hybrid_beats_the_best_device_on_a_coarse_stream():
         assert hybrid <= 0.95 * best, f"{qid}: hybrid {hybrid} vs {best}"
         totals = [t + s for t, s in zip(totals, (cpu, gpu, hybrid))]
     assert totals[2] <= 0.8 * min(totals[:2]), f"totals {totals}"
+
+
+def test_hybrid_keeps_both_devices_busy_on_big_blocks():
+    """Nineteen 65 536-row probe blocks a query (SSB SF 0.2 replayed at
+    SF 1000): hybrid reaches at least 0.78 of the summed CPU-only and
+    GPU-only throughputs on every query.  The router prices a CPU block
+    against its home socket's DRAM, which feeds 8 of the 24 cores.
+    Priced at the group's core count, Q4.1 sent 5 of its 7 CPU blocks
+    to one socket and read 0.687."""
+    # SF 0.2 is read here alone: through ssb_tables() its 90 MB would stay
+    # cached for the rest of the session
+    tables = generate_ssb(0.2, 42)  # repro: noqa[RP010] read once, not cached
+    engine = Proteus(segment_rows=131072)
+    load_ssb(engine, tables=tables, logical_sf=1000.0)
+    configs = (
+        ExecutionConfig.cpu_only(24, block_tuples=65536),
+        ExecutionConfig.gpu_only([0, 1], block_tuples=65536),
+        ExecutionConfig.hybrid(24, [0, 1], block_tuples=65536),
+    )
+    for qid, plan in ssb_queries().items():
+        cpu, gpu, hybrid = (engine.query(plan, c).seconds for c in configs)
+        efficiency = 1 / (1 / cpu + 1 / gpu) / hybrid
+        assert efficiency >= 0.78, f"{qid}: hybrid efficiency {efficiency:.3f}"
 
 
 def test_a_query_reads_the_same_seconds_after_any_prefix():
