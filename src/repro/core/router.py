@@ -23,7 +23,7 @@ Consumer queues are bounded and load-balance routing is credit-throttled,
 which yields the pull-style backpressure that lets heterogeneous
 consumers drain work in proportion to their throughput.  At the Fig. 5
 harness settings (SSB SF 0.01 replayed at SF 1000, 256-row blocks) the
-hybrid reaches on average 0.820 of the summed CPU-only and GPU-only
+hybrid reaches on average 0.836 of the summed CPU-only and GPU-only
 throughputs (the paper reports 88.5 %).
 
 A load-balance router over two or more groups (a hybrid CPU + GPU probe)
@@ -74,10 +74,16 @@ share one :class:`Morsels`: the first worker to dequeue one runs the
 generated pipeline on the whole block and stores each morsel's share of
 its work, every morsel charges that share, and the last one to finish
 emits the block's outputs.  ``k = 1`` is the
-whole block; per-instance (GPU) groups, single-group routers and
-broadcasts are never split.  The price reads only this router's own
-counts: what other queries run on a shared socket or device stays
-unpriced.
+whole block; per-instance (GPU) groups and single-group routers are never
+split.  The price reads only this router's own counts: what other queries
+run on a shared socket or device stays unpriced.
+
+A broadcast over two or more groups with price hooks (a hybrid build) is
+priced too, and cuts its shared-queue copy by the same rule, so every CPU
+worker builds the one shared hash table.  It enqueues the per-instance
+copies first; the first one a worker picks up calibrates the router, and
+the CPU copy waits for that.  ``fastest`` is then a GPU's build, wire time
+included, so the CPU's part of the build ends about when the GPUs' do.
 
 Routers are fully re-entrant: every piece of routing state (credit
 book-keeping, calibration, the pending wake-up) lives on the instance,
@@ -156,7 +162,7 @@ class ConsumerGroup:
     #: one instance's price for a block at the router's per-tuple work
     #: (``fn(handle, unit_stats) -> BlockPrice``: seconds, and for a CPU
     #: group the cores its socket's DRAM feeds), from the cost model, so a
-    #: load-balance router can price a block before it commits it
+    #: priced router can price a block before it commits or cuts it
     block_price: Optional[object] = None
     #: whether the group's workers read a block where it lies, with no
     #: mem-move (``fn(handle) -> bool``).  Only such blocks are cut into
@@ -240,10 +246,14 @@ class Router:
         )
         self.routed_blocks = 0
         self._wakeup = None
-        #: a load-balance router over several groups (not a broadcast):
-        #: it records ``unit_stats`` and prices every block
-        self.priced = (
-            policy == RouterPolicy.LOAD_BALANCE and not broadcast and len(groups) > 1
+        #: a load-balance router over several groups, or a broadcast over
+        #: several groups with price hooks: it records ``unit_stats``, and
+        #: prices every block (load-balance) or cuts its shared-queue copy
+        #: (broadcast)
+        self.priced = len(groups) > 1 and (
+            all(g.block_price is not None for g in groups)
+            if broadcast
+            else policy == RouterPolicy.LOAD_BALANCE
         )
         #: the calibration block's per-tuple work, which the groups'
         #: ``block_price`` read; set once, by :meth:`calibrate`
@@ -259,6 +269,9 @@ class Router:
                     self.targets.append((group, i))
             else:
                 self.targets.append((group, None))
+        self._fanout = sorted(
+            enumerate(self.targets), key=lambda t: not t[1][0].per_instance
+        )
 
     def _wire_queues(self) -> None:
         for group in self.groups:
@@ -293,32 +306,47 @@ class Router:
             if handle is Store.END:
                 break
             if self.broadcast:
-                for target_id, (group, instance) in enumerate(self.targets):
+                # Per-instance (GPU) copies first: the first one picked up
+                # calibrates a priced router, which then cuts the
+                # shared-queue (CPU) copy into morsels.
+                for target_id, (group, instance) in self._fanout:
                     copy = handle.routed_copy()
                     copy.target_id = target_id
-                    yield self._enqueue(copy, group, instance)
+                    cold = self.priced and not group.per_instance
+                    while cold and self.unit_stats is None:
+                        yield self._wait()
+                    yield from self._put(copy, group, instance)
                     self.routed_blocks += 1
             else:
                 choice = self._select(handle)
                 while choice is None:
                     # No group may take the block yet (load-balance
                     # only): wait for a completion or calibration stats.
-                    self._wakeup = self.sim.event(name=("{}:credit", self.name))
-                    yield self._wakeup
+                    yield self._wait()
                     choice = self._select(handle)
-                group, instance = choice
-                k = self._morsels(group, handle)
-                if k == 1:
-                    yield self._enqueue(handle, group, instance)
-                else:
-                    morsels = Morsels(k)
-                    for _ in range(k):
-                        copy = handle.routed_copy()
-                        copy.morsels = morsels
-                        yield self._enqueue(copy, group, None)
+                yield from self._put(handle, *choice)
                 self.routed_blocks += 1
         for group in self.groups:
             group.close()
+
+    def _wait(self):
+        """An event the next completion or calibration triggers."""
+        self._wakeup = self.sim.event(name=("{}:credit", self.name))
+        return self._wakeup
+
+    def _put(self, handle: BlockHandle, group: ConsumerGroup,
+             instance: Optional[int]):
+        """Enqueue ``handle`` for ``group``: whole, or as ``k`` routed
+        copies that share one :class:`Morsels`."""
+        k = self._morsels(group, handle)
+        if k == 1:
+            yield self._enqueue(handle, group, instance)
+            return
+        morsels = Morsels(k)
+        for _ in range(k):
+            copy = handle.routed_copy()
+            copy.morsels = morsels
+            yield self._enqueue(copy, group, None)
 
     def _enqueue(self, handle: BlockHandle, group: ConsumerGroup,
                  instance: Optional[int]):

@@ -114,9 +114,6 @@ class Proteus:
     def place_gpu_partitioned(self, name: str, seed: int = 0) -> None:
         self.catalog.place_gpu_partitioned(name, seed=seed)
 
-    def place_gpu_replicated(self, name: str) -> None:
-        self.catalog.place_gpu_replicated(name)
-
     # -- queries -----------------------------------------------------------------
 
     def plan(self, plan: Plan, config: ExecutionConfig) -> HetPlan:

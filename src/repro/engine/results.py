@@ -33,12 +33,6 @@ class ExecutionProfile:
     #: blocks routed by all routers
     blocks_routed: int = 0
 
-    def throughput(self, logical_input_bytes: float) -> float:
-        """Logical input bytes per simulated second."""
-        if self.seconds <= 0:
-            return 0.0
-        return logical_input_bytes / self.seconds
-
 
 @dataclass
 class QueryResult:

@@ -1339,12 +1339,6 @@ class EngineServer:
     def register(self, table: Table, placement: Optional[Placement] = None) -> None:
         self.engine.register(table, placement)
 
-    def place_gpu_partitioned(self, name: str, seed: int = 0) -> None:
-        self.engine.place_gpu_partitioned(name, seed=seed)
-
-    def place_gpu_replicated(self, name: str) -> None:
-        self.engine.place_gpu_replicated(name)
-
     # -- submission --------------------------------------------------------
 
     def submit(

@@ -19,7 +19,7 @@ from .costmodel import (
 from .resources import BandwidthResource, FifoResource
 from .sim import AllOf, AnyOf, Event, Interrupt, Process, SimulationError, Simulator, Store, Timeout
 from .specs import PAPER_SERVER, ServerSpec
-from .topology import Core, DeviceType, Gpu, MemoryNode, PcieLink, Server, Socket, build_server
+from .topology import Core, DeviceType, Gpu, MemoryNode, PcieLink, Server, Socket
 
 __all__ = [
     "Simulator",
@@ -42,7 +42,6 @@ __all__ = [
     "Gpu",
     "PcieLink",
     "Server",
-    "build_server",
     "BlockStats",
     "WorkRequest",
     "TransferPlan",

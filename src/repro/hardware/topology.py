@@ -37,7 +37,6 @@ __all__ = [
     "QpiLink",
     "Path",
     "Server",
-    "build_server",
 ]
 
 
@@ -223,8 +222,8 @@ class Gpu:
 class Server:
     """A fully wired simulated heterogeneous server.
 
-    Construct via :func:`build_server` (or
-    :meth:`Server.paper_machine`), which needs a live
+    Construct via :meth:`Server.paper_machine` (or ``Server(sim, spec)``),
+    which needs a live
     :class:`~repro.hardware.sim.Simulator` because all shared resources are
     simulation objects.
     """
@@ -449,8 +448,3 @@ class Server:
             f"<Server sockets={len(self.sockets)} cores={len(self.cores)} "
             f"gpus={len(self.gpus)}>"
         )
-
-
-def build_server(sim: Simulator, spec: Optional[ServerSpec] = None) -> Server:
-    """Build a simulated server; defaults to the paper's machine."""
-    return Server(sim, spec or PAPER_SERVER)

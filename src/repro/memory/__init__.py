@@ -8,7 +8,6 @@ from .managers import (
     BlockManagerSet,
     MemoryManager,
     OutOfDeviceMemory,
-    make_block,
 )
 
 __all__ = [
@@ -18,7 +17,6 @@ __all__ = [
     "BlockManager",
     "BlockManagerSet",
     "OutOfDeviceMemory",
-    "make_block",
     "REMOTE_ACQUIRE_LATENCY",
     "REMOTE_BATCH_SIZE",
 ]

@@ -26,10 +26,7 @@ what makes the DBMS G Q4.3 failure reproducible).
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..hardware.topology import MemoryNode, Server
-from .block import Block
 
 __all__ = ["MemoryManager", "BlockManager", "BlockManagerSet", "OutOfDeviceMemory"]
 
@@ -167,10 +164,3 @@ class BlockManagerSet:
             node_id: manager.arena_blocks - manager.free_blocks
             for node_id, manager in self.managers.items()
         }
-
-
-def make_block(
-    columns: dict[str, np.ndarray], node_id: str, logical_scale: float = 1.0
-) -> Block:
-    """Convenience constructor used throughout the engine and tests."""
-    return Block(columns, node_id, logical_scale)

@@ -69,18 +69,3 @@ def join_count_query() -> Plan:
         .join(scan("build", ["bk"]), probe_key="pk", build_key="bk", payload=[])
         .reduce([agg_count("matches")])
     )
-
-
-def logical_scales(
-    sum_bytes: float,
-    build_bytes: float,
-    sum_table: Table,
-    probe: Table,
-    build: Table,
-) -> dict[str, float]:
-    """Per-table multipliers hitting the requested logical byte sizes."""
-    return {
-        "t": sum_bytes / sum_table.column_bytes(),
-        "probe": sum_bytes / probe.column_bytes(),
-        "build": build_bytes / build.column_bytes(),
-    }

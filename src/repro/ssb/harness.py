@@ -81,9 +81,6 @@ class FigureResult:
     working_set: dict[str, float] = field(default_factory=dict)
     notes: dict[str, str] = field(default_factory=dict)
 
-    def series(self, system: str) -> list[float]:
-        return [self.seconds[system][qid] for qid in SSB_QUERY_IDS]
-
     def speedup(self, faster: str, slower: str, qid: str) -> float:
         return self.seconds[slower][qid] / self.seconds[faster][qid]
 

@@ -358,7 +358,7 @@ class TestMorselSplitting:
         router, cpu, gpu, log = self._route(2.0, 1.0, 12)
         assert {m.k for device, _, m in log if device == "cpu"} == {2}
 
-    def test_single_group_and_broadcast_routers_never_cut(self):
+    def test_single_group_routers_never_cut(self):
         sim = Simulator()
         alone = ConsumerGroup(_cpu_stage(dop=4), ["cpu:0"] * 4)
         _priced(alone, 9.0)
@@ -368,14 +368,57 @@ class TestMorselSplitting:
         assert len(received) == 6
         assert all(handle.morsels is None for handle in received)
 
+    def _broadcast(self, cpu_dop, cores_fed=64, priced=True):
+        """A broadcast router over a CPU group (shared queue) and one GPU,
+        both reading in place, priced 9 s and 1 s a block if ``priced``."""
         sim = Simulator()
-        cpu = ConsumerGroup(_cpu_stage(dop=4), ["cpu:0"] * 4)
+        cpu = ConsumerGroup(_cpu_stage(dop=cpu_dop), ["cpu:0"] * cpu_dop)
         gpu = ConsumerGroup(_gpu_stage(dop=1), ["gpu:0"])
         for group, seconds in ((cpu, 9.0), (gpu, 1.0)):
-            _priced(group, seconds)
+            if priced:
+                _priced(group, seconds, cores_fed)
             group.reads_in_place = lambda handle: True
-        router = Router(sim, _producer(), [cpu, gpu], RouterPolicy.LOAD_BALANCE,
+        router = Router(sim, _producer(), [cpu, gpu], RouterPolicy.TARGET,
                         broadcast=True)
+        return sim, router, cpu, gpu
+
+    @pytest.mark.parametrize("dop, cores_fed, k", [
+        (4, 64, 4),    # dop binds
+        (12, 64, 9),   # own / fastest = 9 binds
+        (24, 8, 8),    # the socket feeds 8 cores
+    ])
+    def test_a_priced_broadcast_cuts_its_cpu_copy_after_calibration(
+            self, dop, cores_fed, k):
+        sim, router, cpu, gpu = self._broadcast(dop, cores_fed)
+        assert router.priced
+        handles = [
+            BlockHandle(Block({"a": np.arange(100, dtype=np.int64)}, "cpu:0"))
+            for _ in range(2)
+        ]
+        taken = []
+        for group in (gpu, cpu):
+            _consume(sim, router, group, seconds=None, taken=taken)
+        for handle in handles:
+            router.input.put(handle)
+        router.input.close()
+        sim.process(router.run())
+        sim.run()
+        # The GPU copy goes first; the CPU copy waits for calibration.
+        assert [(g, h.block) for g, _, h in taken] == [(gpu, handles[0].block)]
+        assert cpu.assigned == 0 and router.unit_stats is None
+        router.calibrate(BlockStats(tuples_in=1))
+        sim.run()
+        for block in (h.block for h in handles):
+            copies = [(g, h) for g, _, h in taken if h.block is block]
+            assert copies[0][0] is gpu and copies[0][1].morsels is None
+            cut = [h.morsels for g, h in copies[1:]]
+            assert len(cut) == k and all(g is cpu for g, _ in copies[1:])
+            assert cut[0].k == k and all(m is cut[0] for m in cut)
+        assert cpu.assigned == 2 * k and gpu.assigned == 2
+
+    def test_a_broadcast_without_price_hooks_is_never_cut(self):
+        sim, router, cpu, gpu = self._broadcast(4, priced=False)
+        assert not router.priced
         received = _drain(sim, router, [cpu, gpu], 3)
         assert [len(received[id(g)]) for g in (cpu, gpu)] == [3, 3]
         assert all(h.morsels is None for g in (cpu, gpu) for h in received[id(g)])

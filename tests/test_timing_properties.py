@@ -129,11 +129,12 @@ def test_hybrid_beats_the_best_device_on_a_coarse_stream():
 
 def test_hybrid_keeps_both_devices_busy_on_big_blocks():
     """Nineteen 65 536-row probe blocks a query (SSB SF 0.2 replayed at
-    SF 1000): hybrid reaches at least 0.78 of the summed CPU-only and
+    SF 1000): hybrid reaches at least 0.81 of the summed CPU-only and
     GPU-only throughputs on every query.  The router prices a CPU block
     against its home socket's DRAM, which feeds 8 of the 24 cores.
     Priced at the group's core count, Q4.1 sent 5 of its 7 CPU blocks
-    to one socket and read 0.687."""
+    to one socket and read 0.687.  A build's one-block dimension is cut
+    into morsels for the CPU workers; built by one core, Q3.1 read 0.786."""
     # SF 0.2 is read here alone: through ssb_tables() its 90 MB would stay
     # cached for the rest of the session
     tables = generate_ssb(0.2, 42)  # repro: noqa[RP010] read once, not cached
@@ -147,7 +148,7 @@ def test_hybrid_keeps_both_devices_busy_on_big_blocks():
     for qid, plan in ssb_queries().items():
         cpu, gpu, hybrid = (engine.query(plan, c).seconds for c in configs)
         efficiency = 1 / (1 / cpu + 1 / gpu) / hybrid
-        assert efficiency >= 0.78, f"{qid}: hybrid efficiency {efficiency:.3f}"
+        assert efficiency >= 0.81, f"{qid}: hybrid efficiency {efficiency:.3f}"
 
 
 def test_a_query_reads_the_same_seconds_after_any_prefix():

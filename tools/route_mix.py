@@ -44,16 +44,16 @@ def route_query(workload, query: str):
     blocks: Counter = Counter()
     morsels: Counter = Counter()
     last: dict = {}
-    cut = set()
+    cut = set()  # holds each counted Morsels, so no freed id is reused
     enqueue, report_done = Router._enqueue, Router.report_done
 
     def counting_enqueue(self, handle, group, instance):
         key = (self.name.split(":", 1)[-1], group.stage.name, handle.node_id)
         morsels[key] += 1
-        if handle.morsels is None or id(handle.morsels) not in cut:
+        if handle.morsels is None or handle.morsels not in cut:
             blocks[key] += 1
             if handle.morsels is not None:
-                cut.add(id(handle.morsels))
+                cut.add(handle.morsels)
         return enqueue(self, handle, group, instance)
 
     def timed_report_done(self, group, *args):
