@@ -9,6 +9,7 @@ Not paper figures — these isolate the mechanisms behind them:
   pipelining (the paper's block-at-a-time argument, Section 3.2).
 """
 
+from fingerprint import drive
 from repro.engine.config import ExecutionConfig
 from repro.engine.proteus import Proteus
 from repro.ssb import load_ssb, ssb_query
@@ -32,7 +33,10 @@ def test_ablation_join_order(benchmark):
         return (optimized.query(ssb_query("Q3.4"), config).seconds,
                 baseline.query(ssb_query("Q3.4"), config).seconds)
 
-    with_opt, without = benchmark.pedantic(run, rounds=1, iterations=1)
+    with_opt, without = benchmark.pedantic(
+        drive, args=(run,), kwargs={"key": "ablation/join-order"},
+        rounds=1, iterations=1,
+    )
     print(f"\nQ3.4 CPU: optimised probe order {with_opt:.2f}s, "
           f"plan order {without:.2f}s ({without/with_opt:.1f}x)")
     assert with_opt < without / 1.5, (
@@ -55,7 +59,10 @@ def test_ablation_dma_priority(benchmark, monkeypatch):
             monkeypatch.undo()
         return prioritised, fair
 
-    prioritised, fair = benchmark.pedantic(run, rounds=1, iterations=1)
+    prioritised, fair = benchmark.pedantic(
+        drive, args=(run,), kwargs={"key": "ablation/dma-priority"},
+        rounds=1, iterations=1,
+    )
     print(f"\nQ2.1 hybrid: DMA weight 3 -> {prioritised:.2f}s, "
           f"weight 1 -> {fair:.2f}s")
     assert prioritised <= fair * 1.05, (
@@ -78,7 +85,10 @@ def test_ablation_block_granularity(benchmark):
                                              config).seconds
         return out
 
-    times = benchmark.pedantic(run, rounds=1, iterations=1)
+    times = benchmark.pedantic(
+        drive, args=(run,), kwargs={"key": "ablation/block-granularity"},
+        rounds=1, iterations=1,
+    )
     print("\nQ1.1 GPU by block size: "
           + " ".join(f"{k}t:{v*1e3:.1f}ms" for k, v in times.items()))
     # per-block overheads dominate at tiny granularity

@@ -19,17 +19,18 @@ import math
 import pytest
 
 from conftest import print_figure
+from fingerprint import drive
 from repro.ssb.harness import run_fig4
 from repro.ssb.queries import SSB_QUERY_IDS
 
 
 @pytest.fixture(scope="module")
 def fig4(settings):
-    return run_fig4(settings)
+    return drive(run_fig4, settings)
 
 
 def test_fig4_regenerate(benchmark, settings):
-    result = benchmark.pedantic(run_fig4, args=(settings,),
+    result = benchmark.pedantic(drive, args=(run_fig4, settings),
                                 kwargs={"queries": ["Q1.1"]},
                                 rounds=1, iterations=1)
     assert result.seconds["Proteus GPUs"]["Q1.1"] > 0

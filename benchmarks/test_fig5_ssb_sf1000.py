@@ -17,17 +17,18 @@ import math
 import pytest
 
 from conftest import print_figure
+from fingerprint import Fingerprint, drive
 from repro.ssb.harness import run_fig5
 from repro.ssb.queries import SSB_QUERY_IDS
 
 
 @pytest.fixture(scope="module")
 def fig5(settings):
-    return run_fig5(settings)
+    return drive(run_fig5, settings)
 
 
 def test_fig5_regenerate(benchmark, settings):
-    result = benchmark.pedantic(run_fig5, args=(settings,),
+    result = benchmark.pedantic(drive, args=(run_fig5, settings),
                                 kwargs={"queries": ["Q1.1"]},
                                 rounds=1, iterations=1)
     assert result.seconds["Proteus Hybrid"]["Q1.1"] > 0
@@ -115,15 +116,15 @@ class TestTransferOverlap:
 
     @pytest.fixture(scope="class")
     def sweep(self, settings):
-        """``(results, totals)``, both keyed by depth: each query's
-        result, and the drive's simulated seconds and heap pushes."""
+        """Each query's result, keyed by depth; each depth is one drive,
+        checked as ``fig5/gpu/depth=N`` in ``tests/signatures.json``."""
         from repro.engine.config import ExecutionConfig
         from repro.ssb import load_ssb, ssb_query
         from repro.engine.proteus import Proteus
         from scenario import ssb_tables
 
         tables = ssb_tables(settings.physical_sf, settings.seed)
-        out, totals = {}, {}
+        out = {}
         for depth in (1, 2):
             engine = Proteus(segment_rows=settings.segment_rows)
             load_ssb(engine, tables=tables, logical_sf=1000.0)
@@ -132,24 +133,14 @@ class TestTransferOverlap:
                 prefetch_depth=depth,
             )
             results = out[depth] = {}
-            seconds = 0.0
-            for qid in SSB_QUERY_IDS:
-                results[qid] = engine.query(ssb_query(qid), config)
-                # a left fold, never sum(): compensated from Python 3.12 on
-                seconds += results[qid].seconds
-            totals[depth] = (seconds, engine.sim._seq)
-        return out, totals
-
-    def test_simulated_seconds_and_heap_pushes_are_pinned(self, sweep):
-        """Exact on every supported Python: a drift means the engine's
-        behaviour changed."""
-        assert sweep[1] == {
-            1: (68.57754318033938, 67_540),
-            2: (59.061152311294535, 80_002),
-        }
+            with Fingerprint() as fingerprint:
+                for qid in SSB_QUERY_IDS:
+                    results[qid] = engine.query(ssb_query(qid), config)
+            fingerprint.check(f"fig5/gpu/depth={depth}")
+        return out
 
     def test_overlap_beats_serial_by_15_percent_geomean(self, sweep):
-        results, _ = sweep
+        results = sweep
         ratios = {
             qid: results[1][qid].seconds / results[2][qid].seconds
             for qid in SSB_QUERY_IDS
@@ -170,7 +161,7 @@ class TestTransferOverlap:
         assert all(r >= 1.0 - 1e-9 for r in ratios.values()), ratios
 
     def test_overlap_results_byte_identical(self, sweep):
-        results, _ = sweep
+        results = sweep
         for qid in SSB_QUERY_IDS:
             assert results[1][qid].rows == results[2][qid].rows, qid
 

@@ -14,6 +14,7 @@ Claims asserted:
 
 import pytest
 
+from fingerprint import drive
 from repro.ssb.harness import HarnessSettings, run_fig6
 
 CORES = (1, 2, 4, 8, 16, 24)
@@ -26,14 +27,14 @@ def fig6(settings):
         block_tuples=settings.block_tuples,
         segment_rows=settings.segment_rows,
     )
-    return run_fig6(small, core_counts=CORES, gpu_settings=(0, 2))
+    return drive(run_fig6, small, core_counts=CORES, gpu_settings=(0, 2))
 
 
 def test_fig6_regenerate(benchmark, settings):
     small = HarnessSettings(physical_sf=0.002, block_tuples=256,
                             segment_rows=1024)
     result = benchmark.pedantic(
-        run_fig6, args=(small,),
+        drive, args=(run_fig6, small),
         kwargs={"core_counts": (1, 4), "gpu_settings": (0,), "groups": (1,)},
         rounds=1, iterations=1,
     )

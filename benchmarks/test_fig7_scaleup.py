@@ -16,6 +16,7 @@ for bare single-CPU / single-GPU Proteus.  Claims asserted:
 
 import pytest
 
+from fingerprint import drive
 from repro.micro.harness import MicroSettings, run_scaleup
 
 CORES = (0, 1, 2, 4, 8, 16, 24)
@@ -29,17 +30,17 @@ def micro_settings():
 
 @pytest.fixture(scope="module")
 def fig7_sum(micro_settings):
-    return run_scaleup("sum", micro_settings, core_counts=CORES)
+    return drive(run_scaleup, "sum", micro_settings, core_counts=CORES)
 
 
 @pytest.fixture(scope="module")
 def fig7_join(micro_settings):
-    return run_scaleup("join", micro_settings, core_counts=CORES)
+    return drive(run_scaleup, "join", micro_settings, core_counts=CORES)
 
 
 def test_fig7_regenerate(benchmark, micro_settings):
     result = benchmark.pedantic(
-        run_scaleup, args=("sum", micro_settings),
+        drive, args=(run_scaleup, "sum", micro_settings),
         kwargs={"core_counts": (1, 4), "gpu_counts": (0,)},
         rounds=1, iterations=1,
     )

@@ -12,6 +12,7 @@ core (top) and one GPU (bottom), for the sum and join queries.  Claims:
 
 import pytest
 
+from fingerprint import drive
 from repro.micro.harness import MicroSettings, run_sizeup
 
 SIZES = (0.0625, 0.125, 0.25, 0.5, 1, 2, 4, 8, 16)
@@ -35,12 +36,12 @@ def device(request):
 
 @pytest.fixture(scope="module")
 def fig8(query, device, micro_settings):
-    return run_sizeup(query, micro_settings, sizes_gb=SIZES, device=device)
+    return drive(run_sizeup, query, micro_settings, sizes_gb=SIZES, device=device)
 
 
 def test_fig8_regenerate(benchmark, micro_settings):
     result = benchmark.pedantic(
-        run_sizeup, args=("sum", micro_settings),
+        drive, args=(run_sizeup, "sum", micro_settings),
         kwargs={"sizes_gb": (1.0,), "device": "cpu"},
         rounds=1, iterations=1,
     )

@@ -113,8 +113,6 @@ class TestFleetFailoverSmoke:
         report = out.report
         print("\n" + report.summary())
         _assert_typed(report)
-        # simulated makespan and heap pushes, exact on every supported Python
-        assert (report.makespan, out.system.sim._seq) == (0.13363601875, 8_643)
         # the loss actually fired mid-drive and the fleet failed over
         assert report.server_losses == 1
         assert report.lost_servers == ["srv0"]

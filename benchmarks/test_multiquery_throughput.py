@@ -68,12 +68,6 @@ class TestMixedBatchConcurrency:
     def test_concurrent_results_match_solo_reference(self, settings):
         out = run_scenario(_batch(settings, MIXED_BATCH, 8))
         assert len(out.report.completed) == len(MIXED_BATCH)
-        # simulated makespan and heap pushes, exact on every supported Python.
-        # A hybrid build enqueues its GPU copies before its CPU copy: no
-        # block is cut here (4 CPU workers, 256-row blocks), and the DRAM
-        # resources tick two fewer times (26 942 while the CPU copy went first).
-        pinned = (out.report.makespan, out.system.sim._seq)
-        assert pinned == (2.9568519897591408, 26_940)
 
     def test_concurrent_throughput_strictly_beats_serial(self, settings):
         concurrent = run_scenario(_batch(settings, MIXED_BATCH, 8)).report

@@ -17,13 +17,14 @@ import math
 
 import pytest
 
+from fingerprint import drive
 from repro.ssb.harness import run_fig5
 from repro.ssb.queries import SSB_QUERY_IDS
 
 
 @pytest.fixture(scope="module")
 def fig5(settings):
-    return run_fig5(settings)
+    return drive(run_fig5, settings)
 
 
 def _geomean(values):
@@ -32,7 +33,7 @@ def _geomean(values):
 
 
 def test_summary_regenerate(benchmark, settings):
-    result = benchmark.pedantic(run_fig5, args=(settings,),
+    result = benchmark.pedantic(drive, args=(run_fig5, settings),
                                 kwargs={"queries": ["Q4.3"]},
                                 rounds=1, iterations=1)
     assert result.seconds["Proteus Hybrid"]["Q4.3"] > 0

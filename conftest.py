@@ -8,8 +8,13 @@ Also defines the ``slow`` marker tier: long-running benchmarks (the
 multi-query saturation sweeps) are opt-in.  They are skipped by default
 and run with ``pytest --runslow`` (or selected with ``-m slow``); the
 fast tier is what ``pytest -m "not slow"`` and plain ``pytest`` run.
+
+And the session ends of the drive fingerprints (``tests/fingerprint.py``):
+a regeneration writes what every drive reached, and a full run lists the
+committed entries no drive reached.
 """
 
+import json
 import os
 import sys
 
@@ -47,3 +52,36 @@ def pytest_collection_modifyitems(config, items):
     for item in items:
         if "slow" in item.keywords:
             item.add_marker(skip_slow)
+
+
+def pytest_sessionfinish(session):
+    fingerprint = sys.modules.get("fingerprint")
+    if fingerprint is not None and fingerprint.WRITE_TO:
+        entries = {
+            key: {**entry, "test": fingerprint.TESTS[key]}
+            for key, entry in fingerprint.REACHED.items()
+        }
+        with open(fingerprint.WRITE_TO, "w") as out:
+            json.dump(entries, out)
+
+
+def pytest_terminal_summary(terminalreporter, config):
+    fingerprint = sys.modules.get("fingerprint")
+    stats = terminalreporter.stats
+    partial = config.args_source == config.ArgsSource.ARGS or any(
+        (config.option.keyword, config.option.markexpr, stats.get("deselected"))
+    )
+    broken = stats.get("failed") or stats.get("error")
+    if fingerprint is None or fingerprint.WRITE_TO or partial or broken:
+        return
+    # a skipped test (the slow tier, unless --runslow) reaches no drive
+    skipped = {report.nodeid for report in stats.get("skipped", ())}
+    stale = [
+        f"{key} ({entry['test']})"
+        for key, entry in sorted(fingerprint.committed().items())
+        if key not in fingerprint.REACHED and entry["test"] not in skipped
+    ]
+    if stale:
+        terminalreporter.write_sep("=", f"{len(stale)} fingerprint(s) no drive reached")
+        for line in stale:
+            terminalreporter.write_line(line)

@@ -259,14 +259,14 @@ class MemMove:
         acquire_latency = (
             0.0 if acquired % REMOTE_BATCH_SIZE else 2 * REMOTE_ACQUIRE_LATENCY
         )
-        path = self.select_path(handle.node_id, target_node,
-                                handle.block.nbytes,
+        nbytes = handle.block.nbytes
+        path = self.select_path(handle.node_id, target_node, nbytes,
                                 scale=handle.block.logical_scale)
         self.path_counts[path.key] = self.path_counts.get(path.key, 0) + 1
         new_handle = handle.routed_copy(block=handle.block.with_node(target_node))
         new_handle.transfer_done = self.sim.process(
             self._dma(handle.block, path, acquire_latency),
-            name=("memmove:{}", handle.block.block_id),
+            name=("memmove:{}->{}:{}B", handle.node_id, target_node, nbytes),
         )
         self.transfers += 1
         self.bytes_moved += handle.block.logical_bytes
@@ -364,14 +364,14 @@ class MemMove:
         # consumer once it has processed the block (release_staged in the
         # worker's epilogue), not when the wire goes quiet.
         start = self.sim.now
-        plan = self.cost.transfer_plan(block.nbytes, scale=block.logical_scale)
+        nbytes = block.nbytes
+        plan = self.cost.transfer_plan(nbytes, scale=block.logical_scale)
         # path_rate_cap is the single source of the stream cap (pinned /
         # pageable / peer-DMA): it subsumes plan.link_rate_cap
         rate_cap = self.cost.path_rate_cap(path)
         yield self.sim.timeout(plan.setup_seconds * path.setups + acquire_latency)
-        jobs = path_transfer_jobs(
-            path, plan.nbytes, rate_cap, label=("dma:{}", block.block_id)
-        )
+        label = ("dma:{}->{}:{}B", path.src, path.dst, nbytes)
+        jobs = path_transfer_jobs(path, plan.nbytes, rate_cap, label=label)
         if jobs:
             yield self.sim.all_of(jobs)
         if self.straggler is not None:
@@ -381,7 +381,7 @@ class MemMove:
         elapsed = self.sim.now - start
         if self.dma_timeout is not None and elapsed > self.dma_timeout:
             raise TransferTimeout(
-                f"transfer of block {block.block_id} to {path.dst} took "
+                f"transfer of {nbytes} B from {path.src} to {path.dst} took "
                 f"{elapsed:.6f}s (deadline {self.dma_timeout:g}s)"
             )
 

@@ -93,9 +93,6 @@ class QoS:
         """Scavenger class: runs in the gaps, first to be preempted."""
         return cls(priority=-10, deadline_seconds=None, label="background")
 
-    def derive(self, **overrides: Any) -> "QoS":
-        return replace(self, **overrides)
-
 
 @dataclass(frozen=True)
 class ElasticPolicy:
@@ -177,9 +174,6 @@ class CachePolicy:
                 f"unknown eviction policy {self.eviction!r}; expected one "
                 f"of {sorted(EVICTION_RULES)}"
             )
-
-    def derive(self, **overrides: Any) -> "CachePolicy":
-        return replace(self, **overrides)
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,7 @@ Baselines reuse the model through :class:`EngineTuning` overrides:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from .specs import ServerSpec
@@ -222,9 +222,6 @@ class EngineTuning:
     #: (unpack + sink) pipeline — longer operator chains generate and
     #: optimise more code.
     compile_complexity_per_op: float = 0.15
-
-    def derive(self, **overrides) -> "EngineTuning":
-        return replace(self, **overrides)
 
 
 #: Proteus with HetExchange: register-pipelined JIT code on both devices.

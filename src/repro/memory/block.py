@@ -19,7 +19,6 @@ asserts this, which is the reproduction of the paper's locality invariant
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Any, Optional
 
@@ -27,13 +26,10 @@ import numpy as np
 
 __all__ = ["Block", "BlockHandle"]
 
-_block_ids = itertools.count()
-
-
 class Block:
     """A fixed set of equally-long column arrays resident on one node."""
 
-    __slots__ = ("block_id", "columns", "node_id", "logical_scale")
+    __slots__ = ("columns", "node_id", "logical_scale")
 
     def __init__(
         self,
@@ -44,7 +40,6 @@ class Block:
         lengths = {len(v) for v in columns.values()}
         if len(lengths) > 1:
             raise ValueError(f"ragged block: column lengths {lengths}")
-        self.block_id = next(_block_ids)
         self.columns = columns
         self.node_id = node_id
         self.logical_scale = logical_scale
@@ -78,7 +73,7 @@ class Block:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"<Block #{self.block_id} n={self.num_tuples} "
+            f"<Block n={self.num_tuples} "
             f"cols={sorted(self.columns)} @{self.node_id}>"
         )
 

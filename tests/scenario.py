@@ -17,19 +17,22 @@ failing invariant prints is the reproduction recipe.
 satisfy (:meth:`Outcome.check`): conservation clean, every reported
 session / fleet query terminal and counted once, every ``done`` one
 byte-identical to :class:`ReferenceExecutor`, every ``failed`` one
-typed.  A test body is left with the assertions that are specific to
-its scenario.
+typed — and checks the drive's event-log fingerprint against
+``tests/signatures.json`` (``fingerprint.py``).  A test body is left
+with the assertions that are specific to its scenario.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import hashlib
 import re
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
+from fingerprint import Fingerprint, check
 from repro import (
     EngineFleet,
     EngineServer,
@@ -244,21 +247,32 @@ def _spawn(system, arrivals) -> None:
 def run_scenario(
     scenario: Scenario, shared_cache: Optional[SharedCacheDirectory] = None
 ) -> "Outcome":
-    """Build, load, drive and :meth:`~Outcome.check` one scenario."""
-    return _drive(scenario, build(scenario, shared_cache), scenario.arrivals, ())
+    """Build, load, drive, :meth:`~Outcome.check` and fingerprint one
+    scenario."""
+    system, live = build(scenario, shared_cache), shared_cache is not None
+    return _drive(scenario, system, scenario.arrivals, chain=(live,))
 
 
-def _drive(scenario: Scenario, system, arrivals, reported: tuple) -> "Outcome":
-    _spawn(system, arrivals)
-    error = None
-    try:
-        report = system.run()
-    except SchedulerError as exc:
-        if not scenario.stalls:
-            raise
-        error, report = exc, system.last_report
-    outcome = Outcome(scenario, system, report, error, reported)
+def _drive(scenario, system, arrivals, reported=(), chain=(False,), exempt=False):
+    """One drive, keyed in ``tests/signatures.json`` by the scenario and
+    its ``chain``: whether a live shared cache was passed in, then the
+    arrivals of each :meth:`Outcome.then` drive.  An ``exempt`` drive's
+    fingerprint is taken but never checked against the file."""
+    with Fingerprint() as fingerprint:
+        _spawn(system, arrivals)
+        error = None
+        try:
+            report = system.run()
+        except SchedulerError as exc:
+            if not scenario.stalls:
+                raise
+            error, report = exc, system.last_report
+    outcome = Outcome(scenario, system, report, error, reported, chain)
     outcome.check()
+    outcome.fingerprint = fingerprint.entry(makespan=report.makespan)
+    if not exempt:
+        key = hashlib.sha256(repr((scenario, chain)).encode()).hexdigest()
+        check(f"scenario/{key[:16]}", outcome.fingerprint)
     return outcome
 
 
@@ -308,6 +322,10 @@ class Outcome:
     error: Optional[SchedulerError] = None
     #: what this system's earlier drives reported (see :meth:`then`)
     earlier: tuple = ()
+    #: the drive's place in its chain (see :func:`_drive`)
+    chain: tuple = (False,)
+    #: its entry in ``tests/signatures.json``: digest, events, makespan
+    fingerprint: dict = field(default_factory=dict)
 
     @property
     def items(self) -> list:
@@ -322,7 +340,8 @@ class Outcome:
     def then(self, *arrivals) -> "Outcome":
         """One more checked drive, of ``arrivals``, on the same system."""
         reported = (*self.earlier, *self.items)
-        return _drive(self.scenario, self.system, arrivals, reported)
+        chain = (*self.chain, arrivals)
+        return _drive(self.scenario, self.system, arrivals, reported, chain)
 
     def _require(self, holds: bool, what: str) -> None:
         if not holds:
@@ -366,7 +385,7 @@ class Outcome:
     def signature(self) -> tuple:
         """What two runs of one scenario must agree on: makespan, every
         session's outcome to the bit, the behavioural counters and the
-        simulator's event count."""
+        digest of the drive's event log."""
         if self.scenario.fleet is None:
             counters = ("preemptions", "resizes", "retries", "fallbacks", "faults")
             counters += ("cache",)
@@ -388,5 +407,5 @@ class Outcome:
             trails,
             [getattr(self.report, name) for name in counters],
             self.system.check_conservation(),  # the budgets' lifetime totals
-            self.system.sim._seq,
+            self.fingerprint["digest"],
         )

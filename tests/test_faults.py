@@ -595,31 +595,21 @@ class TestSchedulerRetry:
         assert bystander.retries == 0
 
     @pytest.mark.parametrize(
-        "scenario, makespan, events",
-        [
-            (PHASE_BOUNDARY_LOSS, 1.1228120380326796, 538),
-            (SPURIOUS_ABORT, 0.011215601882352945, 445),
-        ],
+        "scenario",
+        [PHASE_BOUNDARY_LOSS, SPURIOUS_ABORT],
         ids=["phase-boundary-loss", "spurious-abort"],
     )
-    def test_a_retry_is_one_more_admission(self, scenario, makespan, events):
-        """Makespan, latency and event count recorded at ``617b8eb``,
-        where a retry parked its driver and resumed it on re-admission
-        (event counts less the three a metrics DES process used to
-        push, one per transfer and two per GPU kernel, since a transfer
-        is its own completion and a kernel runs inside its worker).  A
-        fresh driver per attempt moves no clock: it adds
-        exactly one event per retry, the finished driver's own
-        completion, which nothing waits on.  Makespans and event counts
-        were taken again when each phase's mem-move began batching its
-        own remote acquires: the retry no longer inherits staging slots
-        its failed attempt left cached on the engine."""
+    def test_a_retry_is_one_more_admission(self, scenario):
+        """One session that retries once, and whose latency is the
+        makespan.  A fresh driver per attempt moves no clock: against a
+        retry that parked its driver and resumed it on re-admission
+        (``617b8eb``) it adds exactly one event, the finished driver's
+        own completion, which nothing waits on.  The drive's makespan
+        and event count are its entry in ``tests/signatures.json``."""
         out = run_scenario(scenario)
         signature = out.signature()
         assert out.report.retries == 1
-        assert signature[0] == makespan
-        assert [latency for _, _, latency, _ in signature[1]] == [makespan]
-        assert signature[-1] == events + out.report.retries
+        assert [latency for _, _, latency, _ in signature[1]] == [signature[0]]
 
     def test_retried_session_keeps_its_first_admission(self):
         """On an elastic server a retried hybrid query keeps its first

@@ -8,6 +8,7 @@ import math
 
 import pytest
 
+from fingerprint import drive
 from repro.micro.harness import MicroSettings, run_scaleup, run_sizeup
 from repro.ssb.harness import (
     FAILED,
@@ -23,7 +24,7 @@ MICRO = MicroSettings(physical_rows=20_000, block_tuples=512, segment_rows=2048)
 
 class TestSSBHarness:
     def test_fig4_structure(self):
-        result = run_fig4(SMALL, queries=["Q1.1", "Q2.2"])
+        result = drive(run_fig4, SMALL, queries=["Q1.1", "Q2.2"])
         assert set(result.seconds) == {"DBMS C", "Proteus CPUs",
                                        "Proteus GPUs", "DBMS G"}
         assert result.seconds["Proteus GPUs"]["Q1.1"] > 0
@@ -31,14 +32,14 @@ class TestSSBHarness:
         assert result.working_set["Q1.1"] > 0
 
     def test_fig5_structure(self):
-        result = run_fig5(SMALL, queries=["Q1.1", "Q4.3"])
+        result = drive(run_fig5, SMALL, queries=["Q1.1", "Q4.3"])
         assert "Proteus Hybrid" in result.seconds
         assert result.seconds["DBMS G"]["Q4.3"] == FAILED
         assert "DBMS G Q4.3" in result.notes
 
     def test_fig6_structure(self):
-        result = run_fig6(SMALL, core_counts=(1, 4), gpu_settings=(0,),
-                          groups=(1,))
+        result = drive(run_fig6, SMALL, core_counts=(1, 4), gpu_settings=(0,),
+                       groups=(1,))
         # only the GPU counts that were asked for: no 2-GPU sweep rides
         # along with gpu_settings=(0,)
         assert set(result["speedups"]) == {(0, 1)}
@@ -48,7 +49,7 @@ class TestSSBHarness:
         assert speedups[4] > 2.0
 
     def test_speedup_helper(self):
-        result = run_fig4(SMALL, queries=["Q1.1"])
+        result = drive(run_fig4, SMALL, queries=["Q1.1"])
         ratio = result.speedup("Proteus GPUs", "DBMS C", "Q1.1")
         assert ratio == pytest.approx(
             result.seconds["DBMS C"]["Q1.1"]
@@ -65,15 +66,15 @@ class TestSSBHarness:
 
 class TestMicroHarness:
     def test_scaleup_structure(self):
-        result = run_scaleup("sum", MICRO, core_counts=(0, 1, 4),
-                             gpu_counts=(0, 1))
+        result = drive(run_scaleup, "sum", MICRO, core_counts=(0, 1, 4),
+                       gpu_counts=(0, 1))
         assert (0, 1) in result["times"] and (1, 0) in result["times"]
         assert (0, 0) not in result["times"]
         assert result["bare_cpu"] > 0 and result["bare_gpu"] > 0
         assert result["speedups"][(0, 4)] > result["speedups"][(0, 1)]
 
     def test_sizeup_structure(self):
-        result = run_sizeup("join", MICRO, sizes_gb=(0.25, 1.0), device="gpu")
+        result = drive(run_sizeup, "join", MICRO, sizes_gb=(0.25, 1.0), device="gpu")
         assert set(result["with_hetexchange"]) == {0.25, 1.0}
         assert result["overhead"][1.0] < result["overhead"][0.25] + 0.05
 

@@ -2,11 +2,15 @@
 always-on invariants fail loudly, naming the scenario."""
 
 import dataclasses
+import heapq
 
 import pytest
 
+import fingerprint
+from fingerprint import Fingerprint
 from repro import CachePolicy, ExecutionConfig, ResourceBudget, SharedCacheDirectory
 from repro.engine.faults import DeviceLossFault, FaultPlan, RetryPolicy
+from repro.hardware.sim import Simulator
 from repro.ssb import SSB_QUERY_IDS
 from scenario import ClosedLoop, OpenLoop, Scenario, batch, run_scenario
 
@@ -34,26 +38,6 @@ def test_same_scenario_same_signature(scenario):
     into the second run and move the signature (taken before it)."""
     first = run_scenario(scenario).signature()
     assert first == run_scenario(scenario).signature()
-    assert first[-1] > 0  # the simulator's event count
-
-
-@pytest.mark.parametrize(
-    "scenario, pushes, makespan",
-    [(CAPPED, 848, 0.14270464305555555), (SHARED, 2863, 1.960749309899039)],
-    ids=["budget", "shared-cache"],
-)
-def test_event_count_is_pinned(scenario, pushes, makespan):
-    """The simulator's heap pushes of a drive, recorded at ``ea635c4``
-    less the metrics DES process's own pushes (its start, and a wake-up
-    and a timeout per sampling window), deleted since, and less three
-    per GPU block (126 blocks here) since a transfer is its own completion and
-    a kernel runs inside its worker.  A speed-up of
-    the event path adds, removes and reorders none: one event more or
-    fewer moves this integer (and, reordered, the clock).  The shared-cache
-    pair was taken again (2 861 -> 2 863) when each phase's mem-move began
-    batching its own remote acquires instead of inheriting the engine's."""
-    signature = run_scenario(scenario).signature()
-    assert (signature[-1], signature[0]) == (pushes, makespan)
 
 
 def test_a_scenario_holds_no_live_object():
@@ -87,3 +71,43 @@ def test_a_declared_stall_returns_its_error():
     healthy = dataclasses.replace(doomed, budget=None)
     with pytest.raises(AssertionError, match="drive stalled: False"):
         run_scenario(healthy)
+
+
+# -- the fingerprint itself ---------------------------------------------------
+
+
+def _drive(*calls) -> Fingerprint:
+    """A drive of ``calls`` (builtins, called on ``()``), each one second
+    in, in schedule order."""
+    sim = Simulator()
+    for call in calls:
+        sim._schedule_call(call, (), delay=1.0)
+    with Fingerprint() as drive:
+        sim.run()
+    return drive
+
+
+def test_two_same_time_events_in_the_other_order_move_the_digest():
+    first, second = _drive(len, list).entry(), _drive(list, len).entry()
+    assert first["digest"] != second["digest"]
+    assert first | {"digest": None} == second | {"digest": None}
+    assert (first["events"], first["makespan"]) == (2, 1.0)
+
+
+def test_a_pop_that_bypasses_the_wrapper_fails_the_guard(monkeypatch):
+    def bypassing_run(sim, until=None):
+        while sim._heap:
+            sim.now, _, arg, fn = heapq.heappop(sim._heap)
+            fn(arg)
+
+    monkeypatch.setattr(Simulator, "run", bypassing_run)
+    with pytest.raises(AssertionError, match="2 heap entries bypassed"):
+        _drive(len, len).entry()
+
+
+def test_a_drive_with_no_entry_fails_naming_its_key(monkeypatch):
+    # checked, and not recorded, even while the file is regenerated
+    monkeypatch.setattr(fingerprint, "WRITE_TO", None)
+    monkeypatch.setattr(fingerprint, "REACHED", {})
+    with pytest.raises(AssertionError, match="drive nowhere/1 has no fingerprint"):
+        _drive(len).check("nowhere/1")

@@ -6,13 +6,14 @@ materialised late: a selection compacts only the arrays that already
 hold one value per current row, an unpacked column is gathered once,
 through ``_sel``, when an operator first reads it, and a probe's payload
 waits as the probe's row ids until it is read.  These tests pin that
-shape on every SSB query, pin every block statistic and simulated second
-of the 13 SSB queries on three device configurations to the values the
-column-at-every-selection pipelines produced, pin the block statistics
-of the two edge cases (a probe that keeps every row, a filter that keeps
-none) to the values the boolean-mask pipelines produced, and cover the
-predicates that bind to a constant: ``c == 'absent'`` keeps no row and
-``c != 'absent'`` keeps every row, on either side of a join.
+shape on every SSB query; check every block statistic and simulated
+second of the 13 SSB queries on three device configurations, and the
+block statistics of the two edge cases (a probe that keeps every row, a
+filter that keeps none), against the drives' entries in
+``tests/signatures.json`` (first taken from the column-at-every-selection
+and boolean-mask pipelines); and cover the predicates that bind to a
+constant: ``c == 'absent'`` keeps no row and ``c != 'absent'`` keeps
+every row, on either side of a join.
 """
 
 import dataclasses
@@ -22,6 +23,7 @@ import re
 import numpy as np
 import pytest
 
+from fingerprint import Fingerprint
 from repro import ExecutionConfig, Proteus, agg_count, agg_sum, col, scan
 from repro.algebra.expressions import Literal, bind_strings
 from repro.algebra.optimizer import estimate_build_selectivity
@@ -83,26 +85,20 @@ def test_every_selection_is_one_nonzero_and_takes(label):
 
 # -- no statistic moved -------------------------------------------------------
 
-#: sha256 (first 16 hex digits) over the 13 SSB queries of every
-#: ``profile.device_stats`` field (floats by ``float.hex``) and the
-#: simulated seconds, at SF 0.01 / seed 42, segments of 4 096 rows, as
-#: the pipelines that compacted every live column at each selection,
-#: copied join keys to int64 and grouped by a lexsort produced them.
-#: SSB sums are integer-valued, so result rows cannot show a reordered
-#: float add; this digest can.  The hybrid rows were taken again when the
-#: load-balance router began pricing blocks while cold, and the 256-row one
-#: again when it began pricing every block of the query: each moves the
-#: cpu / gpu split and the simulated seconds.  The GPU and hybrid rows
-#: were taken again when each phase's mem-move began batching its own
-#: remote acquires, so no phase inherits an earlier one's staging slots.
-PINNED_STATS_DIGESTS = {
-    ("cpu", 256): "d96c55dd30a656a0",
-    ("cpu", 65536): "6c13d430b6a8fe07",
-    ("gpu", 256): "cb159298dbacdc3f",
-    ("gpu", 65536): "797329a6806a25cf",
-    ("hybrid", 256): "c45b556bc52c331a",
-    ("hybrid", 65536): "75d895076cfb0f73",
-}
+#: the 13 SSB queries on three device configurations at two block sizes
+#: (SF 0.01 / seed 42, segments of 4 096 rows): each is one drive, with
+#: its entry in ``tests/signatures.json``
+STATS_DRIVES = [(label, block) for label in sorted(CONFIGS) for block in (256, 65536)]
+
+
+def _stats(result) -> dict:
+    """Every ``profile.device_stats`` field, floats by ``float.hex``."""
+    return {
+        device: tuple(
+            v.hex() if isinstance(v, float) else v for v in dataclasses.astuple(block)
+        )
+        for device, block in sorted(result.profile.device_stats.items())
+    }
 
 
 @pytest.fixture(scope="module")
@@ -110,22 +106,19 @@ def sf01_seed42():
     return ssb_tables(0.01, 42)
 
 
-@pytest.mark.parametrize("label, block_tuples", sorted(PINNED_STATS_DIGESTS))
+@pytest.mark.parametrize("label, block_tuples", STATS_DRIVES)
 def test_no_statistic_moved(sf01_seed42, label, block_tuples):
+    """SSB sums are integer-valued, so result rows cannot show a
+    reordered float add; the drive's block statistics and simulated
+    seconds, digested into its entry, can."""
     engine = _engine(sf01_seed42)
     config = dataclasses.replace(CONFIGS[label], block_tuples=block_tuples)
     digest = hashlib.sha256()
-    for query in SSB_QUERY_IDS:
-        result = engine.query(ssb_query(query), config)
-        stats = {
-            device: tuple(
-                v.hex() if isinstance(v, float) else v
-                for v in dataclasses.astuple(block)
-            )
-            for device, block in sorted(result.profile.device_stats.items())
-        }
-        digest.update(repr((query, stats, result.seconds.hex())).encode())
-    assert digest.hexdigest()[:16] == PINNED_STATS_DIGESTS[label, block_tuples]
+    with Fingerprint() as fingerprint:
+        for query in SSB_QUERY_IDS:
+            result = engine.query(ssb_query(query), config)
+            digest.update(repr((query, _stats(result), result.seconds.hex())).encode())
+    fingerprint.check(f"selection/{label}/{block_tuples}", stats=digest.hexdigest())
 
 
 # -- edge selections: every row kept, no row kept -----------------------------
@@ -147,45 +140,19 @@ EMPTY_AFTER_DATE_JOIN = (
 )
 EDGE_PLANS = {"date_join": DATE_JOIN, "empty_after_date_join": EMPTY_AFTER_DATE_JOIN}
 
-#: ``profile.device_stats`` of a hybrid run (4 cores, GPUs 0 and 1) over
-#: SSB SF 0.005, seed 13, as the boolean-mask pipelines produced them
-#: (the cpu / gpu split is the pricing router's, which cuts a
-#: 65 536-row block for the cores into morsels):
-#: device -> (tuples_in, bytes_in, bytes_out, random_accesses,
-#: random_bytes, cpu_cycles, gpu_ops)
-PINNED_DEVICE_STATS = {
-    ("date_join", 256): {
-        "cpu": (28972, 231776, 0, 2556, 51120, 1124374.0, 436286.0),
-        "gpu": (8696, 69568, 0, 5112, 102240, 278828.0, 109228.0),
-    },
-    ("date_join", 65536): {
-        "cpu": (7980, 63840, 0, 2556, 51120, 284694.0, 110910.0),
-        "gpu": (29688, 237504, 0, 5112, 102240, 1118508.0, 434604.0),
-    },
-    ("empty_after_date_join", 256): {
-        "cpu": (30508, 345648, 0, 2556, 40896, 780510.0, 208526.0),
-        "gpu": (7160, 45024, 0, 5112, 81792, 187692.0, 66988.0),
-    },
-    ("empty_after_date_join", 65536): {
-        "cpu": (7980, 75312, 0, 2556, 40896, 206046.0, 62094.0),
-        "gpu": (29688, 315360, 0, 5112, 81792, 762156.0, 213420.0),
-    },
-}
-
-
 @pytest.mark.parametrize("block_tuples", [256, 65536])
 @pytest.mark.parametrize("name", sorted(EDGE_PLANS))
 def test_edge_selections_match_reference_and_pinned_stats(name, block_tuples):
+    """A hybrid run (4 cores, GPUs 0 and 1) over SSB SF 0.005, seed 13:
+    reference rows, and ``profile.device_stats`` in the drive's entry."""
     tables = ssb_tables()
     plan = EDGE_PLANS[name]
     config = ExecutionConfig.hybrid(4, [0, 1], block_tuples=block_tuples)
-    result = _engine(tables).query(plan, config)
+    with Fingerprint() as fingerprint:
+        result = _engine(tables).query(plan, config)
     assert result.rows == ReferenceExecutor(tables).execute(plan)
-    stats = {
-        device: dataclasses.astuple(block)
-        for device, block in sorted(result.profile.device_stats.items())
-    }
-    assert stats == PINNED_DEVICE_STATS[name, block_tuples]
+    stats = hashlib.sha256(repr(_stats(result)).encode()).hexdigest()
+    fingerprint.check(f"selection/{name}/{block_tuples}", stats=stats)
 
 
 # -- predicates that bind to a constant ----------------------------------------
