@@ -16,12 +16,20 @@ if _SRC not in sys.path:
 
 import pytest
 
-from repro.ssb.harness import HarnessSettings
+from fingerprint import drive
+from repro.ssb.harness import FigureResult, HarnessSettings, run_fig5
 
 
 @pytest.fixture(scope="session")
 def settings() -> HarnessSettings:
     return HarnessSettings(physical_sf=0.01, block_tuples=256, segment_rows=2048)
+
+
+@pytest.fixture(scope="session")
+def fig5(settings) -> FigureResult:
+    """The whole Fig. 5 harness at ``settings``, run once a session for
+    every test that reads it."""
+    return drive(run_fig5, settings)
 
 
 def print_figure(title: str, seconds: dict, query_ids) -> None:

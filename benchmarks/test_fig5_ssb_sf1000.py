@@ -22,11 +22,6 @@ from repro.ssb.harness import run_fig5
 from repro.ssb.queries import SSB_QUERY_IDS
 
 
-@pytest.fixture(scope="module")
-def fig5(settings):
-    return drive(run_fig5, settings)
-
-
 def test_fig5_regenerate(benchmark, settings):
     result = benchmark.pedantic(drive, args=(run_fig5, settings),
                                 kwargs={"queries": ["Q1.1"]},

@@ -15,16 +15,9 @@ bands, not the decimals (each test prints the values it measured).
 
 import math
 
-import pytest
-
 from fingerprint import drive
 from repro.ssb.harness import run_fig5
 from repro.ssb.queries import SSB_QUERY_IDS
-
-
-@pytest.fixture(scope="module")
-def fig5(settings):
-    return drive(run_fig5, settings)
 
 
 def _geomean(values):
@@ -75,6 +68,8 @@ def test_hybrid_efficiency_close_to_paper(fig5):
                   + ws / fig5.seconds["Proteus GPUs"][qid])
         ratios.append(hybrid / summed)
     average = sum(ratios) / len(ratios)
-    print(f"hybrid efficiency: {average*100:.0f}% of summed throughputs "
+    print(f"hybrid efficiency: {average*100:.1f}% of summed throughputs "
           f"(paper: 88.5%)")
-    assert 0.83 <= average <= 1.05
+    # The harness measures 0.863 at the fixture settings; the floor
+    # leaves 0.013 of it for model changes that cost a little efficiency.
+    assert 0.85 <= average <= 1.05, f"hybrid efficiency {average:.3f}"

@@ -296,7 +296,7 @@ class HeterogeneousPlacer:
                     if is_build:
                         # broadcast: one private copy per GPU domain
                         pcie += seg_bytes * len(config.gpu_ids)
-                        qpi += seg_bytes * sum(
+                        qpi += seg_bytes * sum(  # repro: noqa[RP009] integer-valued
                             1 for g in config.gpu_ids
                             if self.server.gpus[g].socket_id != seg_socket
                         )
@@ -323,7 +323,7 @@ class HeterogeneousPlacer:
         interleaving the original placement used.
         """
         cores_by_socket = [list(s.cores) for s in self.server.sockets]
-        last_index = 4 * sum(len(c) for c in cores_by_socket)
+        last_index = 4 * sum(len(c) for c in cores_by_socket)  # repro: noqa[RP009] integer-valued
         order: list[int] = []
         index = 0
         while len(order) < config.cpu_workers:

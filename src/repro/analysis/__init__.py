@@ -30,6 +30,7 @@ RP005  metrics schema: repro_* families registered once, labels
        consistent, family set matching the pinned schema
 RP006  config hygiene: no shared mutable defaults
 RP007  failover: every FallbackChain hop resolves a typed outcome
+RP009  no builtin sum() in simulated-time packages (3.12 floats)
 RP010  one implementation of each idea: a removed copy stays removed
 ====== ==============================================================
 """

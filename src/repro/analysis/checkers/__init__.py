@@ -12,5 +12,6 @@ from . import (  # noqa: F401
     rp005_metrics_schema,
     rp006_config_hygiene,
     rp007_failover,
+    rp009_float_sum,
     rp010_one_implementation,
 )

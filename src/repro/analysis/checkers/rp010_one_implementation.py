@@ -187,6 +187,9 @@ GATES = (
     Gate("remote-cache", 44, (_REPRO,), _text(
          r"\b(_remote_cache|acquire_remote|release_all_caches)\b"), "no staging slot "
          "outlives a phase: the phase's MemMove batches remote acquires"),
+    Gate("finish-time", 50, (_REPRO + "core/", _REPRO + "engine/"), _outside(
+         "_finish", _outside("_price", _text(r"//\s*\w+\.dop\b"))), "a second "
+         "finish-time rule: routing and take-back share Router._finish"),
 )
 # fmt: on
 

@@ -18,7 +18,10 @@ amortise it:
   :meth:`release_staged` epilogue, so at most ``prefetch_depth`` staging
   slots per target node are ever outstanding and staging memory stays
   bounded and accounted through the shared
-  :class:`~repro.memory.managers.BlockManagerSet` arenas.
+  :class:`~repro.memory.managers.BlockManagerSet` arenas.  The
+  prefetcher takes a block off its router queue only once a credit is
+  free (late binding): a block that no transfer could start yet stays
+  where the router can take it back.
   ``prefetch_depth=1`` turns the overlap off: with a single staging
   buffer the transfer sits on the consumer's critical path (the worker
   runs :meth:`schedule` inline and waits), which is the baseline the
@@ -299,26 +302,33 @@ class MemMove:
     def prefetch_proc(self, source: Store, fetched: Store, target_node: str):
         """DES process: the producer half running ahead of one consumer.
 
-        Pulls handles from ``source``, launches the mem-move for those
-        :meth:`needs_move` says are remote (waiting for a staging credit
-        first, so at most ``prefetch_depth`` transfers are ever staged
-        ahead of the consumer), and forwards the relocated handles into
-        ``fetched`` for the consumer to drain.  A staged handle carries
-        its ``transfer_done``, which tells the consumer's epilogue to
-        call :meth:`release_staged`.
+        Takes a handle from ``source`` only once it holds a staging
+        credit, so at most ``prefetch_depth`` transfers are ever staged
+        ahead of the consumer and a block that could not start yet stays
+        in ``source``, where its router can still take it back.  It
+        launches the mem-move for those :meth:`needs_move` says are
+        remote and forwards the relocated handles into ``fetched`` for
+        the consumer to drain.  A staged handle carries its
+        ``transfer_done``, which tells the consumer's epilogue to call
+        :meth:`release_staged`.  A phase runs one prefetcher per GPU
+        instance, so the credit it waited for is still free when the
+        handle arrives; the second check only matters if two prefetchers
+        ever stage for one node.
         """
         while True:
+            while not self.has_credit(target_node):
+                yield self.await_credit(target_node)
             got = source.get()
             yield got
             handle = got.value
             if handle is Store.END:
-                fetched.close()
-                return
+                break
             if self.needs_move(handle, target_node):
                 while not self.has_credit(target_node):
                     yield self.await_credit(target_node)
                 handle = self.schedule(handle, target_node)
             yield fetched.put(handle)
+        fetched.close()
 
     def release_staged(self, node_id: str) -> None:
         """Consumer half's epilogue: return one staging slot to the arena.
@@ -391,7 +401,7 @@ class MemMove:
         """Staging slots currently held (per node, or in total)."""
         if node_id is not None:
             return self._staged_outstanding.get(node_id, 0)
-        return sum(self._staged_outstanding.values())
+        return sum(self._staged_outstanding.values())  # repro: noqa[RP009] integer-valued
 
     def stats(self) -> dict[str, float]:
         return {

@@ -23,7 +23,7 @@ Consumer queues are bounded and load-balance routing is credit-throttled,
 which yields the pull-style backpressure that lets heterogeneous
 consumers drain work in proportion to their throughput.  At the Fig. 5
 harness settings (SSB SF 0.01 replayed at SF 1000, 256-row blocks) the
-hybrid reaches on average 0.836 of the summed CPU-only and GPU-only
+hybrid reaches on average 0.863 of the summed CPU-only and GPU-only
 throughputs (the paper reports 88.5 %).
 
 A load-balance router over two or more groups (a hybrid CPU + GPU probe)
@@ -77,6 +77,23 @@ emits the block's outputs.  ``k = 1`` is the
 whole block; per-instance (GPU) groups and single-group routers are never
 split.  The price reads only this router's own counts: what other queries
 run on a shared socket or device stays unpriced.
+
+*Take-back.*  A price is a prediction, and at a query's tail a wrong one
+leaves one group idle while the other still holds queued blocks.  So a
+priced load-balance router keeps its queues open until its input is
+exhausted *and* every block it routed is done, and binds a block to a
+device late: a GPU instance's prefetcher takes a block off its queue only
+once it holds a staging credit (``MemMove.prefetch_proc``), so a queued
+block has started nowhere.  On each completion after the input ends, a
+queue that ran empty takes back the last block of another group's queue
+if no item of it has started and its own group would finish it first, by
+the same finish-time rule as routing (:meth:`Router._finish`).  An empty
+GPU instance queue means the instance has no more blocks in flight than
+its prefetch depth; a block taken back by the CPU group is cut into
+morsels by the ``_morsels`` rule, and one taken back by a GPU is whole
+again.  It is the stealing half of morsel-driven scheduling (Leis et al.).
+On ``ssb_hybrid_bigblock`` Q3.1 (seed 42) the CPU takes back one GPU
+block and the query ends at 3.288 s instead of 3.526 s.
 
 A broadcast over two or more groups with price hooks (a hybrid build) is
 priced too, and cuts its shared-queue copy by the same rule, so every CPU
@@ -242,7 +259,8 @@ class Router:
         if query_id and not self.name.startswith(f"{query_id}:"):
             self.name = f"{query_id}:{self.name}"
         self.input: Store = sim.store(
-            capacity=4 * sum(g.dop for g in groups), name=f"{self.name}:in"
+            capacity=4 * sum(g.dop for g in groups),  # repro: noqa[RP009] integer-valued
+            name=f"{self.name}:in",
         )
         self.routed_blocks = 0
         self._wakeup = None
@@ -326,6 +344,15 @@ class Router:
                     choice = self._select(handle)
                 yield from self._put(handle, *choice)
                 self.routed_blocks += 1
+        # A priced load-balance router keeps its queues open until every
+        # block it routed is done, so an idle group can take back a
+        # block nobody has started.
+        while (
+            self.priced and not self.broadcast
+            and any(g.outstanding for g in self.groups)
+        ):
+            yield self._wait()
+            yield from self._take_back()
         for group in self.groups:
             group.close()
 
@@ -440,19 +467,11 @@ class Router:
                 return None  # the calibration block's stats are not in yet
             return min(self.groups, key=lambda g: g.dop), None
         waiting = len(self.input)
-        node = handle.node_id
         ks, finish, drain = [], [], []
         for g in self.groups:
             price = g.block_price(handle, unit)
             s, k = price.seconds, self._morsels(g, handle)
-            # Priced in items: a split block is k items of s / k seconds each.
-            done = ((g.outstanding + k - 1) // g.dop + 1) * s / k
-            if not g.per_instance:
-                # The items on the block's home socket share its DRAM,
-                # which feeds only ``cores_fed`` of the group's cores.
-                lanes = min(g.dop, price.cores_fed)
-                on_node = g.on_node.get(node, 0)
-                done = max(done, ((on_node + k - 1) // lanes + 1) * s / k)
+            done = self._finish(g, handle, price, k)
             rest = ((g.outstanding + waiting * k + k - 1) // g.dop + 1) * s / k
             ks.append(k)
             finish.append(done)
@@ -468,6 +487,88 @@ class Router:
             ):
                 best = i
         return None if best is None else (self.groups[best], None)
+
+    @staticmethod
+    def _finish(group: ConsumerGroup, handle: BlockHandle, price,
+                k: int, held: int = 0) -> float:
+        """When ``group`` would finish ``handle``, one instance's
+        ``price`` cut into ``k`` items, behind the items it has out; the
+        ``held`` items of the block already counted there are not ahead
+        of it.  The one finish-time rule of routing and take-back."""
+        s = price.seconds
+        # Priced in items: a split block is k items of s / k seconds each.
+        done = ((group.outstanding - held + k - 1) // group.dop + 1) * s / k
+        if not group.per_instance:
+            # The items on the block's home socket share its DRAM,
+            # which feeds only ``cores_fed`` of the group's cores.
+            lanes = min(group.dop, price.cores_fed)
+            on_node = group.on_node.get(handle.node_id, 0) - held
+            done = max(done, ((on_node + k - 1) // lanes + 1) * s / k)
+        return done
+
+    # -- take-back -------------------------------------------------------------
+
+    def _take_back(self):
+        """After the input ends, on a completion: a queue that ran empty
+        takes back a block queued for another group if nobody has started
+        it and its group would finish it first; of several, the one it
+        gains most on."""
+        unit = self.unit_stats
+        if unit is None:
+            return
+        for thief in self.groups:
+            for index, queue in enumerate(thief.queues()):
+                if len(queue):
+                    continue
+                best = None
+                for victim in self.groups:
+                    if victim is thief:
+                        continue
+                    for handle, queue_of, held in self._unstarted(victim):
+                        k = self._morsels(thief, handle)
+                        gain = self._finish(
+                            victim, handle, victim.block_price(handle, unit),
+                            held, held,
+                        ) - self._finish(
+                            thief, handle, thief.block_price(handle, unit), k)
+                        if (gain > 0 and (best is None or gain > best[0])
+                                and self._has_credit(thief, k)):
+                            best = gain, handle, victim, queue_of, held
+                if best is not None:
+                    _, handle, victim, queue_of, held = best
+                    self._unqueue(victim, queue_of, held)
+                    instance = index if thief.per_instance else None
+                    yield from self._put(handle, thief, instance)
+
+    def _unstarted(self, group: ConsumerGroup):
+        """The last block of each of ``group``'s queues that no worker has
+        taken, as ``(handle, queue, items)``: the whole block, its queue
+        and its item count there.  A shared queue's tail block counts
+        only while every morsel of it is still queued."""
+        for queue in group.queues():
+            if not len(queue):
+                continue
+            last = queue.items[-1]
+            morsels = last.morsels
+            if morsels is None:
+                yield last, queue, 1
+                continue
+            tail = list(queue.items)[-morsels.k:]
+            if len(tail) == morsels.k and all(h.morsels is morsels for h in tail):
+                whole = last.routed_copy()
+                whole.morsels = None
+                yield whole, queue, morsels.k
+
+    def _unqueue(self, group: ConsumerGroup, queue: Store, items: int) -> None:
+        """Take the last ``items`` handles (one block) off ``group``'s
+        ``queue``, and out of its counts."""
+        for _ in range(items):
+            node = queue.take_last().node_id
+            if group.per_instance:
+                group.instance_assigned[group.instance_queues.index(queue)] -= 1
+            else:
+                group.on_node[node] -= 1
+        group.assigned -= items
 
     def _morsels(self, group: ConsumerGroup, handle: BlockHandle) -> int:
         """How many morsels ``group`` gets ``handle`` in (1 = the whole

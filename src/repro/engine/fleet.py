@@ -317,7 +317,9 @@ class FleetReport:
 
     @property
     def failovers(self) -> int:
-        return sum(self.failovers_by_outcome.values())
+        return sum(  # repro: noqa[RP009] integer-valued
+            self.failovers_by_outcome.values()
+        )
 
     def summary(self) -> str:
         lines = [
@@ -1021,7 +1023,9 @@ class EngineFleet:
             server_reports=reports,
             dispatches={fs.name: fs.dispatches for fs in self._servers},
             failovers_by_outcome=failovers,
-            hedge_wins=sum(q.hedge_wins for q in finished),
+            hedge_wins=sum(  # repro: noqa[RP009] integer-valued
+                q.hedge_wins for q in finished
+            ),
             server_losses=len(self._losses),
             breaker_states={fs.name: fs.breaker.state for fs in self._servers},
             lost_servers=[fs.name for fs in self._servers if not fs.alive],

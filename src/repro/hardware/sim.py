@@ -349,6 +349,13 @@ class Store:
             self._getters.append(event)
         return event
 
+    def take_last(self) -> Any:
+        """Remove and return the most recently queued item, which no
+        getter has seen (a router taking back a block nobody started)."""
+        item = self.items.pop()
+        self._admit_putter()
+        return item
+
     def close(self) -> None:
         """Mark end-of-stream: pending and future gets yield ``Store.END``."""
         if self._closed:

@@ -92,9 +92,9 @@ class ServerSpec:
                 f"gpus_per_socket has {len(self.gpus_per_socket)} entries "
                 f"for {self.num_sockets} sockets"
             )
-        if sum(self.gpus_per_socket) != self.num_gpus:
+        if sum(self.gpus_per_socket) != self.num_gpus:  # repro: noqa[RP009] integer-valued
             raise ValueError(
-                f"gpus_per_socket sums to {sum(self.gpus_per_socket)}, "
+                f"gpus_per_socket sums to {sum(self.gpus_per_socket)}, "  # repro: noqa[RP009] integer-valued
                 f"expected {self.num_gpus}"
             )
 

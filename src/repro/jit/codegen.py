@@ -317,7 +317,7 @@ class PipelineCompiler:
             out.emit(f"{_var(name)} = cols[{name!r}]")
         first = _var(op.columns[0])
         out.emit(f"_n = {first}.shape[0]")
-        width = sum(self.width(c) for c in op.columns)
+        width = sum(self.width(c) for c in op.columns)  # repro: noqa[RP009] integer-valued
         out.emit("stats.tuples_in += _n")
         out.emit(f"stats.bytes_in += _n * {width}")
         out.emit(f"stats.cpu_cycles += _n * {CYCLES.unpack_per_tuple!r}")
@@ -359,7 +359,7 @@ class PipelineCompiler:
     def _emit_probe(self, out, op: OpProbe, rows: "_Rows", live_after) -> None:
         ht = f"_ht_{_ident(op.ht_id)}"
         idx = f"_idx_{_ident(op.ht_id)}"
-        row_width = 16 + sum(self.width(p) for p in op.payload)
+        row_width = 16 + sum(self.width(p) for p in op.payload)  # repro: noqa[RP009] integer-valued
         out.emit(f"# hash-join probe against {op.ht_id}")
         self._gather(out, rows, op)
         out.emit(f"{ht} = state.hash_table({op.ht_id!r})")
@@ -384,7 +384,7 @@ class PipelineCompiler:
 
     def _emit_build(self, out, op: OpBuildSink, rows: "_Rows") -> None:
         ht = f"_ht_{_ident(op.ht_id)}"
-        row_width = 16 + sum(self.width(p) for p in op.payload)
+        row_width = 16 + sum(self.width(p) for p in op.payload)  # repro: noqa[RP009] integer-valued
         out.emit(f"# hash-join build into {op.ht_id} (worker-scoped table)")
         self._gather(out, rows, op)
         out.emit("if _n:")
@@ -467,7 +467,7 @@ class PipelineCompiler:
         out.indent -= 1
 
     def _emit_pack(self, out, op: OpPackSink, rows: "_Rows") -> None:
-        width = sum(self.width(c) for c in op.columns)
+        width = sum(self.width(c) for c in op.columns)  # repro: noqa[RP009] integer-valued
         out.emit("# pack: tuple stream -> blocks, flush when full")
         self._gather(out, rows, op)
         out.emit("if _n:")
@@ -480,7 +480,7 @@ class PipelineCompiler:
         out.indent -= 1
 
     def _emit_hash_pack(self, out, op: OpHashPackSink, rows: "_Rows") -> None:
-        width = sum(self.width(c) for c in op.columns)
+        width = sum(self.width(c) for c in op.columns)  # repro: noqa[RP009] integer-valued
         out.emit("# hash-pack: one open block per hash value (router routes on it)")
         self._gather(out, rows, op)
         out.emit("if _n:")

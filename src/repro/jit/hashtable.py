@@ -337,7 +337,7 @@ class HashTable:
     @property
     def nbytes(self) -> int:
         """Modelled footprint: ``capacity`` slots plus payload columns."""
-        payload = sum(arr.nbytes for arr in self.payload.values())
+        payload = sum(arr.nbytes for arr in self.payload.values())  # repro: noqa[RP009] integer-valued
         return int(self.capacity * _SLOT_BYTES + payload)
 
     @property
@@ -349,7 +349,7 @@ class HashTable:
         accounting should reflect the data actually stored, at ~50 %% load
         factor for the slot arrays.
         """
-        payload = sum(arr.nbytes for arr in self.payload.values())
+        payload = sum(arr.nbytes for arr in self.payload.values())  # repro: noqa[RP009] integer-valued
         return int(self.num_keys * 2 * _SLOT_BYTES + payload)
 
     def __len__(self) -> int:

@@ -47,10 +47,11 @@ def by_rule(result, rule_id):
     return [f for f in result.findings if f.rule_id == rule_id]
 
 
-def test_registry_exposes_all_eight_rules():
+def test_registry_exposes_all_nine_rules():
     ids = [checker.rule_id for checker in all_checkers()]
     assert ids == [
-        "RP001", "RP002", "RP003", "RP004", "RP005", "RP006", "RP007", "RP010",
+        "RP001", "RP002", "RP003", "RP004", "RP005", "RP006", "RP007",
+        "RP009", "RP010",
     ]
 
 
@@ -462,6 +463,43 @@ class TestRP006ConfigHygiene:
         assert by_rule(scan(root), "RP006") == []
 
 
+class TestRP009FloatSum:
+    def test_builtin_sum_in_simulated_time_packages_flagged(self, tmp_path):
+        source = """\
+            def total(xs):
+                return sum(x.seconds for x in xs) + sum(
+                    xs, 0.0
+                )
+            """
+        files = {
+            f"src/repro/{package}/mod.py": source
+            for package in ("hardware", "core", "engine", "jit", "algebra")
+        }
+        found = by_rule(scan(project(tmp_path, files)), "RP009")
+        assert len(found) == 10
+        assert {f.line for f in found} == {2}
+
+    def test_folds_numpy_sums_other_packages_and_noqa_are_clean(self, tmp_path):
+        root = project(
+            tmp_path,
+            {
+                ENGINE: """\
+                import numpy as np
+
+                def total(xs, arr):
+                    seconds = 0.0
+                    for x in xs:
+                        seconds += x
+                    count = sum(1 for x in xs)  # repro: noqa[RP009] integer-valued
+                    return seconds, count, np.sum(arr), arr.sum()
+                """,
+                "src/repro/ssb/mod.py": "def total(xs):\n    return sum(xs)\n",
+                BENCH: "def total(xs):\n    return sum(xs)\n",
+            },
+        )
+        assert by_rule(scan(root), "RP009") == []
+
+
 class TestRP007FailoverDiscipline:
     def test_discarded_hop_handle_flagged(self, tmp_path):
         root = project(
@@ -763,6 +801,16 @@ RP010_CASES = {
         "in_router.report_done(group, instance.index, home)\n"
         "in_router.calibrate(delta)\n",
     ),
+    "finish-time": (
+        "src/repro/core/router.py",
+        "def _steal_gain(group, seconds):\n"
+        "    return ((group.outstanding - 1) // group.dop + 1) * seconds  # <-\n",
+        "def _finish(group, handle, price, k, held=0):\n"
+        "    return ((group.outstanding - held + k - 1) // group.dop + 1) * s / k\n"
+        "def _price(self, handle):\n"
+        "    rest = ((g.outstanding + waiting * k + k - 1) // g.dop + 1) * s / k\n"
+        "limit = max(group.dop + 2, int(1.5 * group.dop))\n",
+    ),
     "remote-cache": (
         "src/repro/memory/managers.py",
         "self._remote_cache: dict[tuple[str, str], int] = {}  # <-\n"
@@ -910,7 +958,7 @@ class TestCli:
         out = io.StringIO()
         assert main(["--list-rules"], out=out) == 0
         lines = out.getvalue().splitlines()
-        assert len(lines) == 8
+        assert len(lines) == 9
         assert lines[0].startswith("RP001")
 
 

@@ -480,6 +480,125 @@ class TestMorselSplitting:
         assert cut[1].completed == 40 - cut[2].completed > 0
 
 
+class TestTakeBack:
+    """Once its input ends, a priced router lets a group whose queue ran
+    empty take back a block nobody has started, if it would finish it
+    first (``core/router.py``'s module docstring).  Here the stub prices
+    mispredict the service times, as the cost model does at a tail."""
+
+    def _route(self, cpu_seconds, gpu_seconds, service, count, cpu_dop,
+               cut=False, close_at=None):
+        """Route ``count`` 100-row blocks to a CPU group of ``cpu_dop``
+        workers on one shared queue and one GPU, priced ``cpu_seconds`` and
+        ``gpu_seconds`` a block; a worker needs ``service[device]``
+        seconds an item.  The input closes at ``close_at`` (None: at
+        once).  Returns the simulator, router, both groups and the log of
+        ``(time, device, block index, morsel count)`` at each pickup."""
+        sim = Simulator()
+        cpu = ConsumerGroup(_cpu_stage(dop=cpu_dop), ["cpu:0"] * cpu_dop)
+        gpu = ConsumerGroup(_gpu_stage(dop=1), ["gpu:0"])
+        _priced(cpu, cpu_seconds)
+        _priced(gpu, gpu_seconds)
+        cpu.reads_in_place = lambda handle: cut
+        router = Router(sim, _producer(), [cpu, gpu], RouterPolicy.LOAD_BALANCE)
+        handles = [
+            BlockHandle(Block({"a": np.arange(100, dtype=np.int64)}, "cpu:0"))
+            for _ in range(count)
+        ]
+        index_of = {id(handle.block): i for i, handle in enumerate(handles)}
+        log = []
+
+        def worker(group, index, queue):
+            # An engine worker: the first morsel of a block runs its
+            # pipeline (``share``), every item reports done.
+            while True:
+                got = queue.get()
+                yield got
+                handle = got.value
+                if handle is Store.END:
+                    return
+                morsels = handle.morsels
+                log.append((sim.now, group.stage.device.value,
+                            index_of[id(handle.block)],
+                            1 if morsels is None else morsels.k))
+                if router.unit_stats is None:
+                    router.calibrate(BlockStats(tuples_in=1))
+                if morsels is not None and morsels.share is None:
+                    morsels.share = BlockStats()
+                yield sim.timeout(service[group.stage.device.value])
+                router.report_done(group, index, handle.node_id)
+
+        workers = [sim.process(worker(cpu, i, cpu.shared_queue))
+                   for i in range(cpu_dop)]
+        workers.append(sim.process(worker(gpu, 0, gpu.instance_queues[0])))
+        sim.process(router.run())
+        for handle in handles:
+            router.input.put(handle)
+        if close_at is not None:
+            sim.run(until=close_at)
+        router.input.close()
+        sim.run()
+        assert all(w.triggered for w in workers), "a queue never closed"
+        return sim, router, cpu, gpu, log
+
+    @staticmethod
+    def _runs(log):
+        """Each block's devices and item count over the log."""
+        runs = {}
+        for _, device, block, k in log:
+            devices, items = runs.get(block, (set(), 0))
+            runs[block] = devices | {device}, items + 1
+        return runs
+
+    def test_no_block_is_taken_back_before_the_input_ends(self):
+        # The GPU is priced at 0.5 s a block and needs 5 s.  Its queue
+        # holds three blocks when the CPU runs dry at 3 s.  With the input
+        # closed, the CPU takes the last back then; with the input open
+        # until 3.5 s, not before the GPU's completion at 5 s.
+        service = {"cpu": 1.0, "gpu": 5.0}
+        *_, log = self._route(1.0, 0.5, service, 10, cpu_dop=2)
+        closed = [(t, b) for t, device, b, _ in log if device == "cpu" and t >= 3.0]
+        assert closed[0] == (3.0, 7)
+
+        sim, router, cpu, gpu, log = self._route(
+            1.0, 0.5, service, 10, cpu_dop=2, close_at=3.5)
+        late = [(t, b) for t, device, b, _ in log if device == "cpu" and t >= 3.0]
+        assert late[0] == (5.0, 7)
+        assert cpu.completed + gpu.completed == 10
+
+    def test_a_started_block_is_never_taken_back(self):
+        # Blocks priced 3 s on the CPU are cut in three morsels; a morsel
+        # needs 6 s, not the priced 1 s.  The GPU takes back the CPU's
+        # last whole block (11) at 8 s.  From 9 s it idles, but it never
+        # takes block 10, whose first two morsels started at 6 s: the
+        # last one waits for a CPU worker until 12 s.
+        sim, router, cpu, gpu, log = self._route(
+            3.0, 1.0, {"cpu": 6.0, "gpu": 1.0}, 12, cpu_dop=4, cut=True)
+        runs = self._runs(log)
+        assert runs[11] == ({"gpu"}, 1)
+        assert runs[10] == ({"cpu"}, 3)
+        assert max(t for t, _, b, _ in log if b == 10) == 12.0
+
+    def test_every_block_runs_once_whoever_takes_it_back(self):
+        for args in (
+            (1.0, 0.5, {"cpu": 1.0, "gpu": 5.0}, 10, 2),
+            (3.0, 1.0, {"cpu": 6.0, "gpu": 1.0}, 12, 4, True),
+            (2.0, 1.0, {"cpu": 1.0, "gpu": 1.5}, 12, 3, True),
+        ):
+            sim, router, cpu, gpu, log = self._route(*args)
+            runs = self._runs(log)
+            assert sorted(runs) == list(range(args[3]))
+            for block, (devices, items) in runs.items():
+                assert len(devices) == 1, (args, block)
+                ks = {k for _, _, b, k in log if b == block}
+                assert ks == {items}, (args, block)
+            assert cpu.outstanding == gpu.outstanding == 0
+            assert (cpu.assigned, gpu.assigned) == (
+                sum(items for devices, items in runs.values() if "cpu" in devices),
+                sum(items for devices, items in runs.values() if "gpu" in devices),
+            )
+
+
 class TestMemMove:
     def _env(self):
         sim = Simulator()

@@ -195,6 +195,20 @@ class TestPrefetchCredits:
         assert max(peaks) <= depth
         assert mem_move.staged_outstanding() == 0
 
+    def test_a_prefetcher_takes_a_block_only_with_a_credit(self):
+        """Late binding: with no consumer draining it, a depth-2
+        prefetcher stages two blocks and leaves the rest in its source
+        queue, where their router can still take them back."""
+        sim, _, _, mem_move = _mem_move_env(prefetch_depth=2)
+        source = sim.store(name="source")
+        fetched = sim.store(capacity=2, name="fetched")
+        for _ in range(5):
+            source.put(_remote_handle())
+        sim.process(mem_move.prefetch_proc(source, fetched, "gpu:0"))
+        sim.run()
+        assert (len(source), len(fetched)) == (3, 2)
+        assert mem_move.staged_outstanding("gpu:0") == mem_move.transfers == 2
+
     def test_depth_one_serialises_transfers(self):
         """With a single staging buffer the next DMA cannot launch until
         the consumer releases the previous block."""
@@ -336,6 +350,54 @@ class TestStagingAbortAccounting:
         assert all(v == 0 for v in
                    server.engine.blocks.unaccounted_blocks().values())
         server.check_conservation()
+
+
+class TestTakeBackEndToEnd:
+    """A hybrid query at coarse blocks, replayed at SF 1000, where idle
+    groups take back unstarted blocks at the tail in both directions
+    (``core/router.py``'s module docstring)."""
+
+    CONFIG = ExecutionConfig.hybrid(24, [0, 1], block_tuples=2048)
+    TABLES = Tables(*SF, logical_sf=1000.0, segment_rows=8192)
+
+    def test_a_taken_back_block_leaves_exactly_once(self, monkeypatch):
+        from repro.engine.proteus import Proteus
+
+        victims = []
+        unqueue = Router._unqueue
+
+        def counting(router, group, queue, items):
+            victims.append(group.stage.device.value)
+            return unqueue(router, group, queue, items)
+
+        monkeypatch.setattr(Router, "_unqueue", counting)
+        engine = Proteus(segment_rows=self.TABLES.segment_rows)
+        load_ssb(engine, tables=ssb_tables(*SF), logical_sf=1000.0)
+        for qid in ("Q2.1", "Q4.2"):
+            result = engine.query(ssb_query(qid), self.CONFIG)
+            assert sorted(result.rows) == sorted(reference_rows(qid, *SF)), qid
+        assert set(victims) == {"cpu", "gpu"}, victims
+
+    @pytest.mark.parametrize("at, retried", [
+        (5.0, ["device_lost"]),  # the attempt fails, and retries
+        (5.3, []),  # GPU 0 ran its last block: the CPU finishes the query
+    ], ids=["mid-query", "after-its-last-block"])
+    def test_a_gpu_lost_at_the_tail_hangs_nothing(self, at, retried):
+        from repro.engine.faults import DeviceLossFault, FaultPlan, RetryPolicy
+
+        loss = DeviceLossFault(gpu_id=0, at_seconds=at)
+        server = {
+            "fault_plan": FaultPlan(seed=1, device_losses=(loss,)),
+            "retry_policy": RetryPolicy(),
+        }
+        out = run_scenario(Scenario(
+            (Arrival("Q4.2", self.CONFIG, name="Q4.2"),), server,
+            tables=self.TABLES, budget={"pcie_bytes": 1e15},
+        ))
+        session = out.sessions["Q4.2"]
+        assert session.status == "done"  # and its rows are the reference's
+        assert session.retried_classes == retried
+        assert out.report.faults["device_losses"] == 1
 
 
 class TestPausedShareAccounting:

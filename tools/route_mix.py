@@ -12,9 +12,10 @@ completion is in simulated seconds since the query started.
 
 A block cut into ``k`` morsels counts once under ``blocks`` and ``k``
 times under ``morsels``; a whole block counts once under each, and a
-broadcast block once per target.  Only
-:class:`~repro.core.router.Router` methods are wrapped, and only in this
-process.
+broadcast block once per target.  A block an idle group took back at the
+tail counts where it ran, once, and under ``took back`` for the router
+and group that took it.  Only :class:`~repro.core.router.Router` methods
+are wrapped, and only in this process.
 """
 
 from __future__ import annotations
@@ -36,25 +37,41 @@ SERIAL = [name for name, cls in WORKLOADS.items() if issubclass(cls, SsbSerial)]
 
 
 def route_query(workload, query: str):
-    """Run ``query`` once; return (blocks, morsels, last completion) per
-    ``(router, group, node)`` key and the query's seconds."""
+    """Run ``query`` once; return (blocks, morsels) per ``(router, group,
+    node)`` key, (last completion, blocks taken back) per ``(router,
+    group)`` key and the query's seconds."""
     target = workload.prepare(Tracer())
     engine = target.system
     start = engine.sim.now
     blocks: Counter = Counter()
     morsels: Counter = Counter()
     last: dict = {}
+    took: Counter = Counter()
+    taking = []  # the router whose next enqueue is a taken-back block
     cut = set()  # holds each counted Morsels, so no freed id is reused
-    enqueue, report_done = Router._enqueue, Router.report_done
+    enqueue, unqueue, report_done = (
+        Router._enqueue, Router._unqueue, Router.report_done
+    )
 
     def counting_enqueue(self, handle, group, instance):
-        key = (self.name.split(":", 1)[-1], group.stage.name, handle.node_id)
+        router = self.name.split(":", 1)[-1]
+        key = (router, group.stage.name, handle.node_id)
         morsels[key] += 1
         if handle.morsels is None or handle.morsels not in cut:
             blocks[key] += 1
             if handle.morsels is not None:
                 cut.add(handle.morsels)
+            if self in taking:
+                taking.remove(self)
+                took[(router, group.stage.name)] += 1
         return enqueue(self, handle, group, instance)
+
+    def uncounting_unqueue(self, group, queue, items):
+        key = (self.name.split(":", 1)[-1], group.stage.name, queue.items[-1].node_id)
+        morsels[key] -= items
+        blocks[key] -= 1
+        taking.append(self)
+        return unqueue(self, group, queue, items)
 
     def timed_report_done(self, group, *args):
         key = (self.name.split(":", 1)[-1], group.stage.name)
@@ -62,12 +79,15 @@ def route_query(workload, query: str):
         return report_done(self, group, *args)
 
     Router._enqueue = counting_enqueue
+    Router._unqueue = uncounting_unqueue
     Router.report_done = timed_report_done
     try:
         result = engine.query(workload.plans[query], workload.config)
     finally:
-        Router._enqueue, Router.report_done = enqueue, report_done
-    return blocks, morsels, last, result.seconds
+        Router._enqueue, Router._unqueue, Router.report_done = (
+            enqueue, unqueue, report_done
+        )
+    return blocks, morsels, last, took, result.seconds
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -82,16 +102,23 @@ def main(argv: list[str] | None = None) -> int:
     workload.generate(Tracer())
     if args.query not in workload.plans:
         parser.error(f"unknown query {args.query!r}; one of {sorted(workload.plans)}")
-    blocks, morsels, last, seconds = route_query(workload, args.query)
+    blocks, morsels, last, took, seconds = route_query(workload, args.query)
     print(
         f"{args.workload} {args.query}, seed {args.seed}"
         f"{' (quick)' if args.quick else ''}: {seconds:.4f} simulated seconds"
     )
     print(f"\n{'blocks':>7} {'morsels':>8} {'last done s':>12}  router / group / home node")
     for key in sorted(blocks):
+        if not morsels[key]:
+            continue  # every block routed here was taken back
         done = last.get(key[:2])
         when = f"{done:12.4f}" if done is not None else f"{'-':>12}"
         print(f"{blocks[key]:>7} {morsels[key]:>8} {when}  {' / '.join(key)}")
+    print(f"\n{'took back':>9}  router / group")
+    for key in sorted(took):
+        print(f"{took[key]:>9}  {' / '.join(key)}")
+    if not took:
+        print(f"{'-':>9}  no group took a block back")
     return 0
 
 
